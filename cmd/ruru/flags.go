@@ -31,7 +31,6 @@ type options struct {
 	snapshot  string
 	burst     int
 	blockMax  time.Duration
-	multi     bool
 	sinkWk    int
 	sinkBatch int
 	dbStripes int
@@ -85,7 +84,6 @@ func parseFlags(name string, args []string, hostname func() (string, error)) (*o
 		burst      = fs.Int("burst", 64, "ingest/poll burst size (frames per ring round-trip)")
 		overflow   = fs.String("overflow", "drop", "RX queue overflow policy: drop (NIC-faithful) or block (lossless source)")
 		blockMax   = fs.Duration("block-timeout", 0, "deadline for block-policy injection (0: wait indefinitely)")
-		multi      = fs.Bool("multi-consumer", false, "multi-consumer RX rings (several workers may share a queue)")
 		sinkWk     = fs.Int("sink-workers", 4, "sharded sink workers (measurements partitioned by city pair)")
 		sinkBatch  = fs.Int("sink-batch", 64, "max measurements per sink wakeup / WebSocket broadcast frame")
 		dbStripes  = fs.Int("db-stripes", 8, "TSDB lock stripes (1 = single global write lock)")
@@ -115,7 +113,7 @@ func parseFlags(name string, args []string, hostname func() (string, error)) (*o
 		listen: *listen, pcapPath: *pcapPath, rate: *rate, duration: *duration,
 		queues: *queues, seed: *seed, firewall: *firewall,
 		timestamps: *timestamps, trackSeq: *trackSeq, oneDir: *oneDir,
-		snapshot: *snapshot, burst: *burst, blockMax: *blockMax, multi: *multi,
+		snapshot: *snapshot, burst: *burst, blockMax: *blockMax,
 		sinkWk: *sinkWk, sinkBatch: *sinkBatch, dbStripes: *dbStripes,
 		dataDir: *dataDir, mode: *mode, remoteAddr: *remoteAddr,
 	}

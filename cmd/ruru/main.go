@@ -58,7 +58,6 @@ func main() {
 		Burst:           opt.burst,
 		Overflow:        opt.overflow,
 		BlockTimeout:    opt.blockMax,
-		MultiConsumer:   opt.multi,
 		TrackTimestamps: opt.timestamps,
 		TrackSeq:        opt.trackSeq,
 		OneDirection:    opt.oneDir,

@@ -2,9 +2,9 @@
 // of hot-path microbenchmarks runnable from a plain binary (cmd/ruru-bench
 // -json) via testing.Benchmark, emitting a machine-readable BENCH_*.json
 // that CI checks in per PR and diffs against the previous entry
-// (scripts/bench_compare.sh). The suite intentionally mirrors the shapes of
-// the top-level bench_test.go benchmarks so `go test -bench` and the JSON
-// trajectory measure the same code paths.
+// (scripts/bench_compare.sh). The top-level bench_test.go runs the same
+// Specs under `go test -bench` (BenchmarkSpecs), so the JSON trajectory and
+// a profiled run measure the same bodies.
 package bench
 
 import (
@@ -63,8 +63,8 @@ type Spec struct {
 }
 
 // Specs returns the trajectory suite: one entry per pipeline hot path —
-// ingest hand-off, packet processing, sink drain, DB writes (legacy and
-// interned-ref), WAL-logged writes, and tier-served queries.
+// ingest hand-off, packet processing, sink drain, DB writes (string-keyed
+// and interned-ref entry points), WAL-logged writes, and tier-served queries.
 func Specs() []Spec {
 	return []Spec{
 		{Name: "ingest/burst", F: benchIngestBurst},
@@ -139,8 +139,7 @@ func WriteJSON(w io.Writer, f File) error {
 
 // --- suite bodies -----------------------------------------------------------
 
-// benchIngestBurst: inject → RSS queue → RxBurst → recycle, batched
-// (bench_test.go BenchmarkIngest/burst).
+// benchIngestBurst: inject → RSS queue → RxBurst → recycle, batched.
 func benchIngestBurst(b *testing.B) {
 	const burst = 64
 	pool := nic.NewMempool(8192, 2048)
@@ -298,7 +297,7 @@ func benchSeqRTT(b *testing.B) {
 }
 
 // benchSinkConsume: enriched topic → sharded sink workers → batched
-// interned-ref TSDB writes (bench_test.go BenchmarkConsume, 4 workers).
+// interned-ref TSDB writes, 4 workers.
 func benchSinkConsume(b *testing.B) {
 	b.ReportAllocs()
 	msgs := b.N
@@ -321,8 +320,13 @@ func dbBatchOpts(stripes int) tsdb.Options {
 	return tsdb.Options{ShardDuration: 1e9, Retention: 2e9, Stripes: stripes}
 }
 
-// benchDBWriteBatch: the legacy string-keyed batched write path, 8 stripes
-// (bench_test.go BenchmarkDBWriteBatch/stripes-8).
+// benchDBWriteBatch: the string-keyed batched entry point (WriteBatch
+// resolves each point's shape under the stripe lock), 8 stripes. Each op
+// writes one 64-point batch; every goroutine owns its own series so stripe
+// contention is the only shared cost, and all goroutines share one clock:
+// with per-goroutine clocks, a writer descheduled behind the leader would
+// fall past the retention horizon and its batches would take the cheap drop
+// path instead of the series append being measured.
 func benchDBWriteBatch(b *testing.B) {
 	const batchLen = 64
 	db := tsdb.Open(dbBatchOpts(8))
@@ -357,8 +361,8 @@ func benchDBWriteBatch(b *testing.B) {
 	reportPPS(b, batchLen)
 }
 
-// benchDBWriteBatchRef: the interned-handle zero-alloc write path, same
-// shape as benchDBWriteBatch (bench_test.go BenchmarkDBWriteBatchRef).
+// benchDBWriteBatchRef: the interned-handle zero-alloc entry point, same
+// shape as benchDBWriteBatch.
 func benchDBWriteBatchRef(b *testing.B) {
 	const batchLen = 64
 	db := tsdb.Open(dbBatchOpts(8))
@@ -439,7 +443,8 @@ func benchDBWriteBatchRefSteady(b *testing.B) {
 }
 
 // benchWALWrite: one 64-point batch per op, WAL-logged at the production
-// default fsync policy (bench_test.go BenchmarkWriteWAL/wal-interval).
+// default fsync policy. Experiment E13 prices it against in-memory and the
+// other policies.
 func benchWALWrite(b *testing.B) {
 	const batchLen = 64
 	db, err := tsdb.OpenDB(tsdb.Options{

@@ -51,8 +51,9 @@ type SeqSink interface {
 // nanoseconds), then cooperative yields, then exponentially growing sleeps.
 // Any amount of traffic resets the ladder, so a loaded worker is always in
 // the spin regime — the DPDK busy-poll behaviour — while an idle worker
-// costs roughly nothing. This replaces the old fixed 50µs PollSleep, whose
-// wake-up latency let queues overflow during injection bursts.
+// costs roughly nothing. A fixed idle sleep of tens of microseconds lets
+// queues overflow during injection bursts: its wake-up latency is the
+// ladder's worst case, not its common one.
 type PollConfig struct {
 	// Spin is the number of consecutive empty polls served by pure
 	// busy-spinning before the worker starts yielding (default 64).
@@ -66,7 +67,7 @@ type PollConfig struct {
 	SleepMax time.Duration
 }
 
-func (c *PollConfig) setDefaults(legacySleep time.Duration) {
+func (c *PollConfig) setDefaults() {
 	if c.Spin <= 0 {
 		c.Spin = 64
 	}
@@ -78,9 +79,6 @@ func (c *PollConfig) setDefaults(legacySleep time.Duration) {
 	}
 	if c.SleepMax <= 0 {
 		c.SleepMax = 100 * time.Microsecond
-		if legacySleep > 0 {
-			c.SleepMax = legacySleep
-		}
 	}
 	if c.SleepMax < c.SleepMin {
 		c.SleepMax = c.SleepMin
@@ -116,9 +114,6 @@ type EngineConfig struct {
 	Burst int
 	// Poll tunes the adaptive idle ladder (zero values get defaults).
 	Poll PollConfig
-	// PollSleep is the legacy fixed idle-sleep knob; when set it becomes
-	// Poll.SleepMax (the worst-case wake-up latency). Prefer Poll.
-	PollSleep time.Duration
 
 	// TSSink, when non-nil, enables continuous RTT tracking from TCP
 	// timestamp echoes (a per-queue TSTracker beside each handshake
@@ -180,7 +175,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	if cfg.Burst <= 0 {
 		cfg.Burst = 64
 	}
-	cfg.Poll.setDefaults(cfg.PollSleep)
+	cfg.Poll.setDefaults()
 	e := &Engine{cfg: cfg, snaps: make([]statsCell, cfg.Port.NumQueues())}
 	for q := 0; q < cfg.Port.NumQueues(); q++ {
 		tc := cfg.Table

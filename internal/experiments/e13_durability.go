@@ -16,9 +16,9 @@ import (
 //
 //   - Cost: the batched TSDB write path in-memory versus WAL-logged at
 //     fsync=off and fsync=interval — OverheadPct (interval vs in-memory)
-//     is the headline number. The ≤15% acceptance target is pinned by
-//     BenchmarkWriteWAL's steady-series shape, where the WAL's own cost
-//     is isolated; this experiment randomizes the series per point and
+//     is the headline number. The ≤15% acceptance target is set on the
+//     steady-series shape of the wal/write-interval bench entry
+//     (internal/bench), where the WAL's own cost is isolated; this experiment randomizes the series per point and
 //     writes at disk-saturating rate, so it additionally prices shape-
 //     dictionary lookups and the kernel writeback that a deployment at
 //     realistic rates amortizes over idle time — treat its number as the
@@ -259,8 +259,8 @@ func E13(cfg E13Config, w io.Writer) (E13Result, error) {
 		fmt.Fprintf(w, "  in-memory WriteBatch        %12.0f points/s\n", res.MemRate)
 		fmt.Fprintf(w, "  WAL fsync=off               %12.0f points/s\n", res.WALOffRate)
 		fmt.Fprintf(w, "  WAL fsync=interval          %12.0f points/s\n", res.WALIntRate)
-		fmt.Fprintf(w, "  write-path overhead         %11.1f%%  (≤15%% target is pinned by\n"+
-			"    BenchmarkWriteWAL's steady-series shape; this leg randomizes the\n"+
+		fmt.Fprintf(w, "  write-path overhead         %11.1f%%  (≤15%% target is set on the\n"+
+			"    wal/write-interval bench entry's steady-series shape; this leg randomizes the\n"+
 			"    series per point and runs at disk-saturating rate, so it also pays\n"+
 			"    dictionary lookups and the kernel writeback a real deployment\n"+
 			"    spreads over idle time)\n", res.OverheadPct)

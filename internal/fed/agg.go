@@ -33,7 +33,7 @@ type AggConfig struct {
 
 // Aggregator accepts remote-write streams from N probes and ingests every
 // batch — tagged probe=<id> — through the owning DB's normal
-// WriteBatch→rollup→WAL path, so durability and the query planner apply to
+// write→rollup→WAL path, so durability and the query planner apply to
 // federated data for free. Batches are deduplicated by per-probe sequence
 // number and acknowledged only after the write returns: apply-exactly-once,
 // ack-after-apply (see the package doc for the full contract).
@@ -112,10 +112,11 @@ type AggStats struct {
 	// the stats' top-level DBDropped, not in any fed counter); DupBatches
 	// counts batches dropped by sequence dedup; BadFrames malformed or
 	// CRC-failing frames (connection dropped, probe resends); DecodeErrors
-	// CRC-valid records — or individual fieldless points — that could not
-	// become writable points (counted, skipped and acked: resending cannot
-	// fix them); WriteErrors batches refused by a closing DB; Rejected
-	// hellos refused at the MaxProbes distinct-identity cap.
+	// CRC-valid records — or individual points with no fields or a repeated
+	// field key — that could not become writable points (counted, skipped
+	// and acked: resending cannot fix them); WriteErrors batches refused by
+	// a closing DB; Rejected hellos refused at the MaxProbes
+	// distinct-identity cap.
 	Batches, Points, DupBatches, BadFrames, DecodeErrors, WriteErrors, Rejected uint64
 	Probes                                                                      []ProbeAggStats
 }
@@ -230,7 +231,6 @@ func (a *Aggregator) serve(conn net.Conn) {
 	}
 
 	var ackBuf []byte
-	pts := make([]tsdb.Point, 0, 256)
 	for {
 		msg, err := fr.Read()
 		if err != nil {
@@ -247,7 +247,7 @@ func (a *Aggregator) serve(conn net.Conn) {
 			a.badFrames.Add(1)
 			return
 		}
-		ack, ok := a.applyBatch(ps, seq, record, &pts)
+		ack, ok := a.applyBatch(ps, seq, record)
 		if !ok {
 			return
 		}
@@ -261,7 +261,7 @@ func (a *Aggregator) serve(conn net.Conn) {
 // applyBatch applies one batch exactly once and returns the cumulative ack
 // to send. ok=false means the DB refused the write (shutdown): drop the
 // connection without acking so the probe retains and resends the batch.
-func (a *Aggregator) applyBatch(ps *aggProbe, seq uint64, record []byte, pts *[]tsdb.Point) (ack uint64, ok bool) {
+func (a *Aggregator) applyBatch(ps *aggProbe, seq uint64, record []byte) (ack uint64, ok bool) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	if seq <= ps.lastApplied {
@@ -269,41 +269,31 @@ func (a *Aggregator) applyBatch(ps *aggProbe, seq uint64, record []byte, pts *[]
 		a.dupBatches.Add(1)
 		return ps.lastApplied, true
 	}
-	batch := (*pts)[:0]
 	rpts := ps.rpts[:0]
 	vals := ps.vals[:0]
 	offs := ps.offs[:0]
 	dropped := 0
 	derr := tsdb.DecodeRecord(record, func(p *tsdb.Point) error {
-		if len(p.Fields) == 0 {
-			// A fieldless point (craftable on the wire, never produced by
-			// a real probe) would fail the WHOLE WriteBatch with the
-			// deterministic ErrNoFields — and since that error is handled
-			// as transient (no ack, resend), it would livelock the stream.
-			// Drop and count it here instead.
+		ref, err := a.refFor(ps, p)
+		if errors.Is(err, tsdb.ErrClosedDB) {
+			return err
+		}
+		if err != nil {
+			// A fieldless point or one with duplicate field keys (craftable
+			// on the wire, never produced by a real probe) is refused by
+			// the DB deterministically — and since a refused write is
+			// handled as transient (no ack, resend), it would livelock the
+			// stream. Drop and count it here instead.
 			dropped++
 			return nil
 		}
-		if ref, ok := a.refFor(ps, p); ok {
-			// Interned fast path: values into the shared arena, Vals
-			// subslices fixed up below once the arena stops moving.
-			offs = append(offs, len(vals))
-			for _, f := range p.Fields {
-				vals = append(vals, f.Value)
-			}
-			rpts = append(rpts, tsdb.RefPoint{Ref: ref, Time: p.Time})
-			return nil
+		// Values into the shared arena, Vals subslices fixed up below once
+		// the arena stops moving.
+		offs = append(offs, len(vals))
+		for _, f := range p.Fields {
+			vals = append(vals, f.Value)
 		}
-		// Shapes Ref refuses (duplicate field keys) take the legacy copy
-		// path, preserving the old behaviour exactly.
-		q := tsdb.Point{
-			Name:   p.Name,
-			Tags:   make([]tsdb.Tag, 0, len(p.Tags)+1),
-			Fields: append([]tsdb.Field(nil), p.Fields...),
-			Time:   p.Time,
-		}
-		q.Tags = append(append(q.Tags, p.Tags...), tsdb.Tag{Key: a.cfg.ProbeTag, Value: ps.id})
-		batch = append(batch, q)
+		rpts = append(rpts, tsdb.RefPoint{Ref: ref, Time: p.Time})
 		return nil
 	})
 	offs = append(offs, len(vals))
@@ -313,8 +303,14 @@ func (a *Aggregator) applyBatch(ps *aggProbe, seq uint64, record []byte, pts *[]
 	if dropped > 0 {
 		a.decodeErrors.Add(uint64(dropped))
 	}
-	*pts = batch[:0]
 	ps.rpts, ps.vals, ps.offs = rpts, vals, offs
+	// ErrClosedDB (shutdown) is the only way Ref above or the write below
+	// can fail: transient, so drop the connection without acking and let
+	// the probe resend to the restarted aggregator.
+	if errors.Is(derr, tsdb.ErrClosedDB) {
+		a.writeErrors.Add(1)
+		return 0, false
+	}
 	if derr != nil {
 		// CRC said the bytes arrived intact, so this is an encoding the
 		// probe will resend identically forever: count it, skip it, ack it
@@ -323,26 +319,15 @@ func (a *Aggregator) applyBatch(ps *aggProbe, seq uint64, record []byte, pts *[]
 		ps.lastApplied = seq
 		return seq, true
 	}
-	// Both writes can only fail with ErrClosedDB (shutdown; fieldless
-	// points were filtered above): transient, so drop the connection
-	// without acking and let the probe resend to the restarted aggregator.
 	// With err == nil every point was handled — stored, or dropped by
 	// retention and counted in the DB's own dropped counter (surfaced as
 	// DBDropped in /api/stats), so Points below means "accepted", not
 	// "queryable".
-	if len(rpts) > 0 {
-		if _, err := a.db.WriteBatchRef(rpts); err != nil {
-			a.writeErrors.Add(1)
-			return 0, false
-		}
+	if _, err := a.db.WriteBatchRef(rpts); err != nil {
+		a.writeErrors.Add(1)
+		return 0, false
 	}
-	if len(batch) > 0 {
-		if _, err := a.db.WriteBatch(batch); err != nil {
-			a.writeErrors.Add(1)
-			return 0, false
-		}
-	}
-	n := uint64(len(rpts) + len(batch))
+	n := uint64(len(rpts))
 	ps.lastApplied = seq
 	ps.batches.Add(1)
 	a.batches.Add(1)
@@ -352,11 +337,10 @@ func (a *Aggregator) applyBatch(ps *aggProbe, seq uint64, record []byte, pts *[]
 }
 
 // refFor resolves a decoded point's interned TSDB handle from the probe's
-// cache, creating it on first sight of the shape. ok=false means the shape
-// cannot take the ref path (duplicate field keys, or the DB is closing —
-// in which case the legacy write will surface the error). Caller holds
-// ps.mu.
-func (a *Aggregator) refFor(ps *aggProbe, p *tsdb.Point) (tsdb.SeriesRef, bool) {
+// cache, creating it on first sight of the shape. It fails with the DB's
+// Ref error: a shape no write accepts (no fields, duplicate field keys), or
+// ErrClosedDB. Caller holds ps.mu.
+func (a *Aggregator) refFor(ps *aggProbe, p *tsdb.Point) (tsdb.SeriesRef, error) {
 	// Cache key: name, tag count, tags, field keys — all length-prefixed,
 	// so distinct shapes can never collide.
 	b := ps.keyBuf[:0]
@@ -371,7 +355,7 @@ func (a *Aggregator) refFor(ps *aggProbe, p *tsdb.Point) (tsdb.SeriesRef, bool) 
 	}
 	ps.keyBuf = b
 	if ref, ok := ps.refs[string(b)]; ok {
-		return ref, true
+		return ref, nil
 	}
 	tags := make([]tsdb.Tag, 0, len(p.Tags)+1)
 	tags = append(append(tags, p.Tags...), tsdb.Tag{Key: a.cfg.ProbeTag, Value: ps.id})
@@ -381,10 +365,10 @@ func (a *Aggregator) refFor(ps *aggProbe, p *tsdb.Point) (tsdb.SeriesRef, bool) 
 	}
 	ref, err := a.db.Ref(p.Name, tags, fields...)
 	if err != nil {
-		return 0, false
+		return 0, err
 	}
 	ps.refs[string(b)] = ref
-	return ref, true
+	return ref, nil
 }
 
 func appendLenStr(b []byte, s string) []byte {

@@ -498,12 +498,13 @@ func TestFlushSplitsOversizedBatch(t *testing.T) {
 	}
 }
 
-// TestFieldlessPointSkippedNotLivelocked pins the aggregator against the
-// one deterministic WriteBatch failure reachable from the wire: a
-// CRC-valid record containing a fieldless point must not wedge the stream
-// (ErrNoFields fails a whole batch) — the point is dropped and counted,
-// the rest of the batch applies, and the batch is acked.
-func TestFieldlessPointSkippedNotLivelocked(t *testing.T) {
+// TestUnwritablePointsSkippedNotLivelocked pins the aggregator against the
+// deterministic write failures reachable from the wire: a CRC-valid record
+// containing a fieldless point (ErrNoFields) or one with a repeated field
+// key (ErrBadRef: a column holds one value per point) must not wedge the
+// stream — each such point is dropped and counted, the rest of the batch
+// applies, and the batch is acked.
+func TestUnwritablePointsSkippedNotLivelocked(t *testing.T) {
 	db := tsdb.Open(tsdb.Options{})
 	defer db.Close()
 	agg, err := NewAggregator(AggConfig{Listen: "127.0.0.1:0"}, db)
@@ -529,7 +530,8 @@ func TestFieldlessPointSkippedNotLivelocked(t *testing.T) {
 	var enc tsdb.RecordEncoder
 	rec := enc.AppendRecord(nil, []tsdb.Point{
 		{Name: "latency", Fields: []tsdb.Field{{Key: "total_ms", Value: 1}}, Time: 1},
-		{Name: "empty", Time: 2}, // no fields: would fail WriteBatch outright
+		{Name: "empty", Time: 2}, // no fields
+		{Name: "latency", Fields: []tsdb.Field{{Key: "total_ms", Value: 7}, {Key: "total_ms", Value: 8}}, Time: 2},
 		{Name: "latency", Fields: []tsdb.Field{{Key: "total_ms", Value: 2}}, Time: 3},
 	})
 	if err := mq.WriteFrame(conn, mq.Message{Topic: topicBatch,
@@ -547,8 +549,13 @@ func TestFieldlessPointSkippedNotLivelocked(t *testing.T) {
 		t.Fatalf("db has %d points, want 2", written)
 	}
 	st := agg.Stats()
-	if st.DecodeErrors != 1 || st.WriteErrors != 0 || st.Points != 2 {
+	if st.DecodeErrors != 2 || st.WriteErrors != 0 || st.Points != 2 {
 		t.Fatalf("stats: %+v", st)
+	}
+	res, err := db.Execute(tsdb.Query{Measurement: "latency", Field: "total_ms",
+		Start: 0, End: 10, Aggs: []tsdb.AggKind{tsdb.AggCount, tsdb.AggSum}})
+	if err != nil || len(res) != 1 || res[0].Buckets[0].Count != 2 || res[0].Buckets[0].Aggs[tsdb.AggSum] != 3 {
+		t.Fatalf("stored series wrong: %+v (%v)", res, err)
 	}
 }
 

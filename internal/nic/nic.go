@@ -27,10 +27,8 @@
 //     paced by backpressure instead of silently corrupting the measurement
 //     distribution.
 //
-// Queues are SPSC rings by default (one worker per queue, the paper's
-// topology). PortConfig.MultiConsumer switches them to multi-consumer-safe
-// CAS rings so several workers may drain one queue (work stealing, elastic
-// worker pools).
+// Queues are SPSC rings: one injecting goroutine per port, one worker per
+// queue — the paper's topology.
 package nic
 
 import (
@@ -227,16 +225,11 @@ type PortConfig struct {
 	// BlockTimeout bounds how long Block-policy injection waits for queue
 	// space. Zero means wait indefinitely.
 	BlockTimeout time.Duration
-	// MultiConsumer switches the queue rings to the CAS-based
-	// multi-consumer implementation, allowing several workers to drain
-	// the same queue. The default SPSC rings support exactly one
-	// consumer per queue.
-	MultiConsumer bool
 }
 
 // Port is the receive side of the virtual NIC.
 type Port struct {
-	queues []ring.Buffer[*Buf]
+	queues []*ring.Ring[*Buf]
 	qstats []queueCounters
 	pool   *Mempool
 	hasher *rss.Hasher
@@ -270,7 +263,7 @@ func NewPort(cfg PortConfig) (*Port, error) {
 		h = rss.NewSymmetric()
 	}
 	p := &Port{
-		queues:       make([]ring.Buffer[*Buf], cfg.Queues),
+		queues:       make([]*ring.Ring[*Buf], cfg.Queues),
 		qstats:       make([]queueCounters, cfg.Queues),
 		pool:         cfg.Pool,
 		hasher:       h,
@@ -279,15 +272,7 @@ func NewPort(cfg PortConfig) (*Port, error) {
 		stage:        make([][]*Buf, cfg.Queues),
 	}
 	for i := range p.queues {
-		var (
-			r   ring.Buffer[*Buf]
-			err error
-		)
-		if cfg.MultiConsumer {
-			r, err = ring.NewMP[*Buf](depth)
-		} else {
-			r, err = ring.New[*Buf](depth)
-		}
+		r, err := ring.New[*Buf](depth)
 		if err != nil {
 			return nil, err
 		}
@@ -614,9 +599,8 @@ func (s *BurstStager) Accepted() int { return s.accepted }
 
 // RxBurst polls queue q for up to len(bufs) packets, returning the count.
 // This is the rte_eth_rx_burst analogue; workers call it in a poll loop.
-// The caller owns returned buffers and must Free them. With the default
-// SPSC rings exactly one worker may poll a given queue; MultiConsumer
-// ports allow any number.
+// The caller owns returned buffers and must Free them. Queues are SPSC
+// rings: exactly one worker may poll a given queue.
 func (p *Port) RxBurst(q int, bufs []*Buf) (int, error) {
 	if q < 0 || q >= len(p.queues) {
 		return 0, ErrBadQueue

@@ -4,7 +4,6 @@ import (
 	"net/netip"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -379,69 +378,6 @@ func TestConcurrentWorkersDrain(t *testing.T) {
 	}
 	if st.Imissed != 0 || st.Ipackets != frames {
 		t.Fatalf("lossless drain counted drops: %+v", st)
-	}
-	if pool.Available() != pool.Size() {
-		t.Fatalf("leaked buffers: %d/%d available", pool.Available(), pool.Size())
-	}
-}
-
-func TestMultiConsumerWorkersSharedQueue(t *testing.T) {
-	// Several workers draining the SAME queue — only sound on a
-	// MultiConsumer port (the SPSC fast path supports exactly one
-	// consumer per queue). Every packet must arrive exactly once.
-	const workers = 4
-	const frames = 20000
-	pool := NewMempool(4096, 2048)
-	port, err := NewPort(PortConfig{
-		Queues: 1, QueueDepth: 2048, Pool: pool,
-		Policy: Block, MultiConsumer: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	var received atomic.Uint64
-	done := make(chan struct{})
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			bufs := make([]*Buf, 64)
-			for {
-				n, _ := port.RxBurst(0, bufs)
-				for i := 0; i < n; i++ {
-					received.Add(1)
-					bufs[i].Free()
-				}
-				if n == 0 {
-					select {
-					case <-done:
-						for {
-							n, _ := port.RxBurst(0, bufs)
-							if n == 0 {
-								return
-							}
-							for i := 0; i < n; i++ {
-								received.Add(1)
-								bufs[i].Free()
-							}
-						}
-					default:
-					}
-				}
-			}
-		}()
-	}
-	frame := buildSYN(t, "10.0.0.1", "192.0.2.1", 1234, 443)
-	for i := 0; i < frames; i++ {
-		if st := port.InjectPreclassified(frame, int64(i), uint32(i)); !st.OK() {
-			t.Fatalf("frame %d rejected: %v", i, st)
-		}
-	}
-	close(done)
-	wg.Wait()
-	if got := received.Load(); got != frames {
-		t.Fatalf("received %d, want %d (stats %+v)", got, frames, port.Stats())
 	}
 	if pool.Available() != pool.Size() {
 		t.Fatalf("leaked buffers: %d/%d available", pool.Available(), pool.Size())

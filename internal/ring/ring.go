@@ -2,18 +2,12 @@
 // between pipeline stages: NIC RX queues feed per-core workers exactly the
 // way DPDK rings feed lcores in the Ruru paper.
 //
-// Two implementations share the Buffer interface:
-//
-//   - Ring is single-producer/single-consumer (the rte_ring SP/SC fast
-//     path): one atomic load/store pair per operation, no CAS.
-//   - MPRing is multi-producer/multi-consumer (the rte_ring MP/MC mode):
-//     CAS-reserved slots with per-slot sequence numbers, safe for any
-//     number of concurrent producers and consumers.
-//
-// Both are power-of-two circular arrays with burst push/pop that amortize
-// synchronization over whole bursts, and both expose capacity, free-space
-// and high-watermark introspection so upper layers can implement
-// backpressure instead of discovering overflow after the fact.
+// Ring is single-producer/single-consumer (the rte_ring SP/SC fast path):
+// one atomic load/store pair per operation, no CAS. It is a power-of-two
+// circular array with burst push/pop that amortize synchronization over
+// whole bursts, and it exposes capacity, free-space and high-watermark
+// introspection so upper layers can implement backpressure instead of
+// discovering overflow after the fact.
 package ring
 
 import (
@@ -26,37 +20,13 @@ var ErrBadCapacity = errors.New("ring: capacity must be a power of two and > 0")
 
 type pad [56]byte // pads a uint64 to a full 64-byte cache line
 
-// Buffer is the queue contract shared by Ring (SPSC) and MPRing (MPMC).
-// The nic layer programs against this interface so a port can swap the
-// single-consumer fast path for the multi-consumer ring per configuration.
-type Buffer[T any] interface {
-	// Cap returns the fixed capacity.
-	Cap() int
-	// Len returns the instantaneous queued-item count (advisory under
-	// concurrency).
-	Len() int
-	// Free returns Cap()-Len(): the instantaneous admission headroom.
-	Free() int
-	// Watermark returns the highest queue depth observed by any push so
-	// far — the burst headroom actually consumed over the ring's life.
-	Watermark() int
-	// Push enqueues one item, reporting acceptance.
-	Push(v T) bool
-	// Pop dequeues one item, reporting whether one was available.
-	Pop() (T, bool)
-	// PushBurst enqueues as many items from vs as fit, returning the count.
-	PushBurst(vs []T) int
-	// PopBurst dequeues up to len(out) items into out, returning the count.
-	PopBurst(out []T) int
-}
-
 // Ring is a lock-free SPSC queue of values of type T.
 // The zero value is not usable; call New.
 //
 // Contract: exactly one goroutine may push and exactly one may pop. The
 // producer owns tail, the consumer owns head; each only loads the other's
 // index, so no CAS is needed. Violating the single-consumer side loses or
-// duplicates items — use MPRing when multiple workers drain one queue.
+// duplicates items.
 type Ring[T any] struct {
 	buf  []T
 	mask uint64
@@ -100,10 +70,11 @@ func (r *Ring[T]) Len() int {
 	return int(r.tail.Load() - r.head.Load())
 }
 
-// Free returns the instantaneous admission headroom.
+// Free returns Cap()-Len(): the instantaneous admission headroom.
 func (r *Ring[T]) Free() int { return len(r.buf) - r.Len() }
 
-// Watermark returns the highest depth any push has observed.
+// Watermark returns the highest depth any push has observed — the burst
+// headroom actually consumed over the ring's life.
 func (r *Ring[T]) Watermark() int { return int(r.maxLen.Load()) }
 
 // note records depth at push time; producer-only, so a plain store race

@@ -210,8 +210,7 @@ func TestLenNeverExceedsCap(t *testing.T) {
 // exactly one producer and one consumer, mixed single and burst operations,
 // strict FIFO with exactly-once delivery, and consistent introspection.
 // Draining one Ring from several goroutines is NOT part of the contract —
-// that loses or duplicates items by design; use MPRing (via
-// nic.PortConfig.MultiConsumer) when multiple workers must share a queue.
+// that loses or duplicates items by design.
 func TestSPSCSingleConsumerContract(t *testing.T) {
 	r := MustNew[uint64](64)
 	const total = 1 << 16

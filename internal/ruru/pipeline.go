@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,9 +50,6 @@ type Config struct {
 	// Poll tunes the measurement workers' adaptive idle ladder
 	// (spin → yield → decaying sleep; zero values get defaults).
 	Poll core.PollConfig
-	// PollSleep is the legacy fixed idle-sleep knob; when set it becomes
-	// Poll.SleepMax. Prefer Poll.
-	PollSleep time.Duration
 
 	// Overflow selects what injection does when an RX queue is full:
 	// nic.Drop (default, NIC-faithful: frame lost, counted Imissed) or
@@ -60,9 +58,6 @@ type Config struct {
 	// BlockTimeout bounds how long Block-policy injection waits (zero:
 	// indefinitely).
 	BlockTimeout time.Duration
-	// MultiConsumer switches RX queues to the multi-consumer-safe CAS
-	// rings so several workers may drain one queue.
-	MultiConsumer bool
 
 	// TableCapacity is the per-queue handshake table size (default 64k).
 	TableCapacity int
@@ -317,7 +312,6 @@ func New(cfg Config) (*Pipeline, error) {
 	p.Port, err = nic.NewPort(nic.PortConfig{
 		Queues: cfg.Queues, QueueDepth: cfg.QueueDepth, Pool: p.Pool,
 		Policy: cfg.Overflow, BlockTimeout: cfg.BlockTimeout,
-		MultiConsumer: cfg.MultiConsumer,
 	})
 	if err != nil {
 		return nil, err
@@ -339,9 +333,8 @@ func New(cfg Config) (*Pipeline, error) {
 			Timeout:  cfg.HandshakeTimeout,
 			OnExpire: p.onExpire,
 		},
-		Burst:     cfg.Burst,
-		Poll:      cfg.Poll,
-		PollSleep: cfg.PollSleep,
+		Burst: cfg.Burst,
+		Poll:  cfg.Poll,
 	}
 	if cfg.TrackTimestamps {
 		engCfg.TSSink = core.TSSinkFunc(p.onTSSample)
@@ -445,108 +438,70 @@ func (p *Pipeline) onExpire(lastTS int64, awaitingSYNACK bool) {
 	p.floodMu.Unlock()
 }
 
-// onTSSample stores one continuous RTT sample: geo-enriched, anonymized
-// (only city/country tags reach storage, like measurements), written to the
-// "rtt_stream" measurement. Called from queue workers; the TSDB write path
-// has its own lock.
-func (p *Pipeline) onTSSample(s *core.TSSample) {
-	echoCity, peerCity := "Unknown", "Unknown"
-	if rec, ok := p.cfg.GeoDB.Lookup(s.Echoer); ok {
-		echoCity = rec.City
+// storeTracked writes one tracker output — a continuous-RTT sample or a
+// loss event — straight into the TSDB: the one place a tracker Point is
+// built. The two endpoints are geo-enriched and anonymized (only their
+// cities reach storage, like measurements) under tag keys keyA/keyB. Called
+// from queue workers; the TSDB write path has its own lock. Tracker output
+// never touches the bus, so rollups and dashboard queries see these series
+// but the anomaly detectors, WebSocket clients and the federation probe do
+// not (ROADMAP open item 3). A point the DB refuses (closing under a late
+// queue worker) lands in DBWriteErrors, the same ledger as the sink, and
+// is not counted in stored.
+func (p *Pipeline) storeTracked(stored *atomic.Uint64, name string,
+	keyA string, a netip.Addr, keyB string, b netip.Addr, third tsdb.Tag,
+	field string, v float64, at int64) {
+	cityA, cityB := "Unknown", "Unknown"
+	if rec, ok := p.cfg.GeoDB.Lookup(a); ok {
+		cityA = rec.City
 	}
-	if rec, ok := p.cfg.GeoDB.Lookup(s.Peer); ok {
-		peerCity = rec.City
+	if rec, ok := p.cfg.GeoDB.Lookup(b); ok {
+		cityB = rec.City
 	}
 	pt := tsdb.Point{
-		Name: "rtt_stream",
-		Tags: []tsdb.Tag{
-			{Key: "echoer_city", Value: echoCity},
-			{Key: "peer_city", Value: peerCity},
-			{Key: "mode", Value: "ts"},
-		},
-		Fields: []tsdb.Field{{Key: "rtt_ms", Value: float64(s.RTT) / 1e6}},
-		Time:   s.At,
+		Name:   name,
+		Tags:   []tsdb.Tag{{Key: keyA, Value: cityA}, {Key: keyB, Value: cityB}, third},
+		Fields: []tsdb.Field{{Key: field, Value: v}},
+		Time:   at,
 	}
 	if err := p.DB.Write(&pt); err != nil {
-		// Same ledger as the sink: a lost sample (DB closing under a
-		// late queue worker) must show up in DBWriteErrors, not vanish.
 		p.sinkWriteErrors.Add(1)
 		return
 	}
-	p.tsSamples.Add(1)
+	stored.Add(1)
+}
+
+// onTSSample stores one timestamp-echo RTT sample in the "rtt_stream"
+// measurement, tagged mode=ts.
+func (p *Pipeline) onTSSample(s *core.TSSample) {
+	p.storeTracked(&p.tsSamples, "rtt_stream", "echoer_city", s.Echoer, "peer_city", s.Peer,
+		tsdb.Tag{Key: "mode", Value: "ts"}, "rtt_ms", float64(s.RTT)/1e6, s.At)
 }
 
 // seqSinkAdapter routes seq-tracker output from the engine's queue workers
 // into the pipeline's storage path.
 type seqSinkAdapter struct{ p *Pipeline }
 
-func (a seqSinkAdapter) EmitSeq(s *core.SeqSample) { a.p.onSeqSample(s) }
-
-func (a seqSinkAdapter) EmitLoss(ev *core.LossEvent) { a.p.onLossEvent(ev) }
-
-// onSeqSample stores one sequence-matched RTT sample into the same
-// "rtt_stream" measurement as timestamp samples — geo-enriched, IPs
-// dropped — distinguished by the mode tag (seq, or onedir for
-// asymmetric-tap estimates), so rollups, anomaly detection, dashboards and
-// federation consume the new series unchanged. The ACK sender (for onedir,
-// the invisible peer) fills the echoer_city position: both trackers put
-// the measured side of the path in that tag.
-func (p *Pipeline) onSeqSample(s *core.SeqSample) {
-	respCity, peerCity := "Unknown", "Unknown"
-	if rec, ok := p.cfg.GeoDB.Lookup(s.Responder); ok {
-		respCity = rec.City
-	}
-	if rec, ok := p.cfg.GeoDB.Lookup(s.Peer); ok {
-		peerCity = rec.City
-	}
+// EmitSeq stores one sequence-matched RTT sample into the same "rtt_stream"
+// measurement as timestamp samples, distinguished by the mode tag (seq, or
+// onedir for asymmetric-tap estimates). The ACK sender (for onedir, the
+// invisible peer) fills the echoer_city position: both trackers put the
+// measured side of the path in that tag.
+func (a seqSinkAdapter) EmitSeq(s *core.SeqSample) {
 	mode := "seq"
 	if s.OneDir {
 		mode = "onedir"
 	}
-	pt := tsdb.Point{
-		Name: "rtt_stream",
-		Tags: []tsdb.Tag{
-			{Key: "echoer_city", Value: respCity},
-			{Key: "peer_city", Value: peerCity},
-			{Key: "mode", Value: mode},
-		},
-		Fields: []tsdb.Field{{Key: "rtt_ms", Value: float64(s.RTT) / 1e6}},
-		Time:   s.At,
-	}
-	if err := p.DB.Write(&pt); err != nil {
-		p.sinkWriteErrors.Add(1)
-		return
-	}
-	p.seqSamples.Add(1)
+	a.p.storeTracked(&a.p.seqSamples, "rtt_stream", "echoer_city", s.Responder, "peer_city", s.Peer,
+		tsdb.Tag{Key: "mode", Value: mode}, "rtt_ms", float64(s.RTT)/1e6, s.At)
 }
 
-// onLossEvent stores one classified loss/quality event as a "tcp_loss"
-// point (count=1 per event, so any time-window sum is an event count),
-// tagged with the anonymized endpoints and the class: retrans, rto or
-// dupack.
-func (p *Pipeline) onLossEvent(ev *core.LossEvent) {
-	srcCity, dstCity := "Unknown", "Unknown"
-	if rec, ok := p.cfg.GeoDB.Lookup(ev.Src); ok {
-		srcCity = rec.City
-	}
-	if rec, ok := p.cfg.GeoDB.Lookup(ev.Dst); ok {
-		dstCity = rec.City
-	}
-	pt := tsdb.Point{
-		Name: "tcp_loss",
-		Tags: []tsdb.Tag{
-			{Key: "src_city", Value: srcCity},
-			{Key: "dst_city", Value: dstCity},
-			{Key: "kind", Value: ev.Kind.String()},
-		},
-		Fields: []tsdb.Field{{Key: "count", Value: 1}},
-		Time:   ev.At,
-	}
-	if err := p.DB.Write(&pt); err != nil {
-		p.sinkWriteErrors.Add(1)
-		return
-	}
-	p.lossPoints.Add(1)
+// EmitLoss stores one classified loss/quality event as a "tcp_loss" point
+// (count=1 per event, so any time-window sum is an event count), tagged
+// with the class: retrans, rto or dupack.
+func (a seqSinkAdapter) EmitLoss(ev *core.LossEvent) {
+	a.p.storeTracked(&a.p.lossPoints, "tcp_loss", "src_city", ev.Src, "dst_city", ev.Dst,
+		tsdb.Tag{Key: "kind", Value: ev.Kind.String()}, "count", 1, ev.At)
 }
 
 // Run operates the pipeline until ctx is cancelled. It returns ctx.Err().

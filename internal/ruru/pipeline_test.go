@@ -37,8 +37,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestPipelineBackpressureKnobs(t *testing.T) {
 	// The full pipeline assembled with every new ingest knob: Block
-	// overflow (lossless source), multi-consumer rings, tuned adaptive
-	// polling, burst drive. Deliberately small queues so the source
+	// overflow (lossless source), tuned adaptive polling, burst drive. Deliberately small queues so the source
 	// actually backpressures, which under Drop would lose frames.
 	w := newWorld(t)
 	p, err := New(Config{
@@ -47,7 +46,6 @@ func TestPipelineBackpressureKnobs(t *testing.T) {
 		QueueDepth:       64,
 		Burst:            16,
 		Overflow:         nic.Block,
-		MultiConsumer:    true,
 		Poll:             core.PollConfig{Spin: 8, Yield: 4, SleepMax: 20 * time.Microsecond},
 		HandshakeTimeout: 60e9,
 	})

@@ -78,32 +78,69 @@ type DB struct {
 
 	// Series directory: every series identity ever written, published
 	// copy-on-write behind dir so queries resolve series lock-free (see
-	// ref.go). byKey/refByKey and the backing arrays are guarded by dirMu;
-	// a write creating a brand-new series interns it under stripe mu →
-	// dirMu, which is why dirMu is last in the lock order.
+	// ref.go). byKey and the backing arrays are guarded by dirMu; a write
+	// or Ref creating a brand-new shape interns it under stripe mu → dirMu,
+	// which is why dirMu is last in the lock order.
 	dir       atomic.Pointer[seriesDir]
 	dirMu     sync.Mutex
 	byKey     map[string]*seriesIdent
-	refByKey  map[string]SeriesRef
 	identsBuf []*seriesIdent
 	refsBuf   []*refState
 
-	// scratchPool recycles the per-batch key arena + stripe-id scratch the
-	// legacy Write/WriteBatch paths use, so they no longer allocate per
-	// call.
+	// scratchPool recycles the per-call scratch Write/WriteBatch stage their
+	// points into, so they do not allocate per call.
 	scratchPool sync.Pool
 
 	closeOnce sync.Once
 	closeErr  error
 }
 
-// writeScratch is pooled per-call scratch for the legacy write paths: a key
-// arena (all series keys of a batch, back to back), per-point arena offsets
-// and per-point stripe ids.
+// writeScratch is pooled per-call scratch for Write/WriteBatch: the staged
+// points' ref keys back to back in one arena and their field values back to
+// back in vals — point i owns arena[offs[i]:offs[i+1]] and
+// vals[voffs[i]:voffs[i+1]] — plus per-point stripe ids.
 type writeScratch struct {
 	arena []byte
 	offs  []int
+	vals  []float64
+	voffs []int
 	sids  []uint32
+}
+
+// reset empties the scratch for a new call, keeping its capacity.
+func (sc *writeScratch) reset() {
+	sc.arena, sc.vals, sc.sids = sc.arena[:0], sc.vals[:0], sc.sids[:0]
+	sc.offs = append(sc.offs[:0], 0)
+	sc.voffs = append(sc.voffs[:0], 0)
+}
+
+// stage validates p — before anything is logged or written, so a rejected
+// point fails its whole call — sorts its tags in place, and appends its ref
+// key (see appendRefKeyHead), stripe id and field values to the scratch.
+// Duplicate field keys are refused like Ref refuses them: a series column
+// holds one value per point.
+func (sc *writeScratch) stage(p *Point, mask uint32) error {
+	if len(p.Fields) == 0 {
+		return ErrNoFields
+	}
+	for i := range p.Fields {
+		for j := i + 1; j < len(p.Fields); j++ {
+			if p.Fields[i].Key == p.Fields[j].Key {
+				return ErrBadRef
+			}
+		}
+	}
+	sortTags(p.Tags)
+	var keyAt int
+	sc.arena, keyAt = appendRefKeyHead(sc.arena, p.Name, p.Tags)
+	sc.sids = append(sc.sids, hashx.FNV1a32Bytes(sc.arena[keyAt:])&mask)
+	for _, f := range p.Fields {
+		sc.arena = appendString(sc.arena, f.Key)
+		sc.vals = append(sc.vals, f.Value)
+	}
+	sc.offs = append(sc.offs, len(sc.arena))
+	sc.voffs = append(sc.voffs, len(sc.vals))
+	return nil
 }
 
 // stripe is one lock-striped partition: a full shard map for the series
@@ -115,6 +152,11 @@ type stripe struct {
 	shards map[int64]*shard // keyed by shard start time
 	order  []int64          // sorted shard starts
 	tiers  []tierStripe     // one per Options.Rollups entry
+	// refs interns every (series, ordered field set) shape whose series
+	// hashes into this stripe, keyed by its ref key. Living under mu — the
+	// lock a write takes anyway — lets Write/WriteBatch resolve a point to
+	// its refState without touching the global dirMu.
+	refs map[string]*refState
 }
 
 // shard holds all series for one time slice (within one stripe). Queries
@@ -206,11 +248,10 @@ func OpenDB(opts Options) (*DB, error) {
 		db.qcache = newQueryCache(opts.QueryCache)
 	}
 	db.byKey = make(map[string]*seriesIdent)
-	db.refByKey = make(map[string]SeriesRef)
 	db.dir.Store(&seriesDir{})
 	db.scratchPool.New = func() any { return &writeScratch{} }
 	for i := range db.stripes {
-		st := &stripe{shards: make(map[int64]*shard)}
+		st := &stripe{shards: make(map[int64]*shard), refs: make(map[string]*refState)}
 		st.tiers = make([]tierStripe, len(opts.Rollups))
 		for t := range st.tiers {
 			st.tiers[t].shards = make(map[int64]*tierShard)
@@ -253,13 +294,28 @@ func (db *DB) advanceMaxT(t int64) int64 {
 }
 
 // Write stores one point. Tags are sorted in place. Points older than the
-// retention horizon are dropped. On a persistent DB the point is logged to
-// the WAL before it is applied (fsync per Options.Persist.Fsync); a WAL
-// append failure fails the write, so recoverable state never runs behind
-// what queries can see.
+// retention horizon are dropped. A point with no fields (ErrNoFields) or
+// with duplicate field keys (ErrBadRef) is rejected before anything is
+// logged or written. On a persistent DB the point is logged to the WAL
+// before it is applied (fsync per Options.Persist.Fsync); a WAL append
+// failure fails the write, so recoverable state never runs behind what
+// queries can see.
+//
+// Write and WriteBatch are the string-keyed entry points to the one apply
+// path (writeRefLocked, ref.go): each point's (series, field keys) shape is
+// resolved to its interned refState under the stripe lock the write takes
+// anyway. WriteBatchRef is the same path for callers that cache the handle.
 func (db *DB) Write(p *Point) error {
-	if len(p.Fields) == 0 {
-		return ErrNoFields
+	sc := db.scratchPool.Get().(*writeScratch)
+	err := db.writePoint(p, sc)
+	db.scratchPool.Put(sc)
+	return err
+}
+
+func (db *DB) writePoint(p *Point, sc *writeScratch) error {
+	sc.reset()
+	if err := sc.stage(p, db.mask); err != nil {
+		return err
 	}
 	// Refuse closed before touching maxT or retention: a straggler write
 	// must not advance the horizon (and purge shards) on a DB that is
@@ -267,7 +323,6 @@ func (db *DB) Write(p *Point) error {
 	if db.closed.Load() {
 		return ErrClosedDB
 	}
-	sortTags(p.Tags)
 	if pr := db.persist; pr != nil {
 		// Hold commitMu.RLock from the WAL append through the in-memory
 		// apply: the checkpoint cut depends on no write being between the
@@ -281,28 +336,23 @@ func (db *DB) Write(p *Point) error {
 			return err
 		}
 	}
-	sc := db.scratchPool.Get().(*writeScratch)
-	key := appendSeriesKey(sc.arena[:0], p.Name, p.Tags)
-	sc.arena = key
 	maxT := db.advanceMaxT(p.Time)
 	db.maybeSweepAll(maxT)
-	st := db.stripes[hashx.FNV1a32Bytes(key)&db.mask]
+	st := db.stripes[sc.sids[0]]
 	st.mu.Lock()
 	if db.closed.Load() {
 		st.mu.Unlock()
-		db.scratchPool.Put(sc)
 		return ErrClosedDB
 	}
-	db.writeLocked(st, p, key, maxT)
+	db.writeStagedLocked(st, sc, 0, p, maxT)
 	st.mu.Unlock()
-	db.scratchPool.Put(sc)
 	return nil
 }
 
 // WriteBatch stores all points, taking each involved stripe lock exactly
-// once — the sink-stage fast path that amortizes synchronization across a
-// whole burst. Tags are sorted in place. A point with no fields fails the
-// entire batch before anything is written. ErrClosedDB from a concurrent
+// once, so synchronization is amortized across a whole burst. Tags are
+// sorted in place. A point Write would reject fails the entire batch with
+// the same error before anything is written. ErrClosedDB from a concurrent
 // Close, however, may leave the batch partially applied (whole stripes are
 // written atomically, the batch as a whole is not): applied reports how
 // many points were handled (stored or retention-dropped) so callers can
@@ -321,29 +371,16 @@ func (db *DB) WriteBatch(pts []Point) (applied int, err error) {
 }
 
 func (db *DB) writeBatchScratch(pts []Point, sc *writeScratch) (applied int, err error) {
-	// Per-batch series keys live back to back in one reusable arena,
-	// addressed by offsets (the arena may move as it grows); stripe ids are
-	// hashed straight off the arena bytes. Nothing here allocates once the
-	// scratch has warmed up.
-	arena := sc.arena[:0]
-	offs := append(sc.offs[:0], 0)
-	sids := sc.sids[:0]
+	sc.reset()
 	batchMax := int64(math.MinInt64)
 	for i := range pts {
-		p := &pts[i]
-		if len(p.Fields) == 0 {
-			sc.arena, sc.offs, sc.sids = arena, offs, sids
-			return 0, ErrNoFields
+		if err := sc.stage(&pts[i], db.mask); err != nil {
+			return 0, err
 		}
-		sortTags(p.Tags)
-		arena = appendSeriesKey(arena, p.Name, p.Tags)
-		sids = append(sids, hashx.FNV1a32Bytes(arena[offs[i]:])&db.mask)
-		offs = append(offs, len(arena))
-		if p.Time > batchMax {
-			batchMax = p.Time
+		if pts[i].Time > batchMax {
+			batchMax = pts[i].Time
 		}
 	}
-	sc.arena, sc.offs, sc.sids = arena, offs, sids
 	if pr := db.persist; pr != nil {
 		// One WAL record (and, under FsyncAlways, at most one group-
 		// committed fsync) for the whole batch — held through the apply,
@@ -361,7 +398,7 @@ func (db *DB) writeBatchScratch(pts []Point, sc *writeScratch) (applied int, err
 	db.maybeSweepAll(maxT)
 	for s, st := range db.stripes {
 		touched := false
-		for _, sid := range sids {
+		for _, sid := range sc.sids {
 			if sid == uint32(s) {
 				touched = true
 				break
@@ -376,8 +413,8 @@ func (db *DB) writeBatchScratch(pts []Point, sc *writeScratch) (applied int, err
 			return applied, ErrClosedDB
 		}
 		for i := range pts {
-			if sids[i] == uint32(s) {
-				db.writeLocked(st, &pts[i], arena[offs[i]:offs[i+1]], maxT)
+			if sc.sids[i] == uint32(s) {
+				db.writeStagedLocked(st, sc, i, &pts[i], maxT)
 				applied++
 			}
 		}
@@ -386,54 +423,19 @@ func (db *DB) writeBatchScratch(pts []Point, sc *writeScratch) (applied int, err
 	return applied, nil
 }
 
-// writeLocked appends p to its series in st and feeds the rollup tiers.
-// Caller holds st.mu; key is the point's series key (scratch bytes, valid
-// only for this call). Raw and tier retention are independent: a point too
-// old for raw storage (counted in dropped) can still land in a coarse tier
-// whose longer horizon covers it.
-func (db *DB) writeLocked(st *stripe, p *Point, key []byte, maxT int64) {
-	if len(db.opts.Rollups) > 0 {
-		db.writeTiersLocked(st, p, key, maxT)
-	}
-	if db.opts.Retention > 0 && p.Time < maxT-db.opts.Retention {
-		db.dropped.Add(1)
-		db.enforceRetentionLocked(st, maxT)
-		db.noteBackfill(p.Time, maxT) // tiers may still have absorbed it
-		return
-	}
-	start := floorDiv(p.Time, db.opts.ShardDuration) * db.opts.ShardDuration
-	sh := db.shardAt(st, start)
-	sr, ok := sh.series[string(key)] // no-alloc map lookup
-	if !ok {
-		id := db.intern(p.Name, p.Tags, key)
-		sr = &series{name: id.name, tags: id.tags, ident: id}
-		sh.series[id.key] = sr
-		id.addRawShard(identShard{start: sh.start, end: sh.end, sr: sr})
-	}
-	sr.times = append(sr.times, p.Time)
-	for _, f := range p.Fields {
-		ci := sr.findCol(f.Key)
-		if ci < 0 {
-			sr.fkeys = append(sr.fkeys, f.Key)
-			sr.cols = append(sr.cols, nil)
-			ci = len(sr.cols) - 1
+// writeStagedLocked applies staged point i (p, already in sc) through its
+// interned shape. Caller holds st.mu.
+func (db *DB) writeStagedLocked(st *stripe, sc *writeScratch, i int, p *Point, maxT int64) {
+	rk := sc.arena[sc.offs[i]:sc.offs[i+1]]
+	rs := st.refs[string(rk)] // no-alloc map lookup
+	if rs == nil {
+		fields := make([]string, len(p.Fields))
+		for j, f := range p.Fields {
+			fields[j] = f.Key
 		}
-		col := sr.cols[ci]
-		// Pad the column if this field was absent for earlier points.
-		for len(col) < len(sr.times)-1 {
-			col = append(col, nan)
-		}
-		sr.cols[ci] = append(col, f.Value)
+		rs = db.newRefLocked(st, rk, p.Name, p.Tags, fields)
 	}
-	// Pad any fields missing from this point.
-	for ci, col := range sr.cols {
-		if len(col) < len(sr.times) {
-			sr.cols[ci] = append(col, nan)
-		}
-	}
-	db.written.Add(1)
-	db.enforceRetentionLocked(st, maxT)
-	db.noteBackfill(p.Time, maxT)
+	db.writeRefLocked(st, rs, p.Time, sc.vals[sc.voffs[i]:sc.voffs[i+1]], maxT)
 }
 
 // shardAt returns st's raw shard starting at start, creating it if absent.

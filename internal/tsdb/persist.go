@@ -107,6 +107,7 @@ type persister struct {
 	restoredPoints  atomic.Uint64
 	replayedPoints  atomic.Uint64
 	replayedRecords atomic.Uint64
+	replaySkipped   atomic.Uint64
 	tornTail        atomic.Bool
 
 	checkpoints      atomic.Uint64
@@ -138,12 +139,15 @@ type PersistStats struct {
 	WALSegment uint64
 	// RestoredPoints / WALReplayedPoints say what the last open recovered:
 	// points loaded from the checkpoint and points replayed from the WAL
-	// tail (WALReplayedRecords batches). ReplayTornTail reports that the
-	// final record was torn — the expected shape of a crash mid-append —
-	// and was discarded.
+	// tail (WALReplayedRecords batches). WALReplaySkipped counts logged
+	// points the write path refuses as malformed (duplicate field keys, no
+	// fields) and replay therefore left out. ReplayTornTail reports that
+	// the final record was torn — the expected shape of a crash mid-append
+	// — and was discarded.
 	RestoredPoints     uint64
 	WALReplayedPoints  uint64
 	WALReplayedRecords uint64
+	WALReplaySkipped   uint64
 	ReplayTornTail     bool
 	// Checkpoint health: count, failures, the WAL segment the newest
 	// checkpoint covers up to, and its age (-1 before the first one).
@@ -295,10 +299,17 @@ func openPersist(db *DB, opts PersistOptions) error {
 				if !sample {
 					continue
 				}
-				if err := db.Write(&p); err != nil {
+				switch err := db.Write(&p); {
+				case err == nil:
+					pr.replayedPoints.Add(1)
+				case errors.Is(err, ErrBadRef), errors.Is(err, ErrNoFields):
+					// A shape the write path refuses (binaries before the
+					// duplicate-field check could log one): deterministic,
+					// so skip and count it rather than fail every open.
+					pr.replaySkipped.Add(1)
+				default:
 					return err
 				}
-				pr.replayedPoints.Add(1)
 			}
 			return nil
 		}
@@ -547,6 +558,7 @@ func (db *DB) PersistStats() PersistStats {
 		RestoredPoints:     pr.restoredPoints.Load(),
 		WALReplayedPoints:  pr.replayedPoints.Load(),
 		WALReplayedRecords: pr.replayedRecords.Load(),
+		WALReplaySkipped:   pr.replaySkipped.Load(),
 		ReplayTornTail:     pr.tornTail.Load(),
 
 		Checkpoints:       pr.checkpoints.Load(),

@@ -753,3 +753,49 @@ func TestOpenPanicsOnPersist(t *testing.T) {
 	}()
 	Open(Options{Persist: persistOpts(t.TempDir(), FsyncOff)})
 }
+
+// TestReplaySkipsDuplicateFieldPoint: binaries before the duplicate-field
+// check could log a point with a repeated field key. Replay must leave that
+// point out and count it — not fail every later open on a deterministic
+// error — and recover its neighbours.
+func TestReplaySkipsDuplicateFieldPoint(t *testing.T) {
+	dir := t.TempDir()
+	walDir := filepath.Join(dir, walDirName)
+	if err := os.MkdirAll(walDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	w, err := openWAL(walDir, 1, 0, FsyncOff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func(tm int64, fields ...Field) Point {
+		return Point{Name: "m", Tags: []Tag{{Key: "a", Value: "b"}}, Fields: fields, Time: tm}
+	}
+	// The encoder logs what it is handed; only the write path validates.
+	if err := w.AppendPoints([]Point{
+		mk(100, Field{Key: "x", Value: 1}),
+		mk(150, Field{Key: "x", Value: 1}, Field{Key: "x", Value: 2}),
+		mk(200, Field{Key: "x", Value: 3}),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err := OpenDB(Options{Persist: persistOpts(dir, FsyncOff)})
+	if err != nil {
+		t.Fatalf("open with a duplicate-field point in the WAL: %v", err)
+	}
+	defer db.Close()
+	st := db.PersistStats()
+	if st.WALReplayedPoints != 2 || st.WALReplaySkipped != 1 || st.WALReplayedRecords != 1 {
+		t.Fatalf("replayed %d points, skipped %d, %d records; want 2, 1, 1",
+			st.WALReplayedPoints, st.WALReplaySkipped, st.WALReplayedRecords)
+	}
+	checkAligned(t, db)
+	res, err := db.Execute(Query{Measurement: "m", Field: "x", Start: 0, End: 1e9,
+		Resolution: ResolutionRaw, Aggs: []AggKind{AggCount, AggSum}})
+	if err != nil || len(res) != 1 || res[0].Buckets[0].Count != 2 || res[0].Buckets[0].Aggs[AggSum] != 4 {
+		t.Fatalf("Execute: %+v, %v", res, err)
+	}
+}

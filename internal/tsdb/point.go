@@ -61,8 +61,8 @@ var (
 	// window and range.
 	ErrBadResolution = errors.New("tsdb: unusable query resolution")
 	// ErrBadRef reports a SeriesRef that this DB never issued, a RefPoint
-	// whose Vals length does not match the ref's field set, or a Ref
-	// request with duplicate field keys.
+	// whose Vals length does not match the ref's field set, or duplicate
+	// field keys in a Ref request or a written Point.
 	ErrBadRef = errors.New("tsdb: bad series ref")
 )
 
@@ -73,9 +73,8 @@ func seriesKey(name string, tags []Tag) string {
 }
 
 // appendSeriesKey appends the canonical series identity to buf. The write
-// hot paths build keys into per-DB scratch arenas with this and hash/look
-// up the bytes directly, so steady-state writes never materialize a key
-// string.
+// path builds keys into pooled scratch with this and hashes/looks up the
+// bytes directly, so steady-state writes never materialize a key string.
 func appendSeriesKey(buf []byte, name string, tags []Tag) []byte {
 	buf = append(buf, name...)
 	for _, t := range tags {
@@ -146,7 +145,8 @@ func MarshalLine(buf []byte, p *Point) []byte {
 
 // ParseLine parses one line of Influx line protocol into p.
 // Supported value types: floats, integers (with or without the trailing
-// 'i'), booleans (stored as 0/1).
+// 'i'), booleans (stored as 0/1). A field key given twice is malformed: a
+// point holds one value per field.
 func ParseLine(line string, p *Point) error {
 	p.Name = ""
 	p.Tags = p.Tags[:0]
@@ -183,7 +183,13 @@ func ParseLine(line string, p *Point) error {
 		if err != nil {
 			return ErrBadLine
 		}
-		p.Fields = append(p.Fields, Field{Key: unescape(k), Value: val})
+		key := unescape(k)
+		for _, f := range p.Fields {
+			if f.Key == key {
+				return ErrBadLine
+			}
+		}
+		p.Fields = append(p.Fields, Field{Key: key, Value: val})
 	}
 	if len(p.Fields) == 0 {
 		return ErrNoFields

@@ -1,16 +1,19 @@
 package tsdb
 
-// Interned series handles: the zero-allocation write path.
+// Interned series shapes: the one write path.
 //
-// The legacy Write/WriteBatch path pays a per-point identity cost — build
-// the series key, sort tags, hash, two map hops for the series, one map hop
-// per field, plus the same again per rollup tier. All of it re-derives
-// facts that never change for a given series. Ref interns that identity
-// once: the caller exchanges (name, tags, fields) for a small integer
-// SeriesRef whose refState caches the resolved series pointer, per-field
-// column indices and per-tier column pointers, so the steady-state cost of
-// WriteBatchRef is a handful of bounds checks and column appends — zero
-// heap allocations.
+// Everything that identifies where a point lands — its series, the column
+// of each field, the rollup-tier columns — never changes for a given
+// (name, tags, ordered field keys) shape, so it is interned once as a
+// refState caching the resolved series pointer, per-field column indices
+// and per-tier column pointers. Every write applies through that cache
+// (writeRefLocked): a handful of bounds checks and column appends, zero heap
+// allocations in steady state. There are two ways in. Write/WriteBatch take
+// full Points and look the shape up by its ref key in the owning stripe's
+// refs map, under the stripe lock they hold anyway (db.go). Ref hands the
+// same refState out as a small integer SeriesRef, so a caller that keeps
+// the handle (the sink workers, the federation aggregator) skips even the
+// key build and the map probe with WriteBatchRef.
 //
 // The series directory is published copy-on-write behind an atomic.Pointer
 // (the userspace-RCU idiom): writers append under db.dirMu and then store a
@@ -21,14 +24,16 @@ package tsdb
 // owning stripe's lock, so queries can discover where a series lives
 // without contending with ingest stripe locks.
 //
-// Lock order: commitMu → stripe mu → dirMu. Ref/intern may take dirMu
-// alone; nothing takes a stripe lock while holding dirMu.
+// Lock order: commitMu → stripe mu → dirMu. Nothing takes a stripe lock
+// while holding dirMu.
 
 import (
 	"encoding/binary"
 	"math"
 	"sync"
 	"sync/atomic"
+
+	"ruru/internal/hashx"
 )
 
 // SeriesRef is an interned series handle issued by DB.Ref. Refs are only
@@ -37,8 +42,7 @@ type SeriesRef uint32
 
 // RefPoint is one datum addressed by a SeriesRef: Vals[i] is the value of
 // the ref's i-th field key (as passed to Ref). A NaN value means the field
-// is absent for this point — identical to writing a NaN field value through
-// the legacy path.
+// is absent for this point — identical to a NaN Field.Value given to Write.
 type RefPoint struct {
 	Ref  SeriesRef
 	Time int64
@@ -147,21 +151,24 @@ func (id *seriesIdent) dropTierShard(ti int, start int64) {
 	id.tiers[ti].Store(&next)
 }
 
-// refState is the per-ref write cache: the resolved field set plus hot
-// pointers into the current shard. hot is guarded by the ident's stripe
-// lock (WriteBatchRef only touches it with that lock held).
+// refState is one interned shape and its write cache: the identity, the
+// ordered field set, the handle Ref returns for it, and hot pointers into
+// the current shard. hot is guarded by the ident's stripe lock (the write
+// path only touches it with that lock held).
 type refState struct {
 	ident     *seriesIdent
 	fieldKeys []string
+	ref       SeriesRef
 	hot       refHot
 }
 
 // refHot caches the resolution of a ref against one raw shard and the
 // matching tier shards: the series pointer, each field's column index, and
-// each tier's column pointers. ncols snapshots len(sr.cols) at resolve
-// time so a legacy write adding a column to the same series forces a
-// re-resolve (mixed mode pads the foreign columns with NaN, exactly as the
-// legacy path pads columns missing from a point).
+// each tier's column pointers. Two refs with different field sets can share
+// one series: ncols snapshots len(sr.cols) at resolve time so the other ref
+// adding a column forces a re-resolve, and mixed records that the series
+// has columns this ref does not carry, which every write must pad with NaN
+// to keep all columns aligned with times. That is mixed's only purpose.
 type refHot struct {
 	shardStart int64
 	sr         *series
@@ -173,7 +180,7 @@ type refHot struct {
 
 // refTierHot caches one tier's resolution: the tier series and one column
 // pointer per ref field (nil until the field's first non-NaN value, so a
-// never-written field creates no tier column — mirroring the legacy path).
+// never-written field creates no tier column).
 type refTierHot struct {
 	shardStart int64
 	ts         *tierSeries
@@ -210,21 +217,48 @@ func (db *DB) internLocked(name string, tags []Tag, key []byte) *seriesIdent {
 	return id
 }
 
-// intern is internLocked behind dirMu, for callers holding a stripe lock
-// (lock order stripe → dirMu). Only reached when a write creates a series
-// whose identity has never been seen — never on the steady-state path.
-func (db *DB) intern(name string, tags []Tag, key []byte) *seriesIdent {
+// appendRefKeyHead appends the head of a ref key — the uvarint-prefixed
+// series key of (name, sorted tags) — and returns the offset of the series
+// key itself, whose bytes pick the stripe. The full ref key, the identity
+// of one (series, ordered field keys) shape, is this head followed by each
+// field key through appendString; length prefixes make it unambiguous.
+func appendRefKeyHead(buf []byte, name string, tags []Tag) (out []byte, keyAt int) {
+	n := len(name)
+	for _, t := range tags {
+		n += 2 + len(t.Key) + len(t.Value)
+	}
+	buf = binary.AppendUvarint(buf, uint64(n))
+	return appendSeriesKey(buf, name, tags), len(buf)
+}
+
+// newRefLocked interns the shape with ref key rk, never seen before, into
+// st.refs and the directory. Caller holds st.mu (the stripe rk's series key
+// hashes to) and has validated the shape: tags sorted, fields non-empty and
+// distinct. tags are copied; fields is kept.
+func (db *DB) newRefLocked(st *stripe, rk []byte, name string, tags []Tag, fields []string) *refState {
+	rs := &refState{fieldKeys: fields}
+	rs.hot.colIdx = make([]int32, len(fields))
+	rs.hot.tiers = make([]refTierHot, len(db.opts.Rollups))
+	for ti := range rs.hot.tiers {
+		rs.hot.tiers[ti].cols = make([]*tierColumn, len(fields))
+	}
+	n, w := binary.Uvarint(rk)
 	db.dirMu.Lock()
-	id := db.internLocked(name, tags, key)
+	rs.ident = db.internLocked(name, tags, rk[w:w+int(n)])
+	rs.ref = SeriesRef(len(db.refsBuf))
+	db.refsBuf = append(db.refsBuf, rs)
+	db.publishDirLocked()
 	db.dirMu.Unlock()
-	return id
+	st.refs[string(rk)] = rs
+	return rs
 }
 
 // Ref interns a series identity plus an ordered field set and returns a
 // reusable handle for WriteBatchRef. Tags are copied and sorted; fields
 // must be non-empty and distinct. Calling Ref again with the same
-// (name, tags, fields) returns the same handle. Refs are cheap to hold
-// and never invalidated for the life of the DB.
+// (name, tags, fields) returns the same handle — the one Write/WriteBatch
+// use for points of that shape. Refs are cheap to hold and never
+// invalidated for the life of the DB.
 func (db *DB) Ref(name string, tags []Tag, fields ...string) (SeriesRef, error) {
 	if db.closed.Load() {
 		return 0, ErrClosedDB
@@ -241,34 +275,18 @@ func (db *DB) Ref(name string, tags []Tag, fields ...string) (SeriesRef, error) 
 	}
 	sorted := append([]Tag(nil), tags...)
 	sortTags(sorted)
-	key := appendSeriesKey(nil, name, sorted)
-	// Ref identity = series key + ordered field keys, length-prefixed so
-	// the encoding is unambiguous.
-	rk := make([]byte, 0, len(key)+16)
-	rk = binary.AppendUvarint(rk, uint64(len(key)))
-	rk = append(rk, key...)
+	rk, keyAt := appendRefKeyHead(nil, name, sorted)
+	st := db.stripes[hashx.FNV1a32Bytes(rk[keyAt:])&db.mask]
 	for _, f := range fields {
-		rk = binary.AppendUvarint(rk, uint64(len(f)))
-		rk = append(rk, f...)
+		rk = appendString(rk, f)
 	}
-
-	db.dirMu.Lock()
-	defer db.dirMu.Unlock()
-	if r, ok := db.refByKey[string(rk)]; ok {
-		return r, nil
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	rs := st.refs[string(rk)]
+	if rs == nil {
+		rs = db.newRefLocked(st, rk, name, sorted, append([]string(nil), fields...))
 	}
-	id := db.internLocked(name, sorted, key)
-	rs := &refState{ident: id, fieldKeys: append([]string(nil), fields...)}
-	rs.hot.colIdx = make([]int32, len(fields))
-	rs.hot.tiers = make([]refTierHot, len(db.opts.Rollups))
-	for ti := range rs.hot.tiers {
-		rs.hot.tiers[ti].cols = make([]*tierColumn, len(fields))
-	}
-	r := SeriesRef(len(db.refsBuf))
-	db.refsBuf = append(db.refsBuf, rs)
-	db.refByKey[string(rk)] = r
-	db.publishDirLocked()
-	return r, nil
+	return rs.ref, nil
 }
 
 // WriteBatchRef stores all points through their interned handles — the
@@ -278,13 +296,13 @@ func (db *DB) Ref(name string, tags []Tag, fields ...string) (SeriesRef, error) 
 // wire/durability formats are unchanged), and the same partial-apply
 // contract under a concurrent Close. A NaN in Vals writes a NaN field
 // value (the point still lands; queries skip the NaN), bit-identical to
-// the legacy path. Fails with ErrBadRef before writing anything if any
+// WriteBatch. Fails with ErrBadRef before writing anything if any
 // point carries an unknown ref or a Vals length that does not match the
 // ref's field set.
 //
 // Steady state (in-memory DB, warm columns) must not allocate; the noalloc
-// analyzer enforces the construct-level discipline and BenchmarkWriteRef
-// gates the measured result.
+// analyzer enforces the construct-level discipline and the
+// db/write-batch-ref-steady bench entry gates the measured result.
 //
 //ruru:noalloc
 func (db *DB) WriteBatchRef(pts []RefPoint) (applied int, err error) {
@@ -342,7 +360,7 @@ func (db *DB) WriteBatchRef(pts []RefPoint) (applied int, err error) {
 			if rs.ident.stripeIdx != uint32(s) {
 				continue
 			}
-			db.writeRefLocked(st, rs, &pts[i], maxT)
+			db.writeRefLocked(st, rs, pts[i].Time, pts[i].Vals, maxT)
 			applied++
 		}
 		st.mu.Unlock()
@@ -350,36 +368,35 @@ func (db *DB) WriteBatchRef(pts []RefPoint) (applied int, err error) {
 	return applied, nil
 }
 
-// writeRefLocked is writeLocked for the ref path: identical ordering
-// contract (tiers first — they accept points behind the raw horizon — then
-// raw retention, then append, then retention enforcement). Caller holds
-// st.mu.
+// writeRefLocked appends one point (vals[i] is the value of rs's i-th field)
+// to its series in st and feeds the rollup tiers — the only code that does
+// either. Caller holds st.mu. Raw and tier retention are independent: the
+// tiers go first because a point too old for raw storage (counted in
+// dropped) can still land in a coarse tier whose longer horizon covers it.
 //
 //ruru:noalloc
-func (db *DB) writeRefLocked(st *stripe, rs *refState, p *RefPoint, maxT int64) {
+func (db *DB) writeRefLocked(st *stripe, rs *refState, t int64, vals []float64, maxT int64) {
 	if len(db.opts.Rollups) > 0 {
-		db.writeRefTiersLocked(st, rs, p, maxT)
+		db.writeRefTiersLocked(st, rs, t, vals, maxT)
 	}
-	if db.opts.Retention > 0 && p.Time < maxT-db.opts.Retention {
+	if db.opts.Retention > 0 && t < maxT-db.opts.Retention {
 		db.dropped.Add(1)
 		db.enforceRetentionLocked(st, maxT)
-		db.noteBackfill(p.Time, maxT) // tiers may still have absorbed it
+		db.noteBackfill(t, maxT) // tiers may still have absorbed it
 		return
 	}
-	start := floorDiv(p.Time, db.opts.ShardDuration) * db.opts.ShardDuration
+	start := floorDiv(t, db.opts.ShardDuration) * db.opts.ShardDuration
 	h := &rs.hot
 	sr := h.sr
 	if sr == nil || h.shardStart != start || len(sr.cols) != h.ncols {
 		sr = db.resolveRefRaw(st, rs, start)
 	}
-	sr.times = append(sr.times, p.Time)
-	for i, v := range p.Vals {
+	sr.times = append(sr.times, t)
+	for i, v := range vals {
 		ci := h.colIdx[i]
 		sr.cols[ci] = append(sr.cols[ci], v)
 	}
 	if h.mixed {
-		// Legacy writes added columns this ref does not carry: pad them so
-		// every column stays aligned with times.
 		for ci := range sr.cols {
 			if len(sr.cols[ci]) < len(sr.times) {
 				sr.cols[ci] = append(sr.cols[ci], nan)
@@ -388,7 +405,7 @@ func (db *DB) writeRefLocked(st *stripe, rs *refState, p *RefPoint, maxT int64) 
 	}
 	db.written.Add(1)
 	db.enforceRetentionLocked(st, maxT)
-	db.noteBackfill(p.Time, maxT)
+	db.noteBackfill(t, maxT)
 }
 
 // resolveRefRaw points the ref's hot cache at the raw shard starting at
@@ -417,35 +434,36 @@ func (db *DB) resolveRefRaw(st *stripe, rs *refState, start int64) *series {
 	return sr
 }
 
-// writeRefTiersLocked is writeTiersLocked for the ref path. Caller holds
-// st.mu.
+// writeRefTiersLocked folds one point into every tier whose retention still
+// covers it. Caller holds st.mu.
 //
 //ruru:noalloc
-func (db *DB) writeRefTiersLocked(st *stripe, rs *refState, p *RefPoint, maxT int64) {
+func (db *DB) writeRefTiersLocked(st *stripe, rs *refState, t int64, vals []float64, maxT int64) {
+	// One histogram bin computation per field, shared across tiers.
 	var binsArr [8]uint16
 	var bins []uint16
-	if len(p.Vals) <= len(binsArr) {
-		bins = binsArr[:len(p.Vals)]
+	if len(vals) <= len(binsArr) {
+		bins = binsArr[:len(vals)]
 	} else {
-		bins = make([]uint16, len(p.Vals))
+		bins = make([]uint16, len(vals))
 	}
-	for i, v := range p.Vals {
+	for i, v := range vals {
 		if !math.IsNaN(v) {
 			bins[i] = binOf(v)
 		}
 	}
 	for ti := range db.opts.Rollups {
 		tier := &db.opts.Rollups[ti]
-		if tier.Retention > 0 && p.Time < maxT-tier.Retention {
+		if tier.Retention > 0 && t < maxT-tier.Retention {
 			continue
 		}
-		bStart := floorDiv(p.Time, tier.Width) * tier.Width
+		bStart := floorDiv(t, tier.Width) * tier.Width
 		shStart := floorDiv(bStart, db.opts.ShardDuration) * db.opts.ShardDuration
 		th := &rs.hot.tiers[ti]
 		if th.ts == nil || th.shardStart != shStart {
 			db.resolveRefTier(st, rs, ti, shStart)
 		}
-		for i, v := range p.Vals {
+		for i, v := range vals {
 			if math.IsNaN(v) {
 				continue // raw queries skip NaN; keep tiers equivalent
 			}

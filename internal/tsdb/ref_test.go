@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -123,13 +124,13 @@ func TestWriteBatchRefZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestWriteBatchLegacyAllocBudget documents the legacy path's allocation
-// budget after the scratch-pool fix: with warm scratch, existing series and
-// sorted tags, WriteBatch itself allocates nothing per batch (slice growth
-// excluded via pre-grow). The legacy path still pays per-point hashing and
-// map/sort work — only the ref path caches resolution — but it must not
-// regress back to per-call key/scratch allocations.
-func TestWriteBatchLegacyAllocBudget(t *testing.T) {
+// TestWriteBatchAllocBudget pins the string-keyed entry point's allocation
+// budget: with warm scratch, an interned shape and sorted tags, WriteBatch
+// itself allocates nothing per batch (slice growth excluded via pre-grow).
+// It still pays a key build, a hash and one map probe per point — only a
+// held SeriesRef skips those — but it must not regress to per-call
+// key/scratch allocations.
+func TestWriteBatchAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by race-detector instrumentation")
 	}
@@ -165,9 +166,9 @@ func TestWriteBatchLegacyAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const legacyBudget = 1.0 // allocs per BATCH (not per point)
-	if allocs > legacyBudget {
-		t.Fatalf("legacy WriteBatch allocated %.1f times per batch, budget %.1f", allocs, legacyBudget)
+	const budget = 1.0 // allocs per BATCH (not per point): sync.Pool may miss after a GC
+	if allocs > budget {
+		t.Fatalf("WriteBatch allocated %.1f times per batch, budget %.1f", allocs, budget)
 	}
 }
 
@@ -209,8 +210,9 @@ type refSeriesShape struct {
 	ref    SeriesRef
 }
 
-// writeShapesEverywhere writes identical random data into legacy (via
-// Write/WriteBatch) and refDB (via WriteBatchRef) and returns the shapes.
+// writeShapesEverywhere writes identical random data into legacy (via the
+// string-keyed WriteBatch) and refDB (via WriteBatchRef) and returns the
+// shapes.
 func writeShapesEverywhere(t *testing.T, rng *rand.Rand, legacy, refDB *DB, nPoints int) []refSeriesShape {
 	t.Helper()
 	cities := []string{"Auckland", "Wellington", "Sydney", "Tokyo"}
@@ -275,7 +277,9 @@ func writeShapesEverywhere(t *testing.T, rng *rand.Rand, legacy, refDB *DB, nPoi
 	return shapes
 }
 
-// compareDBs asserts legacy and refDB answer identically: write stats,
+// compareDBs asserts the DB written through Write/WriteBatch ("legacy", the
+// name the suite has carried since there were two apply paths) and the one
+// written through WriteBatchRef answer identically: write stats,
 // series counts, tag values, raw-path and tier-served queries, grouped and
 // filtered.
 func compareDBs(t *testing.T, legacy, refDB *DB, field string) {
@@ -321,9 +325,9 @@ func compareDBs(t *testing.T, legacy, refDB *DB, field string) {
 }
 
 // TestRefLegacyEquivalenceRandomized drives identical randomized writes
-// through the legacy and the interned-ref paths and asserts bit-identical
-// query results — raw and tier-served — plus identical stats and tag
-// indexes.
+// through the string-keyed and the interned-handle entry points and asserts
+// bit-identical query results — raw and tier-served — plus identical stats
+// and tag indexes: Write ≡ WriteBatchRef is an API property.
 func TestRefLegacyEquivalenceRandomized(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		rng := rand.New(rand.NewSource(int64(4000 + trial)))
@@ -346,10 +350,10 @@ func TestRefLegacyEquivalenceRandomized(t *testing.T) {
 	}
 }
 
-// TestRefMixedWithLegacyWrites interleaves ref writes with legacy writes
-// that extend the same series with a new field, forcing the ref hot cache
-// to re-resolve and pad foreign columns — and checks against a pure-legacy
-// mirror of the same sequence.
+// TestRefMixedWithLegacyWrites interleaves ref writes with string-keyed
+// writes that extend the same series with a new field, forcing the ref hot
+// cache to re-resolve and pad foreign columns — and checks against a mirror
+// fed the same sequence through Write alone.
 func TestRefMixedWithLegacyWrites(t *testing.T) {
 	opts := Options{ShardDuration: 10e9, Rollups: []RollupTier{{Width: 1e9}}}
 	legacy := Open(opts)
@@ -400,8 +404,8 @@ func TestRefMixedWithLegacyWrites(t *testing.T) {
 // TestRefWALCrashRestoreEquivalence writes through the ref path into a
 // persistent DB, simulates a crash, reopens, and asserts the recovered
 // state answers identically to an in-memory DB fed the same data through
-// the legacy path — the WAL's self-describing record format makes the
-// write path invisible to durability.
+// WriteBatch — the WAL's self-describing record format makes the entry
+// point invisible to durability.
 func TestRefWALCrashRestoreEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{
@@ -451,5 +455,262 @@ func TestRefWALCrashRestoreEquivalence(t *testing.T) {
 					f, resolution, a, b)
 			}
 		}
+	}
+}
+
+// checkAligned asserts the storage invariant a duplicate field key used to
+// break: every column of every series holds exactly one value per
+// timestamp.
+func checkAligned(t *testing.T, db *DB) {
+	t.Helper()
+	for _, st := range db.stripes {
+		st.mu.RLock()
+		for _, sh := range st.shards {
+			for key, sr := range sh.series {
+				for ci, col := range sr.cols {
+					if len(col) != len(sr.times) {
+						t.Errorf("series %s column %s: %d values for %d timestamps",
+							key, sr.fkeys[ci], len(col), len(sr.times))
+					}
+				}
+			}
+		}
+		st.mu.RUnlock()
+	}
+}
+
+// TestDuplicateFieldKeysRejected pins the fix for the corruption the
+// string-keyed apply path allowed: "m,a=b x=1,x=2 100" appended two values
+// to column x for one timestamp, so every later point of the series was
+// read one row off (count 2, mean 1.5 after a following x=3). Duplicate
+// keys are now refused at every entry point, before anything is written.
+func TestDuplicateFieldKeysRejected(t *testing.T) {
+	db := Open(Options{Rollups: []RollupTier{{Width: 1e9}}})
+	defer db.Close()
+	if err := db.WriteLine("m,a=b x=1,x=2 100"); err != ErrBadLine {
+		t.Fatalf("WriteLine duplicate field: got %v, want ErrBadLine", err)
+	}
+	mk := func(tm int64, fields ...Field) Point {
+		return Point{Name: "m", Tags: []Tag{{Key: "a", Value: "b"}}, Fields: fields, Time: tm}
+	}
+	dup := mk(100, Field{Key: "x", Value: 1}, Field{Key: "y", Value: 5}, Field{Key: "x", Value: 2})
+	if err := db.Write(&dup); err != ErrBadRef {
+		t.Fatalf("Write duplicate field: got %v, want ErrBadRef", err)
+	}
+	// Fail-before-write: the good point ahead of the bad one is not stored.
+	if n, err := db.WriteBatch([]Point{mk(150, Field{Key: "x", Value: 9}), dup}); n != 0 || err != ErrBadRef {
+		t.Fatalf("WriteBatch duplicate field: got (%d, %v), want (0, ErrBadRef)", n, err)
+	}
+	if w, _ := db.WriteStats(); w != 0 {
+		t.Fatalf("%d points written by rejected calls", w)
+	}
+	if err := db.WriteLine("m,a=b x=3 200"); err != nil {
+		t.Fatal(err)
+	}
+	checkAligned(t, db)
+	for _, resolution := range []int64{ResolutionRaw, ResolutionAuto} {
+		res, err := db.Execute(Query{Measurement: "m", Field: "x", Start: 0, End: 1e9,
+			Resolution: resolution, Aggs: []AggKind{AggCount, AggMean}})
+		if err != nil || len(res) != 1 {
+			t.Fatalf("Execute: %+v, %v", res, err)
+		}
+		if b := res[0].Buckets[0]; b.Count != 1 || b.Aggs[AggMean] != 3 {
+			t.Fatalf("resolution %d: count %d mean %v, want 1 and 3", resolution, b.Count, b.Aggs[AggMean])
+		}
+	}
+}
+
+// TestWriteRefEquivalenceSharedSeries is the equivalence suite for what
+// only shape resolution can get wrong: several shapes on ONE series — the
+// same fields in permuted order, subsets and a disjoint extra field (the
+// mixed NaN padding) — written at random times across ten shards so every
+// ref's single-slot hot cache keeps being evicted, through Write, WriteBatch
+// and WriteBatchRef alike.
+func TestWriteRefEquivalenceSharedSeries(t *testing.T) {
+	fieldSets := [][]string{
+		{"internal_ms", "total_ms"},
+		{"total_ms", "internal_ms"},
+		{"total_ms"},
+		{"total_ms", "external_ms"},
+		{"external_ms", "internal_ms", "total_ms"},
+	}
+	cities := []string{"Auckland", "Sydney", "Tokyo"}
+	for trial := 0; trial < 6; trial++ {
+		rng := rand.New(rand.NewSource(int64(7000 + trial)))
+		opts := Options{
+			ShardDuration: 10e9,
+			Stripes:       1 << uint(rng.Intn(4)),
+			Rollups:       []RollupTier{{Width: 1e9}, {Width: 10e9}},
+		}
+		if trial%2 == 1 {
+			opts.Retention = 50e9
+		}
+		strDB, refDB := Open(opts), Open(opts)
+		refs := make([][]SeriesRef, len(cities))
+		tagsOf := func(ci int) []Tag {
+			return []Tag{{Key: "src_city", Value: cities[ci]}, {Key: "dst_city", Value: "Auckland"}}
+		}
+		for ci := range cities {
+			for _, fs := range fieldSets {
+				r, err := refDB.Ref("latency", tagsOf(ci), fs...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				refs[ci] = append(refs[ci], r)
+			}
+		}
+		var strBatch []Point
+		var refBatch []RefPoint
+		flush := func() {
+			if len(strBatch) == 1 {
+				if err := strDB.Write(&strBatch[0]); err != nil {
+					t.Fatal(err)
+				}
+			} else if n, err := strDB.WriteBatch(strBatch); n != len(strBatch) || err != nil {
+				t.Fatalf("WriteBatch: (%d, %v)", n, err)
+			}
+			if n, err := refDB.WriteBatchRef(refBatch); n != len(refBatch) || err != nil {
+				t.Fatalf("WriteBatchRef: (%d, %v)", n, err)
+			}
+			strBatch, refBatch = strBatch[:0], refBatch[:0]
+		}
+		for i := 0; i < 3000; i++ {
+			ci, si := rng.Intn(len(cities)), rng.Intn(len(fieldSets))
+			tm := rng.Int63n(100e9)
+			vals := make([]float64, len(fieldSets[si]))
+			fields := make([]Field, len(vals))
+			for j, k := range fieldSets[si] {
+				vals[j] = float64(1 + rng.Intn(97)) // integers: sums exact under reordering
+				if rng.Intn(10) == 0 {
+					vals[j] = math.NaN()
+				}
+				fields[j] = Field{Key: k, Value: vals[j]}
+			}
+			tags := tagsOf(ci)
+			strBatch = append(strBatch, Point{Name: "latency", Tags: []Tag{tags[1], tags[0]}, Fields: fields, Time: tm})
+			refBatch = append(refBatch, RefPoint{Ref: refs[ci][si], Time: tm, Vals: vals})
+			if len(strBatch) == 29 || rng.Intn(8) == 0 {
+				flush()
+			}
+		}
+		if len(strBatch) > 0 {
+			flush()
+		}
+		for _, f := range []string{"internal_ms", "external_ms", "total_ms"} {
+			compareDBs(t, strDB, refDB, f)
+		}
+		checkAligned(t, strDB)
+		checkAligned(t, refDB)
+		// Write interned exactly the shapes it saw — one refState each — and
+		// Ref on the same shape hands that one out instead of adding another.
+		seen := len(strDB.dir.Load().refs)
+		if seen == 0 || seen > len(cities)*len(fieldSets) {
+			t.Fatalf("trial %d: Write interned %d shapes, want 1..%d", trial, seen, len(cities)*len(fieldSets))
+		}
+		for ci := range cities {
+			for _, fs := range fieldSets {
+				if _, err := strDB.Ref("latency", tagsOf(ci), fs...); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if n := len(strDB.dir.Load().refs); n != len(cities)*len(fieldSets) {
+			t.Fatalf("trial %d: %d refStates after Ref on every shape, want %d", trial, n, len(cities)*len(fieldSets))
+		}
+		strDB.Close()
+		refDB.Close()
+	}
+}
+
+// TestWriteInternsOneRefPerShape pins resolution's identity contract: a
+// shape first seen by Write and then asked for through Ref is one refState
+// with one handle, and a batch whose first point creates a shape resolves
+// its later points to that same state.
+func TestWriteInternsOneRefPerShape(t *testing.T) {
+	db := Open(Options{Rollups: []RollupTier{{Width: 1e9}}})
+	defer db.Close()
+	tags := func() []Tag { return []Tag{{Key: "src", Value: "y"}, {Key: "dst", Value: "x"}} }
+	mk := func(tm int64) Point {
+		return Point{Name: "latency", Tags: tags(), Time: tm,
+			Fields: []Field{{Key: "total_ms", Value: float64(tm)}, {Key: "internal_ms", Value: 1}}}
+	}
+	if n, err := db.WriteBatch([]Point{mk(1), mk(2), mk(3)}); n != 3 || err != nil {
+		t.Fatalf("WriteBatch: (%d, %v)", n, err)
+	}
+	if n := len(db.dir.Load().refs); n != 1 {
+		t.Fatalf("one shape interned %d refStates", n)
+	}
+	ref, err := db.Ref("latency", tags(), "total_ms", "internal_ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref != 0 || len(db.dir.Load().refs) != 1 {
+		t.Fatalf("Ref after Write: handle %d, %d refStates; want the handle Write created", ref, len(db.dir.Load().refs))
+	}
+	if n, err := db.WriteBatchRef([]RefPoint{{Ref: ref, Time: 4, Vals: []float64{4, 1}}}); n != 1 || err != nil {
+		t.Fatalf("WriteBatchRef: (%d, %v)", n, err)
+	}
+	p := mk(5)
+	if err := db.Write(&p); err != nil {
+		t.Fatal(err)
+	}
+	// The same fields in another order are another shape of the same series.
+	other, err := db.Ref("latency", tags(), "internal_ms", "total_ms")
+	if err != nil || other == ref {
+		t.Fatalf("permuted field order: handle %d (%v), want a new one", other, err)
+	}
+	if db.SeriesCount() != 1 {
+		t.Fatalf("%d series, want 1", db.SeriesCount())
+	}
+	checkAligned(t, db)
+	res, err := db.Execute(Query{Measurement: "latency", Field: "total_ms", Start: 0, End: 10,
+		Aggs: []AggKind{AggCount, AggSum}})
+	if err != nil || len(res) != 1 || res[0].Buckets[0].Count != 5 || res[0].Buckets[0].Aggs[AggSum] != 15 {
+		t.Fatalf("Execute: %+v, %v", res, err)
+	}
+}
+
+// TestConcurrentWritesCreateOneSeries races four string-keyed writers (the
+// pipeline's four queue workers) creating the same brand-new series: the
+// shape must be interned once and no point lost. Run under -race.
+func TestConcurrentWritesCreateOneSeries(t *testing.T) {
+	db := Open(Options{Rollups: []RollupTier{{Width: 1e9}}})
+	defer db.Close()
+	const writers, perWriter = 4, 500
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				p := Point{Name: "rtt_stream",
+					Tags:   []Tag{{Key: "peer_city", Value: "Tokyo"}, {Key: "echoer_city", Value: "Sydney"}, {Key: "mode", Value: "ts"}},
+					Fields: []Field{{Key: "rtt_ms", Value: 1}},
+					Time:   int64(w*perWriter + i)}
+				var err error
+				if i%2 == 0 {
+					err = db.Write(&p)
+				} else {
+					_, err = db.WriteBatch([]Point{p})
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := len(db.dir.Load().refs); n != 1 {
+		t.Fatalf("%d refStates for one shape", n)
+	}
+	if db.SeriesCount() != 1 {
+		t.Fatalf("%d series, want 1", db.SeriesCount())
+	}
+	checkAligned(t, db)
+	res, err := db.Execute(Query{Measurement: "rtt_stream", Field: "rtt_ms", Start: 0, End: writers * perWriter,
+		Resolution: ResolutionRaw, Aggs: []AggKind{AggCount}})
+	if err != nil || len(res) != 1 || res[0].Buckets[0].Count != writers*perWriter {
+		t.Fatalf("Execute: %+v, %v", res, err)
 	}
 }

@@ -234,56 +234,6 @@ func (db *DB) Rollups() []RollupTier {
 	return db.opts.Rollups
 }
 
-// writeTiersLocked folds one point into every tier whose retention still
-// covers it. Caller holds st.mu. A point behind the raw retention horizon
-// but within a coarse tier's horizon still lands in that tier — long tier
-// retention is the reason rollups exist.
-func (db *DB) writeTiersLocked(st *stripe, p *Point, key []byte, maxT int64) {
-	// One histogram bin computation per field, shared across tiers.
-	var binsArr [8]uint16
-	bins := binsArr[:0]
-	for _, f := range p.Fields {
-		bins = append(bins, binOf(f.Value))
-	}
-	for ti := range db.opts.Rollups {
-		tier := &db.opts.Rollups[ti]
-		if tier.Retention > 0 && p.Time < maxT-tier.Retention {
-			continue
-		}
-		bStart := floorDiv(p.Time, tier.Width) * tier.Width
-		shStart := floorDiv(bStart, db.opts.ShardDuration) * db.opts.ShardDuration
-		ts := &st.tiers[ti]
-		sh, ok := ts.shards[shStart]
-		if !ok {
-			sh = &tierShard{
-				start:  shStart,
-				end:    shStart + db.opts.ShardDuration,
-				series: make(map[string]*tierSeries),
-			}
-			ts.shards[shStart] = sh
-			ts.order = insertSorted(ts.order, shStart)
-		}
-		sr, ok := sh.series[string(key)] // no-alloc map lookup
-		if !ok {
-			id := db.intern(p.Name, p.Tags, key)
-			sr = &tierSeries{name: id.name, tags: id.tags, ident: id, fields: make(map[string]*tierColumn)}
-			sh.series[id.key] = sr
-			id.addTierShard(ti, identTierShard{start: sh.start, end: sh.end, ts: sr})
-		}
-		for fi, f := range p.Fields {
-			if math.IsNaN(f.Value) {
-				continue // raw queries skip NaN; keep tiers equivalent
-			}
-			col := sr.fields[f.Key]
-			if col == nil {
-				col = &tierColumn{}
-				sr.fields[f.Key] = col
-			}
-			col.at(bStart).add(f.Value, bins[fi])
-		}
-	}
-}
-
 // enforceTierRetentionLocked drops whole tier shards beyond each tier's
 // horizon from one stripe. Caller holds st.mu.
 func (db *DB) enforceTierRetentionLocked(st *stripe, maxT int64) {

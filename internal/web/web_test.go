@@ -432,6 +432,24 @@ func TestWriteEndpointLineProtocol(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("garbage status = %d", resp.StatusCode)
 	}
+	// A repeated field key is malformed (a point holds one value per field):
+	// that line is rejected, the rest of the body is stored.
+	resp, err = http.Post(srv.URL+"/write", "text/plain", strings.NewReader(
+		"latency,src_city=Perth,dst_city=Tokyo total_ms=1 3000000000\n"+
+			"latency,src_city=Perth,dst_city=Tokyo total_ms=2,total_ms=3 4000000000\n"+
+			"latency,src_city=Perth,dst_city=Tokyo total_ms=4 5000000000\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "wrote 2, rejected 1") {
+		t.Fatalf("duplicate field: status %d, body %q", resp.StatusCode, msg)
+	}
+	getJSON(t, srv.URL+"/api/query?start=0&end=1e10&agg=count,sum&where=src_city:Perth", &res)
+	if len(res) != 1 || res[0].Buckets[0].Count != 2 || res[0].Buckets[0].Aggs[tsdb.AggSum] != 5 {
+		t.Fatalf("duplicate-field line corrupted the series: %+v", res)
+	}
 }
 
 func TestSnapshotEndpoint(t *testing.T) {
