@@ -1,10 +1,6 @@
 package core
 
-import (
-	"unsafe"
-
-	"ruru/internal/pkt"
-)
+import "ruru/internal/pkt"
 
 // Admitter is the bounded-memory admission gate the per-flow tables consult
 // before allocating exact state (ROADMAP item 2: sketch-based flow state).
@@ -79,14 +75,13 @@ type SketchStats struct {
 	BudgetBytes int64
 }
 
-// Per-record budget charges: the in-memory size of one slot in each exact
-// table. Sizeof, not a hand-maintained constant, so the charge tracks the
-// structs as they evolve.
+// Per-record budget charges: the in-memory size of one slot (table header
+// plus the tracker's per-flow state) in each exact table.
 var (
 	// HandshakeEntryBytes is the budget charge for one handshake-table slot.
-	HandshakeEntryBytes = int64(unsafe.Sizeof(entry{}))
+	HandshakeEntryBytes = slotBytes[hsEntry]()
 	// TSEntryBytes is the budget charge for one timestamp-tracker slot.
-	TSEntryBytes = int64(unsafe.Sizeof(tsEntry{}))
+	TSEntryBytes = slotBytes[tsEntry]()
 	// SeqEntryBytes is the budget charge for one seq-tracker slot.
-	SeqEntryBytes = int64(unsafe.Sizeof(seqEntry{}))
+	SeqEntryBytes = slotBytes[seqEntry]()
 )

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"net/netip"
 	"testing"
 	"time"
 
@@ -30,6 +31,7 @@ type fakeAdmitter struct {
 
 	observes  int
 	admits    int
+	admitted  int64 // bytes let in
 	publishes int
 	forced    int
 	released  []struct {
@@ -45,6 +47,7 @@ func (f *fakeAdmitter) Admit(entryBytes int64) (bool, bool) {
 	if f.refuse {
 		return false, false
 	}
+	f.admitted += entryBytes
 	return true, f.promote
 }
 
@@ -250,6 +253,78 @@ func TestEngineAdmitterWiring(t *testing.T) {
 	}
 	if st.EpsilonBytes != 11 || st.CollisionDepth != 2 {
 		t.Fatalf("max stats = %+v", st)
+	}
+}
+
+type discardSeqSink struct{}
+
+func (discardSeqSink) EmitSeq(*SeqSample)  {}
+func (discardSeqSink) EmitLoss(*LossEvent) {}
+
+// TestEngineKeepsFlowStateAcrossRuns: the engine owns every per-queue table,
+// so a second Run continues with the records (and the admitter charges) the
+// first one left, and the admitter's ledger stays equal to what is live.
+// When each Run built fresh trackers, the first Run's tracker records
+// vanished without Release and the sketch tier's LiveBytes never came back.
+func TestEngineKeepsFlowStateAcrossRuns(t *testing.T) {
+	pool := nic.NewMempool(64, 2048)
+	port, err := nic.NewPort(nic.PortConfig{Queues: 1, QueueDepth: 64, Pool: pool, Policy: nic.Block})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fa := &fakeAdmitter{}
+	eng, err := NewEngine(EngineConfig{
+		Port: port, Sink: SinkFunc(func(*Measurement) {}), Burst: 8,
+		TSSink:      TSSinkFunc(func(*TSSample) {}),
+		SeqSink:     discardSeqSink{},
+		Table:       TableConfig{Capacity: 64},
+		TSTable:     TSConfig{Capacity: 64},
+		SeqTable:    SeqConfig{Capacity: 64},
+		NewAdmitter: func(int) Admitter { return fa },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// dataFrame is a timestamped data segment: one record in each tracker.
+	dataFrame := func(src string) []byte {
+		var opt [pkt.TimestampOptionLen]byte
+		buf := make([]byte, 256)
+		n, err := pkt.BuildTCPFrame(buf, &pkt.TCPFrameSpec{
+			SrcMAC: pkt.MAC{1}, DstMAC: pkt.MAC{2},
+			Src: netip.MustParseAddr(src), Dst: netip.MustParseAddr("192.0.2.1"),
+			SrcPort: 5000, DstPort: 443, Flags: pkt.TCPAck, Seq: 1, Ack: 1,
+			Options: pkt.PutTimestampOption(opt[:], 100, 0), Payload: make([]byte, 32),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf[:n]
+	}
+	run := func(wantPackets uint64, frames ...[]byte) {
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() { done <- eng.Run(ctx) }()
+		for i, f := range frames {
+			port.Inject(f, int64(1e6+i))
+		}
+		waitFor(t, func() bool { return eng.Stats().Packets == wantPackets })
+		cancel()
+		<-done
+	}
+	run(2, buildFrame(t, "10.0.0.1", "192.0.2.1", 40000, 443, pkt.TCPSyn, 100, 0), dataFrame("10.0.0.2"))
+	run(3, dataFrame("10.0.0.3"))
+
+	hs, ts, seq := eng.Stats().Occupancy, eng.TSStats().Occupancy, eng.SeqStats().Occupancy
+	if hs != 1 || ts != 2 || seq != 2 {
+		t.Fatalf("occupancy after two runs: handshake %d, ts %d, seq %d; want 1, 2, 2", hs, ts, seq)
+	}
+	outstanding := fa.admitted
+	for _, r := range fa.released {
+		outstanding -= r.bytes
+	}
+	live := int64(hs)*HandshakeEntryBytes + int64(ts)*TSEntryBytes + int64(seq)*SeqEntryBytes
+	if outstanding != live {
+		t.Fatalf("admitter holds %d bytes for %d bytes of live entries", outstanding, live)
 	}
 }
 

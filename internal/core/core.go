@@ -79,23 +79,20 @@ type TableStats struct {
 type entryState uint8
 
 const (
-	stateEmpty  entryState = iota
-	stateSYN               // SYN seen, awaiting SYN-ACK
-	stateSYNACK            // SYN-ACK seen, awaiting ACK
+	stateSYN    entryState = iota + 1 // SYN seen, awaiting SYN-ACK
+	stateSYNACK                       // SYN-ACK seen, awaiting ACK
 )
 
-type entry struct {
-	key       FlowKey
+// hsEntry is the handshake state machine's per-flow state, the val of a
+// HandshakeTable slot.
+type hsEntry struct {
 	synTS     int64
 	synAckTS  int64
-	lastTS    int64
 	clientISN uint32
 	serverISN uint32
-	hash      uint32
 	state     entryState
 	retrans   uint8
 	ipv6      bool
-	promoted  bool // admitted through the sketch tier's elephant path
 }
 
 // TableConfig configures a HandshakeTable.
@@ -123,43 +120,37 @@ type TableConfig struct {
 // HandshakeTable tracks in-progress handshakes for one RSS queue.
 // It is single-writer: exactly one goroutine may call Process/Sweep.
 type HandshakeTable struct {
-	slots    []entry
-	mask     uint32
-	live     int
-	maxLive  int
-	timeout  int64
+	flowTable[hsEntry]
 	queue    int
 	onExpire func(lastTS int64, awaitingSYNACK bool)
-	admit    Admitter
 	stats    TableStats
-
-	sweepPos  uint32 // incremental sweep cursor
-	lastSweep int64
 }
 
 // NewHandshakeTable creates a table from cfg.
 func NewHandshakeTable(cfg TableConfig) *HandshakeTable {
-	capacity := cfg.Capacity
-	if capacity <= 0 {
-		capacity = 1 << 16
+	if cfg.Capacity <= 0 {
+		cfg.Capacity = 1 << 16
 	}
-	// Round up to a power of two.
-	n := 1
-	for n < capacity {
-		n <<= 1
+	if cfg.Timeout <= 0 {
+		cfg.Timeout = 10e9
 	}
-	timeout := cfg.Timeout
-	if timeout <= 0 {
-		timeout = 10e9
+	t := &HandshakeTable{
+		flowTable: newFlowTable[hsEntry](cfg.Capacity, cfg.Timeout, cfg.Admit),
+		queue:     cfg.Queue,
+		onExpire:  cfg.OnExpire,
 	}
-	return &HandshakeTable{
-		slots:    make([]entry, n),
-		mask:     uint32(n - 1),
-		maxLive:  n * 85 / 100,
-		timeout:  timeout,
-		queue:    cfg.Queue,
-		onExpire: cfg.OnExpire,
-		admit:    cfg.Admit,
+	t.onEvict = t.expire
+	return t
+}
+
+// expire accounts one handshake evicted incomplete.
+func (t *HandshakeTable) expire(lastTS int64, e hsEntry) {
+	awaiting := e.state == stateSYN
+	if awaiting {
+		t.stats.ExpiredAwait++
+	}
+	if t.onExpire != nil {
+		t.onExpire(lastTS, awaiting)
 	}
 }
 
@@ -169,70 +160,17 @@ func NewHandshakeTable(cfg TableConfig) *HandshakeTable {
 // snapshots workers publish once per burst.
 func (t *HandshakeTable) Stats() TableStats {
 	s := t.stats
+	s.Expired = t.expired
+	s.TableFull = t.full
 	s.Occupancy = uint64(t.live)
 	return s
-}
-
-// Len returns the number of live entries.
-func (t *HandshakeTable) Len() int { return t.live }
-
-// mix finalizes the RSS hash into a table index seed. The RSS hash is
-// already uniform, but mixing guards against pathological keys when the
-// asymmetric-key ablation (E7) routes both directions differently.
-func mix(h uint32) uint32 {
-	h ^= h >> 16
-	h *= 0x7feb352d
-	h ^= h >> 15
-	h *= 0x846ca68b
-	h ^= h >> 16
-	return h
-}
-
-// find locates the slot index of key, or the first empty slot encountered.
-func (t *HandshakeTable) find(hash uint32, key FlowKey) (idx uint32, found bool) {
-	i := mix(hash) & t.mask
-	for {
-		s := &t.slots[i]
-		if s.state == stateEmpty {
-			return i, false
-		}
-		if s.hash == hash && s.key == key {
-			return i, true
-		}
-		i = (i + 1) & t.mask
-	}
-}
-
-// remove deletes slot i using backward-shift deletion, preserving probe
-// chains without tombstones.
-func (t *HandshakeTable) remove(i uint32) {
-	if t.admit != nil {
-		t.admit.Release(HandshakeEntryBytes, t.slots[i].promoted)
-	}
-	t.live--
-	for {
-		t.slots[i] = entry{}
-		j := i
-		for {
-			j = (j + 1) & t.mask
-			s := &t.slots[j]
-			if s.state == stateEmpty {
-				return
-			}
-			home := mix(s.hash) & t.mask
-			// Can s legally move into the hole at i?
-			if (j-home)&t.mask >= (j-i)&t.mask {
-				t.slots[i] = *s
-				i = j
-				break
-			}
-		}
-	}
 }
 
 // Process examines one parsed TCP packet with capture timestamp ts and RSS
 // hash rssHash. If the packet completes a handshake, the resulting
 // measurement is stored in *m and Process returns true.
+//
+//ruru:noalloc
 func (t *HandshakeTable) Process(s *pkt.Summary, ts int64, rssHash uint32, m *Measurement) bool {
 	t.stats.Packets++
 	t.maybeSweep(ts)
@@ -261,13 +199,14 @@ func (t *HandshakeTable) Process(s *pkt.Summary, ts int64, rssHash uint32, m *Me
 	case tcp.IsSYN():
 		key := FlowKey{Client: s.Src(), Server: s.Dst(), ClientPort: tcp.SrcPort, ServerPort: tcp.DstPort}
 		idx, found := t.find(rssHash, key)
+		var sl *flowSlot[hsEntry]
 		if found {
-			e := &t.slots[idx]
-			if e.clientISN == tcp.Seq {
+			sl = &t.slots[idx]
+			sl.lastTS = ts
+			if e := &sl.val; e.clientISN == tcp.Seq {
 				// Retransmitted SYN (possibly after the SYN-ACK, when it
 				// was lost client-side): keep the first timestamps — the
 				// paper measures from the first SYN — refresh liveness.
-				e.lastTS = ts
 				if e.retrans < 255 {
 					e.retrans++
 				}
@@ -278,29 +217,10 @@ func (t *HandshakeTable) Process(s *pkt.Summary, ts int64, rssHash uint32, m *Me
 			// slot's budget charge (and promoted flag) carries over — the
 			// record is reused, not reallocated, so the admitter is not
 			// re-consulted.
-			*e = entry{key: key, synTS: ts, lastTS: ts, clientISN: tcp.Seq,
-				hash: rssHash, state: stateSYN, ipv6: s.IPv6, promoted: e.promoted}
-			t.stats.SYNs++
+		} else if sl = t.insert(idx, rssHash, key, ts); sl == nil {
 			return false
 		}
-		if t.live >= t.maxLive {
-			t.stats.TableFull++
-			return false
-		}
-		var promoted bool
-		if t.admit != nil {
-			// Sketch tier active: the insert consults the promoter instead
-			// of allocating unconditionally. A refusal means the flow stays
-			// sketch-only (counted SketchOnlyFlows by the admitter).
-			ok, prom := t.admit.Admit(HandshakeEntryBytes)
-			if !ok {
-				return false
-			}
-			promoted = prom
-		}
-		t.slots[idx] = entry{key: key, synTS: ts, lastTS: ts, clientISN: tcp.Seq,
-			hash: rssHash, state: stateSYN, ipv6: s.IPv6, promoted: promoted}
-		t.live++
+		sl.val = hsEntry{synTS: ts, clientISN: tcp.Seq, state: stateSYN, ipv6: s.IPv6}
 		t.stats.SYNs++
 		return false
 
@@ -312,7 +232,8 @@ func (t *HandshakeTable) Process(s *pkt.Summary, ts int64, rssHash uint32, m *Me
 			t.stats.OrphanSYNACKs++
 			return false
 		}
-		e := &t.slots[idx]
+		sl := &t.slots[idx]
+		e := &sl.val
 		switch e.state {
 		case stateSYN:
 			if tcp.Ack != e.clientISN+1 {
@@ -322,13 +243,13 @@ func (t *HandshakeTable) Process(s *pkt.Summary, ts int64, rssHash uint32, m *Me
 			}
 			e.synAckTS = ts
 			e.serverISN = tcp.Seq
-			e.lastTS = ts
+			sl.lastTS = ts
 			e.state = stateSYNACK
 			t.stats.SYNACKs++
 		case stateSYNACK:
 			// Retransmitted SYN-ACK: the paper keeps the first
 			// ("the following SYN-ACK"); refresh liveness only.
-			e.lastTS = ts
+			sl.lastTS = ts
 		}
 		return false
 
@@ -341,7 +262,8 @@ func (t *HandshakeTable) Process(s *pkt.Summary, ts int64, rssHash uint32, m *Me
 			t.stats.MidstreamACKs++
 			return false
 		}
-		e := &t.slots[idx]
+		sl := &t.slots[idx]
+		e := &sl.val
 		if e.state != stateSYNACK {
 			// ACK from client while we've not seen the SYN-ACK: can't
 			// measure; leave the entry (SYN-ACK may be reordered).
@@ -353,7 +275,7 @@ func (t *HandshakeTable) Process(s *pkt.Summary, ts int64, rssHash uint32, m *Me
 			return false
 		}
 		*m = Measurement{
-			Flow:       e.key,
+			Flow:       sl.key,
 			IPv6:       e.ipv6,
 			External:   e.synAckTS - e.synTS,
 			Internal:   ts - e.synAckTS,
@@ -369,61 +291,4 @@ func (t *HandshakeTable) Process(s *pkt.Summary, ts int64, rssHash uint32, m *Me
 		return true
 	}
 	return false
-}
-
-// maybeSweep advances the incremental eviction scan. Every sweepInterval of
-// virtual time the whole table is covered in sweepChunks pieces, so eviction
-// cost is amortized and never stalls a burst.
-const (
-	sweepChunk = 256
-)
-
-func (t *HandshakeTable) maybeSweep(now int64) {
-	if t.lastSweep == 0 {
-		t.lastSweep = now
-		return
-	}
-	// Target: cover the full table once per timeout period.
-	interval := t.timeout / int64(len(t.slots)/sweepChunk+1)
-	if interval < 1 {
-		interval = 1
-	}
-	if now-t.lastSweep < interval {
-		return
-	}
-	t.lastSweep = now
-	end := t.sweepPos + sweepChunk
-	for i := t.sweepPos; i < end; i++ {
-		t.evictExpiredAt(i&t.mask, now)
-	}
-	t.sweepPos = end & t.mask
-}
-
-// evictExpiredAt removes the entry at idx while it is expired; backward-shift
-// deletion may move another expired entry into idx, so it loops.
-func (t *HandshakeTable) evictExpiredAt(idx uint32, now int64) {
-	for {
-		s := &t.slots[idx]
-		if s.state == stateEmpty || now-s.lastTS <= t.timeout {
-			return
-		}
-		awaiting := s.state == stateSYN
-		if awaiting {
-			t.stats.ExpiredAwait++
-		}
-		t.stats.Expired++
-		lastTS := s.lastTS
-		t.remove(idx)
-		if t.onExpire != nil {
-			t.onExpire(lastTS, awaiting)
-		}
-	}
-}
-
-// SweepAll synchronously evicts every expired entry (used at end of trace
-// and in tests).
-func (t *HandshakeTable) SweepAll(now int64) {
-	for i := uint32(0); i < uint32(len(t.slots)); i++ {
-		t.evictExpiredAt(i, now)
-	}
 }

@@ -48,12 +48,20 @@ type SeqSink interface {
 
 // PollConfig tunes the adaptive idle ladder a worker descends when polls
 // come back empty: busy-spin first (a hot queue usually refills within
-// nanoseconds), then cooperative yields, then exponentially growing sleeps.
+// nanoseconds), then cooperative yields, then sleeps of one fixed length.
 // Any amount of traffic resets the ladder, so a loaded worker is always in
-// the spin regime — the DPDK busy-poll behaviour — while an idle worker
-// costs roughly nothing. A fixed idle sleep of tens of microseconds lets
-// queues overflow during injection bursts: its wake-up latency is the
-// ladder's worst case, not its common one.
+// the spin regime — the DPDK busy-poll behaviour.
+//
+// The sleep is one millisecond because that is the shortest sleep the Go
+// runtime delivers whatever else the process is doing: an idle process
+// serves its timers from epoll_wait, whose timeout has millisecond
+// resolution, so a shorter time.Sleep returns after ≈1.1 ms when every P is
+// idle and after tens of microseconds when one happens to be running, at
+// 10–60 µs of scheduler and futex CPU either way. A lightly loaded
+// worker's wake-ups per second, its CPU, and how finely it wakes the
+// stages downstream would then follow the host's wake-up latency, not the
+// load. A queue must hold one sleep's arrivals: 4096 slots cover 2 Mpps
+// per queue.
 type PollConfig struct {
 	// Spin is the number of consecutive empty polls served by pure
 	// busy-spinning before the worker starts yielding (default 64).
@@ -61,10 +69,9 @@ type PollConfig struct {
 	// Yield is the number of runtime.Gosched rounds after spinning and
 	// before sleeping (default 16).
 	Yield int
-	// SleepMin is the first sleep after the yield phase (default 1µs).
-	SleepMin time.Duration
-	// SleepMax caps the exponential sleep growth (default 100µs).
-	SleepMax time.Duration
+	// Sleep is how long each empty poll after the yield phase sleeps
+	// (default 1ms).
+	Sleep time.Duration
 }
 
 func (c *PollConfig) setDefaults() {
@@ -74,14 +81,8 @@ func (c *PollConfig) setDefaults() {
 	if c.Yield <= 0 {
 		c.Yield = 16
 	}
-	if c.SleepMin <= 0 {
-		c.SleepMin = time.Microsecond
-	}
-	if c.SleepMax <= 0 {
-		c.SleepMax = 100 * time.Microsecond
-	}
-	if c.SleepMax < c.SleepMin {
-		c.SleepMax = c.SleepMin
+	if c.Sleep <= 0 {
+		c.Sleep = time.Millisecond
 	}
 }
 
@@ -93,11 +94,7 @@ func (c *PollConfig) idleWait(idle int) {
 	case idle <= c.Spin+c.Yield:
 		runtime.Gosched()
 	default:
-		d := c.SleepMin << uint(min(idle-c.Spin-c.Yield-1, 16))
-		if d > c.SleepMax || d <= 0 {
-			d = c.SleepMax
-		}
-		time.Sleep(d)
+		time.Sleep(c.Sleep)
 	}
 }
 
@@ -143,12 +140,22 @@ type EngineConfig struct {
 // processing threads ... allocated on separate CPU cores").
 type Engine struct {
 	cfg    EngineConfig
-	tables []*HandshakeTable
-	admits []Admitter // per-queue, nil slice when the sketch tier is off
-	snaps  []statsCell
+	queues []queueState
 
 	mu      sync.Mutex
 	running bool
+}
+
+// queueState is all the per-flow state of one RSS queue, built once in
+// NewEngine and owned by that queue's worker for as long as a Run lasts:
+// flow records and the admitter charges they hold carry over from one Run
+// to the next.
+type queueState struct {
+	table *HandshakeTable
+	ts    *TSTracker  // nil unless EngineConfig.TSSink is set
+	seq   *SeqTracker // nil unless EngineConfig.SeqSink is set
+	adm   Admitter    // nil unless EngineConfig.NewAdmitter is set
+	cell  statsCell
 }
 
 // statsCell holds the stats snapshots a worker publishes once per burst,
@@ -176,34 +183,41 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		cfg.Burst = 64
 	}
 	cfg.Poll.setDefaults()
-	e := &Engine{cfg: cfg, snaps: make([]statsCell, cfg.Port.NumQueues())}
-	for q := 0; q < cfg.Port.NumQueues(); q++ {
-		tc := cfg.Table
-		tc.Queue = q
+	e := &Engine{cfg: cfg, queues: make([]queueState, cfg.Port.NumQueues())}
+	for q := range e.queues {
+		qs := &e.queues[q]
 		if cfg.NewAdmitter != nil {
-			adm := cfg.NewAdmitter(q)
-			if adm == nil {
+			if qs.adm = cfg.NewAdmitter(q); qs.adm == nil {
 				return nil, errors.New("core: EngineConfig.NewAdmitter returned nil")
 			}
-			e.admits = append(e.admits, adm)
-			tc.Admit = adm
 		}
-		e.tables = append(e.tables, NewHandshakeTable(tc))
+		tc := cfg.Table
+		tc.Queue, tc.Admit = q, qs.adm
+		qs.table = NewHandshakeTable(tc)
+		if cfg.TSSink != nil {
+			tc := cfg.TSTable
+			tc.Queue, tc.Admit = q, qs.adm
+			qs.ts = NewTSTracker(tc)
+		}
+		if cfg.SeqSink != nil {
+			sc := cfg.SeqTable
+			sc.Queue, sc.Admit = q, qs.adm
+			if qs.ts != nil && !sc.OneDirection {
+				sc.DeferTS = true
+			}
+			qs.seq = NewSeqTracker(sc)
+		}
 	}
 	return e, nil
 }
-
-// Tables exposes the per-queue tables (read their stats only from the
-// owning worker or after Run returns).
-func (e *Engine) Tables() []*HandshakeTable { return e.tables }
 
 // Stats aggregates all per-queue table stats. Safe to call from any
 // goroutine at any time: it reads the snapshots each worker publishes at
 // burst boundaries (so values can trail the hot path by up to one burst).
 func (e *Engine) Stats() TableStats {
 	var total TableStats
-	for q := range e.snaps {
-		cell := &e.snaps[q]
+	for q := range e.queues {
+		cell := &e.queues[q].cell
 		cell.mu.Lock()
 		s := cell.snap
 		cell.mu.Unlock()
@@ -228,8 +242,8 @@ func (e *Engine) Stats() TableStats {
 // EngineConfig.TSSink is unset. Same snapshot semantics as Stats.
 func (e *Engine) TSStats() TSStats {
 	var total TSStats
-	for q := range e.snaps {
-		cell := &e.snaps[q]
+	for q := range e.queues {
+		cell := &e.queues[q].cell
 		cell.mu.Lock()
 		s := cell.ts
 		cell.mu.Unlock()
@@ -249,8 +263,8 @@ func (e *Engine) TSStats() TSStats {
 // EngineConfig.SeqSink is unset. Same snapshot semantics as Stats.
 func (e *Engine) SeqStats() SeqStats {
 	var total SeqStats
-	for q := range e.snaps {
-		cell := &e.snaps[q]
+	for q := range e.queues {
+		cell := &e.queues[q].cell
 		cell.mu.Lock()
 		s := cell.seq
 		cell.mu.Unlock()
@@ -275,8 +289,8 @@ func (e *Engine) SeqStats() SeqStats {
 // queue, since each queue's sketch answers only for its own flows.
 func (e *Engine) SketchStats() SketchStats {
 	var total SketchStats
-	for q := range e.snaps {
-		cell := &e.snaps[q]
+	for q := range e.queues {
+		cell := &e.queues[q].cell
 		cell.mu.Lock()
 		s := cell.sketch
 		cell.mu.Unlock()
@@ -313,7 +327,7 @@ func (e *Engine) Run(ctx context.Context) error {
 	}()
 
 	var wg sync.WaitGroup
-	for q := 0; q < e.cfg.Port.NumQueues(); q++ {
+	for q := range e.queues {
 		wg.Add(1)
 		go func(q int) {
 			defer wg.Done()
@@ -328,54 +342,33 @@ func (e *Engine) Run(ctx context.Context) error {
 // (and, when enabled, the timestamp and sequence trackers).
 func (e *Engine) runQueue(ctx context.Context, q int) {
 	var (
-		parser  pkt.Parser
-		sum     pkt.Summary
-		m       Measurement
-		ts      TSSample
-		ss      SeqSample
-		lev     LossEvent
-		table   = e.tables[q]
-		tracker *TSTracker
-		seqTrk  *SeqTracker
-		adm     Admitter
-		bufs    = make([]*nic.Buf, e.cfg.Burst)
+		parser pkt.Parser
+		sum    pkt.Summary
+		m      Measurement
+		ts     TSSample
+		ss     SeqSample
+		lev    LossEvent
+		qs     = &e.queues[q]
+		bufs   = make([]*nic.Buf, e.cfg.Burst)
 	)
-	if e.admits != nil {
-		adm = e.admits[q]
-	}
-	if e.cfg.TSSink != nil {
-		tc := e.cfg.TSTable
-		tc.Queue = q
-		tc.Admit = adm
-		tracker = NewTSTracker(tc)
-	}
-	if e.cfg.SeqSink != nil {
-		sc := e.cfg.SeqTable
-		sc.Queue = q
-		sc.Admit = adm
-		if tracker != nil && !sc.OneDirection {
-			sc.DeferTS = true
-		}
-		seqTrk = NewSeqTracker(sc)
-	}
 	processBurst := func(n int) {
 		for i := 0; i < n; i++ {
 			b := bufs[i]
 			if err := parser.Parse(b.Bytes(), &sum); err == nil && sum.IsTCP() {
-				if adm != nil {
+				if qs.adm != nil {
 					// The sketch observes every TCP packet before the
 					// tables rule on it, so an Admit for this packet's
 					// flow sees its volume already accounted.
-					adm.Observe(&sum)
+					qs.adm.Observe(&sum)
 				}
-				if table.Process(&sum, b.Timestamp, b.RSSHash, &m) {
+				if qs.table.Process(&sum, b.Timestamp, b.RSSHash, &m) {
 					e.cfg.Sink.Emit(&m)
 				}
-				if tracker != nil && tracker.Process(&sum, b.Timestamp, b.RSSHash, &ts) {
+				if qs.ts != nil && qs.ts.Process(&sum, b.Timestamp, b.RSSHash, &ts) {
 					e.cfg.TSSink.EmitTS(&ts)
 				}
-				if seqTrk != nil {
-					gotSample, gotLoss := seqTrk.Process(&sum, b.Timestamp, b.RSSHash, &ss, &lev)
+				if qs.seq != nil {
+					gotSample, gotLoss := qs.seq.Process(&sum, b.Timestamp, b.RSSHash, &ss, &lev)
 					if gotSample {
 						e.cfg.SeqSink.EmitSeq(&ss)
 					}
@@ -391,29 +384,29 @@ func (e *Engine) runQueue(ctx context.Context, q int) {
 	// monitoring cell: one uncontended lock per burst instead of atomics
 	// per packet.
 	publish := func() {
-		snap := table.Stats() // we are the table's single writer
-		cell := &e.snaps[q]
+		snap := qs.table.Stats() // we are the table's single writer
+		cell := &qs.cell
 		cell.mu.Lock()
 		cell.snap = snap
-		if tracker != nil {
-			cell.ts = tracker.Stats()
+		if qs.ts != nil {
+			cell.ts = qs.ts.Stats()
 		}
-		if seqTrk != nil {
-			cell.seq = seqTrk.Stats()
+		if qs.seq != nil {
+			cell.seq = qs.seq.Stats()
 		}
-		if adm != nil {
-			cell.sketch = adm.Stats()
+		if qs.adm != nil {
+			cell.sketch = qs.adm.Stats()
 		}
 		cell.mu.Unlock()
-		if adm != nil {
+		if qs.adm != nil {
 			// Refresh the heavy-hitter snapshot readers consume (the tier
 			// throttles the copy internally).
-			adm.Publish(false)
+			qs.adm.Publish(false)
 		}
 	}
 	defer func() {
-		if adm != nil {
-			adm.Publish(true) // final unthrottled snapshot for readers
+		if qs.adm != nil {
+			qs.adm.Publish(true) // final unthrottled snapshot for readers
 		}
 		publish()
 	}()

@@ -126,15 +126,12 @@ type seqDir struct {
 	lastDataTS int64
 }
 
+// seqEntry is the seq tracker's per-flow state, the val of a SeqTracker
+// slot. The slot's key is canonically oriented like the timestamp
+// tracker's: the endpoint with the lexicographically smaller (addr, port)
+// is side A.
 type seqEntry struct {
-	// key is canonically oriented like tsEntry: the endpoint with the
-	// lexicographically smaller (addr, port) is side A.
-	key      FlowKey
-	hash     uint32
-	lastTS   int64
-	state    entryState // stateEmpty or stateSYN (used as "live")
-	promoted bool       // admitted through the sketch tier's elephant path
-	a, b     seqDir
+	a, b seqDir
 }
 
 // SeqConfig configures a SeqTracker.
@@ -169,106 +166,48 @@ type SeqConfig struct {
 // classifies retransmissions for one RSS queue. Like HandshakeTable and
 // TSTracker it is single-writer and allocation-free on the packet path.
 type SeqTracker struct {
-	slots   []seqEntry
-	mask    uint32
-	live    int
-	maxLive int
-	timeout int64
+	flowTable[seqEntry]
 	queue   int
 	oneDir  bool
 	deferTS bool
 	rtoGap  int64
-	admit   Admitter
 	stats   SeqStats
-
-	sweepPos  uint32
-	lastSweep int64
 }
 
 // NewSeqTracker creates a tracker from cfg.
 func NewSeqTracker(cfg SeqConfig) *SeqTracker {
-	capacity := cfg.Capacity
-	if capacity <= 0 {
-		capacity = 1 << 15
+	if cfg.Capacity <= 0 {
+		cfg.Capacity = 1 << 15
 	}
-	n := 1
-	for n < capacity {
-		n <<= 1
+	if cfg.Timeout <= 0 {
+		cfg.Timeout = 60e9
 	}
-	timeout := cfg.Timeout
-	if timeout <= 0 {
-		timeout = 60e9
-	}
-	rtoGap := cfg.RTOThreshold
-	if rtoGap <= 0 {
-		rtoGap = 200e6
+	if cfg.RTOThreshold <= 0 {
+		cfg.RTOThreshold = 200e6
 	}
 	return &SeqTracker{
-		slots:   make([]seqEntry, n),
-		mask:    uint32(n - 1),
-		maxLive: n * 85 / 100,
-		timeout: timeout,
-		queue:   cfg.Queue,
-		oneDir:  cfg.OneDirection,
-		deferTS: cfg.DeferTS,
-		rtoGap:  rtoGap,
-		admit:   cfg.Admit,
+		flowTable: newFlowTable[seqEntry](cfg.Capacity, cfg.Timeout, cfg.Admit),
+		queue:     cfg.Queue,
+		oneDir:    cfg.OneDirection,
+		deferTS:   cfg.DeferTS,
+		rtoGap:    cfg.RTOThreshold,
 	}
 }
 
 // Stats returns a snapshot of the tracker counters.
 func (t *SeqTracker) Stats() SeqStats {
 	s := t.stats
+	s.Expired = t.expired
+	s.TableFull = t.full
 	s.Occupancy = uint64(t.live)
 	return s
 }
-
-// Len returns live flow entries.
-func (t *SeqTracker) Len() int { return t.live }
 
 // seqLE reports a ≤ b in 32-bit sequence space (RFC 1982 style).
 func seqLE(a, b uint32) bool { return int32(b-a) >= 0 }
 
 // seqLT reports a < b in 32-bit sequence space.
 func seqLT(a, b uint32) bool { return int32(b-a) > 0 }
-
-func (t *SeqTracker) find(hash uint32, key FlowKey) (uint32, bool) {
-	i := mix(hash) & t.mask
-	for {
-		s := &t.slots[i]
-		if s.state == stateEmpty {
-			return i, false
-		}
-		if s.hash == hash && s.key == key {
-			return i, true
-		}
-		i = (i + 1) & t.mask
-	}
-}
-
-func (t *SeqTracker) remove(i uint32) {
-	if t.admit != nil {
-		t.admit.Release(SeqEntryBytes, t.slots[i].promoted)
-	}
-	t.live--
-	for {
-		t.slots[i] = seqEntry{}
-		j := i
-		for {
-			j = (j + 1) & t.mask
-			s := &t.slots[j]
-			if s.state == stateEmpty {
-				return
-			}
-			home := mix(s.hash) & t.mask
-			if (j-home)&t.mask >= (j-i)&t.mask {
-				t.slots[i] = *s
-				i = j
-				break
-			}
-		}
-	}
-}
 
 // Process examines one parsed TCP packet. When it closes an RTT sample the
 // sample is stored in *out and the first result is true; when it is
@@ -298,26 +237,13 @@ func (t *SeqTracker) Process(s *pkt.Summary, ts int64, rssHash uint32, out *SeqS
 	if !found {
 		// Only a data segment creates state: a pure ACK or RST on an
 		// unknown flow has nothing to match and would only burn a slot.
-		if payload == 0 || tcp.RST() {
+		if payload == 0 || tcp.RST() || t.insert(idx, rssHash, key, ts) == nil {
 			return false, false
 		}
-		if t.live >= t.maxLive {
-			t.stats.TableFull++
-			return false, false
-		}
-		var promoted bool
-		if t.admit != nil {
-			ok, prom := t.admit.Admit(SeqEntryBytes)
-			if !ok {
-				return false, false
-			}
-			promoted = prom
-		}
-		t.slots[idx] = seqEntry{key: key, hash: rssHash, lastTS: ts, state: stateSYN, promoted: promoted}
-		t.live++
 	}
-	e := &t.slots[idx]
-	e.lastTS = ts
+	sl := &t.slots[idx]
+	sl.lastTS = ts
+	e := &sl.val
 
 	dir, rev := &e.a, &e.b
 	if !fromA {
@@ -513,42 +439,4 @@ func (t *SeqTracker) matchOneDir(dir *seqDir, ack, tsecr uint32, hasTS bool, ts 
 	t.stats.Samples++
 	t.stats.OneDirSamples++
 	return true
-}
-
-func (t *SeqTracker) maybeSweep(now int64) {
-	if t.lastSweep == 0 {
-		t.lastSweep = now
-		return
-	}
-	interval := t.timeout / int64(len(t.slots)/sweepChunk+1)
-	if interval < 1 {
-		interval = 1
-	}
-	if now-t.lastSweep < interval {
-		return
-	}
-	t.lastSweep = now
-	end := t.sweepPos + sweepChunk
-	for i := t.sweepPos; i < end; i++ {
-		t.evictIdleAt(i&t.mask, now)
-	}
-	t.sweepPos = end & t.mask
-}
-
-func (t *SeqTracker) evictIdleAt(idx uint32, now int64) {
-	for {
-		s := &t.slots[idx]
-		if s.state == stateEmpty || now-s.lastTS <= t.timeout {
-			return
-		}
-		t.stats.Expired++
-		t.remove(idx)
-	}
-}
-
-// SweepAll synchronously evicts all idle flows.
-func (t *SeqTracker) SweepAll(now int64) {
-	for i := uint32(0); i < uint32(len(t.slots)); i++ {
-		t.evictIdleAt(i, now)
-	}
 }

@@ -55,18 +55,14 @@ type tsPending struct {
 	used bool
 }
 
+// tsEntry is the timestamp tracker's per-flow state, the val of a TSTracker
+// slot. The slot's key is canonically oriented: the endpoint with the
+// lexicographically smaller (addr, port) is side A.
 type tsEntry struct {
-	// key is canonically oriented: the endpoint with the lexicographically
-	// smaller (addr, port) is side A.
-	key      FlowKey
-	hash     uint32
-	lastTS   int64
-	state    entryState // stateEmpty or stateSYN (used as "live")
-	pendA    [tsPendingSlots]tsPending
-	pendB    [tsPendingSlots]tsPending
-	posA     uint8
-	posB     uint8
-	promoted bool // admitted through the sketch tier's elephant path
+	pendA [tsPendingSlots]tsPending
+	pendB [tsPendingSlots]tsPending
+	posA  uint8
+	posB  uint8
 }
 
 // TSConfig configures a TSTracker.
@@ -86,52 +82,33 @@ type TSConfig struct {
 // queue. Like HandshakeTable it is single-writer and allocation-free on the
 // packet path.
 type TSTracker struct {
-	slots   []tsEntry
-	mask    uint32
-	live    int
-	maxLive int
-	timeout int64
-	queue   int
-	admit   Admitter
-	stats   TSStats
-
-	sweepPos  uint32
-	lastSweep int64
+	flowTable[tsEntry]
+	queue int
+	stats TSStats
 }
 
 // NewTSTracker creates a tracker from cfg.
 func NewTSTracker(cfg TSConfig) *TSTracker {
-	capacity := cfg.Capacity
-	if capacity <= 0 {
-		capacity = 1 << 15
+	if cfg.Capacity <= 0 {
+		cfg.Capacity = 1 << 15
 	}
-	n := 1
-	for n < capacity {
-		n <<= 1
-	}
-	timeout := cfg.Timeout
-	if timeout <= 0 {
-		timeout = 60e9
+	if cfg.Timeout <= 0 {
+		cfg.Timeout = 60e9
 	}
 	return &TSTracker{
-		slots:   make([]tsEntry, n),
-		mask:    uint32(n - 1),
-		maxLive: n * 85 / 100,
-		timeout: timeout,
-		queue:   cfg.Queue,
-		admit:   cfg.Admit,
+		flowTable: newFlowTable[tsEntry](cfg.Capacity, cfg.Timeout, cfg.Admit),
+		queue:     cfg.Queue,
 	}
 }
 
 // Stats returns a snapshot of the tracker counters.
 func (t *TSTracker) Stats() TSStats {
 	s := t.stats
+	s.Expired = t.expired
+	s.TableFull = t.full
 	s.Occupancy = uint64(t.live)
 	return s
 }
-
-// Len returns live flow entries.
-func (t *TSTracker) Len() int { return t.live }
 
 // canonicalKey orients (src,dst) so both directions map to one key;
 // fromA reports whether the packet was sent by side A.
@@ -142,49 +119,13 @@ func canonicalKey(src, dst netip.Addr, sp, dp uint16) (key FlowKey, fromA bool) 
 	return FlowKey{Client: dst, Server: src, ClientPort: dp, ServerPort: sp}, false
 }
 
-func (t *TSTracker) find(hash uint32, key FlowKey) (uint32, bool) {
-	i := mix(hash) & t.mask
-	for {
-		s := &t.slots[i]
-		if s.state == stateEmpty {
-			return i, false
-		}
-		if s.hash == hash && s.key == key {
-			return i, true
-		}
-		i = (i + 1) & t.mask
-	}
-}
-
-func (t *TSTracker) remove(i uint32) {
-	if t.admit != nil {
-		t.admit.Release(TSEntryBytes, t.slots[i].promoted)
-	}
-	t.live--
-	for {
-		t.slots[i] = tsEntry{}
-		j := i
-		for {
-			j = (j + 1) & t.mask
-			s := &t.slots[j]
-			if s.state == stateEmpty {
-				return
-			}
-			home := mix(s.hash) & t.mask
-			if (j-home)&t.mask >= (j-i)&t.mask {
-				t.slots[i] = *s
-				i = j
-				break
-			}
-		}
-	}
-}
-
 // Process examines one parsed TCP packet. When the packet's TSecr matches a
 // pending TSval from the opposite direction, the sample is stored in *out
 // and Process returns true. The packet's own TSval is registered for future
 // echoes. rssHash must be direction-independent (symmetric RSS), as for the
 // handshake table.
+//
+//ruru:noalloc
 func (t *TSTracker) Process(s *pkt.Summary, ts int64, rssHash uint32, out *TSSample) bool {
 	t.stats.Packets++
 	t.maybeSweep(ts)
@@ -199,26 +140,13 @@ func (t *TSTracker) Process(s *pkt.Summary, ts int64, rssHash uint32, out *TSSam
 
 	idx, found := t.find(rssHash, key)
 	if !found {
-		if tcp.RST() {
+		if tcp.RST() || t.insert(idx, rssHash, key, ts) == nil {
 			return false
 		}
-		if t.live >= t.maxLive {
-			t.stats.TableFull++
-			return false
-		}
-		var promoted bool
-		if t.admit != nil {
-			ok, prom := t.admit.Admit(TSEntryBytes)
-			if !ok {
-				return false
-			}
-			promoted = prom
-		}
-		t.slots[idx] = tsEntry{key: key, hash: rssHash, lastTS: ts, state: stateSYN, promoted: promoted}
-		t.live++
 	}
-	e := &t.slots[idx]
-	e.lastTS = ts
+	sl := &t.slots[idx]
+	sl.lastTS = ts
+	e := &sl.val
 
 	if tcp.RST() {
 		// Abort: drop state immediately (no further echoes will come).
@@ -289,42 +217,4 @@ func (t *TSTracker) match(e *tsEntry, fromA bool, tsecr uint32, ts int64, s *pkt
 	}
 	t.stats.Unmatched++
 	return false
-}
-
-func (t *TSTracker) maybeSweep(now int64) {
-	if t.lastSweep == 0 {
-		t.lastSweep = now
-		return
-	}
-	interval := t.timeout / int64(len(t.slots)/sweepChunk+1)
-	if interval < 1 {
-		interval = 1
-	}
-	if now-t.lastSweep < interval {
-		return
-	}
-	t.lastSweep = now
-	end := t.sweepPos + sweepChunk
-	for i := t.sweepPos; i < end; i++ {
-		t.evictIdleAt(i&t.mask, now)
-	}
-	t.sweepPos = end & t.mask
-}
-
-func (t *TSTracker) evictIdleAt(idx uint32, now int64) {
-	for {
-		s := &t.slots[idx]
-		if s.state == stateEmpty || now-s.lastTS <= t.timeout {
-			return
-		}
-		t.stats.Expired++
-		t.remove(idx)
-	}
-}
-
-// SweepAll synchronously evicts all idle flows.
-func (t *TSTracker) SweepAll(now int64) {
-	for i := uint32(0); i < uint32(len(t.slots)); i++ {
-		t.evictIdleAt(i, now)
-	}
 }

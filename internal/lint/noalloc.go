@@ -352,6 +352,15 @@ func pointerShaped(t types.Type) bool {
 	return false
 }
 
+// isInterface reports whether values of type t are interface values. A type
+// parameter is not one, although its underlying type is its constraint
+// interface: its values are whatever the instantiation holds, so handing
+// one to an interface boxes it and handing one to itself does not.
+func isInterface(t types.Type) bool {
+	_, typeParam := types.Unalias(t).(*types.TypeParam)
+	return !typeParam && types.IsInterface(t)
+}
+
 // checkInterfaceArgs flags non-pointer-shaped concrete values passed to
 // interface-typed parameters (the conversion boxes onto the heap).
 func (r *noallocRun) checkInterfaceArgs(call *ast.CallExpr, guarded bool) {
@@ -384,14 +393,14 @@ func (r *noallocRun) checkInterfaceArgs(call *ast.CallExpr, guarded bool) {
 
 // checkIfaceConversion reports arg if assigning it to dst boxes a value.
 func (r *noallocRun) checkIfaceConversion(arg ast.Expr, dst types.Type) {
-	if dst == nil || !types.IsInterface(dst) {
+	if dst == nil || !isInterface(dst) {
 		return
 	}
 	tv, ok := r.pass.Info.Types[arg]
 	if !ok || tv.Type == nil {
 		return
 	}
-	if tv.IsNil() || types.IsInterface(tv.Type) || pointerShaped(tv.Type) {
+	if tv.IsNil() || isInterface(tv.Type) || pointerShaped(tv.Type) {
 		return
 	}
 	r.reportf(arg.Pos(), "converting %s to interface %s boxes the value on the heap",

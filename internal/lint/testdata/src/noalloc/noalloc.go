@@ -103,6 +103,29 @@ func noBox(s sink, p *buf) {
 	s.put(p)
 }
 
+// Methods of a generic type are checked like any other: the hot flow table
+// is one. A value of type-parameter type is not an interface value, whatever
+// its constraint — handing it to an interface parameter boxes it.
+type slots[E any] struct{ vals []E }
+
+//ruru:noalloc
+func (t *slots[E]) grow(n int) {
+	t.vals = make([]E, n) // want `make allocates`
+}
+
+//ruru:noalloc
+func (t *slots[E]) boxElem(s sink, i int) {
+	s.put(t.vals[i]) // want `converting E to interface .* boxes the value`
+}
+
+// Type parameter to the same type parameter is a plain copy.
+//
+//ruru:noalloc
+func (t *slots[E]) set(i int, v E) {
+	t.vals[i] = v
+	t.set(i, v)
+}
+
 //ruru:noalloc
 func freshAppend(n int) int {
 	var s []int

@@ -41,14 +41,10 @@ type Config struct {
 	Queues int
 	// QueueDepth is the per-queue ring size (default 4096).
 	QueueDepth int
-	// PoolSize is the packet mempool size (default 16384 buffers).
-	PoolSize int
-	// BufSize is the packet buffer size (default 2048).
-	BufSize int
 	// Burst is the RxBurst size (default 64).
 	Burst int
 	// Poll tunes the measurement workers' adaptive idle ladder
-	// (spin → yield → decaying sleep; zero values get defaults).
+	// (spin → yield → 1 ms sleeps; zero values get defaults).
 	Poll core.PollConfig
 
 	// Overflow selects what injection does when an RX queue is full:
@@ -59,8 +55,6 @@ type Config struct {
 	// indefinitely).
 	BlockTimeout time.Duration
 
-	// TableCapacity is the per-queue handshake table size (default 64k).
-	TableCapacity int
 	// HandshakeTimeout evicts incomplete handshakes (default 10s).
 	HandshakeTimeout int64
 
@@ -74,9 +68,6 @@ type Config struct {
 	// and the induced error is surfaced in Stats.Sketch. Must be at
 	// least MinFlowTableBytes(Queues). Zero keeps exact-only mode.
 	FlowTableBytes int64
-
-	// EnrichWorkers is the analytics pool size (default 4).
-	EnrichWorkers int
 
 	// SinkWorkers is the number of sharded sink workers draining the
 	// enriched stream (default 4). Measurements are partitioned by a hash
@@ -120,23 +111,9 @@ type Config struct {
 	// Zero disables caching.
 	QueryCacheBytes int64
 
-	// HubQueue is the per-WebSocket-client queue depth (default 256).
-	HubQueue int
-
-	// RollupStreamWidth is the bucket width (ns) of the /ws?stream=rollup
-	// delta feed (default 1s, matching the standard ladder's finest tier).
-	RollupStreamWidth int64
-	// RollupStreamInterval is how often accumulated rollup deltas are
-	// coalesced into one frame for the rollup audience (default 250ms).
-	RollupStreamInterval time.Duration
-
-	// Detector configs (defaults applied by the anomaly package).
-	Spike anomaly.SpikeConfig
+	// Flood configures the SYN-flood detector (zero values get the anomaly
+	// package's defaults).
 	Flood anomaly.FloodConfig
-	Surge anomaly.SurgeConfig
-	// SNMPInterval enables the conventional-monitoring baseline poller
-	// when > 0 (used by experiment E4).
-	SNMPInterval int64
 
 	// ArcsBuffer is how many recent measurements the live-map arc feed
 	// retains (default 4096).
@@ -187,6 +164,23 @@ const (
 // every pair among ~16 cities, bounded regardless of traffic.
 const pairTopKeys = 256
 
+// Stage shapes with one value in use everywhere (daemon, experiments,
+// benchmark, tests), so constants rather than Config fields.
+const (
+	poolSize      = 16384   // packet mempool buffers
+	bufSize       = 2048    // bytes per packet buffer
+	tableCapacity = 1 << 16 // per-queue slots in each flow table
+	enrichWorkers = 4       // analytics pool size
+	hubQueue      = 256     // per-WebSocket-client queue depth
+
+	// rollupStreamWidth is the bucket width (ns) of the /ws?stream=rollup
+	// delta feed, matching the standard rollup ladder's finest tier, and
+	// rollupStreamInterval how often accumulated deltas are coalesced into
+	// one frame for that audience.
+	rollupStreamWidth    = int64(time.Second)
+	rollupStreamInterval = 250 * time.Millisecond
+)
+
 // MinFlowTableBytes returns the smallest Config.FlowTableBytes able to host
 // the sketch tier for the given queue count: each queue's minimum tier
 // (smallest count-min sketch plus smallest heavy-hitter summaries) plus the
@@ -221,7 +215,6 @@ type Pipeline struct {
 	Spikes *anomaly.SpikeBank     // per-city-pair latency spike detectors
 	Flood  *anomaly.FloodDetector // SYN-flood detector (expiry-fed)
 	Surge  *anomaly.SurgeDetector // per-pair connection-rate surge detector
-	SNMP   *anomaly.SNMPPoller    // coarse "conventional monitoring" baseline
 
 	Remote *fed.Probe      // remote-write client (nil unless Config.RemoteWrite)
 	Agg    *fed.Aggregator // federation endpoint (nil unless Config.Federate)
@@ -238,7 +231,6 @@ type Pipeline struct {
 	pairTopMu sync.Mutex
 
 	floodMu sync.Mutex
-	snmpMu  sync.Mutex
 
 	spikeEventsMu sync.Mutex
 	spikeEvents   []anomaly.Event
@@ -284,18 +276,6 @@ func New(cfg Config) (*Pipeline, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 4096
 	}
-	if cfg.PoolSize <= 0 {
-		cfg.PoolSize = 16384
-	}
-	if cfg.BufSize <= 0 {
-		cfg.BufSize = 2048
-	}
-	if cfg.TableCapacity <= 0 {
-		cfg.TableCapacity = 1 << 16
-	}
-	if cfg.EnrichWorkers <= 0 {
-		cfg.EnrichWorkers = 4
-	}
 	if cfg.SinkWorkers <= 0 {
 		cfg.SinkWorkers = 4
 	}
@@ -307,7 +287,7 @@ func New(cfg Config) (*Pipeline, error) {
 	}
 
 	p := &Pipeline{cfg: cfg}
-	p.Pool = nic.NewMempool(cfg.PoolSize, cfg.BufSize)
+	p.Pool = nic.NewMempool(poolSize, bufSize)
 	var err error
 	p.Port, err = nic.NewPort(nic.PortConfig{
 		Queues: cfg.Queues, QueueDepth: cfg.QueueDepth, Pool: p.Pool,
@@ -318,18 +298,15 @@ func New(cfg Config) (*Pipeline, error) {
 	}
 	p.Bus = mq.NewBus()
 	p.Flood = anomaly.NewFloodDetector(cfg.Flood)
-	p.Spikes = anomaly.NewSpikeBank(cfg.Spike, 0)
-	p.Surge = anomaly.NewSurgeDetector(cfg.Surge)
-	if cfg.SNMPInterval > 0 {
-		p.SNMP = anomaly.NewSNMPPoller(cfg.SNMPInterval)
-	}
+	p.Spikes = anomaly.NewSpikeBank(anomaly.SpikeConfig{}, 0)
+	p.Surge = anomaly.NewSurgeDetector(anomaly.SurgeConfig{})
 
 	sink := analytics.NewBusSink(p.Bus)
 	engCfg := core.EngineConfig{
 		Port: p.Port,
 		Sink: sink,
 		Table: core.TableConfig{
-			Capacity: cfg.TableCapacity,
+			Capacity: tableCapacity,
 			Timeout:  cfg.HandshakeTimeout,
 			OnExpire: p.onExpire,
 		},
@@ -339,14 +316,14 @@ func New(cfg Config) (*Pipeline, error) {
 	if cfg.TrackTimestamps {
 		engCfg.TSSink = core.TSSinkFunc(p.onTSSample)
 		engCfg.TSTable = core.TSConfig{
-			Capacity: cfg.TableCapacity,
+			Capacity: tableCapacity,
 			Timeout:  cfg.HandshakeTimeout,
 		}
 	}
 	if cfg.TrackSeq || cfg.OneDirection {
 		engCfg.SeqSink = seqSinkAdapter{p}
 		engCfg.SeqTable = core.SeqConfig{
-			Capacity:     cfg.TableCapacity,
+			Capacity:     tableCapacity,
 			Timeout:      cfg.HandshakeTimeout,
 			OneDirection: cfg.OneDirection,
 			// DeferTS is decided by the engine: set iff the timestamp
@@ -375,7 +352,7 @@ func New(cfg Config) (*Pipeline, error) {
 		return nil, err
 	}
 	p.Enricher, err = analytics.NewEnricher(analytics.Config{
-		DB: cfg.GeoDB, Bus: p.Bus, Workers: cfg.EnrichWorkers, HWM: 1 << 15,
+		DB: cfg.GeoDB, Bus: p.Bus, Workers: enrichWorkers, HWM: 1 << 15,
 	})
 	if err != nil {
 		return nil, err
@@ -393,8 +370,8 @@ func New(cfg Config) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.Hub = ws.NewHub(cfg.HubQueue)
-	p.Delta = NewRollupDelta(cfg.RollupStreamWidth)
+	p.Hub = ws.NewHub(hubQueue)
+	p.Delta = NewRollupDelta(rollupStreamWidth)
 	p.sinkShards = make([]*sinkShard, cfg.SinkWorkers)
 	for i := range p.sinkShards {
 		p.sinkShards[i] = &sinkShard{
@@ -546,11 +523,7 @@ func (p *Pipeline) Run(ctx context.Context) error {
 // interval for the rollup-stream audience. A final flush on shutdown is
 // deliberately skipped: the Hub is closing with the pipeline anyway.
 func (p *Pipeline) runRollupFlusher(ctx context.Context) {
-	iv := p.cfg.RollupStreamInterval
-	if iv <= 0 {
-		iv = 250 * time.Millisecond
-	}
-	t := time.NewTicker(iv)
+	t := time.NewTicker(rollupStreamInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -597,21 +570,24 @@ func (p *Pipeline) FlushDetectors() {
 	p.Flood.Flush()
 	p.floodMu.Unlock()
 	p.Surge.Flush()
-	if p.SNMP != nil {
-		p.snmpMu.Lock()
-		p.SNMP.Flush()
-		p.snmpMu.Unlock()
-	}
 }
 
 // Stats is a full-pipeline counter snapshot. Together the sink counters
 // account for every enriched measurement: while the pipeline runs, each one
 // published on the bus is either stored (DBPoints), lost at the sink
 // subscription's high-water mark (SinkDrop), malformed (SinkDecodeErrors),
-// or behind the retention horizon at write time (DBDropped) — no steady-
-// state loss class is silent. The ledger balances once the sink has drained;
-// cancelling Run abandons whatever is still queued inside the sink stage
-// uncounted (shutdown, like any crash, loses in-flight work).
+// behind the retention horizon at write time (DBDropped), or refused by the
+// TSDB (DBWriteErrors) — no steady-state loss class is silent. DBPoints is
+// the TSDB's own counter, so it also holds the continuous-RTT points the
+// queue workers write themselves; once the sink has drained the ledger is
+//
+//	Engine.Completed == DBPoints - TSSamples - SeqSamples - LossPoints
+//	                  + SinkDrop + SinkDecodeErrors + DBDropped + DBWriteErrors
+//
+// (the subtracted counters are zero with the trackers off; a tracker point
+// the TSDB refuses is counted in DBWriteErrors and is the one thing that
+// unbalances it). Cancelling Run abandons whatever is still queued inside
+// the sink stage uncounted (shutdown, like any crash, loses in-flight work).
 type Stats struct {
 	Port     nic.Stats
 	Queues   []nic.QueueStats // per-RX-queue counters and ring watermarks
@@ -646,8 +622,8 @@ type Stats struct {
 	DBWriteErrors uint64
 	TSSamples     uint64 // timestamp-echo RTT samples stored (when TrackTimestamps)
 	// SeqSamples counts sequence-matched RTT samples stored (mode=seq and
-	// mode=onedir) and LossPoints the stored tcp_loss events, both part of
-	// the same must-not-vanish accounting as DBWriteErrors.
+	// mode=onedir) and LossPoints the stored tcp_loss events; like
+	// TSSamples they are included in DBPoints.
 	SeqSamples uint64
 	LossPoints uint64
 	// TSRTT and Seq are the trackers' own counters (per-queue snapshots

@@ -46,7 +46,7 @@ func TestPipelineBackpressureKnobs(t *testing.T) {
 		QueueDepth:       64,
 		Burst:            16,
 		Overflow:         nic.Block,
-		Poll:             core.PollConfig{Spin: 8, Yield: 4, SleepMax: 20 * time.Microsecond},
+		Poll:             core.PollConfig{Spin: 8, Yield: 4, Sleep: 20 * time.Microsecond},
 		HandshakeTimeout: 60e9,
 	})
 	if err != nil {

@@ -173,12 +173,19 @@ func (p *Pipeline) writeSinkBatch(sh *sinkShard, batch []sinkItem) {
 
 // consumeBatch dispatches one burst to all sinks: a single striped-lock
 // TSDB batch write through interned series handles (zero-alloc at steady
-// state), one coalesced WebSocket frame (only marshalled when a client is
-// connected, into the shard's reusable frame buffer), the anomaly
-// detectors in arrival order, and the shard's arc ring.
+// state), then the fan-out.
 func (p *Pipeline) consumeBatch(sh *sinkShard, batch []sinkItem) {
 	p.writeSinkBatch(sh, batch)
+	p.fanOut(sh, batch)
+}
 
+// fanOut hands one burst to everything downstream of the TSDB write: one
+// coalesced WebSocket frame (only marshalled when a client is connected,
+// into the shard's reusable frame buffer), the rollup-delta accumulator,
+// the anomaly detectors in arrival order, the city-pair summary and the
+// shard's arc ring. It touches no worker-private shard state — only what
+// sh.mu guards — so Feed may call it beside the owning worker.
+func (p *Pipeline) fanOut(sh *sinkShard, batch []sinkItem) {
 	if p.Hub.LiveClients() > 0 {
 		sh.mu.Lock()
 		frame := sh.frameBuf[:0]
@@ -226,10 +233,9 @@ func (p *Pipeline) consumeBatch(sh *sinkShard, batch []sinkItem) {
 	sh.mu.Unlock()
 }
 
-// offerDetectors feeds one measurement to the anomaly detectors and the
-// SNMP strawman. The detectors are safe for concurrent use (internal
-// locks); single-worker shard affinity additionally keeps per-key offer
-// order deterministic.
+// offerDetectors feeds one measurement to the anomaly detectors. They are
+// safe for concurrent use (internal locks); single-worker shard affinity
+// additionally keeps per-key offer order deterministic.
 func (p *Pipeline) offerDetectors(e *analytics.Enriched, pair string) {
 	if ev := p.Spikes.Offer(pair, e.Time, e.TotalNs); ev != nil {
 		p.spikeEventsMu.Lock()
@@ -237,11 +243,6 @@ func (p *Pipeline) offerDetectors(e *analytics.Enriched, pair string) {
 		p.spikeEventsMu.Unlock()
 	}
 	p.Surge.Observe(pair, e.Time)
-	if p.SNMP != nil {
-		p.snmpMu.Lock()
-		p.SNMP.Offer(e.Time, e.TotalNs)
-		p.snmpMu.Unlock()
-	}
 }
 
 // pushArcLocked appends one measurement to the shard's arc ring. Caller
@@ -273,36 +274,14 @@ func (sh *sinkShard) orderedArcsLocked() []analytics.Enriched {
 // per-shard lock as the owning worker, though cross-call ordering against
 // bus-delivered measurements on the same key is then unspecified.
 func (p *Pipeline) Feed(e *analytics.Enriched) {
-	pair := pairKey(e)
-	sh := p.shardFor(pair)
+	item := [1]sinkItem{{e: *e, pair: pairKey(e)}}
+	// The interned-handle cache belongs to the shard's worker, so the
+	// point goes through the string-keyed write.
 	pt := analytics.LatencyPoint(e)
 	if err := p.DB.Write(&pt); err != nil {
 		p.sinkWriteErrors.Add(1)
 	}
-	if p.Hub.LiveClients() > 0 {
-		// Reuse the shard's frame buffer under its lock instead of
-		// marshalling a fresh one-element slice per call; the marshalled
-		// bytes stay per-call (the Hub retains them).
-		sh.mu.Lock()
-		sh.frameBuf = append(sh.frameBuf[:0], *e)
-		data, err := json.Marshal(sh.frameBuf)
-		sh.mu.Unlock()
-		if err == nil {
-			p.Hub.Broadcast(data)
-		}
-	}
-	if p.Hub.RollupClients() > 0 {
-		p.Delta.Add(e)
-	}
-	p.offerDetectors(e, pair)
-	if p.pairTop != nil {
-		p.pairTopMu.Lock()
-		p.pairTop.UpdateLat(pair, 1, float64(e.TotalNs)/1e6)
-		p.pairTopMu.Unlock()
-	}
-	sh.mu.Lock()
-	sh.pushArcLocked(e)
-	sh.mu.Unlock()
+	p.fanOut(p.shardFor(item[0].pair), item[:])
 }
 
 // RecentArcs returns up to n of the most recent enriched measurements for
