@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -118,7 +119,7 @@ func TestSpoolToleratesTornTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	seg := sp.f.Name()
+	seg := spoolFormat.SegmentPath(dir, sp.log.Stats().Segment)
 	sp.close()
 	// Crash mid-append: cut the final record's bytes.
 	b, err := os.ReadFile(seg)
@@ -214,6 +215,7 @@ func TestFederationEndToEnd(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var probes []*Probe
+	var running sync.WaitGroup
 	for pi := 0; pi < nProbes; pi++ {
 		bus := mq.NewBus()
 		defer bus.Close()
@@ -225,7 +227,8 @@ func TestFederationEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		probes = append(probes, pr)
-		go pr.Run(ctx)
+		running.Add(1)
+		go func() { defer running.Done(); pr.Run(ctx) }()
 		go func() {
 			for i := 0; i < perProbe; i++ {
 				publishEnriched(bus, i)
@@ -285,7 +288,10 @@ func TestFederationEndToEnd(t *testing.T) {
 			t.Fatalf("probe %s not connected after recovery", ps.ID)
 		}
 	}
+	// Close after Run has returned: an ack still being applied would
+	// rewrite ACKED while the test's TempDir is being removed.
 	cancel()
+	running.Wait()
 	for _, pr := range probes {
 		pr.Close()
 	}
@@ -630,11 +636,11 @@ func TestReusedIdentityWipedSpoolAdoptsWatermark(t *testing.T) {
 	pr2.Close()
 }
 
-// TestSpoolPoisonedSegmentRotates pins the failed-append discipline: after
-// a write error the segment tail may hold a partial frame, so the next
-// append must rotate to a fresh segment — otherwise the crash scanner,
-// which stops at the first bad frame, would silently discard every record
-// appended after the tear.
+// TestSpoolPoisonedSegmentRotates pins the failed-append discipline end to
+// end (seglog's own tests pin the mechanism): after a write error the
+// segment tail may hold a partial frame, so the next append must land in a
+// fresh segment — otherwise the crash scanner, which stops at the first
+// bad frame, would silently discard every record appended after the tear.
 func TestSpoolPoisonedSegmentRotates(t *testing.T) {
 	dir := t.TempDir()
 	sp, _, err := openSpool(dir, 1<<20)
@@ -644,32 +650,67 @@ func TestSpoolPoisonedSegmentRotates(t *testing.T) {
 	if err := sp.append(1, []byte("first-record")); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a failed append that left a partial frame on disk: garbage
-	// bytes at the tail plus the poisoned flag (append sets it whenever
-	// the Write errors).
-	if _, err := sp.f.Write([]byte{0xde, 0xad, 0xbe}); err != nil {
+	// A disk that takes three more bytes and then fails: seq 2 is left as a
+	// partial frame on disk.
+	sp.log.InjectWriteFault(3)
+	firstSeg := sp.log.Stats().Segment
+	if err := sp.append(2, []byte("torn-record")); err == nil {
+		t.Fatal("append succeeded despite the injected write failure")
+	}
+	if sp.log.Stats().Errors == 0 {
+		t.Fatal("failed append not counted")
+	}
+	if err := sp.append(3, []byte("third-record")); err != nil {
 		t.Fatal(err)
 	}
-	sp.poisoned = true
-	firstSeg := sp.f.Name()
-	if err := sp.append(2, []byte("second-record")); err != nil {
-		t.Fatal(err)
-	}
-	if sp.f.Name() == firstSeg {
-		t.Fatal("append after poisoning stayed on the torn segment")
+	if sp.log.Stats().Segment == firstSeg {
+		t.Fatal("append after a failed write stayed on the torn segment")
 	}
 	sp.close()
 	os.Remove(filepath.Join(dir, ackedName))
 
-	_, pending, err := openSpool(dir, 1<<20)
+	sp2, pending, err := openSpool(dir, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pending) != 2 || pending[0].seq != 1 || pending[1].seq != 2 {
-		t.Fatalf("recovered %+v, want seqs 1 and 2 (record behind the tear lost?)", pending)
+	defer sp2.close()
+	if len(pending) != 2 || pending[0].seq != 1 || pending[1].seq != 3 {
+		t.Fatalf("recovered %+v, want seqs 1 and 3 (record behind the tear lost?)", pending)
 	}
-	if string(pending[1].payload) != "second-record" {
-		t.Fatalf("seq 2 payload corrupted: %q", pending[1].payload)
+	if string(pending[1].payload) != "third-record" {
+		t.Fatalf("seq 3 payload corrupted: %q", pending[1].payload)
+	}
+	if sp2.tornTail != 1 {
+		t.Fatalf("tornTail = %d, want 1 (the abandoned segment)", sp2.tornTail)
+	}
+}
+
+// TestSpoolOldFormatSegmentDropped: a segment left by a probe from before
+// the spool moved onto the shared frame (magic RUSP0001) is counted, removed
+// and does not keep the probe from starting.
+func TestSpoolOldFormatSegmentDropped(t *testing.T) {
+	dir := t.TempDir()
+	old := spoolFormat.SegmentPath(dir, 1)
+	// RUSP0001: [8B seq][4B len][4B CRC][record] behind the magic.
+	img := append([]byte("RUSP0001"), make([]byte, 16+5)...)
+	if err := os.WriteFile(old, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bus := mq.NewBus()
+	defer bus.Close()
+	pr, err := NewProbe(ProbeConfig{Addr: "127.0.0.1:1", ID: "p0", SpoolDir: dir}, bus)
+	if err != nil {
+		t.Fatalf("NewProbe over an old-format spool segment: %v", err)
+	}
+	defer pr.Close()
+	if st := pr.Stats(); st.SpoolTornTails != 1 || st.Unacked != 0 || st.LastSeq != 0 {
+		t.Fatalf("stats = %+v, want 1 torn tail, nothing pending", st)
+	}
+	if _, err := os.Stat(old); !os.IsNotExist(err) {
+		t.Fatalf("old-format segment still on disk (err %v)", err)
+	}
+	if segs, _ := spoolFormat.Segments(dir); len(segs) != 1 || segs[0] != 2 {
+		t.Fatalf("segments = %v, want only the fresh segment 2", segs)
 	}
 }
 

@@ -72,7 +72,6 @@ type Probe struct {
 	resent       atomic.Uint64
 	pointsOut    atomic.Uint64
 	decodeErrors atomic.Uint64
-	spoolErrors  atomic.Uint64
 	closeDropped atomic.Uint64
 }
 
@@ -99,9 +98,10 @@ type ProbeStats struct {
 	// Dropped counts measurements shed at the subscription HWM while the
 	// probe was at its unacked/spool bound or simply behind — the
 	// backpressure loss class. DecodeErrors counts undecodable bus
-	// messages; SpoolErrors counts spool append failures (batch still sent,
-	// crash-safety degraded); SpoolTornTails counts torn records tolerated
-	// when the spool was last opened; CloseDropped counts measurements
+	// messages; SpoolErrors counts spool I/O failures — appends that failed
+	// (batch still sent, crash-safety degraded) and flush/close errors at
+	// segment rotation; SpoolTornTails counts torn records tolerated when
+	// the spool was last opened; CloseDropped counts measurements
 	// discarded because Close sealed the spool before the collector's
 	// final flush (run Close after Run has returned to keep it zero).
 	Dropped, DecodeErrors, SpoolErrors, SpoolTornTails, CloseDropped uint64
@@ -242,12 +242,10 @@ func (p *Probe) flush(ctx context.Context, enc *tsdb.RecordEncoder, pts []tsdb.P
 		return
 	}
 	seq := p.sp.nextSeq
-	if err := p.sp.append(seq, payload); err != nil {
-		// Spool write failed (disk trouble): the batch still rides the
-		// in-memory queue — delivery continues, crash-safety is degraded
-		// and the counter says so.
-		p.spoolErrors.Add(1)
-	}
+	// A failed spool write (disk trouble) does not fail the batch: it still
+	// rides the in-memory queue — delivery continues, crash-safety is
+	// degraded and the log's own error count (SpoolErrors) says so.
+	_ = p.sp.append(seq, payload)
 	p.sp.nextSeq = seq + 1
 	p.pending = append(p.pending, spoolRec{seq: seq, payload: payload})
 	p.pointsOut.Add(uint64(len(pts)))
@@ -478,7 +476,7 @@ func (p *Probe) Stats() ProbeStats {
 		SpoolBytes:     spoolBytes,
 		Dropped:        p.sub.Dropped(),
 		DecodeErrors:   p.decodeErrors.Load(),
-		SpoolErrors:    p.spoolErrors.Load(),
+		SpoolErrors:    p.sp.log.Stats().Errors,
 		SpoolTornTails: torn,
 		CloseDropped:   p.closeDropped.Load(),
 	}

@@ -7,47 +7,51 @@ package fed
 //
 // Layout under the spool directory:
 //
-//	00000001.sp ...   segment files: 8B magic, then records of
-//	                  [8B seq][4B len][4B CRC-32C][record]
+//	00000001.sp ...   a segment log (internal/seglog, magic RUSP0002) whose
+//	                  record payload is [8B seq][record]
 //	ACKED             highest acked seq, written atomically (tmp+rename),
 //	                  throttled — it may lag the true ack watermark, which
 //	                  is safe: resending an acked batch is a no-op at the
 //	                  aggregator's dedup, and the hello ack re-syncs the
 //	                  probe on connect.
 //
-// Appends go straight to the file descriptor (no userspace buffering), so
-// a process crash loses at most the record being written — which was never
-// acked. No fsync: the spool protects against process death, not power
-// loss; the aggregator's WAL owns power-loss durability once a batch is
-// acked. A torn record tail (crash mid-append) is detected by length/CRC
-// and tolerated at the end of any segment, counted in tornTails.
+// The log runs under seglog.SyncOff: each record is flushed to the OS as it
+// is appended, so a process crash loses at most the record being written —
+// which was never acked. No fsync: the spool protects against process
+// death, not power loss; the aggregator's WAL owns power-loss durability
+// once a batch is acked. The spool's tear policy: a bad frame ends that
+// segment and is counted in tornTail, never fatal. So is a segment without
+// the magic, one from before the spool moved onto seglog (RUSP0001)
+// included, which is then removed: its measurements are already in the
+// probe's own TSDB, and the hello ack re-syncs the watermark.
 //
 // The spool is not safe for concurrent use; the Probe serializes access
 // under its own mutex.
 
 import (
 	"encoding/binary"
-	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
+
+	"ruru/internal/seglog"
 )
 
 const (
-	spoolMagic      = "RUSP0001"
-	spoolSuffix     = ".sp"
-	spoolFrameBytes = 16 // 8B seq + 4B len + 4B CRC
-	ackedName       = "ACKED"
+	spoolSeqBytes = 8
+	ackedName     = "ACKED"
 	// ackPersistEvery throttles ACKED rewrites: persist when the watermark
 	// has advanced this many batches past the persisted value (and always
 	// on segment pruning and Close).
 	ackPersistEvery = 32
 	defaultSpoolSeg = 4 << 20
 )
+
+// spoolFormat names the spool's files. The disk bound is the wire bound
+// plus the sequence number in front of the record.
+var spoolFormat = seglog.Format{Suffix: ".sp", Magic: "RUSP0002", MaxRecord: maxRecordBytes + spoolSeqBytes}
 
 // spoolRec is one spooled, not-yet-acked batch held in memory for sending.
 type spoolRec struct {
@@ -63,26 +67,15 @@ type spoolSeg struct {
 }
 
 type spool struct {
-	dir    string
-	maxSeg int64
+	log *seglog.Log
 
-	f        *os.File
+	dir      string
 	segs     []spoolSeg // ascending; last is the open segment
 	bytes    int64      // sum of segs[].bytes
 	nextSeq  uint64     // next sequence number to assign
 	acked    uint64     // in-memory ack watermark
 	persIdx  uint64     // acked value last written to ACKED
 	tornTail uint64     // torn/corrupt tails tolerated during open
-	// poisoned marks the open segment's tail as possibly mid-frame (an
-	// append's Write failed partway): the next append must rotate onto a
-	// fresh segment first, because the crash scanner stops at the first
-	// bad frame — records appended after a torn one in the SAME segment
-	// would be silently unrecoverable. Same discipline as the WAL writer.
-	poisoned bool
-}
-
-func spoolSegName(idx uint64) string {
-	return fmt.Sprintf("%08d%s", idx, spoolSuffix)
 }
 
 // openSpool loads dir, returning the spool armed on a fresh segment plus
@@ -95,56 +88,41 @@ func openSpool(dir string, maxSeg int64) (*spool, []spoolRec, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
-	s := &spool{dir: dir, maxSeg: maxSeg, nextSeq: 1}
+	s := &spool{dir: dir, nextSeq: 1}
 	if b, err := os.ReadFile(filepath.Join(dir, ackedName)); err == nil {
 		if n, err := strconv.ParseUint(strings.TrimSpace(string(b)), 10, 64); err == nil {
-			s.acked, s.persIdx = n, n
-			if n+1 > s.nextSeq {
-				s.nextSeq = n + 1
-			}
+			s.acked, s.persIdx, s.nextSeq = n, n, n+1
 		}
 	}
 
-	ents, err := os.ReadDir(dir)
+	idxs, err := spoolFormat.Segments(dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	var idxs []uint64
-	for _, e := range ents {
-		name := e.Name()
-		if !strings.HasSuffix(name, spoolSuffix) {
-			continue
-		}
-		if n, err := strconv.ParseUint(strings.TrimSuffix(name, spoolSuffix), 10, 64); err == nil {
-			idxs = append(idxs, n)
-		}
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-
 	var pending []spoolRec
 	for _, idx := range idxs {
-		path := filepath.Join(dir, spoolSegName(idx))
-		seg, recs, torn, err := scanSpoolSegment(path)
+		seg := spoolSeg{idx: idx, bytes: seglog.MagicBytes}
+		_, stop, err := spoolFormat.Scan(spoolFormat.SegmentPath(dir, idx), func(p []byte) error {
+			seg.bytes += seglog.FrameBytes + int64(len(p))
+			if len(p) < spoolSeqBytes {
+				return nil // a tear acknowledgement: nothing of ours
+			}
+			seq := binary.LittleEndian.Uint64(p)
+			seg.maxSeq = max(seg.maxSeq, seq)
+			s.nextSeq = max(s.nextSeq, seq+1)
+			if seq > s.acked {
+				pending = append(pending, spoolRec{seq: seq, payload: append([]byte(nil), p[spoolSeqBytes:]...)})
+			}
+			return nil
+		})
 		if err != nil {
 			return nil, nil, err
 		}
-		s.tornTail += torn
-		seg.idx = idx
-		if seg.maxSeq <= s.acked && seg.maxSeq > 0 || seg.bytes <= int64(len(spoolMagic)) {
-			// Fully acked (or empty): reclaim now.
-			os.Remove(path)
-		} else {
-			s.segs = append(s.segs, seg)
-			s.bytes += seg.bytes
+		if stop != seglog.StopEOF {
+			s.tornTail++
 		}
-		for _, r := range recs {
-			if r.seq > s.acked {
-				pending = append(pending, r)
-			}
-			if r.seq+1 > s.nextSeq {
-				s.nextSeq = r.seq + 1
-			}
-		}
+		s.segs = append(s.segs, seg)
+		s.bytes += seg.bytes
 	}
 	sort.SliceStable(pending, func(i, j int) bool { return pending[i].seq < pending[j].seq })
 
@@ -154,114 +132,38 @@ func openSpool(dir string, maxSeg int64) (*spool, []spoolRec, error) {
 	if len(idxs) > 0 {
 		first = idxs[len(idxs)-1] + 1
 	}
-	if err := s.openSegment(first); err != nil {
+	s.log, err = seglog.Open(dir, spoolFormat, first, seglog.Options{
+		MaxSegmentBytes: maxSeg,
+		Sync:            seglog.SyncOff,
+		OnSegment: func(idx uint64) {
+			s.segs = append(s.segs, spoolSeg{idx: idx, bytes: seglog.MagicBytes})
+			s.bytes += seglog.MagicBytes
+		},
+	})
+	if err != nil {
 		return nil, nil, err
 	}
+	s.prune()
 	return s, pending, nil
 }
 
-// scanSpoolSegment reads one segment's records. A bad magic, short frame
-// or CRC mismatch ends the scan (torn=1): only the tail of a segment can
-// be torn, because appends are sequential and rotation happens between
-// records.
-func scanSpoolSegment(path string) (seg spoolSeg, recs []spoolRec, torn uint64, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return seg, nil, 0, err
-	}
-	defer f.Close()
-	var magic [len(spoolMagic)]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil || string(magic[:]) != spoolMagic {
-		return seg, nil, 1, nil
-	}
-	seg.bytes = int64(len(spoolMagic))
-	var hdr [spoolFrameBytes]byte
-	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			if err != io.EOF {
-				torn++
-			}
-			return seg, recs, torn, nil
-		}
-		seq := binary.LittleEndian.Uint64(hdr[0:8])
-		length := binary.LittleEndian.Uint32(hdr[8:12])
-		want := binary.LittleEndian.Uint32(hdr[12:16])
-		if int64(length) > maxRecordBytes {
-			return seg, recs, torn + 1, nil
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return seg, recs, torn + 1, nil
-		}
-		if crc32.Checksum(payload, crcTable) != want {
-			return seg, recs, torn + 1, nil
-		}
-		recs = append(recs, spoolRec{seq: seq, payload: payload})
-		if seq > seg.maxSeq {
-			seg.maxSeq = seq
-		}
-		seg.bytes += spoolFrameBytes + int64(length)
-	}
-}
-
-func (s *spool) openSegment(idx uint64) error {
-	f, err := os.OpenFile(filepath.Join(s.dir, spoolSegName(idx)),
-		os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.WriteString(spoolMagic); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return err
-	}
-	s.f = f
-	s.segs = append(s.segs, spoolSeg{idx: idx, bytes: int64(len(spoolMagic))})
-	s.bytes += int64(len(spoolMagic))
-	return nil
-}
-
-// cur returns the open segment's bookkeeping entry.
-func (s *spool) cur() *spoolSeg { return &s.segs[len(s.segs)-1] }
-
-// append frames and writes one record, rotating first when the open
-// segment is full. One Write call per record: a crash can tear only the
-// record being written.
+// append logs one record under its sequence number. The byte ledger counts
+// what the spool appended, not the log's 9-byte tear acknowledgements.
 func (s *spool) append(seq uint64, record []byte) error {
-	need := int64(spoolFrameBytes + len(record))
-	if c := s.cur(); s.poisoned || (c.bytes+need > s.maxSeg && c.bytes > int64(len(spoolMagic))) {
-		if err := s.rotate(); err != nil {
-			return err
-		}
-		s.poisoned = false
-	}
-	buf := make([]byte, spoolFrameBytes, spoolFrameBytes+len(record))
-	binary.LittleEndian.PutUint64(buf[0:8], seq)
-	binary.LittleEndian.PutUint32(buf[8:12], uint32(len(record)))
-	binary.LittleEndian.PutUint32(buf[12:16], crc32.Checksum(record, crcTable))
-	buf = append(buf, record...)
-	if _, err := s.f.Write(buf); err != nil {
-		// The tail may now hold a partial frame: poison so the next append
-		// rotates instead of burying good records behind the tear.
-		s.poisoned = true
+	err := s.log.Append(func(buf []byte) []byte {
+		buf = binary.LittleEndian.AppendUint64(buf, seq)
+		return append(buf, record...)
+	})
+	if err != nil {
 		return err
 	}
-	c := s.cur()
+	c := &s.segs[len(s.segs)-1]
+	need := int64(seglog.FrameBytes + spoolSeqBytes + len(record))
 	c.bytes += need
 	s.bytes += need
-	if seq > c.maxSeq {
-		c.maxSeq = seq
-	}
-	if seq+1 > s.nextSeq {
-		s.nextSeq = seq + 1
-	}
+	c.maxSeq = max(c.maxSeq, seq)
+	s.nextSeq = max(s.nextSeq, seq+1)
 	return nil
-}
-
-func (s *spool) rotate() error {
-	next := s.cur().idx + 1
-	s.f.Close()
-	return s.openSegment(next)
 }
 
 // ack advances the watermark, deletes fully-acked closed segments and
@@ -271,20 +173,25 @@ func (s *spool) ack(seq uint64) {
 		return
 	}
 	s.acked = seq
-	pruned := false
-	for len(s.segs) > 1 { // never delete the open segment
-		seg := s.segs[0]
-		if seg.maxSeq > seq {
-			break
-		}
-		os.Remove(filepath.Join(s.dir, spoolSegName(seg.idx)))
-		s.bytes -= seg.bytes
-		s.segs = s.segs[1:]
-		pruned = true
-	}
-	if pruned || s.acked-s.persIdx >= ackPersistEvery {
+	if s.prune() || s.acked-s.persIdx >= ackPersistEvery {
 		s.persistAcked()
 	}
+}
+
+// prune deletes the segments at the head of the spool that hold nothing
+// above the watermark (fully acked, or nothing of ours at all) — never the
+// open one. A file that will not go is rescanned at the next open.
+func (s *spool) prune() bool {
+	n := 0
+	for n < len(s.segs)-1 && s.segs[n].maxSeq <= s.acked {
+		s.bytes -= s.segs[n].bytes
+		n++
+	}
+	s.segs = s.segs[n:]
+	if n > 0 {
+		_, _ = spoolFormat.RemoveBelow(s.dir, s.segs[0].idx)
+	}
+	return n > 0
 }
 
 // persistAcked writes the watermark atomically. Failure is tolerated
@@ -301,5 +208,5 @@ func (s *spool) persistAcked() {
 
 func (s *spool) close() error {
 	s.persistAcked()
-	return s.f.Close()
+	return s.log.Close()
 }

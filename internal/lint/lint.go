@@ -3,8 +3,8 @@
 //
 // The repo's hardest correctness properties are runtime invariants that do
 // not show up in any unit test until they are violated under load: the
-// tsdb lock order (commitMu → stripe mu → dirMu, WAL mu/syncMu as leaves),
-// the federation rule that Aggregator.mu and aggProbe.mu never nest, the
+// tsdb lock order (commitMu → stripe mu → dirMu, the segment log's
+// syncMu → mu as leaves), the federation rule that Aggregator.mu and aggProbe.mu never nest, the
 // atomics-only discipline on counter fields, and the zero-allocation
 // contract of the hot write paths. Each of these classes has produced a
 // real bug that was caught late (see docs/TESTING.md "Static analysis").

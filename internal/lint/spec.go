@@ -8,12 +8,15 @@ package lint
 // RepoLockOrder declares ruru's mutex partial order:
 //
 //   - tsdb (ARCHITECTURE.md "Lock order"): ckptMu → commitMu → stripe mu
-//     → dirMu, with the WAL's syncMu → mu chain nesting inside commitMu
-//     and nothing ever acquired under dirMu or the WAL mu (leaf-only:
-//     no outgoing edges).
-//   - fed: Aggregator.mu, aggProbe.mu and Probe.mu have no edges at all —
-//     no two of them may ever nest (the PR-5 Stats fix made this an
-//     explicit invariant).
+//     → dirMu, with the segment log's syncMu → mu chain (seglog.Log, under
+//     the WAL) nesting inside commitMu and nothing ever acquired under
+//     dirMu or the log's mu (leaf-only: no outgoing edges). The analyzer
+//     works a package at a time: edges into seglog from its owners are
+//     declared here and argued in ARCHITECTURE.md, not checked.
+//   - fed: Aggregator.mu, aggProbe.mu and Probe.mu have no edges between
+//     them — no two of them may ever nest (the PR-5 Stats fix made this
+//     an explicit invariant). The spool's segment log nests inside
+//     Probe.mu, which is held around every spool call.
 //   - core: statsCell.mu is strictly leaf (ARCHITECTURE.md "Continuous
 //     RTT": the queue worker owns its trackers lock-free; the cell mutex
 //     only guards the per-burst snapshot publish/read hand-off and nothing
@@ -36,8 +39,8 @@ func RepoLockOrder() *LockOrderSpec {
 			{ID: "tsdb.commitMu", Type: "ruru/internal/tsdb.DB", Field: "commitMu"},
 			{ID: "tsdb.stripeMu", Type: "ruru/internal/tsdb.stripe", Field: "mu"},
 			{ID: "tsdb.dirMu", Type: "ruru/internal/tsdb.DB", Field: "dirMu"},
-			{ID: "tsdb.walSyncMu", Type: "ruru/internal/tsdb.wal", Field: "syncMu"},
-			{ID: "tsdb.walMu", Type: "ruru/internal/tsdb.wal", Field: "mu"},
+			{ID: "seglog.syncMu", Type: "ruru/internal/seglog.Log", Field: "syncMu"},
+			{ID: "seglog.mu", Type: "ruru/internal/seglog.Log", Field: "mu"},
 			{ID: "tsdb.qcacheMu", Type: "ruru/internal/tsdb.queryCache", Field: "mu"},
 			{ID: "fed.aggMu", Type: "ruru/internal/fed.Aggregator", Field: "mu"},
 			{ID: "fed.aggProbeMu", Type: "ruru/internal/fed.aggProbe", Field: "mu"},
@@ -50,8 +53,9 @@ func RepoLockOrder() *LockOrderSpec {
 			{"tsdb.ckptMu", "tsdb.commitMu"},
 			{"tsdb.commitMu", "tsdb.stripeMu"},
 			{"tsdb.stripeMu", "tsdb.dirMu"},
-			{"tsdb.commitMu", "tsdb.walSyncMu"},
-			{"tsdb.walSyncMu", "tsdb.walMu"},
+			{"tsdb.commitMu", "seglog.syncMu"},
+			{"seglog.syncMu", "seglog.mu"},
+			{"fed.probeMu", "seglog.syncMu"},
 		},
 	}
 }
@@ -65,11 +69,12 @@ func RepoMustCheck() *MustCheckSpec {
 		"(*ruru/internal/tsdb.DB).WriteBatchRef",
 		"(*ruru/internal/tsdb.DB).Checkpoint",
 		"(*ruru/internal/tsdb.DB).Snapshot",
-		"(*ruru/internal/tsdb.wal).appendRecord",
 		"(*ruru/internal/tsdb.wal).AppendPoint",
 		"(*ruru/internal/tsdb.wal).AppendPoints",
-		"(*ruru/internal/tsdb.wal).Rotate",
-		"(*ruru/internal/tsdb.wal).Sync",
+		"(*ruru/internal/seglog.Log).Append",
+		"(*ruru/internal/seglog.Log).Rotate",
+		"(*ruru/internal/seglog.Log).Sync",
+		"(*ruru/internal/seglog.Log).Close",
 		"ruru/internal/mq.WriteFrame",
 		"(*ruru/internal/ruru.Pipeline).Close",
 		"(*ruru/internal/fed.Probe).Close",

@@ -15,6 +15,7 @@ import (
 func TestRepoSpecResolves(t *testing.T) {
 	pkgs, err := lint.LoadPackages(".", []string{
 		"ruru/internal/tsdb",
+		"ruru/internal/seglog",
 		"ruru/internal/fed",
 		"ruru/internal/mq",
 		"ruru/internal/ruru",

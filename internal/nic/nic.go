@@ -444,14 +444,6 @@ func (p *Port) InjectTuple(frame []byte, ts int64, src, dst netip.Addr, srcPort,
 	return p.injectOne(frame, ts, p.hasher.HashTuple(src, dst, srcPort, dstPort))
 }
 
-// InjectPreclassified delivers a frame whose RSS hash was computed by the
-// caller — the hardware-RSS model, where classification happened in NIC
-// silicon and software only sees the hash in the descriptor. No parsing, no
-// hashing: buffer copy and enqueue only. Single producer per port.
-func (p *Port) InjectPreclassified(frame []byte, ts int64, hash uint32) InjectStatus {
-	return p.injectOne(frame, ts, hash)
-}
-
 // InjectBurst delivers a batch of frames in one call: every frame is
 // classified and copied into a pool buffer, the batch is grouped by target
 // queue, and each queue receives its group with a single burst enqueue —
@@ -470,8 +462,10 @@ func (p *Port) InjectBurst(frames []Frame) int {
 
 // InjectPreclassifiedBurst is InjectBurst for sources that already know
 // each frame's RSS hash (hashes[i] belongs to frames[i]) — the
-// hardware-RSS model at burst granularity. Extra hashes are ignored;
-// missing ones default to 0.
+// hardware-RSS model, where classification happened in NIC silicon and
+// software only sees the hash in the descriptor. No parsing, no hashing:
+// buffer copy and enqueue only. Extra hashes are ignored; missing ones
+// default to 0.
 func (p *Port) InjectPreclassifiedBurst(frames []Frame, hashes []uint32) int {
 	return p.injectStaged(frames, func(i int) uint32 {
 		if i < len(hashes) {
@@ -606,14 +600,6 @@ func (p *Port) RxBurst(q int, bufs []*Buf) (int, error) {
 		return 0, ErrBadQueue
 	}
 	return p.queues[q].PopBurst(bufs), nil
-}
-
-// QueueLen returns the instantaneous depth of queue q (for monitoring).
-func (p *Port) QueueLen(q int) int {
-	if q < 0 || q >= len(p.queues) {
-		return 0
-	}
-	return p.queues[q].Len()
 }
 
 // QueueStats returns the per-queue counter and ring-introspection snapshot

@@ -257,7 +257,7 @@ func TestInjectPreclassified(t *testing.T) {
 	// The supplied hash alone must decide the queue (via the indirection
 	// mapping, same as every injection path).
 	q5 := rss.Queue(5, 4)
-	port.InjectPreclassified(frame, 42, 5)
+	port.InjectPreclassifiedBurst([]Frame{{Data: frame, TS: 42}}, []uint32{5})
 	bufs := make([]*Buf, 4)
 	n, _ := port.RxBurst(q5, bufs)
 	if n != 1 {
@@ -268,14 +268,14 @@ func TestInjectPreclassified(t *testing.T) {
 	}
 	bufs[0].Free()
 	// Oversize and overflow accounting still apply.
-	if st := port.InjectPreclassified(make([]byte, 4096), 1, 0); st != InjectErrFrame {
-		t.Fatalf("oversize status = %v", st)
+	if n := port.InjectPreclassifiedBurst([]Frame{{Data: make([]byte, 4096), TS: 1}}, []uint32{0}); n != 0 {
+		t.Fatalf("oversize frame accepted (%d)", n)
 	}
 	if st := port.Stats(); st.Ierrors != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
 	for i := 0; i < 10; i++ {
-		port.InjectPreclassified(frame, 1, 8) // one queue, depth 8
+		port.InjectPreclassifiedBurst([]Frame{{Data: frame, TS: 1}}, []uint32{8}) // one queue, depth 8
 	}
 	if st := port.Stats(); st.Imissed != 2 {
 		t.Fatalf("stats after overflow: %+v", st)

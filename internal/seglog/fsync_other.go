@@ -1,6 +1,6 @@
 //go:build !linux
 
-package tsdb
+package seglog
 
 import "os"
 

@@ -332,7 +332,7 @@ func (db *DB) writePoint(p *Point, sc *writeScratch) error {
 		if db.closed.Load() {
 			return ErrClosedDB
 		}
-		if err := pr.logPoint(p); err != nil {
+		if err := pr.wal.AppendPoint(p); err != nil {
 			return err
 		}
 	}

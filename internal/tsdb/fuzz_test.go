@@ -9,11 +9,12 @@ package tsdb
 
 import (
 	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
+
+	"ruru/internal/seglog"
 )
 
 // fuzzSegmentSeeds builds WAL segment images: a real multi-record segment
@@ -26,7 +27,7 @@ func fuzzSegmentSeeds(tb testing.TB) [][]byte {
 		tb.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	w, err := openWAL(dir, 1, 1<<20, FsyncOff)
+	w, err := openWAL(dir, 1, 1<<20, FsyncOff, false)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -45,17 +46,30 @@ func fuzzSegmentSeeds(tb testing.TB) [][]byte {
 			tb.Fatal(err)
 		}
 	}
-	if err := w.Close(); err != nil {
+	// Segment 2: a frame whose CRC is valid but whose payload is not a
+	// legal entry stream (decode-layer corruption behind a good checksum).
+	if _, err := w.log.Rotate(); err != nil {
 		tb.Fatal(err)
 	}
-	valid, err := os.ReadFile(filepath.Join(dir, segName(1)))
+	junk := []byte{walEntrySample, 0x80, 0x80, 0x80} // dangling uvarint
+	if err := w.log.Append(func(buf []byte) []byte { return append(buf, junk...) }); err != nil {
+		tb.Fatal(err)
+	}
+	if err := w.log.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	valid, err := os.ReadFile(walFormat().SegmentPath(dir, 1))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	badEntries, err := os.ReadFile(walFormat().SegmentPath(dir, 2))
 	if err != nil {
 		tb.Fatal(err)
 	}
 
 	seeds := [][]byte{valid}
-	seeds = append(seeds, valid[:len(valid)-3])   // torn tail
-	seeds = append(seeds, valid[:walHeaderBytes]) // header only
+	seeds = append(seeds, valid[:len(valid)-3])      // torn tail
+	seeds = append(seeds, valid[:seglog.MagicBytes]) // header only
 	flip := append([]byte(nil), valid...)
 	flip[len(flip)/2] ^= 0xff // CRC mismatch mid-file
 	seeds = append(seeds, flip)
@@ -63,19 +77,10 @@ func fuzzSegmentSeeds(tb testing.TB) [][]byte {
 	badMagic[0] = 'X'
 	seeds = append(seeds, badMagic)
 	// Hostile frame header: implausible record length after the magic.
-	hostile := append([]byte(nil), valid[:walHeaderBytes]...)
-	var hdr [walFrameBytes]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], 0xffffff00)
-	seeds = append(seeds, append(hostile, hdr[:]...))
-	// A frame whose CRC is valid but whose payload is not a legal entry
-	// stream (decode-layer corruption behind a good checksum).
-	junk := []byte{walEntrySample, 0x80, 0x80, 0x80} // dangling uvarint
-	frame := append([]byte(nil), valid[:walHeaderBytes]...)
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(junk)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(junk, crcTable))
-	frame = append(append(frame, hdr[:]...), junk...)
-	seeds = append(seeds, frame)
-	return seeds
+	hostile := append([]byte(nil), valid[:seglog.MagicBytes]...)
+	hostile = binary.LittleEndian.AppendUint32(hostile, 0xffffff00)
+	seeds = append(seeds, append(hostile, 0, 0, 0, 0))
+	return append(seeds, badEntries)
 }
 
 // fuzzScratch is the one segment file every fuzz exec rewrites: fuzz
@@ -90,13 +95,13 @@ func fuzzScratchPath() string {
 		if err != nil {
 			panic(err)
 		}
-		fuzzScratch = filepath.Join(dir, segName(1))
+		fuzzScratch = walFormat().SegmentPath(dir, 1)
 	}
 	return fuzzScratch
 }
 
-// FuzzWALReplay feeds arbitrary bytes to the segment reader + entry
-// decoder exactly the way open-time recovery does.
+// FuzzWALReplay feeds arbitrary bytes to the segment scan + entry decoder
+// exactly the way open-time recovery does.
 func FuzzWALReplay(f *testing.F) {
 	for _, s := range fuzzSegmentSeeds(f) {
 		f.Add(s)
@@ -114,19 +119,8 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatal(err)
 		}
 		run := func(final bool) (applied int, records int, err error) {
-			var dec walDecoder
-			var p Point
-			records, err = replaySegment(path, final, func(payload []byte) error {
-				for len(payload) > 0 {
-					rest, sample, derr := dec.next(payload, &p)
-					if derr != nil {
-						return derr
-					}
-					payload = rest
-					if sample {
-						applied++
-					}
-				}
+			records, err = replaySegment(path, final, func(*Point) error {
+				applied++
 				return nil
 			})
 			return applied, records, err

@@ -68,7 +68,7 @@ func writeGoldenSequence(t *testing.T, dir string) string {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return filepath.Join(dir, walDirName, segName(info.WALSegment))
+	return walSegPath(dir, info.WALSegment)
 }
 
 // copyDataDir copies the checkpoint and WAL files of a data directory.

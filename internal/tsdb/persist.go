@@ -49,13 +49,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
+
+	"ruru/internal/seglog"
 )
 
 // PersistOptions enables durable storage for a DB opened with OpenDB.
@@ -88,9 +87,13 @@ var ErrDirLocked = errors.New("tsdb: data directory locked")
 
 const (
 	ckptDirName = "checkpoint"
-	ckptSuffix  = ".ckpt"
 	lockName    = "LOCK"
 )
+
+// ckptFiles names the checkpoint files: numbered in the WAL's segment space
+// (the first segment NOT covered), so the segment log's naming, listing and
+// pruning serve. The contents are line protocol, not records.
+var ckptFiles = seglog.Format{Suffix: ".ckpt"}
 
 // persister is a DB's durability state; nil on in-memory databases. It is
 // armed (assigned to db.persist) only after restore+replay finish, so
@@ -169,30 +172,6 @@ type CheckpointInfo struct {
 	Took            time.Duration
 }
 
-func ckptName(seg uint64) string {
-	return fmt.Sprintf("%08d%s", seg, ckptSuffix)
-}
-
-// listCheckpoints returns the checkpoint sequence numbers in dir, ascending.
-func listCheckpoints(dir string) ([]uint64, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var seqs []uint64
-	for _, e := range ents {
-		name := e.Name()
-		if !strings.HasSuffix(name, ckptSuffix) {
-			continue
-		}
-		if n, err := strconv.ParseUint(strings.TrimSuffix(name, ckptSuffix), 10, 64); err == nil {
-			seqs = append(seqs, n)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	return seqs, nil
-}
-
 // lockDataDir takes the directory's flock. flock (not O_EXCL) so the lock
 // dies with the process: a kill -9 leaves no stale lock to clean up.
 func lockDataDir(dir string) (*os.File, error) {
@@ -204,8 +183,14 @@ func lockDataDir(dir string) (*os.File, error) {
 		f.Close()
 		return nil, fmt.Errorf("%w: %s", ErrDirLocked, dir)
 	}
-	f.Truncate(0)
-	fmt.Fprintf(f, "%d\n", os.Getpid())
+	// The pid is for the operator reading the file; the flock is the lock.
+	if err = f.Truncate(0); err == nil {
+		_, err = fmt.Fprintf(f, "%d\n", os.Getpid())
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
 	return f, nil
 }
 
@@ -248,100 +233,54 @@ func openPersist(db *DB, opts PersistOptions) error {
 
 	// Leftover temp files are checkpoints whose rename never happened:
 	// dead weight from a crash mid-checkpoint, safe to delete.
-	if tmps, _ := filepath.Glob(filepath.Join(ckptDir, "*.tmp")); true {
-		for _, t := range tmps {
-			os.Remove(t)
-		}
+	tmps, _ := filepath.Glob(filepath.Join(ckptDir, "*.tmp"))
+	for _, t := range tmps {
+		os.Remove(t)
 	}
 
 	// 1. Restore the newest checkpoint, if any.
 	replayFrom := uint64(0)
-	if seqs, err := listCheckpoints(ckptDir); err != nil {
+	if seqs, err := ckptFiles.Segments(ckptDir); err != nil {
 		return fail(err)
 	} else if len(seqs) > 0 {
 		seq := seqs[len(seqs)-1]
-		f, err := os.Open(filepath.Join(ckptDir, ckptName(seq)))
+		f, err := os.Open(ckptFiles.SegmentPath(ckptDir, seq))
 		if err != nil {
 			return fail(err)
 		}
 		n, err := db.Restore(f)
 		f.Close()
 		if err != nil {
-			return fail(fmt.Errorf("tsdb: checkpoint %s corrupt: %w", ckptName(seq), err))
+			return fail(fmt.Errorf("tsdb: checkpoint %s corrupt: %w", filepath.Base(f.Name()), err))
 		}
 		pr.restoredPoints.Store(uint64(n))
 		replayFrom = seq
 	}
 
 	// 2. Replay the WAL tail: every segment the checkpoint does not cover.
-	segs, err := listSegments(walDir)
+	records, torn, last, err := replayWAL(walDir, replayFrom, func(p *Point) error {
+		switch err := db.Write(p); {
+		case err == nil:
+			pr.replayedPoints.Add(1)
+		case errors.Is(err, ErrBadRef), errors.Is(err, ErrNoFields):
+			// A shape the write path refuses (binaries before the
+			// duplicate-field check could log one): deterministic,
+			// so skip and count it rather than fail every open.
+			pr.replaySkipped.Add(1)
+		default:
+			return err
+		}
+		return nil
+	})
+	pr.replayedRecords.Store(uint64(records))
+	pr.tornTail.Store(torn)
 	if err != nil {
 		return fail(err)
-	}
-	var p Point
-	for i, seg := range segs {
-		if seg < replayFrom {
-			continue // superseded by the checkpoint, awaiting truncation
-		}
-		final := i == len(segs)-1
-		// Fresh decoder per segment: the writer resets its shape
-		// dictionary at every rotation, so each segment is self-contained.
-		var dec walDecoder
-		apply := func(payload []byte) error {
-			for len(payload) > 0 {
-				rest, sample, err := dec.next(payload, &p)
-				if err != nil {
-					// A CRC-valid record with a bad encoding is
-					// corruption, not a tear.
-					return fmt.Errorf("%w: replay: %v", ErrWALCorrupt, err)
-				}
-				payload = rest
-				if !sample {
-					continue
-				}
-				switch err := db.Write(&p); {
-				case err == nil:
-					pr.replayedPoints.Add(1)
-				case errors.Is(err, ErrBadRef), errors.Is(err, ErrNoFields):
-					// A shape the write path refuses (binaries before the
-					// duplicate-field check could log one): deterministic,
-					// so skip and count it rather than fail every open.
-					pr.replaySkipped.Add(1)
-				default:
-					return err
-				}
-			}
-			return nil
-		}
-		records, err := replaySegment(filepath.Join(walDir, segName(seg)), final, apply)
-		pr.replayedRecords.Add(uint64(records))
-		if errors.Is(err, ErrWALTorn) {
-			pr.tornTail.Store(true)
-			break
-		}
-		if errors.Is(err, ErrWALCorrupt) && i+1 < len(segs) &&
-			segmentStartsWithTear(filepath.Join(walDir, segName(segs[i+1]))) {
-			// The next segment acknowledges this one's torn tail: it was
-			// abandoned by an error-rotation (see wal.rotateLocked), not
-			// corrupted. Everything before the tear was applied; carry on.
-			pr.tornTail.Store(true)
-			continue
-		}
-		if err != nil {
-			return fail(err)
-		}
 	}
 
 	// 3. Arm the log on a fresh segment after everything on disk — a torn
 	// tail is never appended to, so it stays detectable.
-	firstFree := replayFrom + 1
-	if len(segs) > 0 && segs[len(segs)-1]+1 > firstFree {
-		firstFree = segs[len(segs)-1] + 1
-	}
-	if firstFree == 0 {
-		firstFree = 1
-	}
-	pr.wal, err = openWAL(walDir, firstFree, opts.MaxSegmentBytes, opts.Fsync)
+	pr.wal, err = openWAL(walDir, max(replayFrom, last)+1, opts.MaxSegmentBytes, opts.Fsync, torn)
 	if err != nil {
 		return fail(err)
 	}
@@ -361,7 +300,7 @@ func openPersist(db *DB, opts PersistOptions) error {
 				case <-t.C:
 					// A failed tick is already counted in WALAppendErrors
 					// by the sync path itself; the next tick retries.
-					_ = pr.wal.Sync()
+					_ = pr.wal.log.Sync()
 				}
 			}
 		}()
@@ -388,18 +327,12 @@ func openPersist(db *DB, opts PersistOptions) error {
 	return nil
 }
 
-// logPoint appends one committed Write's record to the WAL. Caller holds
-// db.commitMu.RLock; same error contract as logBatch.
-func (pr *persister) logPoint(p *Point) error {
-	return pr.wal.AppendPoint(p)
-}
-
 // close stops the background goroutines, seals the WAL and releases the
 // directory lock. Called from DB.Close after the write barrier.
 func (pr *persister) close() error {
 	close(pr.stop)
 	pr.wg.Wait()
-	err := pr.wal.Close()
+	err := pr.wal.log.Close()
 	if e := syscall.Flock(int(pr.lock.Fd()), syscall.LOCK_UN); err == nil {
 		err = e
 	}
@@ -416,7 +349,7 @@ func (pr *persister) close() error {
 // full disk surfaces here, not as silent divergence).
 func (pr *persister) logBatch(pts []Point) error {
 	err := pr.wal.AppendPoints(pts)
-	if errors.Is(err, errWALRecordTooBig) && len(pts) > 1 {
+	if errors.Is(err, seglog.ErrRecordTooBig) && len(pts) > 1 {
 		// A batch too big for one frame splits into several records —
 		// WriteBatch promises per-stripe, not per-batch, atomicity anyway.
 		if err = pr.logBatch(pts[:len(pts)/2]); err == nil {
@@ -447,7 +380,7 @@ func (db *DB) Checkpoint() (CheckpointInfo, error) {
 	// The cut: with commitMu held exclusively no write is between its WAL
 	// append and its apply, so "state now" == "every record below newSeg".
 	db.commitMu.Lock()
-	newSeg, err := pr.wal.Rotate()
+	newSeg, err := pr.wal.log.Rotate()
 	if err != nil {
 		db.commitMu.Unlock()
 		pr.checkpointErrors.Add(1)
@@ -468,7 +401,8 @@ func (db *DB) Checkpoint() (CheckpointInfo, error) {
 
 	// All file I/O happens lock-free.
 	ckptDir := filepath.Join(pr.opts.Dir, ckptDirName)
-	tmp := filepath.Join(ckptDir, ckptName(newSeg)+".tmp")
+	final := ckptFiles.SegmentPath(ckptDir, newSeg)
+	tmp := final + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		pr.checkpointErrors.Add(1)
@@ -486,7 +420,7 @@ func (db *DB) Checkpoint() (CheckpointInfo, error) {
 		err = e
 	}
 	if err == nil {
-		err = os.Rename(tmp, filepath.Join(ckptDir, ckptName(newSeg)))
+		err = os.Rename(tmp, final)
 	}
 	if err == nil {
 		err = syncDir(ckptDir)
@@ -500,14 +434,8 @@ func (db *DB) Checkpoint() (CheckpointInfo, error) {
 	// The new checkpoint supersedes everything older: previous checkpoints
 	// and every WAL segment below the cut. Failures here are not fatal —
 	// leftovers are skipped on restore and retried next cycle.
-	if seqs, err := listCheckpoints(ckptDir); err == nil {
-		for _, s := range seqs {
-			if s < newSeg {
-				os.Remove(filepath.Join(ckptDir, ckptName(s)))
-			}
-		}
-	}
-	removed, _ := removeSegmentsBelow(filepath.Join(pr.opts.Dir, walDirName), newSeg)
+	ckptFiles.RemoveBelow(ckptDir, newSeg)
+	removed, _ := walFormat().RemoveBelow(filepath.Join(pr.opts.Dir, walDirName), newSeg)
 
 	pr.checkpoints.Add(1)
 	pr.lastCkptSeg.Store(newSeg)
@@ -542,18 +470,16 @@ func (db *DB) PersistStats() PersistStats {
 	if last := pr.lastCkptUnixNs.Load(); last > 0 {
 		age = time.Now().UnixNano() - last
 	}
-	pr.wal.mu.Lock()
-	seg := pr.wal.seg
-	pr.wal.mu.Unlock()
+	ws := pr.wal.log.Stats()
 	return PersistStats{
 		Enabled: true,
 		Dir:     pr.opts.Dir,
 		Fsync:   pr.opts.Fsync,
 
-		WALAppends:      pr.wal.appends.Load(),
-		WALAppendErrors: pr.wal.appendErrors.Load(),
-		WALFsyncs:       pr.wal.fsyncs.Load(),
-		WALSegment:      seg,
+		WALAppends:      ws.Appends,
+		WALAppendErrors: ws.Errors,
+		WALFsyncs:       ws.Syncs,
+		WALSegment:      ws.Segment,
 
 		RestoredPoints:     pr.restoredPoints.Load(),
 		WALReplayedPoints:  pr.replayedPoints.Load(),

@@ -1,7 +1,6 @@
 package tsdb
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -11,6 +10,7 @@ import (
 	"sync"
 	"syscall"
 	"testing"
+	"time"
 )
 
 // persistOpts returns manual-checkpoint-only options so tests control the
@@ -91,21 +91,33 @@ func stripTier(res []SeriesResult) []SeriesResult {
 	return out
 }
 
-// crashDB simulates kill -9: background goroutines stop, the WAL file
-// descriptor is closed without flushing the user-space buffer, and the
-// directory lock is dropped (flock dies with the process) — but none of
-// the orderly Close work (final flush/fsync) happens.
+// crashDB simulates kill -9: background goroutines stop, the WAL is
+// abandoned as it stands — nothing flushes its user-space buffer, so
+// buffered bytes are lost like a dead process's heap — and the directory
+// lock is dropped (flock dies with the process). None of the orderly Close
+// work (final flush/fsync) happens.
 func crashDB(db *DB) {
 	pr := db.persist
 	db.closed.Store(true)
 	close(pr.stop)
 	pr.wg.Wait()
-	pr.wal.mu.Lock()
-	pr.wal.closed = true
-	pr.wal.f.Close() // raw close: buffered bytes are lost, like a dead process's heap
-	pr.wal.mu.Unlock()
 	syscall.Flock(int(pr.lock.Fd()), syscall.LOCK_UN)
 	pr.lock.Close()
+}
+
+// walSegments lists the WAL segment indexes under a data directory.
+func walSegments(t *testing.T, dir string) []uint64 {
+	t.Helper()
+	segs, err := walFormat().Segments(filepath.Join(dir, walDirName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return segs
+}
+
+// walSegPath names one WAL segment file under a data directory.
+func walSegPath(dir string, seg uint64) string {
+	return walFormat().SegmentPath(filepath.Join(dir, walDirName), seg)
 }
 
 func TestPersistRoundTripRebuildsTiers(t *testing.T) {
@@ -171,11 +183,7 @@ func TestPersistCheckpointRestoreAndTruncate(t *testing.T) {
 	if info.SegmentsRemoved == 0 {
 		t.Fatal("checkpoint removed no WAL segments despite 64KiB segment cap")
 	}
-	segs, err := listSegments(filepath.Join(dir, walDirName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range segs {
+	for _, s := range walSegments(t, dir) {
 		if s < info.WALSegment {
 			t.Fatalf("segment %d survived truncation below checkpoint %d", s, info.WALSegment)
 		}
@@ -291,17 +299,16 @@ func TestPersistTornTailTolerated(t *testing.T) {
 			writePersistPoints(t, db, n, 0)
 			crashDB(db)
 
-			segs, err := listSegments(filepath.Join(dir, walDirName))
-			if err != nil || len(segs) == 0 {
-				t.Fatalf("segments: %v, err %v", segs, err)
+			segs := walSegments(t, dir)
+			if len(segs) == 0 {
+				t.Fatal("no WAL segments")
 			}
-			tear.mut(t, filepath.Join(dir, walDirName, segName(segs[len(segs)-1])))
+			tear.mut(t, walSegPath(dir, segs[len(segs)-1]))
 
 			db2, err := OpenDB(opts)
 			if err != nil {
 				t.Fatalf("reopen with torn tail: %v", err)
 			}
-			defer db2.Close()
 			ps := db2.PersistStats()
 			if !ps.ReplayTornTail {
 				t.Fatal("torn tail not reported")
@@ -314,6 +321,21 @@ func TestPersistTornTailTolerated(t *testing.T) {
 			}
 			if written < n-16-1 {
 				t.Fatalf("replayed %d points — tear may only cost the final record (≥ %d)", written, n-16-1)
+			}
+			// The tear stays tolerated once the torn segment is no longer
+			// the final one: a restart before the first checkpoint used
+			// to fail with ErrWALCorrupt.
+			writePersistPoints(t, db2, 10, n)
+			if err := db2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			db3, err := OpenDB(opts)
+			if err != nil {
+				t.Fatalf("second reopen, torn segment now mid-stream: %v", err)
+			}
+			defer db3.Close()
+			if again, _ := db3.WriteStats(); again != written+10 {
+				t.Fatalf("second reopen recovered %d points, want %d", again, written+10)
 			}
 		})
 	}
@@ -330,11 +352,11 @@ func TestPersistCorruptMiddleSegmentFailsOpen(t *testing.T) {
 	writePersistPoints(t, db, 2000, 0)
 	crashDB(db)
 
-	segs, err := listSegments(filepath.Join(dir, walDirName))
-	if err != nil || len(segs) < 2 {
-		t.Fatalf("want ≥2 segments, got %v (err %v)", segs, err)
+	segs := walSegments(t, dir)
+	if len(segs) < 2 {
+		t.Fatalf("want ≥2 segments, got %v", segs)
 	}
-	first := filepath.Join(dir, walDirName, segName(segs[0]))
+	first := walSegPath(dir, segs[0])
 	data, err := os.ReadFile(first)
 	if err != nil {
 		t.Fatal(err)
@@ -368,15 +390,15 @@ func TestPersistMidCheckpointCrashLeftovers(t *testing.T) {
 	// recovery: the temp is deleted, the garbage "old" checkpoint and
 	// segment are below the newest checkpoint and skipped.
 	ckptDir := filepath.Join(dir, ckptDirName)
-	if err := os.WriteFile(filepath.Join(ckptDir, ckptName(99)+".tmp"),
+	if err := os.WriteFile(ckptFiles.SegmentPath(ckptDir, 99)+".tmp",
 		[]byte("half-written garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(ckptDir, ckptName(0)),
+	if err := os.WriteFile(ckptFiles.SegmentPath(ckptDir, 0),
 		[]byte("not line protocol at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, walDirName, segName(0)),
+	if err := os.WriteFile(walSegPath(dir, 0),
 		[]byte("stale segment garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -528,12 +550,6 @@ func TestPersistConcurrentCheckpointNoLossNoDup(t *testing.T) {
 	}
 }
 
-// failingWriter fails every write — the fault-injecting writer behind the
-// WAL append error-path test.
-type failingWriter struct{}
-
-func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("injected disk failure") }
-
 func TestPersistWALAppendFailureFailsWriteThenSelfHeals(t *testing.T) {
 	dir := t.TempDir()
 	db, err := OpenDB(Options{Persist: persistOpts(dir, FsyncOff)})
@@ -541,12 +557,10 @@ func TestPersistWALAppendFailureFailsWriteThenSelfHeals(t *testing.T) {
 		t.Fatal(err)
 	}
 	writePersistPoints(t, db, 10, 0)
-	// Swap the segment writer for one that always fails: the next write
-	// must surface the error and must NOT become queryable — otherwise
-	// memory runs ahead of what a restart can recover.
-	db.persist.wal.mu.Lock()
-	db.persist.wal.bw = bufio.NewWriterSize(failingWriter{}, 1)
-	db.persist.wal.mu.Unlock()
+	// Make every write to the current segment fail: the next write must
+	// surface the error and must NOT become queryable — otherwise memory
+	// runs ahead of what a restart can recover.
+	db.persist.wal.log.InjectWriteFault(0)
 
 	p := Point{Name: "latency", Fields: []Field{{Key: "total_ms", Value: 1}}, Time: 1e15}
 	if err := db.Write(&p); err == nil {
@@ -632,30 +646,6 @@ func TestPersistCheckpointPreservesRetentionSliver(t *testing.T) {
 	}
 }
 
-// partialWriter passes writes through to the real file until failAfter
-// bytes, then fails forever — leaving a genuinely torn frame ON DISK, the
-// way a full disk does.
-type partialWriter struct {
-	f         *os.File
-	remaining int
-}
-
-func (p *partialWriter) Write(b []byte) (int, error) {
-	if p.remaining <= 0 {
-		return 0, errors.New("injected disk full")
-	}
-	n := len(b)
-	if n > p.remaining {
-		n = p.remaining
-	}
-	n, err := p.f.Write(b[:n])
-	p.remaining -= n
-	if err == nil && n < len(b) {
-		err = errors.New("injected disk full")
-	}
-	return n, err
-}
-
 func TestPersistTornMidStreamAfterIOErrorTolerated(t *testing.T) {
 	// An error-rotation abandons a segment whose tail holds a REAL partial
 	// frame on disk. Once later segments exist it is no longer the final
@@ -669,14 +659,9 @@ func TestPersistTornMidStreamAfterIOErrorTolerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	writePersistPoints(t, db, 10, 0)
-	// Route the current segment through a writer that lets 5 more bytes
-	// through to the real file, then fails: the next record is torn mid-
-	// frame on disk.
-	w := db.persist.wal
-	w.mu.Lock()
-	w.bw.Flush()
-	w.bw = bufio.NewWriterSize(&partialWriter{f: w.f, remaining: 5}, 1)
-	w.mu.Unlock()
+	// Let 5 more bytes through to the current segment's file, then fail:
+	// the next record is torn mid-frame on disk.
+	db.persist.wal.log.InjectWriteFault(5)
 
 	p := Point{Name: "latency", Fields: []Field{{Key: "total_ms", Value: 1}}, Time: 1e15}
 	if err := db.Write(&p); err == nil {
@@ -764,7 +749,7 @@ func TestReplaySkipsDuplicateFieldPoint(t *testing.T) {
 	if err := os.MkdirAll(walDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	w, err := openWAL(walDir, 1, 0, FsyncOff)
+	w, err := openWAL(walDir, 1, 0, FsyncOff, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -779,7 +764,7 @@ func TestReplaySkipsDuplicateFieldPoint(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Close(); err != nil {
+	if err := w.log.Close(); err != nil {
 		t.Fatal(err)
 	}
 	db, err := OpenDB(Options{Persist: persistOpts(dir, FsyncOff)})
@@ -797,5 +782,87 @@ func TestReplaySkipsDuplicateFieldPoint(t *testing.T) {
 		Resolution: ResolutionRaw, Aggs: []AggKind{AggCount, AggSum}})
 	if err != nil || len(res) != 1 || res[0].Buckets[0].Count != 2 || res[0].Buckets[0].Aggs[AggSum] != 4 {
 		t.Fatalf("Execute: %+v, %v", res, err)
+	}
+}
+
+// TestPersistRotationFailureDoesNotWedge: a segment create that fails
+// during rotation (ENOSPC, EMFILE, a stray file tripping O_EXCL) must fail
+// the operation that needed it and nothing else. Retiring the old file
+// before the new one existed used to retire it twice on the retry; the
+// sync cycle then closed it once and got EBADF on the duplicate forever —
+// every later write (fsync=always) or flusher tick (interval) failed until
+// restart, and so did Close.
+func TestPersistRotationFailureDoesNotWedge(t *testing.T) {
+	for _, policy := range []FsyncPolicy{FsyncAlways, FsyncInterval} {
+		t.Run(string(policy), func(t *testing.T) {
+			dir := t.TempDir()
+			// One record per segment, so every write after the first needs
+			// a rotation; the flusher is left to the test.
+			opts := Options{Persist: &PersistOptions{Dir: dir, Fsync: policy,
+				FsyncInterval: time.Hour, CheckpointEvery: -1, MaxSegmentBytes: 1}}
+			db, err := OpenDB(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			write := func(i int) error {
+				return db.Write(&Point{Name: "latency", Time: int64(i) * 1e6,
+					Fields: []Field{{Key: "total_ms", Value: float64(i)}}})
+			}
+			if err := write(0); err != nil {
+				t.Fatal(err)
+			}
+			blocker := walSegPath(dir, db.PersistStats().WALSegment+1)
+			if err := os.WriteFile(blocker, []byte("stray"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := write(1); err == nil {
+				t.Fatal("Write succeeded although the next segment could not be created")
+			}
+			if _, err := db.Checkpoint(); err == nil {
+				t.Fatal("Checkpoint succeeded although the next segment could not be created")
+			}
+			ps := db.PersistStats()
+			if ps.WALAppendErrors == 0 || ps.CheckpointErrors != 1 {
+				t.Fatalf("failures not counted: %+v", ps)
+			}
+			if written, _ := db.WriteStats(); written != 1 {
+				t.Fatalf("failed write reached memory: written=%d, want 1", written)
+			}
+
+			if err := os.Remove(blocker); err != nil {
+				t.Fatal(err)
+			}
+			const n = 50
+			for i := 2; i < n; i++ {
+				if err := write(i); err != nil {
+					t.Fatalf("write %d after the blocker was removed: %v", i, err)
+				}
+			}
+			if err := db.persist.wal.log.Sync(); err != nil {
+				t.Fatalf("Sync after the blocker was removed: %v", err)
+			}
+			if db.PersistStats().WALFsyncs == 0 {
+				t.Fatal("nothing was made durable after recovery")
+			}
+			if _, err := db.Checkpoint(); err != nil {
+				t.Fatalf("Checkpoint after the blocker was removed: %v", err)
+			}
+			if err := write(n); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			db2, err := OpenDB(opts)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer db2.Close()
+			ps = db2.PersistStats()
+			if ps.RestoredPoints != n-1 || ps.WALReplayedPoints != 1 || ps.ReplayTornTail {
+				t.Fatalf("recovered %d checkpointed + %d replayed (torn=%v), want %d + 1",
+					ps.RestoredPoints, ps.WALReplayedPoints, ps.ReplayTornTail, n-1)
+			}
+		})
 	}
 }

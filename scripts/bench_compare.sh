@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Benchmark-trajectory gate: runs the fixed microbenchmark suite
 # (`ruru-bench -json`, see internal/bench) and compares ns/op per benchmark
-# against the newest checked-in BENCH_*.json. A regression beyond the noise
-# tolerance fails the build; a new benchmark (absent from the baseline) and
-# a benchmark removed from the suite are both reported but never fail.
+# against the newest checked-in BENCH_*.json recorded on the same number of
+# CPUs (the files carry "cpus"; a 2-CPU run against a 1-CPU file compares
+# machines, not commits). A regression beyond the noise tolerance fails the
+# build; a new benchmark (absent from the baseline) and a benchmark removed
+# from the suite are both reported but never fail.
 #
 # Usage: scripts/bench_compare.sh [out.json]
 #   out.json     where to write the fresh trajectory entry
@@ -12,7 +14,8 @@
 # Environment:
 #   BENCH_TOL        allowed ns/op regression factor (default 1.15 = +15%)
 #   BENCH_BASELINE   explicit baseline file (default: newest BENCH_*.json
-#                    in the repo root by PR number)
+#                    in the repo root, by PR number, with the fresh run's
+#                    "cpus"; no such file skips the comparison)
 #   BENCH_TIME       per-benchmark run time (default 1s)
 #
 # The checked-in BENCH_PRn.json files form the performance trajectory of
@@ -26,16 +29,18 @@ OUT=${1:-bench_current.json}
 TOL=${BENCH_TOL:-1.15}
 BENCHTIME=${BENCH_TIME:-1s}
 
-baseline=${BENCH_BASELINE:-}
-if [ -z "$baseline" ]; then
-  # Newest trajectory entry by PR number (version sort handles PR10 > PR9).
-  baseline=$(ls BENCH_*.json 2>/dev/null | sort -V | tail -n 1 || true)
-fi
-
 go run ./cmd/ruru-bench -json "$OUT" -benchtime "$BENCHTIME"
 
+baseline=${BENCH_BASELINE:-}
+if [ -z "$baseline" ]; then
+  # Newest trajectory entry by PR number (version sort handles PR10 > PR9)
+  # among those recorded with as many CPUs as this run had.
+  cpus=$(sed -n 's/^ *"cpus": *\([0-9]*\),*$/\1/p' "$OUT" | head -n 1)
+  baseline=$(grep -lE "^ *\"cpus\": *$cpus,?\$" BENCH_*.json 2>/dev/null | sort -V | tail -n 1 || true)
+fi
+
 if [ -z "$baseline" ] || [ ! -f "$baseline" ]; then
-  echo "bench_compare: skipping comparison (no BENCH_*.json baseline checked in)"
+  echo "bench_compare: skipping comparison (no BENCH_*.json baseline recorded on ${cpus:-?} CPUs)"
   exit 0
 fi
 echo "bench_compare: comparing $OUT against baseline $baseline (tolerance ${TOL}x)"

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Coverage gate for the measurement-critical packages: internal/pkt (frame
-# parsing), internal/core (handshake engine) and internal/tsdb (storage +
-# WAL). The combined statement coverage recorded when this gate landed was
+# parsing), internal/core (handshake engine), internal/tsdb (storage +
+# WAL) and internal/seglog (the segment log under the WAL, whose lines
+# were tsdb's until they moved). The combined statement coverage recorded
+# when this gate landed was
 # 88.7%; the gate fails CI if it drops below GATE below (a small margin
 # under the recorded level absorbs run-to-run noise from timing-dependent
 # error branches — raise the gate when coverage meaningfully improves, and
@@ -14,15 +16,15 @@ cd "$(dirname "$0")/.."
 
 GATE=87.0
 PROFILE=${1:-coverage.out}
-PKGS=ruru/internal/pkt,ruru/internal/core,ruru/internal/tsdb
+PKGS=ruru/internal/pkt,ruru/internal/core,ruru/internal/tsdb,ruru/internal/seglog
 
 go test -coverprofile="$PROFILE" -coverpkg="$PKGS" \
-  ./internal/pkt ./internal/core ./internal/tsdb
+  ./internal/pkt ./internal/core ./internal/tsdb ./internal/seglog
 
 total=$(go tool cover -func="$PROFILE" | awk '/^total:/ {gsub(/%/, "", $3); print $3}')
 awk -v t="$total" -v min="$GATE" 'BEGIN {
   if (t + 0 < min + 0) {
-    printf "FAIL: combined pkt+core+tsdb coverage %.1f%% is below the %.1f%% gate\n", t, min
+    printf "FAIL: combined pkt+core+tsdb+seglog coverage %.1f%% is below the %.1f%% gate\n", t, min
     exit 1
   }
   printf "coverage gate ok: %.1f%% (gate %.1f%%)\n", t, min
