@@ -24,6 +24,8 @@ func fixtureLockSpec() *lint.LockOrderSpec {
 			{"B", "C"},
 			{"B", "leaf"},
 		},
+		// Stands in for a lock behind another package's API.
+		Acquires: map[string][]string{"(*sync.WaitGroup).Wait": {"C"}},
 	}
 }
 

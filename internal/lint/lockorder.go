@@ -61,6 +61,12 @@ type LockOrderSpec struct {
 	// transitive closure is taken. A class with no outgoing edge is
 	// leaf-only; two classes with no connecting path must never nest.
 	Order [][2]string
+	// Acquires maps a function, by (*types.Func).FullName(), to the class
+	// IDs a call to it acquires (and releases before returning): how an
+	// edge across a package boundary — tsdb.commitMu → seglog.syncMu — is
+	// checked where the outer lock is held, the analyzer seeing one package
+	// at a time. Ignored inside the function's own package.
+	Acquires map[string][]string
 }
 
 // LockOrder builds the analyzer for spec.
@@ -232,10 +238,23 @@ func (r *lockOrderRun) directAcquires(body *ast.BlockStmt) map[string]bool {
 			if cls, kind := r.lockCall(n); kind == "lock" {
 				out[cls] = true
 			}
+			for _, cls := range r.foreignAcquires(n) {
+				out[cls] = true
+			}
 		}
 		return true
 	})
 	return out
+}
+
+// foreignAcquires returns the classes the spec says a call to a function
+// of another package acquires.
+func (r *lockOrderRun) foreignAcquires(call *ast.CallExpr) []string {
+	fn := calleeFunc(r.pass, call)
+	if fn == nil || fn.Pkg() == r.pass.Pkg {
+		return nil
+	}
+	return r.spec.Acquires[fn.FullName()]
 }
 
 // callees collects the same-package functions body calls directly,
@@ -258,19 +277,7 @@ func (r *lockOrderRun) callees(body *ast.BlockStmt) map[*types.Func]bool {
 
 // staticCallee resolves a call to a function declared in this package.
 func (r *lockOrderRun) staticCallee(call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, ok := r.pass.Info.Uses[id].(*types.Func)
-	if !ok || fn.Pkg() != r.pass.Pkg {
-		return nil
-	}
+	fn := calleeFunc(r.pass, call)
 	if _, declared := r.funcs[fn]; !declared {
 		return nil
 	}
@@ -375,7 +382,8 @@ func (r *lockOrderRun) checkExpr(e ast.Expr, held map[string]token.Pos) {
 // checkCall applies one call's effect on held: a tracked Lock acquires
 // (after order validation), a tracked Unlock releases, and a call to a
 // same-package function is validated against that function's transitive
-// acquisition summary.
+// acquisition summary, a call into another package against the spec's
+// Acquires table.
 func (r *lockOrderRun) checkCall(call *ast.CallExpr, held map[string]token.Pos) {
 	if cls, kind := r.lockCall(call); kind != "" {
 		switch kind {
@@ -391,6 +399,9 @@ func (r *lockOrderRun) checkCall(call *ast.CallExpr, held map[string]token.Pos) 
 		for cls := range r.summary[fn] {
 			r.checkAcquire(call.Pos(), cls, held, fn.Name())
 		}
+	}
+	for _, cls := range r.foreignAcquires(call) {
+		r.checkAcquire(call.Pos(), cls, held, calleeFunc(r.pass, call).Name())
 	}
 }
 

@@ -11,8 +11,9 @@ package lint
 //     → dirMu, with the segment log's syncMu → mu chain (seglog.Log, under
 //     the WAL) nesting inside commitMu and nothing ever acquired under
 //     dirMu or the log's mu (leaf-only: no outgoing edges). The analyzer
-//     works a package at a time: edges into seglog from its owners are
-//     declared here and argued in ARCHITECTURE.md, not checked.
+//     works a package at a time, so the edges into seglog from its owners
+//     are checked through Acquires: a call to one of the Log methods
+//     listed there counts, in tsdb and fed, as taking the log's locks.
 //   - fed: Aggregator.mu, aggProbe.mu and Probe.mu have no edges between
 //     them — no two of them may ever nest (the PR-5 Stats fix made this
 //     an explicit invariant). The spool's segment log nests inside
@@ -56,6 +57,13 @@ func RepoLockOrder() *LockOrderSpec {
 			{"tsdb.commitMu", "seglog.syncMu"},
 			{"seglog.syncMu", "seglog.mu"},
 			{"fed.probeMu", "seglog.syncMu"},
+		},
+		Acquires: map[string][]string{
+			"(*ruru/internal/seglog.Log).Append": {"seglog.syncMu", "seglog.mu"},
+			"(*ruru/internal/seglog.Log).Sync":   {"seglog.syncMu", "seglog.mu"},
+			"(*ruru/internal/seglog.Log).Close":  {"seglog.syncMu", "seglog.mu"},
+			"(*ruru/internal/seglog.Log).Rotate": {"seglog.mu"},
+			"(*ruru/internal/seglog.Log).Stats":  {"seglog.mu"},
 		},
 	}
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // TestRepoSpecResolves pins the repo spec to the real tree: every lock
-// class must name an existing mutex field and every mustcheck entry an
-// existing function, so renaming a lock or an API without updating
+// class must name an existing mutex field and every mustcheck or Acquires
+// entry an existing function, so renaming a lock or an API without updating
 // spec.go fails here instead of silently disabling the analyzer.
 func TestRepoSpecResolves(t *testing.T) {
 	pkgs, err := lint.LoadPackages(".", []string{
@@ -88,6 +88,16 @@ func TestRepoSpecResolves(t *testing.T) {
 						known[named.Method(i).FullName()] = true
 					}
 				}
+			}
+		}
+	}
+	for fn, classes := range lockSpec.Acquires {
+		if !known[fn] {
+			t.Errorf("lock-order spec says %s acquires locks, but it does not resolve in the tree", fn)
+		}
+		for _, c := range classes {
+			if !ids[c] {
+				t.Errorf("lock-order spec: %s acquires undeclared class %s", fn, c)
 			}
 		}
 	}

@@ -130,3 +130,29 @@ func viaTwoCalls(s *S) {
 	defer s.c.Unlock()
 	lockBIndirect(s) // want `calls lockBIndirect, which may acquire B while holding C`
 }
+
+// A lock owned by another package is reached through that package's API:
+// the test's spec says (*sync.WaitGroup).Wait acquires C, the way the repo
+// spec says seglog.Log's methods acquire the segment log's locks.
+func okForeign(s *S, wg *sync.WaitGroup) {
+	s.b.Lock()
+	defer s.b.Unlock()
+	wg.Wait()
+}
+
+func foreignUnderLeaf(s *S, wg *sync.WaitGroup) {
+	s.l.Lock()
+	defer s.l.Unlock()
+	wg.Wait() // want `calls Wait, which may acquire C while holding leaf .* forbids`
+}
+
+func waits(wg *sync.WaitGroup) {
+	wg.Wait()
+}
+
+// ... and through a wrapper in this package, like tsdb.wal over seglog.Log.
+func foreignViaWrapper(s *S, wg *sync.WaitGroup) {
+	s.l.Lock()
+	defer s.l.Unlock()
+	waits(wg) // want `calls waits, which may acquire C while holding leaf`
+}

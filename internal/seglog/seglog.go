@@ -4,9 +4,7 @@
 // and recover from. Everything that names, lists, creates, frames, scans,
 // rotates, syncs and removes a segment lives here; the owners keep only
 // what their payloads mean. ARCHITECTURE.md "The segment log" has the
-// design: the frame, the sync policies, poison → rotate → tear
-// acknowledgement after a failed write, and why the owner, not the
-// scanner, decides what a tear means.
+// design.
 package seglog
 
 import (
@@ -236,7 +234,10 @@ type Options struct {
 
 // Log is the appending side of one segment directory. All mutation
 // happens under mu; syncing additionally serializes under syncMu (order
-// syncMu → mu) so fdatasyncs group-commit.
+// syncMu → mu) so fdatasyncs group-commit. A sync cycle fdatasyncs outside
+// mu, so a segment file is closed only by the cycle itself (or Close, both
+// under syncMu) or, under mu, while no cycle is in flight: never under a
+// running fdatasync.
 type Log struct {
 	fmt  Format
 	dir  string
@@ -249,14 +250,19 @@ type Log struct {
 	segBytes int64
 	lsn      uint64 // records appended (monotonic)
 	closed   bool
-	// poisoned: the segment's tail may be mid-frame (a write failed) or
-	// its owner's per-segment state ahead of the stream (a record was
-	// refused). The next append rotates, acknowledging the tear.
+	// poisoned: an append failed. The segment's tail may be mid-frame (the
+	// write failed) and its owner's per-segment state is ahead of the
+	// stream (encode ran for a record that is not in it), so nothing more
+	// may be appended here: the next append rotates, acknowledging the tear.
 	poisoned bool
 	// retired holds rotated-out segment files awaiting fdatasync+close by
-	// the next sync cycle (empty under SyncOff, which closes eagerly).
-	// Files are only closed under syncMu, so a sync never races a close.
+	// the next sync cycle (empty under SyncOff, which needs no sync).
 	retired []*os.File
+	// syncing: a sync cycle is fdatasyncing the files it captured, outside
+	// mu. A rotation with a file to close meanwhile leaves it in dropped
+	// for that cycle to close.
+	syncing bool
+	dropped []*os.File
 	scratch []byte // frame build buffer
 
 	syncMu    sync.Mutex
@@ -334,11 +340,15 @@ func (l *Log) appendLocked(encode func(buf []byte) []byte) error {
 			frame, err = l.build(encode)
 		}
 	}
-	if err != nil {
-		return err
+	if err == nil {
+		err = l.writeLocked(sealFrame(frame))
 	}
-	if err := l.writeLocked(sealFrame(frame)); err != nil {
-		l.poisoned = true // the tail may now hold a partial frame
+	if err != nil {
+		// Refused, no segment to be had, or torn: either way encode has
+		// moved the owner's per-segment state past bytes that are not in
+		// the stream, and a later record that did fit would be encoded
+		// against that state and read back wrong, or not at all.
+		l.poisoned = true
 		return err
 	}
 	l.lsn++
@@ -346,14 +356,11 @@ func (l *Log) appendLocked(encode func(buf []byte) []byte) error {
 }
 
 // build runs encode into the log's own buffer, behind room for the frame
-// header, and refuses a record Scan would reject — poisoning the segment,
-// because encode has already moved the owner's per-segment state past
-// bytes that will never be written. Caller holds mu.
+// header, and refuses a record Scan would reject. Caller holds mu.
 func (l *Log) build(encode func(buf []byte) []byte) ([]byte, error) {
 	frame := encode(append(l.scratch[:0], make([]byte, FrameBytes)...))
 	l.scratch = frame[:0]
 	if int64(len(frame)-FrameBytes) > l.fmt.MaxRecord {
-		l.poisoned = true
 		return nil, ErrRecordTooBig
 	}
 	return frame, nil
@@ -375,13 +382,13 @@ func (l *Log) writeLocked(frame []byte) error {
 
 // rotateLocked finishes the current segment and starts the next. Caller
 // holds mu. The next segment is created FIRST: a failed create (ENOSPC,
-// EMFILE, a stray file tripping O_EXCL) leaves the log exactly as it was
-// for the retry — retiring the old file before the new one exists would
-// retire it twice, and the second close fails every later sync cycle
+// EMFILE, a stray file tripping O_EXCL) leaves the files exactly as they
+// were for the retry — retiring the old file before the new one exists
+// would retire it twice, and the second close fails every later sync cycle
 // with EBADF.
 //
 // No fdatasync here (it would stall every appender behind the rotation):
-// the old file is retired for the next sync cycle, or closed at once under
+// the old file is retired for the next sync cycle, or dropped under
 // SyncOff. A flush failure on it does NOT abort the rotation: bufio.Writer
 // errors are sticky, so the only way back to a working log is a fresh
 // segment. The failed buffer's records are gone — counted in Stats, the
@@ -396,13 +403,11 @@ func (l *Log) rotateLocked() error {
 	if err := l.bw.Flush(); err != nil {
 		l.errs.Add(1)
 		tear = true
-		// The stream may end mid-frame: close now rather than retiring a
-		// broken segment for a later sync.
-		l.f.Close()
+		// The stream may end mid-frame: drop the broken segment rather
+		// than retiring it for a sync that may fail on it forever.
+		l.dropLocked(l.f)
 	} else if l.opts.Sync == SyncOff {
-		if err := l.f.Close(); err != nil {
-			l.errs.Add(1)
-		}
+		l.dropLocked(l.f)
 	} else {
 		l.retired = append(l.retired, l.f)
 	}
@@ -412,6 +417,16 @@ func (l *Log) rotateLocked() error {
 		l.errs.Add(1)
 	}
 	return err
+}
+
+// dropLocked closes a rotated-out file that will not be synced — now, or
+// when the sync cycle that may be fdatasyncing it ends. Caller holds mu.
+func (l *Log) dropLocked(f *os.File) {
+	if l.syncing {
+		l.dropped = append(l.dropped, f)
+	} else if err := f.Close(); err != nil {
+		l.errs.Add(1)
+	}
 }
 
 // Rotate seals the current segment and opens the next, returning the new
@@ -432,8 +447,8 @@ func (l *Log) Rotate() (uint64, error) {
 // so far, and the rest observe syncedLSN and return without a syscall.
 // The fdatasync itself runs OUTSIDE the append lock — only the buffer
 // flush holds mu — so appenders keep committing while the disk syncs. A
-// concurrent rotation may retire the captured file mid-sync; that is safe
-// because files are only closed here and in Close, under syncMu.
+// concurrent rotation may retire or drop the captured file mid-sync; that
+// is safe because it leaves the close to this cycle (see Log.syncing).
 func (l *Log) syncTo(lsn uint64) error {
 	if l.syncedLSN.Load() >= lsn {
 		return nil
@@ -448,11 +463,24 @@ func (l *Log) syncTo(lsn uint64) error {
 	err := l.bw.Flush()
 	// Oldest first: every byte of records ≤ target is in (retired..., f).
 	files := append(slices.Clone(l.retired), l.f)
+	l.syncing = true
 	l.mu.Unlock()
 	for _, f := range files {
 		if err == nil {
 			err = fdatasync(f)
 		}
+	}
+	l.mu.Lock()
+	l.syncing = false
+	done := l.dropped
+	l.dropped = nil
+	if err == nil {
+		done = append(done, files[:len(files)-1]...)
+		l.retired = l.retired[len(files)-1:] // rotation only appends behind these
+	}
+	l.mu.Unlock()
+	for _, f := range done {
+		f.Close() // durable, or beyond saving: nothing left to lose in a close error
 	}
 	if err != nil {
 		// The retirees stay queued: the next cycle syncs them again before
@@ -460,12 +488,6 @@ func (l *Log) syncTo(lsn uint64) error {
 		// be a false group-commit acknowledgement.
 		l.errs.Add(1)
 		return err
-	}
-	l.mu.Lock()
-	l.retired = l.retired[len(files)-1:] // rotation only appends behind these
-	l.mu.Unlock()
-	for _, f := range files[:len(files)-1] {
-		f.Close() // data is durable; nothing left to lose in a close error
 	}
 	l.syncs.Add(1)
 	l.syncedLSN.Store(target)
@@ -501,9 +523,8 @@ func (l *Log) Close() error {
 
 // Stats is a snapshot of a Log: the segment being appended to, records
 // appended, I/O failures — appends that failed (each failed its caller)
-// plus flush, sync and close errors around rotation, after which records
-// acknowledged in the preceding unsynced window may be missing although
-// appending has recovered onto a fresh segment — and fdatasync cycles.
+// plus flush, sync and close errors around rotation, which may have lost
+// records of the preceding unsynced window — and fdatasync cycles.
 type Stats struct {
 	Segment, Appends, Errors, Syncs uint64
 }
@@ -516,9 +537,11 @@ func (l *Log) Stats() Stats {
 }
 
 // InjectWriteFault is the fault seam this package's tests and its owners'
-// share: the current segment takes pass more bytes, then every write to it
-// fails — a full disk, leaving a really torn frame in the file. Rotation
-// onto a fresh segment heals it.
+// tests share: the current segment takes pass more bytes, then every write
+// to it fails — a full disk, leaving a really torn frame in the file.
+// Rotation onto a fresh segment heals it. TESTS ONLY, exported because the
+// tsdb and fed tests need it (TestInjectWriteFaultIsTestOnly keeps other
+// callers out); the faultfs seam (ROADMAP 5c) replaces it.
 func (l *Log) InjectWriteFault(pass int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -288,43 +288,34 @@ func openPersist(db *DB, opts PersistOptions) error {
 
 	// 4. Background work: the interval flusher and the checkpointer.
 	if opts.Fsync == FsyncInterval {
-		pr.wg.Add(1)
-		go func() {
-			defer pr.wg.Done()
-			t := time.NewTicker(opts.FsyncInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-pr.stop:
-					return
-				case <-t.C:
-					// A failed tick is already counted in WALAppendErrors
-					// by the sync path itself; the next tick retries.
-					_ = pr.wal.log.Sync()
-				}
-			}
-		}()
+		// A failed tick is already counted in WALAppendErrors by the sync
+		// path itself; the next tick retries.
+		pr.every(opts.FsyncInterval, func() { _ = pr.wal.log.Sync() })
 	}
 	if opts.CheckpointEvery > 0 {
-		pr.wg.Add(1)
-		go func() {
-			defer pr.wg.Done()
-			t := time.NewTicker(opts.CheckpointEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-pr.stop:
-					return
-				case <-t.C:
-					// Background checkpoint failures are counted in
-					// CheckpointErrors by Checkpoint itself; the next
-					// tick retries with the WAL still intact.
-					_, _ = db.Checkpoint()
-				}
-			}
-		}()
+		// Background checkpoint failures are counted in CheckpointErrors
+		// by Checkpoint itself; the next tick retries with the WAL intact.
+		pr.every(opts.CheckpointEvery, func() { _, _ = db.Checkpoint() })
 	}
 	return nil
+}
+
+// every runs fn each d until close.
+func (pr *persister) every(d time.Duration, fn func()) {
+	pr.wg.Add(1)
+	go func() {
+		defer pr.wg.Done()
+		t := time.NewTicker(d)
+		defer t.Stop()
+		for {
+			select {
+			case <-pr.stop:
+				return
+			case <-t.C:
+				fn()
+			}
+		}
+	}()
 }
 
 // close stops the background goroutines, seals the WAL and releases the

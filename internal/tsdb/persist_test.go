@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"syscall"
 	"testing"
@@ -862,6 +863,83 @@ func TestPersistRotationFailureDoesNotWedge(t *testing.T) {
 			if ps.RestoredPoints != n-1 || ps.WALReplayedPoints != 1 || ps.ReplayTornTail {
 				t.Fatalf("recovered %d checkpointed + %d replayed (torn=%v), want %d + 1",
 					ps.RestoredPoints, ps.WALReplayedPoints, ps.ReplayTornTail, n-1)
+			}
+		})
+	}
+}
+
+// TestPersistFailedRotationLeavesNoStaleDictionary: a batch that needs a
+// segment which cannot be created fails — after its encoding has moved the
+// WAL's per-segment dictionary and delta state past points that were never
+// written. The old segment is still writable (TestPersistRotationFailure-
+// DoesNotWedge), so a later, smaller write that fits must not be appended
+// to it against that state: a sample of a shape the reader never saw
+// defined made the data dir unopenable, and a sample of a known shape
+// would have decoded to a wrong value. The segment size is realistic, so
+// unlike the wedge test the retries do NOT need a rotation of their own.
+func TestPersistFailedRotationLeavesNoStaleDictionary(t *testing.T) {
+	for _, policy := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncOff} {
+		t.Run(string(policy), func(t *testing.T) {
+			dir := t.TempDir()
+			opts := Options{Persist: &PersistOptions{Dir: dir, Fsync: policy,
+				FsyncInterval: time.Hour, CheckpointEvery: -1, MaxSegmentBytes: 4096}}
+			db, err := OpenDB(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			point := func(name string, i int) Point {
+				return Point{Name: name, Time: int64(i) * 1e6,
+					Fields: []Field{{Key: "total_ms", Value: 1.5 * float64(i)}}}
+			}
+			known := point("latency", 1)
+			if err := db.Write(&known); err != nil {
+				t.Fatal(err)
+			}
+			blocker := walSegPath(dir, db.PersistStats().WALSegment+1)
+			if err := os.WriteFile(blocker, []byte("stray"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			// Far more than fits segment 1: defines a new shape and moves
+			// the known shape's delta state 2000 samples ahead.
+			big := make([]Point, 0, 4000)
+			for i := 2; i < 2002; i++ {
+				big = append(big, point("latency", i), point("dropped", i))
+			}
+			if applied, err := db.WriteBatch(big); err == nil || applied != 0 {
+				t.Fatalf("WriteBatch applied %d points (err %v) although its segment could not be created", applied, err)
+			}
+			if err := os.Remove(blocker); err != nil {
+				t.Fatal(err)
+			}
+			// All three fit what is left of segment 1.
+			want := []Point{known, point("latency", 5000), point("dropped", 5001), point("fresh", 5002)}
+			for i := range want[1:] {
+				if err := db.Write(&want[1+i]); err != nil {
+					t.Fatalf("write %d after the blocker was removed: %v", i, err)
+				}
+			}
+			if err := db.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+
+			var got []Point
+			_, torn, _, err := replayWAL(filepath.Join(dir, walDirName), 0, func(p *Point) error {
+				got = append(got, Point{Name: p.Name, Time: p.Time, Fields: slices.Clone(p.Fields)})
+				return nil
+			})
+			if err != nil || torn {
+				t.Fatalf("replay: torn=%v err=%v", torn, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("replayed\n%+v\nwant\n%+v", got, want)
+			}
+			db2, err := OpenDB(opts)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer db2.Close()
+			if ps := db2.PersistStats(); ps.WALReplayedPoints != uint64(len(want)) || ps.ReplayTornTail {
+				t.Fatalf("reopen replayed %d points (torn=%v), want %d", ps.WALReplayedPoints, ps.ReplayTornTail, len(want))
 			}
 		})
 	}
