@@ -9,6 +9,7 @@ package ruru_bench
 
 import (
 	"io"
+	"strings"
 	"testing"
 
 	"ruru/internal/bench"
@@ -121,24 +122,14 @@ func BenchmarkE6GeoLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkE7Toeplitz measures the software RSS hash for v4 and v6 tuples.
+// BenchmarkE7Toeplitz measures the software RSS hash for v4 and v6 tuples:
+// the suite's rss/hash-* bodies (4096 distinct generated tuples each).
 func BenchmarkE7Toeplitz(b *testing.B) {
-	h := rss.NewSymmetric()
-	w := world(b)
-	v4a, v4b := w.Addr(0, 0, 1), w.Addr(1, 0, 2)
-	v6a, v6b := w.Addr6(0, 0, 1), w.Addr6(1, 0, 2)
-	b.Run("ipv4", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			h.HashTuple(v4a, v4b, 40000, 443)
+	for _, s := range bench.Specs() {
+		if family, ok := strings.CutPrefix(s.Name, "rss/hash-"); ok {
+			b.Run(family, s.F)
 		}
-	})
-	b.Run("ipv6", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			h.HashTuple(v6a, v6b, 40000, 443)
-		}
-	})
+	}
 }
 
 // BenchmarkE8TSDB measures point ingest (write path of every measurement).

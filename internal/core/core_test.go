@@ -553,6 +553,45 @@ func TestEngineEndToEnd(t *testing.T) {
 	}
 }
 
+func TestEngineRunLeavesPoolIdle(t *testing.T) {
+	// Cancelled with traffic still queued, Run drains every queue and
+	// sends each burst home — the last, partial ones included — so that a
+	// full pool means an idle pipeline and the arena can be released.
+	pool := nic.NewMempool(512, 256)
+	port, err := nic.NewPort(nic.PortConfig{Queues: 3, QueueDepth: 256, Pool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(EngineConfig{Port: port, Sink: SinkFunc(func(*Measurement) {}), Burst: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const frames = 300
+	for i := 0; i < frames; i++ {
+		src := netip.AddrFrom4([4]byte{10, 1, byte(i >> 8), byte(i)}).String()
+		if st := port.Inject(buildFrame(t, src, "192.0.2.1", uint16(2000+7*i), 443, pkt.TCPSyn, 1, 0), int64(i)); !st.OK() {
+			t.Fatalf("inject %d: %v", i, st)
+		}
+	}
+	if pool.Available() != pool.Size()-frames {
+		t.Fatalf("available = %d with %d frames queued", pool.Available(), frames)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := eng.Run(ctx); err != context.Canceled {
+		t.Fatalf("Run = %v", err)
+	}
+	if st := eng.Stats(); st.Packets != frames {
+		t.Fatalf("processed %d of %d queued frames", st.Packets, frames)
+	}
+	if pool.Available() != pool.Size() {
+		t.Fatalf("available = %d of %d after Run returned", pool.Available(), pool.Size())
+	}
+	if err := pool.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestEngineValidation(t *testing.T) {
 	pool := nic.NewMempool(16, 512)
 	port, _ := nic.NewPort(nic.PortConfig{Queues: 1, Pool: pool})

@@ -377,8 +377,8 @@ func (e *Engine) runQueue(ctx context.Context, q int) {
 					}
 				}
 			}
-			b.Free()
 		}
+		nic.FreeBurst(bufs[:n]) // the whole burst home under one pool lock
 	}
 	// publish copies the table and tracker counters into this queue's
 	// monitoring cell: one uncontended lock per burst instead of atomics

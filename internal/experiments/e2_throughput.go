@@ -158,7 +158,9 @@ func e2Run(trace []gen.TracePacket, meanFrame float64, queues int, cfg E2Config)
 			// unit's share of the trace into the port in preclassified
 			// bursts until the target is reached.
 			var delivered int64
+			injected := make(chan struct{})
 			go func() {
+				defer close(injected)
 				burst := cfg.Burst
 				frames := make([]nic.Frame, 0, burst)
 				hashes := make([]uint32, 0, burst)
@@ -205,9 +207,15 @@ func e2Run(trace []gen.TracePacket, meanFrame float64, queues int, cfg E2Config)
 							measured++
 						}
 					}
-					b.Free()
-					done++
 				}
+				nic.FreeBurst(bufs[:n])
+				done += int64(n)
+			}
+			// Unmap the arena: every frame delivered has been freed, and
+			// the delivery goroutine holds no buffer once it has returned.
+			<-injected
+			if err := pool.Close(); err != nil {
+				panic(err)
 			}
 			mu.Lock()
 			totalPkts += done

@@ -23,6 +23,10 @@ package lint
 //     only guards the per-burst snapshot publish/read hand-off and nothing
 //     may be acquired under it — in particular no DB write, since sinks
 //     run outside the cell).
+//   - nic: Mempool.mu is strictly leaf. Injectors and queue workers take
+//     it once per burst to move buffers on or off the free stack and
+//     acquire nothing under it; nic.FreeBurst is called from core's poll
+//     loop outside the stats cell.
 //   - ruru: Pipeline.pairTopMu (the sketch tier's city-pair summary) is
 //     strictly leaf: sink workers and /api/topk readers take it for a
 //     bounded heap update or copy and may acquire nothing under it. The
@@ -47,6 +51,7 @@ func RepoLockOrder() *LockOrderSpec {
 			{ID: "fed.aggProbeMu", Type: "ruru/internal/fed.aggProbe", Field: "mu"},
 			{ID: "fed.probeMu", Type: "ruru/internal/fed.Probe", Field: "mu"},
 			{ID: "core.statsCellMu", Type: "ruru/internal/core.statsCell", Field: "mu"},
+			{ID: "nic.poolMu", Type: "ruru/internal/nic.Mempool", Field: "mu"},
 			{ID: "ruru.pairTopMu", Type: "ruru/internal/ruru.Pipeline", Field: "pairTopMu"},
 			{ID: "ruru.rollupDeltaMu", Type: "ruru/internal/ruru.RollupDelta", Field: "mu"},
 		},
@@ -64,6 +69,8 @@ func RepoLockOrder() *LockOrderSpec {
 			"(*ruru/internal/seglog.Log).Close":  {"seglog.syncMu", "seglog.mu"},
 			"(*ruru/internal/seglog.Log).Rotate": {"seglog.mu"},
 			"(*ruru/internal/seglog.Log).Stats":  {"seglog.mu"},
+			"ruru/internal/nic.FreeBurst":        {"nic.poolMu"},
+			"(*ruru/internal/nic.Buf).Free":      {"nic.poolMu"},
 		},
 	}
 }

@@ -2,8 +2,9 @@
 // for DPDK in this reproduction. It mirrors the parts of the DPDK dataplane
 // Ruru's pipeline is built on:
 //
-//   - a Mempool of fixed-size packet buffers with explicit alloc/free
-//     (rte_mempool / rte_mbuf),
+//   - a Mempool of fixed-size packet buffers with explicit, bulk alloc/free
+//     in LIFO order out of an arena outside the Go heap (rte_mempool /
+//     rte_mbuf in hugepage memory),
 //   - a Port with N receive queues fed through RSS (rte_eth_dev with an
 //     RSS-configured rx queue set), and
 //   - burst I/O: RxBurst (rte_eth_rx_burst) on the consumer side and
@@ -14,7 +15,7 @@
 // with Port.Inject/InjectBurst, which classify them onto a queue by Toeplitz
 // hash of the 4-tuple — bit-exact with what NIC hardware RSS would do — and
 // hand the buffer to that queue's ring. Worker cores poll their queue with
-// RxBurst and return buffers to the pool when done.
+// RxBurst and return each burst to the pool with one FreeBurst when done.
 //
 // What happens when a queue is full is the port's overflow policy:
 //
@@ -36,6 +37,7 @@ import (
 	"fmt"
 	"net/netip"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -63,20 +65,60 @@ type Buf struct {
 	RSSHash   uint32
 
 	pool *Mempool
+	// home is set while the buffer sits in its pool. Only the pool flips
+	// it, under its lock: that is what makes a second free detectable.
+	home bool
 }
 
 // Bytes returns the valid frame contents.
 func (b *Buf) Bytes() []byte { return b.Data[:b.Len] }
 
 // Free returns the buffer to its mempool. The buffer must not be used after
-// Free. Double frees are detected by the pool in tests via accounting.
-func (b *Buf) Free() { b.pool.put(b) }
+// Free; freeing it a second time panics. A worker holding a whole burst
+// should return it with one FreeBurst instead.
+func (b *Buf) Free() {
+	one := [1]*Buf{b}
+	b.pool.putBulk(one[:])
+}
 
-// Mempool is a fixed-size pool of packet buffers. Allocation never touches
-// the Go heap after construction: buffers circulate between the pool, the
-// queues and the workers.
+// FreeBurst returns a burst of buffers to their mempool under one lock
+// acquisition — rte_mempool_put_bulk, and what a queue worker calls once
+// per RxBurst. The same rules as Buf.Free apply to every buffer in it.
+//
+//ruru:noalloc
+func FreeBurst(bufs []*Buf) {
+	for len(bufs) > 0 {
+		// One put per run of buffers from one pool: a single run in
+		// practice, since a port draws on one pool.
+		pool, n := bufs[0].pool, 1
+		for n < len(bufs) && bufs[n].pool == pool {
+			n++
+		}
+		pool.putBulk(bufs[:n])
+		bufs = bufs[n:]
+	}
+}
+
+// Mempool is a fixed-size pool of packet buffers: a stack of free buffers
+// under one mutex, taken and returned a burst at a time. Allocation never
+// touches the Go heap after construction: buffers circulate between the
+// pool, the queues and the workers.
+//
+// The stack is LIFO on purpose. The buffer handed out next is the one freed
+// last, so a pipeline that keeps up cycles through as many buffers as it
+// has in flight — a few bursts, resident in cache — and the rest of the
+// arena is never touched; a FIFO would walk all of it and copy every frame
+// into cold memory.
+//
+// The frame memory is one arena outside the Go heap (an anonymous mapping
+// where the platform has one): the collector neither scans it nor counts it
+// toward its heap goal. Close unmaps it.
 type Mempool struct {
-	free    chan *Buf
+	mu     sync.Mutex
+	free   []*Buf // the stack; its top is the buffer freed last
+	arena  []byte
+	mapped bool // arena is a mapping Close must unmap
+
 	bufSize int
 	size    int
 
@@ -86,42 +128,108 @@ type Mempool struct {
 // NewMempool creates a pool of n buffers of bufSize bytes each.
 func NewMempool(n, bufSize int) *Mempool {
 	p := &Mempool{
-		free:    make(chan *Buf, n),
+		free:    make([]*Buf, n),
 		bufSize: bufSize,
 		size:    n,
 	}
-	backing := make([]byte, n*bufSize) // single allocation, like a hugepage arena
-	for i := 0; i < n; i++ {
-		p.free <- &Buf{
-			Data: backing[i*bufSize : (i+1)*bufSize : (i+1)*bufSize],
+	p.arena, p.mapped = allocArena(n * bufSize)
+	bufs := make([]Buf, n)
+	for i := range bufs {
+		bufs[i] = Buf{
+			Data: p.arena[i*bufSize : (i+1)*bufSize : (i+1)*bufSize],
 			pool: p,
+			home: true,
 		}
+		p.free[n-1-i] = &bufs[i] // the first Get takes the arena's first buffer
 	}
 	return p
 }
 
 // Get allocates a buffer, or nil if the pool is exhausted (counted).
 func (p *Mempool) Get() *Buf {
-	select {
-	case b := <-p.free:
-		return b
-	default:
+	var one [1]*Buf
+	if p.getBulk(one[:]) == 0 {
 		p.allocFail.Add(1)
+	}
+	return one[0]
+}
+
+// getBulk moves as many free buffers as the pool has, up to len(dst), from
+// the top of the stack into dst in stack order — dst[n-1] was the top, so
+// a caller that pops dst from its end uses them in the order single Gets
+// would have, and putting back an unused tail restores the stack exactly.
+// It returns how many. A short count is not counted as a failure here: the
+// injection paths count one only when they give up.
+//
+//ruru:noalloc
+func (p *Mempool) getBulk(dst []*Buf) int {
+	p.mu.Lock()
+	n := min(len(dst), len(p.free))
+	keep := len(p.free) - n
+	for i, b := range p.free[keep:] {
+		b.home = false
+		dst[i] = b
+	}
+	p.free = p.free[:keep]
+	p.mu.Unlock()
+	return n
+}
+
+// putBulk returns bufs, all of this pool, to the top of the stack.
+//
+//ruru:noalloc
+func (p *Mempool) putBulk(bufs []*Buf) {
+	p.mu.Lock()
+	for _, b := range bufs {
+		if b.home {
+			p.mu.Unlock()
+			//ruru:ignore noalloc a double free ends the program; what boxing the message costs is moot
+			panic("nic: packet buffer freed twice")
+		}
+		b.home = true
+		b.Len, b.Timestamp, b.RSSHash = 0, 0, 0
+		p.free = append(p.free, b) // within capacity: the stack was made Size deep
+	}
+	p.mu.Unlock()
+}
+
+// Close releases the arena once every buffer is home, and reports the
+// buffers still out otherwise, leaving the pool as it was: a buffer
+// somebody still holds must not lose its memory. After a successful Close
+// the pool is empty for good. Closing twice is harmless.
+func (p *Mempool) Close() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.arena == nil {
 		return nil
 	}
+	if out := p.size - len(p.free); out > 0 {
+		return fmt.Errorf("nic: mempool close: %d of %d buffers still out", out, p.size)
+	}
+	for _, b := range p.free {
+		b.Data = nil
+	}
+	p.free = p.free[:0]
+	arena := p.arena
+	p.arena = nil
+	if p.mapped {
+		return freeArena(arena)
+	}
+	return nil
 }
 
-func (p *Mempool) put(b *Buf) {
-	b.Len = 0
-	b.Timestamp = 0
-	b.RSSHash = 0
-	p.free <- b
+// Size returns the pool capacity. Available returns the buffers in the pool
+// right now: Available() == Size() means nobody holds one — no frame is
+// queued, no worker is mid-burst, and no injection call is in progress (an
+// injection takes its burst's buffers up front and returns the unused ones
+// before it returns). AllocFailures counts the Gets and injections that
+// gave up for want of a buffer.
+func (p *Mempool) Size() int { return p.size }
+func (p *Mempool) Available() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.free)
 }
-
-// Size returns the pool capacity; Available the buffers currently free;
-// AllocFailures the number of failed Gets.
-func (p *Mempool) Size() int             { return p.size }
-func (p *Mempool) Available() int        { return len(p.free) }
 func (p *Mempool) BufSize() int          { return p.bufSize }
 func (p *Mempool) AllocFailures() uint64 { return p.allocFail.Load() }
 
@@ -242,8 +350,11 @@ type Port struct {
 	nombuf  atomic.Uint64
 
 	// scratch used only on the injection path (single producer per port).
-	parser pkt.Parser
-	stage  [][]*Buf // per-queue staging for InjectBurst
+	parser   pkt.Parser
+	sum      pkt.Summary
+	stage    [][]*Buf // per-queue staging for InjectBurst
+	spare    []*Buf   // buffers taken from the pool for the frames still to come
+	accepted int      // frames the running burst has enqueued so far
 }
 
 // NewPort creates a port with the given configuration.
@@ -260,7 +371,7 @@ func NewPort(cfg PortConfig) (*Port, error) {
 	}
 	h := cfg.Hasher
 	if h == nil {
-		h = rss.NewSymmetric()
+		h = rss.NewSymmetric() // the package's shared Hasher
 	}
 	p := &Port{
 		queues:       make([]*ring.Ring[*Buf], cfg.Queues),
@@ -293,113 +404,138 @@ func (p *Port) Policy() OverflowPolicy { return p.policy }
 // shutdown, when the consumers that would have made room are gone.
 func (p *Port) Stop() { p.stopped.Store(true) }
 
-// classify computes the frame's RSS hash the way NIC silicon would.
+// classify computes the frame's RSS hash the way NIC silicon would: over
+// the address and port bytes as they lie in the frame. Two IPv4-mapped
+// IPv6 addresses hash as the IPv4 pair, as Hasher.HashTuple has it.
+//
+//ruru:noalloc
 func (p *Port) classify(frame []byte) uint32 {
-	var s pkt.Summary
-	if err := p.parser.Parse(frame, &s); err != nil {
+	s := &p.sum
+	if err := p.parser.Parse(frame, s); err != nil {
 		return 0
 	}
+	var (
+		tuple [36]byte
+		n, l4 int
+		ip    = frame[s.Eth.HeaderLen:]
+	)
 	switch {
-	case s.Decoded&pkt.LayerTCP != 0:
-		return p.hasher.HashTuple(s.Src(), s.Dst(), s.TCP.SrcPort, s.TCP.DstPort)
-	case s.Decoded&pkt.LayerUDP != 0:
-		return p.hasher.HashTuple(s.Src(), s.Dst(), s.UDP.SrcPort, s.UDP.DstPort)
-	case s.Decoded&(pkt.LayerIPv4|pkt.LayerIPv6) != 0:
-		return p.hasher.HashTuple(s.Src(), s.Dst(), 0, 0)
+	case s.Decoded&pkt.LayerIPv4 != 0:
+		n, l4 = copy(tuple[:], ip[12:20]), s.IP4.HeaderLen
+	case s.Decoded&pkt.LayerIPv6 == 0:
+		return 0
+	case s.IP6.Src.Is4In6() && s.IP6.Dst.Is4In6():
+		n = copy(tuple[:], ip[20:24])
+		n += copy(tuple[n:], ip[36:40])
+		l4 = s.IP6.HeaderLen
+	default:
+		n, l4 = copy(tuple[:], ip[8:40]), s.IP6.HeaderLen
 	}
-	return 0
+	if s.Decoded&(pkt.LayerTCP|pkt.LayerUDP) != 0 {
+		n += copy(tuple[n:], ip[l4:l4+4]) // source port, destination port
+	}
+	return p.hasher.Hash(tuple[:n]) // absent ports are zero bytes: they add nothing
 }
 
-// blockWait is the Block policy's wait loop: it retries try on the
-// backoff ladder until it succeeds, the port is stopped, or the
-// BlockTimeout deadline (when configured) passes. Reports try's success.
-func (p *Port) blockWait(try func() bool) bool {
+// waiter is the Block policy's wait loop, one rung per call: hot spin
+// first, then cooperative yields, then exponentially growing sleeps capped
+// at 64µs — long enough to let a stalled worker run, short enough that
+// drain latency stays in the microsecond regime. Use:
+//
+//	for w := p.waiter(); !try() && w.wait(); {
+//	}
+type waiter struct {
+	p        *Port
+	n        int
+	deadline time.Time
+}
+
+func (p *Port) waiter() waiter { return waiter{p: p} }
+
+// wait sleeps the next rung and reports whether the caller should try
+// again: false once the port is stopped or the BlockTimeout deadline (when
+// configured, counted from the first wait) has passed.
+func (w *waiter) wait() bool {
+	p := w.p
 	if p.stopped.Load() {
 		return false
 	}
-	var deadline time.Time
 	if p.blockTimeout > 0 {
-		deadline = time.Now().Add(p.blockTimeout)
-	}
-	var bo backoff
-	for {
-		bo.wait()
-		if try() {
-			return true
-		}
-		if p.stopped.Load() {
-			return false
-		}
-		if p.blockTimeout > 0 && time.Now().After(deadline) {
+		if w.n == 0 {
+			w.deadline = time.Now().Add(p.blockTimeout)
+		} else if time.Now().After(w.deadline) {
 			return false
 		}
 	}
-}
-
-// tryGetBuf is a non-counting pool allocation attempt (the injection
-// paths count a failure only on final give-up).
-func (p *Port) tryGetBuf() *Buf {
-	select {
-	case b := <-p.pool.free:
-		return b
+	switch {
+	case w.n < 64:
+		// spin: the consumer is likely mid-burst on another core
+	case w.n < 128:
+		runtime.Gosched()
 	default:
-		return nil
+		time.Sleep(time.Duration(1<<uint(min(w.n-128, 6))) * time.Microsecond)
 	}
+	w.n++
+	return true
 }
 
 // fill copies a frame into a pool buffer, or reports why it couldn't.
+// Buffers come from the port's spare stack, restocked from the pool with
+// one bulk get for the want frames the caller still has to place (this one
+// included); whoever calls fill hands the leftovers back with returnSpare.
+//
 // Under the Block policy an exhausted mempool is waited out like a full
 // queue (buffers come back as workers free them), bounded by BlockTimeout,
-// so a lossless source never needs a caller-side retry loop. onStarve,
-// when non-nil, runs once before blocking — the burst path uses it to
-// flush its staged buffers, which would otherwise deadlock the wait (the
-// pool's missing buffers sitting in our own unpushed stage).
-func (p *Port) fill(frame []byte, ts int64, hash uint32, onStarve func()) (*Buf, InjectStatus) {
+// so a lossless source never needs a caller-side retry loop. Before it
+// blocks, fill flushes the burst's staged buffers, which would otherwise
+// deadlock the wait: the pool's missing buffers sitting in our own
+// unpushed stage.
+//
+//ruru:noalloc
+func (p *Port) fill(frame []byte, ts int64, hash uint32, want int) (*Buf, InjectStatus) {
 	if len(frame) > p.pool.bufSize {
 		p.ierrors.Add(1)
 		return nil, InjectErrFrame
 	}
-	b := p.tryGetBuf()
-	if b == nil && p.policy == Block {
-		if onStarve != nil {
-			onStarve()
+	if len(p.spare) == 0 && !p.restock(want) && p.policy == Block {
+		p.flushStage()
+		for w := p.waiter(); !p.restock(want) && w.wait(); {
 		}
-		p.blockWait(func() bool {
-			b = p.tryGetBuf()
-			return b != nil
-		})
 	}
-	if b == nil {
+	if len(p.spare) == 0 {
 		p.pool.allocFail.Add(1)
 		p.nombuf.Add(1)
 		return nil, InjectNoBuf
 	}
+	b := p.spare[len(p.spare)-1]
+	p.spare = p.spare[:len(p.spare)-1]
 	b.Len = copy(b.Data, frame)
 	b.Timestamp = ts
 	b.RSSHash = hash
 	return b, InjectOK
 }
 
-// backoff is the wait ladder used while blocking on a full queue:
-// hot spin first, then cooperative yields, then exponentially growing
-// sleeps capped at 64µs — long enough to let a stalled worker run,
-// short enough that drain latency stays in the microsecond regime.
-type backoff struct{ n int }
-
-func (b *backoff) wait() {
-	switch {
-	case b.n < 64:
-		// spin: the consumer is likely mid-burst on another core
-	case b.n < 128:
-		runtime.Gosched()
-	default:
-		shift := b.n - 128
-		if shift > 6 {
-			shift = 6
-		}
-		time.Sleep(time.Duration(1<<uint(shift)) * time.Microsecond)
+// restock takes up to want buffers from the pool into the empty spare
+// stack and reports whether it got any.
+//
+//ruru:noalloc
+func (p *Port) restock(want int) bool {
+	if cap(p.spare) < want {
+		p.spare = make([]*Buf, 0, want)
 	}
-	b.n++
+	p.spare = p.spare[:p.pool.getBulk(p.spare[:want])]
+	return len(p.spare) > 0
+}
+
+// returnSpare hands the buffers an injection took and did not use back to
+// the pool, so that a pool at full strength means an idle port.
+//
+//ruru:noalloc
+func (p *Port) returnSpare() {
+	if len(p.spare) > 0 {
+		p.pool.putBulk(p.spare)
+		p.spare = p.spare[:0]
+	}
 }
 
 // enqueue places one filled buffer on queue q, applying the overflow
@@ -408,7 +544,9 @@ func (p *Port) enqueue(q int, b *Buf) InjectStatus {
 	nbytes := uint64(b.Len)
 	ok := p.queues[q].Push(b)
 	if !ok && p.policy == Block {
-		ok = p.blockWait(func() bool { return p.queues[q].Push(b) })
+		for w := p.waiter(); !ok && w.wait(); {
+			ok = p.queues[q].Push(b)
+		}
 	}
 	if ok {
 		p.qstats[q].ipackets.Add(1)
@@ -423,7 +561,7 @@ func (p *Port) enqueue(q int, b *Buf) InjectStatus {
 // injectOne is the single-frame injection tail shared by the Inject
 // variants: copy into a pool buffer, enqueue on the hash's queue.
 func (p *Port) injectOne(frame []byte, ts int64, hash uint32) InjectStatus {
-	b, st := p.fill(frame, ts, hash, nil)
+	b, st := p.fill(frame, ts, hash, 1)
 	if st != InjectOK {
 		return st
 	}
@@ -455,9 +593,7 @@ func (p *Port) InjectTuple(frame []byte, ts int64, src, dst netip.Addr, srcPort,
 // Block the call waits for queue space up to BlockTimeout. Single producer
 // per port, like all injection paths.
 func (p *Port) InjectBurst(frames []Frame) int {
-	return p.injectStaged(frames, func(i int) uint32 {
-		return p.classify(frames[i].Data)
-	})
+	return p.injectStaged(frames, nil, false)
 }
 
 // InjectPreclassifiedBurst is InjectBurst for sources that already know
@@ -467,49 +603,58 @@ func (p *Port) InjectBurst(frames []Frame) int {
 // buffer copy and enqueue only. Extra hashes are ignored; missing ones
 // default to 0.
 func (p *Port) InjectPreclassifiedBurst(frames []Frame, hashes []uint32) int {
-	return p.injectStaged(frames, func(i int) uint32 {
-		if i < len(hashes) {
-			return hashes[i]
-		}
-		return 0
-	})
+	return p.injectStaged(frames, hashes, true)
 }
 
 // injectStaged is the burst-injection body shared by InjectBurst and
-// InjectPreclassifiedBurst: copy each frame into a pool buffer, stage per
-// target queue in arrival order, burst-push each queue's group. When the
-// mempool runs dry mid-burst under the Block policy, the stage is flushed
-// first — those buffers are exactly what the pool is missing, and blocking
-// while holding them would deadlock against ourselves.
-func (p *Port) injectStaged(frames []Frame, hashOf func(i int) uint32) int {
-	for q := range p.stage {
-		p.stage[q] = p.stage[q][:0]
-	}
-	accepted := 0
-	flushAll := func() {
-		for q := range p.stage {
-			accepted += p.flushQueue(q, p.stage[q])
-			p.stage[q] = p.stage[q][:0]
-		}
-	}
+// InjectPreclassifiedBurst (classified set: frame i's hash is hashes[i], 0
+// past the end): take the burst's buffers from the pool in one bulk get,
+// copy each frame into one, stage per target queue in arrival order,
+// burst-push each queue's group, and give the buffers that went unused
+// (oversize frames) back before returning. When the mempool runs dry
+// mid-burst under the Block policy, fill flushes the stage first — those
+// buffers are exactly what the pool is missing, and blocking while holding
+// them would deadlock against ourselves.
+//
+//ruru:noalloc
+func (p *Port) injectStaged(frames []Frame, hashes []uint32, classified bool) int {
+	p.accepted = 0
 	for i := range frames {
 		f := &frames[i]
-		hash := hashOf(i)
-		b, st := p.fill(f.Data, f.TS, hash, flushAll)
+		var hash uint32
+		if !classified {
+			hash = p.classify(f.Data)
+		} else if i < len(hashes) {
+			hash = hashes[i]
+		}
+		b, st := p.fill(f.Data, f.TS, hash, len(frames)-i)
 		if st != InjectOK {
 			continue // already counted
 		}
 		q := rss.Queue(hash, len(p.queues))
 		p.stage[q] = append(p.stage[q], b)
 	}
-	flushAll()
-	return accepted
+	p.flushStage()
+	p.returnSpare()
+	return p.accepted
+}
+
+// flushStage pushes every queue's staged group and empties the stage.
+//
+//ruru:noalloc
+func (p *Port) flushStage() {
+	for q := range p.stage {
+		p.accepted += p.flushQueue(q, p.stage[q])
+		p.stage[q] = p.stage[q][:0]
+	}
 }
 
 // flushQueue burst-pushes staged buffers onto queue q under the overflow
 // policy, returning how many were enqueued. Byte totals are tallied BEFORE
 // publishing: once pushed, a buffer belongs to the consumer, which may
 // free (and zero) it concurrently.
+//
+//ruru:noalloc
 func (p *Port) flushQueue(q int, bufs []*Buf) int {
 	if len(bufs) == 0 {
 		return 0
@@ -519,21 +664,17 @@ func (p *Port) flushQueue(q int, bufs []*Buf) int {
 		nbytes += uint64(b.Len)
 	}
 	n := p.queues[q].PushBurst(bufs)
-	rest := bufs[n:]
-	if len(rest) > 0 && p.policy == Block {
-		p.blockWait(func() bool {
-			k := p.queues[q].PushBurst(rest)
-			n += k
-			rest = rest[k:]
-			return len(rest) == 0
-		})
+	if n < len(bufs) && p.policy == Block {
+		for w := p.waiter(); n < len(bufs) && w.wait(); {
+			n += p.queues[q].PushBurst(bufs[n:])
+		}
 	}
-	if len(rest) > 0 {
+	if rest := bufs[n:]; len(rest) > 0 {
 		p.qstats[q].imissed.Add(uint64(len(rest)))
 		for _, b := range rest {
 			nbytes -= uint64(b.Len) // still ours: safe to read
-			b.Free()
 		}
+		p.pool.putBulk(rest)
 	}
 	p.qstats[q].ipackets.Add(uint64(n))
 	p.qstats[q].ibytes.Add(nbytes)
@@ -593,8 +734,11 @@ func (s *BurstStager) Accepted() int { return s.accepted }
 
 // RxBurst polls queue q for up to len(bufs) packets, returning the count.
 // This is the rte_eth_rx_burst analogue; workers call it in a poll loop.
-// The caller owns returned buffers and must Free them. Queues are SPSC
-// rings: exactly one worker may poll a given queue.
+// The caller owns returned buffers and must free them, the whole burst at
+// once with FreeBurst. Queues are SPSC rings: exactly one worker may poll a
+// given queue.
+//
+//ruru:noalloc
 func (p *Port) RxBurst(q int, bufs []*Buf) (int, error) {
 	if q < 0 || q >= len(p.queues) {
 		return 0, ErrBadQueue

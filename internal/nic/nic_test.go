@@ -70,6 +70,90 @@ func TestMempoolBuffersDistinct(t *testing.T) {
 	}
 }
 
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
+func TestDoubleFreePanics(t *testing.T) {
+	p := NewMempool(4, 64)
+	a, b := p.Get(), p.Get()
+	a.Free()
+	mustPanic(t, "second Free", a.Free)
+	mustPanic(t, "FreeBurst of a freed buffer", func() { FreeBurst([]*Buf{a}) })
+	mustPanic(t, "FreeBurst naming one buffer twice", func() { FreeBurst([]*Buf{b, b}) })
+	// The pool survives the panics unlocked and with each buffer in it once.
+	if p.Available() != 4 {
+		t.Fatalf("available = %d, want 4", p.Available())
+	}
+	seen := map[*Buf]bool{}
+	for i := 0; i < 4; i++ {
+		seen[p.Get()] = true
+	}
+	if len(seen) != 4 || seen[nil] {
+		t.Fatalf("pool handed out %d distinct buffers, want 4", len(seen))
+	}
+}
+
+func TestMempoolIsLIFO(t *testing.T) {
+	p := NewMempool(8, 64)
+	a, b, c := p.Get(), p.Get(), p.Get()
+	b.Free()
+	a.Free()
+	c.Free()
+	if got := p.Get(); got != c {
+		t.Fatal("Get did not return the buffer freed last")
+	}
+	if got := p.Get(); got != a {
+		t.Fatal("second Get did not return the buffer freed before it")
+	}
+	// A burst put back is taken again top first, and a bulk get put back
+	// untouched leaves the stack as it was.
+	FreeBurst([]*Buf{c, a})
+	var two [2]*Buf
+	if n := p.getBulk(two[:]); n != 2 || two[1] != a || two[0] != c {
+		t.Fatalf("getBulk = %d %p %p, want the burst back in stack order", n, two[0], two[1])
+	}
+	p.putBulk(two[:])
+	if got := p.Get(); got != a {
+		t.Fatal("stack order changed across an unused bulk get")
+	}
+	// Buffers of two pools in one burst each go home.
+	q := NewMempool(2, 64)
+	x := q.Get()
+	FreeBurst([]*Buf{a, x})
+	if p.Available() != 8 || q.Available() != 2 {
+		t.Fatalf("available = %d and %d, want 8 and 2", p.Available(), q.Available())
+	}
+}
+
+func TestMempoolClose(t *testing.T) {
+	p := NewMempool(4, 64)
+	b := p.Get()
+	b.Data[0] = 1
+	if err := p.Close(); err == nil {
+		t.Fatal("Close succeeded with a buffer out")
+	}
+	if b.Data[0] != 1 || p.Available() != 3 {
+		t.Fatal("a refused Close disturbed the pool")
+	}
+	b.Free()
+	if err := p.Close(); err != nil {
+		t.Fatalf("Close with every buffer home: %v", err)
+	}
+	if p.Get() != nil || b.Data != nil {
+		t.Fatal("a closed pool still hands out memory")
+	}
+	if err := p.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+}
+
 func TestPortValidation(t *testing.T) {
 	if _, err := NewPort(PortConfig{Queues: 0, Pool: NewMempool(1, 64)}); err == nil {
 		t.Fatal("zero queues accepted")
@@ -649,6 +733,118 @@ func TestBlockPolicyUnblocksWhenDrained(t *testing.T) {
 	}
 	if s := port.Stats(); s.Ipackets != 3 || s.Imissed != 0 {
 		t.Fatalf("stats: %+v", s)
+	}
+}
+
+func TestInjectBurstLeavesPoolIdle(t *testing.T) {
+	// Available() == Size() has to mean nobody holds a buffer, so an
+	// injection hands back the buffers it took for frames it then refused
+	// — oversize ones, and under Drop those a full queue turned away.
+	pool := NewMempool(64, 256)
+	port, err := NewPort(PortConfig{Queues: 1, QueueDepth: 4, Pool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok, big := buildSYN(t, "10.0.0.1", "192.0.2.1", 1000, 443), make([]byte, 257)
+	batch := []Frame{{Data: big}, {Data: ok}, {Data: big}, {Data: ok}, {Data: ok}, {Data: ok}, {Data: ok}, {Data: big}}
+	if n := port.InjectBurst(batch); n != 4 {
+		t.Fatalf("accepted %d, want the queue's 4", n)
+	}
+	if got := pool.Available(); got != pool.Size()-4 {
+		t.Fatalf("available = %d with 4 frames queued, want %d", got, pool.Size()-4)
+	}
+	bufs := make([]*Buf, 8)
+	n, _ := port.RxBurst(0, bufs)
+	FreeBurst(bufs[:n])
+	if pool.Available() != pool.Size() {
+		t.Fatalf("available = %d of %d after the drain", pool.Available(), pool.Size())
+	}
+	if st := port.Stats(); st.Ipackets != 4 || st.Ierrors != 3 || st.Imissed != 1 || st.NoMbuf != 0 {
+		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// insert returns frame with extra spliced in at off.
+func insert(frame []byte, off int, extra ...byte) []byte {
+	out := append([]byte(nil), frame[:off]...)
+	return append(append(out, extra...), frame[off:]...)
+}
+
+func TestClassifyMatchesHashTuple(t *testing.T) {
+	// classify hashes tuple bytes where they lie in the frame; the
+	// definition is HashTuple over the parsed addresses and ports.
+	build := func(src, dst string, sp, dp uint16) []byte { return buildSYN(t, src, dst, sp, dp) }
+	v4 := build("66.9.149.187", "161.142.100.80", 2794, 1766)
+	v6 := build("3ffe:2501:200:1fff::7", "3ffe:2501:200:3::1", 2794, 1766)
+	udp := make([]byte, 128)
+	n, err := pkt.BuildUDPFrame(udp, pkt.MAC{1}, pkt.MAC{2},
+		netip.MustParseAddr("24.19.198.95"), netip.MustParseAddr("12.22.207.184"), 12898, 38024, []byte("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	udp = udp[:n]
+
+	vlan := insert(v4, 12, 0x81, 0x00, 0x00, 0x07)
+	opts := insert(v4, 14+20, 1, 1, 1, 1) // four NOP options
+	opts[14] = 0x46
+	opts[14+3] += 4
+	ext := insert(v6, 14+40, 6, 0, 1, 4, 0, 0, 0, 0) // hop-by-hop: next TCP, PadN
+	ext[14+6] = 0
+	ext[14+5] += 8
+	mapped := append([]byte(nil), v6...)
+	copy(mapped[14+8:], netip.MustParseAddr("::ffff:10.1.2.3").AsSlice())
+	copy(mapped[14+24:], netip.MustParseAddr("::ffff:192.0.2.9").AsSlice())
+	halfMapped := append([]byte(nil), v6...)
+	copy(halfMapped[14+8:], netip.MustParseAddr("::ffff:10.1.2.3").AsSlice())
+	icmp := append([]byte(nil), v4...)
+	icmp[14+9] = 1
+	frag := append([]byte(nil), v4...)
+	frag[14+7] = 9 // fragment offset 9: no transport header in this one
+	arp := append([]byte(nil), v4...)
+	arp[12], arp[13] = 0x08, 0x06
+
+	for _, h := range []*rss.Hasher{rss.NewSymmetric(), rss.New(rss.MicrosoftKey)} {
+		port, err := NewPort(PortConfig{Queues: 1, Pool: NewMempool(1, 64), Hasher: h})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name   string
+			frame  []byte
+			ports  bool
+			hashed bool
+		}{
+			{"v4", v4, true, true}, {"v6", v6, true, true}, {"udp", udp, true, true},
+			{"vlan", vlan, true, true}, {"ip options", opts, true, true}, {"v6 extension", ext, true, true},
+			{"v4-mapped pair", mapped, true, true}, {"one v4-mapped", halfMapped, true, true},
+			{"icmp", icmp, false, true}, {"fragment", frag, false, true},
+			{"arp", arp, false, false}, {"runt", v4[:20], false, false},
+		} {
+			var (
+				parser pkt.Parser
+				s      pkt.Summary
+				want   uint32
+			)
+			if err := parser.Parse(c.frame, &s); c.hashed && err != nil {
+				t.Fatalf("%s: test frame does not parse: %v", c.name, err)
+			}
+			switch {
+			case c.ports && s.Decoded&pkt.LayerTCP != 0:
+				want = h.HashTuple(s.Src(), s.Dst(), s.TCP.SrcPort, s.TCP.DstPort)
+			case c.ports && s.Decoded&pkt.LayerUDP != 0:
+				want = h.HashTuple(s.Src(), s.Dst(), s.UDP.SrcPort, s.UDP.DstPort)
+			case c.ports:
+				t.Fatalf("%s: test frame has no transport header (decoded %b)", c.name, s.Decoded)
+			case c.hashed:
+				want = h.HashTuple(s.Src(), s.Dst(), 0, 0)
+			}
+			if c.hashed && want == 0 {
+				t.Fatalf("%s: reference hash is 0, the test would pass vacuously", c.name)
+			}
+			if got := port.classify(c.frame); got != want {
+				t.Errorf("%s: classify = %#08x, HashTuple = %#08x", c.name, got, want)
+			}
+		}
 	}
 }
 

@@ -15,7 +15,11 @@
 // directions are scattered across queues.
 package rss
 
-import "net/netip"
+import (
+	"encoding/binary"
+	"math/bits"
+	"net/netip"
+)
 
 // KeyLen is the RSS secret key length in bytes (the standard 40-byte key
 // covers IPv6 4-tuples: 16+16+2+2 + 4 spare).
@@ -41,54 +45,121 @@ var MicrosoftKey = [KeyLen]byte{
 	0x6a, 0x42, 0xb7, 0x3b, 0xbe, 0xac, 0x01, 0xfa,
 }
 
+// foldLen is how many leading input bytes see only real key bits: from byte
+// 36 on, a byte's 32-bit windows run past the end of the 40-byte key into
+// its zero padding. It is also the length of the longest 4-tuple (IPv6).
+const foldLen = KeyLen - 4
+
 // Hasher computes Toeplitz hashes with a fixed key. Construct with New; a
 // Hasher is immutable and safe for concurrent use.
+//
+// The hash is linear over GF(2): the hash of an input is the XOR of what
+// each of its bytes contributes at its position, and what a byte
+// contributes is the XOR of what its set bits do. So New tabulates, for
+// every byte position the key covers, the contribution of every byte value,
+// and Hash is one load and one XOR per input byte — bit-identical to the
+// bit-serial definition in the RSS specification.
 type Hasher struct {
-	key [KeyLen]byte
+	tab [KeyLen][256]uint32
+	// fold is set when the key repeats every 16 bits (the symmetric key):
+	// positions 0, 2, 4, … then share one table and positions 1, 3, 5, …
+	// another, and by the same linearity the hash is those two tables
+	// looked up at the XOR of the even-position bytes and the XOR of the
+	// odd-position bytes. Holds for the first foldLen positions only.
+	fold bool
 }
 
-// New returns a Hasher using the given 40-byte key.
-func New(key [KeyLen]byte) *Hasher { return &Hasher{key: key} }
+// symmetric is the one Hasher every symmetric-key user shares.
+var symmetric = New(SymmetricKey)
 
-// NewSymmetric returns a Hasher with the symmetric 0x6d5a key, the
-// configuration Ruru uses in production.
-func NewSymmetric() *Hasher { return New(SymmetricKey) }
+// New returns a Hasher using the given 40-byte key. It costs a few
+// microseconds (10240 XORs into 40 KiB of tables); share the result.
+func New(key [KeyLen]byte) *Hasher {
+	h := &Hasher{}
+	var padded [KeyLen + 4]byte // the windows of byte 39 reach key bit 351
+	copy(padded[:], key[:])
+	for i := range h.tab {
+		// span is the 39 key bits the eight windows of input byte i cover,
+		// left-aligned: window j (for input bit j, MSB first) is key bits
+		// [8i+j, 8i+j+32).
+		span := uint64(padded[i])<<56 | uint64(padded[i+1])<<48 | uint64(padded[i+2])<<40 |
+			uint64(padded[i+3])<<32 | uint64(padded[i+4])<<24
+		t := &h.tab[i]
+		for v := 1; v < 256; v++ {
+			// A value's entry is the entry of the value without its lowest
+			// set bit, XOR that bit's window.
+			low := v & -v
+			j := 7 - bits.TrailingZeros8(uint8(low))
+			t[v] = t[v&^low] ^ uint32(span<<uint(j)>>32)
+		}
+	}
+	h.fold = true
+	for i := 2; i < foldLen && h.fold; i++ {
+		h.fold = h.tab[i] == h.tab[i-2]
+	}
+	return h
+}
+
+// NewSymmetric returns the Hasher with the symmetric 0x6d5a key, the
+// configuration Ruru uses in production. Every call returns the same shared
+// Hasher.
+func NewSymmetric() *Hasher { return symmetric }
 
 // Hash computes the Toeplitz hash of input per the Microsoft RSS spec: for
 // each set bit i (MSB-first) of the input, XOR in the 32-bit window of the
-// key starting at bit i.
+// key starting at bit i, the key zero-extended past its 40 bytes. Input
+// bytes from the 41st on therefore contribute nothing.
+//
+//ruru:noalloc
 func (h *Hasher) Hash(input []byte) uint32 {
-	var result uint32
-	// window holds the leftmost 32 bits of the key shifted left by the
-	// number of input bits consumed so far.
-	window := uint64(h.key[0])<<56 | uint64(h.key[1])<<48 |
-		uint64(h.key[2])<<40 | uint64(h.key[3])<<32 |
-		uint64(h.key[4])<<24 | uint64(h.key[5])<<16 |
-		uint64(h.key[6])<<8 | uint64(h.key[7])
-	nextKeyByte := 8
-	for _, b := range input {
-		for bit := 7; bit >= 0; bit-- {
-			if b&(1<<uint(bit)) != 0 {
-				result ^= uint32(window >> 32)
-			}
-			window <<= 1
+	if len(input) > KeyLen {
+		input = input[:KeyLen]
+	}
+	var (
+		result uint32
+		i      int
+	)
+	if h.fold {
+		n := min(len(input), foldLen)
+		var acc uint64
+		for ; i+8 <= n; i += 8 {
+			acc ^= binary.BigEndian.Uint64(input[i:])
 		}
-		// Refill the low byte of the 64-bit window every 8 shifts.
-		if nextKeyByte < KeyLen {
-			window |= uint64(h.key[nextKeyByte])
-			nextKeyByte++
+		if i+4 <= n {
+			acc ^= uint64(binary.BigEndian.Uint32(input[i:]))
+			i += 4
 		}
+		if i+2 <= n {
+			acc ^= uint64(binary.BigEndian.Uint16(input[i:]))
+			i += 2
+		}
+		if i < n {
+			acc ^= uint64(input[i]) << 8
+			i++
+		}
+		// Every load put even-position bytes at bits 8–15 modulo 16 and
+		// odd-position bytes at bits 0–7 modulo 16; two halvings XOR each
+		// class down to one byte.
+		acc ^= acc >> 32
+		acc ^= acc >> 16
+		result = h.tab[0][byte(acc>>8)] ^ h.tab[1][byte(acc)]
+	}
+	for ; i < len(input); i++ {
+		result ^= h.tab[i][input[i]]
 	}
 	return result
 }
 
 // HashTuple computes the RSS hash of an IPv4/IPv6 4-tuple. The layout matches
 // hardware RSS input: src addr, dst addr, src port, dst port, all big-endian.
+// A pair of IPv4-mapped IPv6 addresses hashes as the IPv4 pair it maps.
+//
+//ruru:noalloc
 func (h *Hasher) HashTuple(src, dst netip.Addr, srcPort, dstPort uint16) uint32 {
 	var buf [36]byte
 	var n int
-	if src.Is4() || src.Is4In6() {
-		a, b := src.Unmap().As4(), dst.Unmap().As4()
+	if s, d := src.Unmap(), dst.Unmap(); s.Is4() && d.Is4() {
+		a, b := s.As4(), d.As4()
 		copy(buf[0:4], a[:])
 		copy(buf[4:8], b[:])
 		n = 8

@@ -2,10 +2,106 @@ package rss
 
 import (
 	"math"
+	"math/rand"
 	"net/netip"
 	"testing"
 	"testing/quick"
 )
+
+// referenceHash is the Toeplitz hash as the RSS specification states it,
+// one input bit at a time: the definition the tables are checked against
+// (and the implementation this package shipped before it had tables).
+func referenceHash(key [KeyLen]byte, input []byte) uint32 {
+	var result uint32
+	// window holds the leftmost 32 bits of the key shifted left by the
+	// number of input bits consumed so far.
+	window := uint64(key[0])<<56 | uint64(key[1])<<48 |
+		uint64(key[2])<<40 | uint64(key[3])<<32 |
+		uint64(key[4])<<24 | uint64(key[5])<<16 |
+		uint64(key[6])<<8 | uint64(key[7])
+	nextKeyByte := 8
+	for _, b := range input {
+		for bit := 7; bit >= 0; bit-- {
+			if b&(1<<uint(bit)) != 0 {
+				result ^= uint32(window >> 32)
+			}
+			window <<= 1
+		}
+		// Refill the low byte of the 64-bit window every 8 shifts.
+		if nextKeyByte < KeyLen {
+			window |= uint64(key[nextKeyByte])
+			nextKeyByte++
+		}
+	}
+	return result
+}
+
+// testKeys are the two shipped keys plus keys that sit on the edges of the
+// fold's precondition: random (no period), period 16 bits with other bytes
+// than 0x6d5a, and period 16 bits broken only in the last four bytes (the
+// part the fold does not cover).
+func testKeys(rng *rand.Rand) [][KeyLen]byte {
+	keys := [][KeyLen]byte{SymmetricKey, MicrosoftKey}
+	for k := 0; k < 8; k++ {
+		var key [KeyLen]byte
+		rng.Read(key[:])
+		keys = append(keys, key)
+	}
+	var periodic, brokenTail, brokenMid [KeyLen]byte
+	for i := range periodic {
+		periodic[i] = [2]byte{0xa7, 0x31}[i%2]
+	}
+	brokenTail, brokenMid = periodic, periodic
+	brokenTail[KeyLen-1] ^= 0x01
+	brokenMid[21] ^= 0x80
+	return append(keys, periodic, brokenTail, brokenMid)
+}
+
+func TestHashMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for _, key := range testKeys(rng) {
+		h := New(key)
+		// Every length the tables cover, and past them: bytes from the
+		// 41st on meet only the key's zero padding.
+		for n := 0; n <= KeyLen+8; n++ {
+			for rep := 0; rep < 64; rep++ {
+				in := make([]byte, n)
+				rng.Read(in)
+				if got, want := h.Hash(in), referenceHash(key, in); got != want {
+					t.Fatalf("key %x fold=%v len %d input %x: Hash = %#08x, reference %#08x",
+						key, h.fold, n, in, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestFoldOnlyForPeriodicKeys(t *testing.T) {
+	keys := testKeys(rand.New(rand.NewSource(18)))
+	n := len(keys)
+	want := map[int]bool{0: true, n - 3: true, n - 2: true} // symmetric, periodic, brokenTail
+	for i, key := range keys {
+		if got := New(key).fold; got != want[i] {
+			t.Errorf("key %d (%x): fold = %v, want %v", i, key, got, want[i])
+		}
+	}
+	if NewSymmetric() != NewSymmetric() {
+		t.Error("NewSymmetric built a second Hasher")
+	}
+}
+
+func FuzzToeplitz(f *testing.F) {
+	f.Add(SymmetricKey[:], []byte{66, 9, 149, 187, 161, 142, 100, 80, 0x0a, 0xea, 0x06, 0xe6})
+	f.Add(MicrosoftKey[:], make([]byte, 36))
+	f.Add([]byte{0xff}, make([]byte, 45))
+	f.Fuzz(func(t *testing.T, keyBytes, input []byte) {
+		var key [KeyLen]byte
+		copy(key[:], keyBytes)
+		if got, want := New(key).Hash(input), referenceHash(key, input); got != want {
+			t.Fatalf("key %x input %x: Hash = %#08x, reference %#08x", key, input, got, want)
+		}
+	})
+}
 
 // Known-answer vectors from the Microsoft RSS verification suite
 // (the canonical test data every RSS implementation validates against).
@@ -134,22 +230,45 @@ func TestHashZeroInput(t *testing.T) {
 	}
 }
 
-func BenchmarkHashTupleV4(b *testing.B) {
-	h := NewSymmetric()
-	src := netip.MustParseAddr("66.9.149.187")
-	dst := netip.MustParseAddr("161.142.100.80")
+// benchTuples is a set of distinct tuples large enough that no predictor or
+// cache line remembers one from its last visit.
+func benchTuples(v6 bool) (src, dst []netip.Addr, sp, dp []uint16) {
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 4096; i++ {
+		var a, b [16]byte
+		rng.Read(a[:])
+		rng.Read(b[:])
+		if v6 {
+			src, dst = append(src, netip.AddrFrom16(a)), append(dst, netip.AddrFrom16(b))
+		} else {
+			src, dst = append(src, netip.AddrFrom4([4]byte(a[:4]))), append(dst, netip.AddrFrom4([4]byte(b[:4])))
+		}
+		sp, dp = append(sp, uint16(rng.Uint32())), append(dp, uint16(rng.Uint32()))
+	}
+	return
+}
+
+var sinkHash uint32
+
+func benchHashTuple(b *testing.B, h *Hasher, v6 bool) {
+	src, dst, sp, dp := benchTuples(v6)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = h.HashTuple(src, dst, 2794, 1766)
+		k := i % len(src)
+		sinkHash = h.HashTuple(src[k], dst[k], sp[k], dp[k])
 	}
 }
 
-func BenchmarkHashTupleV6(b *testing.B) {
-	h := NewSymmetric()
-	src := netip.MustParseAddr("3ffe:2501:200:1fff::7")
-	dst := netip.MustParseAddr("3ffe:2501:200:3::1")
+func BenchmarkHashTupleV4(b *testing.B)          { benchHashTuple(b, NewSymmetric(), false) }
+func BenchmarkHashTupleV6(b *testing.B)          { benchHashTuple(b, NewSymmetric(), true) }
+func BenchmarkHashTupleV4Microsoft(b *testing.B) { benchHashTuple(b, New(MicrosoftKey), false) }
+func BenchmarkHashTupleV6Microsoft(b *testing.B) { benchHashTuple(b, New(MicrosoftKey), true) }
+
+// BenchmarkNew is what a caller that builds its own Hasher pays.
+func BenchmarkNew(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = h.HashTuple(src, dst, 2794, 1766)
+		sinkHash = New(MicrosoftKey).tab[0][1]
 	}
 }

@@ -702,7 +702,8 @@ func (p *Pipeline) Stats() Stats {
 	}
 }
 
-// Close releases resources (federation endpoints, bus, hub, DB). The
+// Close releases resources (federation endpoints, bus, hub, DB, the packet
+// buffer arena). The
 // aggregator closes first so no remote batch races the DB shutdown, then
 // the probe (persisting its spool ack watermark), then the local stages.
 // On a persistent pipeline the DB close flushes and fsyncs the WAL so a
@@ -722,5 +723,10 @@ func (p *Pipeline) Close() error {
 	if e := p.DB.Close(); err == nil {
 		err = e
 	}
+	// The packet arena goes only when every buffer is home. A source that
+	// outlived Run may still hold frames, or Run may never have drained
+	// the queues; then the mapping stays until exit, which costs address
+	// space and is no fault of this shutdown's.
+	_ = p.Pool.Close()
 	return err
 }

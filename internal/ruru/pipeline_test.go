@@ -221,6 +221,65 @@ func TestPipelineEndToEnd(t *testing.T) {
 	}
 }
 
+func TestCloseReleasesPacketArena(t *testing.T) {
+	w := newWorld(t)
+	frames := func(p *Pipeline) int {
+		g, err := gen.New(gen.Config{Seed: 2, World: w, FlowRate: 200, Duration: 1e9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g.RunToPort(p.Port, false)
+	}
+
+	// Run to completion, then Close: every buffer is home, the arena goes.
+	p, err := New(Config{GeoDB: w.DB(), Queues: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frames(p) == 0 {
+		t.Fatal("nothing injected")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	p.Run(ctx) // drains what is queued
+	if p.Pool.Available() != p.Pool.Size() {
+		t.Fatalf("pool %d/%d after Run", p.Pool.Available(), p.Pool.Size())
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if p.Pool.Get() != nil {
+		t.Fatal("pool still hands out buffers after Close")
+	}
+
+	// Close with frames still queued (Run never drained them): no error,
+	// and the memory those frames sit in stays mapped.
+	p, err = New(Config{GeoDB: w.DB(), Queues: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := frames(p)
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bufs := make([]*nic.Buf, 1)
+	for q := 0; q < 2; q++ {
+		for {
+			if k, _ := p.Port.RxBurst(q, bufs); k == 0 {
+				break
+			}
+			if len(bufs[0].Bytes()) == 0 {
+				t.Fatal("queued frame lost its memory")
+			}
+			nic.FreeBurst(bufs)
+			n--
+		}
+	}
+	if n != 0 {
+		t.Fatalf("%d queued frames unaccounted for", n)
+	}
+}
+
 func TestPipelineGroupByCityQueries(t *testing.T) {
 	w := newWorld(t)
 	p, err := New(Config{GeoDB: w.DB(), Queues: 2, HandshakeTimeout: 60e9})
