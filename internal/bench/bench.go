@@ -75,7 +75,7 @@ func Specs() []Spec {
 		{Name: "core/seq-rtt", F: benchSeqRTT},
 		{Name: "sink/consume", F: benchSinkConsume},
 		{Name: "db/write-batch", F: benchDBWriteBatch},
-		{Name: "db/write-batch-ref", F: benchDBWriteBatchRef},
+		{Name: "db/write-batch-ref-20k", F: benchDBWriteBatchRef20k},
 		{Name: "db/write-batch-ref-steady", F: benchDBWriteBatchRefSteady},
 		{Name: "wal/write-interval", F: benchWALWrite},
 		{Name: "query/rollup", F: benchRollupQuery},
@@ -424,42 +424,61 @@ func benchDBWriteBatch(b *testing.B) {
 	reportPPS(b, batchLen)
 }
 
-// benchDBWriteBatchRef: the interned-handle zero-alloc entry point, same
-// shape as benchDBWriteBatch.
-func benchDBWriteBatchRef(b *testing.B) {
-	const batchLen = 64
-	db := tsdb.Open(dbBatchOpts(8))
-	var worker, clock atomic.Int64
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		city := "City" + fmt.Sprint(worker.Add(1))
-		ref, err := db.Ref("latency",
+// benchDBWriteBatchRef20k: the interned-handle entry point under the sink's
+// load, so the row can be read against the benchmark's traced
+// tsdb.write_ref_ns_per_pt — 20 k interned series, the default rollup
+// ladder, default one-hour shards, one writer, and every 64-point batch
+// spread over 64 distinct series on a clock advancing 20 µs a point (50 k
+// measurements/s). Each series is therefore revisited every 0.4 s of data
+// time: cold cache lines, and a new bucket in some tier column on most
+// points. (The 16-series version of this row read 50–80× below the trace.)
+func benchDBWriteBatchRef20k(b *testing.B) {
+	const batchLen, nSeries = 64, 20000
+	db := tsdb.Open(tsdb.Options{Stripes: 8, Rollups: tsdb.DefaultRollups()})
+	refs := make([]tsdb.SeriesRef, nSeries)
+	for i := range refs {
+		var err error
+		refs[i], err = db.Ref("latency",
 			[]tsdb.Tag{
-				{Key: "src_city", Value: city},
-				{Key: "dst_city", Value: "Los Angeles"},
+				{Key: "src_city", Value: "City" + fmt.Sprint(i%200)},
+				{Key: "dst_city", Value: "City" + fmt.Sprint(i/200)},
 			},
 			"internal_ms", "external_ms", "total_ms")
 		if err != nil {
 			b.Fatal(err)
 		}
-		batch := make([]tsdb.RefPoint, batchLen)
-		vals := make([]float64, 3*batchLen)
-		for i := range batch {
-			v := vals[3*i : 3*i+3 : 3*i+3]
-			v[0], v[1], v[2] = 15, 130, 145
-			batch[i] = tsdb.RefPoint{Ref: ref, Vals: v}
+	}
+	batch := make([]tsdb.RefPoint, batchLen)
+	vals := make([]float64, 3*batchLen)
+	for i := range batch {
+		batch[i].Vals = vals[3*i : 3*i+3 : 3*i+3]
+	}
+	var t int64
+	next := 0
+	write := func() {
+		for j := range batch {
+			t += 20e3
+			next = (next + 7919) % nSeries // a prime stride: every series, none twice in a batch
+			in := 15 + float64(next%97)
+			v := batch[j].Vals
+			v[0], v[1], v[2] = in, 130, in+130
+			batch[j].Ref, batch[j].Time = refs[next], t
 		}
-		for pb.Next() {
-			t := clock.Add(batchLen*1e6) - batchLen*1e6
-			for i := range batch {
-				t += 1e6
-				batch[i].Time = t
-			}
-			if _, err := db.WriteBatchRef(batch); err != nil {
-				b.Fatal(err)
-			}
+		if _, err := db.WriteBatchRef(batch); err != nil {
+			b.Fatal(err)
 		}
-	})
+	}
+	// One pass over every series first: a series' first point builds its
+	// chunk, columns and tier maps, which a deployment pays once per series
+	// per hour and a short run would pay on a tenth of its points.
+	for i := 0; i <= nSeries/batchLen; i++ {
+		write()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		write()
+	}
 	reportPPS(b, batchLen)
 }
 

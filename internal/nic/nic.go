@@ -354,6 +354,7 @@ type Port struct {
 	sum      pkt.Summary
 	stage    [][]*Buf // per-queue staging for InjectBurst
 	spare    []*Buf   // buffers taken from the pool for the frames still to come
+	one      [1]*Buf  // injectOne's burst of one
 	accepted int      // frames the running burst has enqueued so far
 }
 
@@ -538,34 +539,22 @@ func (p *Port) returnSpare() {
 	}
 }
 
-// enqueue places one filled buffer on queue q, applying the overflow
-// policy. It owns accounting for both outcomes.
-func (p *Port) enqueue(q int, b *Buf) InjectStatus {
-	nbytes := uint64(b.Len)
-	ok := p.queues[q].Push(b)
-	if !ok && p.policy == Block {
-		for w := p.waiter(); !ok && w.wait(); {
-			ok = p.queues[q].Push(b)
-		}
-	}
-	if ok {
-		p.qstats[q].ipackets.Add(1)
-		p.qstats[q].ibytes.Add(nbytes)
-		return InjectOK
-	}
-	p.qstats[q].imissed.Add(1)
-	b.Free()
-	return InjectDropped
-}
-
 // injectOne is the single-frame injection tail shared by the Inject
-// variants: copy into a pool buffer, enqueue on the hash's queue.
+// variants: copy into a pool buffer, then push it on the hash's queue as a
+// burst of one, so flushQueue owns the overflow policy and the accounting
+// for every injection path.
+//
+//ruru:noalloc
 func (p *Port) injectOne(frame []byte, ts int64, hash uint32) InjectStatus {
 	b, st := p.fill(frame, ts, hash, 1)
 	if st != InjectOK {
 		return st
 	}
-	return p.enqueue(rss.Queue(hash, len(p.queues)), b)
+	p.one[0] = b
+	if p.flushQueue(rss.Queue(hash, len(p.queues)), p.one[:]) == 0 {
+		return InjectDropped
+	}
+	return InjectOK
 }
 
 // Inject delivers one frame to the port as if it arrived on the wire at

@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -55,7 +56,7 @@ type DB struct {
 	// maybeSweepAll must run.
 	sweepRet int64
 	// sweptShard is the last horizon shard index for which every stripe
-	// was purged: writes to one stripe must still retire expired shards
+	// was purged: writes to one stripe must still retire expired chunks
 	// in stripes that have gone idle.
 	sweptShard atomic.Int64
 	closed     atomic.Bool
@@ -77,10 +78,11 @@ type DB struct {
 	commitMu sync.RWMutex
 
 	// Series directory: every series identity ever written, published
-	// copy-on-write behind dir so queries resolve series lock-free (see
-	// ref.go). byKey and the backing arrays are guarded by dirMu; a write
-	// or Ref creating a brand-new shape interns it under stripe mu → dirMu,
-	// which is why dirMu is last in the lock order.
+	// copy-on-write behind dir so queries match series and WriteBatchRef
+	// resolves handles lock-free (see ref.go). byKey and the backing arrays
+	// are guarded by dirMu; a write or Ref creating a brand-new shape interns
+	// it under stripe mu → dirMu, which is why dirMu is last in the lock
+	// order.
 	dir       atomic.Pointer[seriesDir]
 	dirMu     sync.Mutex
 	byKey     map[string]*seriesIdent
@@ -143,15 +145,19 @@ func (sc *writeScratch) stage(p *Point, mask uint32) error {
 	return nil
 }
 
-// stripe is one lock-striped partition: a full shard map for the series
-// that hash into it, plus per-tier rollup shard maps for the same series.
-// A series' raw points and its tier pre-aggregates always live in the same
-// stripe and are only touched under mu.
+// stripe is one lock-striped partition: the series that hash into it, each
+// owning its raw chunks and its rollup-tier chunks (ref.go). Everything a
+// series stores lives in one stripe and is only touched under mu.
 type stripe struct {
-	mu     sync.RWMutex
-	shards map[int64]*shard // keyed by shard start time
-	order  []int64          // sorted shard starts
-	tiers  []tierStripe     // one per Options.Rollups entry
+	mu sync.RWMutex
+	// idents lists the stripe's series in interned order: the walk order of
+	// retention, dumps and TagValues.
+	idents []*seriesIdent
+	// starts holds, per level — 0 is raw storage, 1+ti is rollup tier ti —
+	// the sorted starts of the shard slots in which some series of the stripe
+	// has a chunk. Slots expire oldest first, so starts[l][0] alone tells a
+	// write whether level l has anything to retire.
+	starts [][]int64
 	// refs interns every (series, ordered field set) shape whose series
 	// hashes into this stripe, keyed by its ref key. Living under mu — the
 	// lock a write takes anyway — lets Write/WriteBatch resolve a point to
@@ -159,27 +165,24 @@ type stripe struct {
 	refs map[string]*refState
 }
 
-// shard holds all series for one time slice (within one stripe). Queries
-// do not scan shards for series identity any more — the copy-on-write
-// directory (ref.go) knows which shards every series lives in — so shards
-// no longer carry an inverted tag index.
-type shard struct {
-	start, end int64
-	series     map[string]*series
+// noteSlot records that some series of st now has a chunk in level lvl's
+// shard slot starting at start. Caller holds st.mu.
+func (st *stripe) noteSlot(lvl int, start int64) {
+	if i, ok := slices.BinarySearch(st.starts[lvl], start); !ok {
+		st.starts[lvl] = slices.Insert(st.starts[lvl], i, start)
+	}
 }
 
-// series is one (measurement, tagset) column store. Fields are positional
-// (fkeys[i] names cols[i]): the working field set of a series is a handful
-// of keys, so a linear scan beats a map hop, gives the ref path stable
-// column indices to cache, and makes snapshot iteration deterministic.
-// name/tags alias the owning ident's strings.
+// series is one series' raw chunk: its points within one shard slot
+// [start, end), as a column store. Fields are positional (fkeys[i] names
+// cols[i]): the working field set of a series is a handful of keys, so a
+// linear scan beats a map hop, gives the ref path stable column indices to
+// cache, and makes snapshot iteration deterministic.
 type series struct {
-	name  string
-	tags  []Tag
-	ident *seriesIdent
-	times []int64
-	fkeys []string
-	cols  [][]float64
+	start, end int64
+	times      []int64
+	fkeys      []string
+	cols       [][]float64
 }
 
 // findCol returns the index of the named column, or -1.
@@ -251,12 +254,10 @@ func OpenDB(opts Options) (*DB, error) {
 	db.dir.Store(&seriesDir{})
 	db.scratchPool.New = func() any { return &writeScratch{} }
 	for i := range db.stripes {
-		st := &stripe{shards: make(map[int64]*shard), refs: make(map[string]*refState)}
-		st.tiers = make([]tierStripe, len(opts.Rollups))
-		for t := range st.tiers {
-			st.tiers[t].shards = make(map[int64]*tierShard)
+		db.stripes[i] = &stripe{
+			starts: make([][]int64, 1+len(opts.Rollups)),
+			refs:   make(map[string]*refState),
 		}
-		db.stripes[i] = st
 	}
 	if opts.Persist != nil {
 		// openPersist restores + replays with db.persist still nil (so
@@ -438,22 +439,6 @@ func (db *DB) writeStagedLocked(st *stripe, sc *writeScratch, i int, p *Point, m
 	db.writeRefLocked(st, rs, p.Time, sc.vals[sc.voffs[i]:sc.voffs[i+1]], maxT)
 }
 
-// shardAt returns st's raw shard starting at start, creating it if absent.
-// Caller holds st.mu.
-func (db *DB) shardAt(st *stripe, start int64) *shard {
-	sh, ok := st.shards[start]
-	if !ok {
-		sh = &shard{
-			start:  start,
-			end:    start + db.opts.ShardDuration,
-			series: make(map[string]*series),
-		}
-		st.shards[start] = sh
-		st.order = insertSorted(st.order, start)
-	}
-	return sh
-}
-
 // WriteLine parses one line-protocol record and stores it.
 func (db *DB) WriteLine(line string) error {
 	var p Point
@@ -463,11 +448,11 @@ func (db *DB) WriteLine(line string) error {
 	return db.Write(&p)
 }
 
-// maybeSweepAll retires expired shards from EVERY stripe whenever the
+// maybeSweepAll retires expired chunks from EVERY stripe whenever the
 // tightest retention horizon (raw or any rollup tier) crosses into a new
 // shard slot. Write-path retention only purges the stripe being written,
 // so without this sweep a stripe whose series go idle would keep its
-// expired shards (and serve them to queries) forever. The CAS bounds the
+// expired chunks (and serve them to queries) forever. The CAS bounds the
 // sweep to one writer per horizon shard — at most once per ShardDuration
 // of data time.
 func (db *DB) maybeSweepAll(maxT int64) {
@@ -487,7 +472,7 @@ func (db *DB) maybeSweepAll(maxT int64) {
 	for _, st := range db.stripes {
 		st.mu.Lock()
 		// Recheck under the lock: a Close (e.g. ahead of a shutdown
-		// Snapshot) must stop an in-flight sweep from purging shards the
+		// Snapshot) must stop an in-flight sweep from purging chunks the
 		// snapshot still expects to dump.
 		if db.closed.Load() {
 			st.mu.Unlock()
@@ -498,40 +483,63 @@ func (db *DB) maybeSweepAll(maxT int64) {
 	}
 }
 
-// enforceRetentionLocked drops whole shards beyond the raw horizon and
-// whole tier shards beyond each tier's own horizon from one stripe.
-// Caller holds st.mu.
+// enforceRetentionLocked drops from one stripe every whole shard slot that
+// ends at or before its level's horizon: raw storage behind
+// Options.Retention, each rollup tier behind its own. Every write runs it,
+// so the nothing-expired case is one comparison per level. Caller holds
+// st.mu.
 func (db *DB) enforceRetentionLocked(st *stripe, maxT int64) {
-	if len(st.tiers) > 0 {
-		db.enforceTierRetentionLocked(st, maxT)
-	}
-	if db.opts.Retention <= 0 {
-		return
-	}
-	horizon := maxT - db.opts.Retention
-	for len(st.order) > 0 {
-		start := st.order[0]
-		sh := st.shards[start]
-		if sh.end > horizon {
-			break
+	for lvl, starts := range st.starts {
+		ret := db.opts.Retention
+		if lvl > 0 {
+			ret = db.opts.Rollups[lvl-1].Retention
 		}
-		// Unpublish every dropped series placement from the directory so
-		// lock-free readers stop finding the pruned shard.
-		for _, sr := range sh.series {
-			sr.ident.dropRawShard(start)
+		horizon := maxT - ret
+		if ret <= 0 || len(starts) == 0 || starts[0]+db.opts.ShardDuration > horizon {
+			continue
 		}
-		delete(st.shards, start)
-		st.order = st.order[1:]
+		n := 1
+		for n < len(starts) && starts[n]+db.opts.ShardDuration <= horizon {
+			n++
+		}
+		st.starts[lvl] = dropHead(starts, n)
+		for _, id := range st.idents {
+			k := 0
+			if lvl == 0 {
+				for k < len(id.raw) && id.raw[k].end <= horizon {
+					k++
+				}
+				id.raw = dropHead(id.raw, k)
+			} else {
+				list := id.tiers[lvl-1]
+				for k < len(list) && list[k].end <= horizon {
+					k++
+				}
+				id.tiers[lvl-1] = dropHead(list, k)
+			}
+		}
 	}
 }
 
-// ShardCount returns the number of live time shards (a time slice present
-// in several stripes counts once).
+// dropHead removes the first n elements of s by moving the survivors down
+// and zeroing the vacated tail: re-slicing s[n:] instead would keep every
+// dropped chunk reachable through the backing array.
+func dropHead[E any](s []E, n int) []E {
+	if n == 0 {
+		return s
+	}
+	m := copy(s, s[n:])
+	clear(s[m:])
+	return s[:m]
+}
+
+// ShardCount returns the number of live raw shard slots (a time slice
+// present in several stripes counts once).
 func (db *DB) ShardCount() int {
 	seen := map[int64]struct{}{}
 	for _, st := range db.stripes {
 		st.mu.RLock()
-		for start := range st.shards {
+		for _, start := range st.starts[0] {
 			seen[start] = struct{}{}
 		}
 		st.mu.RUnlock()
@@ -539,13 +547,16 @@ func (db *DB) ShardCount() int {
 	return len(seen)
 }
 
-// SeriesCount returns the number of distinct series across shards.
+// SeriesCount returns the number of live raw chunks: each series counts once
+// per raw shard slot it currently has points in, so a series spanning three
+// retained slots counts three times and one whose raw points have all
+// expired counts zero (whatever the rollup tiers still hold of it).
 func (db *DB) SeriesCount() int {
 	n := 0
 	for _, st := range db.stripes {
 		st.mu.RLock()
-		for _, sh := range st.shards {
-			n += len(sh.series)
+		for _, id := range st.idents {
+			n += len(id.raw)
 		}
 		st.mu.RUnlock()
 	}
@@ -553,29 +564,27 @@ func (db *DB) SeriesCount() int {
 }
 
 // TagValues returns the sorted distinct values of a tag key within
-// [start, end), for dashboard pickers. Entirely lock-free: it walks the
-// copy-on-write directory and each series' published raw-shard placements,
-// never touching a stripe lock.
+// [start, end), for dashboard pickers. A value is present when some series
+// carrying it has a raw or rollup-tier chunk overlapping the range — the
+// same presence rule Execute applies to groups, at whichever resolution
+// serves the range. Each stripe is read-locked for its walk.
 func (db *DB) TagValues(key string, start, end int64) []string {
-	d := db.dir.Load()
 	seen := map[string]bool{}
-	for _, id := range d.idents {
-		v, ok := "", false
-		for _, t := range id.tags {
-			if t.Key == key {
-				v, ok = t.Value, true
-				break
+	for _, st := range db.stripes {
+		st.mu.RLock()
+		for _, id := range st.idents {
+			v, ok := "", false
+			for _, t := range id.tags {
+				if t.Key == key {
+					v, ok = t.Value, true
+					break
+				}
 			}
-		}
-		if !ok || seen[v] {
-			continue
-		}
-		for _, is := range id.rawShards() {
-			if is.end > start && is.start < end {
+			if ok && !seen[v] && id.overlaps(start, end) {
 				seen[v] = true
-				break
 			}
 		}
+		st.mu.RUnlock()
 	}
 	out := make([]string, 0, len(seen))
 	for v := range seen {
@@ -621,12 +630,4 @@ func floorDiv(a, b int64) int64 {
 		q--
 	}
 	return q
-}
-
-func insertSorted(s []int64, v int64) []int64 {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
 }

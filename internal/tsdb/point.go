@@ -66,13 +66,8 @@ var (
 	ErrBadRef = errors.New("tsdb: bad series ref")
 )
 
-// seriesKey builds the canonical identity string: name,k1=v1,k2=v2 with
-// sorted tag keys.
-func seriesKey(name string, tags []Tag) string {
-	return string(appendSeriesKey(nil, name, tags))
-}
-
-// appendSeriesKey appends the canonical series identity to buf. The write
+// appendSeriesKey appends the canonical series identity — name,k1=v1,k2=v2
+// with sorted tag keys — to buf. The write
 // path builds keys into pooled scratch with this and hashes/looks up the
 // bytes directly, so steady-state writes never materialize a key string.
 func appendSeriesKey(buf []byte, name string, tags []Tag) []byte {
@@ -117,8 +112,10 @@ func sortTags(tags []Tag) {
 	sort.Slice(tags, func(i, j int) bool { return tags[i].Key < tags[j].Key })
 }
 
-// escapes for line protocol: comma, space and equals in identifiers.
-var lineEscaper = strings.NewReplacer(",", `\,`, " ", `\ `, "=", `\=`)
+// escapes for line protocol: comma, space and equals in identifiers, and the
+// backslash itself — ParseLine reads a backslash as "take the next byte
+// literally", so an unescaped one would swallow whatever follows it.
+var lineEscaper = strings.NewReplacer(`\`, `\\`, ",", `\,`, " ", `\ `, "=", `\=`)
 
 // MarshalLine appends the point in Influx line protocol to buf.
 func MarshalLine(buf []byte, p *Point) []byte {

@@ -31,7 +31,7 @@ package tsdb
 //     End gaining the field). Every serve therefore re-resolves presence
 //     over the full range — O(series) shard-overlap checks, no bucket
 //     merging — and only the per-bucket aggregation is reused.
-//   - Retention. Tier sweeps drop whole tier shards behind
+//   - Retention. Tier sweeps drop whole shard slots of tier chunks behind
 //     maxT−tier.Retention; a query that reaches below that horizon is
 //     refused by the cache (a miss, served uncached) because its frozen
 //     buckets may describe since-dropped data. At or above the horizon a
@@ -277,7 +277,7 @@ func (db *DB) executeCached(q *Query, window int64, nBuckets, ti int) ([]SeriesR
 
 	nFrozen := int((tailStart - q.Start) / window)
 	nTail := nBuckets - nFrozen
-	groups := db.scanTierTail(q, window, ti, tailStart, nTail)
+	groups := db.scanTier(q, window, ti, tailStart, nTail)
 
 	if frozen != nil {
 		qc.hits.Add(1)
@@ -351,67 +351,6 @@ func (db *DB) executeCached(q *Query, window int64, nBuckets, ti int) ([]SeriesR
 		qc.insert(e)
 	}
 	return out, true
-}
-
-// scanTierTail resolves group presence over the full [q.Start, q.End) range
-// while merging tier buckets only from tailStart on. A map entry with a nil
-// accumulator slice marks a group that is present (some overlapping tier
-// shard carries the field) but contributed no tail data. The loop structure
-// mirrors executeTier exactly — same iteration order, same merge calls — so
-// tail buckets come out bit-identical to an uncached execution.
-func (db *DB) scanTierTail(q *Query, window int64, ti int, tailStart int64, nTail int) map[string][]rollAcc {
-	needQuant := false
-	for _, a := range q.Aggs {
-		if a == AggMedian || a == AggP95 || a == AggP99 {
-			needQuant = true
-		}
-	}
-	matched := matchIdents(db.dir.Load(), q)
-	groups := map[string][]rollAcc{}
-	for si, st := range db.stripes {
-		locked := false
-		for _, id := range matched {
-			if id.stripeIdx != uint32(si) {
-				continue
-			}
-			if !locked {
-				st.mu.RLock()
-				locked = true
-			}
-			group := ""
-			if q.GroupBy != "" {
-				group = tagValue(id.tags, q.GroupBy)
-			}
-			for _, its := range id.tierShards(ti) {
-				if its.end <= q.Start || its.start >= q.End {
-					continue
-				}
-				col, ok := its.ts.fields[q.Field]
-				if !ok {
-					continue
-				}
-				accs, seen := groups[group]
-				if !seen {
-					groups[group] = nil
-				}
-				if nTail == 0 || its.end <= tailStart {
-					continue
-				}
-				lo := sort.Search(len(col.starts), func(i int) bool { return col.starts[i] >= tailStart })
-				for i := lo; i < len(col.starts) && col.starts[i] < q.End; i++ {
-					if accs == nil {
-						accs = make([]rollAcc, nTail)
-						groups[group] = accs
-					}
-					accs[(col.starts[i]-tailStart)/window].merge(&col.buckets[i], needQuant)
-				}
-			}
-		}
-		if locked {
-			st.mu.RUnlock()
-		}
-	}
-	return groups
 }
 
 // groupFor returns the entry's frozen state for a group, or nil.

@@ -159,9 +159,9 @@ func (db *DB) Execute(q Query) ([]SeriesResult, error) {
 		return db.executeTier(&q, window, nBuckets, ti)
 	}
 
-	// Raw path. Candidate series are resolved lock-free from the
-	// copy-on-write directory; each stripe's read lock is held only while
-	// that stripe's columns are scanned. A series lives entirely within one
+	// Raw path. Candidate series are matched lock-free from the
+	// copy-on-write directory; each stripe's read lock is held while that
+	// stripe's chunks are scanned. A series lives entirely within one
 	// stripe, so values are never split; a query concurrent with writes
 	// sees each stripe at a (slightly) different instant — fine for the
 	// monitoring workload this serves.
@@ -181,11 +181,10 @@ func (db *DB) Execute(q Query) ([]SeriesResult, error) {
 			if q.GroupBy != "" {
 				group = tagValue(id.tags, q.GroupBy)
 			}
-			for _, is := range id.rawShards() {
-				if is.end <= q.Start || is.start >= q.End {
+			for _, sr := range id.raw {
+				if sr.end <= q.Start || sr.start >= q.End {
 					continue
 				}
-				sr := is.sr
 				ci := sr.findCol(q.Field)
 				if ci < 0 {
 					continue
@@ -287,8 +286,7 @@ func (db *DB) tierCovers(t *RollupTier, start, maxT int64) bool {
 // measurement and Where filters, in interned (first-write) order — a fully
 // lock-free scan of the published snapshot. A Where clause requires the
 // tag key to be present with an equal value: a series without the key does
-// not match even when the filter value is "" (the semantics the inverted
-// index used to enforce).
+// not match even when the filter value is "".
 func matchIdents(d *seriesDir, q *Query) []*seriesIdent {
 	var out []*seriesIdent
 	for _, id := range d.idents {

@@ -17,21 +17,21 @@ package tsdb
 //
 // The series directory is published copy-on-write behind an atomic.Pointer
 // (the userspace-RCU idiom): writers append under db.dirMu and then store a
-// fresh seriesDir header; readers (Execute, TagValues, WriteBatchRef's ref
-// resolution) load the pointer and walk an immutable snapshot without
-// taking any lock. Each interned identity (seriesIdent) likewise publishes
-// its per-shard placement lists copy-on-write, mutated only under the
-// owning stripe's lock, so queries can discover where a series lives
-// without contending with ingest stripe locks.
+// fresh seriesDir header; readers (Execute's series matching, WriteBatchRef's
+// ref resolution) load the pointer and walk an immutable snapshot without
+// taking any lock. That is the whole lock-free part: what a series stores —
+// the chunk lists on its seriesIdent — belongs to the owning stripe and is
+// read and written under that stripe's lock, like the chunks themselves.
 //
 // Lock order: commitMu → stripe mu → dirMu. Nothing takes a stripe lock
 // while holding dirMu.
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"ruru/internal/hashx"
 )
@@ -59,101 +59,42 @@ type seriesDir struct {
 	refs   []*refState
 }
 
-// seriesIdent is one interned (measurement, sorted tagset) identity. It is
-// the canonical owner of the series' key/name/tags strings — shards and
-// refs alias them — and publishes where the series currently lives (raw
-// shards, tier shards) as copy-on-write lists mutated only under the
-// owning stripe's lock.
+// seriesIdent is one interned (measurement, sorted tagset) identity and the
+// only index of what the series stores. key, name, tags and stripeIdx are
+// immutable once the ident is published (refs and WAL records alias the
+// strings); raw and tiers are the series' chunks, one per shard slot it has
+// data in, sorted by slot start, guarded by the owning stripe's lock.
 type seriesIdent struct {
 	key       string
 	name      string
 	tags      []Tag // sorted; owned by the ident, aliased everywhere else
 	stripeIdx uint32
 
-	raw   atomic.Pointer[[]identShard]
-	tiers []atomic.Pointer[[]identTierShard] // one per Options.Rollups entry
+	raw   []*series
+	tiers [][]*tierSeries // one list per Options.Rollups entry
 }
 
-// identShard is one raw-shard placement of a series.
-type identShard struct {
-	start, end int64
-	sr         *series
-}
-
-// identTierShard is one tier-shard placement of a series.
-type identTierShard struct {
-	start, end int64
-	ts         *tierSeries
-}
-
-func (id *seriesIdent) rawShards() []identShard {
-	if p := id.raw.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-func (id *seriesIdent) tierShards(ti int) []identTierShard {
-	if p := id.tiers[ti].Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// addRawShard publishes a new raw placement, keeping the list sorted by
-// shard start. Caller holds the owning stripe's write lock (the only
-// mutator of this ident's lists).
-func (id *seriesIdent) addRawShard(e identShard) {
-	old := id.rawShards()
-	next := make([]identShard, 0, len(old)+1)
-	i := 0
-	for ; i < len(old) && old[i].start < e.start; i++ {
-		next = append(next, old[i])
-	}
-	next = append(next, e)
-	next = append(next, old[i:]...)
-	id.raw.Store(&next)
-}
-
-// dropRawShard unpublishes the placement for the pruned shard starting at
-// start. Caller holds the owning stripe's write lock.
-func (id *seriesIdent) dropRawShard(start int64) {
-	old := id.rawShards()
-	next := make([]identShard, 0, len(old))
-	for _, e := range old {
-		if e.start != start {
-			next = append(next, e)
+// overlaps reports whether any raw or tier chunk of the series overlaps
+// [start, end). Caller holds the owning stripe's lock.
+func (id *seriesIdent) overlaps(start, end int64) bool {
+	for _, sr := range id.raw {
+		if sr.end > start && sr.start < end {
+			return true
 		}
 	}
-	id.raw.Store(&next)
-}
-
-func (id *seriesIdent) addTierShard(ti int, e identTierShard) {
-	old := id.tierShards(ti)
-	next := make([]identTierShard, 0, len(old)+1)
-	i := 0
-	for ; i < len(old) && old[i].start < e.start; i++ {
-		next = append(next, old[i])
-	}
-	next = append(next, e)
-	next = append(next, old[i:]...)
-	id.tiers[ti].Store(&next)
-}
-
-func (id *seriesIdent) dropTierShard(ti int, start int64) {
-	old := id.tierShards(ti)
-	next := make([]identTierShard, 0, len(old))
-	for _, e := range old {
-		if e.start != start {
-			next = append(next, e)
+	for _, list := range id.tiers {
+		for _, ts := range list {
+			if ts.end > start && ts.start < end {
+				return true
+			}
 		}
 	}
-	id.tiers[ti].Store(&next)
+	return false
 }
 
 // refState is one interned shape and its write cache: the identity, the
 // ordered field set, the handle Ref returns for it, and hot pointers into
-// the current shard. hot is guarded by the ident's stripe lock (the write
+// the current chunks. hot is guarded by the ident's stripe lock (the write
 // path only touches it with that lock held).
 type refState struct {
 	ident     *seriesIdent
@@ -162,34 +103,27 @@ type refState struct {
 	hot       refHot
 }
 
-// refHot caches the resolution of a ref against one raw shard and the
-// matching tier shards: the series pointer, each field's column index, and
+// refHot caches the resolution of a ref against one raw chunk and the
+// matching tier chunks: the series pointer, each field's column index, and
 // each tier's column pointers. Two refs with different field sets can share
 // one series: ncols snapshots len(sr.cols) at resolve time so the other ref
 // adding a column forces a re-resolve, and mixed records that the series
 // has columns this ref does not carry, which every write must pad with NaN
 // to keep all columns aligned with times. That is mixed's only purpose.
 type refHot struct {
-	shardStart int64
-	sr         *series
-	colIdx     []int32
-	ncols      int
-	mixed      bool
-	tiers      []refTierHot
+	sr     *series
+	colIdx []int32
+	ncols  int
+	mixed  bool
+	tiers  []refTierHot
 }
 
 // refTierHot caches one tier's resolution: the tier series and one column
 // pointer per ref field (nil until the field's first non-NaN value, so a
 // never-written field creates no tier column).
 type refTierHot struct {
-	shardStart int64
-	ts         *tierSeries
-	cols       []*tierColumn
-}
-
-// loadDir returns the current directory snapshot (never nil).
-func (db *DB) loadDir() *seriesDir {
-	return db.dir.Load()
+	ts   *tierSeries
+	cols []*tierColumn
 }
 
 // publishDirLocked publishes the current backing arrays as a fresh
@@ -198,9 +132,10 @@ func (db *DB) publishDirLocked() {
 	db.dir.Store(&seriesDir{idents: db.identsBuf, refs: db.refsBuf})
 }
 
-// internLocked returns the ident for key, creating and publishing it if
-// new. Caller holds dirMu. tags must be sorted; they are copied.
-func (db *DB) internLocked(name string, tags []Tag, key []byte) *seriesIdent {
+// internLocked returns the ident for key, creating it, listing it in its
+// stripe st and publishing it if new. Caller holds st.mu and dirMu. tags
+// must be sorted; they are copied.
+func (db *DB) internLocked(st *stripe, name string, tags []Tag, key []byte) *seriesIdent {
 	if id, ok := db.byKey[string(key)]; ok {
 		return id
 	}
@@ -208,11 +143,12 @@ func (db *DB) internLocked(name string, tags []Tag, key []byte) *seriesIdent {
 		key:   string(key),
 		name:  name,
 		tags:  append([]Tag(nil), tags...),
-		tiers: make([]atomic.Pointer[[]identTierShard], len(db.opts.Rollups)),
+		tiers: make([][]*tierSeries, len(db.opts.Rollups)),
 	}
 	id.stripeIdx = stripeIndex(id.key) & db.mask
 	db.byKey[id.key] = id
 	db.identsBuf = append(db.identsBuf, id)
+	st.idents = append(st.idents, id)
 	db.publishDirLocked()
 	return id
 }
@@ -244,7 +180,7 @@ func (db *DB) newRefLocked(st *stripe, rk []byte, name string, tags []Tag, field
 	}
 	n, w := binary.Uvarint(rk)
 	db.dirMu.Lock()
-	rs.ident = db.internLocked(name, tags, rk[w:w+int(n)])
+	rs.ident = db.internLocked(st, name, tags, rk[w:w+int(n)])
 	rs.ref = SeriesRef(len(db.refsBuf))
 	db.refsBuf = append(db.refsBuf, rs)
 	db.publishDirLocked()
@@ -373,6 +309,9 @@ func (db *DB) WriteBatchRef(pts []RefPoint) (applied int, err error) {
 // either. Caller holds st.mu. Raw and tier retention are independent: the
 // tiers go first because a point too old for raw storage (counted in
 // dropped) can still land in a coarse tier whose longer horizon covers it.
+// The horizon test comes before the hot cache on purpose: rs.hot may still
+// point at a chunk retention has dropped, and only a chunk wholly behind the
+// horizon is ever dropped, so the test is what keeps a straggler out of it.
 //
 //ruru:noalloc
 func (db *DB) writeRefLocked(st *stripe, rs *refState, t int64, vals []float64, maxT int64) {
@@ -388,7 +327,7 @@ func (db *DB) writeRefLocked(st *stripe, rs *refState, t int64, vals []float64, 
 	start := floorDiv(t, db.opts.ShardDuration) * db.opts.ShardDuration
 	h := &rs.hot
 	sr := h.sr
-	if sr == nil || h.shardStart != start || len(sr.cols) != h.ncols {
+	if sr == nil || sr.start != start || len(sr.cols) != h.ncols {
 		sr = db.resolveRefRaw(st, rs, start)
 	}
 	sr.times = append(sr.times, t)
@@ -408,20 +347,19 @@ func (db *DB) writeRefLocked(st *stripe, rs *refState, t int64, vals []float64, 
 	db.noteBackfill(t, maxT)
 }
 
-// resolveRefRaw points the ref's hot cache at the raw shard starting at
-// start, creating shard/series/columns as needed. Caller holds st.mu.
+// resolveRefRaw points the ref's hot cache at the series' raw chunk for the
+// shard slot starting at start, creating chunk and columns as needed. Caller
+// holds st.mu.
 func (db *DB) resolveRefRaw(st *stripe, rs *refState, start int64) *series {
-	sh := db.shardAt(st, start)
 	id := rs.ident
-	sr, ok := sh.series[id.key]
+	pos, ok := slices.BinarySearchFunc(id.raw, start, func(sr *series, s int64) int { return cmp.Compare(sr.start, s) })
 	if !ok {
-		sr = &series{name: id.name, tags: id.tags, ident: id}
-		sh.series[id.key] = sr
-		id.addRawShard(identShard{start: sh.start, end: sh.end, sr: sr})
+		id.raw = slices.Insert(id.raw, pos, &series{start: start, end: start + db.opts.ShardDuration})
+		st.noteSlot(0, start)
 	}
+	sr := id.raw[pos]
 	h := &rs.hot
 	h.sr = sr
-	h.shardStart = start
 	for i, k := range rs.fieldKeys {
 		ci := sr.findCol(k)
 		if ci < 0 {
@@ -460,7 +398,7 @@ func (db *DB) writeRefTiersLocked(st *stripe, rs *refState, t int64, vals []floa
 		bStart := floorDiv(t, tier.Width) * tier.Width
 		shStart := floorDiv(bStart, db.opts.ShardDuration) * db.opts.ShardDuration
 		th := &rs.hot.tiers[ti]
-		if th.ts == nil || th.shardStart != shStart {
+		if th.ts == nil || th.ts.start != shStart {
 			db.resolveRefTier(st, rs, ti, shStart)
 		}
 		for i, v := range vals {
@@ -482,32 +420,26 @@ func (db *DB) writeRefTiersLocked(st *stripe, rs *refState, t int64, vals []floa
 	}
 }
 
-// resolveRefTier points the ref's tier-hot cache at the tier shard starting
-// at shStart, creating shard/series as needed. Caller holds st.mu.
+// resolveRefTier points the ref's tier-hot cache at the series' tier-ti chunk
+// for the shard slot starting at shStart, creating it as needed. Caller holds
+// st.mu.
 func (db *DB) resolveRefTier(st *stripe, rs *refState, ti int, shStart int64) {
-	tstr := &st.tiers[ti]
-	sh, ok := tstr.shards[shStart]
+	id := rs.ident
+	list := id.tiers[ti]
+	pos, ok := slices.BinarySearchFunc(list, shStart, func(ts *tierSeries, s int64) int { return cmp.Compare(ts.start, s) })
 	if !ok {
-		sh = &tierShard{
+		list = slices.Insert(list, pos, &tierSeries{
 			start:  shStart,
 			end:    shStart + db.opts.ShardDuration,
-			series: make(map[string]*tierSeries),
-		}
-		tstr.shards[shStart] = sh
-		tstr.order = insertSorted(tstr.order, shStart)
-	}
-	id := rs.ident
-	ts, ok := sh.series[id.key]
-	if !ok {
-		ts = &tierSeries{name: id.name, tags: id.tags, ident: id, fields: make(map[string]*tierColumn)}
-		sh.series[id.key] = ts
-		id.addTierShard(ti, identTierShard{start: sh.start, end: sh.end, ts: ts})
+			fields: make(map[string]*tierColumn),
+		})
+		id.tiers[ti] = list
+		st.noteSlot(1+ti, shStart)
 	}
 	th := &rs.hot.tiers[ti]
-	th.ts = ts
-	th.shardStart = shStart
+	th.ts = list[pos]
 	for i := range th.cols {
-		th.cols[i] = ts.fields[rs.fieldKeys[i]] // nil until first value
+		th.cols[i] = th.ts.fields[rs.fieldKeys[i]] // nil until first value
 	}
 }
 

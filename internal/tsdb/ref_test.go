@@ -71,8 +71,7 @@ func preGrowSeries(db *DB, ref SeriesRef, rows int) {
 	st := db.stripes[rs.ident.stripeIdx]
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	for _, is := range rs.ident.rawShards() {
-		sr := is.sr
+	for _, sr := range rs.ident.raw {
 		sr.times = append(make([]int64, 0, rows), sr.times...)
 		for ci := range sr.cols {
 			sr.cols[ci] = append(make([]float64, 0, rows), sr.cols[ci]...)
@@ -465,12 +464,12 @@ func checkAligned(t *testing.T, db *DB) {
 	t.Helper()
 	for _, st := range db.stripes {
 		st.mu.RLock()
-		for _, sh := range st.shards {
-			for key, sr := range sh.series {
+		for _, id := range st.idents {
+			for _, sr := range id.raw {
 				for ci, col := range sr.cols {
 					if len(col) != len(sr.times) {
 						t.Errorf("series %s column %s: %d values for %d timestamps",
-							key, sr.fkeys[ci], len(col), len(sr.times))
+							id.key, sr.fkeys[ci], len(col), len(sr.times))
 					}
 				}
 			}

@@ -156,7 +156,7 @@ func (b *rbucket) add(v float64, bin uint16) {
 	b.hist[0] = histEntry{bin: bin, n: 1}
 }
 
-// tierColumn holds one (series, field)'s buckets within one tier shard,
+// tierColumn holds one (series, field)'s buckets within one tier chunk,
 // as parallel slices sorted by bucket start.
 type tierColumn struct {
 	starts  []int64
@@ -184,28 +184,12 @@ func (c *tierColumn) at(start int64) *rbucket {
 	return &c.buckets[i]
 }
 
-// tierSeries is one (measurement, tagset)'s rollup state within one tier
-// shard — the tier analogue of series. name/tags alias the owning ident's
-// strings.
+// tierSeries is one series' chunk of one rollup tier — the tier analogue of
+// series: the buckets whose start falls in the shard slot [start, end), one
+// tierColumn per field.
 type tierSeries struct {
-	name   string
-	tags   []Tag
-	ident  *seriesIdent
-	fields map[string]*tierColumn
-}
-
-// tierShard groups a tier's series for one ShardDuration time slice. Tier
-// queries resolve series through the copy-on-write directory (ref.go), so
-// tier shards carry no inverted index.
-type tierShard struct {
 	start, end int64
-	series     map[string]*tierSeries
-}
-
-// tierStripe is one tier's shard map within one stripe.
-type tierStripe struct {
-	shards map[int64]*tierShard
-	order  []int64 // sorted shard starts
+	fields     map[string]*tierColumn
 }
 
 // normalizeRollups sorts tiers by width and drops invalid (non-positive
@@ -232,31 +216,6 @@ func normalizeRollups(tiers []RollupTier) []RollupTier {
 // disabled). The slice is shared; callers must not modify it.
 func (db *DB) Rollups() []RollupTier {
 	return db.opts.Rollups
-}
-
-// enforceTierRetentionLocked drops whole tier shards beyond each tier's
-// horizon from one stripe. Caller holds st.mu.
-func (db *DB) enforceTierRetentionLocked(st *stripe, maxT int64) {
-	for ti := range db.opts.Rollups {
-		tier := &db.opts.Rollups[ti]
-		if tier.Retention <= 0 {
-			continue
-		}
-		horizon := maxT - tier.Retention
-		ts := &st.tiers[ti]
-		for len(ts.order) > 0 {
-			start := ts.order[0]
-			sh := ts.shards[start]
-			if sh.end > horizon {
-				break
-			}
-			for _, sr := range sh.series {
-				sr.ident.dropTierShard(ti, start)
-			}
-			delete(ts.shards, start)
-			ts.order = ts.order[1:]
-		}
-	}
 }
 
 // rollAcc accumulates merged tier buckets for one query output bucket.
@@ -379,13 +338,39 @@ func histValueAt(h *[histBins]uint64, k uint64, lo, hi float64) float64 {
 
 // executeTier serves a query from one rollup tier by streaming tier buckets
 // into per-group accumulators — the whole scan touches O(range/tierWidth)
-// pre-aggregates per series instead of every raw sample. Candidate series
-// are resolved lock-free from the copy-on-write directory; stripe read
-// locks are held only while a stripe's tier buckets are merged. The planner
+// pre-aggregates per series instead of every raw sample. The planner
 // (planTier) has already verified alignment, so each tier bucket maps to
 // exactly one output bucket.
 func (db *DB) executeTier(q *Query, window int64, nBuckets, ti int) ([]SeriesResult, error) {
-	tier := &db.opts.Rollups[ti]
+	groups := db.scanTier(q, window, ti, q.Start, nBuckets)
+	out := make([]SeriesResult, 0, len(groups))
+	var zero rollAcc
+	for g, accs := range groups {
+		res := SeriesResult{Group: g, Tier: db.opts.Rollups[ti].Width, Buckets: make([]Bucket, nBuckets)}
+		for i := range res.Buckets {
+			a := &zero // a present group that put nothing in the range
+			if accs != nil {
+				a = &accs[i]
+			}
+			res.Buckets[i] = a.toBucket(q.Start+int64(i)*window, q.Aggs)
+		}
+		out = append(out, res)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Group < out[j].Group })
+	return out, nil
+}
+
+// scanTier is the one walk over tier ti's chunks: it resolves group presence
+// over the full [q.Start, q.End) range while merging tier buckets only from
+// tailStart on, into nTail accumulators of width window. A plain execution
+// passes tailStart = q.Start; the query cache passes the end of its frozen
+// prefix, and because both run this loop — same iteration order, same merge
+// calls — a refreshed tail is bit-identical to an uncached execution. A map
+// entry with a nil accumulator slice marks a group that is present (some
+// overlapping chunk carries the field) but contributed no tail data.
+// Candidate series are matched lock-free from the directory; each stripe's
+// read lock is held while that stripe's chunks are walked.
+func (db *DB) scanTier(q *Query, window int64, ti int, tailStart int64, nTail int) map[string][]rollAcc {
 	needQuant := false
 	for _, a := range q.Aggs {
 		if a == AggMedian || a == AggP95 || a == AggP99 {
@@ -408,24 +393,30 @@ func (db *DB) executeTier(q *Query, window int64, nBuckets, ti int) ([]SeriesRes
 			if q.GroupBy != "" {
 				group = tagValue(id.tags, q.GroupBy)
 			}
-			for _, its := range id.tierShards(ti) {
-				if its.end <= q.Start || its.start >= q.End {
+			for _, ts := range id.tiers[ti] {
+				if ts.end <= q.Start || ts.start >= q.End {
 					continue
 				}
-				col, ok := its.ts.fields[q.Field]
+				col, ok := ts.fields[q.Field]
 				if !ok {
 					continue
 				}
-				accs := groups[group]
-				if accs == nil {
-					accs = make([]rollAcc, nBuckets)
-					groups[group] = accs
+				accs, seen := groups[group]
+				if !seen {
+					groups[group] = nil
+				}
+				if nTail == 0 || ts.end <= tailStart {
+					continue
 				}
 				// Tier buckets are sorted by start; visit only those in
-				// [q.Start, q.End).
-				lo := sort.Search(len(col.starts), func(i int) bool { return col.starts[i] >= q.Start })
+				// [tailStart, q.End).
+				lo := sort.Search(len(col.starts), func(i int) bool { return col.starts[i] >= tailStart })
 				for i := lo; i < len(col.starts) && col.starts[i] < q.End; i++ {
-					accs[(col.starts[i]-q.Start)/window].merge(&col.buckets[i], needQuant)
+					if accs == nil {
+						accs = make([]rollAcc, nTail)
+						groups[group] = accs
+					}
+					accs[(col.starts[i]-tailStart)/window].merge(&col.buckets[i], needQuant)
 				}
 			}
 		}
@@ -433,15 +424,5 @@ func (db *DB) executeTier(q *Query, window int64, nBuckets, ti int) ([]SeriesRes
 			st.mu.RUnlock()
 		}
 	}
-
-	out := make([]SeriesResult, 0, len(groups))
-	for g, accs := range groups {
-		res := SeriesResult{Group: g, Tier: tier.Width, Buckets: make([]Bucket, nBuckets)}
-		for i := range accs {
-			res.Buckets[i] = accs[i].toBucket(q.Start+int64(i)*window, q.Aggs)
-		}
-		out = append(out, res)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Group < out[j].Group })
-	return out, nil
+	return groups
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"io"
+	"slices"
 	"sort"
 )
 
@@ -42,21 +43,22 @@ func (db *DB) Snapshot(w io.Writer) (points int64, err error) {
 	return points, bw.Flush()
 }
 
-// dumpChunk is one shard's serialized points.
+// dumpChunk is one stripe's serialized points of one shard slot.
 type dumpChunk struct {
 	start int64
 	data  []byte
 }
 
-// stageDumpChunks copies every stripe's shards into per-shard
-// line-protocol chunks and returns them sorted by shard start (ascending)
+// stageDumpChunks copies every stripe's raw chunks into per-slot
+// line-protocol chunks and returns them sorted by slot start (ascending)
 // plus the total point count. If preLocked, the caller already holds every
 // stripe's read lock (the checkpoint cut); otherwise each stripe is
 // read-locked just for its copy. Either way a stripe's lock is released
-// the moment that stripe is staged.
+// the moment that stripe is staged. Within a slot, series come out in
+// interned order, so two dumps of the same state are the same bytes.
 //
 // The ascending order is load-bearing for restores into retention-bounded
-// DBs: retention keeps whole shards, so a shard straddling the horizon
+// DBs: retention keeps whole shard slots, so a slot straddling the horizon
 // holds points individually older than it. Replaying old→new stores those
 // sliver points while the horizon is still behind them; any other order
 // would re-drop them at write time and a checkpoint/restore cycle would
@@ -70,52 +72,52 @@ func (db *DB) stageDumpChunks(preLocked bool) ([]dumpChunk, int64) {
 		if !preLocked {
 			st.mu.RLock()
 		}
-		for _, start := range st.order {
-			var bb bytes.Buffer
-			var n int64
-			n, buf, _ = marshalShardLocked(&bb, st.shards[start], buf) // Buffer writes cannot fail
-			points += n
-			if bb.Len() > 0 {
-				chunks = append(chunks, dumpChunk{start: start, data: bb.Bytes()})
+		slots := st.starts[0]
+		bufs := make([]bytes.Buffer, len(slots))
+		for _, id := range st.idents {
+			for _, sr := range id.raw {
+				i, _ := slices.BinarySearch(slots, sr.start) // every chunk's slot is listed
+				var n int64
+				n, buf = marshalSeriesLocked(&bufs[i], id, sr, buf)
+				points += n
 			}
 		}
 		st.mu.RUnlock()
+		for i := range bufs {
+			if bufs[i].Len() > 0 {
+				chunks = append(chunks, dumpChunk{start: slots[i], data: bufs[i].Bytes()})
+			}
+		}
 	}
 	sort.SliceStable(chunks, func(i, j int) bool { return chunks[i].start < chunks[j].start })
 	return chunks, points
 }
 
-// marshalShardLocked writes every point of one shard as line protocol to w,
-// returning the point count and the (possibly grown) scratch buffer.
-// Caller holds the owning stripe's lock (read or write).
-func marshalShardLocked(w io.Writer, sh *shard, buf []byte) (int64, []byte, error) {
+// marshalSeriesLocked appends every point of one raw chunk of series id to
+// bb as line protocol, returning the point count and the (possibly grown)
+// scratch buffer. Caller holds the owning stripe's lock (read or write).
+func marshalSeriesLocked(bb *bytes.Buffer, id *seriesIdent, sr *series, buf []byte) (int64, []byte) {
 	var points int64
-	var p Point
-	for _, sr := range sh.series {
-		for i, ts := range sr.times {
-			p.Name = sr.name
-			p.Tags = sr.tags
-			p.Fields = p.Fields[:0]
-			for ci, k := range sr.fkeys {
-				v := sr.cols[ci][i]
-				if v != v { // NaN: field absent for this point
-					continue
-				}
-				p.Fields = append(p.Fields, Field{Key: k, Value: v})
-			}
-			if len(p.Fields) == 0 {
+	p := Point{Name: id.name, Tags: id.tags}
+	for i, ts := range sr.times {
+		p.Fields = p.Fields[:0]
+		for ci, k := range sr.fkeys {
+			v := sr.cols[ci][i]
+			if v != v { // NaN: field absent for this point
 				continue
 			}
-			p.Time = ts
-			buf = MarshalLine(buf[:0], &p)
-			buf = append(buf, '\n')
-			if _, err := w.Write(buf); err != nil {
-				return points, buf, err
-			}
-			points++
+			p.Fields = append(p.Fields, Field{Key: k, Value: v})
 		}
+		if len(p.Fields) == 0 {
+			continue
+		}
+		p.Time = ts
+		buf = MarshalLine(buf[:0], &p)
+		buf = append(buf, '\n')
+		bb.Write(buf)
+		points++
 	}
-	return points, buf, nil
+	return points, buf
 }
 
 // Restore replays a line-protocol stream (as produced by Snapshot) into the

@@ -322,6 +322,31 @@ func TestTagValues(t *testing.T) {
 	}
 }
 
+// TestTagValuesSeesTierOnlySeries pins the /api/tags fix: a series whose raw
+// points in the range have expired but whose rollup tier still answers
+// Execute there must still be offered by the picker.
+func TestTagValuesSeesTierOnlySeries(t *testing.T) {
+	const minute, hour = int64(60e9), int64(3600e9)
+	db := Open(Options{Retention: hour, Rollups: []RollupTier{{Width: minute, Retention: 24 * hour}}})
+	defer db.Close()
+	db.Write(pt("m", 10*minute, map[string]string{"src_city": "A"}, map[string]float64{"v": 1}))
+	db.Write(pt("m", 5*hour+10*minute, map[string]string{"src_city": "B"}, map[string]float64{"v": 1}))
+	res, err := db.Execute(Query{Measurement: "m", Field: "v", Start: 0, End: hour,
+		Window: minute, GroupBy: "src_city", Aggs: []AggKind{AggCount}})
+	if err != nil || len(res) != 1 || res[0].Group != "A" || res[0].Tier != minute {
+		t.Fatalf("Execute over the expired hour: %+v, %v; want group A from the 60 s tier", res, err)
+	}
+	if got := db.TagValues("src_city", 0, hour); !reflect.DeepEqual(got, []string{"A"}) {
+		t.Fatalf("TagValues over a range Execute answers for A: %v", got)
+	}
+	if got := db.TagValues("src_city", hour, 5*hour); len(got) != 0 {
+		t.Fatalf("TagValues over a range holding no chunk: %v", got)
+	}
+	if got := db.TagValues("src_city", 0, 6*hour); !reflect.DeepEqual(got, []string{"A", "B"}) {
+		t.Fatalf("TagValues over everything: %v", got)
+	}
+}
+
 func TestWriteValidation(t *testing.T) {
 	db := Open(Options{})
 	if err := db.Write(&Point{Name: "m", Time: 1}); err != ErrNoFields {
@@ -501,6 +526,7 @@ func TestRetentionSweepsIdleStripes(t *testing.T) {
 	db := Open(Options{ShardDuration: 10e9, Retention: 30e9, Stripes: 8})
 	idle := map[string]string{"city": "IdleCity"}
 	busy := map[string]string{"city": "BusyCity"}
+	seriesKey := func(name string, tags []Tag) string { return string(appendSeriesKey(nil, name, tags)) }
 	idleKey := seriesKey("m", []Tag{{"city", "IdleCity"}})
 	busyKey := seriesKey("m", []Tag{{"city", "BusyCity"}})
 	if stripeIndex(idleKey)&db.mask == stripeIndex(busyKey)&db.mask {
