@@ -67,9 +67,9 @@ var (
 )
 
 // appendSeriesKey appends the canonical series identity — name,k1=v1,k2=v2
-// with sorted tag keys — to buf. The write
-// path builds keys into pooled scratch with this and hashes/looks up the
-// bytes directly, so steady-state writes never materialize a key string.
+// with sorted tag keys — to buf. The write path builds keys into pooled
+// scratch with this and hashes/looks up the bytes directly, so steady-state
+// writes never materialize a key string.
 func appendSeriesKey(buf []byte, name string, tags []Tag) []byte {
 	buf = append(buf, name...)
 	for _, t := range tags {

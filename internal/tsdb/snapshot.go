@@ -67,6 +67,7 @@ type dumpChunk struct {
 func (db *DB) stageDumpChunks(preLocked bool) ([]dumpChunk, int64) {
 	var chunks []dumpChunk
 	var points int64
+	var p Point
 	buf := make([]byte, 0, 512)
 	for _, st := range db.stripes {
 		if !preLocked {
@@ -75,11 +76,26 @@ func (db *DB) stageDumpChunks(preLocked bool) ([]dumpChunk, int64) {
 		slots := st.starts[0]
 		bufs := make([]bytes.Buffer, len(slots))
 		for _, id := range st.idents {
+			p.Name, p.Tags = id.name, id.tags
 			for _, sr := range id.raw {
-				i, _ := slices.BinarySearch(slots, sr.start) // every chunk's slot is listed
-				var n int64
-				n, buf = marshalSeriesLocked(&bufs[i], id, sr, buf)
-				points += n
+				slot, _ := slices.BinarySearch(slots, sr.start) // every chunk's slot is listed
+				for i, ts := range sr.times {
+					p.Fields = p.Fields[:0]
+					for ci, k := range sr.fkeys {
+						v := sr.cols[ci][i]
+						if v != v { // NaN: field absent for this point
+							continue
+						}
+						p.Fields = append(p.Fields, Field{Key: k, Value: v})
+					}
+					if len(p.Fields) == 0 {
+						continue
+					}
+					p.Time = ts
+					buf = append(MarshalLine(buf[:0], &p), '\n')
+					bufs[slot].Write(buf)
+					points++
+				}
 			}
 		}
 		st.mu.RUnlock()
@@ -91,33 +107,6 @@ func (db *DB) stageDumpChunks(preLocked bool) ([]dumpChunk, int64) {
 	}
 	sort.SliceStable(chunks, func(i, j int) bool { return chunks[i].start < chunks[j].start })
 	return chunks, points
-}
-
-// marshalSeriesLocked appends every point of one raw chunk of series id to
-// bb as line protocol, returning the point count and the (possibly grown)
-// scratch buffer. Caller holds the owning stripe's lock (read or write).
-func marshalSeriesLocked(bb *bytes.Buffer, id *seriesIdent, sr *series, buf []byte) (int64, []byte) {
-	var points int64
-	p := Point{Name: id.name, Tags: id.tags}
-	for i, ts := range sr.times {
-		p.Fields = p.Fields[:0]
-		for ci, k := range sr.fkeys {
-			v := sr.cols[ci][i]
-			if v != v { // NaN: field absent for this point
-				continue
-			}
-			p.Fields = append(p.Fields, Field{Key: k, Value: v})
-		}
-		if len(p.Fields) == 0 {
-			continue
-		}
-		p.Time = ts
-		buf = MarshalLine(buf[:0], &p)
-		buf = append(buf, '\n')
-		bb.Write(buf)
-		points++
-	}
-	return points, buf
 }
 
 // Restore replays a line-protocol stream (as produced by Snapshot) into the
