@@ -111,19 +111,23 @@ type refState struct {
 // has columns this ref does not carry, which every write must pad with NaN
 // to keep all columns aligned with times. That is mixed's only purpose.
 type refHot struct {
-	sr     *series
-	colIdx []int32
-	ncols  int
-	mixed  bool
-	tiers  []refTierHot
+	shardStart int64
+	sr         *series
+	colIdx     []int32
+	ncols      int
+	mixed      bool
+	tiers      []refTierHot
 }
 
 // refTierHot caches one tier's resolution: the tier series and one column
 // pointer per ref field (nil until the field's first non-NaN value, so a
-// never-written field creates no tier column).
+// never-written field creates no tier column). shardStart repeats ts.start
+// so that the per-point "same slot?" test reads the cache, not the chunk: at
+// 20 k series the chunk header is a cache miss per tier per point.
 type refTierHot struct {
-	ts   *tierSeries
-	cols []*tierColumn
+	shardStart int64
+	ts         *tierSeries
+	cols       []*tierColumn
 }
 
 // publishDirLocked publishes the current backing arrays as a fresh
@@ -327,7 +331,7 @@ func (db *DB) writeRefLocked(st *stripe, rs *refState, t int64, vals []float64, 
 	start := floorDiv(t, db.opts.ShardDuration) * db.opts.ShardDuration
 	h := &rs.hot
 	sr := h.sr
-	if sr == nil || sr.start != start || len(sr.cols) != h.ncols {
+	if sr == nil || h.shardStart != start || len(sr.cols) != h.ncols {
 		sr = db.resolveRefRaw(st, rs, start)
 	}
 	sr.times = append(sr.times, t)
@@ -360,6 +364,7 @@ func (db *DB) resolveRefRaw(st *stripe, rs *refState, start int64) *series {
 	sr := id.raw[pos]
 	h := &rs.hot
 	h.sr = sr
+	h.shardStart = start
 	for i, k := range rs.fieldKeys {
 		ci := sr.findCol(k)
 		if ci < 0 {
@@ -398,7 +403,7 @@ func (db *DB) writeRefTiersLocked(st *stripe, rs *refState, t int64, vals []floa
 		bStart := floorDiv(t, tier.Width) * tier.Width
 		shStart := floorDiv(bStart, db.opts.ShardDuration) * db.opts.ShardDuration
 		th := &rs.hot.tiers[ti]
-		if th.ts == nil || th.ts.start != shStart {
+		if th.ts == nil || th.shardStart != shStart {
 			db.resolveRefTier(st, rs, ti, shStart)
 		}
 		for i, v := range vals {
@@ -438,6 +443,7 @@ func (db *DB) resolveRefTier(st *stripe, rs *refState, ti int, shStart int64) {
 	}
 	th := &rs.hot.tiers[ti]
 	th.ts = list[pos]
+	th.shardStart = shStart
 	for i := range th.cols {
 		th.cols[i] = th.ts.fields[rs.fieldKeys[i]] // nil until first value
 	}
