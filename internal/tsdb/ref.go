@@ -111,19 +111,19 @@ type refState struct {
 // has columns this ref does not carry, which every write must pad with NaN
 // to keep all columns aligned with times. That is mixed's only purpose.
 type refHot struct {
-	shardStart int64
-	sr         *series
-	colIdx     []int32
-	ncols      int
-	mixed      bool
-	tiers      []refTierHot
+	sr     *series
+	colIdx []int32
+	ncols  int
+	mixed  bool
+	tiers  []refTierHot
 }
 
 // refTierHot caches one tier's resolution: the tier series and one column
 // pointer per ref field (nil until the field's first non-NaN value, so a
 // never-written field creates no tier column). shardStart repeats ts.start
 // so that the per-point "same slot?" test reads the cache, not the chunk: at
-// 20 k series the chunk header is a cache miss per tier per point.
+// 20 k series the chunk header is a cache miss per tier per point (the raw
+// side reads sr.start, on the line it loads for sr.cols anyway).
 type refTierHot struct {
 	shardStart int64
 	ts         *tierSeries
@@ -331,7 +331,7 @@ func (db *DB) writeRefLocked(st *stripe, rs *refState, t int64, vals []float64, 
 	start := floorDiv(t, db.opts.ShardDuration) * db.opts.ShardDuration
 	h := &rs.hot
 	sr := h.sr
-	if sr == nil || h.shardStart != start || len(sr.cols) != h.ncols {
+	if sr == nil || sr.start != start || len(sr.cols) != h.ncols {
 		sr = db.resolveRefRaw(st, rs, start)
 	}
 	sr.times = append(sr.times, t)
@@ -364,7 +364,6 @@ func (db *DB) resolveRefRaw(st *stripe, rs *refState, start int64) *series {
 	sr := id.raw[pos]
 	h := &rs.hot
 	h.sr = sr
-	h.shardStart = start
 	for i, k := range rs.fieldKeys {
 		ci := sr.findCol(k)
 		if ci < 0 {
