@@ -1,29 +1,79 @@
 // Command ruru-bench regenerates the evaluation: one subcommand per
-// experiment in DESIGN.md §4 / EXPERIMENTS.md, printing the corresponding
-// table. "all" runs the full suite.
+// experiment in internal/experiments (experimentList; -h lists them),
+// printing its table. "all" runs them in order.
 //
 // Usage:
 //
-//	ruru-bench [flags] e1|e2|e3|e4|e5|e6|e7|e8|e9|e10|e11|e12|e13|e14|e15|all
+//	ruru-bench [flags] <experiment>|all
 //	ruru-bench -json BENCH_PRn.json [-benchtime 1s]
 //
 // The second form runs the fixed microbenchmark suite (internal/bench) via
 // testing.Benchmark and writes a machine-readable trajectory entry —
 // the BENCH_*.json files scripts/bench_compare.sh diffs across PRs.
 //
-// Scale flags let CI run reduced versions; defaults reproduce the numbers
-// recorded in EXPERIMENTS.md.
+// -quick runs every experiment at a tenth of its default scale, for CI.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 	"testing"
 
 	"ruru/internal/bench"
 	"ruru/internal/experiments"
 )
+
+// experiment is one subcommand: run prints the experiment's table to w at
+// the given scale (1 = the default size, 0.1 under -quick).
+type experiment struct {
+	id  string
+	run func(seed int64, scale float64, w io.Writer) error
+}
+
+// experimentList drives dispatch, "all" and the usage line, in this order.
+var experimentList = []experiment{
+	{"e1", func(seed int64, scale float64, w io.Writer) error {
+		_, err := experiments.E1(experiments.E1Config{Seed: seed, Flows: int(20000 * scale)}, w)
+		return err
+	}},
+	{"e4", func(seed int64, scale float64, w io.Writer) error {
+		_, err := experiments.E4(experiments.E4Config{
+			Seed: seed, Hours: 0.5 * scale, PeriodS: 600, WindowMs: 500, ExtraMs: 4000,
+		}, w)
+		return err
+	}},
+	{"e5", func(seed int64, _ float64, w io.Writer) error {
+		_, err := experiments.E5(experiments.E5Config{Seed: seed}, w)
+		return err
+	}},
+	{"e6", func(seed int64, scale float64, w io.Writer) error {
+		_, err := experiments.E6(experiments.E6Config{Seed: seed, Lookups: int(200_000 * scale)}, w)
+		return err
+	}},
+	{"e7", func(seed int64, scale float64, w io.Writer) error {
+		_, err := experiments.E7(experiments.E7Config{Seed: seed, Flows: int(20000 * scale)}, w)
+		return err
+	}},
+	{"e10", func(seed int64, scale float64, w io.Writer) error {
+		_, err := experiments.E10(experiments.E10Config{Seed: seed, Flows: int(10000 * scale)}, w)
+		return err
+	}},
+	{"e13", func(seed int64, scale float64, w io.Writer) error {
+		_, err := experiments.E13(experiments.E13Config{Seed: seed, Points: int(200_000 * scale)}, w)
+		return err
+	}},
+	{"e14", func(_ int64, scale float64, w io.Writer) error {
+		_, err := experiments.E14(experiments.E14Config{Points: int(100_000 * scale)}, w)
+		return err
+	}},
+	{"e15", func(_ int64, scale float64, w io.Writer) error {
+		_, err := experiments.E15(experiments.E15Config{Flows: int(10_000_000 * scale)}, w)
+		return err
+	}},
+}
 
 func main() {
 	testing.Init() // registers test.* flags: required for testing.Benchmark outside "go test"
@@ -33,8 +83,13 @@ func main() {
 		jsonOut   = flag.String("json", "", "run the microbenchmark suite and write a BENCH_*.json trajectory entry to this path")
 		benchtime = flag.String("benchtime", "", "per-benchmark run time for -json (default: testing's 1s)")
 	)
+	ids := make([]string, len(experimentList))
+	for i, e := range experimentList {
+		ids[i] = e.id
+	}
+	choices := strings.Join(ids, "|") + "|all"
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: ruru-bench [flags] e1|e2|e3|e4|e5|e6|e7|e8|e9|e10|e11|e12|e13|e14|e15|all\n")
+		fmt.Fprintf(os.Stderr, "usage: ruru-bench [flags] %s\n", choices)
 		fmt.Fprintf(os.Stderr, "       ruru-bench -json BENCH_PRn.json [-benchtime 1s]\n")
 		flag.PrintDefaults()
 	}
@@ -51,99 +106,29 @@ func main() {
 		os.Exit(2)
 	}
 
+	var selected []experiment
+	for _, e := range experimentList {
+		if arg := flag.Arg(0); arg == "all" || arg == e.id {
+			selected = append(selected, e)
+		}
+	}
+	if len(selected) == 0 {
+		fmt.Fprintf(os.Stderr, "ruru-bench: unknown experiment %q (want %s)\n", flag.Arg(0), choices)
+		os.Exit(2)
+	}
 	scale := 1.0
 	if *quick {
 		scale = 0.1
 	}
-	run := func(id string) error {
-		w := os.Stdout
-		switch id {
-		case "e1":
-			_, err := experiments.E1(experiments.E1Config{
-				Seed: *seed, Flows: int(20000 * scale),
-			}, w)
-			return err
-		case "e2":
-			_, err := experiments.E2(experiments.E2Config{
-				Seed: *seed, RunPackets: int64(2_000_000 * scale),
-				TracePkts: int(300_000 * scale),
-			}, w)
-			return err
-		case "e2burst":
-			_, err := experiments.E2Burst(experiments.E2Config{
-				Seed: *seed, RunPackets: int64(1_000_000 * scale),
-				TracePkts: int(200_000 * scale),
-			}, 4, nil, w)
-			return err
-		case "e3":
-			_, err := experiments.E3(experiments.E3Config{
-				Messages: int(50_000 * scale),
-			}, w)
-			return err
-		case "e4":
-			_, err := experiments.E4(experiments.E4Config{
-				Seed: *seed, Hours: 0.5 * scale, PeriodS: 600, WindowMs: 500, ExtraMs: 4000,
-			}, w)
-			return err
-		case "e5":
-			_, err := experiments.E5(experiments.E5Config{Seed: *seed}, w)
-			return err
-		case "e6":
-			_, err := experiments.E6(experiments.E6Config{
-				Seed: *seed, Lookups: int(200_000 * scale),
-			}, w)
-			return err
-		case "e7":
-			_, err := experiments.E7(experiments.E7Config{
-				Seed: *seed, Flows: int(20000 * scale),
-			}, w)
-			return err
-		case "e8":
-			_, err := experiments.E8(experiments.E8Config{
-				Seed: *seed, Points: int(500_000 * scale),
-			}, w)
-			return err
-		case "e9":
-			_, err := experiments.E9(experiments.E9Config{
-				Seed: *seed, Messages: int(300_000 * scale),
-			}, w)
-			return err
-		case "e10":
-			_, err := experiments.E10(experiments.E10Config{
-				Seed: *seed, Flows: int(10000 * scale),
-			}, w)
-			return err
-		case "e11":
-			_, err := experiments.E11(experiments.E11Config{
-				Messages: int(200_000 * scale),
-			}, w)
-			return err
-		case "e12":
-			_, err := experiments.E12(experiments.E12Config{
-				Seed: *seed, Points: int(360_000 * scale),
-			}, w)
-			return err
-		case "e13":
-			_, err := experiments.E13(experiments.E13Config{
-				Seed: *seed, Points: int(200_000 * scale),
-			}, w)
-			return err
-		case "e14":
-			_, err := experiments.E14(experiments.E14Config{
-				Points: int(100_000 * scale),
-			}, w)
-			return err
-		case "e15":
-			_, err := experiments.E15(experiments.E15Config{
-				Flows: int(10_000_000 * scale),
-			}, w)
-			return err
-		default:
-			return fmt.Errorf("unknown experiment %q", id)
+	for i, e := range selected {
+		if i > 0 {
+			fmt.Println()
+		}
+		if err := e.run(*seed, scale, os.Stdout); err != nil {
+			fmt.Fprintf(os.Stderr, "ruru-bench %s: %v\n", e.id, err)
+			os.Exit(1)
 		}
 	}
-
-	runExperiments(run)
 }
 
 // runJSON executes the internal/bench suite and writes the trajectory file.
@@ -167,20 +152,4 @@ func runJSON(path, benchtime string) error {
 	}
 	fmt.Printf("wrote %s\n", path)
 	return nil
-}
-
-func runExperiments(run func(id string) error) {
-	ids := []string{flag.Arg(0)}
-	if flag.Arg(0) == "all" {
-		ids = []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15"}
-	}
-	for i, id := range ids {
-		if i > 0 {
-			fmt.Println()
-		}
-		if err := run(id); err != nil {
-			fmt.Fprintf(os.Stderr, "ruru-bench %s: %v\n", id, err)
-			os.Exit(1)
-		}
-	}
 }

@@ -27,7 +27,6 @@ type options struct {
 	duration  time.Duration
 	queues    int
 	seed      int64
-	firewall  bool
 	snapshot  string
 	burst     int
 	blockMax  time.Duration
@@ -76,7 +75,6 @@ func parseFlags(name string, args []string, hostname func() (string, error)) (*o
 		duration   = fs.Duration("duration", 5*time.Minute, "synthetic capture length (virtual)")
 		queues     = fs.Int("queues", 4, "RSS queues / measurement cores")
 		seed       = fs.Int64("seed", 1, "generator seed")
-		firewall   = fs.Bool("firewall-demo", false, "inject the nightly +4000ms firewall glitch")
 		timestamps = fs.Bool("timestamps", false, "continuous RTT from TCP timestamp echoes (rtt_stream measurement)")
 		trackSeq   = fs.Bool("track-seq", false, "continuous RTT from data→ACK sequence matching plus retrans/RTO/dupack loss classification (rtt_stream mode=seq, tcp_loss measurement)")
 		oneDir     = fs.Bool("one-direction", false, "asymmetric-tap mode: self-paired round-trip response latencies from a single visible direction (rtt_stream mode=onedir; implies -track-seq)")
@@ -111,7 +109,7 @@ func parseFlags(name string, args []string, hostname func() (string, error)) (*o
 
 	o := &options{
 		listen: *listen, pcapPath: *pcapPath, rate: *rate, duration: *duration,
-		queues: *queues, seed: *seed, firewall: *firewall,
+		queues: *queues, seed: *seed,
 		timestamps: *timestamps, trackSeq: *trackSeq, oneDir: *oneDir,
 		snapshot: *snapshot, burst: *burst, blockMax: *blockMax,
 		sinkWk: *sinkWk, sinkBatch: *sinkBatch, dbStripes: *dbStripes,

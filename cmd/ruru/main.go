@@ -189,20 +189,13 @@ func main() {
 			log.Fatalf("replay: %v", err)
 		}
 	} else {
-		cfg := gen.Config{
+		g, err := gen.New(gen.Config{
 			Seed: opt.seed, World: world,
 			FlowRate: opt.rate, Duration: opt.duration.Nanoseconds(),
 			DataSegments: 2, UDPRate: opt.rate / 2, MidstreamRate: opt.rate / 20,
 			SYNLoss: 0.01, SYNACKLoss: 0.01, IPv6Fraction: 0.15,
 			EmitTCPTimestamps: opt.timestamps,
-		}
-		if opt.firewall {
-			cfg.FirewallWindows = []gen.Window{{
-				Every: 60e9, Offset: 30e9, Length: 500e6, Extra: 4000e6,
-			}}
-			log.Printf("ruru: firewall demo enabled (+4000ms window every 60s)")
-		}
-		g, err := gen.New(cfg)
+		})
 		if err != nil {
 			log.Fatalf("generator: %v", err)
 		}

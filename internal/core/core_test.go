@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"net/netip"
 	"sync"
@@ -483,6 +484,13 @@ func buildFrame(t testing.TB, src, dst string, sp, dp uint16, flags uint8, seq, 
 }
 
 func TestEngineEndToEnd(t *testing.T) {
+	// Burst 1 is the degenerate poll: one frame per ring round-trip.
+	for _, burst := range []int{1, 32} {
+		t.Run(fmt.Sprintf("burst=%d", burst), func(t *testing.T) { testEngineEndToEnd(t, burst) })
+	}
+}
+
+func testEngineEndToEnd(t *testing.T, burst int) {
 	// Correctness harness: the source must be lossless, so the port runs
 	// the Block overflow policy — injection backpressures instead of
 	// dropping when a queue fills (the test tuples all collide onto one
@@ -501,7 +509,7 @@ func TestEngineEndToEnd(t *testing.T) {
 		got = append(got, *m)
 		mu.Unlock()
 	})
-	eng, err := NewEngine(EngineConfig{Port: port, Sink: sink, Burst: 32,
+	eng, err := NewEngine(EngineConfig{Port: port, Sink: sink, Burst: burst,
 		Table: TableConfig{Capacity: 1024}})
 	if err != nil {
 		t.Fatal(err)

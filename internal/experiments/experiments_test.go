@@ -31,56 +31,6 @@ func TestE1SmallScale(t *testing.T) {
 	}
 }
 
-func TestE2SingleRow(t *testing.T) {
-	rows, err := E2(E2Config{Seed: 1, QueueList: []int{2}, TracePkts: 20000, RunPackets: 100000}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 {
-		t.Fatalf("%d rows", len(rows))
-	}
-	r := rows[0]
-	if r.Packets < 50000 {
-		t.Fatalf("only %d packets processed", r.Packets)
-	}
-	if r.Mpps <= 0 {
-		t.Fatalf("Mpps = %v", r.Mpps)
-	}
-	if r.Measured == 0 {
-		t.Fatal("no handshakes measured during the run")
-	}
-}
-
-func TestE2BurstSweep(t *testing.T) {
-	rows, err := E2Burst(E2Config{Seed: 1, TracePkts: 20000, RunPackets: 60000},
-		2, []int{1, 64}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("%d rows", len(rows))
-	}
-	for _, r := range rows {
-		if r.Mpps <= 0 {
-			t.Fatalf("burst %d: Mpps = %v", r.Burst, r.Mpps)
-		}
-	}
-}
-
-func TestE3SingleRow(t *testing.T) {
-	rows, err := E3(E3Config{ClientList: []int{2}, Messages: 5000, PacedRate: 2000}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rows[0]
-	if r.MaxPerClientRate < 1000 {
-		t.Fatalf("per-client delivery rate %.0f msg/s — cannot sustain 'thousands per second'", r.MaxPerClientRate)
-	}
-	if r.PacedLossPct > 1 {
-		t.Fatalf("paced stream lost %.2f%%", r.PacedLossPct)
-	}
-}
-
 func TestE4FirewallDetection(t *testing.T) {
 	var sb strings.Builder
 	res, err := E4(E4Config{Seed: 1, FlowRate: 100, Hours: 0.15, PeriodS: 120, WindowMs: 500, ExtraMs: 4000}, &sb)
@@ -194,24 +144,6 @@ func TestE7SymmetricRSSIsTheDesignRequirement(t *testing.T) {
 	}
 }
 
-func TestE8StorageBench(t *testing.T) {
-	res, err := E8(E8Config{Seed: 1, Points: 50000}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.IngestPerSec < 1000 {
-		t.Fatalf("ingest %.0f points/s implausibly slow", res.IngestPerSec)
-	}
-	if res.Series == 0 || len(res.QueryResults) != 4 {
-		t.Fatalf("result incomplete: %+v", res)
-	}
-	for _, q := range res.QueryResults {
-		if q.Latency <= 0 {
-			t.Fatalf("query %q has no latency", q.Name)
-		}
-	}
-}
-
 func TestE10ContinuousRTTMatchesOracle(t *testing.T) {
 	res, err := E10(E10Config{Seed: 1, Flows: 3000}, io.Discard)
 	if err != nil {
@@ -241,70 +173,6 @@ func TestE10ContinuousRTTMatchesOracle(t *testing.T) {
 	}
 	if res.MidstreamMatched != res.MidstreamExpected {
 		t.Fatalf("midstream: %d/%d samples exact", res.MidstreamMatched, res.MidstreamExpected)
-	}
-}
-
-func TestE9HopOverheadOrdering(t *testing.T) {
-	rows, err := E9(E9Config{Seed: 1, Messages: 20000}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("%d rows", len(rows))
-	}
-	direct, oneHop, twoHop := rows[0], rows[1], rows[2]
-	if direct.NsPerMsg >= oneHop.NsPerMsg {
-		t.Fatalf("direct (%.0fns) should be cheaper than bus (%.0fns)", direct.NsPerMsg, oneHop.NsPerMsg)
-	}
-	// The modularity claim: the extra filter hop costs something but not
-	// an order of magnitude.
-	if twoHop.NsPerMsg > oneHop.NsPerMsg*10 {
-		t.Fatalf("filter hop blew up: %.0f vs %.0f ns/msg", twoHop.NsPerMsg, oneHop.NsPerMsg)
-	}
-}
-
-func TestE11SinkSweep(t *testing.T) {
-	rows, err := E11(E11Config{WorkerList: []int{1, 4}, Messages: 20000}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("%d rows", len(rows))
-	}
-	for _, r := range rows {
-		// The flow-controlled producer must make the run lossless, and
-		// the ledger must balance: everything published is stored.
-		if r.Drops != 0 || r.DecodeErr != 0 {
-			t.Fatalf("workers=%d lost measurements: %+v", r.Workers, r)
-		}
-		if r.Stored != uint64(r.Messages) {
-			t.Fatalf("workers=%d stored %d/%d", r.Workers, r.Stored, r.Messages)
-		}
-		if r.Rate <= 0 {
-			t.Fatalf("workers=%d rate = %v", r.Workers, r.Rate)
-		}
-	}
-}
-
-func TestE12RollupQuery(t *testing.T) {
-	res, err := E12(E12Config{Seed: 1, Points: 60000}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The dashboard shape must be planned onto the 10s tier, agree exactly
-	// with raw on the exact aggregations, and keep quantiles within the
-	// histogram's documented one-bin error (≤ ~25% relative).
-	if res.TierNs != 10e9 {
-		t.Fatalf("served from tier %d, want 10s", res.TierNs)
-	}
-	if !res.ExactAggsEqual {
-		t.Fatal("count/min/max/sum/mean diverged from the raw path")
-	}
-	if res.MaxQuantRelErr > 0.25 {
-		t.Fatalf("quantile error %.1f%% exceeds bin error", 100*res.MaxQuantRelErr)
-	}
-	if res.RawLatency <= 0 || res.TierLatency <= 0 {
-		t.Fatalf("latencies not measured: %+v", res)
 	}
 }
 

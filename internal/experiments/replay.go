@@ -1,9 +1,31 @@
 // Package experiments implements the evaluation harness: one reproducible
-// experiment per claim in the paper (see DESIGN.md §4 for the index).
-// Each experiment returns a typed result and can print the table/series the
-// paper-style report needs; cmd/ruru-bench is the CLI front end and the
-// repo-root bench_test.go wraps the performance-sensitive ones in
-// testing.B.
+// experiment per claim, each checked against an oracle rather than a clock.
+// Each returns a typed result and can print the table the paper-style
+// report needs; cmd/ruru-bench is the CLI front end.
+//
+//   - E1: the handshake split (Fig. 1) — internal, external and total
+//     latency exactly as the generator's ground truth says, per flow.
+//   - E4: the §3 firewall anecdote — a nightly +4000 ms window the spike
+//     detector catches and a 5-minute SNMP average does not.
+//   - E5: §3's other detections — SYN floods and unusual connection counts
+//     between two locations.
+//   - E6: §2's quoted IP2Location "98 % country-level accuracy", measured
+//     against a controlled mislabel fraction.
+//   - E7: §2's symmetric RSS — what an asymmetric key breaks (table
+//     lookups, then queue co-location) and that the symmetric one does not.
+//   - E10: "latency for all individual TCP flows" past the handshake —
+//     timestamp-echo RTT samples, exact against the oracle.
+//   - E13: the durable store — every point back after a checkpoint and a
+//     restart, tiers rebuilt, and the WAL's price against in-memory.
+//   - E14: probe federation — exactly-once delivery through a full-fleet
+//     disconnect and a probe crash.
+//   - E15: the flow-state byte cap — held at 10 M flows with every planted
+//     elephant still ranked.
+//
+// Throughput lives elsewhere: the benchmark/ module times the pipeline end
+// to end (its `--trace 1` rows split that time by stage), internal/bench
+// keeps the per-hot-path trajectory, and each package benchmarks its own
+// kernels.
 package experiments
 
 import (
@@ -17,8 +39,7 @@ import (
 // tables synchronously — single goroutine, virtual time, fully
 // deterministic. It models the paper's multi-queue architecture (RSS hash →
 // queue → per-queue table) without wall-clock scheduling noise, which is
-// what correctness and detection experiments need. Throughput experiments
-// (E2) use the real concurrent engine instead.
+// what correctness and detection experiments need.
 type Replay struct {
 	// Queues is the number of simulated RSS queues (default 4).
 	Queues int

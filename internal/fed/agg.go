@@ -279,11 +279,12 @@ func (a *Aggregator) applyBatch(ps *aggProbe, seq uint64, record []byte) (ack ui
 			return err
 		}
 		if err != nil {
-			// A fieldless point or one with duplicate field keys (craftable
-			// on the wire, never produced by a real probe) is refused by
-			// the DB deterministically — and since a refused write is
-			// handled as transient (no ack, resend), it would livelock the
-			// stream. Drop and count it here instead.
+			// A fieldless point, one with duplicate field keys or one with
+			// an identifier no checkpoint could hold, such as a raw newline
+			// in a tag (craftable on the wire, never produced by a real
+			// probe), is refused by the DB deterministically — and since
+			// a refused write is handled as transient (no ack, resend), it
+			// would livelock the stream. Drop and count it here instead.
 			dropped++
 			return nil
 		}
@@ -338,8 +339,9 @@ func (a *Aggregator) applyBatch(ps *aggProbe, seq uint64, record []byte) (ack ui
 
 // refFor resolves a decoded point's interned TSDB handle from the probe's
 // cache, creating it on first sight of the shape. It fails with the DB's
-// Ref error: a shape no write accepts (no fields, duplicate field keys), or
-// ErrClosedDB. Caller holds ps.mu.
+// Ref error: a shape no write accepts (no fields, duplicate field keys, an
+// identifier Snapshot could not write back), or ErrClosedDB. Caller holds
+// ps.mu.
 func (a *Aggregator) refFor(ps *aggProbe, p *tsdb.Point) (tsdb.SeriesRef, error) {
 	// Cache key: name, tag count, tags, field keys — all length-prefixed,
 	// so distinct shapes can never collide.

@@ -506,10 +506,11 @@ func TestFlushSplitsOversizedBatch(t *testing.T) {
 
 // TestUnwritablePointsSkippedNotLivelocked pins the aggregator against the
 // deterministic write failures reachable from the wire: a CRC-valid record
-// containing a fieldless point (ErrNoFields) or one with a repeated field
-// key (ErrBadRef: a column holds one value per point) must not wedge the
-// stream — each such point is dropped and counted, the rest of the batch
-// applies, and the batch is acked.
+// containing a fieldless point (ErrNoFields), one with a repeated field
+// key (ErrBadRef: a column holds one value per point) or one with a raw
+// newline in a tag value (ErrBadRef: the aggregator's next checkpoint could
+// not be restored) must not wedge the stream — each such point is dropped
+// and counted, the rest of the batch applies, and the batch is acked.
 func TestUnwritablePointsSkippedNotLivelocked(t *testing.T) {
 	db := tsdb.Open(tsdb.Options{})
 	defer db.Close()
@@ -538,6 +539,8 @@ func TestUnwritablePointsSkippedNotLivelocked(t *testing.T) {
 		{Name: "latency", Fields: []tsdb.Field{{Key: "total_ms", Value: 1}}, Time: 1},
 		{Name: "empty", Time: 2}, // no fields
 		{Name: "latency", Fields: []tsdb.Field{{Key: "total_ms", Value: 7}, {Key: "total_ms", Value: 8}}, Time: 2},
+		{Name: "latency", Tags: []tsdb.Tag{{Key: "src_city", Value: "Auck\nland"}},
+			Fields: []tsdb.Field{{Key: "total_ms", Value: 9}}, Time: 2},
 		{Name: "latency", Fields: []tsdb.Field{{Key: "total_ms", Value: 2}}, Time: 3},
 	})
 	if err := mq.WriteFrame(conn, mq.Message{Topic: topicBatch,
@@ -555,7 +558,7 @@ func TestUnwritablePointsSkippedNotLivelocked(t *testing.T) {
 		t.Fatalf("db has %d points, want 2", written)
 	}
 	st := agg.Stats()
-	if st.DecodeErrors != 2 || st.WriteErrors != 0 || st.Points != 2 {
+	if st.DecodeErrors != 3 || st.WriteErrors != 0 || st.Points != 2 {
 		t.Fatalf("stats: %+v", st)
 	}
 	res, err := db.Execute(tsdb.Query{Measurement: "latency", Field: "total_ms",

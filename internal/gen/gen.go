@@ -9,8 +9,8 @@
 // distance plus last-mile and jitter components) and then held fixed, so the
 // exact measurement a correct tap must report is known for every flow:
 // package gen is simultaneously the workload and the oracle. Experiments
-// E1/E2/E4/E5/E7 all consume both the packet stream and the FlowTruth
-// records.
+// E1, E4, E7 and E10 (internal/experiments) check the packet stream's
+// measurements against the FlowTruth records.
 //
 // Determinism: the same Config (including Seed) produces the same packet
 // stream, byte for byte.

@@ -36,11 +36,18 @@ func sinkAccounted(st Stats) uint64 {
 
 func TestSinkShardedLosslessAndAccounted(t *testing.T) {
 	// The tentpole contract: at a sustained load driven straight into the
-	// enriched topic, the 4-worker sink stores every measurement — zero
+	// enriched topic, the sharded sink stores every measurement — zero
 	// subscription drops — and every decode failure is counted, so the
-	// ledger published == stored + named-losses balances exactly.
+	// ledger published == stored + named-losses balances exactly. One
+	// worker is the unsharded topology the pool replaced.
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { testSinkLossless(t, workers) })
+	}
+}
+
+func testSinkLossless(t *testing.T, workers int) {
 	w := newWorld(t)
-	p, err := New(Config{GeoDB: w.DB(), Queues: 1, SinkWorkers: 4, SinkBatch: 64})
+	p, err := New(Config{GeoDB: w.DB(), Queues: 1, SinkWorkers: workers, SinkBatch: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,13 +119,16 @@ func (sc *writeScratch) reset() {
 // stage validates p — before anything is logged or written, so a rejected
 // point fails its whole call — sorts its tags in place, and appends its ref
 // key (see appendRefKeyHead), stripe id and field values to the scratch.
-// Duplicate field keys are refused like Ref refuses them: a series column
-// holds one value per point.
+// It refuses what Ref refuses: duplicate field keys (a series column holds
+// one value per point) and identifiers Snapshot could not write back.
 func (sc *writeScratch) stage(p *Point, mask uint32) error {
 	if len(p.Fields) == 0 {
 		return ErrNoFields
 	}
 	for i := range p.Fields {
+		if !lineSafeField(p.Fields[i].Key) {
+			return ErrBadRef
+		}
 		for j := i + 1; j < len(p.Fields); j++ {
 			if p.Fields[i].Key == p.Fields[j].Key {
 				return ErrBadRef
@@ -135,6 +138,9 @@ func (sc *writeScratch) stage(p *Point, mask uint32) error {
 	sortTags(p.Tags)
 	var keyAt int
 	sc.arena, keyAt = appendRefKeyHead(sc.arena, p.Name, p.Tags)
+	if !lineSafe(p.Name, p.Tags, sc.arena[keyAt:]) {
+		return ErrBadRef
+	}
 	sc.sids = append(sc.sids, hashx.FNV1a32Bytes(sc.arena[keyAt:])&mask)
 	for _, f := range p.Fields {
 		sc.arena = appendString(sc.arena, f.Key)
@@ -295,9 +301,10 @@ func (db *DB) advanceMaxT(t int64) int64 {
 }
 
 // Write stores one point. Tags are sorted in place. Points older than the
-// retention horizon are dropped. A point with no fields (ErrNoFields) or
-// with duplicate field keys (ErrBadRef) is rejected before anything is
-// logged or written. On a persistent DB the point is logged to the WAL
+// retention horizon are dropped. A point with no fields (ErrNoFields), with
+// duplicate field keys or with an identifier Snapshot could not write back
+// (ErrBadRef, see lineSafe) is rejected before anything is logged or
+// written. On a persistent DB the point is logged to the WAL
 // before it is applied (fsync per Options.Persist.Fsync); a WAL append
 // failure fails the write, so recoverable state never runs behind what
 // queries can see.

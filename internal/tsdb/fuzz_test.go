@@ -169,9 +169,9 @@ func samePoint(a, b *Point) bool {
 
 // FuzzParseLine feeds arbitrary text to the line-protocol parser. It must
 // never panic; a point it accepts must come back equal from MarshalLine →
-// ParseLine (what Snapshot → Restore and every checkpoint load rely on); and
-// that point must be stored by Write — or refused as ErrNoFields/ErrBadRef —
-// and come back out of Snapshot with its tags sorted and its NaN fields
+// ParseLine; and that point must be stored by Write — or refused as
+// ErrNoFields/ErrBadRef — and come back out of Snapshot → Restore (what
+// every checkpoint load does) with its tags sorted and its NaN fields
 // (field absent) left out.
 func FuzzParseLine(f *testing.F) {
 	for _, line := range []string{
@@ -182,6 +182,7 @@ func FuzzParseLine(f *testing.F) {
 		`m\\,k\\=v\\ f\\=1 7`, `m,a=1,a=2 f=0x1p-2`, `m,a=b x=1,x=2 100`,
 		"", "nofields", "m ", "m =1", "m f=", "m f=abc", `m f="str"`,
 		"m,tag f=1 notanumber", `m,=v f=1`, "m f=1 1 trailing", "m\\",
+		"m,a=Auck\\\nland f=1 1", "m f\\\n=1 1", "#m f=1 1",
 	} {
 		f.Add(line)
 	}
@@ -221,8 +222,17 @@ func FuzzParseLine(f *testing.F) {
 			}
 			return
 		}
-		// Parsed as ONE record whatever it contains: an identifier holding a
-		// raw newline survives ParseLine, not Restore's line scanner.
+		// Through Restore, as every checkpoint load reads it: the dump must
+		// come back as exactly the one point written.
+		db2 := Open(Options{Stripes: 1})
+		defer db2.Close()
+		if m, err := db2.Restore(&dump); m != 1 || err != nil {
+			t.Fatalf("Restore of %q's dump: %d points, %v", line, m, err)
+		}
+		dump.Reset()
+		if _, err := db2.Snapshot(&dump); err != nil {
+			t.Fatal(err)
+		}
 		var stored Point
 		err = ParseLine(string(bytes.TrimSuffix(dump.Bytes(), []byte("\n"))), &stored)
 		if !sort.SliceIsSorted(stored.Tags, func(i, j int) bool { return stored.Tags[i].Key < stored.Tags[j].Key }) {

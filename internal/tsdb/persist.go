@@ -264,8 +264,9 @@ func openPersist(db *DB, opts PersistOptions) error {
 			pr.replayedPoints.Add(1)
 		case errors.Is(err, ErrBadRef), errors.Is(err, ErrNoFields):
 			// A shape the write path refuses (binaries before the
-			// duplicate-field check could log one): deterministic,
-			// so skip and count it rather than fail every open.
+			// duplicate-field and identifier checks could log one):
+			// deterministic, so skip and count it rather than fail
+			// every open.
 			pr.replaySkipped.Add(1)
 		default:
 			return err

@@ -218,6 +218,48 @@ func TestPersistCheckpointRestoreAndTruncate(t *testing.T) {
 	}
 }
 
+// TestPersistUnrestorableIdentifierRefused pins ROADMAP 5d: MarshalLine
+// writes a raw newline as is, so a tag value holding one split its record in
+// two in the next checkpoint and every later open failed "checkpoint …
+// corrupt" — one unauthenticated federation probe could do that to an
+// aggregator. Write and WriteBatch now refuse such identifiers before they
+// are logged or stored (Ref too: TestRefValidation), and the directory
+// reopens.
+func TestPersistUnrestorableIdentifierRefused(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Persist: persistOpts(dir, FsyncOff)}
+	db, err := OpenDB(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 10
+	writePersistPoints(t, db, n, 0)
+	bad := Point{Name: "latency", Tags: []Tag{{Key: "src_city", Value: "Auck\nland"}},
+		Fields: []Field{{Key: "total_ms", Value: 1}}, Time: 1}
+	if err := db.Write(&bad); !errors.Is(err, ErrBadRef) {
+		t.Errorf("Write newline tag value: got %v, want ErrBadRef", err)
+	}
+	good := Point{Name: "latency", Fields: []Field{{Key: "total_ms", Value: 1}}, Time: 2}
+	badField := Point{Name: "latency", Fields: []Field{{Key: "total\nms", Value: 1}}, Time: 2}
+	if applied, err := db.WriteBatch([]Point{good, badField}); applied != 0 || !errors.Is(err, ErrBadRef) {
+		t.Errorf("WriteBatch newline field key: got (%d, %v), want (0, ErrBadRef)", applied, err)
+	}
+	if _, err := db.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := OpenDB(opts)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer db2.Close()
+	if ps := db2.PersistStats(); ps.RestoredPoints != n {
+		t.Fatalf("restored %d points, want %d", ps.RestoredPoints, n)
+	}
+}
+
 func TestPersistCrashRecoveryOracle(t *testing.T) {
 	// The acceptance shape: sustained ingest, a checkpoint mid-stream, a
 	// hard crash (no orderly shutdown), restart — everything the oracle

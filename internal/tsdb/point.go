@@ -23,6 +23,7 @@
 package tsdb
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -61,8 +62,9 @@ var (
 	// window and range.
 	ErrBadResolution = errors.New("tsdb: unusable query resolution")
 	// ErrBadRef reports a SeriesRef that this DB never issued, a RefPoint
-	// whose Vals length does not match the ref's field set, or duplicate
-	// field keys in a Ref request or a written Point.
+	// whose Vals length does not match the ref's field set, duplicate field
+	// keys in a Ref request or a written Point, or an identifier Snapshot
+	// could not write back (see lineSafe).
 	ErrBadRef = errors.New("tsdb: bad series ref")
 )
 
@@ -79,6 +81,29 @@ func appendSeriesKey(buf []byte, name string, tags []Tag) []byte {
 		buf = append(buf, t.Value...)
 	}
 	return buf
+}
+
+// lineSafe reports whether Snapshot can write a series identity as a line
+// Restore reads back as the same one record. MarshalLine escapes the
+// separators, but a raw newline splits the record in two (and with it every
+// later checkpoint load), a line starting with '#' is a comment, and
+// ParseLine refuses an empty name or tag key. key is the identity's series
+// key (appendSeriesKey), which holds every byte of the name and the tags.
+func lineSafe(name string, tags []Tag, key []byte) bool {
+	if name == "" || name[0] == '#' || bytes.IndexByte(key, '\n') >= 0 {
+		return false
+	}
+	for _, t := range tags {
+		if t.Key == "" {
+			return false
+		}
+	}
+	return true
+}
+
+// lineSafeField is lineSafe for a field key.
+func lineSafeField(key string) bool {
+	return key != "" && strings.IndexByte(key, '\n') < 0
 }
 
 // sortTags sorts tags by key. Already-sorted input (the overwhelmingly

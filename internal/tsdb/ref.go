@@ -195,10 +195,11 @@ func (db *DB) newRefLocked(st *stripe, rk []byte, name string, tags []Tag, field
 
 // Ref interns a series identity plus an ordered field set and returns a
 // reusable handle for WriteBatchRef. Tags are copied and sorted; fields
-// must be non-empty and distinct. Calling Ref again with the same
-// (name, tags, fields) returns the same handle — the one Write/WriteBatch
-// use for points of that shape. Refs are cheap to hold and never
-// invalidated for the life of the DB.
+// must be non-empty and distinct, and every identifier one Snapshot can
+// write back (ErrBadRef otherwise; see lineSafe). Calling Ref again with
+// the same (name, tags, fields) returns the same handle — the one
+// Write/WriteBatch use for points of that shape. Refs are cheap to hold and
+// never invalidated for the life of the DB.
 func (db *DB) Ref(name string, tags []Tag, fields ...string) (SeriesRef, error) {
 	if db.closed.Load() {
 		return 0, ErrClosedDB
@@ -207,6 +208,9 @@ func (db *DB) Ref(name string, tags []Tag, fields ...string) (SeriesRef, error) 
 		return 0, ErrNoFields
 	}
 	for i := range fields {
+		if !lineSafeField(fields[i]) {
+			return 0, ErrBadRef
+		}
 		for j := i + 1; j < len(fields); j++ {
 			if fields[i] == fields[j] {
 				return 0, ErrBadRef
@@ -216,6 +220,9 @@ func (db *DB) Ref(name string, tags []Tag, fields ...string) (SeriesRef, error) 
 	sorted := append([]Tag(nil), tags...)
 	sortTags(sorted)
 	rk, keyAt := appendRefKeyHead(nil, name, sorted)
+	if !lineSafe(name, sorted, rk[keyAt:]) {
+		return 0, ErrBadRef
+	}
 	st := db.stripes[hashx.FNV1a32Bytes(rk[keyAt:])&db.mask]
 	for _, f := range fields {
 		rk = appendString(rk, f)

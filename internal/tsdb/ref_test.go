@@ -18,6 +18,26 @@ func TestRefValidation(t *testing.T) {
 	if _, err := db.Ref("latency", nil, "a", "b", "a"); err != ErrBadRef {
 		t.Fatalf("dup fields: got %v, want ErrBadRef", err)
 	}
+	// Identifiers Snapshot could not write back as the one record Restore
+	// reads (TestPersistUnrestorableIdentifierRefused).
+	for _, c := range []struct {
+		name  string
+		tags  []Tag
+		field string
+	}{
+		{"lat\nency", nil, "total_ms"},
+		{"latency", []Tag{{Key: "src\ncity", Value: "x"}}, "total_ms"},
+		{"latency", []Tag{{Key: "src_city", Value: "Auck\nland"}}, "total_ms"},
+		{"latency", nil, "total\nms"},
+		{"latency", []Tag{{Key: "", Value: "x"}}, "total_ms"}, // ",=x": ParseLine refuses it
+		{"latency", nil, ""},
+		{"", nil, "total_ms"},
+		{"#latency", nil, "total_ms"}, // a comment to Restore: silently skipped
+	} {
+		if _, err := db.Ref(c.name, c.tags, c.field); err != ErrBadRef {
+			t.Errorf("Ref(%q, %q, %q): got %v, want ErrBadRef", c.name, c.tags, c.field, err)
+		}
+	}
 
 	tags := []Tag{{Key: "dst", Value: "x"}, {Key: "src", Value: "y"}}
 	r1, err := db.Ref("latency", tags, "total_ms")
