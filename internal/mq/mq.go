@@ -44,7 +44,8 @@ var (
 	ErrFrameTooBig = errors.New("mq: frame exceeds limit")
 )
 
-// maxFrame bounds wire frames to protect TCP peers from corrupt lengths.
+// maxFrame bounds a wire frame's topic and payload together, so a corrupt
+// or hostile length costs a TCP peer at most this much memory.
 const maxFrame = 16 << 20
 
 // Bus is an in-process PUB/SUB broker. Safe for concurrent use.
@@ -156,7 +157,7 @@ func (b *Bus) Close() {
 
 // writeFrame emits topic and payload with uvarint length prefixes.
 func writeFrame(w io.Writer, msg Message) error {
-	if len(msg.Topic) > maxFrame || len(msg.Payload) > maxFrame {
+	if len(msg.Topic)+len(msg.Payload) > maxFrame {
 		return ErrFrameTooBig
 	}
 	var hdr [2 * binary.MaxVarintLen32]byte
@@ -182,7 +183,7 @@ func readFrame(r *frameReader) (Message, error) {
 	if err != nil {
 		return Message{}, err
 	}
-	if tlen > maxFrame || plen > maxFrame {
+	if tlen > maxFrame || plen > maxFrame-tlen {
 		return Message{}, ErrFrameTooBig
 	}
 	buf := make([]byte, tlen+plen)

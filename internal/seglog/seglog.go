@@ -1,9 +1,10 @@
 // Package seglog is the one crash-safe record log on disk: a directory of
 // numbered segment files that the TSDB write-ahead log (internal/tsdb) and
 // the federation probe's unacked-batch spool (internal/fed) both append to
-// and recover from. Everything that names, lists, creates, frames, scans,
-// rotates, syncs and removes a segment lives here; the owners keep only
-// what their payloads mean. ARCHITECTURE.md "The segment log" has the
+// and recover from, and that the TSDB's checkpoints are written into whole
+// (Format.WriteSegment). Everything that names, lists, creates, frames,
+// scans, rotates, syncs and removes a segment lives here; the owners keep
+// only what their payloads mean. ARCHITECTURE.md "The segment log" has the
 // design.
 package seglog
 
@@ -14,6 +15,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -136,6 +138,41 @@ func (f Format) RemoveBelow(dir string, bound uint64) (removed int, err error) {
 // create makes segment seg, which must not exist yet.
 func (f Format) create(dir string, seg uint64) (*os.File, error) {
 	return os.OpenFile(f.SegmentPath(dir, seg), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+}
+
+// WriteSegment writes segment seg whole and atomically, replacing any: a
+// Log of its own appends the records to <segment>.tmp and syncs it on
+// Close, then a rename and a directory fsync put it in place, so after a
+// crash seg is what it was or all of the new one. A record above MaxRecord
+// fails with ErrRecordTooBig. On failure the temporary is removed; a
+// crash's is the owner's to delete.
+func (f Format) WriteSegment(dir string, seg uint64, records [][]byte) error {
+	tmp := f
+	tmp.Suffix += ".tmp"
+	path := tmp.SegmentPath(dir, seg)
+	os.Remove(path) // create is O_EXCL
+	l, err := Open(dir, tmp, seg, Options{MaxSegmentBytes: math.MaxInt64, Sync: SyncInterval})
+	if err != nil {
+		return err
+	}
+	for _, r := range records {
+		if err = l.Append(func(buf []byte) []byte { return append(buf, r...) }); err != nil {
+			break
+		}
+	}
+	if err = errors.Join(err, l.Close()); err == nil {
+		err = os.Rename(path, f.SegmentPath(dir, seg))
+	}
+	if err == nil {
+		var d *os.File
+		if d, err = os.Open(dir); err == nil {
+			err = errors.Join(d.Sync(), d.Close())
+		}
+	}
+	if err != nil {
+		os.Remove(path)
+	}
+	return err
 }
 
 // Stop says why a Scan ended.

@@ -490,6 +490,36 @@ func TestRemoveBelowAndClosed(t *testing.T) {
 	}
 }
 
+// TestWriteSegment: a segment written whole scans back record for record,
+// replaces the segment already there, and a refused write leaves neither
+// its segment nor its temporary behind.
+func TestWriteSegment(t *testing.T) {
+	dir := t.TempDir()
+	recs := [][]byte{[]byte("one"), {}, bytes.Repeat([]byte{7}, int(testFormat.MaxRecord))}
+	for round := 0; round < 2; round++ {
+		if err := testFormat.WriteSegment(dir, 3, recs); err != nil {
+			t.Fatal(err)
+		}
+		got, stop := scanAll(t, testFormat, testFormat.SegmentPath(dir, 3))
+		if stop != StopEOF || len(got) != len(recs) {
+			t.Fatalf("round %d: scanned %d records, stop %q; want %d", round, len(got), stop, len(recs))
+		}
+		for i := range recs {
+			if !bytes.Equal(got[i], recs[i]) {
+				t.Fatalf("round %d record %d: %q, want %q", round, i, got[i], recs[i])
+			}
+		}
+		recs = recs[:1] // the next round replaces the segment
+	}
+	tooBig := [][]byte{[]byte("fits"), make([]byte, testFormat.MaxRecord+1)}
+	if err := testFormat.WriteSegment(dir, 4, tooBig); !errors.Is(err, ErrRecordTooBig) {
+		t.Fatalf("WriteSegment with a record over the bound: %v", err)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 1 || ents[0].Name() != filepath.Base(testFormat.SegmentPath(dir, 3)) {
+		t.Fatalf("directory holds %v, want segment 3 alone", ents)
+	}
+}
+
 // frameOf returns payload framed for the disk.
 func frameOf(payload []byte) []byte {
 	return sealFrame(append(make([]byte, FrameBytes), payload...))

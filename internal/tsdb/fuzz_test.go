@@ -5,8 +5,10 @@ package tsdb
 // interleavings, so the reader's contract under garbage is absolute —
 // never panic, never allocate unboundedly, never apply a record that did
 // not survive its CRC ("over-apply"). Corpus regeneration: RURU_UPDATE=1
-// (see docs/TESTING.md). Line protocol — the parser in front of /write,
-// Restore and every checkpoint load — has FuzzParseLine, seeded in place.
+// (see docs/TESTING.md). A checkpoint file goes through the whole open path
+// in FuzzCheckpointOpen; line protocol — the parser in front of /write,
+// Restore and an older binary's checkpoints — has FuzzParseLine. Both are
+// seeded in place.
 
 import (
 	"bytes"
@@ -17,6 +19,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 
 	"ruru/internal/seglog"
@@ -141,6 +144,118 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		if (errFinal == nil) != (errMid == nil) {
 			t.Fatalf("error presence differs: final=%v mid=%v", errFinal, errMid)
+		}
+	})
+}
+
+// fuzzCheckpointSeeds builds checkpoint images: one the writer made (two
+// series in one stripe over several shard slots, one with a second field),
+// the parent-written line-protocol checkpoint, and truncations of both.
+func fuzzCheckpointSeeds(tb testing.TB) [][]byte {
+	tb.Helper()
+	dir, err := os.MkdirTemp("", "ruru-ckptfuzz-")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	db, err := OpenDB(Options{ShardDuration: 10e9, Stripes: 1, Persist: persistOpts(dir, FsyncOff)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var pts []Point
+	for i := 0; i < 40; i++ {
+		p := Point{Name: "latency", Tags: []Tag{{Key: "src_city", Value: "Auckland"}},
+			Fields: []Field{{Key: "total_ms", Value: 140 + float64(i%7)}}, Time: int64(i) * 5e8}
+		if i%3 == 0 {
+			p.Tags = []Tag{{Key: "src_city", Value: "Sydney"}}
+			p.Fields = append(p.Fields, Field{Key: "internal_ms", Value: float64(i)})
+		}
+		pts = append(pts, p)
+	}
+	if _, err := db.WriteBatch(pts); err != nil {
+		tb.Fatal(err)
+	}
+	info, err := db.Checkpoint()
+	if err == nil {
+		err = db.Close()
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	records, err := os.ReadFile(ckptFormat().SegmentPath(filepath.Join(dir, ckptDirName), info.WALSegment))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	lines, err := os.ReadFile(filepath.Join(goldenDataDir, ckptDirName, "00000002.ckpt"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return [][]byte{records, records[:len(records)-5], records[:seglog.MagicBytes+3],
+		lines, lines[:len(lines)/2], lines[:len(lines)-1]}
+}
+
+// fuzzCheckpointPoints is the oracle for one checkpoint image: the points
+// its records hold, and whether it has the magic and every frame and entry
+// check out — in which case open must succeed.
+func fuzzCheckpointPoints(path string) (points uint64, magic, valid bool) {
+	_, stop, err := ckptFormat().Scan(path, func(payload []byte) error {
+		return DecodeRecord(payload, func(*Point) error { points++; return nil })
+	})
+	return points, stop != seglog.StopBadMagic, err == nil && stop == seglog.StopEOF
+}
+
+// FuzzCheckpointOpen writes arbitrary bytes as a data directory's only
+// checkpoint and opens it. Open must never panic. A file with the magic
+// opens exactly when every frame and entry checks out (a renamed-in
+// checkpoint has no tear to tolerate), with every point of its records
+// restored or skipped as refused; a file without it is an older binary's
+// line protocol, which opens with one point per line or not at all.
+// Whatever fails names the checkpoint.
+func FuzzCheckpointOpen(f *testing.F) {
+	for _, s := range fuzzCheckpointSeeds(f) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		old := maxRecordBytes
+		maxRecordBytes = 1 << 20 // hostile length fields cost at most this
+		defer func() { maxRecordBytes = old }()
+
+		dir := filepath.Join(filepath.Dir(fuzzScratchPath()), "datadir")
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatal(err)
+		}
+		path := ckptFormat().SegmentPath(filepath.Join(dir, ckptDirName), 1)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want, magic, valid := fuzzCheckpointPoints(path)
+		db, err := OpenDB(Options{Persist: persistOpts(dir, FsyncOff)})
+		if err != nil {
+			if !strings.Contains(err.Error(), filepath.Base(path)) {
+				t.Fatalf("open failed without naming the checkpoint: %v", err)
+			}
+			if magic && valid {
+				t.Fatalf("a checkpoint whose frames all check out failed to open: %v", err)
+			}
+			return
+		}
+		defer db.Close()
+		st := db.PersistStats()
+		if !magic {
+			want = 0
+			for _, line := range strings.Split(string(data), "\n") {
+				if line = strings.TrimSuffix(line, "\r"); line != "" && line[0] != '#' {
+					want++
+				}
+			}
+		} else if !valid {
+			t.Fatal("a checkpoint with a bad frame or entry opened")
+		}
+		if st.RestoredPoints+st.WALReplaySkipped != want {
+			t.Fatalf("restored %d + skipped %d points, want %d", st.RestoredPoints, st.WALReplaySkipped, want)
 		}
 	})
 }

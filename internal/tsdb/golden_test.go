@@ -124,6 +124,55 @@ func TestGoldenDataDirRestores(t *testing.T) {
 		t.Fatalf("recovered %d checkpoint + %d WAL points, want %d + %d",
 			st.RestoredPoints, st.WALReplayedPoints, goldenHeadPoints, goldenTailPoints)
 	}
+	checkGoldenAnswers(t, db)
+}
+
+// TestGoldenDataDirUpgradesOnCheckpoint: the parent's checkpoint is line
+// protocol. The first checkpoint after opening it rewrites everything as
+// records, which the next open loads with the same answers — and which the
+// parent's line reader refuses rather than reads as empty.
+func TestGoldenDataDirUpgradesOnCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	copyDataDir(t, goldenDataDir, dir)
+	db, err := OpenDB(goldenOpts(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := db.Checkpoint()
+	if err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ckpt, err := os.ReadFile(ckptFormat().SegmentPath(filepath.Join(dir, ckptDirName), info.WALSegment))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(ckpt, []byte(ckptFormat().Magic)) {
+		t.Fatalf("new checkpoint starts %q, want the magic %q", ckpt[:8], ckptFormat().Magic)
+	}
+	lineReader := Open(Options{})
+	defer lineReader.Close()
+	if n, err := lineReader.Restore(bytes.NewReader(ckpt)); n != 0 || err == nil {
+		t.Fatalf("line reader on a record checkpoint: %d points, err %v; want a refusal", n, err)
+	}
+	db, err = OpenDB(goldenOpts(dir))
+	if err != nil {
+		t.Fatalf("reopen after the upgrading checkpoint: %v", err)
+	}
+	defer db.Close()
+	if st := db.PersistStats(); st.RestoredPoints != goldenHeadPoints+goldenTailPoints || st.WALReplayedPoints != 0 {
+		t.Fatalf("recovered %d checkpoint + %d WAL points, want %d + 0",
+			st.RestoredPoints, st.WALReplayedPoints, goldenHeadPoints+goldenTailPoints)
+	}
+	checkGoldenAnswers(t, db)
+}
+
+// checkGoldenAnswers requires db to answer the dashboard query exactly like
+// an in-memory DB fed the golden sequence.
+func checkGoldenAnswers(t *testing.T, db *DB) {
+	t.Helper()
 	memOpts := goldenOpts("")
 	memOpts.Persist = nil
 	mirror := Open(memOpts)

@@ -11,9 +11,10 @@ package tsdb
 //	wal/00000001.wal ...      CRC-framed append log, one record per
 //	                          Write/WriteBatch (dictionary-compressed
 //	                          binary encoding — see wal.go)
-//	checkpoint/00000007.ckpt  atomic full snapshot (line protocol); the
-//	                          number is the first WAL segment NOT covered,
-//	                          i.e. where replay must start
+//	checkpoint/00000007.ckpt  atomic full dump: a segment of self-contained
+//	                          records in the WAL's codec (see ckptFormat);
+//	                          the number is the first WAL segment NOT
+//	                          covered, i.e. where replay must start
 //
 // Write path (WAL-first): a Write/WriteBatch appends its record to the log
 // under commitMu.RLock, then applies to the in-memory stripes — so every
@@ -31,10 +32,11 @@ package tsdb
 //     stripe that has not been staged yet;
 //  4. stage each stripe's dump into memory, releasing its lock the moment
 //     the copy is done — a writer stalls only for the memory-speed copy
-//     of the stripe it targets, never behind file I/O — then write the
-//     staged dump to checkpoint/<newSeg>.ckpt.tmp lock-free;
-//  5. fsync + rename the temp file (atomic: a crash leaves either the old
-//     checkpoint or the new one, never a partial), fsync the directory;
+//     of the stripe it targets, never behind file I/O;
+//  5. write the staged records lock-free as checkpoint/<newSeg>.ckpt with
+//     seglog's atomic whole-segment writer (temp file, fsync, rename,
+//     directory fsync: a crash leaves either the old checkpoint or the new
+//     one, never a partial);
 //  6. delete older checkpoints and WAL segments < newSeg.
 //
 // The dump is therefore an exact cut of the state at rotation time:
@@ -90,10 +92,33 @@ const (
 	lockName    = "LOCK"
 )
 
-// ckptFiles names the checkpoint files: numbered in the WAL's segment space
-// (the first segment NOT covered), so the segment log's naming, listing and
-// pruning serve. The contents are line protocol, not records.
-var ckptFiles = seglog.Format{Suffix: ".ckpt"}
+// ckptRecordBytes sizes checkpoint records: each (stripe, shard slot) chunk
+// of the dump is one or more, each ending at the first point past this.
+const ckptRecordBytes = 1 << 20
+
+// ckptFormat names the checkpoint files (per call, like walFormat): segments
+// numbered in the WAL's segment space (the first segment NOT covered). A
+// record holds at most ckptRecordBytes plus one point the WAL took. The
+// magic starts with a space, which no line-protocol checkpoint (older
+// binaries') starts with and their Restore refuses: a downgrade fails.
+func ckptFormat() seglog.Format {
+	return seglog.Format{Suffix: ".ckpt", Magic: " RUCKPT1", MaxRecord: maxRecordBytes + ckptRecordBytes}
+}
+
+// recordChunk returns Checkpoint's dumpEncoder: a new record at each chunk
+// and whenever the current one reaches ckptRecordBytes.
+func recordChunk() dumpEncoder {
+	var enc pointEncoder
+	return func(pieces [][]byte, p *Point) [][]byte {
+		if pieces == nil || len(pieces[len(pieces)-1]) >= ckptRecordBytes {
+			enc.reset()
+			pieces = append(pieces, nil)
+		}
+		last := len(pieces) - 1
+		pieces[last] = enc.appendPoint(pieces[last], p)
+		return pieces
+	}
+}
 
 // persister is a DB's durability state; nil on in-memory databases. It is
 // armed (assigned to db.persist) only after restore+replay finish, so
@@ -142,9 +167,10 @@ type PersistStats struct {
 	WALSegment uint64
 	// RestoredPoints / WALReplayedPoints say what the last open recovered:
 	// points loaded from the checkpoint and points replayed from the WAL
-	// tail (WALReplayedRecords batches). WALReplaySkipped counts logged
-	// points the write path refuses as malformed (duplicate field keys, no
-	// fields) and replay therefore left out. ReplayTornTail reports that
+	// tail (WALReplayedRecords batches). WALReplaySkipped counts points of
+	// either, checkpoint or WAL, that the write path refuses as malformed
+	// (duplicate field keys, no fields, an identifier it refuses) and
+	// recovery therefore left out. ReplayTornTail reports that
 	// the final record was torn — the expected shape of a crash mid-append
 	// — and was discarded.
 	RestoredPoints     uint64
@@ -240,39 +266,17 @@ func openPersist(db *DB, opts PersistOptions) error {
 
 	// 1. Restore the newest checkpoint, if any.
 	replayFrom := uint64(0)
-	if seqs, err := ckptFiles.Segments(ckptDir); err != nil {
+	if seqs, err := ckptFormat().Segments(ckptDir); err != nil {
 		return fail(err)
 	} else if len(seqs) > 0 {
-		seq := seqs[len(seqs)-1]
-		f, err := os.Open(ckptFiles.SegmentPath(ckptDir, seq))
-		if err != nil {
+		replayFrom = seqs[len(seqs)-1]
+		if err := pr.loadCheckpoint(db, ckptFormat().SegmentPath(ckptDir, replayFrom)); err != nil {
 			return fail(err)
 		}
-		n, err := db.Restore(f)
-		f.Close()
-		if err != nil {
-			return fail(fmt.Errorf("tsdb: checkpoint %s corrupt: %w", filepath.Base(f.Name()), err))
-		}
-		pr.restoredPoints.Store(uint64(n))
-		replayFrom = seq
 	}
 
 	// 2. Replay the WAL tail: every segment the checkpoint does not cover.
-	records, torn, last, err := replayWAL(walDir, replayFrom, func(p *Point) error {
-		switch err := db.Write(p); {
-		case err == nil:
-			pr.replayedPoints.Add(1)
-		case errors.Is(err, ErrBadRef), errors.Is(err, ErrNoFields):
-			// A shape the write path refuses (binaries before the
-			// duplicate-field and identifier checks could log one):
-			// deterministic, so skip and count it rather than fail
-			// every open.
-			pr.replaySkipped.Add(1)
-		default:
-			return err
-		}
-		return nil
-	})
+	records, torn, last, err := replayWAL(walDir, replayFrom, pr.apply(db, &pr.replayedPoints))
 	pr.replayedRecords.Store(uint64(records))
 	pr.tornTail.Store(torn)
 	if err != nil {
@@ -297,6 +301,52 @@ func openPersist(db *DB, opts PersistOptions) error {
 		// Background checkpoint failures are counted in CheckpointErrors
 		// by Checkpoint itself; the next tick retries with the WAL intact.
 		pr.every(opts.CheckpointEvery, func() { _, _ = db.Checkpoint() })
+	}
+	return nil
+}
+
+// apply is how recovery stores a point, from the checkpoint and from the
+// WAL alike: through the write path, counted in n. A point the write path
+// refuses as malformed (binaries before the duplicate-field and identifier
+// checks could log one) is refused deterministically, so it is skipped and
+// counted rather than failing every open.
+func (pr *persister) apply(db *DB, n *atomic.Uint64) func(*Point) error {
+	return func(p *Point) error {
+		switch err := db.Write(p); {
+		case err == nil:
+			n.Add(1)
+		case errors.Is(err, ErrBadRef), errors.Is(err, ErrNoFields):
+			pr.replaySkipped.Add(1)
+		default:
+			return err
+		}
+		return nil
+	}
+}
+
+// loadCheckpoint restores the checkpoint at path. Installed by rename, it
+// is whole or absent, so any frame that does not check out is corruption,
+// not a tear. A file without the magic is a line-protocol checkpoint from
+// an older binary: it alone goes through Restore, under that format's
+// limits.
+func (pr *persister) loadCheckpoint(db *DB, path string) error {
+	apply := pr.apply(db, &pr.restoredPoints)
+	_, stop, err := ckptFormat().Scan(path, func(payload []byte) error {
+		return DecodeRecord(payload, apply)
+	})
+	if err == nil && stop == seglog.StopBadMagic {
+		var f *os.File
+		if f, err = os.Open(path); err == nil {
+			var n int64
+			n, err = db.Restore(f)
+			f.Close()
+			pr.restoredPoints.Store(uint64(n))
+		}
+	} else if err == nil && stop != seglog.StopEOF {
+		err = errors.New(stop.String())
+	}
+	if err != nil {
+		return fmt.Errorf("tsdb: checkpoint %s corrupt: %w", filepath.Base(path), err)
 	}
 	return nil
 }
@@ -384,41 +434,16 @@ func (db *DB) Checkpoint() (CheckpointInfo, error) {
 	db.commitMu.Unlock()
 
 	// Stage each stripe's dump in memory and release its lock immediately:
-	// a writer stalls only while the stripe it targets is being copied (at
-	// memory speed), never behind file I/O. Costs one serialized copy of
-	// the retained state, same as Snapshot — and like Snapshot the chunks
-	// come back sorted by shard start, which restore-into-retention
-	// correctness depends on (see stageDumpChunks).
-	chunks, points := db.stageDumpChunks(true)
+	// a writer stalls only while the stripe it targets is being encoded (at
+	// memory speed), never behind file I/O. Costs one encoded copy of the
+	// retained state — and like Snapshot the records come back sorted by
+	// shard start, which restore-into-retention correctness depends on (see
+	// stageDump).
+	records, points := db.stageDump(true, recordChunk())
 
 	// All file I/O happens lock-free.
 	ckptDir := filepath.Join(pr.opts.Dir, ckptDirName)
-	final := ckptFiles.SegmentPath(ckptDir, newSeg)
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		pr.checkpointErrors.Add(1)
-		return CheckpointInfo{}, err
-	}
-	for _, c := range chunks {
-		if _, err = f.Write(c.data); err != nil {
-			break
-		}
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if e := f.Close(); err == nil {
-		err = e
-	}
-	if err == nil {
-		err = os.Rename(tmp, final)
-	}
-	if err == nil {
-		err = syncDir(ckptDir)
-	}
-	if err != nil {
-		os.Remove(tmp)
+	if err := ckptFormat().WriteSegment(ckptDir, newSeg, records); err != nil {
 		pr.checkpointErrors.Add(1)
 		return CheckpointInfo{}, err
 	}
@@ -426,7 +451,7 @@ func (db *DB) Checkpoint() (CheckpointInfo, error) {
 	// The new checkpoint supersedes everything older: previous checkpoints
 	// and every WAL segment below the cut. Failures here are not fatal —
 	// leftovers are skipped on restore and retried next cycle.
-	ckptFiles.RemoveBelow(ckptDir, newSeg)
+	ckptFormat().RemoveBelow(ckptDir, newSeg)
 	removed, _ := walFormat().RemoveBelow(filepath.Join(pr.opts.Dir, walDirName), newSeg)
 
 	pr.checkpoints.Add(1)
@@ -436,19 +461,6 @@ func (db *DB) Checkpoint() (CheckpointInfo, error) {
 		WALSegment: newSeg, Points: points,
 		SegmentsRemoved: removed, Took: time.Since(began),
 	}, nil
-}
-
-// syncDir fsyncs a directory so a just-renamed file survives power loss.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if e := d.Close(); err == nil {
-		err = e
-	}
-	return err
 }
 
 // PersistStats snapshots the durability counters; Enabled is false (and

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -260,6 +261,145 @@ func TestPersistUnrestorableIdentifierRefused(t *testing.T) {
 	}
 }
 
+// TestPersistOverlongPointCheckpoints: Write, WriteBatch, POST /write and
+// the federation wire all take a point whose line form is over the line
+// reader's 1 MiB bound. A line-protocol checkpoint holding one made every
+// later open fail ("bufio.Scanner: token too long"); a record checkpoint
+// has no such bound below the WAL's own.
+func TestPersistOverlongPointCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Persist: persistOpts(dir, FsyncOff)}
+	db, err := OpenDB(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 10
+	writePersistPoints(t, db, n, 0)
+	city := strings.Repeat("Auckland", 256<<10) // 2 MiB
+	big := Point{Name: "latency", Tags: []Tag{{Key: "src_city", Value: city}},
+		Fields: []Field{{Key: "total_ms", Value: 7}}, Time: 5e8}
+	if err := db.Write(&big); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := OpenDB(opts)
+	if err != nil {
+		t.Fatalf("reopen after checkpointing a 2 MiB tag value: %v", err)
+	}
+	defer db2.Close()
+	if ps := db2.PersistStats(); ps.RestoredPoints != n+1 {
+		t.Fatalf("restored %d points, want %d", ps.RestoredPoints, n+1)
+	}
+	if vals := db2.TagValues("src_city", 0, 1e9); !slices.Contains(vals, city) {
+		t.Fatalf("the 2 MiB tag value did not come back: %d values", len(vals))
+	}
+}
+
+// TestCheckpointSkipsRefusedPoint: a checkpoint point the write path
+// refuses is skipped and counted exactly as a WAL point is (see
+// TestReplaySkipsDuplicateFieldPoint), not a reason to fail every open.
+func TestCheckpointSkipsRefusedPoint(t *testing.T) {
+	dir := t.TempDir()
+	ckptDir := filepath.Join(dir, ckptDirName)
+	if err := os.MkdirAll(ckptDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	mk := func(tm int64, fields ...Field) Point {
+		return Point{Name: "m", Tags: []Tag{{Key: "a", Value: "b"}}, Fields: fields, Time: tm}
+	}
+	var enc RecordEncoder
+	rec := enc.AppendRecord(nil, []Point{
+		mk(100, Field{Key: "x", Value: 1}),
+		mk(150, Field{Key: "x", Value: 1}, Field{Key: "x", Value: 2}),
+		{Name: "m", Tags: []Tag{{Key: "a", Value: "new\nline"}}, Fields: []Field{{Key: "x", Value: 5}}, Time: 170},
+		mk(200, Field{Key: "x", Value: 3}),
+	})
+	if err := ckptFormat().WriteSegment(ckptDir, 1, [][]byte{rec}); err != nil {
+		t.Fatal(err)
+	}
+	db, err := OpenDB(Options{Persist: persistOpts(dir, FsyncOff)})
+	if err != nil {
+		t.Fatalf("open with refused points in the checkpoint: %v", err)
+	}
+	defer db.Close()
+	if st := db.PersistStats(); st.RestoredPoints != 2 || st.WALReplaySkipped != 2 {
+		t.Fatalf("restored %d points, skipped %d; want 2, 2", st.RestoredPoints, st.WALReplaySkipped)
+	}
+	checkAligned(t, db)
+}
+
+// TestRecordChunkSplitsAtBound: a dump chunk bigger than ckptRecordBytes
+// becomes several records, each ending at the first point past the bound
+// and each decoding stand-alone; together they hold the chunk's points in
+// order.
+func TestRecordChunkSplitsAtBound(t *testing.T) {
+	encode := recordChunk()
+	var pieces [][]byte
+	var want []Point
+	cities := [][]Tag{{{Key: "src_city", Value: "Auckland"}}, {{Key: "src_city", Value: "Tokyo"}}}
+	for i := 0; len(pieces) < 3; i++ {
+		p := Point{Name: "latency", Tags: cities[i%2], Time: int64(i) * 1e6,
+			Fields: []Field{{Key: "total_ms", Value: float64(i) * 1.37}}}
+		want = append(want, p)
+		pieces = encode(pieces, &p)
+	}
+	got := 0
+	for i, rec := range pieces {
+		if i < len(pieces)-1 && (len(rec) < ckptRecordBytes || len(rec) > ckptRecordBytes+64) {
+			t.Fatalf("record %d is %d bytes, want the bound %d plus at most one point", i, len(rec), ckptRecordBytes)
+		}
+		err := DecodeRecord(rec, func(p *Point) error {
+			if !samePoint(p, &want[got]) {
+				return fmt.Errorf("point %d decoded as %+v, want %+v", got, *p, want[got])
+			}
+			got++
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+	}
+	if got != len(want) {
+		t.Fatalf("decoded %d points, want %d", got, len(want))
+	}
+}
+
+// TestCheckpointCorruptFailsOpen: a checkpoint is installed by rename, so
+// a frame that does not check out is corruption, never a tear to skip —
+// open fails and names the file.
+func TestCheckpointCorruptFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Persist: persistOpts(dir, FsyncOff)}
+	db, err := OpenDB(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writePersistPoints(t, db, 100, 0)
+	info, err := db.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := ckptFormat().SegmentPath(filepath.Join(dir, ckptDirName), info.WALSegment)
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, st.Size()-1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenDB(opts); err == nil || !strings.Contains(err.Error(), filepath.Base(path)) {
+		t.Fatalf("open over a truncated checkpoint: %v, want an error naming %s", err, filepath.Base(path))
+	}
+}
+
 func TestPersistCrashRecoveryOracle(t *testing.T) {
 	// The acceptance shape: sustained ingest, a checkpoint mid-stream, a
 	// hard crash (no orderly shutdown), restart — everything the oracle
@@ -433,11 +573,11 @@ func TestPersistMidCheckpointCrashLeftovers(t *testing.T) {
 	// recovery: the temp is deleted, the garbage "old" checkpoint and
 	// segment are below the newest checkpoint and skipped.
 	ckptDir := filepath.Join(dir, ckptDirName)
-	if err := os.WriteFile(ckptFiles.SegmentPath(ckptDir, 99)+".tmp",
+	if err := os.WriteFile(ckptFormat().SegmentPath(ckptDir, 99)+".tmp",
 		[]byte("half-written garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(ckptFiles.SegmentPath(ckptDir, 0),
+	if err := os.WriteFile(ckptFormat().SegmentPath(ckptDir, 0),
 		[]byte("not line protocol at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -85,8 +85,8 @@ func appendSeriesKey(buf []byte, name string, tags []Tag) []byte {
 
 // lineSafe reports whether Snapshot can write a series identity as a line
 // Restore reads back as the same one record. MarshalLine escapes the
-// separators, but a raw newline splits the record in two (and with it every
-// later checkpoint load), a line starting with '#' is a comment, and
+// separators, but a raw newline splits the record in two (and with it a
+// /snapshot re-ingest), a line starting with '#' is a comment, and
 // ParseLine refuses an empty name or tag key. key is the identity's series
 // key (appendSeriesKey), which holds every byte of the name and the tags.
 func lineSafe(name string, tags []Tag, key []byte) bool {

@@ -17,46 +17,17 @@ package tsdb
 // The zero value is ready to use. Not safe for concurrent use; the
 // internal dictionary is scratch state reused across calls.
 type RecordEncoder struct {
-	dict   map[string]uint64
-	state  []shapeEnc
-	keyBuf []byte
+	enc pointEncoder
 }
 
 // AppendRecord appends the encoding of pts to buf and returns the extended
 // slice. Tags of each point are sorted in place (the canonical point form,
 // as Write would). The record decodes stand-alone with DecodeRecord.
 func (e *RecordEncoder) AppendRecord(buf []byte, pts []Point) []byte {
-	if e.dict == nil {
-		e.dict = make(map[string]uint64, 8)
-	} else {
-		clear(e.dict)
-	}
-	e.state = e.state[:0]
+	e.enc.reset()
 	for i := range pts {
-		p := &pts[i]
-		sortTags(p.Tags)
-		e.keyBuf = shapeKey(e.keyBuf[:0], p)
-		id, ok := e.dict[string(e.keyBuf)]
-		if !ok {
-			id = uint64(len(e.dict))
-			e.dict[string(e.keyBuf)] = id
-			if cap(e.state) > len(e.state) {
-				// Reuse the previous record's per-shape state storage.
-				e.state = e.state[:len(e.state)+1]
-				st := &e.state[id]
-				st.prevTime = 0
-				if cap(st.prev) >= len(p.Fields) {
-					st.prev = st.prev[:len(p.Fields)]
-					clear(st.prev)
-				} else {
-					st.prev = make([]uint64, len(p.Fields))
-				}
-			} else {
-				e.state = append(e.state, shapeEnc{prev: make([]uint64, len(p.Fields))})
-			}
-			buf = appendDefine(buf, id, p)
-		}
-		buf = appendSample(buf, id, p, &e.state[id])
+		sortTags(pts[i].Tags)
+		buf = e.enc.appendPoint(buf, &pts[i])
 	}
 	return buf
 }
@@ -71,19 +42,5 @@ func (e *RecordEncoder) AppendRecord(buf []byte, pts []Point) []byte {
 // len(payload) — the fuzz targets pin both properties.
 func DecodeRecord(payload []byte, fn func(*Point) error) error {
 	var dec walDecoder
-	var p Point
-	for len(payload) > 0 {
-		rest, sample, err := dec.next(payload, &p)
-		if err != nil {
-			return err
-		}
-		payload = rest
-		if !sample {
-			continue
-		}
-		if err := fn(&p); err != nil {
-			return err
-		}
-	}
-	return nil
+	return dec.decode(payload, fn)
 }

@@ -2,7 +2,6 @@ package tsdb
 
 import (
 	"bufio"
-	"bytes"
 	"io"
 	"slices"
 	"sort"
@@ -11,8 +10,10 @@ import (
 // Snapshot serializes the database's full contents as Influx line protocol,
 // one point per line — the "long-term storage" half of the paper's InfluxDB
 // role. The format is interoperable: a snapshot can be replayed into a real
-// InfluxDB, POSTed to another Ruru's /write endpoint, or restored with
-// Restore.
+// InfluxDB, POSTed to another Ruru's /write endpoint (in pieces of at most
+// 8 MiB, its body limit, cut at line ends), or restored with Restore.
+// Checkpoints are not snapshots: they hold the same dump as binary records
+// (DB.Checkpoint).
 //
 // Locking: the dump is staged stripe by stripe — each stripe's read lock is
 // held only while that stripe's points are copied into memory, never while
@@ -33,29 +34,37 @@ import (
 // held — only the raw points still inside the retention horizon survive a
 // snapshot/restore round trip.
 func (db *DB) Snapshot(w io.Writer) (points int64, err error) {
-	chunks, points := db.stageDumpChunks(false)
+	pieces, points := db.stageDump(false, lineChunk)
 	bw := bufio.NewWriterSize(w, 1<<16)
-	for _, c := range chunks {
-		if _, err := bw.Write(c.data); err != nil {
+	for _, b := range pieces {
+		if _, err := bw.Write(b); err != nil {
 			return points, err
 		}
 	}
 	return points, bw.Flush()
 }
 
-// dumpChunk is one stripe's serialized points of one shard slot.
-type dumpChunk struct {
-	start int64
-	data  []byte
+// dumpEncoder appends one point to the pieces a dump chunk — one stripe's
+// points of one shard slot — is serialized into, and returns them. A chunk
+// starts from nil pieces.
+type dumpEncoder func(pieces [][]byte, p *Point) [][]byte
+
+// lineChunk is Snapshot's encoder: one piece per chunk, a line per point.
+func lineChunk(pieces [][]byte, p *Point) [][]byte {
+	if pieces == nil {
+		pieces = [][]byte{nil}
+	}
+	pieces[0] = append(MarshalLine(pieces[0], p), '\n')
+	return pieces
 }
 
-// stageDumpChunks copies every stripe's raw chunks into per-slot
-// line-protocol chunks and returns them sorted by slot start (ascending)
-// plus the total point count. If preLocked, the caller already holds every
-// stripe's read lock (the checkpoint cut); otherwise each stripe is
-// read-locked just for its copy. Either way a stripe's lock is released
-// the moment that stripe is staged. Within a slot, series come out in
-// interned order, so two dumps of the same state are the same bytes.
+// stageDump serializes every stripe's raw chunks through encode and returns
+// the pieces in slot start order (ascending) plus the total point count. If
+// preLocked, the caller already holds every stripe's read lock (the
+// checkpoint cut); otherwise each stripe is read-locked just for its copy.
+// Either way a stripe's lock is released the moment that stripe is staged.
+// Within a slot, series come out in interned order, so two dumps of the
+// same state are the same bytes.
 //
 // The ascending order is load-bearing for restores into retention-bounded
 // DBs: retention keeps whole shard slots, so a slot straddling the horizon
@@ -64,56 +73,66 @@ type dumpChunk struct {
 // would re-drop them at write time and a checkpoint/restore cycle would
 // silently lose live data (pinned by
 // TestPersistCheckpointPreservesRetentionSliver).
-func (db *DB) stageDumpChunks(preLocked bool) ([]dumpChunk, int64) {
-	var chunks []dumpChunk
-	var points int64
+func (db *DB) stageDump(preLocked bool, encode dumpEncoder) (pieces [][]byte, points int64) {
+	type chunk struct {
+		start  int64
+		pieces [][]byte
+	}
+	type member struct {
+		id *seriesIdent
+		sr *series
+	}
+	var chunks []chunk
 	var p Point
-	buf := make([]byte, 0, 512)
 	for _, st := range db.stripes {
 		if !preLocked {
 			st.mu.RLock()
 		}
 		slots := st.starts[0]
-		bufs := make([]bytes.Buffer, len(slots))
+		bySlot := make([][]member, len(slots))
 		for _, id := range st.idents {
-			p.Name, p.Tags = id.name, id.tags
 			for _, sr := range id.raw {
-				slot, _ := slices.BinarySearch(slots, sr.start) // every chunk's slot is listed
-				for i, ts := range sr.times {
+				i, _ := slices.BinarySearch(slots, sr.start) // every chunk's slot is listed
+				bySlot[i] = append(bySlot[i], member{id, sr})
+			}
+		}
+		for i, members := range bySlot {
+			var c [][]byte
+			for _, m := range members {
+				p.Name, p.Tags = m.id.name, m.id.tags
+				for row, ts := range m.sr.times {
 					p.Fields = p.Fields[:0]
-					for ci, k := range sr.fkeys {
-						v := sr.cols[ci][i]
-						if v != v { // NaN: field absent for this point
-							continue
+					for ci, k := range m.sr.fkeys {
+						if v := m.sr.cols[ci][row]; v == v { // NaN: field absent for this point
+							p.Fields = append(p.Fields, Field{Key: k, Value: v})
 						}
-						p.Fields = append(p.Fields, Field{Key: k, Value: v})
 					}
-					if len(p.Fields) == 0 {
-						continue
+					if len(p.Fields) > 0 {
+						p.Time = ts
+						c = encode(c, &p)
+						points++
 					}
-					p.Time = ts
-					buf = append(MarshalLine(buf[:0], &p), '\n')
-					bufs[slot].Write(buf)
-					points++
 				}
+			}
+			if c != nil {
+				chunks = append(chunks, chunk{slots[i], c})
 			}
 		}
 		st.mu.RUnlock()
-		for i := range bufs {
-			if bufs[i].Len() > 0 {
-				chunks = append(chunks, dumpChunk{start: slots[i], data: bufs[i].Bytes()})
-			}
-		}
 	}
 	sort.SliceStable(chunks, func(i, j int) bool { return chunks[i].start < chunks[j].start })
-	return chunks, points
+	for _, c := range chunks {
+		pieces = append(pieces, c.pieces...)
+	}
+	return pieces, points
 }
 
 // Restore replays a line-protocol stream (as produced by Snapshot) into the
 // database. Points flow through the normal write path: retention applies,
 // rollup tiers are fed, and on a persistent DB each restored point is
 // WAL-logged like any other write. Returns the number of points written;
-// stops at the first malformed line.
+// stops at the first malformed line. It also loads a checkpoint an older,
+// line-protocol binary wrote.
 func (db *DB) Restore(r io.Reader) (points int64, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)

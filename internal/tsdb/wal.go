@@ -29,9 +29,9 @@ package tsdb
 // buffered throughput saturates. All per-shape state (dictionary ids,
 // previous time/values) resets at every segment boundary, so a segment is
 // always decodable on its own — replay can start at any checkpoint cut
-// without context from truncated segments. Checkpoint files, written off
-// the hot path, stay in interoperable line protocol. The tear policy is
-// at replayWAL.
+// without context from truncated segments. The same encoder (pointEncoder)
+// writes the federation's records and the checkpoint files, resetting per
+// record instead of per segment. The tear policy is at replayWAL.
 
 import (
 	"encoding/binary"
@@ -40,6 +40,7 @@ import (
 	"math"
 	"math/bits"
 	"path/filepath"
+	"slices"
 
 	"ruru/internal/seglog"
 )
@@ -93,31 +94,14 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-// shapeKey builds the injective dictionary key of a point's shape: name,
-// tags and the ordered field-key set, all length-prefixed (so no separator
-// can be forged by key contents).
+// shapeKey appends a point's shape: name, tag count, tags, field count and
+// the ordered field keys, every string length-prefixed. It is both the
+// injective dictionary key (no separator can be forged by key contents)
+// and the body of the shape's define entry.
 func shapeKey(buf []byte, p *Point) []byte {
-	buf = appendString(buf, p.Name)
+	buf = binary.AppendUvarint(appendString(buf, p.Name), uint64(len(p.Tags)))
 	for _, t := range p.Tags {
-		buf = appendString(buf, t.Key)
-		buf = appendString(buf, t.Value)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(p.Fields)))
-	for _, f := range p.Fields {
-		buf = appendString(buf, f.Key)
-	}
-	return buf
-}
-
-// appendDefine emits a dictionary entry for a new shape.
-func appendDefine(buf []byte, id uint64, p *Point) []byte {
-	buf = append(buf, walEntryDefine)
-	buf = binary.AppendUvarint(buf, id)
-	buf = appendString(buf, p.Name)
-	buf = binary.AppendUvarint(buf, uint64(len(p.Tags)))
-	for _, t := range p.Tags {
-		buf = appendString(buf, t.Key)
-		buf = appendString(buf, t.Value)
+		buf = appendString(appendString(buf, t.Key), t.Value)
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(p.Fields)))
 	for _, f := range p.Fields {
@@ -160,126 +144,172 @@ type walShape struct {
 	prev      []uint64
 }
 
-// walDecoder decodes one segment's entry stream. A fresh decoder per
-// segment mirrors the per-segment dictionary reset on the write side.
+// walDecoder decodes an entry stream: one WAL segment's, or one self-
+// contained record's. A fresh decoder per segment or record mirrors the
+// writer's dictionary reset.
 type walDecoder struct {
 	shapes []walShape
+	p      Point // every sample is decoded into it
 }
 
-// next decodes the next entry from payload. A define returns (rest, false,
-// nil) after registering the shape; a sample fills p and returns (rest,
-// true, nil).
-func (d *walDecoder) next(payload []byte, p *Point) (rest []byte, sample bool, err error) {
+// decode hands every sample of payload to fn, in order, and fails with
+// errWALDecode at the first malformed entry; points already handed to fn
+// stand.
+func (d *walDecoder) decode(payload []byte, fn func(*Point) error) error {
+	for len(payload) > 0 {
+		rest, sample, err := d.next(payload)
+		if err != nil {
+			return err
+		}
+		if payload = rest; sample {
+			if err := fn(&d.p); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// next decodes the entry at the head of payload and returns the rest. A
+// define registers its shape; a sample fills d.p and reports sample.
+func (d *walDecoder) next(payload []byte) (rest []byte, sample bool, err error) {
 	if len(payload) == 0 {
 		return nil, false, errWALDecode
 	}
-	kind := payload[0]
-	data := payload[1:]
-	readStr := func() (string, bool) {
+	kind, data, bad := payload[0], payload[1:], false
+	uvarint := func() uint64 {
 		n, w := binary.Uvarint(data)
-		if w <= 0 || uint64(len(data)-w) < n {
-			return "", false
-		}
-		s := string(data[w : w+int(n)])
-		data = data[w+int(n):]
-		return s, true
-	}
-	id, w := binary.Uvarint(data)
-	if w <= 0 {
-		return nil, false, errWALDecode
-	}
-	data = data[w:]
-	switch kind {
-	case walEntryDefine:
-		if id != uint64(len(d.shapes)) {
-			return nil, false, errWALDecode // ids are sequential per segment
-		}
-		var sh walShape
-		var ok bool
-		if sh.name, ok = readStr(); !ok {
-			return nil, false, errWALDecode
-		}
-		ntags, w := binary.Uvarint(data)
 		if w <= 0 {
-			return nil, false, errWALDecode
+			bad = true
+			return 0
 		}
 		data = data[w:]
-		for i := uint64(0); i < ntags; i++ {
-			var t Tag
-			if t.Key, ok = readStr(); !ok {
-				return nil, false, errWALDecode
-			}
-			if t.Value, ok = readStr(); !ok {
-				return nil, false, errWALDecode
-			}
-			sh.tags = append(sh.tags, t)
+		return n
+	}
+	str := func() string {
+		n := uvarint()
+		if n > uint64(len(data)) {
+			bad = true
+			return ""
 		}
-		nfields, w := binary.Uvarint(data)
-		if w <= 0 {
-			return nil, false, errWALDecode
+		s := string(data[:n])
+		data = data[n:]
+		return s
+	}
+	id := uvarint()
+	switch {
+	case bad:
+	case kind == walEntryDefine && id == uint64(len(d.shapes)): // ids are sequential
+		sh := walShape{name: str()}
+		for i, n := uint64(0), uvarint(); i < n && !bad; i++ {
+			sh.tags = append(sh.tags, Tag{Key: str(), Value: str()})
 		}
-		data = data[w:]
-		for i := uint64(0); i < nfields; i++ {
-			k, ok := readStr()
-			if !ok {
-				return nil, false, errWALDecode
-			}
-			sh.fieldKeys = append(sh.fieldKeys, k)
+		for i, n := uint64(0), uvarint(); i < n && !bad; i++ {
+			sh.fieldKeys = append(sh.fieldKeys, str())
 		}
-		sh.prev = make([]uint64, len(sh.fieldKeys))
-		d.shapes = append(d.shapes, sh)
-		return data, false, nil
-	case walEntrySample:
-		if id >= uint64(len(d.shapes)) {
-			return nil, false, errWALDecode
+		if !bad {
+			sh.prev = make([]uint64, len(sh.fieldKeys))
+			d.shapes = append(d.shapes, sh)
+			return data, false, nil
 		}
-		sh := &d.shapes[id]
-		p.Name = sh.name
-		p.Tags = append(p.Tags[:0], sh.tags...)
-		p.Fields = p.Fields[:0]
+	case kind == walEntrySample && id < uint64(len(d.shapes)):
+		sh, p := &d.shapes[id], &d.p
+		p.Name, p.Tags, p.Fields = sh.name, append(p.Tags[:0], sh.tags...), p.Fields[:0]
 		for i, k := range sh.fieldKeys {
-			x, w := binary.Uvarint(data)
-			if w <= 0 {
-				return nil, false, errWALDecode
-			}
-			data = data[w:]
-			b := bits.ReverseBytes64(x) ^ sh.prev[i]
+			b := bits.ReverseBytes64(uvarint()) ^ sh.prev[i]
 			sh.prev[i] = b
 			p.Fields = append(p.Fields, Field{Key: k, Value: math.Float64frombits(b)})
 		}
-		dt, w := binary.Varint(data)
-		if w <= 0 {
-			return nil, false, errWALDecode
+		if dt, w := binary.Varint(data); !bad && w > 0 {
+			sh.prevTime += dt
+			p.Time = sh.prevTime
+			return data[w:], true, nil
 		}
-		data = data[w:]
-		sh.prevTime += dt
-		p.Time = sh.prevTime
-		return data, true, nil
-	default:
-		return nil, false, errWALDecode
 	}
+	return nil, false, errWALDecode
 }
 
-// wal is the TSDB's use of the segment log: what a record's payload means.
-// The dictionary state is scoped to one segment and guarded by the log's
-// append lock: only the encode callback and the OnSegment hook touch it.
-type wal struct {
-	log *seglog.Log
-	// dict maps a point shape (shapeKey) to its id in the CURRENT segment,
-	// and state[id] holds that shape's delta-coding state; both reset at
-	// every rotation so each segment decodes stand-alone.
+// pointEncoder is the one shape dictionary behind every record this package
+// writes. The WAL resets it at every segment, RecordEncoder and checkpoints
+// at every record, so whatever was encoded since a reset decodes stand-alone.
+type pointEncoder struct {
+	// dict maps a point shape (shapeKey) to its id since the last reset, and
+	// state[id] holds that shape's delta-coding state (storage reused).
 	dict   map[string]uint64
 	state  []shapeEnc
 	keyBuf []byte // shapeKey build buffer
 	// last-shape cache: consecutive points of one series (the common case
-	// in a sink batch) skip the shapeKey build and map lookup entirely.
-	// The string comparisons short-circuit on pointer equality when the
-	// caller reuses its tag/field structures. Invalidated by rotation.
+	// in a sink batch or a dump chunk) skip the shapeKey build and map
+	// lookup entirely. The string comparisons short-circuit on pointer
+	// equality when the caller reuses its tag/field structures.
 	lastValid     bool
 	lastID        uint64
 	lastName      string
 	lastTags      []Tag
 	lastFieldKeys []string
+}
+
+// reset forgets every shape: the next point defines its shape again.
+func (e *pointEncoder) reset() {
+	clear(e.dict)
+	e.state = e.state[:0]
+	e.lastValid = false
+}
+
+// sameAsLast reports whether p has the cached last shape.
+func (e *pointEncoder) sameAsLast(p *Point) bool {
+	if p.Name != e.lastName || len(p.Tags) != len(e.lastTags) ||
+		len(p.Fields) != len(e.lastFieldKeys) {
+		return false
+	}
+	for i, t := range p.Tags {
+		if t.Key != e.lastTags[i].Key || t.Value != e.lastTags[i].Value {
+			return false
+		}
+	}
+	for i, f := range p.Fields {
+		if f.Key != e.lastFieldKeys[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// appendPoint appends one point's entries: a define the first time its
+// shape appears since the last reset, then the sample.
+func (e *pointEncoder) appendPoint(buf []byte, p *Point) []byte {
+	if e.lastValid && e.sameAsLast(p) {
+		return appendSample(buf, e.lastID, p, &e.state[e.lastID])
+	}
+	e.keyBuf = shapeKey(e.keyBuf[:0], p)
+	id, ok := e.dict[string(e.keyBuf)]
+	if !ok {
+		if e.dict == nil {
+			e.dict = make(map[string]uint64, 64)
+		}
+		id = uint64(len(e.dict))
+		e.dict[string(e.keyBuf)] = id
+		e.state = slices.Grow(e.state, 1)[:id+1]
+		st := &e.state[id]
+		st.prevTime, st.prev = 0, append(st.prev[:0], make([]uint64, len(p.Fields))...)
+		buf = append(binary.AppendUvarint(append(buf, walEntryDefine), id), e.keyBuf...)
+	}
+	e.lastValid, e.lastID, e.lastName = true, id, p.Name
+	e.lastTags = append(e.lastTags[:0], p.Tags...)
+	e.lastFieldKeys = e.lastFieldKeys[:0]
+	for _, f := range p.Fields {
+		e.lastFieldKeys = append(e.lastFieldKeys, f.Key)
+	}
+	return appendSample(buf, id, p, &e.state[id])
+}
+
+// wal is the TSDB's use of the segment log: what a record's payload means.
+// The encoder's dictionary is scoped to one segment and guarded by the
+// log's append lock: only the encode callback and the OnSegment hook touch
+// it.
+type wal struct {
+	log *seglog.Log
+	enc pointEncoder
 }
 
 // walFormat names the WAL's files. Built per call because tests shrink
@@ -297,65 +327,18 @@ func openWAL(dir string, firstFree uint64, maxSegBytes int64, policy FsyncPolicy
 	if maxSegBytes <= 0 {
 		maxSegBytes = defaultSegBytes
 	}
-	w := &wal{dict: make(map[string]uint64, 64)}
+	w := &wal{}
 	var err error
 	w.log, err = seglog.Open(dir, walFormat(), firstFree, seglog.Options{
 		MaxSegmentBytes: maxSegBytes,
 		Sync:            policy,
 		AfterTear:       afterTear,
-		OnSegment: func(uint64) {
-			clear(w.dict) // every segment re-defines the shapes it uses
-			w.state = w.state[:0]
-			w.lastValid = false
-		},
+		OnSegment:       func(uint64) { w.enc.reset() }, // every segment re-defines the shapes it uses
 	})
 	if err != nil {
 		return nil, err
 	}
 	return w, nil
-}
-
-// sameAsLast reports whether p has the cached last shape.
-func (w *wal) sameAsLast(p *Point) bool {
-	if p.Name != w.lastName || len(p.Tags) != len(w.lastTags) ||
-		len(p.Fields) != len(w.lastFieldKeys) {
-		return false
-	}
-	for i, t := range p.Tags {
-		if t.Key != w.lastTags[i].Key || t.Value != w.lastTags[i].Value {
-			return false
-		}
-	}
-	for i, f := range p.Fields {
-		if f.Key != w.lastFieldKeys[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// encodeOne appends one point's entries to a record payload: a define the
-// first time its shape appears in this segment, then the sample. Runs
-// under the log's append lock.
-func (w *wal) encodeOne(payload []byte, p *Point) []byte {
-	if w.lastValid && w.sameAsLast(p) {
-		return appendSample(payload, w.lastID, p, &w.state[w.lastID])
-	}
-	w.keyBuf = shapeKey(w.keyBuf[:0], p)
-	id, ok := w.dict[string(w.keyBuf)]
-	if !ok {
-		id = uint64(len(w.dict))
-		w.dict[string(w.keyBuf)] = id
-		w.state = append(w.state, shapeEnc{prev: make([]uint64, len(p.Fields))})
-		payload = appendDefine(payload, id, p)
-	}
-	w.lastValid, w.lastID, w.lastName = true, id, p.Name
-	w.lastTags = append(w.lastTags[:0], p.Tags...)
-	w.lastFieldKeys = w.lastFieldKeys[:0]
-	for _, f := range p.Fields {
-		w.lastFieldKeys = append(w.lastFieldKeys, f.Key)
-	}
-	return appendSample(payload, id, p, &w.state[id])
 }
 
 // AppendPoints logs one committed WriteBatch as a single record. A batch
@@ -364,7 +347,7 @@ func (w *wal) encodeOne(payload []byte, p *Point) []byte {
 func (w *wal) AppendPoints(pts []Point) error {
 	return w.log.Append(func(buf []byte) []byte {
 		for i := range pts {
-			buf = w.encodeOne(buf, &pts[i])
+			buf = w.enc.appendPoint(buf, &pts[i])
 		}
 		return buf
 	})
@@ -374,7 +357,7 @@ func (w *wal) AppendPoints(pts []Point) error {
 // db.commitMu.RLock; same error contract as logBatch.
 func (w *wal) AppendPoint(p *Point) error {
 	return w.log.Append(func(buf []byte) []byte {
-		return w.encodeOne(buf, p)
+		return w.enc.appendPoint(buf, p)
 	})
 }
 
@@ -421,26 +404,16 @@ func replayWAL(dir string, from uint64, point func(*Point) error) (records int, 
 // (ErrWALCorrupt).
 func replaySegment(path string, final bool, point func(*Point) error) (records int, err error) {
 	var dec walDecoder
-	var p Point
 	records, stop, err := walFormat().Scan(path, func(payload []byte) error {
 		if seglog.IsTearAck(payload) {
 			return nil // carries nothing; replayWAL reads it from the outside
 		}
-		for len(payload) > 0 {
-			rest, sample, err := dec.next(payload, &p)
-			if err != nil {
-				// A CRC-valid record with a bad encoding is corruption,
-				// not a tear.
-				return fmt.Errorf("%w: replay: %v", ErrWALCorrupt, err)
-			}
-			payload = rest
-			if sample {
-				if err := point(&p); err != nil {
-					return err
-				}
-			}
+		err := dec.decode(payload, point)
+		if errors.Is(err, errWALDecode) {
+			// A CRC-valid record with a bad encoding is corruption, not a tear.
+			err = fmt.Errorf("%w: replay: %v", ErrWALCorrupt, err)
 		}
-		return nil
+		return err
 	})
 	switch {
 	case err != nil || stop == seglog.StopEOF:

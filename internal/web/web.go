@@ -91,7 +91,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Ruru-Snapshot-Points", strconv.FormatInt(points, 10))
 }
 
-// handleCheckpoint forces a durable checkpoint: an atomic snapshot file
+// handleCheckpoint forces a durable checkpoint: an atomic dump of the store
 // plus truncation of the WAL behind it — the operator's "bound my restart
 // replay time now" button (backups too: checkpoint, then copy the data
 // dir). 409 when the pipeline runs without persistence.
