@@ -66,7 +66,6 @@ type SpikeDetector struct {
 	cfg    SpikeConfig
 	window *stats.RollingMedian
 	seen   int
-	events []Event
 }
 
 // NewSpikeDetector returns a detector with cfg defaults applied.
@@ -88,7 +87,9 @@ func NewSpikeDetector(cfg SpikeConfig) *SpikeDetector {
 
 // Offer examines one latency sample (ns). It returns a non-nil Event when
 // the sample is anomalous. Anomalous samples are NOT added to the baseline
-// (self-poisoning protection).
+// (self-poisoning protection), so after a lasting level shift every sample
+// is an event; the detector keeps none of them — what to retain is the
+// caller's choice.
 func (d *SpikeDetector) Offer(ts int64, latencyNs int64) *Event {
 	x := float64(latencyNs)
 	if d.seen >= d.cfg.MinSamples {
@@ -98,23 +99,18 @@ func (d *SpikeDetector) Offer(ts int64, latencyNs int64) *Event {
 			mad = d.cfg.MinMADNs
 		}
 		if x-med > d.cfg.K*mad { // one-sided: slow is anomalous, fast is fine
-			ev := Event{
+			return &Event{
 				Time: ts, Kind: "latency_spike",
 				Detail:   fmt.Sprintf("latency %.1fms vs median %.1fms (MAD %.2fms)", x/1e6, med/1e6, mad/1e6),
 				Value:    x,
 				Baseline: med,
 			}
-			d.events = append(d.events, ev)
-			return &d.events[len(d.events)-1]
 		}
 	}
 	d.window.Add(x)
 	d.seen++
 	return nil
 }
-
-// Events returns all detections so far.
-func (d *SpikeDetector) Events() []Event { return d.events }
 
 // SpikeBank shards SpikeDetectors by key (city pair, AS pair...), with a
 // bound on the number of tracked keys.

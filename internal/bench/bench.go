@@ -496,8 +496,11 @@ func benchDBWriteBatch(b *testing.B) {
 // ladder, default one-hour shards, one writer, and every 64-point batch
 // spread over 64 distinct series on a clock advancing 20 µs a point (50 k
 // measurements/s). Each series is therefore revisited every 0.4 s of data
-// time: cold cache lines, and a new bucket in some tier column on most
-// points. (The 16-series version of this row read 50–80× below the trace.)
+// time: cold cache lines, and a new bucket in some tier on most points.
+// (The 16-series version of this row read 50–80× below the trace.) heap_B/pt
+// is what the store keeps per point written, raw columns and tiers: the
+// live heap after a GC at the end, less the live heap before the warm-up,
+// over every point written.
 func benchDBWriteBatchRef20k(b *testing.B) {
 	const batchLen, nSeries = 64, 20000
 	db := tsdb.Open(tsdb.Options{Stripes: 8, Rollups: tsdb.DefaultRollups()})
@@ -534,10 +537,14 @@ func benchDBWriteBatchRef20k(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
 	// One pass over every series first: a series' first point builds its
-	// chunk, columns and tier maps, which a deployment pays once per series
+	// chunk, columns and tier chunks, which a deployment pays once per series
 	// per hour and a short run would pay on a tenth of its points.
-	for i := 0; i <= nSeries/batchLen; i++ {
+	const warm = nSeries/batchLen + 1
+	for i := 0; i < warm; i++ {
 		write()
 	}
 	b.ReportAllocs()
@@ -545,7 +552,13 @@ func benchDBWriteBatchRef20k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		write()
 	}
+	b.StopTimer()
 	reportPPS(b, batchLen)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	grown := float64(after.HeapAlloc) - float64(before.HeapAlloc)
+	b.ReportMetric(grown/float64((warm+b.N)*batchLen), "heap_B/pt")
+	runtime.KeepAlive(db)
 }
 
 // benchDBWriteBatchRefSteady pins the zero-alloc claim in the trajectory:

@@ -232,8 +232,11 @@ type Pipeline struct {
 
 	floodMu sync.Mutex
 
+	// spikeEvents is a ring of the newest maxSpikeEvents detections;
+	// spikePos is the oldest once it is full.
 	spikeEventsMu sync.Mutex
 	spikeEvents   []anomaly.Event
+	spikePos      int
 
 	tsSamples  atomic.Uint64
 	seqSamples atomic.Uint64
@@ -545,13 +548,20 @@ func (p *Pipeline) FlushRollupStream() {
 	}
 }
 
-// SpikeEvents returns latency-spike detections so far.
+// maxSpikeEvents bounds the latency-spike detections a pipeline keeps. The
+// detector leaves anomalous samples out of its baseline, so after a lasting
+// level shift every sample on that pair is a detection for as long as the
+// daemon runs.
+const maxSpikeEvents = 4096
+
+// SpikeEvents returns the newest latency-spike detections, at most
+// maxSpikeEvents of them, oldest first.
 func (p *Pipeline) SpikeEvents() []anomaly.Event {
 	p.spikeEventsMu.Lock()
 	defer p.spikeEventsMu.Unlock()
-	out := make([]anomaly.Event, len(p.spikeEvents))
-	copy(out, p.spikeEvents)
-	return out
+	out := make([]anomaly.Event, 0, len(p.spikeEvents))
+	out = append(out, p.spikeEvents[p.spikePos:]...)
+	return append(out, p.spikeEvents[:p.spikePos]...)
 }
 
 // FloodEvents returns SYN-flood detections so far (thread-safe snapshot).

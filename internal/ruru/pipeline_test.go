@@ -404,6 +404,41 @@ func TestPipelineSpikeDetection(t *testing.T) {
 	}
 }
 
+// TestPipelineSpikeEventsBounded: the detector leaves anomalous samples out
+// of its baseline, so after a lasting level shift every sample on the pair
+// is a detection. The pipeline keeps the newest 4096 (maxSpikeEvents), oldest
+// first, however long the shift lasts.
+func TestPipelineSpikeEventsBounded(t *testing.T) {
+	const keep, shifted = 4096, 4096 + 100
+	w := newWorld(t)
+	p, err := New(Config{GeoDB: w.DB()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	e := analytics.Enriched{
+		Src: analytics.Endpoint{City: "Auckland"},
+		Dst: analytics.Endpoint{City: "Los Angeles"},
+	}
+	for i := 0; i < 100+shifted; i++ {
+		e.Time = int64(i) * 1e8
+		e.TotalNs = 10e6 + int64(i%3)*1e5
+		if i >= 100 {
+			e.TotalNs = 200e6
+		}
+		p.Feed(&e)
+	}
+	evs := p.SpikeEvents()
+	if len(evs) != keep {
+		t.Fatalf("%d spike events kept, want %d", len(evs), keep)
+	}
+	for i, ev := range evs {
+		if want := int64(100+shifted-keep+i) * 1e8; ev.Time != want {
+			t.Fatalf("event %d at %d, want %d", i, ev.Time, want)
+		}
+	}
+}
+
 func TestPipelinePcapRoundTrip(t *testing.T) {
 	// The replay path an operator uses: generate → pcap → read back →
 	// inject → measure. Results must be identical to direct injection.

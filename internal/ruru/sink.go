@@ -239,7 +239,12 @@ func (p *Pipeline) fanOut(sh *sinkShard, batch []sinkItem) {
 func (p *Pipeline) offerDetectors(e *analytics.Enriched, pair string) {
 	if ev := p.Spikes.Offer(pair, e.Time, e.TotalNs); ev != nil {
 		p.spikeEventsMu.Lock()
-		p.spikeEvents = append(p.spikeEvents, *ev)
+		if len(p.spikeEvents) < maxSpikeEvents {
+			p.spikeEvents = append(p.spikeEvents, *ev)
+		} else {
+			p.spikeEvents[p.spikePos] = *ev
+			p.spikePos = (p.spikePos + 1) % maxSpikeEvents
+		}
 		p.spikeEventsMu.Unlock()
 	}
 	p.Surge.Observe(pair, e.Time)

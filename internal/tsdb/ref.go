@@ -3,12 +3,13 @@ package tsdb
 // Interned series shapes: the one write path.
 //
 // Everything that identifies where a point lands — its series, the column
-// of each field, the rollup-tier columns — never changes for a given
-// (name, tags, ordered field keys) shape, so it is interned once as a
-// refState caching the resolved series pointer, per-field column indices
-// and per-tier column pointers. Every write applies through that cache
-// (writeRefLocked): a handful of bounds checks and column appends, zero heap
-// allocations in steady state. There are two ways in. Write/WriteBatch take
+// of each field, each field's place in the rollup-tier rows — never changes
+// for a given (name, tags, ordered field keys) shape, so it is interned once
+// as a refState caching the resolved series pointer, per-field column
+// indices and per-tier chunks and cell positions. Every write applies
+// through that cache (writeRefLocked): a handful of bounds checks, column
+// appends and cell updates, zero heap allocations in steady state. There
+// are two ways in. Write/WriteBatch take
 // full Points and look the shape up by its ref key in the owning stripe's
 // refs map, under the stripe lock they hold anyway (db.go). Ref hands the
 // same refState out as a small integer SeriesRef, so a caller that keeps
@@ -105,11 +106,12 @@ type refState struct {
 
 // refHot caches the resolution of a ref against one raw chunk and the
 // matching tier chunks: the series pointer, each field's column index, and
-// each tier's column pointers. Two refs with different field sets can share
-// one series: ncols snapshots len(sr.cols) at resolve time so the other ref
-// adding a column forces a re-resolve, and mixed records that the series
-// has columns this ref does not carry, which every write must pad with NaN
-// to keep all columns aligned with times. That is mixed's only purpose.
+// each tier's chunk and cell positions. Two refs with different field sets
+// can share one series: ncols snapshots len(sr.cols) at resolve time so the
+// other ref adding a column forces a re-resolve, and mixed records that the
+// series has columns this ref does not carry, which every write must pad
+// with NaN to keep all columns aligned with times. That is mixed's only
+// purpose.
 type refHot struct {
 	sr     *series
 	colIdx []int32
@@ -118,16 +120,18 @@ type refHot struct {
 	tiers  []refTierHot
 }
 
-// refTierHot caches one tier's resolution: the tier series and one column
-// pointer per ref field (nil until the field's first non-NaN value, so a
-// never-written field creates no tier column). shardStart repeats ts.start
-// so that the per-point "same slot?" test reads the cache, not the chunk: at
-// 20 k series the chunk header is a cache miss per tier per point (the raw
-// side reads sr.start, on the line it loads for sr.cols anyway).
+// refTierHot caches one tier's resolution: the tier chunk and, per ref
+// field, its position in the chunk's rows (-1 until the field's first
+// non-NaN value in the chunk, so a never-written field takes no cells).
+// Positions stay valid when another ref adds a field, since a chunk's keys
+// only grow at the end. shardStart repeats ts.start so that the per-point
+// "same slot?" test reads the cache, not the chunk: at 20 k series the chunk
+// header is a cache miss per tier per point (the raw side reads sr.start, on
+// the line it loads for sr.cols anyway).
 type refTierHot struct {
 	shardStart int64
 	ts         *tierSeries
-	cols       []*tierColumn
+	cols       []int32
 }
 
 // publishDirLocked publishes the current backing arrays as a fresh
@@ -180,7 +184,7 @@ func (db *DB) newRefLocked(st *stripe, rk []byte, name string, tags []Tag, field
 	rs.hot.colIdx = make([]int32, len(fields))
 	rs.hot.tiers = make([]refTierHot, len(db.opts.Rollups))
 	for ti := range rs.hot.tiers {
-		rs.hot.tiers[ti].cols = make([]*tierColumn, len(fields))
+		rs.hot.tiers[ti].cols = make([]int32, len(fields))
 	}
 	n, w := binary.Uvarint(rk)
 	db.dirMu.Lock()
@@ -396,9 +400,11 @@ func (db *DB) writeRefTiersLocked(st *stripe, rs *refState, t int64, vals []floa
 	} else {
 		bins = make([]uint16, len(vals))
 	}
+	hasVal := false
 	for i, v := range vals {
-		if !math.IsNaN(v) {
+		if !math.IsNaN(v) { // raw queries skip NaN; keep tiers equivalent
 			bins[i] = binOf(v)
+			hasVal = true
 		}
 	}
 	for ti := range db.opts.Rollups {
@@ -412,21 +418,20 @@ func (db *DB) writeRefTiersLocked(st *stripe, rs *refState, t int64, vals []floa
 		if th.ts == nil || th.shardStart != shStart {
 			db.resolveRefTier(st, rs, ti, shStart)
 		}
+		if !hasVal {
+			continue // the chunk exists, as for any point in its slot; no row
+		}
+		ts := th.ts
 		for i, v := range vals {
-			if math.IsNaN(v) {
-				continue // raw queries skip NaN; keep tiers equivalent
+			if th.cols[i] < 0 && !math.IsNaN(v) {
+				th.cols[i] = ts.keyIndex(rs.fieldKeys, i)
 			}
-			col := th.cols[i]
-			if col == nil {
-				k := rs.fieldKeys[i]
-				col = th.ts.fields[k]
-				if col == nil {
-					col = &tierColumn{}
-					th.ts.fields[k] = col
-				}
-				th.cols[i] = col
+		}
+		row := ts.row(bStart)
+		for i, v := range vals {
+			if !math.IsNaN(v) {
+				ts.add(&row[th.cols[i]], v, bins[i])
 			}
-			col.at(bStart).add(v, bins[i])
 		}
 	}
 }
@@ -439,19 +444,15 @@ func (db *DB) resolveRefTier(st *stripe, rs *refState, ti int, shStart int64) {
 	list := id.tiers[ti]
 	pos, ok := slices.BinarySearchFunc(list, shStart, func(ts *tierSeries, s int64) int { return cmp.Compare(ts.start, s) })
 	if !ok {
-		list = slices.Insert(list, pos, &tierSeries{
-			start:  shStart,
-			end:    shStart + db.opts.ShardDuration,
-			fields: make(map[string]*tierColumn),
-		})
+		list = slices.Insert(list, pos, &tierSeries{start: shStart, end: shStart + db.opts.ShardDuration})
 		id.tiers[ti] = list
 		st.noteSlot(1+ti, shStart)
 	}
 	th := &rs.hot.tiers[ti]
 	th.ts = list[pos]
 	th.shardStart = shStart
-	for i := range th.cols {
-		th.cols[i] = th.ts.fields[rs.fieldKeys[i]] // nil until first value
+	for i, k := range rs.fieldKeys {
+		th.cols[i] = int32(slices.Index(th.ts.keys, k))
 	}
 }
 

@@ -27,6 +27,7 @@ package tsdb
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -118,78 +119,180 @@ type histEntry struct {
 	n   uint32
 }
 
-// rbucket is one tier bucket's pre-aggregate for one (series, field).
-type rbucket struct {
-	count    uint64
-	sum      float64
-	min, max float64
-	hist     []histEntry // sorted by bin
-}
-
-// add folds one sample into the bucket.
-func (b *rbucket) add(v float64, bin uint16) {
-	if b.count == 0 || v < b.min {
-		b.min = v
-	}
-	if b.count == 0 || v > b.max {
-		b.max = v
-	}
-	b.count++
-	b.sum += v
-	// Sorted insert into the sparse histogram; the common case is the
-	// last-touched (largest) bin or one near it, so scan from the tail.
-	for i := len(b.hist) - 1; i >= 0; i-- {
-		e := &b.hist[i]
-		if e.bin == bin {
-			e.n++
-			return
-		}
-		if e.bin < bin {
-			b.hist = append(b.hist, histEntry{})
-			copy(b.hist[i+2:], b.hist[i+1:])
-			b.hist[i+1] = histEntry{bin: bin, n: 1}
-			return
-		}
-	}
-	b.hist = append(b.hist, histEntry{})
-	copy(b.hist[1:], b.hist)
-	b.hist[0] = histEntry{bin: bin, n: 1}
-}
-
-// tierColumn holds one (series, field)'s buckets within one tier chunk,
-// as parallel slices sorted by bucket start.
-type tierColumn struct {
-	starts  []int64
-	buckets []rbucket
-}
-
-// at returns the bucket starting at start, inserting it if absent. The
-// returned pointer is only valid until the next insertion (single-threaded
-// under the stripe lock; used immediately).
-func (c *tierColumn) at(start int64) *rbucket {
-	n := len(c.starts)
-	if n > 0 && c.starts[n-1] == start { // in-order arrival fast path
-		return &c.buckets[n-1]
-	}
-	i := sort.Search(n, func(i int) bool { return c.starts[i] >= start })
-	if i < n && c.starts[i] == start {
-		return &c.buckets[i]
-	}
-	c.starts = append(c.starts, 0)
-	copy(c.starts[i+1:], c.starts[i:])
-	c.starts[i] = start
-	c.buckets = append(c.buckets, rbucket{})
-	copy(c.buckets[i+1:], c.buckets[i:])
-	c.buckets[i] = rbucket{}
-	return &c.buckets[i]
-}
-
 // tierSeries is one series' chunk of one rollup tier — the tier analogue of
-// series: the buckets whose start falls in the shard slot [start, end), one
-// tierColumn per field.
+// series: the buckets whose start falls in the shard slot [start, end), in
+// pointer-free slices the collector need not scan. Row i holds bucket
+// starts[i], one rcell per field in keys order:
+// cells[i*len(keys) : (i+1)*len(keys)]. Rows are sparse and sorted by
+// start — a 1 s tier chunk spans 3600 buckets, most of which stay
+// empty at a few samples per series per second, so a dense slab indexed by
+// bucket number would cost more than the samples it holds.
+//
+// A field is in keys from its first non-NaN value in the chunk on (the
+// group-presence rule scanTier applies), and keys only grows, at the end:
+// the position of a field never changes. keys may alias the ref's own
+// field keys while it is still their prefix; it is then capped at its
+// length, so extending it always copies.
 type tierSeries struct {
 	start, end int64
-	fields     map[string]*tierColumn
+	keys       []string
+	starts     []int64
+	cells      []rcell
+	multi      []rmulti    // the rest of every cell holding more than one sample
+	hist       []histEntry // histogram arena: every rmulti's run, and dead entries
+	dead       int         // arena entries no run owns; compacted past half
+}
+
+// rcell is one (bucket, field) pre-aggregate. n is 0 for an empty cell, 1
+// for one sample — sum is the value itself and x its histogram bin — and 2
+// for more: sum is the running sum and x indexes the chunk's multi table.
+// One sample, the common case at high series cardinality, thus costs 16
+// bytes and no allocation.
+type rcell struct {
+	sum  float64
+	n, x uint32
+}
+
+// rmulti is the rest of a cell holding more than one sample: its count, its
+// exact min and max, and its sparse histogram, the run hist[off:off+n] of
+// the chunk's arena.
+type rmulti struct {
+	count    uint64
+	min, max float64
+	off      uint32
+	n        uint16
+}
+
+// keyIndex returns the row position of the ref field keys[i] in ts, adding
+// it as the chunk's last field if absent (re-laying out existing rows).
+func (ts *tierSeries) keyIndex(keys []string, i int) int32 {
+	if j := slices.Index(ts.keys, keys[i]); j >= 0 {
+		return int32(j)
+	}
+	w := len(ts.keys)
+	if w == i && (w == 0 || &ts.keys[0] == &keys[0]) {
+		ts.keys = keys[: w+1 : w+1] // still a prefix of the ref's keys
+	} else {
+		ts.keys = append(ts.keys[:w:w], keys[i])
+	}
+	if rows := len(ts.starts); rows > 0 {
+		cells := make([]rcell, rows*(w+1), cap(ts.cells)/w*(w+1))
+		for r := 0; r < rows; r++ {
+			copy(cells[r*(w+1):], ts.cells[r*w:(r+1)*w])
+		}
+		ts.cells = cells
+	}
+	return int32(w)
+}
+
+// row returns the cells of the bucket starting at bStart, inserting an
+// empty row if absent. In-order arrival hits the last row; a backfill is a
+// sorted insert of one row. The slice is valid until the next insertion
+// (single-threaded under the stripe lock; used immediately).
+//
+//ruru:noalloc
+func (ts *tierSeries) row(bStart int64) []rcell {
+	w, n := len(ts.keys), len(ts.starts)
+	i := n - 1
+	if n == 0 || ts.starts[i] != bStart {
+		i = n
+		if n > 0 && ts.starts[n-1] > bStart {
+			var found bool
+			if i, found = slices.BinarySearch(ts.starts, bStart); found {
+				return ts.cells[i*w : (i+1)*w]
+			}
+		}
+		ts.starts = slices.Insert(ts.starts, i, bStart)
+		ts.cells = slices.Grow(ts.cells, w)[:len(ts.cells)+w]
+		copy(ts.cells[(i+1)*w:], ts.cells[i*w:])
+		clear(ts.cells[i*w : (i+1)*w])
+	}
+	return ts.cells[i*w : (i+1)*w]
+}
+
+// agg returns the count, sum, min and max of c, a cell holding a sample.
+// The sum of one sample v is 0 + v, as if it had been accumulated from
+// zero: +0 for a lone −0, whose min and max stay −0.
+func (ts *tierSeries) agg(c *rcell) (count uint64, sum, lo, hi float64) {
+	if c.n == 1 {
+		return 1, 0 + c.sum, c.sum, c.sum
+	}
+	m := &ts.multi[c.x]
+	return m.count, c.sum, m.min, m.max
+}
+
+// add folds sample v, whose histogram bin is bin, into cell c of ts.
+//
+//ruru:noalloc
+func (ts *tierSeries) add(c *rcell, v float64, bin uint16) {
+	switch c.n {
+	case 0:
+		*c = rcell{sum: v, n: 1, x: uint32(bin)}
+	case 1:
+		// The first sample moves into a multi entry whose one-bin run ends
+		// the arena, so the second one's new bin grows it in place.
+		ts.multi = append(ts.multi, rmulti{count: 1, min: c.sum, max: c.sum, off: uint32(len(ts.hist)), n: 1})
+		ts.hist = append(ts.hist, histEntry{bin: uint16(c.x), n: 1})
+		*c = rcell{sum: 0 + c.sum, n: 2, x: uint32(len(ts.multi) - 1)}
+		fallthrough
+	default:
+		m := &ts.multi[c.x]
+		if v < m.min {
+			m.min = v
+		}
+		if v > m.max {
+			m.max = v
+		}
+		m.count++
+		c.sum += v
+		ts.histAdd(m, bin)
+	}
+}
+
+// histAdd counts one sample of bin in m's run: a sorted insert scanning
+// from the tail, where the last-touched (largest) bin or one near it
+// usually is. Runs hold no spare room: a new bin grows the run in place
+// when it ends the arena, and otherwise moves it there first, leaving its
+// old entries dead until the arena is compacted.
+//
+//ruru:noalloc
+func (ts *tierSeries) histAdd(m *rmulti, bin uint16) {
+	end := m.off + uint32(m.n)
+	run := ts.hist[m.off:end]
+	i := len(run) - 1
+	for i >= 0 && run[i].bin > bin {
+		i--
+	}
+	if i >= 0 && run[i].bin == bin {
+		run[i].n++
+		return
+	}
+	if int(end) != len(ts.hist) {
+		off := uint32(len(ts.hist))
+		ts.hist = append(ts.hist, run...)
+		ts.dead += len(run)
+		m.off = off
+	}
+	ts.hist = append(ts.hist, histEntry{})
+	run = ts.hist[m.off : m.off+uint32(m.n)+1]
+	copy(run[i+2:], run[i+1:])
+	run[i+1] = histEntry{bin: bin, n: 1}
+	m.n++
+	if ts.dead > len(ts.hist)/2 {
+		ts.compact()
+	}
+}
+
+// compact rewrites the arena without its dead entries.
+func (ts *tierSeries) compact() {
+	live := make([]histEntry, 0, len(ts.hist)-ts.dead)
+	for i := range ts.multi {
+		m := &ts.multi[i]
+		off := uint32(len(live))
+		live = append(live, ts.hist[m.off:m.off+uint32(m.n)]...)
+		m.off = off
+	}
+	ts.hist, ts.dead = live, 0
 }
 
 // normalizeRollups sorts tiers by width and drops invalid (non-positive
@@ -228,24 +331,28 @@ type rollAcc struct {
 	hist     *[histBins]uint64
 }
 
-// merge folds one tier bucket into the accumulator.
-func (a *rollAcc) merge(b *rbucket, needQuant bool) {
-	if b.count == 0 {
-		return
+// merge folds cell c of tier chunk ts, which holds a sample, into the
+// accumulator.
+func (a *rollAcc) merge(ts *tierSeries, c *rcell, needQuant bool) {
+	count, sum, lo, hi := ts.agg(c)
+	if a.count == 0 || lo < a.min {
+		a.min = lo
 	}
-	if a.count == 0 || b.min < a.min {
-		a.min = b.min
+	if a.count == 0 || hi > a.max {
+		a.max = hi
 	}
-	if a.count == 0 || b.max > a.max {
-		a.max = b.max
-	}
-	a.count += b.count
-	a.sum += b.sum
+	a.count += count
+	a.sum += sum
 	if needQuant {
 		if a.hist == nil {
 			a.hist = new([histBins]uint64)
 		}
-		for _, e := range b.hist {
+		if c.n == 1 {
+			a.hist[c.x]++
+			return
+		}
+		m := &ts.multi[c.x]
+		for _, e := range ts.hist[m.off : m.off+uint32(m.n)] {
 			a.hist[e.bin] += uint64(e.n)
 		}
 	}
@@ -397,8 +504,8 @@ func (db *DB) scanTier(q *Query, window int64, ti int, tailStart int64, nTail in
 				if ts.end <= q.Start || ts.start >= q.End {
 					continue
 				}
-				col, ok := ts.fields[q.Field]
-				if !ok {
+				fi := slices.Index(ts.keys, q.Field)
+				if fi < 0 {
 					continue
 				}
 				accs, seen := groups[group]
@@ -408,15 +515,20 @@ func (db *DB) scanTier(q *Query, window int64, ti int, tailStart int64, nTail in
 				if nTail == 0 || ts.end <= tailStart {
 					continue
 				}
-				// Tier buckets are sorted by start; visit only those in
+				// Rows are sorted by start; visit only those in
 				// [tailStart, q.End).
-				lo := sort.Search(len(col.starts), func(i int) bool { return col.starts[i] >= tailStart })
-				for i := lo; i < len(col.starts) && col.starts[i] < q.End; i++ {
+				w := len(ts.keys)
+				lo, _ := slices.BinarySearch(ts.starts, tailStart)
+				for i := lo; i < len(ts.starts) && ts.starts[i] < q.End; i++ {
+					c := &ts.cells[i*w+fi]
+					if c.n == 0 {
+						continue
+					}
 					if accs == nil {
 						accs = make([]rollAcc, nTail)
 						groups[group] = accs
 					}
-					accs[(col.starts[i]-tailStart)/window].merge(&col.buckets[i], needQuant)
+					accs[(ts.starts[i]-tailStart)/window].merge(ts, c, needQuant)
 				}
 			}
 		}

@@ -259,9 +259,16 @@ func TestHubBroadcast(t *testing.T) {
 			}
 		}
 	}
-	sent, dropped := hub.Stats()
-	if sent != nClients*nMsgs || dropped != 0 {
-		t.Fatalf("stats: sent=%d dropped=%d", sent, dropped)
+	// The hub counts a message once its write returns, which can be after
+	// the client has read it: wait for the count rather than read it once.
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		sent, dropped := hub.Stats()
+		if sent == nClients*nMsgs && dropped == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("stats: sent=%d dropped=%d", sent, dropped)
+		}
 	}
 }
 
