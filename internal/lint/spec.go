@@ -84,7 +84,6 @@ func RepoMustCheck() *MustCheckSpec {
 		"(*ruru/internal/tsdb.DB).WriteBatchRef",
 		"(*ruru/internal/tsdb.DB).Checkpoint",
 		"(*ruru/internal/tsdb.DB).Snapshot",
-		"(*ruru/internal/tsdb.wal).AppendPoint",
 		"(*ruru/internal/tsdb.wal).AppendPoints",
 		"(*ruru/internal/seglog.Log).Append",
 		"(*ruru/internal/seglog.Log).Rotate",

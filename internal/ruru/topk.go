@@ -48,28 +48,42 @@ func (p *Pipeline) TopFlows(n int) []sketch.Item[sketch.FlowID] {
 
 // TopPrefixes returns up to n highest-volume source prefixes (/24 for v4,
 // /48 for v6) across all queues. Unlike flows, one prefix spans many flows
-// and therefore many queues, so entries are merged by key — counts and
-// error bounds sum (both remain valid overestimate bounds).
+// and therefore many queues, so entries are merged by key. A queue that
+// does not track the prefix contributes its space-saving bound for
+// untracked keys (Snapshot.PrefixMin, 0 until its summary is full) to both
+// Count and Err, so the merged Count still never undercounts and Count-Err
+// stays a lower bound.
 func (p *Pipeline) TopPrefixes(n int) []sketch.Item[netip.Prefix] {
 	if p.Sketch == nil {
 		return nil
 	}
-	merged := make(map[netip.Prefix]sketch.Item[netip.Prefix])
+	// covered sums the bounds of the queues that track the key: the merge
+	// adds every queue's bound, less those.
+	type entry struct {
+		it      sketch.Item[netip.Prefix]
+		covered uint64
+	}
+	var bound uint64
+	merged := make(map[netip.Prefix]*entry)
 	for _, t := range p.Sketch {
-		for _, it := range t.Snapshot().Prefixes {
-			m, ok := merged[it.Key]
-			if !ok {
-				merged[it.Key] = it
-				continue
+		snap := t.Snapshot()
+		bound += snap.PrefixMin
+		for _, it := range snap.Prefixes {
+			e := merged[it.Key]
+			if e == nil {
+				e = &entry{it: sketch.Item[netip.Prefix]{Key: it.Key}}
+				merged[it.Key] = e
 			}
-			m.Count += it.Count
-			m.Err += it.Err
-			merged[it.Key] = m
+			e.it.Count += it.Count
+			e.it.Err += it.Err
+			e.covered += snap.PrefixMin
 		}
 	}
 	all := make([]sketch.Item[netip.Prefix], 0, len(merged))
-	for _, it := range merged {
-		all = append(all, it)
+	for _, e := range merged {
+		e.it.Count += bound - e.covered
+		e.it.Err += bound - e.covered
+		all = append(all, e.it)
 	}
 	sortItemsDesc(all)
 	if n > 0 && n < len(all) {

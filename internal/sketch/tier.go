@@ -58,6 +58,9 @@ type TierConfig struct {
 type Snapshot struct {
 	Flows    []Item[FlowID]
 	Prefixes []Item[netip.Prefix]
+	// PrefixMin bounds the volume of every prefix the summary does not
+	// track: its smallest tracked count once full, 0 before (TopK.Min).
+	PrefixMin uint64
 }
 
 // FlowTier is the per-queue bounded-memory flow tier: a conservative-update
@@ -308,8 +311,9 @@ func (t *FlowTier) Publish(force bool) {
 		return
 	}
 	snap := &Snapshot{
-		Flows:    t.flows.Top(make([]Item[FlowID], 0, t.flows.Len()), 0),
-		Prefixes: t.prefixes.Top(make([]Item[netip.Prefix], 0, t.prefixes.Len()), 0),
+		Flows:     t.flows.Top(make([]Item[FlowID], 0, t.flows.Len()), 0),
+		Prefixes:  t.prefixes.Top(make([]Item[netip.Prefix], 0, t.prefixes.Len()), 0),
+		PrefixMin: t.prefixes.Min(),
 	}
 	t.snap.Store(snap)
 	t.sincePub = 0

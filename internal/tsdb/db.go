@@ -89,24 +89,26 @@ type DB struct {
 	identsBuf []*seriesIdent
 	refsBuf   []*refState
 
-	// scratchPool recycles the per-call scratch Write/WriteBatch stage their
-	// points into, so they do not allocate per call.
+	// scratchPool recycles the per-call scratch WriteBatch and Ref stage
+	// their points into, so they do not allocate per call.
 	scratchPool sync.Pool
 
 	closeOnce sync.Once
 	closeErr  error
 }
 
-// writeScratch is pooled per-call scratch for Write/WriteBatch: the staged
+// writeScratch is pooled per-call scratch for WriteBatch and Ref: the staged
 // points' ref keys back to back in one arena and their field values back to
 // back in vals — point i owns arena[offs[i]:offs[i+1]] and
-// vals[voffs[i]:voffs[i+1]] — plus per-point stripe ids.
+// vals[voffs[i]:voffs[i+1]] — plus per-point stripe ids and, once resolved,
+// the points as RefPoints for WriteBatchRef.
 type writeScratch struct {
 	arena []byte
 	offs  []int
 	vals  []float64
 	voffs []int
 	sids  []uint32
+	rpts  []RefPoint
 }
 
 // reset empties the scratch for a new call, keeping its capacity.
@@ -119,8 +121,9 @@ func (sc *writeScratch) reset() {
 // stage validates p — before anything is logged or written, so a rejected
 // point fails its whole call — sorts its tags in place, and appends its ref
 // key (see appendRefKeyHead), stripe id and field values to the scratch.
-// It refuses what Ref refuses: duplicate field keys (a series column holds
-// one value per point) and identifiers Snapshot could not write back.
+// It is the one shape validation, Ref's included: no fields, duplicate
+// field keys (a series column holds one value per point) and identifiers
+// Snapshot could not write back are refused.
 func (sc *writeScratch) stage(p *Point, mask uint32) error {
 	if len(p.Fields) == 0 {
 		return ErrNoFields
@@ -165,9 +168,9 @@ type stripe struct {
 	// write whether level l has anything to retire.
 	starts [][]int64
 	// refs interns every (series, ordered field set) shape whose series
-	// hashes into this stripe, keyed by its ref key. Living under mu — the
-	// lock a write takes anyway — lets Write/WriteBatch resolve a point to
-	// its refState without touching the global dirMu.
+	// hashes into this stripe, keyed by its ref key. Living under mu lets
+	// WriteBatch resolve a known shape to its refState without touching the
+	// global dirMu.
 	refs map[string]*refState
 }
 
@@ -300,71 +303,33 @@ func (db *DB) advanceMaxT(t int64) int64 {
 	}
 }
 
-// Write stores one point. Tags are sorted in place. Points older than the
-// retention horizon are dropped. A point with no fields (ErrNoFields), with
-// duplicate field keys or with an identifier Snapshot could not write back
-// (ErrBadRef, see lineSafe) is rejected before anything is logged or
-// written. On a persistent DB the point is logged to the WAL
-// before it is applied (fsync per Options.Persist.Fsync); a WAL append
-// failure fails the write, so recoverable state never runs behind what
-// queries can see.
-//
-// Write and WriteBatch are the string-keyed entry points to the one apply
-// path (writeRefLocked, ref.go): each point's (series, field keys) shape is
-// resolved to its interned refState under the stripe lock the write takes
-// anyway. WriteBatchRef is the same path for callers that cache the handle.
+// Write stores one point: a WriteBatch of one, with the same validation,
+// retention, WAL and Close contracts. Tags are sorted in place.
 func (db *DB) Write(p *Point) error {
-	sc := db.scratchPool.Get().(*writeScratch)
-	err := db.writePoint(p, sc)
-	db.scratchPool.Put(sc)
+	_, err := db.WriteBatch([]Point{*p})
 	return err
 }
 
-func (db *DB) writePoint(p *Point, sc *writeScratch) error {
-	sc.reset()
-	if err := sc.stage(p, db.mask); err != nil {
-		return err
-	}
-	// Refuse closed before touching maxT or retention: a straggler write
-	// must not advance the horizon (and purge shards) on a DB that is
-	// being snapshotted for shutdown.
-	if db.closed.Load() {
-		return ErrClosedDB
-	}
-	if pr := db.persist; pr != nil {
-		// Hold commitMu.RLock from the WAL append through the in-memory
-		// apply: the checkpoint cut depends on no write being between the
-		// two when it rotates the log.
-		db.commitMu.RLock()
-		defer db.commitMu.RUnlock()
-		if db.closed.Load() {
-			return ErrClosedDB
-		}
-		if err := pr.wal.AppendPoint(p); err != nil {
-			return err
-		}
-	}
-	maxT := db.advanceMaxT(p.Time)
-	db.maybeSweepAll(maxT)
-	st := db.stripes[sc.sids[0]]
-	st.mu.Lock()
-	if db.closed.Load() {
-		st.mu.Unlock()
-		return ErrClosedDB
-	}
-	db.writeStagedLocked(st, sc, 0, p, maxT)
-	st.mu.Unlock()
-	return nil
-}
-
-// WriteBatch stores all points, taking each involved stripe lock exactly
-// once, so synchronization is amortized across a whole burst. Tags are
-// sorted in place. A point Write would reject fails the entire batch with
-// the same error before anything is written. ErrClosedDB from a concurrent
-// Close, however, may leave the batch partially applied (whole stripes are
-// written atomically, the batch as a whole is not): applied reports how
-// many points were handled (stored or retention-dropped) so callers can
-// account for the remainder exactly — do not retry the batch.
+// WriteBatch stores all points, taking each involved stripe lock once per
+// phase, so synchronization is amortized across a whole burst. Tags are
+// sorted in place. Points older than the retention horizon are dropped. A
+// point with no fields (ErrNoFields), with duplicate field keys or with an
+// identifier Snapshot could not write back (ErrBadRef, see lineSafe) fails
+// the entire batch before anything is logged or written. On a persistent
+// DB the batch is logged to the WAL before it is applied (fsync per
+// Options.Persist.Fsync); a WAL append failure fails the write, so
+// recoverable state never runs behind what queries can see. ErrClosedDB
+// from a concurrent Close, however, may leave the batch partially applied
+// (whole stripes are written atomically, the batch as a whole is not):
+// applied reports how many points were handled (stored or retention-
+// dropped) so callers can account for the remainder exactly — do not retry
+// the batch.
+//
+// WriteBatch is the string-keyed front of the one write path: it resolves
+// each point's (series, ordered field keys) shape to its interned handle —
+// interning a shape on first sight, before the WAL append — and commits
+// through WriteBatchRef, which callers that keep the handle (Ref) use
+// directly.
 func (db *DB) WriteBatch(pts []Point) (applied int, err error) {
 	if len(pts) == 0 {
 		return 0, nil
@@ -373,77 +338,53 @@ func (db *DB) WriteBatch(pts []Point) (applied int, err error) {
 		return 0, ErrClosedDB
 	}
 	sc := db.scratchPool.Get().(*writeScratch)
-	applied, err = db.writeBatchScratch(pts, sc)
+	if err = db.resolve(pts, sc); err == nil {
+		applied, err = db.WriteBatchRef(sc.rpts)
+	}
 	db.scratchPool.Put(sc)
 	return applied, err
 }
 
-func (db *DB) writeBatchScratch(pts []Point, sc *writeScratch) (applied int, err error) {
+// resolve stages every point of pts into sc — validating all of them first —
+// and then fills sc.rpts with each point's handle, time and values, taking
+// each involved stripe lock once. A shape seen for the first time is
+// interned (newRefLocked): an ident with no chunks, invisible to queries
+// until a write lands in it.
+func (db *DB) resolve(pts []Point, sc *writeScratch) error {
 	sc.reset()
-	batchMax := int64(math.MinInt64)
 	for i := range pts {
 		if err := sc.stage(&pts[i], db.mask); err != nil {
-			return 0, err
-		}
-		if pts[i].Time > batchMax {
-			batchMax = pts[i].Time
+			return err
 		}
 	}
-	if pr := db.persist; pr != nil {
-		// One WAL record (and, under FsyncAlways, at most one group-
-		// committed fsync) for the whole batch — held through the apply,
-		// as in Write.
-		db.commitMu.RLock()
-		defer db.commitMu.RUnlock()
-		if db.closed.Load() {
-			return 0, ErrClosedDB
-		}
-		if err := pr.logBatch(pts); err != nil {
-			return 0, err
-		}
-	}
-	maxT := db.advanceMaxT(batchMax)
-	db.maybeSweepAll(maxT)
+	sc.rpts = slices.Grow(sc.rpts[:0], len(pts))[:len(pts)]
 	for s, st := range db.stripes {
-		touched := false
-		for _, sid := range sc.sids {
-			if sid == uint32(s) {
-				touched = true
-				break
+		locked := false
+		for i, sid := range sc.sids {
+			if sid != uint32(s) {
+				continue
 			}
+			if !locked {
+				st.mu.Lock()
+				locked = true
+			}
+			p := &pts[i]
+			rk := sc.arena[sc.offs[i]:sc.offs[i+1]]
+			rs := st.refs[string(rk)] // no-alloc map lookup
+			if rs == nil {
+				fields := make([]string, len(p.Fields))
+				for j, f := range p.Fields {
+					fields[j] = f.Key
+				}
+				rs = db.newRefLocked(st, rk, p.Name, p.Tags, fields)
+			}
+			sc.rpts[i] = RefPoint{Ref: rs.ref, Time: p.Time, Vals: sc.vals[sc.voffs[i]:sc.voffs[i+1]]}
 		}
-		if !touched {
-			continue
-		}
-		st.mu.Lock()
-		if db.closed.Load() {
+		if locked {
 			st.mu.Unlock()
-			return applied, ErrClosedDB
 		}
-		for i := range pts {
-			if sc.sids[i] == uint32(s) {
-				db.writeStagedLocked(st, sc, i, &pts[i], maxT)
-				applied++
-			}
-		}
-		st.mu.Unlock()
 	}
-	return applied, nil
-}
-
-// writeStagedLocked applies staged point i (p, already in sc) through its
-// interned shape. Caller holds st.mu.
-func (db *DB) writeStagedLocked(st *stripe, sc *writeScratch, i int, p *Point, maxT int64) {
-	rk := sc.arena[sc.offs[i]:sc.offs[i+1]]
-	rs := st.refs[string(rk)] // no-alloc map lookup
-	if rs == nil {
-		fields := make([]string, len(p.Fields))
-		for j, f := range p.Fields {
-			fields[j] = f.Key
-		}
-		rs = db.newRefLocked(st, rk, p.Name, p.Tags, fields)
-	}
-	db.writeRefLocked(st, rs, p.Time, sc.vals[sc.voffs[i]:sc.voffs[i+1]], maxT)
+	return nil
 }
 
 // WriteLine parses one line-protocol record and stores it.

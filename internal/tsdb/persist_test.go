@@ -1126,3 +1126,99 @@ func TestPersistFailedRotationLeavesNoStaleDictionary(t *testing.T) {
 		})
 	}
 }
+
+// storeView is everything a reader can see of a store: raw- and
+// tier-served queries, tag values, the series count and the snapshot.
+type storeView struct {
+	raw, tier []SeriesResult
+	loss      []SeriesResult
+	cities    []string
+	series    int
+	snap      string
+}
+
+func viewStore(t *testing.T, db *DB, n int) storeView {
+	t.Helper()
+	v := storeView{
+		raw:    fullQuery(t, db, n, ResolutionRaw),
+		tier:   fullQuery(t, db, n, ResolutionAuto),
+		cities: db.TagValues("src_city", 0, 1<<62),
+		series: db.SeriesCount(),
+	}
+	if len(v.tier) == 0 || v.tier[0].Tier == 0 {
+		t.Fatalf("query not tier-served: %+v", v.tier)
+	}
+	var err error
+	v.loss, err = db.Execute(Query{Measurement: "latency", Field: "loss", Start: 0, End: 1 << 62,
+		GroupBy: "src_city", Aggs: []AggKind{AggCount}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	if _, err := db.Snapshot(&b); err != nil {
+		t.Fatal(err)
+	}
+	v.snap = b.String()
+	return v
+}
+
+// A write interns a never-seen shape before its WAL append. When the append
+// fails, that shape must stay invisible — to queries at either resolution,
+// TagValues, SeriesCount and Snapshot — and a restart must restore exactly
+// the pre-failure store.
+func TestWALFailureOnNewShapeLeavesStoreUnchanged(t *testing.T) {
+	const n = 200
+	fresh := Point{
+		Name:   "latency",
+		Tags:   []Tag{{Key: "src_city", Value: "Nelson"}, {Key: "dst_city", Value: "Los Angeles"}},
+		Fields: []Field{{Key: "total_ms", Value: 7}, {Key: "loss", Value: 1}},
+		Time:   5e9,
+	}
+	known := Point{
+		Name:   "latency",
+		Tags:   []Tag{{Key: "src_city", Value: "Auckland"}, {Key: "dst_city", Value: "Los Angeles"}},
+		Fields: []Field{{Key: "total_ms", Value: 3}},
+		Time:   6e9,
+	}
+	for _, tc := range []struct {
+		name  string
+		write func(db *DB) error
+	}{
+		{"Write", func(db *DB) error { p := fresh; return db.Write(&p) }},
+		{"WriteBatch", func(db *DB) error {
+			_, err := db.WriteBatch([]Point{known, fresh})
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := Options{Rollups: DefaultRollups(), Persist: persistOpts(dir, FsyncOff)}
+			db, err := OpenDB(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			writePersistPoints(t, db, n, 0)
+			want := viewStore(t, db, n)
+
+			db.persist.wal.log.InjectWriteFault(0)
+			if err := tc.write(db); err == nil {
+				t.Fatal("write succeeded despite WAL append failure")
+			}
+			if d := db.dir.Load(); len(d.idents) != 3 || d.idents[2].tags[1].Value != "Nelson" {
+				t.Fatal("the new shape was not interned ahead of the failed append")
+			}
+			if got := viewStore(t, db, n); !reflect.DeepEqual(got, want) {
+				t.Fatalf("failed write changed the store:\n got %+v\nwant %+v", got, want)
+			}
+			db.Close() // may report the poisoned segment's flush; the reopen is the check
+			db2, err := OpenDB(opts)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer db2.Close()
+			if got := viewStore(t, db2, n); !reflect.DeepEqual(got, want) {
+				t.Fatalf("reopened store differs from the pre-failure one:\n got %+v\nwant %+v", got, want)
+			}
+		})
+	}
+}

@@ -8,13 +8,13 @@ package tsdb
 // as a refState caching the resolved series pointer, per-field column
 // indices and per-tier chunks and cell positions. Every write applies
 // through that cache (writeRefLocked): a handful of bounds checks, column
-// appends and cell updates, zero heap allocations in steady state. There
-// are two ways in. Write/WriteBatch take
-// full Points and look the shape up by its ref key in the owning stripe's
-// refs map, under the stripe lock they hold anyway (db.go). Ref hands the
-// same refState out as a small integer SeriesRef, so a caller that keeps
-// the handle (the sink workers, the federation aggregator) skips even the
-// key build and the map probe with WriteBatchRef.
+// appends and cell updates, zero heap allocations in steady state. Every
+// write commits through WriteBatchRef. Write/WriteBatch are a front that
+// takes full Points, validates them, and looks each shape up by its ref key
+// in the owning stripe's refs map, interning it on a miss (db.go). Ref
+// hands the same refState out as a small integer SeriesRef, so a caller
+// that keeps the handle (the sink workers, the federation aggregator) skips
+// even the key build and the map probe.
 //
 // The series directory is published copy-on-write behind an atomic.Pointer
 // (the userspace-RCU idiom): writers append under db.dirMu and then store a
@@ -33,8 +33,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-
-	"ruru/internal/hashx"
 )
 
 // SeriesRef is an interned series handle issued by DB.Ref. Refs are only
@@ -198,58 +196,37 @@ func (db *DB) newRefLocked(st *stripe, rk []byte, name string, tags []Tag, field
 }
 
 // Ref interns a series identity plus an ordered field set and returns a
-// reusable handle for WriteBatchRef. Tags are copied and sorted; fields
-// must be non-empty and distinct, and every identifier one Snapshot can
-// write back (ErrBadRef otherwise; see lineSafe). Calling Ref again with
-// the same (name, tags, fields) returns the same handle — the one
-// Write/WriteBatch use for points of that shape. Refs are cheap to hold and
-// never invalidated for the life of the DB.
+// reusable handle for WriteBatchRef. Tags are copied and sorted; the shape
+// is validated as WriteBatch validates a point's (ErrNoFields, ErrBadRef).
+// Calling Ref again with the same (name, tags, fields) returns the same
+// handle — the one WriteBatch resolves points of that shape to. Refs are
+// cheap to hold and never invalidated for the life of the DB.
 func (db *DB) Ref(name string, tags []Tag, fields ...string) (SeriesRef, error) {
 	if db.closed.Load() {
 		return 0, ErrClosedDB
 	}
-	if len(fields) == 0 {
-		return 0, ErrNoFields
+	p := Point{Name: name, Tags: append([]Tag(nil), tags...), Fields: make([]Field, len(fields))}
+	for i, k := range fields {
+		p.Fields[i].Key = k
 	}
-	for i := range fields {
-		if !lineSafeField(fields[i]) {
-			return 0, ErrBadRef
-		}
-		for j := i + 1; j < len(fields); j++ {
-			if fields[i] == fields[j] {
-				return 0, ErrBadRef
-			}
-		}
+	sc := db.scratchPool.Get().(*writeScratch)
+	defer db.scratchPool.Put(sc)
+	if err := db.resolve([]Point{p}, sc); err != nil {
+		return 0, err
 	}
-	sorted := append([]Tag(nil), tags...)
-	sortTags(sorted)
-	rk, keyAt := appendRefKeyHead(nil, name, sorted)
-	if !lineSafe(name, sorted, rk[keyAt:]) {
-		return 0, ErrBadRef
-	}
-	st := db.stripes[hashx.FNV1a32Bytes(rk[keyAt:])&db.mask]
-	for _, f := range fields {
-		rk = appendString(rk, f)
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	rs := st.refs[string(rk)]
-	if rs == nil {
-		rs = db.newRefLocked(st, rk, name, sorted, append([]string(nil), fields...))
-	}
-	return rs.ref, nil
+	return sc.rpts[0].Ref, nil
 }
 
-// WriteBatchRef stores all points through their interned handles — the
-// zero-allocation fast path. Semantics match WriteBatch exactly: one stripe
-// lock per involved stripe, retention applied per point, rollup tiers fed,
-// WAL-logged as full (name, tags, fields) records on a persistent DB (the
-// wire/durability formats are unchanged), and the same partial-apply
-// contract under a concurrent Close. A NaN in Vals writes a NaN field
-// value (the point still lands; queries skip the NaN), bit-identical to
-// WriteBatch. Fails with ErrBadRef before writing anything if any
-// point carries an unknown ref or a Vals length that does not match the
-// ref's field set.
+// WriteBatchRef stores all points through their interned handles: the
+// commit of every write, WriteBatch's included. It checks Close, holds
+// commitMu.RLock from the WAL append (full self-describing (name, tags,
+// fields) records, see logRefBatch) through the apply, advances the
+// retention horizon once, then takes one stripe lock per involved stripe —
+// so the semantics are WriteBatch's exactly, partial-apply contract under a
+// concurrent Close included. A NaN in Vals writes a NaN field value (the
+// point still lands; queries skip the NaN), bit-identical to WriteBatch.
+// Fails with ErrBadRef before writing anything if any point carries an
+// unknown ref or a Vals length that does not match the ref's field set.
 //
 // Steady state (in-memory DB, warm columns) must not allocate; the noalloc
 // analyzer enforces the construct-level discipline and the
@@ -276,9 +253,10 @@ func (db *DB) WriteBatchRef(pts []RefPoint) (applied int, err error) {
 		}
 	}
 	if pr := db.persist; pr != nil {
-		// Materialize full (name, tags, fields) points into pooled scratch
-		// for the WAL: the durable format stays self-describing, so
-		// crash/restore and federation remain oblivious to refs.
+		// Hold commitMu.RLock from the WAL append through the in-memory
+		// apply: the checkpoint cut depends on no write being between the
+		// two when it rotates the log, and Close's barrier on none being
+		// past the closed check below.
 		db.commitMu.RLock()
 		defer db.commitMu.RUnlock()
 		if db.closed.Load() {
@@ -465,10 +443,13 @@ type refLogScratch struct {
 
 var refLogPool = sync.Pool{New: func() any { return &refLogScratch{} }}
 
-// logRefBatch WAL-logs a ref batch as full self-describing points. Tags
-// alias the idents' owned slices and field headers point into one arena —
-// safe because the WAL encoder copies everything into its own buffers
-// before logBatch returns.
+// logRefBatch WAL-logs a batch as full self-describing points materialized
+// from the interned shapes, one record per batch (logBatch splits one too
+// big for a frame): the durable format knows nothing of refs, so
+// crash/restore and federation stay oblivious to them. Tags alias the
+// idents' owned slices and field headers point into one arena — safe
+// because the WAL encoder copies everything into its own buffers before
+// logBatch returns.
 func (db *DB) logRefBatch(pr *persister, refs []*refState, pts []RefPoint) error {
 	sc := refLogPool.Get().(*refLogScratch)
 	total := 0

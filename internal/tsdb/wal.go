@@ -341,7 +341,7 @@ func openWAL(dir string, firstFree uint64, maxSegBytes int64, policy FsyncPolicy
 	return w, nil
 }
 
-// AppendPoints logs one committed WriteBatch as a single record. A batch
+// AppendPoints logs one committed write as a single record. A batch
 // above maxRecordBytes is refused with seglog.ErrRecordTooBig; logBatch
 // splits it in response.
 func (w *wal) AppendPoints(pts []Point) error {
@@ -350,14 +350,6 @@ func (w *wal) AppendPoints(pts []Point) error {
 			buf = w.enc.appendPoint(buf, &pts[i])
 		}
 		return buf
-	})
-}
-
-// AppendPoint logs one committed Write as a single record. Caller holds
-// db.commitMu.RLock; same error contract as logBatch.
-func (w *wal) AppendPoint(p *Point) error {
-	return w.log.Append(func(buf []byte) []byte {
-		return w.enc.appendPoint(buf, p)
 	})
 }
 

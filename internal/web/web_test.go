@@ -326,6 +326,11 @@ func TestArcsEndpoint(t *testing.T) {
 	p, srv := newServer(t)
 	feedSamples(p, 50)
 	var arcs []Arc
+	getJSON(t, srv.URL+"/api/arcs?n=0", &arcs) // 0 = every retained arc
+	if len(arcs) != 50 {
+		t.Fatalf("n=0: %d arcs, want all 50", len(arcs))
+	}
+	arcs = nil
 	getJSON(t, srv.URL+"/api/arcs?n=10", &arcs)
 	if len(arcs) != 10 {
 		t.Fatalf("%d arcs", len(arcs))

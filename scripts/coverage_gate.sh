@@ -2,9 +2,8 @@
 # Coverage gate for the measurement-critical packages: internal/pkt (frame
 # parsing), internal/core (handshake engine), internal/tsdb (storage +
 # WAL) and internal/seglog (the segment log under the WAL, whose lines
-# were tsdb's until they moved). The combined statement coverage recorded
-# when this gate landed was
-# 88.7%; the gate fails CI if it drops below GATE below (a small margin
+# were tsdb's until they moved). The combined statement coverage last
+# recorded was 95.1%; the gate fails CI if it drops below GATE below (a margin
 # under the recorded level absorbs run-to-run noise from timing-dependent
 # error branches — raise the gate when coverage meaningfully improves, and
 # never lower it to make a PR pass).
@@ -14,7 +13,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-GATE=87.0
+GATE=93.0
 PROFILE=${1:-coverage.out}
 PKGS=ruru/internal/pkt,ruru/internal/core,ruru/internal/tsdb,ruru/internal/seglog
 
