@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"net/http/httptest"
 	"net/netip"
@@ -82,7 +83,7 @@ func Specs() []Spec {
 		{Name: "query/rollup", F: benchRollupQuery},
 		{Name: "query/cached", F: benchCachedQuery},
 		{Name: "ws/delta-broadcast", F: benchDeltaBroadcast},
-		{Name: "sketch/update", F: benchSketchUpdate},
+		{Name: "sketch/observe-churn", F: benchSketchObserveChurn},
 		{Name: "sketch/topk", F: benchSketchTopK},
 	}
 }
@@ -826,31 +827,50 @@ func reportPPS(b *testing.B, pointsPerOp int) {
 	}
 }
 
-// benchSketchUpdate: the bounded-memory tier's per-packet cost — a
-// conservative-update count-min write plus the space-saving flow and
-// /24-prefix heavy-hitter updates — steady state over 256 tracked flows
-// (all hot paths //ruru:noalloc; the trajectory pins allocs_per_op at 0).
-func benchSketchUpdate(b *testing.B) {
+// benchSketchObserveChurn: the bounded-memory tier's per-packet cost under
+// flow churn — 16384 recurring flows, four times what the flow summary
+// holds, so most observations evict its minimum; every eighth packet a
+// flow never seen before; Publish(false) once per 64-packet burst, as the
+// queue worker calls it, so the throttled snapshot copy is inside the
+// timed loop. The observe path is //ruru:noalloc: allocs_per_op reads 0,
+// the only allocations being the snapshot copies every PublishEvery
+// observations.
+func benchSketchObserveChurn(b *testing.B) {
 	tier, err := sketch.NewFlowTier(sketch.TierConfig{BudgetBytes: 16 << 20})
 	if err != nil {
 		b.Fatal(err)
 	}
-	const flows = 256
-	var fl [flows]*pkt.Summary
-	for i := range fl {
-		s, _ := benchSummary(byte(i), 1, uint16(5000+i), 443, 1000, 1, nil)
-		s.IP4.TotalLen = 1500
-		fl[i] = s
+	const (
+		recurring = 1 << 14
+		burst     = 64
+	)
+	s, _ := benchSummary(0, 1, 0, 443, 1000, 1, nil)
+	s.IP4.TotalLen = 1500
+	observe := func(f uint32) {
+		s.IP4.Src = netip.AddrFrom4([4]byte{10, byte(f >> 16), byte(f >> 8), byte(f)})
+		s.TCP.SrcPort = uint16(1024 + f%50000)
+		tier.Observe(s)
 	}
-	// Warm-up: every flow tracked, so the loop measures the steady-state
-	// update path, not summary churn.
-	for i := range fl {
-		tier.Observe(fl[i])
+	for f := uint32(0); f < recurring; f++ {
+		observe(f)
 	}
+	tier.Publish(true)
+	rng, fresh := uint32(1), uint32(recurring)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tier.Observe(fl[i%flows])
+		if i%8 == 0 {
+			observe(fresh)
+			fresh++
+		} else {
+			rng ^= rng << 13
+			rng ^= rng >> 17
+			rng ^= rng << 5
+			observe(rng % recurring)
+		}
+		if i%burst == burst-1 {
+			tier.Publish(false)
+		}
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pps")
 }
@@ -862,7 +882,8 @@ func benchSketchUpdate(b *testing.B) {
 // pressure from the rest of the suite.
 func benchSketchTopK(b *testing.B) {
 	const keys = 1024
-	tk := sketch.NewTopK[sketch.FlowID](keys)
+	seed := maphash.MakeSeed()
+	tk := sketch.NewTopK(keys, func(id sketch.FlowID) uint64 { return maphash.Comparable(seed, id) })
 	for i := 0; i < keys; i++ {
 		id := sketch.FlowID{
 			A:     netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)}),

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
-	"sort"
 	"sync"
 	"time"
 
@@ -170,7 +169,7 @@ func E15(cfg E15Config, w io.Writer) (E15Result, error) {
 			// above every mouse, with an estimate >= its true volume.
 			snap := tier.Snapshot()
 			flows := append([]sketch.Item[sketch.FlowID](nil), snap.Flows...)
-			sort.Slice(flows, func(a, b int) bool { return flows[a].Count > flows[b].Count })
+			sketch.Rank(flows, sketch.FlowID.Compare)
 			planted := make(map[sketch.FlowID]bool, cfg.Elephants)
 			for e := 0; e < cfg.Elephants; e++ {
 				planted[e15ID(q, e*every)] = true

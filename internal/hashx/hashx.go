@@ -25,15 +25,3 @@ func FNV1a32Bytes(b []byte) uint32 {
 	}
 	return h
 }
-
-// FNV1a64 is the 64-bit FNV-1a hash of b, for consumers that need the
-// wider state space (the sketch tier derives per-row count-min indexes
-// from one 64-bit flow hash).
-func FNV1a64(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(b); i++ {
-		h ^= uint64(b[i])
-		h *= 1099511628211
-	}
-	return h
-}

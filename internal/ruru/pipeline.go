@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"net/netip"
 	"sync"
 	"sync/atomic"
@@ -191,7 +192,7 @@ func MinFlowTableBytes(queues int) int64 {
 	if queues <= 0 {
 		queues = 4
 	}
-	return int64(queues)*sketch.MinBudgetBytes() + sketch.NewTopK[string](pairTopKeys).Bytes()
+	return int64(queues)*sketch.MinBudgetBytes() + sketch.TopKBytes[string](pairTopKeys)
 }
 
 // Pipeline is an assembled Ruru instance. The exported stage fields are
@@ -338,7 +339,8 @@ func New(cfg Config) (*Pipeline, error) {
 			return nil, fmt.Errorf("ruru: Config.FlowTableBytes %d below minimum %d for %d queues",
 				cfg.FlowTableBytes, min, cfg.Queues)
 		}
-		p.pairTop = sketch.NewTopK[string](pairTopKeys)
+		seed := maphash.MakeSeed()
+		p.pairTop = sketch.NewTopK(pairTopKeys, func(pair string) uint64 { return maphash.String(seed, pair) })
 		perQ := (cfg.FlowTableBytes - p.pairTop.Bytes()) / int64(cfg.Queues)
 		p.Sketch = make([]*sketch.FlowTier, cfg.Queues)
 		for q := range p.Sketch {

@@ -6,7 +6,6 @@ package ruru
 
 import (
 	"net/netip"
-	"sort"
 
 	"ruru/internal/sketch"
 )
@@ -15,22 +14,11 @@ import (
 // (Config.FlowTableBytes > 0).
 func (p *Pipeline) SketchEnabled() bool { return p.Sketch != nil }
 
-// sortItemsDesc orders heavy-hitter items by Count descending (ties by
-// Err, matching TopK.Top).
-func sortItemsDesc[K comparable](items []sketch.Item[K]) {
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].Count != items[j].Count {
-			return items[i].Count > items[j].Count
-		}
-		return items[i].Err > items[j].Err
-	})
-}
-
 // TopFlows returns up to n highest-volume flows (bytes) across all queues
 // (n <= 0: all tracked). RSS gives every flow single-queue affinity, so the
 // per-queue summaries hold disjoint keys and concatenation is an exact
-// merge. Reads the workers' published snapshots; nil without the sketch
-// tier.
+// merge. Reads the workers' published snapshots, ranked by sketch.Rank;
+// nil without the sketch tier.
 func (p *Pipeline) TopFlows(n int) []sketch.Item[sketch.FlowID] {
 	if p.Sketch == nil {
 		return nil
@@ -39,7 +27,7 @@ func (p *Pipeline) TopFlows(n int) []sketch.Item[sketch.FlowID] {
 	for _, t := range p.Sketch {
 		all = append(all, t.Snapshot().Flows...)
 	}
-	sortItemsDesc(all)
+	sketch.Rank(all, sketch.FlowID.Compare)
 	if n > 0 && n < len(all) {
 		all = all[:n]
 	}
@@ -52,7 +40,8 @@ func (p *Pipeline) TopFlows(n int) []sketch.Item[sketch.FlowID] {
 // does not track the prefix contributes its space-saving bound for
 // untracked keys (Snapshot.PrefixMin, 0 until its summary is full) to both
 // Count and Err, so the merged Count still never undercounts and Count-Err
-// stays a lower bound.
+// stays a lower bound. Ranked by sketch.Rank, so ties at the n cutoff
+// resolve by key, the same on every call.
 func (p *Pipeline) TopPrefixes(n int) []sketch.Item[netip.Prefix] {
 	if p.Sketch == nil {
 		return nil
@@ -85,7 +74,7 @@ func (p *Pipeline) TopPrefixes(n int) []sketch.Item[netip.Prefix] {
 		e.it.Err += bound - e.covered
 		all = append(all, e.it)
 	}
-	sortItemsDesc(all)
+	sketch.Rank(all, sketch.ComparePrefix)
 	if n > 0 && n < len(all) {
 		all = all[:n]
 	}

@@ -10,11 +10,15 @@ import (
 
 // FuzzSketch drives a FlowTier through an arbitrary op stream — packet
 // observations, admissions, releases — decoded from the fuzz input, and
-// asserts the tier's three load-bearing invariants after every op:
+// asserts the tier's load-bearing invariants after every op:
 //
 //   - count-min estimates never undercount the exact oracle
 //   - per-key estimates are monotone (counters only grow)
 //   - the byte budget is never exceeded: TotalBytes() <= Budget(), always
+//   - the flow summary answers exactly as the map-based reference TopK fed
+//     the same flows (topk_ref_test.go), and its heap, position array and
+//     index stay consistent; at k = 8 over up to 256 flows, eviction and
+//     the index's backward-shift delete run on most observations
 //
 // Op encoding, 5 bytes each: [op%4, host, incLo, incHi, entrySize].
 func FuzzSketch(f *testing.F) {
@@ -23,12 +27,23 @@ func FuzzSketch(f *testing.F) {
 	f.Add([]byte{0, 1, 100, 0, 0, 0, 2, 200, 1, 0, 1, 1, 44, 5, 0})
 	f.Add([]byte{2, 0, 0, 0, 200, 2, 0, 0, 0, 200, 3, 0, 0, 0, 0, 3, 0, 0, 0, 0})
 	f.Add([]byte{0, 7, 220, 5, 0, 2, 7, 0, 0, 255, 1, 7, 220, 5, 0, 3, 0, 0, 0, 0, 2, 9, 0, 0, 64})
+	// Flow churn: 64 observations over 24 hosts with tied volumes, three
+	// times the flow summary's k.
+	var churn []byte
+	for i := 0; i < 64; i++ {
+		churn = append(churn, 0, byte(i*7%24), byte(1+i%3), 0, 0)
+	}
+	f.Add(churn)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tier, err := NewFlowTier(TierConfig{BudgetBytes: MinBudgetBytes() + 4096})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if k := tier.flows.K(); k != minTopK {
+			t.Fatalf("flow summary k = %d, want %d", k, minTopK)
+		}
+		ref := newRefTopK[FlowID](tier.flows.K())
 		truth := make(map[uint64]uint64)
 		lastEst := make(map[uint64]uint64)
 		type charge struct {
@@ -53,7 +68,9 @@ func FuzzSketch(f *testing.F) {
 				s.IP4.Src = netip.AddrFrom4([4]byte{10, 0, 0, host})
 				s.IP4.TotalLen = inc
 				tier.Observe(&s)
-				h := hashFlowID(flowIDOf(&s))
+				id := flowIDOf(&s)
+				ref.Update(id, uint64(inc))
+				h := hashFlow(tier.seed, id)
 				truth[h] += uint64(inc)
 				est := tier.cms.Estimate(h)
 				if est < truth[h] {
@@ -73,6 +90,20 @@ func FuzzSketch(f *testing.F) {
 					charges = charges[:n-1]
 					tier.Release(c.bytes, c.promoted)
 				}
+			}
+			checkTopK(t, tier.flows)
+			got, want := tier.flows.Top(nil, 0), ref.Top(nil, 0)
+			if len(got) != len(want) {
+				t.Fatalf("flow summary tracks %d flows, reference %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("flow item %d = %+v, reference %+v", i, got[i], want[i])
+				}
+			}
+			if tier.flows.Min() != ref.Min() || tier.flows.Evictions() != ref.Evictions() {
+				t.Fatalf("flow summary min/evictions %d/%d, reference %d/%d",
+					tier.flows.Min(), tier.flows.Evictions(), ref.Min(), ref.Evictions())
 			}
 			if tier.TotalBytes() > tier.Budget() {
 				t.Fatalf("budget exceeded: %d > %d (live %d, %d charges)",

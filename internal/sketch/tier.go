@@ -1,13 +1,15 @@
 package sketch
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math/rand/v2"
 	"net/netip"
+	"slices"
 	"sync/atomic"
 
 	"ruru/internal/core"
-	"ruru/internal/hashx"
 	"ruru/internal/pkt"
 )
 
@@ -22,6 +24,45 @@ type FlowID struct {
 // String formats the flow as "a:pa<->b:pb".
 func (f FlowID) String() string {
 	return fmt.Sprintf("%s:%d<->%s:%d", f.A, f.APort, f.B, f.BPort)
+}
+
+// Compare orders flows by A, B, APort, then BPort: the key order that
+// breaks count ties when ranking.
+func (f FlowID) Compare(o FlowID) int {
+	if c := f.A.Compare(o.A); c != 0 {
+		return c
+	}
+	if c := f.B.Compare(o.B); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(f.APort, o.APort); c != 0 {
+		return c
+	}
+	return cmp.Compare(f.BPort, o.BPort)
+}
+
+// ComparePrefix orders prefixes by address, then length: the key order
+// that breaks count ties when ranking.
+func ComparePrefix(a, b netip.Prefix) int {
+	if c := a.Addr().Compare(b.Addr()); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Bits(), b.Bits())
+}
+
+// Rank sorts merged heavy hitters into the order /api/topk serves: Count
+// descending, then Err descending, then key ascending by keyCmp. The order
+// is total, so a cut at any n returns the same items on every call.
+func Rank[K comparable](items []Item[K], keyCmp func(a, b K) int) {
+	slices.SortFunc(items, func(a, b Item[K]) int {
+		if c := cmp.Compare(b.Count, a.Count); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(b.Err, a.Err); c != 0 {
+			return c
+		}
+		return keyCmp(a.Key, b.Key)
+	})
 }
 
 // TierConfig configures a FlowTier. Only BudgetBytes is required; every
@@ -53,8 +94,8 @@ type TierConfig struct {
 }
 
 // Snapshot is an immutable copy of the tier's heavy hitters, safe for
-// concurrent readers (the /api/topk serving path). Items are unsorted;
-// rank with TopK.Top semantics at the merge point.
+// concurrent readers (the /api/topk serving path). Items are in heap
+// order, unsorted; rank them with Rank at the merge point.
 type Snapshot struct {
 	Flows    []Item[FlowID]
 	Prefixes []Item[netip.Prefix]
@@ -72,6 +113,7 @@ type Snapshot struct {
 // queue worker. The only cross-goroutine surface is Snapshot(), which
 // reads an atomically published copy.
 type FlowTier struct {
+	seed     uint64 // keys hashFlow and hashPrefix, drawn at random per tier
 	cms      *CMS
 	flows    *TopK[FlowID]
 	prefixes *TopK[netip.Prefix]
@@ -112,7 +154,7 @@ const (
 // sketch-only — which is the deterministic floor the tight-cap tests use.
 func MinBudgetBytes() int64 {
 	cms := int64(cmsMinWidth) * cmsAutoDepth * 8
-	return cms + int64(minTopK)*topkItemBytes[FlowID]() + int64(minTopK)*topkItemBytes[netip.Prefix]()
+	return cms + TopKBytes[FlowID](minTopK) + TopKBytes[netip.Prefix](minTopK)
 }
 
 // NewFlowTier builds a tier. Budget split (documented in ARCHITECTURE.md):
@@ -141,14 +183,16 @@ func NewFlowTier(cfg TierConfig) (*FlowTier, error) {
 
 	flowK := cfg.TopK
 	if flowK <= 0 {
-		flowK = clampInt(int((share/4)/topkItemBytes[FlowID]()), minTopK, maxFlowTopK)
+		flowK = clampInt(int((share/4)/topkEntryBytes[FlowID]()), minTopK, maxFlowTopK)
 	}
 	prefixK := clampInt(flowK/4, minTopK, maxPrefixTopK)
 
+	seed := rand.Uint64()
 	t := &FlowTier{
+		seed:         seed,
 		cms:          cms,
-		flows:        NewTopK[FlowID](flowK),
-		prefixes:     NewTopK[netip.Prefix](prefixK),
+		flows:        NewTopK(flowK, func(id FlowID) uint64 { return hashFlow(seed, id) }),
+		prefixes:     NewTopK(prefixK, func(p netip.Prefix) uint64 { return hashPrefix(seed, p) }),
 		budget:       cfg.BudgetBytes,
 		elephantMin:  cfg.ElephantMinBytes,
 		publishEvery: cfg.PublishEvery,
@@ -214,16 +258,52 @@ func flowIDOf(s *pkt.Summary) FlowID {
 	return FlowID{A: src, B: dst, APort: sp, BPort: dp}
 }
 
-// hashFlowID is the 64-bit key hash feeding the count-min rows.
-func hashFlowID(id FlowID) uint64 {
-	var buf [36]byte
-	a := id.A.As16()
-	b := id.B.As16()
-	copy(buf[0:16], a[:])
-	copy(buf[16:32], b[:])
-	binary.BigEndian.PutUint16(buf[32:34], id.APort)
-	binary.BigEndian.PutUint16(buf[34:36], id.BPort)
-	return hashx.FNV1a64(buf[:])
+// Hashing: one seeded 64-bit hash per packet, a word at a time. mix folds
+// one word in (xor, multiply by an odd constant, xorshift); fmix is
+// splitmix64's finalizer, so every output bit depends on every input bit.
+// The count-min rows and the flow index both take their positions from
+// the one value. The seed is per tier and random: the flow index is
+// open-addressed, and without a secret seed crafted tuples could pile onto
+// one probe run on a monitor of untrusted traffic.
+
+//ruru:noalloc
+func mix(h, w uint64) uint64 {
+	h = (h ^ w) * 0x9e3779b97f4a7c15
+	return h ^ h>>32
+}
+
+//ruru:noalloc
+func fmix(h uint64) uint64 {
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	return h ^ h>>31
+}
+
+// mixAddr folds an address's 16 bytes in as two words.
+//
+//ruru:noalloc
+func mixAddr(h uint64, a netip.Addr) uint64 {
+	b := a.As16()
+	h = mix(h, binary.LittleEndian.Uint64(b[:8]))
+	return mix(h, binary.LittleEndian.Uint64(b[8:]))
+}
+
+// hashFlow is the per-packet hash of a canonical flow.
+//
+//ruru:noalloc
+func hashFlow(seed uint64, id FlowID) uint64 {
+	h := mixAddr(seed, id.A)
+	h = mixAddr(h, id.B)
+	return fmix(mix(h, uint64(id.APort)<<16|uint64(id.BPort)))
+}
+
+// hashPrefix is the prefix summary's hash, with the same mixer.
+//
+//ruru:noalloc
+func hashPrefix(seed uint64, p netip.Prefix) uint64 {
+	return fmix(mix(mixAddr(seed, p.Addr()), uint64(p.Bits())))
 }
 
 // Observe accounts one parsed TCP packet: volume into the count-min
@@ -237,15 +317,16 @@ func (t *FlowTier) Observe(s *pkt.Summary) {
 	}
 	n := ipBytes(s)
 	id := flowIDOf(s)
-	est := t.cms.Update(hashFlowID(id), n)
-	t.flows.Update(id, n)
+	h := hashFlow(t.seed, id)
+	est := t.cms.Update(h, n)
+	t.flows.add(id, h, n)
 
 	bits := 24
 	if s.IPv6 {
 		bits = 48
 	}
 	if pfx, err := s.Src().Prefix(bits); err == nil {
-		t.prefixes.Update(pfx, n)
+		t.prefixes.add(pfx, hashPrefix(t.seed, pfx), n)
 	}
 
 	t.lastElephant = t.isElephant(est)
@@ -302,17 +383,17 @@ func (t *FlowTier) Release(entryBytes int64, promoted bool) {
 }
 
 // Publish copies the heavy-hitter summaries into a fresh Snapshot for
-// concurrent readers. With force=false the copy is throttled to once per
-// PublishEvery observations (the engine calls it every burst); force=true
-// publishes unconditionally (worker shutdown, tests). Implements
-// core.Admitter.
+// concurrent readers, in heap order: ranking is left to the reader's merge.
+// With force=false the copy is throttled to once per PublishEvery
+// observations (the engine calls it every burst); force=true publishes
+// unconditionally (worker shutdown, tests). Implements core.Admitter.
 func (t *FlowTier) Publish(force bool) {
 	if !force && t.sincePub < t.publishEvery {
 		return
 	}
 	snap := &Snapshot{
-		Flows:     t.flows.Top(make([]Item[FlowID], 0, t.flows.Len()), 0),
-		Prefixes:  t.prefixes.Top(make([]Item[netip.Prefix], 0, t.prefixes.Len()), 0),
+		Flows:     t.flows.appendHeap(make([]Item[FlowID], 0, t.flows.Len())),
+		Prefixes:  t.prefixes.appendHeap(make([]Item[netip.Prefix], 0, t.prefixes.Len())),
 		PrefixMin: t.prefixes.Min(),
 	}
 	t.snap.Store(snap)

@@ -1,7 +1,9 @@
 package sketch
 
 import (
+	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 
 	"ruru/internal/pkt"
@@ -160,7 +162,7 @@ func TestTierObserveFeedsSketchAndSummaries(t *testing.T) {
 	tier.Observe(rev)
 
 	id := flowIDOf(s)
-	if got := tier.cms.Estimate(hashFlowID(id)); got < 4*500+40 {
+	if got := tier.cms.Estimate(hashFlow(tier.seed, id)); got < 4*500+40 {
 		t.Fatalf("cms estimate = %d, want >= 2040", got)
 	}
 	if got, ok := tier.flows.Estimate(id); !ok || got < 2040 {
@@ -216,5 +218,43 @@ func TestTierIPv6PrefixWidth(t *testing.T) {
 	pfx, _ := s.Src().Prefix(48)
 	if got, ok := tier.prefixes.Estimate(pfx); !ok || got != 1000 {
 		t.Fatalf("v6 /48 estimate = %d,%v (want 40+960)", got, ok)
+	}
+}
+
+// TestRankTotalOrder: Rank sorts by count descending, then error
+// descending, then key ascending, so any shuffle of the same items ranks
+// to one order.
+func TestRankTotalOrder(t *testing.T) {
+	a := netip.MustParseAddr("10.0.0.1")
+	b := netip.MustParseAddr("10.0.0.2")
+	want := []Item[FlowID]{
+		{Key: FlowID{A: a, B: b, APort: 1, BPort: 1}, Count: 9},
+		{Key: FlowID{A: a, B: b, APort: 1, BPort: 1}, Count: 5, Err: 2},
+		{Key: FlowID{A: a, B: a, APort: 1, BPort: 1}, Count: 5},
+		{Key: FlowID{A: a, B: b, APort: 1, BPort: 1}, Count: 5},
+		{Key: FlowID{A: a, B: b, APort: 1, BPort: 2}, Count: 5},
+		{Key: FlowID{A: a, B: b, APort: 2, BPort: 1}, Count: 5},
+		{Key: FlowID{A: b, B: a, APort: 1, BPort: 1}, Count: 5},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 20; trial++ {
+		got := slices.Clone(want)
+		rng.Shuffle(len(got), func(i, j int) { got[i], got[j] = got[j], got[i] })
+		Rank(got, FlowID.Compare)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: ranked %v, want %v", trial, got, want)
+		}
+	}
+
+	p24 := netip.MustParsePrefix("10.0.0.0/24")
+	p16 := netip.MustParsePrefix("10.0.0.0/16")
+	p2 := netip.MustParsePrefix("10.0.2.0/24")
+	pfx := []Item[netip.Prefix]{{Key: p2, Count: 1}, {Key: p24, Count: 1}, {Key: p16, Count: 1}}
+	Rank(pfx, ComparePrefix)
+	if pfx[0].Key != p16 || pfx[1].Key != p24 || pfx[2].Key != p2 {
+		t.Fatalf("prefixes ranked %v", pfx)
+	}
+	if s := want[0].Key.String(); s != "10.0.0.1:1<->10.0.0.2:1" {
+		t.Fatalf("FlowID.String = %q", s)
 	}
 }
