@@ -15,7 +15,6 @@ import (
 
 	"ruru/internal/anomaly"
 	"ruru/internal/core"
-	"ruru/internal/experiments"
 	"ruru/internal/gen"
 	"ruru/internal/geo"
 )
@@ -43,7 +42,7 @@ func main() {
 	snmp := anomaly.NewSNMPPoller(300e9)
 	var events []anomaly.Event
 
-	rep := experiments.Replay{
+	rep := gen.Replay{
 		Queues: 4,
 		Table:  core.TableConfig{Capacity: 1 << 16, Timeout: 60e9},
 		OnMeasure: func(m *core.Measurement) {

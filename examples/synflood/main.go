@@ -12,7 +12,6 @@ import (
 
 	"ruru/internal/anomaly"
 	"ruru/internal/core"
-	"ruru/internal/experiments"
 	"ruru/internal/gen"
 	"ruru/internal/geo"
 )
@@ -40,7 +39,7 @@ func main() {
 		BucketNs: 1e9, MinCount: 100, Ratio: 8, WarmupBuckets: 5,
 	})
 	measured := 0
-	rep := experiments.Replay{
+	rep := gen.Replay{
 		Queues: 4,
 		Table: core.TableConfig{
 			Capacity: 1 << 17,

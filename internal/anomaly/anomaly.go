@@ -5,8 +5,9 @@
 // locations — all in real time, on the enriched measurement stream.
 //
 // It also implements the strawman the paper compares against: an SNMP-style
-// poller that only sees five-minute aggregates, which experiment E4 uses to
-// show why the firewall glitch was invisible to conventional monitoring.
+// poller that only sees five-minute aggregates, which TestFirewallAnecdote
+// uses to show why the firewall glitch was invisible to conventional
+// monitoring.
 //
 // # Concurrency contract
 //
@@ -378,9 +379,10 @@ func (d *SurgeDetector) Events() []Event {
 
 // SNMPPoller is the conventional-monitoring strawman: it averages all
 // latency samples over a long poll interval (five minutes for classic SNMP
-// counters). E4 shows that the firewall anomaly — a 4000 ms increase
-// confined to flows started in a sub-second window — vanishes into this
-// average, while the SpikeDetector catches every affected flow.
+// counters). TestFirewallAnecdote shows that the firewall anomaly — a
+// 4000 ms increase confined to flows started in a sub-second window —
+// vanishes into this average, while the SpikeDetector flags the affected
+// flows.
 type SNMPPoller struct {
 	IntervalNs int64
 

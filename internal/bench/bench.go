@@ -605,8 +605,7 @@ func benchDBWriteBatchRefSteady(b *testing.B) {
 }
 
 // benchWALWrite: one 64-point batch per op, WAL-logged at the production
-// default fsync policy. Experiment E13 prices it against in-memory and the
-// other policies.
+// default fsync policy.
 func benchWALWrite(b *testing.B) {
 	const batchLen = 64
 	db, err := tsdb.OpenDB(tsdb.Options{

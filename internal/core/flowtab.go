@@ -84,7 +84,8 @@ func (t *flowTable[E]) Len() int { return t.live }
 
 // mix finalizes the RSS hash into a table index seed. The RSS hash is
 // already uniform, but mixing guards against pathological keys when the
-// asymmetric-key ablation (E7) routes both directions differently.
+// asymmetric-key ablation (rss.TestSymmetricRSSIsTheDesignRequirement)
+// routes both directions differently.
 func mix(h uint32) uint32 {
 	h ^= h >> 16
 	h *= 0x7feb352d

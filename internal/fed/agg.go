@@ -427,8 +427,8 @@ func (a *Aggregator) Stats() AggStats {
 }
 
 // DropConnections severs every live probe connection (they reconnect and
-// replay) — the fault-injection hook the recovery experiment and soak test
-// drive; harmless in production.
+// replay) — the fault-injection hook the soak test drives; harmless in
+// production.
 func (a *Aggregator) DropConnections() {
 	a.mu.Lock()
 	for c := range a.conns {

@@ -8,9 +8,9 @@
 // clock. Per-flow path delays are drawn once (propagation from great-circle
 // distance plus last-mile and jitter components) and then held fixed, so the
 // exact measurement a correct tap must report is known for every flow:
-// package gen is simultaneously the workload and the oracle. Experiments
-// E1, E4, E7 and E10 (internal/experiments) check the packet stream's
-// measurements against the FlowTruth records.
+// package gen is simultaneously the workload and the oracle: tests here
+// and in anomaly, rss and core check the packet stream's measurements
+// against the FlowTruth records, most through Replay.
 //
 // Determinism: the same Config (including Seed) produces the same packet
 // stream, byte for byte.
@@ -177,7 +177,7 @@ type Config struct {
 	LastMileMean int64
 
 	// ServerDelay is the mean server SYN→SYN-ACK think time (exponential,
-	// default 0: pure network latency, keeps E1 exact).
+	// default 0: pure network latency, keeps the handshake oracle exact).
 	ServerDelay int64
 
 	// EmitTCPTimestamps attaches RFC 7323 timestamp options to every TCP

@@ -2,13 +2,13 @@ package gen
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"ruru/internal/core"
 	"ruru/internal/geo"
 	"ruru/internal/pcap"
 	"ruru/internal/pkt"
-	"ruru/internal/rss"
 )
 
 func world(t testing.TB) *geo.World {
@@ -122,79 +122,75 @@ func TestFramesAreParseable(t *testing.T) {
 	}
 }
 
-// replayThroughTable runs the full stream through one handshake table
-// (single queue) and returns measurements keyed by flow.
-func replayThroughTable(t testing.TB, g *Generator) map[core.FlowKey]core.Measurement {
-	t.Helper()
-	tbl := core.NewHandshakeTable(core.TableConfig{Capacity: 1 << 18, Timeout: 300e9})
-	h := rss.NewSymmetric()
-	var parser pkt.Parser
-	var p Packet
-	var s pkt.Summary
-	var m core.Measurement
-	out := map[core.FlowKey]core.Measurement{}
-	for g.Next(&p) {
-		if err := parser.Parse(p.Frame, &s); err != nil || !s.IsTCP() {
-			continue
-		}
-		hash := h.HashTuple(s.Src(), s.Dst(), s.TCP.SrcPort, s.TCP.DstPort)
-		if tbl.Process(&s, p.TS, hash, &m) {
-			out[m.Flow] = m
-		}
-	}
-	return out
-}
-
+// TestGroundTruthMatchesEngineExactly is the paper's Figure 1 against the
+// oracle: every completing flow's measured internal/external split must
+// equal the generator's EXACTLY (it holds per-flow leg delays fixed), on
+// one queue and on four (RSS must co-locate both directions of a flow).
 func TestGroundTruthMatchesEngineExactly(t *testing.T) {
-	// E1 in miniature: every completing flow's measured internal/external
-	// must equal the oracle EXACTLY (the generator holds per-flow leg
-	// delays fixed).
-	g, err := New(Config{
-		Seed: 7, World: world(t), FlowRate: 400, Duration: 3e9,
-		DataSegments: 1, UDPRate: 200, MidstreamRate: 20,
-		SYNLoss: 0.05, SYNACKLoss: 0.05, IPv6Fraction: 0.2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := replayThroughTable(t, g)
-	truths := g.Truths()
-	completing := 0
-	for i := range truths {
-		tr := &truths[i]
-		if !tr.Completes {
-			continue
-		}
-		completing++
-		m, ok := got[tr.Key]
-		if !ok {
-			t.Fatalf("flow %v never measured", tr.Key)
-		}
-		if m.External != tr.ExpectedExternal {
-			t.Fatalf("flow %v: external %d != expected %d", tr.Key, m.External, tr.ExpectedExternal)
-		}
-		if m.Internal != tr.ExpectedInternal {
-			t.Fatalf("flow %v: internal %d != expected %d", tr.Key, m.Internal, tr.ExpectedInternal)
-		}
-		if m.Total != tr.ExpectedInternal+tr.ExpectedExternal {
-			t.Fatalf("flow %v: total mismatch", tr.Key)
-		}
-		if int(m.SYNRetrans) != tr.SYNRetrans {
-			t.Fatalf("flow %v: retrans %d != %d", tr.Key, m.SYNRetrans, tr.SYNRetrans)
-		}
-	}
-	if completing < 500 {
-		t.Fatalf("only %d completing flows", completing)
-	}
-	// Flood and midstream flows must NOT appear in measurements.
-	for i := range truths {
-		tr := &truths[i]
-		if tr.Completes {
-			continue
-		}
-		if _, ok := got[tr.Key]; ok {
-			t.Fatalf("non-completing flow %v was measured", tr.Key)
-		}
+	for _, queues := range []int{1, 4} {
+		t.Run(fmt.Sprintf("queues=%d", queues), func(t *testing.T) {
+			g, err := New(Config{
+				Seed: 7, World: world(t), FlowRate: 400, Duration: 3e9,
+				DataSegments: 1, UDPRate: 200, MidstreamRate: 20,
+				SYNLoss: 0.05, SYNACKLoss: 0.05, IPv6Fraction: 0.2,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := map[core.FlowKey]core.Measurement{}
+			rep := Replay{
+				Queues:    queues,
+				Table:     core.TableConfig{Capacity: 1 << 18, Timeout: 300e9},
+				OnMeasure: func(m *core.Measurement) { got[m.Flow] = *m },
+			}
+			rep.Run(g)
+			truths := g.Truths()
+			completing, retransmitted := 0, 0
+			for i := range truths {
+				tr := &truths[i]
+				if !tr.Completes {
+					continue
+				}
+				completing++
+				if tr.SYNRetrans > 0 || tr.SYNACKRetrans > 0 {
+					retransmitted++
+				}
+				m, ok := got[tr.Key]
+				if !ok {
+					t.Fatalf("flow %v never measured", tr.Key)
+				}
+				if m.External != tr.ExpectedExternal {
+					t.Fatalf("flow %v: external %d != expected %d", tr.Key, m.External, tr.ExpectedExternal)
+				}
+				if m.Internal != tr.ExpectedInternal {
+					t.Fatalf("flow %v: internal %d != expected %d", tr.Key, m.Internal, tr.ExpectedInternal)
+				}
+				if m.Total <= 0 || m.Total != tr.ExpectedInternal+tr.ExpectedExternal {
+					t.Fatalf("flow %v: total %d != %d", tr.Key, m.Total, tr.ExpectedInternal+tr.ExpectedExternal)
+				}
+				if int(m.SYNRetrans) != tr.SYNRetrans {
+					t.Fatalf("flow %v: retrans %d != %d", tr.Key, m.SYNRetrans, tr.SYNRetrans)
+				}
+			}
+			if completing < 500 {
+				t.Fatalf("only %d completing flows", completing)
+			}
+			// Loss injection must have produced retransmitting flows, or
+			// the first-SYN/first-SYN-ACK rule went untested.
+			if retransmitted == 0 {
+				t.Fatal("no completing flow retransmitted")
+			}
+			// Flood and midstream flows must NOT appear in measurements.
+			for i := range truths {
+				tr := &truths[i]
+				if tr.Completes {
+					continue
+				}
+				if _, ok := got[tr.Key]; ok {
+					t.Fatalf("non-completing flow %v was measured", tr.Key)
+				}
+			}
+		})
 	}
 }
 

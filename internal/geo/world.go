@@ -6,13 +6,13 @@ import (
 	"net/netip"
 )
 
-// World is the deterministic synthetic internet the experiments run against.
+// World is the deterministic synthetic internet the tests run against.
 // It stands in for the production traffic mix on REANNZ's Auckland–Los
 // Angeles link: a set of cities with real coordinates, each owning IPv4 and
 // IPv6 address space announced by a handful of ASes. Because addresses are
 // derived from the city index arithmetically, ground truth for any generated
-// address is known exactly — which is what lets E6 measure database accuracy
-// against the paper's quoted 98%.
+// address is known exactly — which is what lets TestWorldMislabeling
+// measure database accuracy against the paper's quoted 98%.
 type World struct {
 	Cities []City
 	db     *DB

@@ -10,9 +10,9 @@
 // the 16-bit pattern 0x6d5a repeated across the 40-byte key, which makes
 // hash(src,dst,sport,dport) == hash(dst,src,dport,sport).
 //
-// The asymmetric (default Microsoft) key is also provided for the E7 ablation
-// experiment, which quantifies how many handshakes are lost when the two
-// directions are scattered across queues.
+// The asymmetric (default Microsoft) key is also provided for the ablation
+// in TestSymmetricRSSIsTheDesignRequirement, which shows the handshakes
+// lost when the two directions are scattered across queues.
 package rss
 
 import (
@@ -36,7 +36,7 @@ var SymmetricKey = [KeyLen]byte{
 }
 
 // MicrosoftKey is the default asymmetric key from the Microsoft RSS
-// specification (as shipped by ixgbe/i40e drivers). Used for the E7 ablation.
+// specification (as shipped by ixgbe/i40e drivers). Used for the ablation.
 var MicrosoftKey = [KeyLen]byte{
 	0x6d, 0x5a, 0x56, 0xda, 0x25, 0x5b, 0x0e, 0xc2,
 	0x41, 0x67, 0x25, 0x3d, 0x43, 0xa3, 0x8f, 0xb0,

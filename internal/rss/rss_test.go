@@ -156,7 +156,7 @@ func TestSymmetricKeyIsSymmetric(t *testing.T) {
 
 func TestMicrosoftKeyIsAsymmetric(t *testing.T) {
 	// The default key must NOT be symmetric — this is exactly why Ruru
-	// needs the symmetric key (E7 ablation depends on this difference).
+	// needs the symmetric key (the ablation test depends on this difference).
 	h := New(MicrosoftKey)
 	src := netip.MustParseAddr("66.9.149.187")
 	dst := netip.MustParseAddr("161.142.100.80")

@@ -165,7 +165,7 @@ const (
 // every pair among ~16 cities, bounded regardless of traffic.
 const pairTopKeys = 256
 
-// Stage shapes with one value in use everywhere (daemon, experiments,
+// Stage shapes with one value in use everywhere (daemon, examples,
 // benchmark, tests), so constants rather than Config fields.
 const (
 	poolSize      = 16384   // packet mempool buffers

@@ -252,7 +252,7 @@ func TestRollingMedianPartialWindow(t *testing.T) {
 }
 
 func TestRollingMedianRobustToOutlier(t *testing.T) {
-	// The property the firewall experiment relies on: one 4000ms outlier
+	// The property the firewall anecdote relies on: one 4000ms outlier
 	// in a 100-sample window barely moves median/MAD, while it would
 	// shift a mean noticeably.
 	r := NewRollingMedian(100)

@@ -11,8 +11,8 @@ package tsdb
 //
 // One record is one committed write: the batch of points the Write or
 // WriteBatch carried, in a dictionary-compressed binary encoding — binary,
-// not line protocol, because the WAL rides the hot write path, where float
-// formatting alone would blow the E13 ≤15%-overhead target. Each segment
+// not line protocol, because the WAL rides the hot write path, where every
+// float formatted as text would be paid on every write. Each segment
 // carries its own series dictionary: the first point of a (name, tags,
 // field-key-set) shape emits a define entry with the strings, and every
 // subsequent point of that shape is a sample entry of roughly

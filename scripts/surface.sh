@@ -5,6 +5,8 @@
 #   scripts/surface.sh
 #
 #   go_lines          non-test Go lines under internal/ and cmd/
+#   test_lines        _test.go lines under internal/, cmd/ and examples/ (a
+#                     move from code into tests shows here, not as a saving)
 #   config_fields     fields of ruru.Config (internal/ruru/pipeline.go)
 #   daemon_flags      flags cmd/ruru accepts (from its own -h)
 #   core_exported     exported top-level names and methods in internal/core
@@ -14,6 +16,9 @@ set -eu
 cd "$(dirname "$0")/.."
 
 go_lines=$(find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -print0 |
+    xargs -0 cat | wc -l)
+
+test_lines=$(find internal cmd examples -name '*_test.go' ! -path '*/testdata/*' -print0 |
     xargs -0 cat | wc -l)
 
 # Field lines inside `type Config struct { ... }`; `A, B T` counts twice.
@@ -38,5 +43,5 @@ core_exported=$(find internal/core -maxdepth 1 -name '*.go' ! -name '*_test.go' 
     /^func \([^)]*\) [A-Z]/             { n++ }
     END { print n + 0 }')
 
-printf 'go_lines      %s\nconfig_fields %s\ndaemon_flags  %s\ncore_exported %s\n' \
-    "$go_lines" "$config_fields" "$daemon_flags" "$core_exported"
+printf 'go_lines      %s\ntest_lines    %s\nconfig_fields %s\ndaemon_flags  %s\ncore_exported %s\n' \
+    "$go_lines" "$test_lines" "$config_fields" "$daemon_flags" "$core_exported"
