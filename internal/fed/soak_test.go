@@ -3,7 +3,8 @@ package fed
 // The federation ledger soak test: a randomized probe↔aggregator run with
 // injected full-fleet disconnects, single-probe kill -9 and full-fleet
 // kill -9 (goroutines reaped without Close, spools reopened cold, ACKED
-// watermarks possibly stale). The pinned invariant is the delivery ledger:
+// watermarks possibly stale), plus a fixed run whose one fault is the
+// full-fleet kill -9. The pinned invariant is the delivery ledger:
 //
 //	Σ points flushed to the spool, across every probe incarnation
 //	    == points the aggregator applied == points in the DB
@@ -76,6 +77,27 @@ func TestSoakFederationLedger(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
 	}
+	rng := rand.New(rand.NewSource(7))
+	for _, c := range []struct {
+		name   string
+		rounds int
+		chunk  func() int          // points each probe is fed per round
+		arm    func(round int) int // the fault that ends the round
+	}{
+		{"random", 25, func() int { return 50 + rng.Intn(400) },
+			func(int) int { return rng.Intn(4) }},
+		// Every probe is killed at once with half its points spooled, then
+		// restarted from its spool: 2 probes × 4000 points.
+		{"fleet_crash", 2, func() int { return 2000 },
+			func(round int) int { return 2 + round }},
+	} {
+		t.Run(c.name, func(t *testing.T) { soakLedger(t, rng, c.rounds, c.chunk, c.arm) })
+	}
+}
+
+// soakLedger runs rounds of: feed every probe chunk() points, then inject
+// fault arm(round); then it drains and checks the delivery ledger.
+func soakLedger(t *testing.T, rng *rand.Rand, rounds int, chunk func() int, arm func(round int) int) {
 	db := tsdb.Open(tsdb.Options{})
 	defer db.Close()
 	agg, err := NewAggregator(AggConfig{Listen: "127.0.0.1:0"}, db)
@@ -84,7 +106,6 @@ func TestSoakFederationLedger(t *testing.T) {
 	}
 	defer agg.Close()
 
-	rng := rand.New(rand.NewSource(7))
 	probes := []*soakProbe{
 		{id: "soak-0", dir: t.TempDir()},
 		{id: "soak-1", dir: t.TempDir()},
@@ -121,12 +142,11 @@ func TestSoakFederationLedger(t *testing.T) {
 		}
 	}
 
-	const rounds = 25
 	for round := 0; round < rounds; round++ {
 		for _, sp := range probes {
-			publishChunk(sp, 50+rng.Intn(400))
+			publishChunk(sp, chunk())
 		}
-		switch rng.Intn(4) {
+		switch arm(round) {
 		case 0:
 			// Sever every connection while acks may still be in flight:
 			// probes must reconnect and replay their unacked tail.

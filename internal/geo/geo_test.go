@@ -2,6 +2,7 @@ package geo
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/netip"
@@ -235,42 +236,44 @@ func TestWorldMislabeling(t *testing.T) {
 		{frac: 0.1, seed: 1, cityMin: 0.8, cityMax: 0.97},
 		{frac: 0.2, seed: 7, cityMin: 0.5, cityMax: 0.97},
 	} {
-		opts := WorldOptions{MislabelFraction: c.frac, Seed: c.seed}
-		w1, err := NewWorld(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w2, _ := NewWorld(opts)
-		rng := rand.New(rand.NewSource(c.seed + 1))
-		countryOK, cityOK := 0, 0
-		for i := 0; i < lookups; i++ {
-			ci, slot := rng.Intn(len(w1.Cities)), rng.Intn(asnsPerCity)
-			var a netip.Addr
-			if i%5 == 0 {
-				a = w1.Addr6(ci, slot, rng.Uint64())
-			} else {
-				a = w1.Addr(ci, slot, rng.Uint32())
+		t.Run(fmt.Sprintf("mislabel=%.2f", c.frac), func(t *testing.T) {
+			opts := WorldOptions{MislabelFraction: c.frac, Seed: c.seed}
+			w1, err := NewWorld(opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-			r1, ok1 := w1.DB().Lookup(a)
-			r2, ok2 := w2.DB().Lookup(a)
-			if !ok1 || !ok2 || r1 != r2 {
-				t.Fatalf("mislabel %.2f: lookup of %v not deterministic or missing", c.frac, a)
+			w2, _ := NewWorld(opts)
+			rng := rand.New(rand.NewSource(c.seed + 1))
+			countryOK, cityOK := 0, 0
+			for i := 0; i < lookups; i++ {
+				ci, slot := rng.Intn(len(w1.Cities)), rng.Intn(asnsPerCity)
+				var a netip.Addr
+				if i%5 == 0 {
+					a = w1.Addr6(ci, slot, rng.Uint64())
+				} else {
+					a = w1.Addr(ci, slot, rng.Uint32())
+				}
+				r1, ok1 := w1.DB().Lookup(a)
+				r2, ok2 := w2.DB().Lookup(a)
+				if !ok1 || !ok2 || r1 != r2 {
+					t.Fatalf("mislabel %.2f: lookup of %v not deterministic or missing", c.frac, a)
+				}
+				if r1.CountryCode == w1.Cities[ci].CountryCode {
+					countryOK++
+				}
+				if r1.City == w1.Cities[ci].Name {
+					cityOK++
+				}
 			}
-			if r1.CountryCode == w1.Cities[ci].CountryCode {
-				countryOK++
+			city, country := float64(cityOK)/lookups, float64(countryOK)/lookups
+			t.Logf("mislabel %.2f: country accuracy %.3f, city %.3f", c.frac, country, city)
+			if city < c.cityMin || city > c.cityMax {
+				t.Errorf("mislabel %.2f: city accuracy %.3f, want [%.2f, %.2f]", c.frac, city, c.cityMin, c.cityMax)
 			}
-			if r1.City == w1.Cities[ci].Name {
-				cityOK++
+			if country < city {
+				t.Errorf("mislabel %.2f: country accuracy %.3f < city %.3f", c.frac, country, city)
 			}
-		}
-		city, country := float64(cityOK)/lookups, float64(countryOK)/lookups
-		t.Logf("mislabel %.2f: country accuracy %.3f, city %.3f", c.frac, country, city)
-		if city < c.cityMin || city > c.cityMax {
-			t.Errorf("mislabel %.2f: city accuracy %.3f, want [%.2f, %.2f]", c.frac, city, c.cityMin, c.cityMax)
-		}
-		if country < city {
-			t.Errorf("mislabel %.2f: country accuracy %.3f < city %.3f", c.frac, country, city)
-		}
+		})
 	}
 }
 

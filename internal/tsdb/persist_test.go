@@ -163,59 +163,66 @@ func TestPersistRoundTripRebuildsTiers(t *testing.T) {
 }
 
 func TestPersistCheckpointRestoreAndTruncate(t *testing.T) {
-	dir := t.TempDir()
-	const n = 3000
-	opts := Options{
-		Rollups: DefaultRollups(),
-		Persist: &PersistOptions{Dir: dir, Fsync: FsyncOff, CheckpointEvery: -1,
-			MaxSegmentBytes: 64 << 10}, // force several segments
-	}
-	db, err := OpenDB(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	writePersistPoints(t, db, n, 0)
-	info, err := db.Checkpoint()
-	if err != nil {
-		t.Fatalf("Checkpoint: %v", err)
-	}
-	if info.Points != n {
-		t.Fatalf("checkpoint dumped %d points, want %d", info.Points, n)
-	}
-	if info.SegmentsRemoved == 0 {
-		t.Fatal("checkpoint removed no WAL segments despite 64KiB segment cap")
-	}
-	for _, s := range walSegments(t, dir) {
-		if s < info.WALSegment {
-			t.Fatalf("segment %d survived truncation below checkpoint %d", s, info.WALSegment)
-		}
-	}
-	// Writes after the checkpoint land in the replayed tail.
-	writePersistPoints(t, db, n, n)
-	wantRaw := fullQuery(t, db, 2*n, ResolutionRaw)
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, c := range []struct {
+		name  string
+		fsync FsyncPolicy
+	}{{"fsync=off", FsyncOff}, {"fsync=interval", FsyncInterval}} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			const n = 3000
+			opts := Options{
+				Rollups: DefaultRollups(),
+				Persist: &PersistOptions{Dir: dir, Fsync: c.fsync, CheckpointEvery: -1,
+					MaxSegmentBytes: 64 << 10}, // force several segments
+			}
+			db, err := OpenDB(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			writePersistPoints(t, db, n, 0)
+			info, err := db.Checkpoint()
+			if err != nil {
+				t.Fatalf("Checkpoint: %v", err)
+			}
+			if info.Points != n {
+				t.Fatalf("checkpoint dumped %d points, want %d", info.Points, n)
+			}
+			if info.SegmentsRemoved == 0 {
+				t.Fatal("checkpoint removed no WAL segments despite 64KiB segment cap")
+			}
+			for _, s := range walSegments(t, dir) {
+				if s < info.WALSegment {
+					t.Fatalf("segment %d survived truncation below checkpoint %d", s, info.WALSegment)
+				}
+			}
+			// Writes after the checkpoint land in the replayed tail.
+			writePersistPoints(t, db, n, n)
+			wantRaw := fullQuery(t, db, 2*n, ResolutionRaw)
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	db2, err := OpenDB(opts)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer db2.Close()
-	ps := db2.PersistStats()
-	if ps.RestoredPoints != n || ps.WALReplayedPoints != n {
-		t.Fatalf("recovery = %d restored + %d replayed, want %d + %d",
-			ps.RestoredPoints, ps.WALReplayedPoints, n, n)
-	}
-	if got := fullQuery(t, db2, 2*n, ResolutionRaw); !reflect.DeepEqual(got, wantRaw) {
-		t.Fatal("checkpoint + WAL-tail recovery diverged from pre-restart state")
-	}
-	tier := fullQuery(t, db2, 2*n, ResolutionAuto)
-	if len(tier) == 0 || tier[0].Tier == 0 {
-		t.Fatal("query not tier-served after checkpointed restart")
-	}
-	if !reflect.DeepEqual(stripTier(tier), stripTier(wantRaw)) {
-		t.Fatal("tier-served query diverged from raw after checkpointed restart")
+			db2, err := OpenDB(opts)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer db2.Close()
+			ps := db2.PersistStats()
+			if ps.RestoredPoints != n || ps.WALReplayedPoints != n {
+				t.Fatalf("recovery = %d restored + %d replayed, want %d + %d",
+					ps.RestoredPoints, ps.WALReplayedPoints, n, n)
+			}
+			if got := fullQuery(t, db2, 2*n, ResolutionRaw); !reflect.DeepEqual(got, wantRaw) {
+				t.Fatal("checkpoint + WAL-tail recovery diverged from pre-restart state")
+			}
+			tier := fullQuery(t, db2, 2*n, ResolutionAuto)
+			if len(tier) == 0 || tier[0].Tier == 0 {
+				t.Fatal("query not tier-served after checkpointed restart")
+			}
+			if !reflect.DeepEqual(stripTier(tier), stripTier(wantRaw)) {
+				t.Fatal("tier-served query diverged from raw after checkpointed restart")
+			}
+		})
 	}
 }
 
