@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"io"
+	"math"
 	"net/http/httptest"
 	"net/netip"
 	"runtime"
@@ -66,7 +67,8 @@ type Spec struct {
 
 // Specs returns the trajectory suite: one entry per pipeline hot path —
 // ingest hand-off, packet processing, sink drain, DB writes (string-keyed
-// and interned-ref entry points), WAL-logged writes, and tier-served queries.
+// and interned-ref entry points), WAL-logged writes, tier-served queries and
+// their JSON encoding.
 func Specs() []Spec {
 	return []Spec{
 		{Name: "ingest/burst", F: benchIngestBurst},
@@ -82,6 +84,7 @@ func Specs() []Spec {
 		{Name: "wal/write-interval", F: benchWALWrite},
 		{Name: "query/rollup", F: benchRollupQuery},
 		{Name: "query/cached", F: benchCachedQuery},
+		{Name: "query/encode", F: benchQueryEncode},
 		{Name: "ws/delta-broadcast", F: benchDeltaBroadcast},
 		{Name: "sketch/observe-churn", F: benchSketchObserveChurn},
 		{Name: "sketch/topk", F: benchSketchTopK},
@@ -760,6 +763,43 @@ func benchCachedQuery(b *testing.B) {
 		}
 		if len(res) != len(cities) {
 			b.Fatalf("got %d groups", len(res))
+		}
+	}
+}
+
+// benchQueryEncode: the /api/query response body for the dashboard's answer
+// — 48 groups × 360 buckets of mean, p95 and count, one bucket in ten empty
+// (null mean and p95) — streamed in the handler's 64 KiB chunks into a
+// reused buffer. B/op and allocs/op are the encoder's own.
+func benchQueryEncode(b *testing.B) {
+	res := make([]tsdb.SeriesResult, 48)
+	x := uint64(1)
+	for g := range res {
+		buckets := make([]tsdb.Bucket, 360)
+		for i := range buckets {
+			x = x*6364136223846793005 + 1442695040888963407
+			n := int(x>>58) + 1
+			mean := 100 + float64(x>>40&0xffff)/437
+			aggs := map[tsdb.AggKind]float64{
+				tsdb.AggCount: float64(n), tsdb.AggMean: mean, tsdb.AggP95: mean * 1.37,
+			}
+			if i%10 == 9 {
+				n = 0
+				aggs = map[tsdb.AggKind]float64{
+					tsdb.AggCount: 0, tsdb.AggMean: math.NaN(), tsdb.AggP95: math.NaN(),
+				}
+			}
+			buckets[i] = tsdb.Bucket{Start: 1.7e18 + int64(i)*10e9, Count: n, Aggs: aggs}
+		}
+		res[g] = tsdb.SeriesResult{Group: fmt.Sprintf("City%d", g), Tier: 10e9, Buckets: buckets}
+	}
+	var buf []byte
+	var err error
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if buf, err = tsdb.WriteResultsJSON(io.Discard, buf, 64<<10, res); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

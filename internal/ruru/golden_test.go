@@ -670,24 +670,26 @@ func replayGolden(t *testing.T, w *geo.World, path string, oracle *goldenOracle,
 	// loss event must land in the TSDB (Block policy + tiny load = zero
 	// loss anywhere downstream). The engine publishes tracker snapshots at
 	// burst boundaries, so the predicate also waits for the per-queue Seq
-	// counters to reach the oracle before asserting on them.
+	// counters to reach the oracle before asserting on them, and the sink
+	// records a burst's arcs after its TSDB write, so it waits for those too.
 	lossTotal := oracle.Retrans + oracle.RTO + oracle.DupACK
 	expectedDB := oracle.Completed + oracle.TSSamples + oracle.SeqSamples + lossTotal
 	deadline := time.Now().Add(10 * time.Second)
 	var st Stats
 	for {
 		st = p.Stats()
+		nArcs := len(p.RecentArcs(0))
 		if st.Engine.Completed == oracle.Completed && st.DBPoints == expectedDB &&
 			st.TSSamples == oracle.TSSamples && st.SeqSamples == oracle.SeqSamples &&
 			st.LossPoints == lossTotal &&
 			st.Seq.Retrans == oracle.Retrans && st.Seq.RTO == oracle.RTO &&
-			st.Seq.DupACK == oracle.DupACK {
+			st.Seq.DupACK == oracle.DupACK && nArcs == len(oracle.Flows) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("drain timeout: engine completed %d / db %d / ts %d / seq %d / loss %d, want %d / %d / %d / %d / %d",
-				st.Engine.Completed, st.DBPoints, st.TSSamples, st.SeqSamples, st.LossPoints,
-				oracle.Completed, expectedDB, oracle.TSSamples, oracle.SeqSamples, lossTotal)
+			t.Fatalf("drain timeout: engine completed %d / db %d / ts %d / seq %d / loss %d / arcs %d, want %d / %d / %d / %d / %d / %d",
+				st.Engine.Completed, st.DBPoints, st.TSSamples, st.SeqSamples, st.LossPoints, nArcs,
+				oracle.Completed, expectedDB, oracle.TSSamples, oracle.SeqSamples, lossTotal, len(oracle.Flows))
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

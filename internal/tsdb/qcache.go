@@ -237,13 +237,14 @@ func cacheKey(q *Query, aggs []AggKind, window, tierWidth int64) string {
 // executeCached serves a tier-planned query through the cache. ok=false
 // means the shape is uncacheable (no explicit window, or bounds off bucket
 // boundaries) or a retention horizon forbids trusting frozen state — the
-// caller falls back to the plain tier executor.
-func (db *DB) executeCached(q *Query, window int64, nBuckets, ti int) ([]SeriesResult, bool) {
+// caller falls back to the plain tier executor. With ok=true, err is the
+// tier scan's refusal of an answer over maxGroups groups.
+func (db *DB) executeCached(q *Query, window int64, nBuckets, maxGroups, ti int) ([]SeriesResult, bool, error) {
 	qc := db.qcache
 	if q.Window <= 0 ||
 		floorDiv(q.Start, window)*window != q.Start ||
 		floorDiv(q.End, window)*window != q.End {
-		return nil, false
+		return nil, false, nil
 	}
 	tier := &db.opts.Rollups[ti]
 	maxT := db.maxT.Load()
@@ -252,7 +253,7 @@ func (db *DB) executeCached(q *Query, window int64, nBuckets, ti int) ([]SeriesR
 		// dropped shards the frozen buckets describe; neither serving nor
 		// refreshing cached state is sound there.
 		qc.misses.Add(1)
-		return nil, false
+		return nil, false, nil
 	}
 	aggs := canonicalAggs(q.Aggs)
 	key := cacheKey(q, aggs, window, tier.Width)
@@ -277,7 +278,10 @@ func (db *DB) executeCached(q *Query, window int64, nBuckets, ti int) ([]SeriesR
 
 	nFrozen := int((tailStart - q.Start) / window)
 	nTail := nBuckets - nFrozen
-	groups := db.scanTier(q, window, ti, tailStart, nTail)
+	groups, err := db.scanTier(q, window, ti, tailStart, nTail, maxGroups)
+	if err != nil {
+		return nil, true, err
+	}
 
 	if frozen != nil {
 		qc.hits.Add(1)
@@ -350,7 +354,7 @@ func (db *DB) executeCached(q *Query, window int64, nBuckets, ti int) ([]SeriesR
 		e.size = e.sizeBytes(len(aggs))
 		qc.insert(e)
 	}
-	return out, true
+	return out, true, nil
 }
 
 // groupFor returns the entry's frozen state for a group, or nil.

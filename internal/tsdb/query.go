@@ -1,7 +1,6 @@
 package tsdb
 
 import (
-	"encoding/json"
 	"math"
 	"sort"
 )
@@ -82,29 +81,10 @@ type Bucket struct {
 	Aggs  map[AggKind]float64 `json:"aggs"`
 }
 
-// MarshalJSON emits non-finite aggregate values (the NaN an empty bucket
-// carries for value aggregations) as JSON null: encoding/json has no
-// representation for NaN/±Inf and would otherwise fail the entire
-// response mid-stream.
+// MarshalJSON is AppendJSON for encoding/json: an empty bucket's NaN
+// aggregates come out as null instead of failing the whole response.
 func (b Bucket) MarshalJSON() ([]byte, error) {
-	type bucketJSON struct {
-		Start int64                `json:"start"`
-		Count int                  `json:"count"`
-		Aggs  map[AggKind]*float64 `json:"aggs"`
-	}
-	out := bucketJSON{Start: b.Start, Count: b.Count}
-	if b.Aggs != nil {
-		out.Aggs = make(map[AggKind]*float64, len(b.Aggs))
-		for k, v := range b.Aggs {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				out.Aggs[k] = nil
-				continue
-			}
-			v := v
-			out.Aggs[k] = &v
-		}
-	}
-	return json.Marshal(out)
+	return b.AppendJSON(nil), nil
 }
 
 // SeriesResult is the output for one group.
@@ -116,7 +96,16 @@ type SeriesResult struct {
 	Buckets []Bucket `json:"buckets"`
 }
 
+// maxQueryBuckets bounds one answer: its groups times its buckets per group.
+// Each bucket costs a struct, a map and its accumulator, so the bound caps
+// what one query can make Execute allocate at a few hundred MB. The
+// dashboard's 48 groups × 360 buckets and a week of minutes over 48 groups
+// (484 k) both sit well inside it.
+const maxQueryBuckets = 1 << 20
+
 // Execute runs q and returns one SeriesResult per group, sorted by group.
+// A query whose answer would hold more than 2^20 buckets, summed over its
+// groups, fails with ErrBadQuery.
 //
 // When rollup tiers are configured (Options.Rollups) the resolution-aware
 // planner first tries to serve the query from pre-aggregates: it picks the
@@ -140,23 +129,35 @@ func (db *DB) Execute(q Query) ([]SeriesResult, error) {
 			return nil, ErrUnknownAgg
 		}
 	}
-	window := q.Window
-	if window <= 0 {
-		window = q.End - q.Start
-	}
-	nBuckets := int((q.End - q.Start + window - 1) / window)
-	if nBuckets <= 0 || nBuckets > 1<<20 {
+	span := q.End - q.Start
+	if span <= 0 { // End - Start overflowed int64
 		return nil, ErrBadQuery
 	}
+	window := q.Window
+	if window <= 0 {
+		window = span
+	}
+	n := span / window
+	if span%window != 0 {
+		n++
+	}
+	if n > maxQueryBuckets {
+		return nil, ErrBadQuery
+	}
+	nBuckets := int(n)
+	// The answer may hold at most maxQueryBuckets buckets over all its
+	// groups; each path refuses the group past maxGroups before allocating
+	// anything for it.
+	maxGroups := maxQueryBuckets / nBuckets
 	if ti, err := db.planTier(&q, window); err != nil {
 		return nil, err
 	} else if ti >= 0 {
 		if db.qcache != nil {
-			if res, ok := db.executeCached(&q, window, nBuckets, ti); ok {
-				return res, nil
+			if res, ok, err := db.executeCached(&q, window, nBuckets, maxGroups, ti); ok {
+				return res, err
 			}
 		}
-		return db.executeTier(&q, window, nBuckets, ti)
+		return db.executeTier(&q, window, nBuckets, maxGroups, ti)
 	}
 
 	// Raw path. Candidate series are matched lock-free from the
@@ -192,6 +193,10 @@ func (db *DB) Execute(q Query) ([]SeriesResult, error) {
 				col := sr.cols[ci]
 				buckets := groups[group]
 				if buckets == nil {
+					if len(groups) == maxGroups {
+						st.mu.RUnlock()
+						return nil, ErrBadQuery
+					}
 					buckets = make([][]float64, nBuckets)
 					groups[group] = buckets
 				}

@@ -448,8 +448,11 @@ func histValueAt(h *[histBins]uint64, k uint64, lo, hi float64) float64 {
 // pre-aggregates per series instead of every raw sample. The planner
 // (planTier) has already verified alignment, so each tier bucket maps to
 // exactly one output bucket.
-func (db *DB) executeTier(q *Query, window int64, nBuckets, ti int) ([]SeriesResult, error) {
-	groups := db.scanTier(q, window, ti, q.Start, nBuckets)
+func (db *DB) executeTier(q *Query, window int64, nBuckets, maxGroups, ti int) ([]SeriesResult, error) {
+	groups, err := db.scanTier(q, window, ti, q.Start, nBuckets, maxGroups)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]SeriesResult, 0, len(groups))
 	var zero rollAcc
 	for g, accs := range groups {
@@ -476,8 +479,10 @@ func (db *DB) executeTier(q *Query, window int64, nBuckets, ti int) ([]SeriesRes
 // entry with a nil accumulator slice marks a group that is present (some
 // overlapping chunk carries the field) but contributed no tail data.
 // Candidate series are matched lock-free from the directory; each stripe's
-// read lock is held while that stripe's chunks are walked.
-func (db *DB) scanTier(q *Query, window int64, ti int, tailStart int64, nTail int) map[string][]rollAcc {
+// read lock is held while that stripe's chunks are walked. A group past
+// maxGroups fails the scan with ErrBadQuery before anything is allocated
+// for it.
+func (db *DB) scanTier(q *Query, window int64, ti int, tailStart int64, nTail, maxGroups int) (map[string][]rollAcc, error) {
 	needQuant := false
 	for _, a := range q.Aggs {
 		if a == AggMedian || a == AggP95 || a == AggP99 {
@@ -510,6 +515,10 @@ func (db *DB) scanTier(q *Query, window int64, ti int, tailStart int64, nTail in
 				}
 				accs, seen := groups[group]
 				if !seen {
+					if len(groups) == maxGroups {
+						st.mu.RUnlock()
+						return nil, ErrBadQuery
+					}
 					groups[group] = nil
 				}
 				if nTail == 0 || ts.end <= tailStart {
@@ -536,5 +545,5 @@ func (db *DB) scanTier(q *Query, window int64, ti int, tailStart int64, nTail in
 			st.mu.RUnlock()
 		}
 	}
-	return groups
+	return groups, nil
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -280,6 +281,59 @@ func TestQueryValidation(t *testing.T) {
 		if _, err := db.Execute(q); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
+	}
+}
+
+// TestQueryAnswerBound: 48 groups × 2^18 buckets is 12.6 M buckets, which
+// the per-group cap let through — Execute then allocated 3.84 GB. The raw
+// path, the tier path and the cached tier path each refuse the group past
+// 2^20 / 2^18 = 4 before allocating its accumulators, and an answer inside
+// the bound still gets every group.
+func TestQueryAnswerBound(t *testing.T) {
+	for _, cache := range []int64{0, 1 << 20} {
+		db := Open(Options{Rollups: []RollupTier{{Width: 1e9}}, QueryCache: cache})
+		for g := 0; g < 48; g++ {
+			db.Write(pt("latency", 1e9, map[string]string{"src_city": fmt.Sprint("city", g)},
+				map[string]float64{"total_ms": float64(g)}))
+		}
+		for _, res := range []int64{ResolutionAuto, ResolutionRaw} {
+			q := Query{Measurement: "latency", Field: "total_ms", End: 1 << 18 * 1e9,
+				Window: 1e9, GroupBy: "src_city", Aggs: []AggKind{AggMean}, Resolution: res}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := db.Execute(q)
+			runtime.ReadMemStats(&after)
+			if err != ErrBadQuery {
+				t.Fatalf("cache %d resolution %d: err = %v, want ErrBadQuery", cache, res, err)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+				t.Fatalf("cache %d resolution %d: the refused query allocated %d MB", cache, res, grew>>20)
+			}
+
+			q.End = 360e9
+			out, err := db.Execute(q)
+			if err != nil || len(out) != 48 || len(out[47].Buckets) != 360 {
+				t.Fatalf("cache %d resolution %d: the dashboard shape: %d groups, %v", cache, res, len(out), err)
+			}
+		}
+		db.Close()
+	}
+}
+
+// TestQueryRangeOverflow: a range wider than int64 used to wrap End − Start
+// negative; with no window the "one bucket" then had a negative width and
+// the raw path indexed bucket −20. Such a range is refused, and the widest
+// range that does fit answers as one bucket.
+func TestQueryRangeOverflow(t *testing.T) {
+	db := Open(Options{})
+	db.Write(pt("m", 0, nil, map[string]float64{"v": 1}))
+	if _, err := db.Execute(Query{Measurement: "m", Field: "v", Start: -9e18, End: 9e18}); err != ErrBadQuery {
+		t.Fatalf("overflowing range: err = %v, want ErrBadQuery", err)
+	}
+	res, err := db.Execute(Query{Measurement: "m", Field: "v", Start: -4.6e18, End: 4.6e18,
+		Aggs: []AggKind{AggCount}})
+	if err != nil || len(res) != 1 || len(res[0].Buckets) != 1 || res[0].Buckets[0].Count != 1 {
+		t.Fatalf("widest range: %+v, %v", res, err)
 	}
 }
 

@@ -30,8 +30,10 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -150,10 +152,42 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 //	&resolution=auto|raw|<duration>
 //
 // Parameter semantics and defaults are specified in docs/API.md; the
-// parsing tests in web_test.go assert the two stay in sync.
+// parsing tests in web_test.go assert the two stay in sync. The answer is
+// streamed: tsdb.WriteResultsJSON appends it into a pooled buffer and hands
+// the client each queryChunk bytes, the same bytes json.Encoder would write.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	query := tsdb.Query{
+	query, msg := parseQuery(r.URL.Query())
+	if msg != "" {
+		httpError(w, http.StatusBadRequest, msg)
+		return
+	}
+	res, err := s.p.DB.Execute(query)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	bp := queryBufs.Get().(*[]byte)
+	// A write error means the client has gone; the rest is not sent.
+	*bp, _ = tsdb.WriteResultsJSON(w, *bp, queryChunk, res)
+	if cap(*bp) <= 2*queryChunk { // not grown by a giant group name
+		queryBufs.Put(bp)
+	}
+}
+
+// queryChunk is how much of an /api/query answer is buffered before it goes
+// to the client: the dashboard's answer is over a megabyte.
+const queryChunk = 64 << 10
+
+var queryBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, queryChunk+4<<10)
+	return &b
+}}
+
+// parseQuery maps /api/query's parameters onto a tsdb.Query, applying the
+// documented defaults. A non-empty msg is the 400 response's error.
+func parseQuery(q url.Values) (query tsdb.Query, msg string) {
+	query = tsdb.Query{
 		Measurement: q.Get("measurement"),
 		Field:       q.Get("field"),
 		GroupBy:     q.Get("group_by"),
@@ -166,20 +200,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	var err error
 	if query.Start, err = parseInt(q.Get("start"), 0); err != nil {
-		httpError(w, http.StatusBadRequest, "bad start")
-		return
+		return query, "bad start"
 	}
 	if query.End, err = parseInt(q.Get("end"), 0); err != nil || query.End <= query.Start {
-		httpError(w, http.StatusBadRequest, "bad end")
-		return
+		return query, "bad end"
 	}
 	if query.Window, err = parseInt(q.Get("window"), 0); err != nil {
-		httpError(w, http.StatusBadRequest, "bad window")
-		return
+		return query, "bad window"
 	}
 	if query.Resolution, err = parseResolution(q.Get("resolution")); err != nil {
-		httpError(w, http.StatusBadRequest, "bad resolution")
-		return
+		return query, "bad resolution"
 	}
 	for _, agg := range strings.Split(q.Get("agg"), ",") {
 		agg = strings.TrimSpace(agg)
@@ -187,25 +217,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		if !tsdb.ValidAgg(tsdb.AggKind(agg)) {
-			httpError(w, http.StatusBadRequest, "unknown agg "+agg)
-			return
+			return query, "unknown agg " + agg
 		}
 		query.Aggs = append(query.Aggs, tsdb.AggKind(agg))
 	}
 	for _, clause := range q["where"] {
 		k, v, ok := strings.Cut(clause, ":")
 		if !ok {
-			httpError(w, http.StatusBadRequest, "bad where clause")
-			return
+			return query, "bad where clause"
 		}
 		query.Where = append(query.Where, tsdb.Tag{Key: k, Value: v})
 	}
-	res, err := s.p.DB.Execute(query)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	writeJSON(w, res)
+	return query, ""
 }
 
 func (s *Server) handleTags(w http.ResponseWriter, r *http.Request) {
