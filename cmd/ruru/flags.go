@@ -29,7 +29,6 @@ type options struct {
 	seed      int64
 	snapshot  string
 	burst     int
-	blockMax  time.Duration
 	sinkWk    int
 	sinkBatch int
 	dbStripes int
@@ -81,7 +80,6 @@ func parseFlags(name string, args []string, hostname func() (string, error)) (*o
 		snapshot   = fs.String("snapshot", "", "dump the TSDB as line protocol to this file on shutdown")
 		burst      = fs.Int("burst", 64, "ingest/poll burst size (frames per ring round-trip)")
 		overflow   = fs.String("overflow", "drop", "RX queue overflow policy: drop (NIC-faithful) or block (lossless source)")
-		blockMax   = fs.Duration("block-timeout", 0, "deadline for block-policy injection (0: wait indefinitely)")
 		sinkWk     = fs.Int("sink-workers", 4, "sharded sink workers (measurements partitioned by city pair)")
 		sinkBatch  = fs.Int("sink-batch", 64, "max measurements per sink wakeup / WebSocket broadcast frame")
 		dbStripes  = fs.Int("db-stripes", 8, "TSDB lock stripes (1 = single global write lock)")
@@ -111,7 +109,7 @@ func parseFlags(name string, args []string, hostname func() (string, error)) (*o
 		listen: *listen, pcapPath: *pcapPath, rate: *rate, duration: *duration,
 		queues: *queues, seed: *seed,
 		timestamps: *timestamps, trackSeq: *trackSeq, oneDir: *oneDir,
-		snapshot: *snapshot, burst: *burst, blockMax: *blockMax,
+		snapshot: *snapshot, burst: *burst,
 		sinkWk: *sinkWk, sinkBatch: *sinkBatch, dbStripes: *dbStripes,
 		dataDir: *dataDir, mode: *mode, remoteAddr: *remoteAddr,
 	}

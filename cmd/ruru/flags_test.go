@@ -8,7 +8,6 @@ package main
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"ruru/internal/nic"
 	"ruru/internal/tsdb"
@@ -83,10 +82,10 @@ func TestFlagParsing(t *testing.T) {
 		},
 		{
 			name: "overflow block",
-			args: []string{"-overflow", "block", "-block-timeout", "2s"},
+			args: []string{"-overflow", "block"},
 			check: func(t *testing.T, o *options) {
-				if o.overflow != nic.Block || o.blockMax != 2*time.Second {
-					t.Errorf("overflow=%v blockMax=%v", o.overflow, o.blockMax)
+				if o.overflow != nic.Block {
+					t.Errorf("overflow=%v", o.overflow)
 				}
 			},
 		},

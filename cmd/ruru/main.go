@@ -57,7 +57,6 @@ func main() {
 		Queues:          opt.queues,
 		Burst:           opt.burst,
 		Overflow:        opt.overflow,
-		BlockTimeout:    opt.blockMax,
 		TrackTimestamps: opt.timestamps,
 		TrackSeq:        opt.trackSeq,
 		OneDirection:    opt.oneDir,
@@ -202,23 +201,10 @@ func main() {
 		// Pace injection to wall-clock so the live map looks live:
 		// virtual nanoseconds map 1:1 onto wall nanoseconds.
 		go func() {
-			start := time.Now()
-			var pk gen.Packet
-			for g.Next(&pk) {
-				if ctx.Err() != nil {
-					return
-				}
-				elapsed := time.Since(start).Nanoseconds()
-				if ahead := pk.TS - elapsed; ahead > 2e6 {
-					select {
-					case <-time.After(time.Duration(ahead)):
-					case <-ctx.Done():
-						return
-					}
-				}
-				p.Port.InjectTuple(pk.Frame, pk.TS, pk.Src, pk.Dst, pk.SrcPort, pk.DstPort)
+			n, err := nic.Drive(ctx, p.Port, opt.burst, true, g.Source())
+			if err == nil {
+				log.Printf("ruru: generator finished (%d packets)", n)
 			}
-			log.Printf("ruru: generator finished")
 		}()
 	}
 
@@ -257,8 +243,9 @@ func parseRollups(s string) ([]tsdb.RollupTier, error) {
 	return tiers, nil
 }
 
-// replayPcap paces a capture into the port on its own timestamps, in
-// bursts (the batched ingest path).
+// replayPcap paces a capture into the port on its own timestamps. On
+// interrupt Drive stops the port, so a block-policy injection does not wait
+// forever for room that the exited engine workers will never make.
 func replayPcap(ctx context.Context, path string, port *nic.Port, burst int) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -269,10 +256,7 @@ func replayPcap(ctx context.Context, path string, port *nic.Port, burst int) err
 	if err != nil {
 		return err
 	}
-	// On interrupt the engine workers exit, so a block-policy injection
-	// would wait forever for room that never comes: abort its waits.
-	defer context.AfterFunc(ctx, port.Stop)()
-	n, err := pcap.ReplayToPort(ctx, r, port, pcap.ReplayOptions{Burst: burst, Pace: true})
+	n, err := nic.Drive(ctx, port, burst, true, r.Source())
 	switch {
 	case errors.Is(err, context.Canceled):
 		// interrupted: shut down normally

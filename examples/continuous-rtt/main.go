@@ -17,6 +17,7 @@ import (
 
 	"ruru/internal/gen"
 	"ruru/internal/geo"
+	"ruru/internal/nic"
 	"ruru/internal/ruru"
 	"ruru/internal/tsdb"
 )
@@ -28,8 +29,9 @@ func main() {
 	}
 	p, err := ruru.New(ruru.Config{
 		GeoDB: world.DB(), Queues: 4,
-		TrackTimestamps: true, // pping tracker: flows WITH the TS option
-		TrackSeq:        true, // seq tracker: flows WITHOUT it
+		Overflow:        nic.Block, // the generator is a lossless source
+		TrackTimestamps: true,      // pping tracker: flows WITH the TS option
+		TrackSeq:        true,      // seq tracker: flows WITHOUT it
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -59,7 +61,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		g.RunToPort(p.Port, false)
+		if _, err := nic.Drive(ctx, p.Port, 0, false, g.Source()); err != nil {
+			log.Fatal(err)
+		}
 	}
 	run(5, true)
 	run(6, false)

@@ -21,6 +21,7 @@ import (
 	"ruru/internal/arcs"
 	"ruru/internal/gen"
 	"ruru/internal/geo"
+	"ruru/internal/nic"
 	"ruru/internal/ruru"
 	"ruru/internal/web"
 	"ruru/internal/ws"
@@ -31,7 +32,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	p, err := ruru.New(ruru.Config{GeoDB: world.DB(), Queues: 4})
+	// Block: the generator below is a lossless source, backpressured by
+	// the pipeline instead of losing frames to a full queue.
+	p, err := ruru.New(ruru.Config{GeoDB: world.DB(), Queues: 4, Overflow: nic.Block})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,7 +72,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	go g.RunToPort(p.Port, false)
+	go nic.Drive(ctx, p.Port, 0, false, g.Source())
 
 	// Collect live measurements off the WebSocket for a short while.
 	var collected []arcs.Arc

@@ -71,7 +71,7 @@ type Spec struct {
 // their JSON encoding.
 func Specs() []Spec {
 	return []Spec{
-		{Name: "ingest/burst", F: benchIngestBurst},
+		{Name: "ingest/inject-burst", F: benchInjectBurst},
 		{Name: "rss/hash-ipv4", F: func(b *testing.B) { benchHashTuple(b, 0) }},
 		{Name: "rss/hash-ipv6", F: func(b *testing.B) { benchHashTuple(b, 1) }},
 		{Name: "process/handshake", F: benchHandshake},
@@ -146,11 +146,12 @@ func WriteJSON(w io.Writer, f File) error {
 
 // --- suite bodies -----------------------------------------------------------
 
-// benchIngestBurst: inject → RSS queue → RxBurst → recycle, batched, the
-// way core's queue worker does it: each drained burst goes back to the pool
-// with one FreeBurst, so the order the pool hands buffers out in (and with
-// it how much of the 16 MiB arena the loop walks) is part of what is timed.
-func benchIngestBurst(b *testing.B) {
+// benchInjectBurst: InjectBurst (classify, copy, stage) → RSS queue →
+// RxBurst → recycle, batched, the way core's queue worker does it: each
+// drained burst goes back to the pool with one FreeBurst, so the order the
+// pool hands buffers out in (and with it how much of the 16 MiB arena the
+// loop walks) is part of what is timed.
+func benchInjectBurst(b *testing.B) {
 	const burst = 64
 	pool := nic.NewMempool(8192, 2048)
 	defer pool.Close() // every buffer is home again when the loop ends
@@ -170,17 +171,15 @@ func benchIngestBurst(b *testing.B) {
 	}
 	f := buf[:n]
 	frames := make([]nic.Frame, burst)
-	hashes := make([]uint32, burst)
 	for i := range frames {
 		frames[i] = nic.Frame{Data: f, TS: int64(i)}
-		hashes[i] = uint32(i)
 	}
 	bufs := make([]*nic.Buf, burst)
 	b.ReportAllocs()
 	b.SetBytes(int64(len(f)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i += burst {
-		port.InjectPreclassifiedBurst(frames, hashes)
+		port.InjectBurst(frames)
 		got, _ := port.RxBurst(0, bufs)
 		nic.FreeBurst(bufs[:got])
 	}

@@ -229,7 +229,7 @@ func TestEngineAdmitterWiring(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- eng.Run(ctx) }()
-	port.Inject(buildFrame(t, "10.0.0.1", "192.0.2.1", 40000, 443, pkt.TCPSyn, 100, 0), 1e6)
+	inject(port, buildFrame(t, "10.0.0.1", "192.0.2.1", 40000, 443, pkt.TCPSyn, 100, 0), 1e6)
 	waitFor(t, func() bool { return eng.Stats().SYNs == 1 })
 	cancel()
 	<-done
@@ -305,7 +305,7 @@ func TestEngineKeepsFlowStateAcrossRuns(t *testing.T) {
 		done := make(chan error, 1)
 		go func() { done <- eng.Run(ctx) }()
 		for i, f := range frames {
-			port.Inject(f, int64(1e6+i))
+			inject(port, f, int64(1e6+i))
 		}
 		waitFor(t, func() bool { return eng.Stats().Packets == wantPackets })
 		cancel()

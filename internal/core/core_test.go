@@ -483,6 +483,12 @@ func buildFrame(t testing.TB, src, dst string, sp, dp uint16, flags uint8, seq, 
 	return buf[:n]
 }
 
+// inject hands port one frame as a burst of one and reports whether the
+// port enqueued it.
+func inject(port *nic.Port, frame []byte, ts int64) bool {
+	return port.InjectBurst([]nic.Frame{{Data: frame, TS: ts}}) == 1
+}
+
 func TestEngineEndToEnd(t *testing.T) {
 	// Burst 1 is the degenerate poll: one frame per ring round-trip.
 	for _, burst := range []int{1, 32} {
@@ -525,9 +531,9 @@ func testEngineEndToEnd(t *testing.T, burst int) {
 		t1 := int64(i) * 1_000_000
 		t2 := t1 + 30_000_000
 		t3 := t2 + 15_000_000
-		port.Inject(buildFrame(t, src, "192.0.2.1", sp, 443, pkt.TCPSyn, 100, 0), t1)
-		port.Inject(buildFrame(t, "192.0.2.1", src, 443, sp, pkt.TCPSyn|pkt.TCPAck, 500, 101), t2)
-		port.Inject(buildFrame(t, src, "192.0.2.1", sp, 443, pkt.TCPAck, 101, 501), t3)
+		inject(port, buildFrame(t, src, "192.0.2.1", sp, 443, pkt.TCPSyn, 100, 0), t1)
+		inject(port, buildFrame(t, "192.0.2.1", src, 443, sp, pkt.TCPSyn|pkt.TCPAck, 500, 101), t2)
+		inject(port, buildFrame(t, src, "192.0.2.1", sp, 443, pkt.TCPAck, 101, 501), t3)
 	}
 	deadline := time.After(5 * time.Second)
 	for {
@@ -577,8 +583,8 @@ func TestEngineRunLeavesPoolIdle(t *testing.T) {
 	const frames = 300
 	for i := 0; i < frames; i++ {
 		src := netip.AddrFrom4([4]byte{10, 1, byte(i >> 8), byte(i)}).String()
-		if st := port.Inject(buildFrame(t, src, "192.0.2.1", uint16(2000+7*i), 443, pkt.TCPSyn, 1, 0), int64(i)); !st.OK() {
-			t.Fatalf("inject %d: %v", i, st)
+		if !inject(port, buildFrame(t, src, "192.0.2.1", uint16(2000+7*i), 443, pkt.TCPSyn, 1, 0), int64(i)) {
+			t.Fatalf("inject %d refused: %+v", i, port.Stats())
 		}
 	}
 	if pool.Available() != pool.Size()-frames {
@@ -736,8 +742,8 @@ func TestEngineWithTSSink(t *testing.T) {
 		}
 		return buf[:n]
 	}
-	port.Inject(buildTS("10.0.0.1", "192.0.2.1", 5000, 443, 100, 0), 1000)
-	port.Inject(buildTS("192.0.2.1", "10.0.0.1", 443, 5000, 900, 100), 46000)
+	inject(port, buildTS("10.0.0.1", "192.0.2.1", 5000, 443, 100, 0), 1000)
+	inject(port, buildTS("192.0.2.1", "10.0.0.1", 443, 5000, 900, 100), 46000)
 
 	deadline := time.After(5 * time.Second)
 	for {

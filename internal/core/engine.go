@@ -46,11 +46,11 @@ type SeqSink interface {
 	EmitLoss(ev *LossEvent)
 }
 
-// PollConfig tunes the adaptive idle ladder a worker descends when polls
-// come back empty: busy-spin first (a hot queue usually refills within
-// nanoseconds), then cooperative yields, then sleeps of one fixed length.
-// Any amount of traffic resets the ladder, so a loaded worker is always in
-// the spin regime — the DPDK busy-poll behaviour.
+// The adaptive idle ladder a worker descends when polls come back empty:
+// busy-spin first (a hot queue usually refills within nanoseconds), then
+// cooperative yields, then sleeps of one fixed length. Any amount of
+// traffic resets the ladder, so a loaded worker is always in the spin
+// regime — the DPDK busy-poll behaviour.
 //
 // The sleep is one millisecond because that is the shortest sleep the Go
 // runtime delivers whatever else the process is doing: an idle process
@@ -62,39 +62,21 @@ type SeqSink interface {
 // stages downstream would then follow the host's wake-up latency, not the
 // load. A queue must hold one sleep's arrivals: 4096 slots cover 2 Mpps
 // per queue.
-type PollConfig struct {
-	// Spin is the number of consecutive empty polls served by pure
-	// busy-spinning before the worker starts yielding (default 64).
-	Spin int
-	// Yield is the number of runtime.Gosched rounds after spinning and
-	// before sleeping (default 16).
-	Yield int
-	// Sleep is how long each empty poll after the yield phase sleeps
-	// (default 1ms).
-	Sleep time.Duration
-}
-
-func (c *PollConfig) setDefaults() {
-	if c.Spin <= 0 {
-		c.Spin = 64
-	}
-	if c.Yield <= 0 {
-		c.Yield = 16
-	}
-	if c.Sleep <= 0 {
-		c.Sleep = time.Millisecond
-	}
-}
+const (
+	pollSpin  = 64 // consecutive empty polls served by busy-spinning
+	pollYield = 16 // runtime.Gosched rounds after spinning, before sleeping
+	pollSleep = time.Millisecond
+)
 
 // idleWait advances the ladder by one empty poll.
-func (c *PollConfig) idleWait(idle int) {
+func idleWait(idle int) {
 	switch {
-	case idle <= c.Spin:
+	case idle <= pollSpin:
 		// busy-spin: retry immediately
-	case idle <= c.Spin+c.Yield:
+	case idle <= pollSpin+pollYield:
 		runtime.Gosched()
 	default:
-		time.Sleep(c.Sleep)
+		time.Sleep(pollSleep)
 	}
 }
 
@@ -109,8 +91,6 @@ type EngineConfig struct {
 	Table TableConfig
 	// Burst is the RxBurst size (default 64, DPDK's conventional burst).
 	Burst int
-	// Poll tunes the adaptive idle ladder (zero values get defaults).
-	Poll PollConfig
 
 	// TSSink, when non-nil, enables continuous RTT tracking from TCP
 	// timestamp echoes (a per-queue TSTracker beside each handshake
@@ -182,7 +162,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	if cfg.Burst <= 0 {
 		cfg.Burst = 64
 	}
-	cfg.Poll.setDefaults()
 	e := &Engine{cfg: cfg, queues: make([]queueState, cfg.Port.NumQueues())}
 	for q := range e.queues {
 		qs := &e.queues[q]
@@ -434,7 +413,7 @@ func (e *Engine) runQueue(ctx context.Context, q int) {
 			}
 		default:
 			idle++
-			e.cfg.Poll.idleWait(idle)
+			idleWait(idle)
 		}
 	}
 }

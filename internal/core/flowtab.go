@@ -82,10 +82,11 @@ func newFlowTable[E any](capacity int, timeout int64, admit Admitter) flowTable[
 // Len returns the number of live entries.
 func (t *flowTable[E]) Len() int { return t.live }
 
-// mix finalizes the RSS hash into a table index seed. The RSS hash is
-// already uniform, but mixing guards against pathological keys when the
-// asymmetric-key ablation (rss.TestSymmetricRSSIsTheDesignRequirement)
-// routes both directions differently.
+// mix finalizes the RSS hash into a table index seed. The RSS hash is not
+// uniform: symmetric Toeplitz is a linear function of the tuple's 16-bit
+// XOR-fold, so it takes at most 65 536 distinct values, and a queue of n
+// sees about 65 536 / n of them. Mixing spreads those values over the
+// table but cannot separate flows whose hashes are equal.
 func mix(h uint32) uint32 {
 	h ^= h >> 16
 	h *= 0x7feb352d

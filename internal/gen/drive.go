@@ -2,59 +2,24 @@ package gen
 
 import (
 	"io"
-	"runtime"
 
 	"ruru/internal/nic"
 	"ruru/internal/pcap"
 )
 
-// RunToPort streams the whole generated trace into port via the fast
-// InjectTuple path (the generator already knows each packet's 4-tuple).
-// Returns the number of packets injected. If pace is true, injection
-// fires and forgets so queue overflow reflects worker speed rather than
-// arrival order; with pace false (default for correctness tests) the
-// drive is lossless: on a Block-policy port each packet is a single
-// blocking call, and on a Drop-policy port transient rejections
-// (queue full, pool empty) are retried until accepted.
-func (g *Generator) RunToPort(port *nic.Port, pace bool) int {
+// Source returns the trace as a nic.Drive source: each call fills in the
+// next packet's frame and timestamp, unchanged, and io.EOF follows the
+// last packet. The frame aliases the generator's buffer; Drive copies it
+// before the next call.
+func (g *Generator) Source() func(*nic.Frame) error {
 	var p Packet
-	n := 0
-	retryable := port.Policy() == nic.Drop
-	for g.Next(&p) {
-		if pace {
-			port.InjectTuple(p.Frame, p.TS, p.Src, p.Dst, p.SrcPort, p.DstPort)
-			n++
-			continue
+	return func(f *nic.Frame) error {
+		if !g.Next(&p) {
+			return io.EOF
 		}
-		for {
-			st := port.InjectTuple(p.Frame, p.TS, p.Src, p.Dst, p.SrcPort, p.DstPort)
-			// On a Block port a rejection means the port already waited
-			// and gave up (Stop or BlockTimeout) — retrying would spin
-			// forever and defeat both mechanisms. Only Drop-policy
-			// rejections are transient backpressure worth retrying.
-			if !st.Retryable() || !retryable {
-				break
-			}
-			runtime.Gosched() // let workers catch up
-		}
-		n++
+		f.Data, f.TS = p.Frame, p.TS
+		return nil
 	}
-	return n
-}
-
-// RunToPortBurst streams the generated trace into port in bursts of the
-// given size (default 64) via InjectBurst, amortizing ring synchronization
-// across each batch. Combine with a Block-policy port for a lossless
-// drive; on a Drop port frames that don't fit are dropped and counted, as
-// on a real NIC. Returns the number of packets accepted by the port.
-func (g *Generator) RunToPortBurst(port *nic.Port, burst int) int {
-	s := nic.NewBurstStager(port, burst)
-	var p Packet
-	for g.Next(&p) {
-		s.Add(p.Frame, p.TS)
-	}
-	s.Flush()
-	return s.Accepted()
 }
 
 // WritePcap streams the whole generated trace into a pcap file.

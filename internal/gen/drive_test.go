@@ -1,16 +1,19 @@
 package gen
 
 import (
+	"context"
+	"slices"
 	"testing"
 
 	"ruru/internal/nic"
 )
 
-// drainPort empties every queue, freeing buffers, and returns the count.
-func drainPort(t *testing.T, port *nic.Port) int {
+// drainPort empties every queue, freeing buffers, and returns the frames'
+// timestamps.
+func drainPort(t *testing.T, port *nic.Port) []int64 {
 	t.Helper()
 	bufs := make([]*nic.Buf, 256)
-	total := 0
+	var tss []int64
 	for q := 0; q < port.NumQueues(); q++ {
 		for {
 			n, err := port.RxBurst(q, bufs)
@@ -20,81 +23,55 @@ func drainPort(t *testing.T, port *nic.Port) int {
 			if n == 0 {
 				break
 			}
-			for i := 0; i < n; i++ {
-				bufs[i].Free()
+			for _, b := range bufs[:n] {
+				tss = append(tss, b.Timestamp)
 			}
-			total += n
+			nic.FreeBurst(bufs[:n])
 		}
 	}
-	return total
+	return tss
 }
 
-func TestRunToPortLossless(t *testing.T) {
-	// The retry drive must deliver the exact generated stream on a
-	// default (Drop-policy) port when the queues have room.
-	g, err := New(Config{Seed: 7, World: world(t), FlowRate: 300, Duration: 2e9})
+func TestSourceDriveLossless(t *testing.T) {
+	// Drive over Source on a Block port delivers the exact generated
+	// stream, each frame with its own timestamp: the generator's clock is
+	// passed through, not rebased.
+	cfg := Config{Seed: 7, World: world(t), FlowRate: 300, Duration: 2e9}
+	g, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pool := nic.NewMempool(16384, 2048)
-	port, err := nic.NewPort(nic.PortConfig{Queues: 2, QueueDepth: 8192, Pool: pool})
+	port, err := nic.NewPort(nic.PortConfig{Queues: 2, QueueDepth: 8192, Pool: pool, Policy: nic.Block})
 	if err != nil {
 		t.Fatal(err)
 	}
-	injected := g.RunToPort(port, false)
-	if injected == 0 {
-		t.Fatal("nothing injected")
+	injected, err := nic.Drive(context.Background(), port, 32, false, g.Source())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		p   Packet
+		tss []int64
+	)
+	for want.Next(&p) {
+		tss = append(tss, p.TS)
+	}
+	if injected == 0 || injected != len(tss) {
+		t.Fatalf("injected %d of %d packets", injected, len(tss))
 	}
 	st := port.Stats()
-	if st.Ipackets != uint64(injected) || st.Imissed != 0 {
+	if st.Ipackets != uint64(injected) || st.Imissed != 0 || st.NoMbuf != 0 || st.Ierrors != 0 {
 		t.Fatalf("stats: %+v (injected %d)", st, injected)
 	}
-	if got := drainPort(t, port); got != injected {
-		t.Fatalf("drained %d, injected %d", got, injected)
-	}
-}
-
-func TestRunToPortBurstMatchesPerPacket(t *testing.T) {
-	// The burst drive must deliver the same stream as the per-packet
-	// drive: same packet count, same per-queue totals, zero loss on a
-	// Block-policy port.
-	mk := func() *Generator {
-		g, err := New(Config{Seed: 11, World: world(t), FlowRate: 300, Duration: 2e9})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
-	}
-	newPort := func(policy nic.OverflowPolicy) *nic.Port {
-		pool := nic.NewMempool(16384, 2048)
-		port, err := nic.NewPort(nic.PortConfig{
-			Queues: 2, QueueDepth: 8192, Pool: pool, Policy: policy,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return port
-	}
-
-	pp := newPort(nic.Drop)
-	ppInjected := mk().RunToPort(pp, false)
-
-	bp := newPort(nic.Block)
-	bpInjected := mk().RunToPortBurst(bp, 32)
-
-	if ppInjected != bpInjected {
-		t.Fatalf("per-packet injected %d, burst injected %d", ppInjected, bpInjected)
-	}
-	if st := bp.Stats(); st.Imissed != 0 || st.Ipackets != uint64(bpInjected) {
-		t.Fatalf("burst drive lost frames: %+v", st)
-	}
-	for q := 0; q < 2; q++ {
-		a, b := pp.QueueStats(q), bp.QueueStats(q)
-		if a.Ipackets != b.Ipackets || a.Ibytes != b.Ibytes {
-			t.Fatalf("queue %d diverged: per-packet %+v vs burst %+v", q, a, b)
-		}
-	}
-	if got := drainPort(t, bp); got != bpInjected {
-		t.Fatalf("drained %d, injected %d", got, bpInjected)
+	got := drainPort(t, port)
+	slices.Sort(got)
+	slices.Sort(tss)
+	if !slices.Equal(got, tss) {
+		t.Fatalf("drained %d frames, timestamps differ from the generator's %d", len(got), len(tss))
 	}
 }

@@ -11,22 +11,24 @@
 //     InjectBurst on the producer side, amortizing per-packet ring
 //     synchronization over whole bursts.
 //
-// Traffic sources (the synthetic generator, the pcap replayer) inject frames
-// with Port.Inject/InjectBurst, which classify them onto a queue by Toeplitz
-// hash of the 4-tuple — bit-exact with what NIC hardware RSS would do — and
-// hand the buffer to that queue's ring. Worker cores poll their queue with
-// RxBurst and return each burst to the pool with one FreeBurst when done.
+// There is one way in. Traffic sources (the synthetic generator, a pcap
+// capture) hand their frames to Drive, which batches and paces them into
+// Port.InjectBurst. InjectBurst classifies each frame onto a queue by
+// Toeplitz hash of the 4-tuple — bit-exact with what NIC hardware RSS would
+// do — and hands each queue its share of the burst in one ring operation.
+// Worker cores poll their queue with RxBurst and return each burst to the
+// pool with one FreeBurst when done.
 //
 // What happens when a queue is full is the port's overflow policy:
 //
 //   - Drop (default) is NIC-faithful: the frame is lost and counted in
 //     Stats.Imissed exactly once, the same back-pressure signal a real NIC
 //     exposes when software can't keep up with the wire.
-//   - Block makes injection wait (spin → yield → sleep) for queue space, up
-//     to an optional deadline — the right policy for lossless sources such
-//     as pcap replay or correctness harnesses, where the source can be
-//     paced by backpressure instead of silently corrupting the measurement
-//     distribution.
+//   - Block makes injection wait (spin → yield → sleep) for queue space
+//     until it appears or the port is stopped — the right policy for
+//     lossless sources such as pcap replay or correctness harnesses, where
+//     the source can be paced by backpressure instead of silently
+//     corrupting the measurement distribution.
 //
 // Queues are SPSC rings: one injecting goroutine per port, one worker per
 // queue — the paper's topology.
@@ -35,7 +37,6 @@ package nic
 import (
 	"errors"
 	"fmt"
-	"net/netip"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -145,21 +146,12 @@ func NewMempool(n, bufSize int) *Mempool {
 	return p
 }
 
-// Get allocates a buffer, or nil if the pool is exhausted (counted).
-func (p *Mempool) Get() *Buf {
-	var one [1]*Buf
-	if p.getBulk(one[:]) == 0 {
-		p.allocFail.Add(1)
-	}
-	return one[0]
-}
-
 // getBulk moves as many free buffers as the pool has, up to len(dst), from
 // the top of the stack into dst in stack order — dst[n-1] was the top, so
-// a caller that pops dst from its end uses them in the order single Gets
-// would have, and putting back an unused tail restores the stack exactly.
-// It returns how many. A short count is not counted as a failure here: the
-// injection paths count one only when they give up.
+// a caller that pops dst from its end takes them in stack order, and
+// putting back an unused tail restores the stack exactly. It returns how
+// many. A short count is not counted as a failure
+// here: injection counts one only when it gives up.
 //
 //ruru:noalloc
 func (p *Mempool) getBulk(dst []*Buf) int {
@@ -222,8 +214,8 @@ func (p *Mempool) Close() error {
 // right now: Available() == Size() means nobody holds one — no frame is
 // queued, no worker is mid-burst, and no injection call is in progress (an
 // injection takes its burst's buffers up front and returns the unused ones
-// before it returns). AllocFailures counts the Gets and injections that
-// gave up for want of a buffer.
+// before it returns). AllocFailures counts the frames injection gave up on
+// for want of a buffer.
 func (p *Mempool) Size() int { return p.size }
 func (p *Mempool) Available() int {
 	p.mu.Lock()
@@ -240,10 +232,9 @@ const (
 	// Drop loses the frame and counts it in Imissed exactly once — the
 	// behaviour of real NIC hardware when RX descriptors run out.
 	Drop OverflowPolicy = iota
-	// Block waits for queue space (spin → yield → sleep), bounded by
-	// PortConfig.BlockTimeout when set. Lossless while the deadline holds;
-	// frames that still can't be placed at the deadline are dropped and
-	// counted once.
+	// Block waits for queue space (spin → yield → sleep) until it appears
+	// or the port is stopped. Lossless until Stop; frames still unplaced
+	// then are dropped and counted once.
 	Block
 )
 
@@ -254,30 +245,6 @@ func (o OverflowPolicy) String() string {
 	}
 	return "drop"
 }
-
-// InjectStatus reports the fate of one injected frame.
-type InjectStatus uint8
-
-const (
-	// InjectOK: the frame was enqueued.
-	InjectOK InjectStatus = iota
-	// InjectDropped: the queue was full (Drop policy) or stayed full past
-	// the block deadline. Counted in Imissed.
-	InjectDropped
-	// InjectNoBuf: the mempool was exhausted. Counted in NoMbuf.
-	InjectNoBuf
-	// InjectErrFrame: the frame is oversize or unusable — permanent; do
-	// not retry. Counted in Ierrors.
-	InjectErrFrame
-)
-
-// OK reports whether the frame was enqueued.
-func (s InjectStatus) OK() bool { return s == InjectOK }
-
-// Retryable reports whether re-injecting the same frame can succeed once
-// the pipeline drains (queue-full and pool-exhausted are transient;
-// oversize frames are not).
-func (s InjectStatus) Retryable() bool { return s == InjectDropped || s == InjectNoBuf }
 
 // Frame is one wire frame handed to InjectBurst: the data plus its capture
 // timestamp.
@@ -330,9 +297,6 @@ type PortConfig struct {
 	Hasher *rss.Hasher
 	// Policy selects the overflow behaviour (default Drop, NIC-faithful).
 	Policy OverflowPolicy
-	// BlockTimeout bounds how long Block-policy injection waits for queue
-	// space. Zero means wait indefinitely.
-	BlockTimeout time.Duration
 }
 
 // Port is the receive side of the virtual NIC.
@@ -342,9 +306,8 @@ type Port struct {
 	pool   *Mempool
 	hasher *rss.Hasher
 
-	policy       OverflowPolicy
-	blockTimeout time.Duration
-	stopped      atomic.Bool
+	policy  OverflowPolicy
+	stopped atomic.Bool
 
 	ierrors atomic.Uint64
 	nombuf  atomic.Uint64
@@ -354,7 +317,6 @@ type Port struct {
 	sum      pkt.Summary
 	stage    [][]*Buf // per-queue staging for InjectBurst
 	spare    []*Buf   // buffers taken from the pool for the frames still to come
-	one      [1]*Buf  // injectOne's burst of one
 	accepted int      // frames the running burst has enqueued so far
 }
 
@@ -375,13 +337,12 @@ func NewPort(cfg PortConfig) (*Port, error) {
 		h = rss.NewSymmetric() // the package's shared Hasher
 	}
 	p := &Port{
-		queues:       make([]*ring.Ring[*Buf], cfg.Queues),
-		qstats:       make([]queueCounters, cfg.Queues),
-		pool:         cfg.Pool,
-		hasher:       h,
-		policy:       cfg.Policy,
-		blockTimeout: cfg.BlockTimeout,
-		stage:        make([][]*Buf, cfg.Queues),
+		queues: make([]*ring.Ring[*Buf], cfg.Queues),
+		qstats: make([]queueCounters, cfg.Queues),
+		pool:   cfg.Pool,
+		hasher: h,
+		policy: cfg.Policy,
+		stage:  make([][]*Buf, cfg.Queues),
 	}
 	for i := range p.queues {
 		r, err := ring.New[*Buf](depth)
@@ -396,13 +357,10 @@ func NewPort(cfg PortConfig) (*Port, error) {
 // NumQueues returns the number of RX queues.
 func (p *Port) NumQueues() int { return len(p.queues) }
 
-// Policy returns the configured overflow policy.
-func (p *Port) Policy() OverflowPolicy { return p.policy }
-
 // Stop aborts in-progress and future Block-policy waits: blocked
-// injections give up immediately (their frames are dropped and counted
-// once, like a deadline expiry). Use it to unwedge a lossless source at
-// shutdown, when the consumers that would have made room are gone.
+// injections give up immediately, their frames dropped and counted once.
+// It unwedges a lossless source at shutdown, when the consumers that would
+// have made room are gone; Drive calls it when its context is cancelled.
 func (p *Port) Stop() { p.stopped.Store(true) }
 
 // classify computes the frame's RSS hash the way NIC silicon would: over
@@ -446,27 +404,17 @@ func (p *Port) classify(frame []byte) uint32 {
 //	for w := p.waiter(); !try() && w.wait(); {
 //	}
 type waiter struct {
-	p        *Port
-	n        int
-	deadline time.Time
+	p *Port
+	n int
 }
 
 func (p *Port) waiter() waiter { return waiter{p: p} }
 
 // wait sleeps the next rung and reports whether the caller should try
-// again: false once the port is stopped or the BlockTimeout deadline (when
-// configured, counted from the first wait) has passed.
+// again: false once the port is stopped.
 func (w *waiter) wait() bool {
-	p := w.p
-	if p.stopped.Load() {
+	if w.p.stopped.Load() {
 		return false
-	}
-	if p.blockTimeout > 0 {
-		if w.n == 0 {
-			w.deadline = time.Now().Add(p.blockTimeout)
-		} else if time.Now().After(w.deadline) {
-			return false
-		}
 	}
 	switch {
 	case w.n < 64:
@@ -480,23 +428,24 @@ func (w *waiter) wait() bool {
 	return true
 }
 
-// fill copies a frame into a pool buffer, or reports why it couldn't.
+// fill copies a frame into a pool buffer, or returns nil when it cannot —
+// the frame oversize (counted in Ierrors) or the pool empty (NoMbuf).
 // Buffers come from the port's spare stack, restocked from the pool with
 // one bulk get for the want frames the caller still has to place (this one
 // included); whoever calls fill hands the leftovers back with returnSpare.
 //
 // Under the Block policy an exhausted mempool is waited out like a full
-// queue (buffers come back as workers free them), bounded by BlockTimeout,
-// so a lossless source never needs a caller-side retry loop. Before it
-// blocks, fill flushes the burst's staged buffers, which would otherwise
-// deadlock the wait: the pool's missing buffers sitting in our own
-// unpushed stage.
+// queue (buffers come back as workers free them) until the port is
+// stopped, so a lossless source never needs a caller-side retry loop.
+// Before it blocks, fill flushes the burst's staged buffers, which would
+// otherwise deadlock the wait: the pool's missing buffers sitting in our
+// own unpushed stage.
 //
 //ruru:noalloc
-func (p *Port) fill(frame []byte, ts int64, hash uint32, want int) (*Buf, InjectStatus) {
+func (p *Port) fill(frame []byte, ts int64, hash uint32, want int) *Buf {
 	if len(frame) > p.pool.bufSize {
 		p.ierrors.Add(1)
-		return nil, InjectErrFrame
+		return nil
 	}
 	if len(p.spare) == 0 && !p.restock(want) && p.policy == Block {
 		p.flushStage()
@@ -506,14 +455,14 @@ func (p *Port) fill(frame []byte, ts int64, hash uint32, want int) (*Buf, Inject
 	if len(p.spare) == 0 {
 		p.pool.allocFail.Add(1)
 		p.nombuf.Add(1)
-		return nil, InjectNoBuf
+		return nil
 	}
 	b := p.spare[len(p.spare)-1]
 	p.spare = p.spare[:len(p.spare)-1]
 	b.Len = copy(b.Data, frame)
 	b.Timestamp = ts
 	b.RSSHash = hash
-	return b, InjectOK
+	return b
 }
 
 // restock takes up to want buffers from the pool into the empty spare
@@ -539,85 +488,30 @@ func (p *Port) returnSpare() {
 	}
 }
 
-// injectOne is the single-frame injection tail shared by the Inject
-// variants: copy into a pool buffer, then push it on the hash's queue as a
-// burst of one, so flushQueue owns the overflow policy and the accounting
-// for every injection path.
-//
-//ruru:noalloc
-func (p *Port) injectOne(frame []byte, ts int64, hash uint32) InjectStatus {
-	b, st := p.fill(frame, ts, hash, 1)
-	if st != InjectOK {
-		return st
-	}
-	p.one[0] = b
-	if p.flushQueue(rss.Queue(hash, len(p.queues)), p.one[:]) == 0 {
-		return InjectDropped
-	}
-	return InjectOK
-}
-
-// Inject delivers one frame to the port as if it arrived on the wire at
-// timestamp ts (nanoseconds). The frame is copied into a pool buffer,
-// classified by RSS hash, and enqueued on the owning queue. Injection is
-// single-producer: one traffic source goroutine per port.
-func (p *Port) Inject(frame []byte, ts int64) InjectStatus {
-	return p.injectOne(frame, ts, p.classify(frame))
-}
-
-// InjectTuple is a fast-path injection for sources that already know the
-// frame's 4-tuple (the synthetic generator): it skips re-parsing the frame.
-func (p *Port) InjectTuple(frame []byte, ts int64, src, dst netip.Addr, srcPort, dstPort uint16) InjectStatus {
-	return p.injectOne(frame, ts, p.hasher.HashTuple(src, dst, srcPort, dstPort))
-}
-
-// InjectBurst delivers a batch of frames in one call: every frame is
-// classified and copied into a pool buffer, the batch is grouped by target
-// queue, and each queue receives its group with a single burst enqueue —
-// one synchronization round-trip per queue per burst instead of one per
-// frame. Returns the number of frames enqueued.
+// InjectBurst delivers a batch of frames in one call and returns how many
+// were enqueued. It is the port's only way in: every frame is classified
+// and copied into a pool buffer (the burst's buffers taken in one bulk
+// get), the batch is staged per target queue in arrival order, and each
+// queue receives its group with a single burst enqueue — one
+// synchronization round-trip per queue per burst instead of one per frame.
+// Buffers that went unused (oversize frames) go back before it returns.
 //
 // Frames that can't be placed follow the overflow policy: with Drop they
 // are lost and counted (Imissed/NoMbuf/Ierrors) exactly once each; with
-// Block the call waits for queue space up to BlockTimeout. Single producer
-// per port, like all injection paths.
-func (p *Port) InjectBurst(frames []Frame) int {
-	return p.injectStaged(frames, nil, false)
-}
-
-// InjectPreclassifiedBurst is InjectBurst for sources that already know
-// each frame's RSS hash (hashes[i] belongs to frames[i]) — the
-// hardware-RSS model, where classification happened in NIC silicon and
-// software only sees the hash in the descriptor. No parsing, no hashing:
-// buffer copy and enqueue only. Extra hashes are ignored; missing ones
-// default to 0.
-func (p *Port) InjectPreclassifiedBurst(frames []Frame, hashes []uint32) int {
-	return p.injectStaged(frames, hashes, true)
-}
-
-// injectStaged is the burst-injection body shared by InjectBurst and
-// InjectPreclassifiedBurst (classified set: frame i's hash is hashes[i], 0
-// past the end): take the burst's buffers from the pool in one bulk get,
-// copy each frame into one, stage per target queue in arrival order,
-// burst-push each queue's group, and give the buffers that went unused
-// (oversize frames) back before returning. When the mempool runs dry
-// mid-burst under the Block policy, fill flushes the stage first — those
-// buffers are exactly what the pool is missing, and blocking while holding
-// them would deadlock against ourselves.
+// Block the call waits for queue space and buffers until the port is
+// stopped. When the mempool runs dry mid-burst under Block, fill flushes
+// the stage first — those buffers are exactly what the pool is missing,
+// and blocking while holding them would deadlock against ourselves.
+// Single producer per port: one traffic source goroutine injects.
 //
 //ruru:noalloc
-func (p *Port) injectStaged(frames []Frame, hashes []uint32, classified bool) int {
+func (p *Port) InjectBurst(frames []Frame) int {
 	p.accepted = 0
 	for i := range frames {
 		f := &frames[i]
-		var hash uint32
-		if !classified {
-			hash = p.classify(f.Data)
-		} else if i < len(hashes) {
-			hash = hashes[i]
-		}
-		b, st := p.fill(f.Data, f.TS, hash, len(frames)-i)
-		if st != InjectOK {
+		hash := p.classify(f.Data)
+		b := p.fill(f.Data, f.TS, hash, len(frames)-i)
+		if b == nil {
 			continue // already counted
 		}
 		q := rss.Queue(hash, len(p.queues))
@@ -669,57 +563,6 @@ func (p *Port) flushQueue(q int, bufs []*Buf) int {
 	p.qstats[q].ibytes.Add(nbytes)
 	return n
 }
-
-// BurstStager batches frames for InjectBurst on behalf of sources that
-// reuse their read buffer between packets (the generator, the pcap
-// reader): each Add copies the frame into a per-slot staging arena and a
-// full batch is injected in one call. Shared by the lossless drive paths
-// so their batching semantics can't drift apart.
-type BurstStager struct {
-	port     *Port
-	staging  [][]byte
-	frames   []Frame
-	accepted int
-}
-
-// NewBurstStager creates a stager that flushes every burst frames
-// (default 64).
-func NewBurstStager(port *Port, burst int) *BurstStager {
-	if burst <= 0 {
-		burst = 64
-	}
-	return &BurstStager{
-		port:    port,
-		staging: make([][]byte, burst),
-		frames:  make([]Frame, 0, burst),
-	}
-}
-
-// Add copies one frame into the batch, injecting the batch when full.
-func (s *BurstStager) Add(data []byte, ts int64) {
-	i := len(s.frames)
-	if cap(s.staging[i]) < len(data) {
-		s.staging[i] = make([]byte, len(data))
-	}
-	s.staging[i] = s.staging[i][:len(data)]
-	copy(s.staging[i], data)
-	s.frames = append(s.frames, Frame{Data: s.staging[i], TS: ts})
-	if len(s.frames) == cap(s.frames) {
-		s.Flush()
-	}
-}
-
-// Flush injects any pending frames immediately (call before pacing sleeps
-// and at end of stream).
-func (s *BurstStager) Flush() {
-	if len(s.frames) > 0 {
-		s.accepted += s.port.InjectBurst(s.frames)
-		s.frames = s.frames[:0]
-	}
-}
-
-// Accepted returns the total number of frames the port has accepted.
-func (s *BurstStager) Accepted() int { return s.accepted }
 
 // RxBurst polls queue q for up to len(bufs) packets, returning the count.
 // This is the rte_eth_rx_burst analogue; workers call it in a poll loop.

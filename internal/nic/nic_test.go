@@ -1,6 +1,8 @@
 package nic
 
 import (
+	"context"
+	"io"
 	"net/netip"
 	"runtime"
 	"sync"
@@ -26,6 +28,19 @@ func buildSYN(t testing.TB, src, dst string, sp, dp uint16) []byte {
 	return buf[:n]
 }
 
+// get takes one buffer from p, or nil when it is empty.
+func get(p *Mempool) *Buf {
+	var one [1]*Buf
+	p.getBulk(one[:])
+	return one[0]
+}
+
+// inject hands port one frame as a burst of one and reports whether the
+// port enqueued it.
+func inject(port *Port, frame []byte, ts int64) bool {
+	return port.InjectBurst([]Frame{{Data: frame, TS: ts}}) == 1
+}
+
 func TestMempoolAccounting(t *testing.T) {
 	p := NewMempool(4, 256)
 	if p.Size() != 4 || p.Available() != 4 || p.BufSize() != 256 {
@@ -33,19 +48,16 @@ func TestMempoolAccounting(t *testing.T) {
 	}
 	bufs := make([]*Buf, 4)
 	for i := range bufs {
-		bufs[i] = p.Get()
+		bufs[i] = get(p)
 		if bufs[i] == nil {
-			t.Fatalf("Get %d failed", i)
+			t.Fatalf("get %d failed", i)
 		}
 	}
 	if p.Available() != 0 {
 		t.Fatalf("available = %d", p.Available())
 	}
-	if p.Get() != nil {
-		t.Fatal("Get from empty pool returned a buffer")
-	}
-	if p.AllocFailures() != 1 {
-		t.Fatalf("alloc failures = %d", p.AllocFailures())
+	if get(p) != nil {
+		t.Fatal("get from empty pool returned a buffer")
 	}
 	for _, b := range bufs {
 		b.Free()
@@ -59,7 +71,7 @@ func TestMempoolBuffersDistinct(t *testing.T) {
 	p := NewMempool(8, 64)
 	seen := map[*byte]bool{}
 	for i := 0; i < 8; i++ {
-		b := p.Get()
+		b := get(p)
 		if len(b.Data) != 64 || cap(b.Data) != 64 {
 			t.Fatalf("buf %d geometry: len=%d cap=%d", i, len(b.Data), cap(b.Data))
 		}
@@ -82,7 +94,7 @@ func mustPanic(t *testing.T, what string, f func()) {
 
 func TestDoubleFreePanics(t *testing.T) {
 	p := NewMempool(4, 64)
-	a, b := p.Get(), p.Get()
+	a, b := get(p), get(p)
 	a.Free()
 	mustPanic(t, "second Free", a.Free)
 	mustPanic(t, "FreeBurst of a freed buffer", func() { FreeBurst([]*Buf{a}) })
@@ -93,7 +105,7 @@ func TestDoubleFreePanics(t *testing.T) {
 	}
 	seen := map[*Buf]bool{}
 	for i := 0; i < 4; i++ {
-		seen[p.Get()] = true
+		seen[get(p)] = true
 	}
 	if len(seen) != 4 || seen[nil] {
 		t.Fatalf("pool handed out %d distinct buffers, want 4", len(seen))
@@ -102,15 +114,15 @@ func TestDoubleFreePanics(t *testing.T) {
 
 func TestMempoolIsLIFO(t *testing.T) {
 	p := NewMempool(8, 64)
-	a, b, c := p.Get(), p.Get(), p.Get()
+	a, b, c := get(p), get(p), get(p)
 	b.Free()
 	a.Free()
 	c.Free()
-	if got := p.Get(); got != c {
-		t.Fatal("Get did not return the buffer freed last")
+	if got := get(p); got != c {
+		t.Fatal("get did not return the buffer freed last")
 	}
-	if got := p.Get(); got != a {
-		t.Fatal("second Get did not return the buffer freed before it")
+	if got := get(p); got != a {
+		t.Fatal("second get did not return the buffer freed before it")
 	}
 	// A burst put back is taken again top first, and a bulk get put back
 	// untouched leaves the stack as it was.
@@ -120,12 +132,12 @@ func TestMempoolIsLIFO(t *testing.T) {
 		t.Fatalf("getBulk = %d %p %p, want the burst back in stack order", n, two[0], two[1])
 	}
 	p.putBulk(two[:])
-	if got := p.Get(); got != a {
+	if got := get(p); got != a {
 		t.Fatal("stack order changed across an unused bulk get")
 	}
 	// Buffers of two pools in one burst each go home.
 	q := NewMempool(2, 64)
-	x := q.Get()
+	x := get(q)
 	FreeBurst([]*Buf{a, x})
 	if p.Available() != 8 || q.Available() != 2 {
 		t.Fatalf("available = %d and %d, want 8 and 2", p.Available(), q.Available())
@@ -134,7 +146,7 @@ func TestMempoolIsLIFO(t *testing.T) {
 
 func TestMempoolClose(t *testing.T) {
 	p := NewMempool(4, 64)
-	b := p.Get()
+	b := get(p)
 	b.Data[0] = 1
 	if err := p.Close(); err == nil {
 		t.Fatal("Close succeeded with a buffer out")
@@ -146,7 +158,7 @@ func TestMempoolClose(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatalf("Close with every buffer home: %v", err)
 	}
-	if p.Get() != nil || b.Data != nil {
+	if get(p) != nil || b.Data != nil {
 		t.Fatal("a closed pool still hands out memory")
 	}
 	if err := p.Close(); err != nil {
@@ -173,8 +185,8 @@ func TestInjectAndRxBurst(t *testing.T) {
 		t.Fatal(err)
 	}
 	frame := buildSYN(t, "10.0.0.1", "10.0.0.2", 1234, 80)
-	port.Inject(frame, 1000)
-	port.Inject(frame, 2000)
+	inject(port, frame, 1000)
+	inject(port, frame, 2000)
 
 	bufs := make([]*Buf, 32)
 	n, err := port.RxBurst(0, bufs)
@@ -221,14 +233,14 @@ func TestSymmetricQueueAssignment(t *testing.T) {
 		}
 		buf := make([]byte, 128)
 		n, _ := pkt.BuildTCPFrame(buf, synSpec)
-		port.Inject(buf[:n], 1)
+		inject(port, buf[:n], 1)
 
 		saSpec := &pkt.TCPFrameSpec{
 			SrcMAC: pkt.MAC{2}, DstMAC: pkt.MAC{1},
 			Src: dst, Dst: src, SrcPort: dp, DstPort: sp, Flags: pkt.TCPSyn | pkt.TCPAck,
 		}
 		n, _ = pkt.BuildTCPFrame(buf, saSpec)
-		port.Inject(buf[:n], 2)
+		inject(port, buf[:n], 2)
 	}
 	// Drain every queue; each must contain an even number of packets and
 	// each flow's pair must be co-located.
@@ -266,7 +278,7 @@ func TestQueueOverflowCountsImissed(t *testing.T) {
 	}
 	frame := buildSYN(t, "10.0.0.1", "10.0.0.2", 1, 2)
 	for i := 0; i < 5; i++ {
-		port.Inject(frame, int64(i))
+		inject(port, frame, int64(i))
 	}
 	st := port.Stats()
 	if st.Ipackets != 2 || st.Imissed != 3 {
@@ -285,11 +297,11 @@ func TestPoolExhaustionCountsNoMbuf(t *testing.T) {
 		t.Fatal(err)
 	}
 	frame := buildSYN(t, "10.0.0.1", "10.0.0.2", 1, 2)
-	port.Inject(frame, 1)
-	port.Inject(frame, 2)
+	inject(port, frame, 1)
+	inject(port, frame, 2)
 	st := port.Stats()
-	if st.Ipackets != 1 || st.NoMbuf != 1 {
-		t.Fatalf("stats: %+v", st)
+	if st.Ipackets != 1 || st.NoMbuf != 1 || pool.AllocFailures() != 1 {
+		t.Fatalf("stats: %+v, alloc failures %d", st, pool.AllocFailures())
 	}
 }
 
@@ -299,79 +311,9 @@ func TestOversizeFrameCountsIerrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	port.Inject(make([]byte, 128), 1)
+	inject(port, make([]byte, 128), 1)
 	if st := port.Stats(); st.Ierrors != 1 || st.Ipackets != 0 {
 		t.Fatalf("stats: %+v", st)
-	}
-}
-
-func TestInjectTupleMatchesInject(t *testing.T) {
-	// InjectTuple must classify onto the same queue as Inject for the
-	// same flow.
-	pool := NewMempool(64, 2048)
-	port, _ := NewPort(PortConfig{Queues: 4, QueueDepth: 64, Pool: pool})
-	src := netip.MustParseAddr("10.9.8.7")
-	dst := netip.MustParseAddr("192.0.2.3")
-	frame := buildSYN(t, "10.9.8.7", "192.0.2.3", 5555, 80)
-	port.Inject(frame, 1)
-	port.InjectTuple(frame, 2, src, dst, 5555, 80)
-	bufs := make([]*Buf, 8)
-	found := -1
-	for q := 0; q < 4; q++ {
-		n, _ := port.RxBurst(q, bufs)
-		if n > 0 {
-			if n != 2 {
-				t.Fatalf("queue %d has %d packets, want both on one queue", q, n)
-			}
-			found = q
-			for i := 0; i < n; i++ {
-				bufs[i].Free()
-			}
-		}
-	}
-	if found == -1 {
-		t.Fatal("no packets found")
-	}
-}
-
-func TestInjectPreclassified(t *testing.T) {
-	pool := NewMempool(16, 2048)
-	port, _ := NewPort(PortConfig{Queues: 4, QueueDepth: 8, Pool: pool})
-	frame := buildSYN(t, "10.0.0.1", "10.0.0.2", 1, 2)
-	// The supplied hash alone must decide the queue (via the indirection
-	// mapping, same as every injection path).
-	q5 := rss.Queue(5, 4)
-	port.InjectPreclassifiedBurst([]Frame{{Data: frame, TS: 42}}, []uint32{5})
-	bufs := make([]*Buf, 4)
-	n, _ := port.RxBurst(q5, bufs)
-	if n != 1 {
-		t.Fatalf("packet not on queue %d (got %d)", q5, n)
-	}
-	if bufs[0].RSSHash != 5 || bufs[0].Timestamp != 42 {
-		t.Fatalf("descriptor: hash=%d ts=%d", bufs[0].RSSHash, bufs[0].Timestamp)
-	}
-	bufs[0].Free()
-	// Oversize and overflow accounting still apply.
-	if n := port.InjectPreclassifiedBurst([]Frame{{Data: make([]byte, 4096), TS: 1}}, []uint32{0}); n != 0 {
-		t.Fatalf("oversize frame accepted (%d)", n)
-	}
-	if st := port.Stats(); st.Ierrors != 1 {
-		t.Fatalf("stats: %+v", st)
-	}
-	for i := 0; i < 10; i++ {
-		port.InjectPreclassifiedBurst([]Frame{{Data: frame, TS: 1}}, []uint32{8}) // one queue, depth 8
-	}
-	if st := port.Stats(); st.Imissed != 2 {
-		t.Fatalf("stats after overflow: %+v", st)
-	}
-	q8 := rss.Queue(8, 4)
-	wantPkts := uint64(8)
-	if q8 == q5 {
-		wantPkts++ // the hash-5 packet landed on the same queue
-	}
-	qs := port.QueueStats(q8)
-	if qs.Ipackets != wantPkts || qs.Imissed != 2 || qs.Depth != 8 || qs.Watermark != 8 || qs.Capacity != 8 {
-		t.Fatalf("queue stats: %+v", qs)
 	}
 }
 
@@ -436,19 +378,27 @@ func TestConcurrentWorkersDrain(t *testing.T) {
 			}
 		}(q)
 	}
+	// One reused frame buffer, as a capture reader has: Drive copies it.
 	frame := make([]byte, 128)
-	for i := 0; i < frames; i++ {
-		src := netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)})
-		dst := netip.AddrFrom4([4]byte{192, 0, 2, 1})
+	i := 0
+	next := func(f *Frame) error {
+		if i == frames {
+			return io.EOF
+		}
 		spec := &pkt.TCPFrameSpec{
 			SrcMAC: pkt.MAC{1}, DstMAC: pkt.MAC{2},
-			Src: src, Dst: dst, SrcPort: uint16(i), DstPort: 443, Flags: pkt.TCPSyn,
+			Src:     netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)}),
+			Dst:     netip.AddrFrom4([4]byte{192, 0, 2, 1}),
+			SrcPort: uint16(i), DstPort: 443, Flags: pkt.TCPSyn,
 		}
 		n, _ := pkt.BuildTCPFrame(frame, spec)
-		// Block policy: one call, backpressure is handled by the port.
-		if st := port.InjectTuple(frame[:n], int64(i), src, dst, uint16(i), 443); !st.OK() {
-			t.Fatalf("frame %d rejected: %v", i, st)
-		}
+		f.Data, f.TS = frame[:n], int64(i)
+		i++
+		return nil
+	}
+	// Block policy: backpressure is handled by the port.
+	if n, err := Drive(context.Background(), port, 64, false, next); n != frames || err != nil {
+		t.Fatalf("Drive = %d, %v; want %d, nil", n, err, frames)
 	}
 	close(done)
 	wg.Wait()
@@ -532,6 +482,10 @@ func TestInjectBurstDropPolicyCountsOnce(t *testing.T) {
 	st := port.Stats()
 	if st.Ipackets != 8 || st.Imissed != 12 {
 		t.Fatalf("stats: %+v", st)
+	}
+	qs := port.QueueStats(0)
+	if qs.Ipackets != 8 || qs.Imissed != 12 || qs.Depth != 8 || qs.Watermark != 8 || qs.Capacity != 8 {
+		t.Fatalf("queue stats: %+v", qs)
 	}
 	if pool.Available() != pool.Size()-8 {
 		t.Fatalf("dropped frames leaked buffers: %d/%d", pool.Available(), pool.Size())
@@ -619,55 +573,25 @@ func TestInjectBurstBlockSurvivesPoolSmallerThanBurst(t *testing.T) {
 	}
 }
 
-func TestBlockPolicyDeadline(t *testing.T) {
-	// With no consumer, a Block port with a deadline must give up,
-	// count the miss once, and return the buffer.
-	pool := NewMempool(8, 2048)
-	port, err := NewPort(PortConfig{
-		Queues: 1, QueueDepth: 2, Pool: pool,
-		Policy: Block, BlockTimeout: 10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame := buildSYN(t, "10.0.0.1", "10.0.0.2", 1, 2)
-	port.Inject(frame, 1)
-	port.Inject(frame, 2)
-	start := time.Now()
-	st := port.Inject(frame, 3) // queue full, nobody draining
-	if st != InjectDropped {
-		t.Fatalf("status = %v", st)
-	}
-	if elapsed := time.Since(start); elapsed < 10*time.Millisecond {
-		t.Fatalf("gave up after %v, before the deadline", elapsed)
-	}
-	if s := port.Stats(); s.Ipackets != 2 || s.Imissed != 1 {
-		t.Fatalf("stats: %+v", s)
-	}
-	if pool.Available() != pool.Size()-2 {
-		t.Fatal("dropped frame leaked its buffer")
-	}
-}
-
 func TestStopUnblocksBlockedInjection(t *testing.T) {
-	// Port.Stop must abort an indefinite (no-deadline) block wait — the
-	// shutdown path when the consumers that would make room are gone.
+	// Port.Stop must abort a block wait — the shutdown path when the
+	// consumers that would make room are gone.
 	pool := NewMempool(8, 2048)
 	port, err := NewPort(PortConfig{Queues: 1, QueueDepth: 2, Pool: pool, Policy: Block})
 	if err != nil {
 		t.Fatal(err)
 	}
 	frame := buildSYN(t, "10.0.0.1", "10.0.0.2", 1, 2)
-	port.Inject(frame, 1)
-	port.Inject(frame, 2) // queue now full, nobody draining
-	done := make(chan InjectStatus, 1)
-	go func() { done <- port.Inject(frame, 3) }()
+	inject(port, frame, 1)
+	inject(port, frame, 2) // queue now full, nobody draining
+	done := make(chan bool, 1)
+	go func() { done <- inject(port, frame, 3) }()
 	time.Sleep(10 * time.Millisecond)
 	port.Stop()
 	select {
-	case st := <-done:
-		if st != InjectDropped {
-			t.Fatalf("status = %v, want InjectDropped", st)
+	case ok := <-done:
+		if st := port.Stats(); ok || st.Ipackets != 2 || st.Imissed != 1 {
+			t.Fatalf("enqueued %v, stats %+v; want the frame dropped and counted once", ok, st)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Stop did not unblock the injection")
@@ -687,8 +611,8 @@ func TestBlockWaitsForMempoolWithoutFailureCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	frame := buildSYN(t, "10.0.0.1", "10.0.0.2", 1, 2)
-	if st := port.Inject(frame, 1); !st.OK() {
-		t.Fatalf("first inject: %v", st)
+	if !inject(port, frame, 1) {
+		t.Fatalf("first inject refused: %+v", port.Stats())
 	}
 	go func() {
 		time.Sleep(5 * time.Millisecond)
@@ -697,8 +621,8 @@ func TestBlockWaitsForMempoolWithoutFailureCount(t *testing.T) {
 			bufs[0].Free() // return the only buffer to the pool
 		}
 	}()
-	if st := port.Inject(frame, 2); st != InjectOK {
-		t.Fatalf("blocked inject: %v", st)
+	if !inject(port, frame, 2) {
+		t.Fatalf("blocked inject refused: %+v", port.Stats())
 	}
 	if af := pool.AllocFailures(); af != 0 {
 		t.Fatalf("lossless run counted %d alloc failures", af)
@@ -718,8 +642,8 @@ func TestBlockPolicyUnblocksWhenDrained(t *testing.T) {
 		t.Fatal(err)
 	}
 	frame := buildSYN(t, "10.0.0.1", "10.0.0.2", 1, 2)
-	port.Inject(frame, 1)
-	port.Inject(frame, 2)
+	inject(port, frame, 1)
+	inject(port, frame, 2)
 	go func() {
 		time.Sleep(5 * time.Millisecond)
 		bufs := make([]*Buf, 1)
@@ -728,8 +652,8 @@ func TestBlockPolicyUnblocksWhenDrained(t *testing.T) {
 			bufs[0].Free()
 		}
 	}()
-	if st := port.Inject(frame, 3); st != InjectOK {
-		t.Fatalf("status = %v", st)
+	if !inject(port, frame, 3) {
+		t.Fatalf("blocked inject refused: %+v", port.Stats())
 	}
 	if s := port.Stats(); s.Ipackets != 3 || s.Imissed != 0 {
 		t.Fatalf("stats: %+v", s)
@@ -848,35 +772,9 @@ func TestClassifyMatchesHashTuple(t *testing.T) {
 	}
 }
 
-func BenchmarkInjectRx(b *testing.B) {
-	pool := NewMempool(4096, 2048)
-	port, _ := NewPort(PortConfig{Queues: 1, QueueDepth: 2048, Pool: pool})
-	frame := buildSYN(b, "10.0.0.1", "10.0.0.2", 1234, 80)
-	src := netip.MustParseAddr("10.0.0.1")
-	dst := netip.MustParseAddr("10.0.0.2")
-	bufs := make([]*Buf, 32)
-	b.ReportAllocs()
-	b.SetBytes(int64(len(frame)))
-	for i := 0; i < b.N; i++ {
-		port.InjectTuple(frame, int64(i), src, dst, 1234, 80)
-		if i%32 == 31 {
-			n, _ := port.RxBurst(0, bufs)
-			for j := 0; j < n; j++ {
-				bufs[j].Free()
-			}
-		}
-	}
-	b.StopTimer()
-	n, _ := port.RxBurst(0, bufs)
-	for j := 0; j < n; j++ {
-		bufs[j].Free()
-	}
-}
-
 func BenchmarkInjectBurst(b *testing.B) {
-	// The burst counterpart of BenchmarkInjectRx: 32-frame batches through
-	// InjectBurst, drained with RxBurst. One ring round-trip per batch per
-	// queue instead of one per frame.
+	// 32-frame batches through InjectBurst, drained with RxBurst: one ring
+	// round-trip per batch per queue instead of one per frame.
 	const burst = 32
 	pool := NewMempool(4096, 2048)
 	port, _ := NewPort(PortConfig{Queues: 1, QueueDepth: 2048, Pool: pool})

@@ -1,75 +1,27 @@
 package pcap
 
-import (
-	"context"
-	"errors"
-	"io"
-	"time"
+import "ruru/internal/nic"
 
-	"ruru/internal/nic"
-)
-
-// ReplayOptions configures ReplayToPort.
-type ReplayOptions struct {
-	// Burst is the number of frames injected per InjectBurst (default 64).
-	Burst int
-	// Pace replays the capture against the wall clock: frame N is
-	// injected no earlier than its offset from the first frame's
-	// timestamp. Without pacing the capture streams as fast as the port
-	// accepts it.
-	Pace bool
-}
-
-// ReplayToPort streams a capture into a port in bursts, the batched
-// counterpart of a per-packet Inject loop. Timestamps are rebased so the
-// first frame is at 0 on the port's clock. The number of frames the port
-// accepted is returned; the difference from the capture's record count
-// shows up in the port's Imissed/Ierrors/NoMbuf counters.
-//
-// Replay honours the port's overflow policy: on a Block-policy port the
-// replay is lossless (injection waits for the pipeline), on a Drop port it
-// behaves like a NIC under overload. Returns ctx.Err() when cancelled
-// mid-capture.
-func ReplayToPort(ctx context.Context, r *Reader, port *nic.Port, opts ReplayOptions) (int, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	s := nic.NewBurstStager(port, opts.Burst)
+// Source returns the capture as a nic.Drive source: each call fills in the
+// next record's bytes and timestamp, rebased so that the first record is at
+// 0 on the port's clock, and io.EOF follows the last record. A capture cut
+// short mid-record ends with ErrTruncated, which Drive returns with the
+// count of what it replayed. The bytes alias the reader's buffer; Drive
+// copies them before the next call.
+func (r *Reader) Source() func(*nic.Frame) error {
 	var (
-		pk    Packet
-		first int64 = -1
-		start       = time.Now()
+		p       Packet
+		first   int64
+		started bool
 	)
-	for {
-		if err := ctx.Err(); err != nil {
-			s.Flush()
-			return s.Accepted(), err
+	return func(f *nic.Frame) error {
+		if err := r.ReadPacket(&p); err != nil {
+			return err
 		}
-		err := r.ReadPacket(&pk)
-		if errors.Is(err, io.EOF) {
-			s.Flush()
-			return s.Accepted(), nil
+		if !started {
+			first, started = p.Timestamp, true
 		}
-		if err != nil {
-			s.Flush()
-			return s.Accepted(), err
-		}
-		if first < 0 {
-			first = pk.Timestamp
-		}
-		rel := pk.Timestamp - first
-		if opts.Pace {
-			// Flush what's pending before sleeping so earlier frames go
-			// out on time, then wait until this frame is due.
-			if ahead := rel - time.Since(start).Nanoseconds(); ahead > 2e6 {
-				s.Flush()
-				select {
-				case <-time.After(time.Duration(ahead)):
-				case <-ctx.Done():
-					return s.Accepted(), ctx.Err()
-				}
-			}
-		}
-		s.Add(pk.Data, rel)
+		f.Data, f.TS = p.Data, p.Timestamp-first
+		return nil
 	}
 }

@@ -48,11 +48,11 @@ func TestReplayToPort(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := nic.NewMempool(1024, 2048)
-	port, err := nic.NewPort(nic.PortConfig{Queues: 2, QueueDepth: 512, Pool: pool})
+	port, err := nic.NewPort(nic.PortConfig{Queues: 2, QueueDepth: 512, Pool: pool, Policy: nic.Block})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := ReplayToPort(context.Background(), r, port, ReplayOptions{Burst: 32})
+	n, err := nic.Drive(context.Background(), port, 32, false, r.Source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestReplayToPortCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ReplayToPort(ctx, r, port, ReplayOptions{}); err != context.Canceled {
+	if _, err := nic.Drive(ctx, port, 0, false, r.Source()); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -125,7 +125,7 @@ func TestReplayToPortDropOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := ReplayToPort(context.Background(), r, port, ReplayOptions{Burst: 50})
+	n, err := nic.Drive(context.Background(), port, 50, false, r.Source())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -654,7 +654,7 @@ func replayGolden(t *testing.T, w *geo.World, path string, oracle *goldenOracle,
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := pcap.ReplayToPort(ctx, r, p.Port, pcap.ReplayOptions{Burst: 16})
+	n, err := nic.Drive(ctx, p.Port, 16, false, r.Source())
 	if oracle.Truncated {
 		if !errors.Is(err, pcap.ErrTruncated) {
 			t.Fatalf("replay err = %v, want ErrTruncated", err)

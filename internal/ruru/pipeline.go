@@ -6,9 +6,9 @@
 //	                                        anomaly detectors, arc feed }
 //
 // This is the public-facing entry point a downstream user embeds: construct
-// a Pipeline, inject traffic into Pipeline.Port (from the generator, a pcap
-// trace, or any frame source), and consume results from the TSDB, the
-// WebSocket hub, the HTTP API, or the anomaly event streams.
+// a Pipeline, drive traffic into Pipeline.Port with nic.Drive (from the
+// generator, a pcap trace, or any frame source), and consume results from
+// the TSDB, the WebSocket hub, the HTTP API, or the anomaly event streams.
 package ruru
 
 import (
@@ -40,23 +40,18 @@ type Config struct {
 
 	// Queues is the number of RSS queues / measurement cores (default 4).
 	Queues int
-	// QueueDepth is the per-queue ring size (default 4096).
-	QueueDepth int
 	// Burst is the RxBurst size (default 64).
 	Burst int
-	// Poll tunes the measurement workers' adaptive idle ladder
-	// (spin → yield → 1 ms sleeps; zero values get defaults).
-	Poll core.PollConfig
 
 	// Overflow selects what injection does when an RX queue is full:
 	// nic.Drop (default, NIC-faithful: frame lost, counted Imissed) or
-	// nic.Block (lossless sources: injection waits for queue space).
+	// nic.Block (lossless sources: injection waits for queue space until
+	// the port is stopped).
 	Overflow nic.OverflowPolicy
-	// BlockTimeout bounds how long Block-policy injection waits (zero:
-	// indefinitely).
-	BlockTimeout time.Duration
 
-	// HandshakeTimeout evicts incomplete handshakes (default 10s).
+	// HandshakeTimeout evicts incomplete handshakes, in nanoseconds
+	// (default 10s). When set it is also both continuous-RTT trackers'
+	// idle timeout; when zero the trackers keep their own 60s default.
 	HandshakeTimeout int64
 
 	// FlowTableBytes, when > 0, enables the bounded-memory sketch tier
@@ -170,6 +165,7 @@ const pairTopKeys = 256
 const (
 	poolSize      = 16384   // packet mempool buffers
 	bufSize       = 2048    // bytes per packet buffer
+	queueDepth    = 4096    // per-queue RX ring slots: one idle sleep's arrivals at 2 Mpps
 	tableCapacity = 1 << 16 // per-queue slots in each flow table
 	enrichWorkers = 4       // analytics pool size
 	hubQueue      = 256     // per-WebSocket-client queue depth
@@ -205,7 +201,7 @@ type Pipeline struct {
 	cfg Config
 
 	Pool     *nic.Mempool        // packet buffer pool shared by all queues
-	Port     *nic.Port           // ingest: Inject*/RxBurst and per-queue stats
+	Port     *nic.Port           // ingest: InjectBurst (via nic.Drive), RxBurst, per-queue stats
 	Engine   *core.Engine        // per-queue handshake measurement workers
 	Bus      *mq.Bus             // PUB/SUB bus carrying raw + enriched topics
 	Enricher *analytics.Enricher // geo/AS enrichment worker pool
@@ -277,9 +273,6 @@ func New(cfg Config) (*Pipeline, error) {
 	if cfg.Queues <= 0 {
 		cfg.Queues = 4
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 4096
-	}
 	if cfg.SinkWorkers <= 0 {
 		cfg.SinkWorkers = 4
 	}
@@ -294,8 +287,8 @@ func New(cfg Config) (*Pipeline, error) {
 	p.Pool = nic.NewMempool(poolSize, bufSize)
 	var err error
 	p.Port, err = nic.NewPort(nic.PortConfig{
-		Queues: cfg.Queues, QueueDepth: cfg.QueueDepth, Pool: p.Pool,
-		Policy: cfg.Overflow, BlockTimeout: cfg.BlockTimeout,
+		Queues: cfg.Queues, QueueDepth: queueDepth, Pool: p.Pool,
+		Policy: cfg.Overflow,
 	})
 	if err != nil {
 		return nil, err
@@ -315,7 +308,6 @@ func New(cfg Config) (*Pipeline, error) {
 			OnExpire: p.onExpire,
 		},
 		Burst: cfg.Burst,
-		Poll:  cfg.Poll,
 	}
 	if cfg.TrackTimestamps {
 		engCfg.TSSink = core.TSSinkFunc(p.onTSSample)

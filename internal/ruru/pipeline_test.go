@@ -29,6 +29,17 @@ func newWorld(t testing.TB) *geo.World {
 	return w
 }
 
+// drive streams g's trace into p's port and returns how many frames the
+// port accepted: all of them on a Block-policy port.
+func drive(t testing.TB, p *Pipeline, g *gen.Generator) int {
+	t.Helper()
+	n, err := nic.Drive(context.Background(), p.Port, 0, false, g.Source())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("nil GeoDB accepted")
@@ -36,17 +47,16 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestPipelineBackpressureKnobs(t *testing.T) {
-	// The full pipeline assembled with every new ingest knob: Block
-	// overflow (lossless source), tuned adaptive polling, burst drive. Deliberately small queues so the source
-	// actually backpressures, which under Drop would lose frames.
+	// The full pipeline assembled with the ingest knobs that remain: Block
+	// overflow (lossless source) and a poll burst smaller than the drive's,
+	// so the source can outrun the workers, which under Drop would lose
+	// frames.
 	w := newWorld(t)
 	p, err := New(Config{
 		GeoDB:            w.DB(),
 		Queues:           2,
-		QueueDepth:       64,
 		Burst:            16,
 		Overflow:         nic.Block,
-		Poll:             core.PollConfig{Spin: 8, Yield: 4, Sleep: 20 * time.Microsecond},
 		HandshakeTimeout: 60e9,
 	})
 	if err != nil {
@@ -67,7 +77,10 @@ func TestPipelineBackpressureKnobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	injected := g.RunToPortBurst(p.Port, 32)
+	injected, err := nic.Drive(ctx, p.Port, 32, false, g.Source())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if injected == 0 {
 		t.Fatal("nothing injected")
 	}
@@ -100,23 +113,16 @@ func TestPipelineBackpressureKnobs(t *testing.T) {
 		t.Fatalf("port saw %d packets, injected %d", st.Port.Ipackets, injected)
 	}
 	// The per-queue snapshot must account for every packet and expose the
-	// ring introspection (the tiny queues must have hit their watermark).
+	// ring introspection.
 	var perQueue uint64
-	sawPressure := false
 	for _, qs := range st.Queues {
 		perQueue += qs.Ipackets
-		if qs.Capacity != 64 {
-			t.Fatalf("queue capacity %d, want 64", qs.Capacity)
-		}
-		if qs.Watermark == qs.Capacity {
-			sawPressure = true
+		if qs.Capacity != queueDepth || qs.Watermark == 0 || qs.Watermark > qs.Capacity {
+			t.Fatalf("queue %+v, want capacity %d and a watermark within it", qs, queueDepth)
 		}
 	}
 	if perQueue != st.Port.Ipackets {
 		t.Fatalf("per-queue sum %d != port total %d", perQueue, st.Port.Ipackets)
-	}
-	if !sawPressure {
-		t.Logf("note: no queue ever filled (watermarks %+v)", st.Queues)
 	}
 }
 
@@ -125,6 +131,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 	p, err := New(Config{
 		GeoDB:            w.DB(),
 		Queues:           4,
+		Overflow:         nic.Block,
 		HandshakeTimeout: 60e9,
 	})
 	if err != nil {
@@ -146,7 +153,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	injected := g.RunToPort(p.Port, false)
+	injected := drive(t, p, g)
 	if injected == 0 {
 		t.Fatal("nothing injected")
 	}
@@ -228,7 +235,7 @@ func TestCloseReleasesPacketArena(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return g.RunToPort(p.Port, false)
+		return drive(t, p, g)
 	}
 
 	// Run to completion, then Close: every buffer is home, the arena goes.
@@ -248,7 +255,7 @@ func TestCloseReleasesPacketArena(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if p.Pool.Get() != nil {
+	if p.Port.InjectBurst([]nic.Frame{{Data: make([]byte, 64)}}) != 0 || p.Pool.Available() != 0 {
 		t.Fatal("pool still hands out buffers after Close")
 	}
 
@@ -282,7 +289,7 @@ func TestCloseReleasesPacketArena(t *testing.T) {
 
 func TestPipelineGroupByCityQueries(t *testing.T) {
 	w := newWorld(t)
-	p, err := New(Config{GeoDB: w.DB(), Queues: 2, HandshakeTimeout: 60e9})
+	p, err := New(Config{GeoDB: w.DB(), Queues: 2, Overflow: nic.Block, HandshakeTimeout: 60e9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +307,7 @@ func TestPipelineGroupByCityQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.RunToPort(p.Port, false)
+	drive(t, p, g)
 	completing := 0
 	for _, tr := range g.Truths() {
 		if tr.Completes {
@@ -455,7 +462,7 @@ func TestPipelinePcapRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p, err := New(Config{GeoDB: w.DB(), Queues: 2, HandshakeTimeout: 60e9})
+	p, err := New(Config{GeoDB: w.DB(), Queues: 2, Overflow: nic.Block, HandshakeTimeout: 60e9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,21 +475,9 @@ func TestPipelinePcapRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rp pcap.Packet
-	injected := 0
-	for {
-		if err := r.ReadPacket(&rp); err != nil {
-			break
-		}
-		for {
-			before := p.Port.Stats()
-			p.Port.Inject(rp.Data, rp.Timestamp)
-			after := p.Port.Stats()
-			if after.Ipackets > before.Ipackets || after.Ierrors > before.Ierrors {
-				break
-			}
-		}
-		injected++
+	injected, err := nic.Drive(ctx, p.Port, 0, false, r.Source())
+	if err != nil {
+		t.Fatal(err)
 	}
 	completing := 0
 	g2 := mkGen()
@@ -507,7 +502,7 @@ func TestPipelinePcapRoundTrip(t *testing.T) {
 func TestPipelineWebSocketLiveFeedFromPackets(t *testing.T) {
 	// Full path: packets → engine → bus → enricher → hub → real WS client.
 	w := newWorld(t)
-	p, err := New(Config{GeoDB: w.DB(), Queues: 2, HandshakeTimeout: 60e9})
+	p, err := New(Config{GeoDB: w.DB(), Queues: 2, Overflow: nic.Block, HandshakeTimeout: 60e9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +530,7 @@ func TestPipelineWebSocketLiveFeedFromPackets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go g.RunToPort(p.Port, false)
+	go nic.Drive(ctx, p.Port, 0, false, g.Source())
 
 	// Frames are JSON arrays: each sink worker coalesces up to SinkBatch
 	// measurements per broadcast.
@@ -570,7 +565,7 @@ func TestPipelineContinuousRTT(t *testing.T) {
 	// "rtt_stream" points in the TSDB.
 	w := newWorld(t)
 	p, err := New(Config{
-		GeoDB: w.DB(), Queues: 2, HandshakeTimeout: 60e9,
+		GeoDB: w.DB(), Queues: 2, Overflow: nic.Block, HandshakeTimeout: 60e9,
 		TrackTimestamps: true,
 	})
 	if err != nil {
@@ -590,7 +585,7 @@ func TestPipelineContinuousRTT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.RunToPort(p.Port, false)
+	drive(t, p, g)
 
 	deadline := time.After(15 * time.Second)
 	for p.Stats().TSSamples < 100 {
@@ -661,6 +656,7 @@ func TestPipelineFloodDetectionViaExpiry(t *testing.T) {
 	p, err := New(Config{
 		GeoDB:            w.DB(),
 		Queues:           2,
+		Overflow:         nic.Block,
 		HandshakeTimeout: 1e9,
 		Flood: anomaly.FloodConfig{
 			BucketNs: 1e9, MinCount: 100, Ratio: 6, WarmupBuckets: 2,
@@ -687,7 +683,7 @@ func TestPipelineFloodDetectionViaExpiry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.RunToPort(p.Port, false)
+	drive(t, p, g)
 
 	// Wait until the engine has drained and evicted the flood entries.
 	deadline := time.After(15 * time.Second)

@@ -103,7 +103,7 @@ func TestGoldenSketchTightCap(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := pcap.ReplayToPort(ctx, r, p.Port, pcap.ReplayOptions{Burst: 16}); err != nil {
+			if _, err := nic.Drive(ctx, p.Port, 16, false, r.Source()); err != nil {
 				t.Fatalf("replay: %v", err)
 			}
 

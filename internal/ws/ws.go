@@ -251,7 +251,8 @@ func (c *Conn) readHeader(h *frameHeader) error {
 // ReadMessage returns the next complete data message (reassembling
 // fragments) and its opcode (OpText or OpBinary). Control frames are
 // handled transparently: pings are answered, pongs ignored; a close frame
-// completes the close handshake and returns ErrClosed.
+// completes the close handshake and returns ErrClosed. A control frame
+// longer than 125 bytes or without FIN is ErrBadFrame.
 func (c *Conn) ReadMessage() (Opcode, []byte, error) {
 	var (
 		msg    []byte
@@ -266,6 +267,12 @@ func (c *Conn) ReadMessage() (Opcode, []byte, error) {
 		if c.server && !h.masked && h.length > 0 {
 			return 0, nil, ErrUnmaskedClient
 		}
+		if h.opcode >= OpClose && (!h.fin || h.length > 125) {
+			// RFC 6455 §5.5: a control frame carries at most 125 bytes and
+			// is never fragmented. Refused before its payload is read, so
+			// a ping can cost neither a 1 MiB buffer nor a 1 MiB pong.
+			return 0, nil, ErrBadFrame
+		}
 		if h.length > int64(c.MaxMessage) || int64(len(msg))+h.length > int64(c.MaxMessage) {
 			return 0, nil, ErrMessageTooBig
 		}
@@ -278,16 +285,10 @@ func (c *Conn) ReadMessage() (Opcode, []byte, error) {
 		}
 		switch h.opcode {
 		case OpPing:
-			if !h.fin {
-				return 0, nil, ErrBadFrame
-			}
 			if err := c.writeFrame(OpPong, payload, true); err != nil {
 				return 0, nil, err
 			}
 		case OpPong:
-			if !h.fin {
-				return 0, nil, ErrBadFrame
-			}
 			// keepalive response; ignore
 		case OpClose:
 			// Echo the close and report.
