@@ -8,7 +8,7 @@
 //	ruru-query -addr localhost:8080 anomalies
 //	ruru-query -addr localhost:8080 -n 5 arcs
 //
-// Against a federation aggregator (ruru -mode aggregate) every series
+// Against a federation aggregator (ruru -fed-listen) every series
 // carries the probe tag, so fleet queries are ordinary tag queries:
 //
 //	ruru-query -addr agg:8080 -group probe query            # one series per probe

@@ -56,11 +56,10 @@ type options struct {
 	rollups  []tsdb.RollupTier
 	persist  tsdb.PersistOptions
 
-	// Federation.
-	mode       string
-	remoteAddr string
-	remote     fed.ProbeConfig
-	federate   fed.AggConfig
+	// Federation: a non-empty remote.Addr makes this process a probe, a
+	// non-empty federate.Listen an aggregator with no local traffic source.
+	remote   fed.ProbeConfig
+	federate fed.AggConfig
 }
 
 // parseFlags parses args into a validated options value. hostname supplies
@@ -89,14 +88,10 @@ func parseFlags(name string, args []string, hostname func() (string, error)) (*o
 		dataDir    = fs.String("data-dir", "", "durable TSDB storage in this directory (WAL + checkpoints, restored on start); empty = in-memory")
 		fsyncMode  = fs.String("fsync", "interval", "WAL fsync policy with -data-dir: always (durable before a write returns), interval (background fsync, default), off (OS page cache only)")
 		ckptEvery  = fs.Duration("checkpoint-every", time.Minute, "automatic checkpoint + WAL-truncate period with -data-dir (0 = manual only, via POST /api/checkpoint)")
-		walSegMax  = fs.Int64("wal-segment-bytes", 0, "max WAL segment file size with -data-dir (0 = 64MiB default)")
-		mode       = fs.String("mode", "run", "run (standalone), probe (stream measurements to -remote-write), aggregate (accept probes on -fed-listen, no local traffic source)")
-		remoteAddr = fs.String("remote-write", "", "aggregator address to stream measurements to (required with -mode probe)")
+		remoteAddr = fs.String("remote-write", "", "federation probe: stream every measurement to the aggregator at this address")
 		probeID    = fs.String("probe-id", "", "stable probe identity for federation (default: hostname); the aggregator tags this probe's series probe=<id>")
 		spoolDir   = fs.String("spool-dir", "", "unacked-batch spool directory for -remote-write (default: <data-dir>/spool, or ./ruru-spool in-memory)")
-		remBatch   = fs.Int("remote-batch", 256, "measurements per remote-write batch")
-		remFlush   = fs.Duration("remote-flush", 200*time.Millisecond, "max wait before a partial remote-write batch is sent")
-		fedListen  = fs.String("fed-listen", ":9100", "federation listen address with -mode aggregate")
+		fedListen  = fs.String("fed-listen", "", "federation aggregator: accept probes on this address and store their measurements, with no local traffic source")
 	)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -111,7 +106,7 @@ func parseFlags(name string, args []string, hostname func() (string, error)) (*o
 		timestamps: *timestamps, trackSeq: *trackSeq, oneDir: *oneDir,
 		snapshot: *snapshot, burst: *burst,
 		sinkWk: *sinkWk, sinkBatch: *sinkBatch, dbStripes: *dbStripes,
-		dataDir: *dataDir, mode: *mode, remoteAddr: *remoteAddr,
+		dataDir: *dataDir,
 	}
 
 	var err error
@@ -139,7 +134,7 @@ func parseFlags(name string, args []string, hostname func() (string, error)) (*o
 	if *dataDir != "" {
 		o.persist = tsdb.PersistOptions{
 			Dir: *dataDir, Fsync: fsync,
-			CheckpointEvery: *ckptEvery, MaxSegmentBytes: *walSegMax,
+			CheckpointEvery: *ckptEvery,
 		}
 		if *ckptEvery == 0 {
 			o.persist.CheckpointEvery = -1 // flag 0 means "manual only"
@@ -155,17 +150,10 @@ func parseFlags(name string, args []string, hostname func() (string, error)) (*o
 		return nil, fmt.Errorf("unknown -overflow %q (want drop or block)", *overflow)
 	}
 
-	switch *mode {
-	case "run":
-	case "probe":
-		if *remoteAddr == "" {
-			return nil, fmt.Errorf("-mode probe requires -remote-write <aggregator addr>")
-		}
-	case "aggregate":
-		o.federate.Listen = *fedListen
-	default:
-		return nil, fmt.Errorf("unknown -mode %q (want run, probe or aggregate)", *mode)
+	if *fedListen != "" && *remoteAddr != "" {
+		return nil, fmt.Errorf("-fed-listen and -remote-write are exclusive (an aggregator has no local measurements to forward)")
 	}
+	o.federate.Listen = *fedListen
 	if *remoteAddr != "" {
 		id := *probeID
 		if id == "" {
@@ -181,10 +169,7 @@ func parseFlags(name string, args []string, hostname func() (string, error)) (*o
 				dir = "ruru-spool"
 			}
 		}
-		o.remote = fed.ProbeConfig{
-			Addr: *remoteAddr, ID: id, SpoolDir: dir,
-			BatchSize: *remBatch, FlushEvery: *remFlush,
-		}
+		o.remote = fed.ProbeConfig{Addr: *remoteAddr, ID: id, SpoolDir: dir}
 	}
 	return o, nil
 }

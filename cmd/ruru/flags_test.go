@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"ruru/internal/fed"
 	"ruru/internal/nic"
 	"ruru/internal/tsdb"
 )
@@ -31,8 +32,12 @@ func TestFlagParsing(t *testing.T) {
 				if o.overflow != nic.Drop {
 					t.Errorf("default overflow = %v, want Drop", o.overflow)
 				}
-				if o.mode != "run" || o.listen != ":8080" || o.queues != 4 {
-					t.Errorf("defaults: mode=%q listen=%q queues=%d", o.mode, o.listen, o.queues)
+				if o.listen != ":8080" || o.queues != 4 {
+					t.Errorf("defaults: listen=%q queues=%d", o.listen, o.queues)
+				}
+				// Standalone: neither federation role without its address.
+				if o.federate.Listen != "" || o.remote.Addr != "" {
+					t.Errorf("federation on by default: federate=%+v remote=%+v", o.federate, o.remote)
 				}
 				if len(o.rollups) == 0 {
 					t.Error("default rollups empty, want the 1s/10s/1m ladder")
@@ -112,17 +117,23 @@ func TestFlagParsing(t *testing.T) {
 			},
 		},
 		{
+			// -remote-write alone makes a probe that keeps its local source;
+			// batch size and flush period are left to the fed defaults.
 			name: "probe mode with explicit id",
-			args: []string{"-mode", "probe", "-remote-write", "agg:9100", "-probe-id", "akl-1"},
+			args: []string{"-remote-write", "agg:9100", "-probe-id", "akl-1"},
 			check: func(t *testing.T, o *options) {
-				if o.remote.Addr != "agg:9100" || o.remote.ID != "akl-1" || o.remote.SpoolDir != "ruru-spool" {
-					t.Errorf("remote = %+v", o.remote)
+				want := fed.ProbeConfig{Addr: "agg:9100", ID: "akl-1", SpoolDir: "ruru-spool"}
+				if o.remote != want {
+					t.Errorf("remote = %+v, want %+v", o.remote, want)
+				}
+				if o.federate.Listen != "" {
+					t.Errorf("a probe must keep its traffic source: federate = %+v", o.federate)
 				}
 			},
 		},
 		{
 			name: "probe id defaults to hostname, spool under data-dir",
-			args: []string{"-mode", "probe", "-remote-write", "agg:9100", "-data-dir", "/tmp/x"},
+			args: []string{"-remote-write", "agg:9100", "-data-dir", "/tmp/x"},
 			check: func(t *testing.T, o *options) {
 				if o.remote.ID != "test-host" || o.remote.SpoolDir != "/tmp/x/spool" {
 					t.Errorf("remote = %+v", o.remote)
@@ -130,11 +141,26 @@ func TestFlagParsing(t *testing.T) {
 			},
 		},
 		{
+			// -fed-listen alone is the aggregator role: no local traffic
+			// source, no remote-write.
 			name: "aggregate mode",
-			args: []string{"-mode", "aggregate", "-fed-listen", ":9200"},
+			args: []string{"-fed-listen", ":9200"},
 			check: func(t *testing.T, o *options) {
 				if o.federate.Listen != ":9200" {
 					t.Errorf("federate = %+v", o.federate)
+				}
+				if o.remote.Addr != "" {
+					t.Errorf("aggregator also remote-writes: %+v", o.remote)
+				}
+			},
+		},
+		{
+			// -probe-id names a probe but does not make one.
+			name: "probe without remote-write",
+			args: []string{"-probe-id", "akl-1"},
+			check: func(t *testing.T, o *options) {
+				if o.remote.Addr != "" || o.federate.Listen != "" {
+					t.Errorf("remote = %+v, federate = %+v; want standalone", o.remote, o.federate)
 				}
 			},
 		},
@@ -188,9 +214,10 @@ func TestFlagParsing(t *testing.T) {
 		{name: "bad query cache", args: []string{"-query-cache-bytes", "much"}, wantErr: "bad -query-cache-bytes"},
 		{name: "bad overflow", args: []string{"-overflow", "spill"}, wantErr: "unknown -overflow"},
 		{name: "bad fsync", args: []string{"-fsync", "sometimes"}, wantErr: "unknown -fsync"},
-		{name: "bad mode", args: []string{"-mode", "relay"}, wantErr: "unknown -mode"},
+		// -mode is not a flag: the role comes from the addresses.
+		{name: "bad mode", args: []string{"-mode", "aggregate"}, wantErr: "not defined"},
 		{name: "bad rollup", args: []string{"-rollup", "nope"}, wantErr: "bad -rollup"},
-		{name: "probe without remote-write", args: []string{"-mode", "probe"}, wantErr: "-mode probe requires"},
+		{name: "aggregator and probe exclusive", args: []string{"-fed-listen", ":9200", "-remote-write", "agg:9100"}, wantErr: "exclusive"},
 		{name: "positional args rejected", args: []string{"trailing"}, wantErr: "unexpected argument"},
 	}
 	for _, tc := range cases {

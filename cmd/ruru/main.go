@@ -3,19 +3,20 @@
 // enriches with geo/AS data, stores into the embedded TSDB, and serves the
 // HTTP API and WebSocket live feed — the paper's deployment in one process.
 //
-// Beyond the single-tap deployment, -mode assembles federated fleets: a
-// "probe" additionally streams every measurement to a central aggregator
-// (acked, spooled, replayed across restarts), and an "aggregate" process
-// accepts N probes and serves the fleet-wide store, every series tagged
-// probe=<id>.
+// Beyond the single-tap deployment, the federation addresses assemble
+// fleets: -remote-write makes the process a probe that additionally streams
+// every measurement to a central aggregator (acked, spooled, replayed across
+// restarts), and -fed-listen makes it that aggregator, which has no local
+// traffic source, accepts N probes and serves the fleet-wide store, every
+// series tagged probe=<id>.
 //
 // Examples:
 //
 //	ruru -listen :8080                          # synthetic AKL↔LA traffic
 //	ruru -listen :8080 -pcap trace.pcap         # replay a capture
 //	ruru -listen :8080 -rate 2000 -duration 60s # heavier synthetic load
-//	ruru -mode aggregate -fed-listen :9100      # central aggregator
-//	ruru -mode probe -remote-write agg:9100 -probe-id akl-tap-1
+//	ruru -fed-listen :9100                      # central aggregator
+//	ruru -remote-write agg:9100 -probe-id akl-tap-1
 package main
 
 import (
@@ -115,7 +116,7 @@ func main() {
 	if p.Agg != nil {
 		log.Printf("ruru: federation aggregator on %s (probes tagged %q)", p.Agg.Addr(), "probe")
 	}
-	if opt.remoteAddr != "" {
+	if p.Remote != nil {
 		log.Printf("ruru: remote-writing to %s as probe %q (spool %s)",
 			opt.remote.Addr, opt.remote.ID, opt.remote.SpoolDir)
 	}
@@ -181,8 +182,9 @@ func main() {
 		}
 	}()
 
-	if opt.mode == "aggregate" {
-		// No local traffic source: measurements arrive from remote probes.
+	if opt.federate.Listen != "" {
+		// An aggregator has no local traffic source: measurements arrive
+		// from remote probes.
 	} else if opt.pcapPath != "" {
 		if err := replayPcap(ctx, opt.pcapPath, p.Port, opt.burst); err != nil {
 			log.Fatalf("replay: %v", err)

@@ -41,17 +41,26 @@ type Event struct {
 	Value, Baseline float64
 }
 
+// Settings no caller tunes.
+const (
+	// minMADNs floors the spike detector's MAD (1 ms) so ultra-stable
+	// baselines don't turn noise into alarms.
+	minMADNs = 1e6
+	// baselineAlpha is the EWMA weight of the flood and surge baselines.
+	baselineAlpha = 0.05
+	// maxSurgeKeys bounds the surge detector's per-key state; keys beyond
+	// it are not tracked.
+	maxSurgeKeys = 4096
+)
+
 // SpikeConfig tunes the latency spike detector.
 type SpikeConfig struct {
 	// Window is the number of recent samples forming the baseline
 	// (default 512).
 	Window int
 	// K is the robust z-score threshold: a sample is anomalous when
-	// |x - median| > K · max(MAD, MinMAD) (default 8).
+	// |x - median| > K · max(MAD, minMADNs) (default 8).
 	K float64
-	// MinMADNs floors the MAD so ultra-stable baselines don't turn noise
-	// into alarms (default 1 ms).
-	MinMADNs float64
 	// MinSamples before any detection fires (default 64).
 	MinSamples int
 }
@@ -77,9 +86,6 @@ func NewSpikeDetector(cfg SpikeConfig) *SpikeDetector {
 	if cfg.K <= 0 {
 		cfg.K = 8
 	}
-	if cfg.MinMADNs <= 0 {
-		cfg.MinMADNs = 1e6
-	}
 	if cfg.MinSamples <= 0 {
 		cfg.MinSamples = 64
 	}
@@ -95,10 +101,7 @@ func (d *SpikeDetector) Offer(ts int64, latencyNs int64) *Event {
 	x := float64(latencyNs)
 	if d.seen >= d.cfg.MinSamples {
 		med := d.window.Median()
-		mad := d.window.MAD()
-		if mad < d.cfg.MinMADNs {
-			mad = d.cfg.MinMADNs
-		}
+		mad := max(d.window.MAD(), minMADNs)
 		if x-med > d.cfg.K*mad { // one-sided: slow is anomalous, fast is fine
 			return &Event{
 				Time: ts, Kind: "latency_spike",
@@ -158,8 +161,6 @@ func (b *SpikeBank) Keys() int {
 type FloodConfig struct {
 	// BucketNs is the counting interval (default 1s).
 	BucketNs int64
-	// Alpha is the EWMA weight for the baseline (default 0.05).
-	Alpha float64
 	// Ratio: alarm when unanswered-SYN count exceeds Ratio × baseline
 	// (default 8) AND exceeds MinCount (default 100).
 	Ratio    float64
@@ -194,9 +195,6 @@ func NewFloodDetector(cfg FloodConfig) *FloodDetector {
 	if cfg.BucketNs <= 0 {
 		cfg.BucketNs = 1e9
 	}
-	if cfg.Alpha <= 0 {
-		cfg.Alpha = 0.05
-	}
 	if cfg.Ratio <= 0 {
 		cfg.Ratio = 8
 	}
@@ -207,7 +205,7 @@ func NewFloodDetector(cfg FloodConfig) *FloodDetector {
 		cfg.WarmupBuckets = 5
 	}
 	d := &FloodDetector{cfg: cfg}
-	d.baseline.Alpha = cfg.Alpha
+	d.baseline.Alpha = baselineAlpha
 	return d
 }
 
@@ -268,11 +266,9 @@ func (d *FloodDetector) Events() []Event { return d.events }
 // SurgeConfig tunes the connection-count detector (per location pair).
 type SurgeConfig struct {
 	BucketNs      int64   // default 1s
-	Alpha         float64 // default 0.05
 	Ratio         float64 // default 6
 	MinCount      float64 // default 50
 	WarmupBuckets int     // default 5
-	MaxKeys       int     // default 4096
 }
 
 // SurgeDetector counts completed connections per key (e.g. "src→dst" city
@@ -299,9 +295,6 @@ func NewSurgeDetector(cfg SurgeConfig) *SurgeDetector {
 	if cfg.BucketNs <= 0 {
 		cfg.BucketNs = 1e9
 	}
-	if cfg.Alpha <= 0 {
-		cfg.Alpha = 0.05
-	}
 	if cfg.Ratio <= 0 {
 		cfg.Ratio = 6
 	}
@@ -310,9 +303,6 @@ func NewSurgeDetector(cfg SurgeConfig) *SurgeDetector {
 	}
 	if cfg.WarmupBuckets <= 0 {
 		cfg.WarmupBuckets = 5
-	}
-	if cfg.MaxKeys <= 0 {
-		cfg.MaxKeys = 4096
 	}
 	return &SurgeDetector{cfg: cfg, perKey: make(map[string]*surgeState)}
 }
@@ -324,11 +314,11 @@ func (d *SurgeDetector) Observe(key string, ts int64) {
 	defer d.mu.Unlock()
 	st, ok := d.perKey[key]
 	if !ok {
-		if len(d.perKey) >= d.cfg.MaxKeys {
+		if len(d.perKey) >= maxSurgeKeys {
 			return
 		}
 		st = &surgeState{bucketStart: ts - ts%d.cfg.BucketNs}
-		st.baseline.Alpha = d.cfg.Alpha
+		st.baseline.Alpha = baselineAlpha
 		d.perKey[key] = st
 	}
 	for ts >= st.bucketStart+d.cfg.BucketNs {

@@ -411,10 +411,7 @@ func benchSinkConsume(b *testing.B) {
 		p.Run(ctx)
 	}()
 
-	accounted := func() uint64 {
-		st := p.Stats()
-		return st.DBPoints + st.SinkDrop + st.SinkDecodeErrors + st.DBDropped
-	}
+	accounted := func() uint64 { return p.Stats().Accounted() }
 	// Flow-control check only once per window: Stats() walks every stage,
 	// and probing it per message would throttle the producer enough to
 	// understate the drain rate being measured.

@@ -14,14 +14,14 @@ import (
 	"ruru/internal/tsdb"
 )
 
+// probeTag is the tag key every ingested series is stamped with. Queries
+// filter and group on it like any tag: where=probe:<id>, group_by=probe.
+const probeTag = "probe"
+
 // AggConfig configures the aggregator endpoint.
 type AggConfig struct {
 	// Listen is the TCP address probes dial (host:port, port 0 picks one).
 	Listen string
-	// ProbeTag is the tag key every ingested series is stamped with
-	// (default "probe"). Queries filter and group on it like any tag:
-	// where=probe:<id>, group_by=probe.
-	ProbeTag string
 	// MaxProbes caps DISTINCT probe identities (default 1024). The
 	// protocol is unauthenticated — deploy the listener on a trusted
 	// network — so without a cap any peer could grow the registry, the
@@ -126,9 +126,6 @@ type AggStats struct {
 func NewAggregator(cfg AggConfig, db *tsdb.DB) (*Aggregator, error) {
 	if cfg.Listen == "" {
 		return nil, errors.New("fed: AggConfig.Listen is required")
-	}
-	if cfg.ProbeTag == "" {
-		cfg.ProbeTag = "probe"
 	}
 	if cfg.MaxProbes <= 0 {
 		cfg.MaxProbes = 1024
@@ -360,7 +357,7 @@ func (a *Aggregator) refFor(ps *aggProbe, p *tsdb.Point) (tsdb.SeriesRef, error)
 		return ref, nil
 	}
 	tags := make([]tsdb.Tag, 0, len(p.Tags)+1)
-	tags = append(append(tags, p.Tags...), tsdb.Tag{Key: a.cfg.ProbeTag, Value: ps.id})
+	tags = append(append(tags, p.Tags...), tsdb.Tag{Key: probeTag, Value: ps.id})
 	fields := make([]string, len(p.Fields))
 	for i, f := range p.Fields {
 		fields[i] = f.Key

@@ -37,8 +37,8 @@
 // (aggregator restart while acks were in flight), the window between apply
 // and ack degrades to at-least-once — the standard two-generals residue.
 //
-// Backpressure. The probe bounds in-flight state by MaxUnacked batches and
-// MaxSpoolBytes on disk; past either bound the collector stops draining
+// Backpressure. The probe bounds in-flight state by maxUnacked batches and
+// maxSpoolBytes on disk; past either bound the collector stops draining
 // its bus subscription, measurements shed at the subscription HWM, and the
 // loss is visible in ProbeStats (Dropped) and ruru.Stats — never silent.
 package fed

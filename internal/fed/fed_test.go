@@ -376,6 +376,87 @@ func TestProbeCrashRecoveryResendsOnlyUnacked(t *testing.T) {
 	pr2.Close()
 }
 
+// TestProbeBackpressureBound runs the probe into its unacked bound with the
+// aggregator unreachable: the collector stops at maxUnacked batches, the
+// subscription fills to mq.DefaultHWM and sheds the rest into Dropped. Once
+// an aggregator comes up on the address, every spooled batch is applied
+// exactly once and the ledger closes: points batched + Dropped == published.
+func TestProbeBackpressureBound(t *testing.T) {
+	// Reserve an address nobody listens on until the aggregator starts.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	const batch = 4
+	bus := mq.NewBus()
+	defer bus.Close()
+	pr, err := NewProbe(ProbeConfig{
+		Addr: addr, ID: "bp", SpoolDir: t.TempDir(),
+		BatchSize: batch, FlushEvery: 10 * time.Millisecond,
+	}, bus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	runDone := make(chan struct{})
+	go func() { pr.Run(ctx); close(runDone) }()
+	defer func() {
+		cancel()
+		<-runDone
+		pr.Close()
+	}()
+
+	// At most maxUnacked full batches, one batch in the collector's hand
+	// and DefaultHWM queued messages can be absorbed; the surplus sheds.
+	const surplus = 100
+	published := (maxUnacked+1)*batch + mq.DefaultHWM + surplus
+	for i := 0; i < published; i++ {
+		publishEnriched(bus, i)
+	}
+	waitFor(t, 10*time.Second, "probe at its unacked bound", func() bool {
+		return pr.Stats().Unacked == maxUnacked
+	})
+	st := pr.Stats()
+	if st.Connected || st.BatchesSent != 0 {
+		t.Fatalf("probe reached an unreachable aggregator: %+v", st)
+	}
+	if st.LastSeq != maxUnacked {
+		t.Fatalf("LastSeq = %d, want %d (the collector must stop at the bound)", st.LastSeq, maxUnacked)
+	}
+	if st.Dropped < surplus {
+		t.Fatalf("Dropped = %d, want at least the %d-message surplus", st.Dropped, surplus)
+	}
+
+	db := tsdb.Open(tsdb.Options{})
+	defer db.Close()
+	agg, err := NewAggregator(AggConfig{Listen: addr}, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agg.Close()
+	waitFor(t, 15*time.Second, "spool drained and every message accounted", func() bool {
+		st := pr.Stats()
+		return st.Unacked == 0 && st.PointsOut+st.Dropped == uint64(published)
+	})
+	st = pr.Stats()
+	if st.AckedSeq != st.LastSeq || st.LastSeq <= maxUnacked {
+		t.Fatalf("acked %d of %d batches, want all and more than the %d held at the bound",
+			st.AckedSeq, st.LastSeq, maxUnacked)
+	}
+	ast := agg.Stats()
+	if ast.Batches != st.LastSeq || ast.DupBatches != 0 {
+		t.Fatalf("aggregator applied %d batches (%d dups), want %d exactly once",
+			ast.Batches, ast.DupBatches, st.LastSeq)
+	}
+	if ast.Points != st.PointsOut || countPoints(t, db, "bp") != int(st.PointsOut) {
+		t.Fatalf("aggregator applied %d points (%d queryable), probe batched %d",
+			ast.Points, countPoints(t, db, "bp"), st.PointsOut)
+	}
+}
+
 // TestDuplicateBatchDeduped drives the aggregator over a raw connection
 // and pins the sequence-dedup contract directly: a batch frame replayed
 // verbatim (same seq) must be acked but not applied a second time, and a

@@ -15,7 +15,9 @@ import (
 )
 
 // ProbeConfig configures the remote-write client. Addr, ID and SpoolDir
-// are required; zero values elsewhere get production-shaped defaults.
+// are required; zero values elsewhere get production-shaped defaults. The
+// bounds no deployment tunes are constants: maxUnacked, maxSpoolBytes, the
+// mq.DefaultHWM subscription and the dialBackoffMax reconnect ladder.
 type ProbeConfig struct {
 	// Addr is the aggregator's TCP address (host:port).
 	Addr string
@@ -33,21 +35,23 @@ type ProbeConfig struct {
 	// (default 200ms).
 	BatchSize  int
 	FlushEvery time.Duration
-	// MaxUnacked bounds in-flight batches (default 512) and MaxSpoolBytes
-	// the on-disk spool (default 128 MiB). At either bound the collector
-	// stops draining the bus and measurements shed at the subscription
-	// HWM, counted in ProbeStats.Dropped.
-	MaxUnacked    int
-	MaxSpoolBytes int64
 	// MaxSegmentBytes caps one spool segment file (default 4 MiB).
 	MaxSegmentBytes int64
-	// HWM is the enriched-topic subscription high-water mark
-	// (default mq.DefaultHWM).
-	HWM int
-	// DialBackoffMax caps the reconnect backoff ladder (default 2s; the
-	// ladder starts at 50ms and doubles).
-	DialBackoffMax time.Duration
 }
+
+// The probe's backpressure bounds and reconnect ladder.
+const (
+	// maxUnacked bounds in-flight batches and maxSpoolBytes the on-disk
+	// spool. At either bound the collector stops draining the bus and
+	// measurements shed at the subscription's mq.DefaultHWM, counted in
+	// ProbeStats.Dropped.
+	maxUnacked    = 512
+	maxSpoolBytes = 128 << 20
+	// The reconnect backoff starts at dialBackoffMin, doubles per failed
+	// dial and is capped at dialBackoffMax.
+	dialBackoffMin = 50 * time.Millisecond
+	dialBackoffMax = 2 * time.Second
+)
 
 // Probe streams the pipeline's enriched measurements to an aggregator:
 // batch → spool (sequence number assigned) → send → ack → forget. Create
@@ -120,20 +124,11 @@ func NewProbe(cfg ProbeConfig, bus *mq.Bus) (*Probe, error) {
 	if cfg.FlushEvery <= 0 {
 		cfg.FlushEvery = 200 * time.Millisecond
 	}
-	if cfg.MaxUnacked <= 0 {
-		cfg.MaxUnacked = 512
-	}
-	if cfg.MaxSpoolBytes <= 0 {
-		cfg.MaxSpoolBytes = 128 << 20
-	}
-	if cfg.DialBackoffMax <= 0 {
-		cfg.DialBackoffMax = 2 * time.Second
-	}
 	sp, pending, err := openSpool(cfg.SpoolDir, cfg.MaxSegmentBytes)
 	if err != nil {
 		return nil, err
 	}
-	sub, err := bus.Subscribe(analytics.TopicEnriched, cfg.HWM)
+	sub, err := bus.Subscribe(analytics.TopicEnriched, mq.DefaultHWM)
 	if err != nil {
 		sp.close()
 		return nil, err
@@ -231,7 +226,7 @@ func (p *Probe) flush(ctx context.Context, enc *tsdb.RecordEncoder, pts []tsdb.P
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for !p.closed && ctx.Err() == nil &&
-		(len(p.pending) >= p.cfg.MaxUnacked || p.sp.bytes > p.cfg.MaxSpoolBytes) {
+		(len(p.pending) >= maxUnacked || p.sp.bytes > maxSpoolBytes) {
 		p.cond.Wait()
 	}
 	if p.closed {
@@ -259,7 +254,7 @@ func (p *Probe) flush(ctx context.Context, enc *tsdb.RecordEncoder, pts []tsdb.P
 // -remote-write, a health-checked port) must not turn the loop into a
 // zero-delay connection churn.
 func (p *Probe) sendLoop(ctx context.Context) {
-	backoff := 50 * time.Millisecond
+	backoff := dialBackoffMin
 	for ctx.Err() == nil && !p.isClosed() {
 		established := false
 		if conn, err := net.DialTimeout("tcp", p.cfg.Addr, 5*time.Second); err == nil {
@@ -270,7 +265,7 @@ func (p *Probe) sendLoop(ctx context.Context) {
 			established = p.connects.Load() != before
 		}
 		if established {
-			backoff = 50 * time.Millisecond
+			backoff = dialBackoffMin
 			continue
 		}
 		select {
@@ -278,9 +273,7 @@ func (p *Probe) sendLoop(ctx context.Context) {
 			return
 		case <-time.After(backoff):
 		}
-		if backoff *= 2; backoff > p.cfg.DialBackoffMax {
-			backoff = p.cfg.DialBackoffMax
-		}
+		backoff = min(2*backoff, dialBackoffMax)
 	}
 }
 

@@ -127,10 +127,10 @@ func TestFrameRoundTrip(t *testing.T) {
 			topic = topic[:1000]
 		}
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, Message{Topic: topic, Payload: payload}); err != nil {
+		if err := WriteFrame(&buf, Message{Topic: topic, Payload: payload}); err != nil {
 			return false
 		}
-		m, err := readFrame(&frameReader{r: &buf})
+		m, err := NewFrameReader(&buf).Read()
 		if err != nil {
 			return false
 		}
@@ -145,118 +145,8 @@ func TestReadFrameRejectsHugeLength(t *testing.T) {
 	var buf bytes.Buffer
 	// uvarint topic length of 1GB
 	buf.Write([]byte{0x80, 0x80, 0x80, 0x80, 0x04, 0x00})
-	if _, err := readFrame(&frameReader{r: &buf}); err != ErrFrameTooBig {
+	if _, err := NewFrameReader(&buf).Read(); err != ErrFrameTooBig {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestTCPTransport(t *testing.T) {
-	b := NewBus()
-	defer b.Close()
-	pub, err := NewTCPPublisher(b, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pub.Close()
-
-	sub, err := DialTCP(pub.Addr().String(), "latency.")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-	// Give the publisher a moment to register the subscription.
-	time.Sleep(50 * time.Millisecond)
-
-	b.Publish(Message{Topic: "stats.x", Payload: []byte("no")})
-	b.Publish(Message{Topic: "latency.v4", Payload: []byte("yes")})
-
-	type result struct {
-		m   Message
-		err error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		m, err := sub.Recv()
-		ch <- result{m, err}
-	}()
-	select {
-	case r := <-ch:
-		if r.err != nil {
-			t.Fatal(r.err)
-		}
-		if r.m.Topic != "latency.v4" || string(r.m.Payload) != "yes" {
-			t.Fatalf("got %q %q", r.m.Topic, r.m.Payload)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("timeout waiting for TCP message")
-	}
-}
-
-func TestTCPMultipleSubscribers(t *testing.T) {
-	b := NewBus()
-	defer b.Close()
-	pub, err := NewTCPPublisher(b, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pub.Close()
-
-	const n = 4
-	subs := make([]*TCPSubscriber, n)
-	for i := range subs {
-		s, err := DialTCP(pub.Addr().String(), "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		subs[i] = s
-	}
-	time.Sleep(50 * time.Millisecond)
-	const msgs = 50
-	for i := 0; i < msgs; i++ {
-		b.Publish(Message{Topic: "m", Payload: []byte{byte(i)}})
-	}
-	for i, s := range subs {
-		for j := 0; j < msgs; j++ {
-			m, err := s.Recv()
-			if err != nil {
-				t.Fatalf("sub %d msg %d: %v", i, j, err)
-			}
-			if m.Payload[0] != byte(j) {
-				t.Fatalf("sub %d msg %d: got %d", i, j, m.Payload[0])
-			}
-		}
-	}
-}
-
-func TestTCPPublisherCloseUnblocksSubscribers(t *testing.T) {
-	b := NewBus()
-	defer b.Close()
-	pub, err := NewTCPPublisher(b, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, err := DialTCP(pub.Addr().String(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-	time.Sleep(20 * time.Millisecond)
-	done := make(chan error, 1)
-	go func() {
-		_, err := sub.Recv()
-		done <- err
-	}()
-	if err := pub.Close(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("Recv succeeded after publisher close")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("subscriber still blocked after publisher close")
 	}
 }
 

@@ -743,13 +743,10 @@ func replayGolden(t *testing.T, w *geo.World, path string, oracle *goldenOracle,
 		}
 	}
 
-	// Loss-accounting ledger: nothing silently lost downstream. DBPoints
-	// counts every stored point, so the completed-handshake share is what
-	// remains after the continuous-RTT and loss streams are subtracted.
-	completedStored := st.DBPoints - st.TSSamples - st.SeqSamples - st.LossPoints
-	if st.Engine.Completed != completedStored+st.SinkDrop+st.SinkDecodeErrors+st.DBDropped+st.DBWriteErrors {
-		t.Errorf("ledger violated: completed %d != stored %d + drops %d/%d/%d/%d",
-			st.Engine.Completed, completedStored, st.SinkDrop, st.SinkDecodeErrors, st.DBDropped, st.DBWriteErrors)
+	// Loss-accounting ledger: nothing silently lost downstream.
+	if st.Engine.Completed != st.Accounted() {
+		t.Errorf("ledger violated: completed %d != accounted %d (stored %d, drops %d/%d/%d/%d)",
+			st.Engine.Completed, st.Accounted(), st.DBPoints, st.SinkDrop, st.SinkDecodeErrors, st.DBDropped, st.DBWriteErrors)
 	}
 
 	// Per-flow measurements, bit-exact, in (Time, SrcCity) order.

@@ -49,11 +49,6 @@ type Config struct {
 	// the port is stopped).
 	Overflow nic.OverflowPolicy
 
-	// HandshakeTimeout evicts incomplete handshakes, in nanoseconds
-	// (default 10s). When set it is also both continuous-RTT trackers'
-	// idle timeout; when zero the trackers keep their own 60s default.
-	HandshakeTimeout int64
-
 	// FlowTableBytes, when > 0, enables the bounded-memory sketch tier
 	// and is the hard byte cap across all per-flow state: per-queue
 	// count-min sketches and heavy-hitter summaries (fixed overhead), the
@@ -107,14 +102,6 @@ type Config struct {
 	// Zero disables caching.
 	QueryCacheBytes int64
 
-	// Flood configures the SYN-flood detector (zero values get the anomaly
-	// package's defaults).
-	Flood anomaly.FloodConfig
-
-	// ArcsBuffer is how many recent measurements the live-map arc feed
-	// retains (default 4096).
-	ArcsBuffer int
-
 	// TrackTimestamps enables continuous RTT measurement from TCP
 	// timestamp echoes (the pping-style extension). Samples are
 	// geo-enriched (IPs dropped, like measurements) and written to the
@@ -167,6 +154,7 @@ const (
 	bufSize       = 2048    // bytes per packet buffer
 	queueDepth    = 4096    // per-queue RX ring slots: one idle sleep's arrivals at 2 Mpps
 	tableCapacity = 1 << 16 // per-queue slots in each flow table
+	arcsBuffer    = 4096    // recent measurements each sink shard keeps for the arc feed
 	enrichWorkers = 4       // analytics pool size
 	hubQueue      = 256     // per-WebSocket-client queue depth
 
@@ -279,9 +267,6 @@ func New(cfg Config) (*Pipeline, error) {
 	if cfg.SinkBatch <= 0 {
 		cfg.SinkBatch = 64
 	}
-	if cfg.ArcsBuffer <= 0 {
-		cfg.ArcsBuffer = 4096
-	}
 
 	p := &Pipeline{cfg: cfg}
 	p.Pool = nic.NewMempool(poolSize, bufSize)
@@ -294,7 +279,7 @@ func New(cfg Config) (*Pipeline, error) {
 		return nil, err
 	}
 	p.Bus = mq.NewBus()
-	p.Flood = anomaly.NewFloodDetector(cfg.Flood)
+	p.Flood = anomaly.NewFloodDetector(anomaly.FloodConfig{})
 	p.Spikes = anomaly.NewSpikeBank(anomaly.SpikeConfig{}, 0)
 	p.Surge = anomaly.NewSurgeDetector(anomaly.SurgeConfig{})
 
@@ -304,23 +289,18 @@ func New(cfg Config) (*Pipeline, error) {
 		Sink: sink,
 		Table: core.TableConfig{
 			Capacity: tableCapacity,
-			Timeout:  cfg.HandshakeTimeout,
 			OnExpire: p.onExpire,
 		},
 		Burst: cfg.Burst,
 	}
 	if cfg.TrackTimestamps {
 		engCfg.TSSink = core.TSSinkFunc(p.onTSSample)
-		engCfg.TSTable = core.TSConfig{
-			Capacity: tableCapacity,
-			Timeout:  cfg.HandshakeTimeout,
-		}
+		engCfg.TSTable = core.TSConfig{Capacity: tableCapacity}
 	}
 	if cfg.TrackSeq || cfg.OneDirection {
 		engCfg.SeqSink = seqSinkAdapter{p}
 		engCfg.SeqTable = core.SeqConfig{
 			Capacity:     tableCapacity,
-			Timeout:      cfg.HandshakeTimeout,
 			OneDirection: cfg.OneDirection,
 			// DeferTS is decided by the engine: set iff the timestamp
 			// tracker also runs and the tap sees both directions.
@@ -374,7 +354,7 @@ func New(cfg Config) (*Pipeline, error) {
 		p.sinkShards[i] = &sinkShard{
 			ch:      make(chan sinkItem, sinkShardDepth),
 			refs:    make(map[string]tsdb.SeriesRef),
-			arcsBuf: make([]analytics.Enriched, 0, cfg.ArcsBuffer),
+			arcsBuf: make([]analytics.Enriched, 0, arcsBuffer),
 		}
 	}
 
@@ -590,8 +570,9 @@ func (p *Pipeline) FlushDetectors() {
 //
 // (the subtracted counters are zero with the trackers off; a tracker point
 // the TSDB refuses is counted in DBWriteErrors and is the one thing that
-// unbalances it). Cancelling Run abandons whatever is still queued inside
-// the sink stage uncounted (shutdown, like any crash, loses in-flight work).
+// unbalances it). Accounted computes the right-hand side. Cancelling Run
+// abandons whatever is still queued inside the sink stage uncounted
+// (shutdown, like any crash, loses in-flight work).
 type Stats struct {
 	Port     nic.Stats
 	Queues   []nic.QueueStats // per-RX-queue counters and ring watermarks
@@ -657,6 +638,14 @@ type Stats struct {
 	// liveness, lag and sequence-dedup counters. Enabled=false without
 	// Config.Federate.
 	Fed fed.AggStats
+}
+
+// Accounted returns every handshake measurement the sink stage has disposed
+// of: stored, or counted in a named loss class. Once the sink has drained it
+// equals Engine.Completed (see the ledger above).
+func (st Stats) Accounted() uint64 {
+	return st.DBPoints - st.TSSamples - st.SeqSamples - st.LossPoints +
+		st.SinkDrop + st.SinkDecodeErrors + st.DBDropped + st.DBWriteErrors
 }
 
 // Stats snapshots every stage.

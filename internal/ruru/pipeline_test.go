@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"ruru/internal/analytics"
-	"ruru/internal/anomaly"
 	"ruru/internal/core"
 	"ruru/internal/gen"
 	"ruru/internal/geo"
@@ -53,11 +52,10 @@ func TestPipelineBackpressureKnobs(t *testing.T) {
 	// frames.
 	w := newWorld(t)
 	p, err := New(Config{
-		GeoDB:            w.DB(),
-		Queues:           2,
-		Burst:            16,
-		Overflow:         nic.Block,
-		HandshakeTimeout: 60e9,
+		GeoDB:    w.DB(),
+		Queues:   2,
+		Burst:    16,
+		Overflow: nic.Block,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -129,10 +127,9 @@ func TestPipelineBackpressureKnobs(t *testing.T) {
 func TestPipelineEndToEnd(t *testing.T) {
 	w := newWorld(t)
 	p, err := New(Config{
-		GeoDB:            w.DB(),
-		Queues:           4,
-		Overflow:         nic.Block,
-		HandshakeTimeout: 60e9,
+		GeoDB:    w.DB(),
+		Queues:   4,
+		Overflow: nic.Block,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -192,11 +189,11 @@ func TestPipelineEndToEnd(t *testing.T) {
 	}
 	// Loss accounting: every completed measurement must be stored or show
 	// up in a named drop/error counter — nothing silent.
-	if st.Engine.Completed != st.DBPoints+st.SinkDrop+st.SinkDecodeErrors+st.DBDropped {
-		t.Fatalf("measurement ledger does not balance: completed=%d db=%d sinkDrop=%d decodeErr=%d dbDropped=%d",
-			st.Engine.Completed, st.DBPoints, st.SinkDrop, st.SinkDecodeErrors, st.DBDropped)
+	if st.Engine.Completed != st.Accounted() {
+		t.Fatalf("measurement ledger does not balance: completed=%d accounted=%d (stats %+v)",
+			st.Engine.Completed, st.Accounted(), st)
 	}
-	if st.SinkDrop != 0 || st.SinkDecodeErrors != 0 || st.DBDropped != 0 {
+	if st.SinkDrop != 0 || st.SinkDecodeErrors != 0 || st.DBDropped != 0 || st.DBWriteErrors != 0 {
 		t.Fatalf("unexpected sink losses: %+v", st)
 	}
 
@@ -289,7 +286,7 @@ func TestCloseReleasesPacketArena(t *testing.T) {
 
 func TestPipelineGroupByCityQueries(t *testing.T) {
 	w := newWorld(t)
-	p, err := New(Config{GeoDB: w.DB(), Queues: 2, Overflow: nic.Block, HandshakeTimeout: 60e9})
+	p, err := New(Config{GeoDB: w.DB(), Queues: 2, Overflow: nic.Block})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,22 +361,22 @@ func TestPipelineFeedDirect(t *testing.T) {
 	if len(arcs) != 100 {
 		t.Fatalf("arcs = %d", len(arcs))
 	}
-	// Ring buffer wraps at capacity.
-	p2, _ := New(Config{GeoDB: w.DB(), ArcsBuffer: 8})
-	defer p2.Close()
-	for i := 0; i < 20; i++ {
-		e.Time = int64(i)
-		p2.Feed(&e)
+	// One city pair routes to one sink shard, whose ring wraps at
+	// arcsBuffer: the newest arcsBuffer measurements stay, oldest first.
+	const total = arcsBuffer + 12
+	for i := 100; i < total; i++ {
+		e.Time = int64(i) * 1e9
+		p.Feed(&e)
 	}
-	arcs = p2.RecentArcs(0)
-	if len(arcs) != 8 {
-		t.Fatalf("wrapped arcs = %d", len(arcs))
+	arcs = p.RecentArcs(0)
+	if len(arcs) != arcsBuffer {
+		t.Fatalf("wrapped arcs = %d, want %d", len(arcs), arcsBuffer)
 	}
-	if arcs[len(arcs)-1].Time != 19 {
-		t.Fatalf("newest arc time = %d, want 19", arcs[len(arcs)-1].Time)
+	if arcs[len(arcs)-1].Time != (total-1)*1e9 {
+		t.Fatalf("newest arc time = %d, want %d", arcs[len(arcs)-1].Time, int64(total-1)*1e9)
 	}
-	if arcs[0].Time != 12 {
-		t.Fatalf("oldest arc time = %d, want 12", arcs[0].Time)
+	if arcs[0].Time != 12e9 {
+		t.Fatalf("oldest arc time = %d, want 12e9", arcs[0].Time)
 	}
 }
 
@@ -462,7 +459,7 @@ func TestPipelinePcapRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p, err := New(Config{GeoDB: w.DB(), Queues: 2, Overflow: nic.Block, HandshakeTimeout: 60e9})
+	p, err := New(Config{GeoDB: w.DB(), Queues: 2, Overflow: nic.Block})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +499,7 @@ func TestPipelinePcapRoundTrip(t *testing.T) {
 func TestPipelineWebSocketLiveFeedFromPackets(t *testing.T) {
 	// Full path: packets → engine → bus → enricher → hub → real WS client.
 	w := newWorld(t)
-	p, err := New(Config{GeoDB: w.DB(), Queues: 2, Overflow: nic.Block, HandshakeTimeout: 60e9})
+	p, err := New(Config{GeoDB: w.DB(), Queues: 2, Overflow: nic.Block})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -565,7 +562,7 @@ func TestPipelineContinuousRTT(t *testing.T) {
 	// "rtt_stream" points in the TSDB.
 	w := newWorld(t)
 	p, err := New(Config{
-		GeoDB: w.DB(), Queues: 2, Overflow: nic.Block, HandshakeTimeout: 60e9,
+		GeoDB: w.DB(), Queues: 2, Overflow: nic.Block,
 		TrackTimestamps: true,
 	})
 	if err != nil {
@@ -650,18 +647,12 @@ func TestTSSampleWriteErrorAccounting(t *testing.T) {
 
 func TestPipelineFloodDetectionViaExpiry(t *testing.T) {
 	// SYN-flood packets (never answered) must travel: port → engine →
-	// expiry → flood detector. Uses a short handshake timeout so eviction
-	// happens within the trace.
+	// expiry → flood detector, at the daemon's settings. The table evicts
+	// an idle entry 10-20s after its last packet (one sweep pass per 10s
+	// timeout), so the trace runs 20s past the attack's end for every
+	// attack entry to expire within it.
 	w := newWorld(t)
-	p, err := New(Config{
-		GeoDB:            w.DB(),
-		Queues:           2,
-		Overflow:         nic.Block,
-		HandshakeTimeout: 1e9,
-		Flood: anomaly.FloodConfig{
-			BucketNs: 1e9, MinCount: 100, Ratio: 6, WarmupBuckets: 2,
-		},
-	})
+	p, err := New(Config{GeoDB: w.DB(), Queues: 2, Overflow: nic.Block})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -671,11 +662,11 @@ func TestPipelineFloodDetectionViaExpiry(t *testing.T) {
 	go p.Run(ctx)
 
 	g, err := gen.New(gen.Config{
-		Seed: 3, World: w, FlowRate: 20, Duration: 25e9,
+		Seed: 3, World: w, FlowRate: 20, Duration: 45e9,
 		Floods: []gen.FloodSpec{
 			// Ambient internet scanning noise: a few unanswered SYNs/s
 			// throughout, which is what the detector's baseline learns.
-			{Start: 0, Duration: 25e9, Rate: 5, SrcCity: 7, DstCity: 2},
+			{Start: 0, Duration: 45e9, Rate: 5, SrcCity: 7, DstCity: 2},
 			// The attack.
 			{Start: 10e9, Duration: 3e9, Rate: 2000, SrcCity: 4, DstCity: 1},
 		},
@@ -689,7 +680,7 @@ func TestPipelineFloodDetectionViaExpiry(t *testing.T) {
 	deadline := time.After(15 * time.Second)
 	for {
 		st := p.Stats()
-		if st.Engine.ExpiredAwait > 3000 {
+		if st.Engine.ExpiredAwait > 6000 {
 			break
 		}
 		select {

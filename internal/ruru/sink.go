@@ -291,7 +291,7 @@ func (p *Pipeline) Feed(e *analytics.Enriched) {
 
 // RecentArcs returns up to n of the most recent enriched measurements for
 // the live map, merged across the per-worker arc rings by measurement time
-// (n <= 0: everything retained, at most SinkWorkers × ArcsBuffer).
+// (n <= 0: everything retained, at most SinkWorkers × arcsBuffer).
 // "Most recent" is approximate when completion timestamps arrive slightly
 // out of order within a shard: the per-shard tail is taken in arrival
 // order before the cross-shard sort — fine for a live visualization feed,

@@ -30,10 +30,6 @@ func enrichedPayloads(pairs int) [][]byte {
 	return out
 }
 
-func sinkAccounted(st Stats) uint64 {
-	return st.DBPoints + st.SinkDrop + st.SinkDecodeErrors + st.DBDropped + st.DBWriteErrors
-}
-
 func TestSinkShardedLosslessAndAccounted(t *testing.T) {
 	// The tentpole contract: at a sustained load driven straight into the
 	// enriched topic, the sharded sink stores every measurement — zero
@@ -71,7 +67,7 @@ func testSinkLossless(t *testing.T, workers int) {
 	published := 0
 	for published < total {
 		st := p.Stats()
-		if uint64(published)-sinkAccounted(st) > 1<<14 {
+		if uint64(published)-st.Accounted() > 1<<14 {
 			time.Sleep(100 * time.Microsecond)
 			continue
 		}
@@ -86,7 +82,7 @@ func testSinkLossless(t *testing.T, workers int) {
 	deadline := time.After(30 * time.Second)
 	for {
 		st := p.Stats()
-		if sinkAccounted(st) >= total+garbage {
+		if st.Accounted() >= total+garbage {
 			break
 		}
 		select {
@@ -139,7 +135,7 @@ func TestSinkConcurrencyStress(t *testing.T) {
 	// all read concurrently — plus synchronous Feed calls racing the
 	// workers on the same shards.
 	w := newWorld(t)
-	p, err := New(Config{GeoDB: w.DB(), Queues: 1, SinkWorkers: 4, SinkBatch: 32, ArcsBuffer: 256})
+	p, err := New(Config{GeoDB: w.DB(), Queues: 1, SinkWorkers: 4, SinkBatch: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +211,7 @@ func TestSinkConcurrencyStress(t *testing.T) {
 		st := p.Stats()
 		// Feeds wrote synchronously, so they are already inside DBPoints;
 		// wait for the bus-published remainder to drain through workers.
-		if sinkAccounted(st) >= published+feeds {
+		if st.Accounted() >= published+feeds {
 			break
 		}
 		select {
@@ -230,7 +226,7 @@ func TestSinkConcurrencyStress(t *testing.T) {
 	<-done
 
 	st := p.Stats()
-	if got := sinkAccounted(st); got != published+feeds {
+	if got := st.Accounted(); got != published+feeds {
 		t.Fatalf("ledger: accounted %d, want %d (stats %+v)", got, published+feeds, st)
 	}
 	if st.SinkDecodeErrors == 0 {

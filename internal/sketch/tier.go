@@ -66,25 +66,19 @@ func Rank[K comparable](items []Item[K], keyCmp func(a, b K) int) {
 }
 
 // TierConfig configures a FlowTier. Only BudgetBytes is required; every
-// structure is auto-sized from it (see NewFlowTier).
+// structure is auto-sized from it (see NewFlowTier), and a fixed 10% of
+// the exact-state budget is reserved for elephants.
 type TierConfig struct {
 	// BudgetBytes is the hard per-queue cap: fixed sketch overhead plus
 	// charged exact-table state never exceeds it. Must be at least
 	// MinBudgetBytes().
 	BudgetBytes int64
-	// Width and Depth override the count-min shape (0: auto from budget).
-	Width, Depth int
 	// TopK overrides the flow heavy-hitter capacity (0: auto).
 	TopK int
 	// ElephantMinBytes is the volume floor below which a flow is never an
 	// elephant regardless of relative rank (default 64KiB). It keeps the
 	// early, empty-sketch phase from promoting every flow.
 	ElephantMinBytes uint64
-	// ElephantReserve is the fraction of the exact-state budget only
-	// elephants may occupy (default 0.10): mice stop admitting at
-	// (1-reserve) of it, so a promotion never finds the budget fully
-	// eaten by mice.
-	ElephantReserve float64
 	// PublishEvery throttles snapshot publication: a new heavy-hitter
 	// snapshot is copied out at the first burst boundary after this many
 	// observations (default 4096). Publish(true) overrides.
@@ -148,6 +142,11 @@ const (
 	cmsAutoDepth  = 4
 )
 
+// elephantReserve is the fraction of the exact-state budget only elephants
+// may occupy: mice stop admitting at (1-elephantReserve) of it, so a
+// promotion never finds the budget fully eaten by mice.
+const elephantReserve = 0.10
+
 // MinBudgetBytes returns the smallest legal TierConfig.BudgetBytes: the
 // fixed overhead of the minimum-shape sketch structures. A tier built with
 // exactly this budget has zero exact-state headroom — every flow lives
@@ -169,17 +168,11 @@ func NewFlowTier(cfg TierConfig) (*FlowTier, error) {
 	}
 	share := cfg.BudgetBytes / 4
 
-	width, depth := cfg.Width, cfg.Depth
-	if depth <= 0 {
-		depth = cmsAutoDepth
+	width := cmsMinWidth
+	for int64(width)*2*cmsAutoDepth*8 <= share/2 && width < 1<<20 {
+		width *= 2
 	}
-	if width <= 0 {
-		width = cmsMinWidth
-		for int64(width)*2*int64(depth)*8 <= share/2 && width < 1<<20 {
-			width *= 2
-		}
-	}
-	cms := NewCMS(width, depth)
+	cms := NewCMS(width, cmsAutoDepth)
 
 	flowK := cfg.TopK
 	if flowK <= 0 {
@@ -206,18 +199,11 @@ func NewFlowTier(cfg TierConfig) (*FlowTier, error) {
 	}
 	t.fixed = cms.Bytes() + t.flows.Bytes() + t.prefixes.Bytes()
 	if t.fixed > cfg.BudgetBytes {
-		// Only possible with explicit Width/Depth/TopK overrides.
+		// Only possible with an explicit TopK override.
 		return nil, fmt.Errorf("sketch: fixed overhead %d exceeds budget %d", t.fixed, cfg.BudgetBytes)
 	}
 	t.exactMax = cfg.BudgetBytes - t.fixed
-	reserve := cfg.ElephantReserve
-	if reserve <= 0 {
-		reserve = 0.10
-	}
-	if reserve > 0.5 {
-		reserve = 0.5
-	}
-	t.miceMax = int64(float64(t.exactMax) * (1 - reserve))
+	t.miceMax = int64(float64(t.exactMax) * (1 - elephantReserve))
 	t.snap.Store(&Snapshot{})
 	return t, nil
 }

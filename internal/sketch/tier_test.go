@@ -39,7 +39,7 @@ func TestTierBudgetValidation(t *testing.T) {
 		t.Fatalf("minimum budget should leave zero exact headroom, got %d", tier.exactMax)
 	}
 	// Oversized explicit shape must be refused, not silently overspend.
-	if _, err := NewFlowTier(TierConfig{BudgetBytes: MinBudgetBytes(), Width: 1 << 16}); err == nil {
+	if _, err := NewFlowTier(TierConfig{BudgetBytes: MinBudgetBytes(), TopK: 1 << 16}); err == nil {
 		t.Fatal("fixed overhead above budget accepted")
 	}
 }

@@ -1,9 +1,8 @@
 // Package stats provides the streaming statistics Ruru's analytics and
-// anomaly stages use: running mean/variance (Welford), exponentially
-// weighted moving averages, a log-bucketed latency histogram with quantile
-// estimation (the HDR-histogram idea specialized for latency in
-// nanoseconds), a fixed-size reservoir sample for exact small-set quantiles,
-// and a rolling median/MAD window for robust anomaly baselines.
+// anomaly stages use: exponentially weighted moving averages, a
+// log-bucketed latency histogram with quantile estimation (the
+// HDR-histogram idea specialized for latency in nanoseconds), and a rolling
+// median/MAD window for robust anomaly baselines.
 //
 // Everything here is allocation-free after construction and safe to embed in
 // per-queue hot paths. None of the types are safe for concurrent use; give
@@ -15,58 +14,6 @@ import (
 	"math/bits"
 	"sort"
 )
-
-// Welford tracks count, mean and variance in one pass (Welford's online
-// algorithm, numerically stable for long streams).
-type Welford struct {
-	n    uint64
-	mean float64
-	m2   float64
-}
-
-// Add incorporates x.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// Merge combines another Welford into w (parallel variance formula).
-func (w *Welford) Merge(o *Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = *o
-		return
-	}
-	n := w.n + o.n
-	d := o.mean - w.mean
-	w.mean += d * float64(o.n) / float64(n)
-	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
-	w.n = n
-}
-
-// Count returns the number of samples.
-func (w *Welford) Count() uint64 { return w.n }
-
-// Mean returns the running mean (0 with no samples).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the population variance.
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// Stddev returns the population standard deviation.
-func (w *Welford) Stddev() float64 { return math.Sqrt(w.Variance()) }
-
-// Reset clears the accumulator.
-func (w *Welford) Reset() { *w = Welford{} }
 
 // EWMA is an exponentially weighted moving average with configurable alpha.
 type EWMA struct {
@@ -88,9 +35,6 @@ func (e *EWMA) Add(x float64) float64 {
 
 // Value returns the current average (0 before any samples).
 func (e *EWMA) Value() float64 { return e.value }
-
-// Initialized reports whether at least one sample has been added.
-func (e *EWMA) Initialized() bool { return e.init }
 
 // LatencyHist is a log-bucketed histogram for latency values in nanoseconds.
 // Buckets are arranged as (exponent, mantissa) pairs giving a fixed relative
@@ -318,69 +262,3 @@ func medianOf(vs []float64) float64 {
 	}
 	return (vs[n/2-1] + vs[n/2]) / 2
 }
-
-// Reservoir keeps a uniform random sample of a stream (Vitter's algorithm R)
-// for exact quantiles over modest sample sizes; used to validate the
-// histogram's approximation in tests and benchmarks.
-type Reservoir struct {
-	sample []float64
-	seen   uint64
-	rng    uint64 // xorshift state; deterministic given the seed
-}
-
-// NewReservoir creates a reservoir of capacity n with a deterministic seed.
-func NewReservoir(n int, seed uint64) *Reservoir {
-	if seed == 0 {
-		seed = 0x9e3779b97f4a7c15
-	}
-	return &Reservoir{sample: make([]float64, 0, n), rng: seed}
-}
-
-func (r *Reservoir) rand() uint64 {
-	x := r.rng
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	r.rng = x
-	return x
-}
-
-// Add offers x to the reservoir.
-func (r *Reservoir) Add(x float64) {
-	r.seen++
-	if len(r.sample) < cap(r.sample) {
-		r.sample = append(r.sample, x)
-		return
-	}
-	// Replace a random element with probability cap/seen.
-	j := r.rand() % r.seen
-	if j < uint64(cap(r.sample)) {
-		r.sample[j] = x
-	}
-}
-
-// Quantile returns the exact q-quantile of the current sample (0 if empty).
-func (r *Reservoir) Quantile(q float64) float64 {
-	if len(r.sample) == 0 {
-		return 0
-	}
-	vs := make([]float64, len(r.sample))
-	copy(vs, r.sample)
-	sort.Float64s(vs)
-	if q <= 0 {
-		return vs[0]
-	}
-	if q >= 1 {
-		return vs[len(vs)-1]
-	}
-	idx := q * float64(len(vs)-1)
-	lo := int(idx)
-	frac := idx - float64(lo)
-	if lo+1 >= len(vs) {
-		return vs[lo]
-	}
-	return vs[lo]*(1-frac) + vs[lo+1]*frac
-}
-
-// Seen returns how many values were offered.
-func (r *Reservoir) Seen() uint64 { return r.seen }

@@ -8,6 +8,8 @@
 #   test_lines        _test.go lines under internal/, cmd/ and examples/ (a
 #                     move from code into tests shows here, not as a saving)
 #   config_fields     fields of ruru.Config (internal/ruru/pipeline.go)
+#   knob_fields       exported fields of every Config/Options/*Config/*Options
+#                     struct under internal/ (ruru.Config included)
 #   daemon_flags      flags cmd/ruru accepts (from its own -h)
 #   core_exported     exported top-level names and methods in internal/core
 #
@@ -31,6 +33,17 @@ config_fields=$(awk '
     }
     END { print n + 0 }' internal/ruru/pipeline.go)
 
+# The same field-line rule over every settings struct under internal/.
+knob_fields=$(find internal -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -print0 |
+    xargs -0 awk '
+    /^type [A-Za-z0-9]*(Config|Options) struct \{$/ { in_cfg = 1; next }
+    in_cfg && /^\}/                                 { in_cfg = 0 }
+    in_cfg && match($0, /^\t([A-Z][A-Za-z0-9]*, )*[A-Z][A-Za-z0-9]* /) {
+        names = substr($0, 1, RLENGTH)
+        n += gsub(/, /, "", names) + 1
+    }
+    END { print n + 0 }')
+
 # The flag package prints one "  -name" line per flag; -h exits 0 or 2.
 daemon_flags=$( (go run ./cmd/ruru -h 2>&1 || true) | grep -c '^  -')
 
@@ -43,5 +56,5 @@ core_exported=$(find internal/core -maxdepth 1 -name '*.go' ! -name '*_test.go' 
     /^func \([^)]*\) [A-Z]/             { n++ }
     END { print n + 0 }')
 
-printf 'go_lines      %s\ntest_lines    %s\nconfig_fields %s\ndaemon_flags  %s\ncore_exported %s\n' \
-    "$go_lines" "$test_lines" "$config_fields" "$daemon_flags" "$core_exported"
+printf 'go_lines      %s\ntest_lines    %s\nconfig_fields %s\nknob_fields   %s\ndaemon_flags  %s\ncore_exported %s\n' \
+    "$go_lines" "$test_lines" "$config_fields" "$knob_fields" "$daemon_flags" "$core_exported"
