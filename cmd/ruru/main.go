@@ -176,7 +176,7 @@ func main() {
 						st.Remote.Dropped, st.Remote.Connected)
 				default:
 					log.Printf("ruru: pkts=%d measured=%d enriched=%d db=%d ws_clients=%d",
-						st.Port.Ipackets, st.Engine.Completed, st.Enricher.Out, st.DBPoints, p.Hub.Clients())
+						st.Port.Ipackets, st.Engine.Completed, st.Enricher.Out, st.DBPoints, p.Hub.LiveClients())
 				}
 			}
 		}

@@ -5,7 +5,8 @@
 // arcs on an ASCII world map — "red lines in areas where most lines are
 // green show increased latency".
 //
-// Run with: go run ./examples/livemap
+// Run with: go run ./examples/livemap (exits non-zero when no measurement
+// arrives over /ws)
 package main
 
 import (
@@ -56,7 +57,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer client.Close()
-	for p.Hub.Clients() == 0 {
+	for p.Hub.LiveClients() == 0 {
 		time.Sleep(5 * time.Millisecond)
 	}
 
@@ -96,6 +97,12 @@ func main() {
 				LatencyNs: e.TotalNs,
 			})
 		}
+	}
+
+	if len(collected) == 0 {
+		// CI runs this example as the live feed's smoke test: a real
+		// client that read nothing is a failure, not an empty map.
+		log.Fatal("livemap: no measurement received over /ws")
 	}
 
 	r := arcs.NewRenderer(140, 40)

@@ -14,11 +14,9 @@ import (
 	"hash/maphash"
 	"io"
 	"math"
-	"net/http/httptest"
 	"net/netip"
 	"runtime"
 	"sort"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -34,7 +32,6 @@ import (
 	"ruru/internal/ruru"
 	"ruru/internal/sketch"
 	"ruru/internal/tsdb"
-	"ruru/internal/ws"
 )
 
 // Schema is the BENCH_*.json format version.
@@ -85,7 +82,6 @@ func Specs() []Spec {
 		{Name: "query/rollup", F: benchRollupQuery},
 		{Name: "query/cached", F: benchCachedQuery},
 		{Name: "query/encode", F: benchQueryEncode},
-		{Name: "ws/delta-broadcast", F: benchDeltaBroadcast},
 		{Name: "sketch/observe-churn", F: benchSketchObserveChurn},
 		{Name: "sketch/topk", F: benchSketchTopK},
 	}
@@ -798,62 +794,6 @@ func benchQueryEncode(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// benchDeltaBroadcast: the rollup-stream read side — fold a 64-measurement
-// burst over 16 city pairs into the delta accumulator, coalesce it into one
-// frame and broadcast to 8 /ws?stream=rollup clients. The whole per-op cost
-// is independent of the client count except for the final per-client queue
-// push, which is the point of the delta feed.
-func benchDeltaBroadcast(b *testing.B) {
-	hub := ws.NewHub(1 << 16)
-	defer hub.Close()
-	srv := httptest.NewServer(hub)
-	defer srv.Close()
-	url := "ws://" + strings.TrimPrefix(srv.URL, "http://") + "/?stream=rollup"
-	for i := 0; i < 8; i++ {
-		c, err := ws.Dial(url)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer c.Close()
-		go func() {
-			for {
-				if _, _, err := c.ReadMessage(); err != nil {
-					return
-				}
-			}
-		}()
-	}
-	for hub.RollupClients() < 8 {
-		time.Sleep(time.Millisecond)
-	}
-	d := ruru.NewRollupDelta(1e9)
-	const burst = 64
-	srcs := []string{"Auckland", "Wellington", "Sydney", "Tokyo"}
-	dsts := []string{"Los Angeles", "London", "Tokyo", "Frankfurt"}
-	events := make([]analytics.Enriched, burst)
-	for i := range events {
-		events[i] = analytics.Enriched{
-			TotalNs: int64(145e6 + i*1e6),
-			Src:     analytics.Endpoint{City: srcs[i%len(srcs)]},
-			Dst:     analytics.Endpoint{City: dsts[(i/len(srcs))%len(dsts)]},
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var t int64
-	for i := 0; i < b.N; i++ {
-		for j := range events {
-			t += 15625000 // 64 events/s of data time
-			events[j].Time = t
-			d.Add(&events[j])
-		}
-		if frame := d.Flush(); frame != nil {
-			hub.BroadcastRollup(frame)
-		}
-	}
-	b.ReportMetric(float64(b.N)*burst/b.Elapsed().Seconds(), "events/s")
 }
 
 func reportPPS(b *testing.B, pointsPerOp int) {

@@ -256,10 +256,11 @@ func TestFirewallWindowInflatesExternal(t *testing.T) {
 }
 
 func TestSYNFloodFlowsNeverComplete(t *testing.T) {
-	g, err := New(Config{
+	cfg := Config{
 		Seed: 13, World: world(t), FlowRate: 50, Duration: 2e9,
 		Floods: []FloodSpec{{Start: 500e6, Duration: 1e9, Rate: 1000, SrcCity: 4, DstCity: 1}},
-	})
+	}
+	g, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,8 +271,11 @@ func TestSYNFloodFlowsNeverComplete(t *testing.T) {
 			syns++
 		}
 	}
-	floods := 0
+	floods, completing := 0, 0
 	for _, tr := range g.Truths() {
+		if tr.Completes {
+			completing++
+		}
 		if tr.Flood {
 			floods++
 			if tr.Completes {
@@ -284,6 +288,30 @@ func TestSYNFloodFlowsNeverComplete(t *testing.T) {
 	}
 	if syns < floods {
 		t.Fatalf("syns=%d < floods=%d", syns, floods)
+	}
+
+	// Through the handshake tables, every inserted SYN is completed,
+	// aborted, expired or still tracked (ROADMAP item 14's identity); a SYN
+	// refused at a full table is TableFull, never inserted.
+	replay := func(capacity int) core.TableStats {
+		t.Helper()
+		g, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := (&Replay{Table: core.TableConfig{Capacity: capacity}}).Run(g).Tables
+		if s.SYNs != s.Completed+s.Aborted+s.Expired+s.Occupancy {
+			t.Fatalf("capacity %d: SYNs %d != completed %d + aborted %d + expired %d + occupancy %d",
+				capacity, s.SYNs, s.Completed, s.Aborted, s.Expired, s.Occupancy)
+		}
+		return s
+	}
+	if s := replay(0); s.Completed != uint64(completing) || s.Expired < uint64(floods) {
+		t.Fatalf("completed %d, expired %d; want %d completed and at least the %d flood flows expired",
+			s.Completed, s.Expired, completing, floods)
+	}
+	if s := replay(256); s.TableFull == 0 {
+		t.Fatal("256 slots per queue refused no SYN: the flood did not fill the tables")
 	}
 }
 

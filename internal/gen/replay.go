@@ -101,6 +101,7 @@ func (r *Replay) Run(g *Generator) ReplayStats {
 		st.Tables.Expired += s.Expired
 		st.Tables.ExpiredAwait += s.ExpiredAwait
 		st.Tables.TableFull += s.TableFull
+		st.Tables.Occupancy += s.Occupancy
 	}
 	return st
 }

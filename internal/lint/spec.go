@@ -29,10 +29,7 @@ package lint
 //     loop outside the stats cell.
 //   - ruru: Pipeline.pairTopMu (the sketch tier's city-pair summary) is
 //     strictly leaf: sink workers and /api/topk readers take it for a
-//     bounded heap update or copy and may acquire nothing under it. The
-//     same goes for RollupDelta.mu (the /ws?stream=rollup accumulator):
-//     sink workers fold cells and the flusher swaps the map under it,
-//     marshalling outside.
+//     bounded heap update or copy and may acquire nothing under it.
 //   - tsdb query cache: queryCache.mu guards only the entry table, LRU
 //     list and byte ledger. It is strictly leaf and in particular is never
 //     held across a stripe scan — executeCached copies the entry pointer
@@ -53,7 +50,6 @@ func RepoLockOrder() *LockOrderSpec {
 			{ID: "core.statsCellMu", Type: "ruru/internal/core.statsCell", Field: "mu"},
 			{ID: "nic.poolMu", Type: "ruru/internal/nic.Mempool", Field: "mu"},
 			{ID: "ruru.pairTopMu", Type: "ruru/internal/ruru.Pipeline", Field: "pairTopMu"},
-			{ID: "ruru.rollupDeltaMu", Type: "ruru/internal/ruru.RollupDelta", Field: "mu"},
 		},
 		Order: [][2]string{
 			{"tsdb.ckptMu", "tsdb.commitMu"},

@@ -726,6 +726,13 @@ func replayGolden(t *testing.T, w *geo.World, path string, oracle *goldenOracle,
 		}
 	}
 
+	// Handshake-table conservation (ROADMAP item 14): after quiescence every
+	// inserted SYN was completed, aborted, expired, or is still tracked.
+	if e := st.Engine; e.SYNs != e.Completed+e.Aborted+e.Expired+e.Occupancy {
+		t.Errorf("handshake table: SYNs %d != completed %d + aborted %d + expired %d + occupancy %d",
+			e.SYNs, e.Completed, e.Aborted, e.Expired, e.Occupancy)
+	}
+
 	// Sketch-tier ledger under a generous cap: every flow admitted, no
 	// bytes leaked (handshake entries released on completion; tracker
 	// entries may legitimately remain live), budget never exceeded.

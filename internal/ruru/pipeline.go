@@ -19,7 +19,6 @@ import (
 	"net/netip"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ruru/internal/analytics"
 	"ruru/internal/anomaly"
@@ -157,13 +156,6 @@ const (
 	arcsBuffer    = 4096    // recent measurements each sink shard keeps for the arc feed
 	enrichWorkers = 4       // analytics pool size
 	hubQueue      = 256     // per-WebSocket-client queue depth
-
-	// rollupStreamWidth is the bucket width (ns) of the /ws?stream=rollup
-	// delta feed, matching the standard rollup ladder's finest tier, and
-	// rollupStreamInterval how often accumulated deltas are coalesced into
-	// one frame for that audience.
-	rollupStreamWidth    = int64(time.Second)
-	rollupStreamInterval = 250 * time.Millisecond
 )
 
 // MinFlowTableBytes returns the smallest Config.FlowTableBytes able to host
@@ -195,7 +187,6 @@ type Pipeline struct {
 	Enricher *analytics.Enricher // geo/AS enrichment worker pool
 	DB       *tsdb.DB            // embedded TSDB (queries, snapshot, rollups)
 	Hub      *ws.Hub             // WebSocket fan-out to live frontends
-	Delta    *RollupDelta        // rollup-delta accumulator behind /ws?stream=rollup
 
 	Spikes *anomaly.SpikeBank     // per-city-pair latency spike detectors
 	Flood  *anomaly.FloodDetector // SYN-flood detector (expiry-fed)
@@ -348,7 +339,6 @@ func New(cfg Config) (*Pipeline, error) {
 		return nil, err
 	}
 	p.Hub = ws.NewHub(hubQueue)
-	p.Delta = NewRollupDelta(rollupStreamWidth)
 	p.sinkShards = make([]*sinkShard, cfg.SinkWorkers)
 	for i := range p.sinkShards {
 		p.sinkShards[i] = &sinkShard{
@@ -474,11 +464,6 @@ func (p *Pipeline) Run(ctx context.Context) error {
 		defer wg.Done()
 		p.runSinkDispatcher(ctx)
 	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		p.runRollupFlusher(ctx)
-	}()
 	for _, sh := range p.sinkShards {
 		go func(sh *sinkShard) {
 			defer wg.Done()
@@ -494,32 +479,6 @@ func (p *Pipeline) Run(ctx context.Context) error {
 	}
 	wg.Wait()
 	return ctx.Err()
-}
-
-// runRollupFlusher coalesces accumulated rollup deltas into one frame per
-// interval for the rollup-stream audience. A final flush on shutdown is
-// deliberately skipped: the Hub is closing with the pipeline anyway.
-func (p *Pipeline) runRollupFlusher(ctx context.Context) {
-	t := time.NewTicker(rollupStreamInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			p.FlushRollupStream()
-		}
-	}
-}
-
-// FlushRollupStream immediately coalesces accumulated rollup deltas into
-// one frame and broadcasts it to the rollup-stream audience (no-op when
-// nothing accumulated). Called by the interval flusher; exported for
-// end-of-trace harnesses that want the tail without waiting an interval.
-func (p *Pipeline) FlushRollupStream() {
-	if data := p.Delta.Flush(); data != nil {
-		p.Hub.BroadcastRollup(data)
-	}
 }
 
 // maxSpikeEvents bounds the latency-spike detections a pipeline keeps. The
@@ -582,13 +541,7 @@ type Stats struct {
 	BusDrop  uint64
 	HubSent  uint64
 	HubDrop  uint64
-	// RollupFrames counts coalesced delta frames broadcast to the
-	// /ws?stream=rollup audience and RollupCells the per-(pair, bucket)
-	// cells they carried — the read-side cost of the rollup feed, which is
-	// O(cells per interval) regardless of event rate or client count.
-	RollupFrames uint64
-	RollupCells  uint64
-	DBPoints     uint64
+	DBPoints uint64
 	// DBDropped counts points the TSDB refused at write time because they
 	// were older than the retention horizon (previously discarded from
 	// the snapshot entirely).
@@ -652,7 +605,6 @@ func (st Stats) Accounted() uint64 {
 func (p *Pipeline) Stats() Stats {
 	pub, drop := p.Bus.Stats()
 	sent, hdrop := p.Hub.Stats()
-	rframes, rcells := p.Delta.Stats()
 	written, dbDropped := p.DB.WriteStats()
 	queues := make([]nic.QueueStats, p.Port.NumQueues())
 	for q := range queues {
@@ -675,8 +627,6 @@ func (p *Pipeline) Stats() Stats {
 		BusDrop:          drop,
 		HubSent:          sent,
 		HubDrop:          hdrop,
-		RollupFrames:     rframes,
-		RollupCells:      rcells,
 		DBPoints:         written,
 		DBDropped:        dbDropped,
 		SinkDecodeErrors: p.sinkDecodeErrors.Load(),

@@ -516,7 +516,7 @@ func TestPipelineWebSocketLiveFeedFromPackets(t *testing.T) {
 	}
 	defer client.Close()
 	deadline := time.Now().Add(2 * time.Second)
-	for p.Hub.Clients() < 1 {
+	for p.Hub.LiveClients() < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("no hub client")
 		}

@@ -181,9 +181,8 @@ func (p *Pipeline) consumeBatch(sh *sinkShard, batch []sinkItem) {
 
 // fanOut hands one burst to everything downstream of the TSDB write: one
 // coalesced WebSocket frame (only marshalled when a client is connected,
-// into the shard's reusable frame buffer), the rollup-delta accumulator,
-// the anomaly detectors in arrival order, the city-pair summary and the
-// shard's arc ring. It touches no worker-private shard state — only what
+// into the shard's reusable frame buffer), the anomaly detectors in
+// arrival order, the city-pair summary and the shard's arc ring. It touches no worker-private shard state — only what
 // sh.mu guards — so Feed may call it beside the owning worker.
 func (p *Pipeline) fanOut(sh *sinkShard, batch []sinkItem) {
 	if p.Hub.LiveClients() > 0 {
@@ -199,15 +198,6 @@ func (p *Pipeline) fanOut(sh *sinkShard, batch []sinkItem) {
 			// data is freshly allocated per call — the Hub retains it in
 			// client queues, so only the frame scratch is reusable.
 			p.Hub.Broadcast(data)
-		}
-	}
-
-	if p.Hub.RollupClients() > 0 {
-		// Rollup-stream audience: fold the burst into per-(pair, bucket)
-		// delta cells instead of marshalling events — the flusher coalesces
-		// everything into one frame per interval for all rollup clients.
-		for i := range batch {
-			p.Delta.Add(&batch[i].e)
 		}
 	}
 

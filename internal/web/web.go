@@ -18,9 +18,8 @@
 //	POST /api/checkpoint — force a durable checkpoint + WAL truncation
 //	POST /write          — Influx line-protocol ingest
 //	GET  /snapshot       — full TSDB dump as line protocol
-//	GET  /ws             — WebSocket live measurement feed (JSON arrays);
-//	                       ?stream=rollup switches the client to coalesced
-//	                       rollup-delta frames (see docs/API.md)
+//	GET  /ws             — WebSocket live measurement feed (JSON arrays),
+//	                       the one feed: a stream parameter is a 400
 package web
 
 import (

@@ -71,6 +71,9 @@ func TestStatsEndpoint(t *testing.T) {
 	if st["DBPoints"].(float64) != 10 {
 		t.Fatalf("stats: %v", st)
 	}
+	if qc, ok := st["QueryCache"].(map[string]any); !ok || qc["enabled"] != false {
+		t.Fatalf("QueryCache = %v, want a block reporting enabled: false without QueryCacheBytes", st["QueryCache"])
+	}
 }
 
 // TestStatsContinuousRTTFields pins the /api/stats JSON surface for the
@@ -376,7 +379,7 @@ func TestWebSocketLiveFeed(t *testing.T) {
 	}
 	defer c.Close()
 	deadline := time.Now().Add(2 * time.Second)
-	for p.Hub.Clients() < 1 {
+	for p.Hub.LiveClients() < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("client never registered")
 		}
@@ -827,156 +830,5 @@ func TestSnapshotCompletionReporting(t *testing.T) {
 	getJSON(t, srv.URL+"/api/stats", &st2)
 	if st2.Web.SnapshotErrors != 0 {
 		t.Fatalf("untouched server reports %d snapshot errors", st2.Web.SnapshotErrors)
-	}
-}
-
-// TestWebSocketRollupDeltaStream is the end-to-end contract for
-// /ws?stream=rollup: delta frames carry per-(city-pair, bucket) increments
-// whose merge (counts and sums add, min/max take extrema) reconstructs the
-// TSDB's 1s tier state exactly, and the live and rollup audiences never
-// see each other's frames.
-func TestWebSocketRollupDeltaStream(t *testing.T) {
-	p, srv := newServer(t)
-	base := "ws://" + strings.TrimPrefix(srv.URL, "http://")
-	live, err := ws.Dial(base + "/ws")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer live.Close()
-	rollup, err := ws.Dial(base + "/ws?stream=rollup")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rollup.Close()
-	deadline := time.Now().Add(2 * time.Second)
-	for p.Hub.LiveClients() < 1 || p.Hub.RollupClients() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("clients never registered: live=%d rollup=%d",
-				p.Hub.LiveClients(), p.Hub.RollupClients())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// A rollup client alone must not receive live event frames: everything
-	// it reads is asserted to be a delta frame below, so an interleaved
-	// event array would fail the stream check.
-	type cell struct {
-		count       uint64
-		sum, mn, mx float64
-	}
-	state := map[string]map[int64]*cell{} // pair → bucket start → merged cell
-	readAndMerge := func() {
-		t.Helper()
-		rollup.SetReadDeadline(time.Now().Add(2 * time.Second))
-		op, msg, err := rollup.ReadMessage()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if op != ws.OpText {
-			t.Fatalf("opcode %v", op)
-		}
-		var f ruru.RollupFrame
-		if err := json.Unmarshal(msg, &f); err != nil {
-			t.Fatalf("bad frame: %v (%s)", err, msg)
-		}
-		if f.Stream != "rollup" || f.Width != 1e9 {
-			t.Fatalf("frame header: stream=%q width=%d", f.Stream, f.Width)
-		}
-		for _, b := range f.Buckets {
-			m := state[b.Pair]
-			if m == nil {
-				m = map[int64]*cell{}
-				state[b.Pair] = m
-			}
-			c := m[b.Start]
-			if c == nil {
-				m[b.Start] = &cell{count: b.Count, sum: b.SumMs, mn: b.MinMs, mx: b.MaxMs}
-				continue
-			}
-			c.count += b.Count
-			c.sum += b.SumMs
-			if b.MinMs < c.mn {
-				c.mn = b.MinMs
-			}
-			if b.MaxMs > c.mx {
-				c.mx = b.MaxMs
-			}
-		}
-	}
-
-	// Two identical rounds: the second frame carries pure deltas (the
-	// flusher reset its accumulator), so merging must double the counts
-	// and sums while leaving min/max fixed.
-	for round := 0; round < 2; round++ {
-		feedSamples(p, 40)
-		p.FlushRollupStream()
-		readAndMerge()
-	}
-
-	if len(state) != 1 {
-		t.Fatalf("pairs = %v, want just Auckland→Los Angeles", state)
-	}
-	cells := state["Auckland→Los Angeles"]
-	if cells == nil {
-		t.Fatalf("pair key wrong: %v", state)
-	}
-
-	// The merged client state must reconstruct the TSDB 1s tier exactly.
-	res, err := p.DB.Execute(tsdb.Query{
-		Measurement: "latency", Field: "total_ms",
-		Start: 0, End: 40e9, Window: 1e9,
-		Aggs: []tsdb.AggKind{tsdb.AggCount, tsdb.AggSum, tsdb.AggMin, tsdb.AggMax},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 1 || len(res[0].Buckets) != 40 {
-		t.Fatalf("db result shape: %+v", res)
-	}
-	if len(cells) != 40 {
-		t.Fatalf("reconstructed %d buckets, want 40", len(cells))
-	}
-	for _, b := range res[0].Buckets {
-		c := cells[b.Start]
-		if c == nil {
-			t.Fatalf("bucket %d missing from reconstruction", b.Start)
-		}
-		if c.count != uint64(b.Count) || c.sum != b.Aggs[tsdb.AggSum] ||
-			c.mn != b.Aggs[tsdb.AggMin] || c.mx != b.Aggs[tsdb.AggMax] {
-			t.Fatalf("bucket %d: reconstructed %+v, db count=%d aggs=%v",
-				b.Start, *c, b.Count, b.Aggs)
-		}
-	}
-
-	// The live client meanwhile received plain event frames (JSON arrays
-	// of enriched measurements), not deltas.
-	live.SetReadDeadline(time.Now().Add(2 * time.Second))
-	op, msg, err := live.ReadMessage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if op != ws.OpText {
-		t.Fatalf("live opcode %v", op)
-	}
-	var batch []analytics.Enriched
-	if err := json.Unmarshal(msg, &batch); err != nil {
-		t.Fatalf("live frame not an event array: %v (%s)", err, msg)
-	}
-	if len(batch) == 0 || batch[0].Src.City != "Auckland" {
-		t.Fatalf("live payload: %+v", batch)
-	}
-
-	// Stats surface the broadcast counters and the (disabled) query cache.
-	var st struct {
-		RollupFrames uint64
-		RollupCells  uint64
-		QueryCache   tsdb.CacheStats
-	}
-	getJSON(t, srv.URL+"/api/stats", &st)
-	if st.RollupFrames != 2 || st.RollupCells != 80 {
-		t.Fatalf("rollup stats: frames=%d cells=%d, want 2/80", st.RollupFrames, st.RollupCells)
-	}
-	if st.QueryCache.Enabled {
-		t.Fatal("query cache reported enabled without QueryCacheBytes")
 	}
 }

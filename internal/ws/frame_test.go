@@ -5,10 +5,15 @@ import (
 	"bytes"
 	"encoding/binary"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
+	"time"
 )
 
 // wireConn is a net.Conn over fixed input that records what is written.
@@ -208,6 +213,89 @@ func TestWriteWSFuzzCorpus(t *testing.T) {
 		body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(s)) + ")\n"
 		if err := os.WriteFile(filepath.Join(dir, "seed-"+strconv.Itoa(i)), []byte(body), 0o644); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// batchPayloads covers every length encoding at its edges, each payload
+// filled with its own byte so a swap or a torn boundary shows.
+func batchPayloads() [][]byte {
+	var out [][]byte
+	for i, n := range []int{0, 125, 126, 65535, 65536} {
+		out = append(out, bytes.Repeat([]byte{byte('a' + i)}, n))
+	}
+	return out
+}
+
+// TestWriteFramesBatchServer: one batched server write reads back as the
+// same frames, unmasked, with opcode, FIN, bytes and order intact.
+func TestWriteFramesBatchServer(t *testing.T) {
+	payloads := batchPayloads()
+	conn, wc := serverConn(nil, DefaultMaxMessage)
+	if err := conn.writeFrames(OpBinary, true, payloads...); err != nil {
+		t.Fatal(err)
+	}
+	frames, ok := parseServerFrames(wc.out.Bytes())
+	if !ok || len(frames) != len(payloads) {
+		t.Fatalf("parsed %d frames (ok=%v), want %d", len(frames), ok, len(payloads))
+	}
+	for i, f := range frames {
+		if f.op != OpBinary || !f.fin || !bytes.Equal(f.payload, payloads[i]) {
+			t.Fatalf("frame %d: op %v fin %v, %d bytes; want binary, FIN, %d bytes",
+				i, f.op, f.fin, len(f.payload), len(payloads[i]))
+		}
+	}
+}
+
+// TestWriteFramesBatchClient: one batched client write — every frame
+// masked with its own key — reads back through a server's ReadMessage as
+// the same messages in order, and leaves the caller's payloads unmasked.
+func TestWriteFramesBatchClient(t *testing.T) {
+	type message struct {
+		op  Opcode
+		msg []byte
+	}
+	got := make(chan message, 8)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		conn, err := Upgrade(w, r)
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		defer close(got)
+		for {
+			op, msg, err := conn.ReadMessage()
+			if err != nil {
+				return
+			}
+			got <- message{op, msg}
+		}
+	}))
+	defer srv.Close()
+	c, err := Dial("ws://" + strings.TrimPrefix(srv.URL, "http://") + "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	payloads := batchPayloads()
+	if err := c.writeFrames(OpText, true, payloads...); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.EqualFunc(payloads, batchPayloads(), bytes.Equal) {
+		t.Fatal("writeFrames masked the caller's payloads in place")
+	}
+	for i, want := range payloads {
+		select {
+		case m, ok := <-got:
+			if !ok {
+				t.Fatalf("server stopped reading after %d messages", i)
+			}
+			if m.op != OpText || !bytes.Equal(m.msg, want) {
+				t.Fatalf("message %d: op %v, %d bytes; want text, %d bytes", i, m.op, len(m.msg), len(want))
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("message %d never arrived", i)
 		}
 	}
 }

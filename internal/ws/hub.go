@@ -6,14 +6,10 @@ import (
 	"sync/atomic"
 )
 
-// Stream modes a client can subscribe to via the `stream` query parameter.
-// The zero/default mode receives the per-event live feed; "rollup" receives
-// coalesced rollup-delta frames instead, so a wall of dashboards costs the
-// pipeline O(buckets touched) per flush rather than O(events × clients).
-const (
-	StreamLive   = ""
-	StreamRollup = "rollup"
-)
+// writeBatch caps the frames a client's writer sends in one write: the
+// frame it woke for plus whatever is already queued behind it. Under load a
+// viewer then costs one syscall per batch instead of one per frame.
+const writeBatch = 8
 
 // Hub broadcasts messages to every connected WebSocket client. Each client
 // has a buffered outbound queue; when a client falls behind by more than its
@@ -21,9 +17,6 @@ const (
 // its real-time property no matter how slow an individual browser is —
 // matching the paper's "visualizes multiple thousands of connections per
 // second ... on-the-fly" requirement.
-//
-// Clients subscribe to exactly one stream (StreamLive or StreamRollup);
-// Broadcast reaches the live audience, BroadcastRollup the rollup audience.
 type Hub struct {
 	queue int
 
@@ -31,22 +24,19 @@ type Hub struct {
 	clients map[*hubClient]struct{}
 	closed  bool
 
-	// Per-stream client counts mirror the clients map so the audience
-	// probes are lock-free: the pipeline's sink workers check them per
-	// batch to skip JSON marshalling (live) or delta accumulation (rollup)
-	// entirely when nobody is watching that stream.
-	nLive   atomic.Int64
-	nRollup atomic.Int64
+	// n mirrors len(clients) so the audience probe is lock-free: the
+	// pipeline's sink workers check it per batch to skip JSON marshalling
+	// entirely when nobody is watching.
+	n atomic.Int64
 
 	sent    atomic.Uint64
 	dropped atomic.Uint64
 }
 
 type hubClient struct {
-	conn   *Conn
-	ch     chan []byte
-	stream string
-	once   sync.Once
+	conn *Conn
+	ch   chan []byte
+	once sync.Once
 }
 
 // NewHub creates a hub with the given per-client queue depth (default 256).
@@ -58,20 +48,18 @@ func NewHub(queue int) *Hub {
 }
 
 // ServeHTTP upgrades the request and services the client until it leaves.
-// The `stream` query parameter picks the subscription: absent/empty for the
-// live event feed, "rollup" for coalesced delta frames; anything else is
-// rejected with 400 before the upgrade.
+// There is one feed, so a non-empty `stream` query parameter is rejected
+// with 400 before the upgrade.
 func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	stream := r.URL.Query().Get("stream")
-	if stream != StreamLive && stream != StreamRollup {
-		http.Error(w, "unknown stream (want empty or \"rollup\")", http.StatusBadRequest)
+	if r.URL.Query().Get("stream") != "" {
+		http.Error(w, "unknown stream (there is only the live feed)", http.StatusBadRequest)
 		return
 	}
 	conn, err := Upgrade(w, r)
 	if err != nil {
 		return
 	}
-	c := &hubClient{conn: conn, ch: make(chan []byte, h.queue), stream: stream}
+	c := &hubClient{conn: conn, ch: make(chan []byte, h.queue)}
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
@@ -79,7 +67,7 @@ func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	h.clients[c] = struct{}{}
-	h.recountLocked()
+	h.n.Store(int64(len(h.clients)))
 	h.mu.Unlock()
 
 	// Reader goroutine: clients don't send data, but reading services
@@ -92,60 +80,47 @@ func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}()
+	batch := make([][]byte, 0, writeBatch)
 	for msg := range c.ch {
-		if err := conn.WriteMessage(OpText, msg); err != nil {
+		batch = append(batch[:0], msg)
+	fill:
+		for len(batch) < writeBatch {
+			select {
+			case m, ok := <-c.ch:
+				if !ok {
+					break fill
+				}
+				batch = append(batch, m)
+			default:
+				break fill
+			}
+		}
+		if err := conn.writeFrames(OpText, true, batch...); err != nil {
 			h.drop(c)
 			return
 		}
-		h.sent.Add(1)
+		h.sent.Add(uint64(len(batch)))
 	}
 	conn.Close()
-}
-
-// recountLocked refreshes the lock-free per-stream counts. Caller holds mu.
-func (h *Hub) recountLocked() {
-	var live, rollup int64
-	for c := range h.clients {
-		if c.stream == StreamRollup {
-			rollup++
-		} else {
-			live++
-		}
-	}
-	h.nLive.Store(live)
-	h.nRollup.Store(rollup)
 }
 
 func (h *Hub) drop(c *hubClient) {
 	h.mu.Lock()
 	if _, ok := h.clients[c]; ok {
 		delete(h.clients, c)
-		h.recountLocked()
+		h.n.Store(int64(len(h.clients)))
 		c.once.Do(func() { close(c.ch) })
 	}
 	h.mu.Unlock()
 	c.conn.Close()
 }
 
-// Broadcast queues msg for every live-stream client without blocking.
-// Clients over their queue depth miss the message.
+// Broadcast queues msg for every client without blocking. Clients over
+// their queue depth miss the message.
 func (h *Hub) Broadcast(msg []byte) {
-	h.broadcast(msg, StreamLive)
-}
-
-// BroadcastRollup queues a rollup-delta frame for every rollup-stream
-// client without blocking.
-func (h *Hub) BroadcastRollup(msg []byte) {
-	h.broadcast(msg, StreamRollup)
-}
-
-func (h *Hub) broadcast(msg []byte, stream string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for c := range h.clients {
-		if c.stream != stream {
-			continue
-		}
 		select {
 		case c.ch <- msg:
 		default:
@@ -154,20 +129,10 @@ func (h *Hub) broadcast(msg []byte, stream string) {
 	}
 }
 
-// Clients returns the current client count across all streams. Lock-free:
-// safe to call from every sink worker on every batch.
-func (h *Hub) Clients() int {
-	return int(h.nLive.Load() + h.nRollup.Load())
-}
-
-// LiveClients returns the live-stream audience size, lock-free.
+// LiveClients returns the number of connected clients. Lock-free: safe to
+// call from every sink worker on every batch.
 func (h *Hub) LiveClients() int {
-	return int(h.nLive.Load())
-}
-
-// RollupClients returns the rollup-stream audience size, lock-free.
-func (h *Hub) RollupClients() int {
-	return int(h.nRollup.Load())
+	return int(h.n.Load())
 }
 
 // Stats returns (messages sent, messages dropped to slow clients).
@@ -184,8 +149,7 @@ func (h *Hub) Close() {
 		clients = append(clients, c)
 	}
 	h.clients = map[*hubClient]struct{}{}
-	h.nLive.Store(0)
-	h.nRollup.Store(0)
+	h.n.Store(0)
 	h.mu.Unlock()
 	for _, c := range clients {
 		c.once.Do(func() { close(c.ch) })

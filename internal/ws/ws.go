@@ -72,6 +72,8 @@ type Conn struct {
 
 	writeMu sync.Mutex
 	closed  bool
+	wbuf    []byte      // frame headers (and masked payloads), under writeMu
+	wvec    net.Buffers // the write's vector, under writeMu
 
 	MaxMessage int
 	rng        *rand.Rand
@@ -285,14 +287,14 @@ func (c *Conn) ReadMessage() (Opcode, []byte, error) {
 		}
 		switch h.opcode {
 		case OpPing:
-			if err := c.writeFrame(OpPong, payload, true); err != nil {
+			if err := c.writeFrames(OpPong, true, payload); err != nil {
 				return 0, nil, err
 			}
 		case OpPong:
 			// keepalive response; ignore
 		case OpClose:
 			// Echo the close and report.
-			c.writeFrame(OpClose, payload, true)
+			c.writeFrames(OpClose, true, payload)
 			c.conn.Close()
 			return 0, nil, ErrClosed
 		case OpText, OpBinary:
@@ -325,48 +327,70 @@ func maskBytes(mask [4]byte, offset int, b []byte) {
 	}
 }
 
-// writeFrame emits a single frame. Client connections mask their payload
-// (a copy is made so the caller's buffer is untouched).
-func (c *Conn) writeFrame(op Opcode, payload []byte, fin bool) error {
+// maxFrameHeader is the longest frame header: two bytes, a 64-bit length
+// and a masking key.
+const maxFrameHeader = 14
+
+// writeFrames emits one frame per payload, each with opcode op and the given
+// FIN bit, in a single vectored write: headers and payloads go out in order
+// as one net.Buffers, so a batch costs one syscall. A client masks each
+// payload into its own scratch, leaving the caller's buffers untouched; a
+// server sends the payloads as they are.
+func (c *Conn) writeFrames(op Opcode, fin bool, payloads ...[]byte) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	if c.closed {
 		return ErrClosed
 	}
-	var hdr [14]byte
-	b0 := byte(op)
+	return c.writeFramesLocked(op, fin, payloads)
+}
+
+// writeFramesLocked is writeFrames with writeMu held and the Conn open.
+func (c *Conn) writeFramesLocked(op Opcode, fin bool, payloads [][]byte) error {
+	size := 0
+	for _, p := range payloads {
+		size += maxFrameHeader
+		if !c.server {
+			size += len(p)
+		}
+	}
+	if cap(c.wbuf) < size {
+		c.wbuf = make([]byte, 0, size)
+	}
+	b0, maskBit := byte(op), byte(0)
 	if fin {
 		b0 |= 0x80
 	}
-	hdr[0] = b0
-	n := 2
-	switch {
-	case len(payload) < 126:
-		hdr[1] = byte(len(payload))
-	case len(payload) <= 0xffff:
-		hdr[1] = 126
-		binary.BigEndian.PutUint16(hdr[2:], uint16(len(payload)))
-		n = 4
-	default:
-		hdr[1] = 127
-		binary.BigEndian.PutUint64(hdr[2:], uint64(len(payload)))
-		n = 10
-	}
 	if !c.server {
-		hdr[1] |= 0x80
-		var mask [4]byte
-		binary.LittleEndian.PutUint32(mask[:], c.rng.Uint32())
-		copy(hdr[n:], mask[:])
-		n += 4
-		masked := make([]byte, len(payload))
-		copy(masked, payload)
-		maskBytes(mask, 0, masked)
-		payload = masked
+		maskBit = 0x80
 	}
-	if _, err := c.conn.Write(hdr[:n]); err != nil {
-		return err
+	// buf stays within its capacity, so the slices of it in vec stay valid.
+	buf, vec := c.wbuf[:0], c.wvec[:0]
+	for _, p := range payloads {
+		start := len(buf)
+		buf = append(buf, b0)
+		switch n := len(p); {
+		case n < 126:
+			buf = append(buf, maskBit|byte(n))
+		case n <= 0xffff:
+			buf = binary.BigEndian.AppendUint16(append(buf, maskBit|126), uint16(n))
+		default:
+			buf = binary.BigEndian.AppendUint64(append(buf, maskBit|127), uint64(n))
+		}
+		if c.server {
+			vec = append(vec, buf[start:], p)
+			continue
+		}
+		buf = binary.LittleEndian.AppendUint32(buf, c.rng.Uint32())
+		m := len(buf)
+		buf = append(buf, p...)
+		maskBytes([4]byte(buf[m-4:m]), 0, buf[m:])
+		vec = append(vec, buf[start:])
 	}
-	_, err := c.conn.Write(payload)
+	out := vec // WriteTo consumes its receiver; vec keeps the storage
+	_, err := out.WriteTo(c.conn)
+	clear(vec) // drop the payloads until the next write
+	c.wbuf, c.wvec = buf, vec[:0]
 	return err
 }
 
@@ -375,11 +399,11 @@ func (c *Conn) WriteMessage(op Opcode, payload []byte) error {
 	if op != OpText && op != OpBinary {
 		return ErrBadFrame
 	}
-	return c.writeFrame(op, payload, true)
+	return c.writeFrames(op, true, payload)
 }
 
 // Ping sends a ping control frame.
-func (c *Conn) Ping(data []byte) error { return c.writeFrame(OpPing, data, true) }
+func (c *Conn) Ping(data []byte) error { return c.writeFrames(OpPing, true, data) }
 
 // Close performs the closing handshake (best-effort) and closes the socket.
 func (c *Conn) Close() error {
@@ -388,21 +412,10 @@ func (c *Conn) Close() error {
 		c.writeMu.Unlock()
 		return nil
 	}
+	// Best-effort close frame with status 1000 (normal).
+	c.writeFramesLocked(OpClose, true, [][]byte{{0x03, 0xe8}})
 	c.closed = true
 	c.writeMu.Unlock()
-	// Best-effort close frame with status 1000 (normal).
-	var payload [2]byte
-	binary.BigEndian.PutUint16(payload[:], 1000)
-	hdr := []byte{byte(OpClose) | 0x80, 2}
-	if !c.server {
-		hdr[1] |= 0x80
-		var mask [4]byte
-		masked := payload
-		maskBytes(mask, 0, masked[:])
-		c.conn.Write(append(append(hdr, mask[:]...), masked[:]...))
-	} else {
-		c.conn.Write(append(hdr, payload[:]...))
-	}
 	c.conn.SetDeadline(time.Now().Add(100 * time.Millisecond))
 	return c.conn.Close()
 }

@@ -2,6 +2,7 @@ package ws
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -237,9 +238,9 @@ func TestHubBroadcast(t *testing.T) {
 		conns[i] = c
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for hub.Clients() < nClients {
+	for hub.LiveClients() < nClients {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d clients registered", hub.Clients())
+			t.Fatalf("only %d clients registered", hub.LiveClients())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -283,7 +284,7 @@ func TestHubSlowClientDoesNotBlockBroadcast(t *testing.T) {
 	}
 	defer c.Close()
 	deadline := time.Now().Add(2 * time.Second)
-	for hub.Clients() < 1 {
+	for hub.LiveClients() < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("client never registered")
 		}
@@ -312,7 +313,7 @@ func TestHubClientDisconnectCleanup(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for hub.Clients() < 1 {
+	for hub.LiveClients() < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("client never registered")
 		}
@@ -320,7 +321,7 @@ func TestHubClientDisconnectCleanup(t *testing.T) {
 	}
 	c.Close()
 	deadline = time.Now().Add(2 * time.Second)
-	for hub.Clients() > 0 {
+	for hub.LiveClients() > 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("client never cleaned up")
 		}
@@ -339,7 +340,7 @@ func TestConcurrentBroadcasters(t *testing.T) {
 	}
 	defer c.Close()
 	deadline := time.Now().Add(2 * time.Second)
-	for hub.Clients() < 1 {
+	for hub.LiveClients() < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("no client")
 		}
@@ -399,7 +400,7 @@ func BenchmarkBroadcastFanout8(b *testing.B) {
 			}
 		}()
 	}
-	for hub.Clients() < 8 {
+	for hub.LiveClients() < 8 {
 		time.Sleep(time.Millisecond)
 	}
 	msg := []byte(`{"time":1,"total_ns":145000000,"src":{"city":"Auckland"},"dst":{"city":"Los Angeles"}}`)
@@ -410,92 +411,128 @@ func BenchmarkBroadcastFanout8(b *testing.B) {
 	}
 }
 
-// TestHubStreamRouting pins the per-client stream subscription: live and
-// rollup audiences are disjoint, each Broadcast* reaches exactly its own
-// stream, and the per-stream counts track connects and disconnects.
-func TestHubStreamRouting(t *testing.T) {
-	hub := NewHub(64)
-	defer hub.Close()
-	srv := httptest.NewServer(hub)
-	defer srv.Close()
-	base := "ws://" + strings.TrimPrefix(srv.URL, "http://")
-
-	live, err := Dial(base + "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer live.Close()
-	rollup, err := Dial(base + "/?stream=rollup")
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for hub.LiveClients() < 1 || hub.RollupClients() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("counts: live=%d rollup=%d", hub.LiveClients(), hub.RollupClients())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if hub.Clients() != 2 {
-		t.Fatalf("Clients() = %d, want 2", hub.Clients())
-	}
-
-	hub.Broadcast([]byte("live-frame"))
-	hub.BroadcastRollup([]byte("rollup-frame"))
-
-	live.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, msg, err := live.ReadMessage(); err != nil || string(msg) != "live-frame" {
-		t.Fatalf("live client read %q, %v; want live-frame", msg, err)
-	}
-	rollup.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, msg, err := rollup.ReadMessage(); err != nil || string(msg) != "rollup-frame" {
-		t.Fatalf("rollup client read %q, %v; want rollup-frame", msg, err)
-	}
-	// Neither client may see the other stream's frame: send a second frame
-	// on each stream and check it arrives next (nothing interleaved).
-	hub.Broadcast([]byte("live-2"))
-	hub.BroadcastRollup([]byte("rollup-2"))
-	if _, msg, err := live.ReadMessage(); err != nil || string(msg) != "live-2" {
-		t.Fatalf("live client read %q, %v; want live-2", msg, err)
-	}
-	if _, msg, err := rollup.ReadMessage(); err != nil || string(msg) != "rollup-2" {
-		t.Fatalf("rollup client read %q, %v; want rollup-2", msg, err)
-	}
-
-	rollup.Close()
-	deadline = time.Now().Add(2 * time.Second)
-	for hub.RollupClients() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("rollup count stuck at %d after disconnect", hub.RollupClients())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if hub.LiveClients() != 1 || hub.Clients() != 1 {
-		t.Fatalf("after disconnect: live=%d total=%d", hub.LiveClients(), hub.Clients())
-	}
-}
-
-// TestHubRejectsUnknownStream: an unrecognized stream parameter is a 400
-// before any upgrade, so a typo fails loudly instead of silently joining
-// the live feed.
+// TestHubRejectsUnknownStream: any non-empty stream parameter is a 400
+// before any upgrade — there is one feed — so a typo or a client of the
+// retired rollup stream fails loudly instead of silently joining the live
+// feed.
 func TestHubRejectsUnknownStream(t *testing.T) {
 	hub := NewHub(64)
 	defer hub.Close()
 	srv := httptest.NewServer(hub)
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/?stream=firehose")
-	if err != nil {
-		t.Fatal(err)
+	for _, stream := range []string{"firehose", "rollup"} {
+		resp, err := http.Get(srv.URL + "/?stream=" + stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("stream=%s: status = %d, want 400", stream, resp.StatusCode)
+		}
+		if _, err := Dial("ws://" + strings.TrimPrefix(srv.URL, "http://") + "/?stream=" + stream); err == nil {
+			t.Fatalf("Dial with stream=%s succeeded, want handshake failure", stream)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400", resp.StatusCode)
+	if hub.LiveClients() != 0 {
+		t.Fatalf("rejected client counted: %d", hub.LiveClients())
 	}
-	if _, err := Dial("ws://" + strings.TrimPrefix(srv.URL, "http://") + "/?stream=firehose"); err == nil {
-		t.Fatal("Dial with unknown stream succeeded, want handshake failure")
+}
+
+// TestHubSentPlusDroppedIsBroadcast pins the hub's conservation identity
+// under batched writes: k clients, one of them stalled, N broadcasts. Once
+// the stalled client drains, every (client, broadcast) pair was counted
+// exactly once, as sent or as dropped; each fast client read all N frames
+// in order, and the stalled one an increasing subsequence of them.
+func TestHubSentPlusDroppedIsBroadcast(t *testing.T) {
+	const (
+		k     = 4
+		n     = 512
+		burst = 2 * writeBatch
+		size  = 64 << 10 // n frames outgrow any loopback socket buffering
+	)
+	hub := NewHub(burst)
+	defer hub.Close()
+	srv := httptest.NewServer(hub)
+	defer srv.Close()
+	url := "ws://" + strings.TrimPrefix(srv.URL, "http://") + "/"
+	conns := make([]*Conn, k)
+	for i := range conns {
+		c, err := Dial(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		c.SetReadDeadline(time.Now().Add(20 * time.Second))
+		conns[i] = c
 	}
-	if hub.Clients() != 0 {
-		t.Fatalf("rejected client counted: %d", hub.Clients())
+	for deadline := time.Now().Add(2 * time.Second); hub.LiveClients() < k; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d clients registered", hub.LiveClients())
+		}
+	}
+	stalled, fast := conns[0], conns[1:]
+	index := func(msg []byte) int {
+		if len(msg) != size {
+			t.Fatalf("frame of %d bytes, want %d", len(msg), size)
+		}
+		return int(binary.BigEndian.Uint32(msg))
+	}
+
+	// A fast client's queue never holds more than one burst, so it never
+	// drops; the stalled client's writer blocks once its socket buffers
+	// fill, and its queue overflows.
+	for b := 0; b < n; b += burst {
+		for i := b; i < b+burst; i++ {
+			msg := make([]byte, size)
+			binary.BigEndian.PutUint32(msg, uint32(i))
+			hub.Broadcast(msg)
+		}
+		for ci, c := range fast {
+			for i := b; i < b+burst; i++ {
+				_, msg, err := c.ReadMessage()
+				if err != nil {
+					t.Fatalf("fast client %d, frame %d: %v", ci, i, err)
+				}
+				if got := index(msg); got != i {
+					t.Fatalf("fast client %d read frame %d, want %d", ci, got, i)
+				}
+			}
+		}
+	}
+
+	// Drain the stalled client until the hub has accounted for every pair
+	// and the client has read everything counted as sent to it.
+	var read atomic.Int64
+	go func() {
+		last := -1
+		for {
+			_, msg, err := stalled.ReadMessage()
+			if err != nil {
+				return
+			}
+			if i := index(msg); i <= last {
+				t.Errorf("stalled client read frame %d after %d", i, last)
+			} else {
+				last = i
+			}
+			read.Add(1)
+		}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		sent, dropped := hub.Stats()
+		r := uint64(read.Load())
+		if sent+dropped == n*k && sent == (k-1)*n+r {
+			if r+dropped != n {
+				t.Fatalf("stalled client read %d and dropped %d of %d", r, dropped, n)
+			}
+			if dropped == 0 {
+				t.Fatal("the stalled client dropped nothing: the test did not stall it")
+			}
+			return
+		}
+		if sent+dropped > n*k || time.Now().After(deadline) {
+			t.Fatalf("sent=%d dropped=%d stalled read=%d, want sent+dropped=%d", sent, dropped, r, n*k)
+		}
 	}
 }
