@@ -8,12 +8,12 @@ package main
 import (
 	"fmt"
 	"log"
+	"math/rand/v2"
 
 	"ruru/internal/core"
 	"ruru/internal/gen"
 	"ruru/internal/geo"
 	"ruru/internal/pkt"
-	"ruru/internal/rss"
 	"ruru/internal/stats"
 )
 
@@ -38,9 +38,10 @@ func main() {
 	}
 
 	// 3. The measurement engine: a handshake table fed with parsed
-	// packets, exactly what each per-queue worker runs in the pipeline.
+	// packets and indexed by a seeded flow hash, exactly what each
+	// per-queue worker runs in the pipeline.
 	table := core.NewHandshakeTable(core.TableConfig{Capacity: 1 << 12})
-	hasher := rss.NewSymmetric()
+	seed := rand.Uint64()
 
 	var (
 		parser pkt.Parser
@@ -55,8 +56,7 @@ func main() {
 		if err := parser.Parse(p.Frame, &sum); err != nil || !sum.IsTCP() {
 			continue
 		}
-		hash := hasher.HashTuple(sum.Src(), sum.Dst(), sum.TCP.SrcPort, sum.TCP.DstPort)
-		if table.Process(&sum, p.TS, hash, &m) {
+		if table.Process(&sum, p.TS, uint32(core.FlowHash(seed, &sum)), &m) {
 			histT.Add(m.Total)
 			if shown < 10 {
 				fmt.Printf("%-44s %7.2fms  %7.2fms  %7.2fms\n",

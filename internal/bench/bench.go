@@ -74,6 +74,9 @@ func Specs() []Spec {
 		{Name: "process/handshake", F: benchHandshake},
 		{Name: "core/tsrtt", F: benchTSRTT},
 		{Name: "core/seq-rtt", F: benchSeqRTT},
+		{Name: "core/flow-hash-ipv4", F: func(b *testing.B) { benchFlowHash(b, 0) }},
+		{Name: "core/flow-hash-ipv6", F: func(b *testing.B) { benchFlowHash(b, 1) }},
+		{Name: "core/trackers-22k", F: benchTrackers22k},
 		{Name: "sink/consume", F: benchSinkConsume},
 		{Name: "db/write-batch", F: benchDBWriteBatch},
 		{Name: "db/write-batch-ref-20k", F: benchDBWriteBatchRef20k},
@@ -357,6 +360,139 @@ func benchSeqRTT(b *testing.B) {
 		tr.Process(f.ackp, ts+1, f.hash, &sample, &loss)
 	}
 	b.ReportMetric(float64(2*b.N)/b.Elapsed().Seconds(), "pps")
+}
+
+var (
+	sinkFlowHash uint64
+	sinkTouch    uint32
+)
+
+// tupleSummary is the parsed TCP packet of one generated tuple.
+func tupleSummary(t *hashTuple) pkt.Summary {
+	s := pkt.Summary{IPv6: t.src.Is6()}
+	if s.IPv6 {
+		s.IP6.Src, s.IP6.Dst = t.src, t.dst
+		s.Decoded = pkt.LayerEthernet | pkt.LayerIPv6 | pkt.LayerTCP
+	} else {
+		s.IP4.Src, s.IP4.Dst = t.src, t.dst
+		s.Decoded = pkt.LayerEthernet | pkt.LayerIPv4 | pkt.LayerTCP
+	}
+	s.TCP = pkt.TCP{SrcPort: t.sp, DstPort: t.dp, Flags: pkt.TCPAck}
+	return s
+}
+
+// benchFlowHash: the seeded flow hash that indexes a queue's flow tables
+// and sketch tier, once per TCP packet. It cycles over 64 summaries of
+// generated tuples, which stay in L1 like the packet a worker has just
+// parsed.
+func benchFlowHash(b *testing.B, ipv6Fraction float64) {
+	tuples := genTuples(b, 64, ipv6Fraction)
+	sums := make([]pkt.Summary, len(tuples))
+	for i := range tuples {
+		sums[i] = tupleSummary(&tuples[i])
+	}
+	seed := uint64(0x9e3779b97f4a7c15)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkFlowHash = core.FlowHash(seed, &sums[i%len(sums)])
+	}
+}
+
+// benchTrackers22k: one packet per op through the handshake table, the
+// timestamp tracker and the seq tracker, as a queue worker runs them on
+// the trackers workload, at the 22 k live flows one of its four queues
+// holds by the end of a 10 s run, in tables of the daemon's 1<<16 slots.
+// The flows are those the symmetric Toeplitz hash sends to queue 0 of 4,
+// each packet is hashed and the trackers' tables touched in the loop as
+// the engine does it, and flows are visited in random order, so the row
+// carries the index's probe chains and cache misses. An op alternates a
+// flow's data segment and the ACK that echoes it: a seq and a timestamp
+// sample per flow visit.
+func benchTrackers22k(b *testing.B) {
+	const (
+		flows  = 22000
+		queues = 4
+	)
+	// Each generated flow shows up as two tuples, one per direction.
+	all := genTuples(b, 2*flows*queues*9/8, 0)
+	toeplitz := rss.NewSymmetric()
+	type flow struct{ data, ack pkt.Summary }
+	fl := make([]flow, 0, flows)
+	seen := make(map[hashTuple]bool, flows)
+	payload := make([]byte, 100)
+	for i := range all {
+		t := &all[i]
+		if seen[hashTuple{t.dst, t.src, t.dp, t.sp}] ||
+			rss.Queue(toeplitz.HashTuple(t.src, t.dst, t.sp, t.dp), queues) != 0 {
+			continue
+		}
+		seen[*t] = true
+		f := flow{data: tupleSummary(t)}
+		f.data.Payload = payload
+		f.data.TCP.Options = make([]byte, pkt.TimestampOptionLen)
+		f.ack = tupleSummary(&hashTuple{t.dst, t.src, t.dp, t.sp})
+		f.ack.TCP.Options = make([]byte, pkt.TimestampOptionLen)
+		if fl = append(fl, f); len(fl) == flows {
+			break
+		}
+	}
+	if len(fl) < flows {
+		b.Fatalf("%d generated tuples gave %d flows on queue 0, want %d", len(all), len(fl), flows)
+	}
+	hs := core.NewHandshakeTable(core.TableConfig{Capacity: 1 << 16})
+	tst := core.NewTSTracker(core.TSConfig{Capacity: 1 << 16})
+	seq := core.NewSeqTracker(core.SeqConfig{Capacity: 1 << 16, DeferTS: true})
+	seed := uint64(0x9e3779b97f4a7c15)
+	var (
+		m      core.Measurement
+		smp    core.TSSample
+		ss     core.SeqSample
+		lev    core.LossEvent
+		now    int64
+		tsval  uint32
+		cur    *flow
+		rng    = uint32(1)
+		packet = func(s *pkt.Summary) {
+			now += 1000
+			h := uint32(core.FlowHash(seed, s))
+			sinkTouch ^= tst.Touch(h) ^ seq.Touch(h)
+			hs.Process(s, now, h, &m)
+			tst.Process(s, now, h, &smp)
+			seq.Process(s, now, h, &ss, &lev)
+		}
+		step = func(f *flow, data bool) {
+			tsval++
+			if data {
+				f.data.TCP.Seq += 100
+				pkt.PutTimestampOption(f.data.TCP.Options, tsval, tsval-1)
+				packet(&f.data)
+				return
+			}
+			f.ack.TCP.Ack = f.data.TCP.Seq + 100
+			pkt.PutTimestampOption(f.ack.TCP.Options, tsval, tsval-1)
+			packet(&f.ack)
+		}
+	)
+	for i := range fl {
+		step(&fl[i], true)
+		step(&fl[i], false)
+	}
+	if n := tst.Len(); n != flows || seq.Len() != flows {
+		b.Fatalf("%d ts and %d seq flows live after warm-up, want %d", n, seq.Len(), flows)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%2 == 0 {
+			rng ^= rng << 13
+			rng ^= rng >> 17
+			rng ^= rng << 5
+			cur = &fl[rng%flows]
+		}
+		step(cur, i%2 == 0)
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pps")
 }
 
 // benchSinkConsume: enriched topic → sharded sink workers → batched

@@ -19,14 +19,18 @@ import "ruru/internal/pkt"
 //
 // Observe accounts the packet's flow volume in the sketch and retains the
 // flow's identity, so Admit needs no re-hash: it rules on "the flow of the
-// most recently Observed packet". Admit charges entryBytes against the
-// budget and reports whether the flow was let in and whether it came through
-// the elephant (promotion) path; a refusal is counted SketchOnlyFlows.
-// Release returns the bytes when the record is freed (completion, abort,
-// eviction) and balances Promoted with Demoted.
+// most recently Observed packet". Observe also returns the packet's flow
+// hash, FlowHash under the admitter's seed, which the engine passes on to
+// the queue's tables, so a packet is hashed once. Admit charges entryBytes
+// against the budget and reports whether the flow was let in and whether
+// it came through the elephant (promotion) path; a refusal is counted
+// SketchOnlyFlows. Release returns the bytes when the record is freed
+// (completion, abort, eviction) and balances Promoted with Demoted.
 type Admitter interface {
-	// Observe accounts one parsed TCP packet in the sketch tier.
-	Observe(s *pkt.Summary)
+	// Observe accounts one parsed TCP packet in the sketch tier and
+	// returns its flow hash: direction-independent, and the same for
+	// every packet of the flow.
+	Observe(s *pkt.Summary) uint64
 	// Admit asks to allocate entryBytes of exact state for the flow of
 	// the last Observed packet. promoted reports the elephant path.
 	Admit(entryBytes int64) (ok, promoted bool)

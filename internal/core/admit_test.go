@@ -40,7 +40,10 @@ type fakeAdmitter struct {
 	}
 }
 
-func (f *fakeAdmitter) Observe(s *pkt.Summary) { f.observes++ }
+func (f *fakeAdmitter) Observe(s *pkt.Summary) uint64 {
+	f.observes++
+	return FlowHash(1, s)
+}
 
 func (f *fakeAdmitter) Admit(entryBytes int64) (bool, bool) {
 	f.admits++

@@ -10,11 +10,12 @@
 //	internal = t(ACK) - t(SYN-ACK)  — RTT between the tap and the client
 //	total    = internal + external  — full end-to-end RTT C↔S
 //
-// State lives in per-queue HandshakeTables indexed by the flow 4-tuple.
-// Symmetric RSS guarantees both directions of a flow arrive on the same
-// queue, so tables are single-writer and lock-free. Tables are fixed-size
-// open-addressed arrays (linear probing with backward-shift deletion) and
-// the processing path performs no heap allocation.
+// State lives in per-queue HandshakeTables keyed by the flow 4-tuple and
+// indexed by its seeded FlowHash. Symmetric RSS guarantees both directions
+// of a flow arrive on the same queue, so tables are single-writer and
+// lock-free. Tables are fixed-size open-addressed arrays (linear probing
+// with backward-shift deletion) and the processing path performs no heap
+// allocation.
 package core
 
 import (
@@ -166,12 +167,13 @@ func (t *HandshakeTable) Stats() TableStats {
 	return s
 }
 
-// Process examines one parsed TCP packet with capture timestamp ts and RSS
-// hash rssHash. If the packet completes a handshake, the resulting
-// measurement is stored in *m and Process returns true.
+// Process examines one parsed TCP packet with capture timestamp ts.
+// flowHash is a direction-independent flow hash; the engine passes
+// FlowHash. If the packet completes a handshake, the resulting measurement
+// is stored in *m and Process returns true.
 //
 //ruru:noalloc
-func (t *HandshakeTable) Process(s *pkt.Summary, ts int64, rssHash uint32, m *Measurement) bool {
+func (t *HandshakeTable) Process(s *pkt.Summary, ts int64, flowHash uint32, m *Measurement) bool {
 	t.stats.Packets++
 	t.maybeSweep(ts)
 
@@ -184,13 +186,13 @@ func (t *HandshakeTable) Process(s *pkt.Summary, ts int64, rssHash uint32, m *Me
 		// the table corrupted by flows that can never complete.
 		// Abort either orientation.
 		key := FlowKey{Client: s.Src(), Server: s.Dst(), ClientPort: tcp.SrcPort, ServerPort: tcp.DstPort}
-		if idx, found := t.find(rssHash, key); found {
+		if idx, found := t.find(flowHash, key); found {
 			t.remove(idx)
 			t.stats.Aborted++
 			return false
 		}
 		rkey := FlowKey{Client: s.Dst(), Server: s.Src(), ClientPort: tcp.DstPort, ServerPort: tcp.SrcPort}
-		if idx, found := t.find(rssHash, rkey); found {
+		if idx, found := t.find(flowHash, rkey); found {
 			t.remove(idx)
 			t.stats.Aborted++
 		}
@@ -198,7 +200,7 @@ func (t *HandshakeTable) Process(s *pkt.Summary, ts int64, rssHash uint32, m *Me
 
 	case tcp.IsSYN():
 		key := FlowKey{Client: s.Src(), Server: s.Dst(), ClientPort: tcp.SrcPort, ServerPort: tcp.DstPort}
-		idx, found := t.find(rssHash, key)
+		idx, found := t.find(flowHash, key)
 		var sl *flowSlot[hsEntry]
 		if found {
 			sl = &t.slots[idx]
@@ -217,7 +219,7 @@ func (t *HandshakeTable) Process(s *pkt.Summary, ts int64, rssHash uint32, m *Me
 			// slot's budget charge (and promoted flag) carries over — the
 			// record is reused, not reallocated, so the admitter is not
 			// re-consulted.
-		} else if sl = t.insert(idx, rssHash, key, ts); sl == nil {
+		} else if sl = t.insert(idx, flowHash, key, ts); sl == nil {
 			return false
 		}
 		sl.val = hsEntry{synTS: ts, clientISN: tcp.Seq, state: stateSYN, ipv6: s.IPv6}
@@ -227,7 +229,7 @@ func (t *HandshakeTable) Process(s *pkt.Summary, ts int64, rssHash uint32, m *Me
 	case tcp.IsSYNACK():
 		// Server→client: reverse the tuple to the client orientation.
 		key := FlowKey{Client: s.Dst(), Server: s.Src(), ClientPort: tcp.DstPort, ServerPort: tcp.SrcPort}
-		idx, found := t.find(rssHash, key)
+		idx, found := t.find(flowHash, key)
 		if !found {
 			t.stats.OrphanSYNACKs++
 			return false
@@ -257,7 +259,7 @@ func (t *HandshakeTable) Process(s *pkt.Summary, ts int64, rssHash uint32, m *Me
 	// matched IsSYN or IsSYNACK above.
 	case tcp.ACK():
 		key := FlowKey{Client: s.Src(), Server: s.Dst(), ClientPort: tcp.SrcPort, ServerPort: tcp.DstPort}
-		idx, found := t.find(rssHash, key)
+		idx, found := t.find(flowHash, key)
 		if !found {
 			t.stats.MidstreamACKs++
 			return false

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math/rand/v2"
 	"runtime"
 	"sync"
 	"time"
@@ -131,11 +132,13 @@ type Engine struct {
 // flow records and the admitter charges they hold carry over from one Run
 // to the next.
 type queueState struct {
-	table *HandshakeTable
-	ts    *TSTracker  // nil unless EngineConfig.TSSink is set
-	seq   *SeqTracker // nil unless EngineConfig.SeqSink is set
-	adm   Admitter    // nil unless EngineConfig.NewAdmitter is set
-	cell  statsCell
+	table   *HandshakeTable
+	ts      *TSTracker  // nil unless EngineConfig.TSSink is set
+	seq     *SeqTracker // nil unless EngineConfig.SeqSink is set
+	adm     Admitter    // nil unless EngineConfig.NewAdmitter is set
+	seed    uint64      // keys FlowHash when there is no admitter to hash
+	touched uint32      // keeps the trackers' home-slot loads (Touch)
+	cell    statsCell
 }
 
 // statsCell holds the stats snapshots a worker publishes once per burst,
@@ -165,6 +168,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	e := &Engine{cfg: cfg, queues: make([]queueState, cfg.Port.NumQueues())}
 	for q := range e.queues {
 		qs := &e.queues[q]
+		qs.seed = rand.Uint64()
 		if cfg.NewAdmitter != nil {
 			if qs.adm = cfg.NewAdmitter(q); qs.adm == nil {
 				return nil, errors.New("core: EngineConfig.NewAdmitter returned nil")
@@ -317,8 +321,10 @@ func (e *Engine) Run(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// runQueue is the per-core poll loop: RxBurst → parse → handshake table
-// (and, when enabled, the timestamp and sequence trackers).
+// runQueue is the per-core poll loop: RxBurst → parse → flow hash →
+// handshake table (and, when enabled, the timestamp and sequence
+// trackers). The NIC's Toeplitz value chose the queue; the tables are
+// indexed by the queue's seeded FlowHash, computed once per TCP packet.
 func (e *Engine) runQueue(ctx context.Context, q int) {
 	var (
 		parser pkt.Parser
@@ -334,20 +340,34 @@ func (e *Engine) runQueue(ctx context.Context, q int) {
 		for i := 0; i < n; i++ {
 			b := bufs[i]
 			if err := parser.Parse(b.Bytes(), &sum); err == nil && sum.IsTCP() {
+				var h uint64
 				if qs.adm != nil {
 					// The sketch observes every TCP packet before the
 					// tables rule on it, so an Admit for this packet's
-					// flow sees its volume already accounted.
-					qs.adm.Observe(&sum)
+					// flow sees its volume already accounted; the hash
+					// it returns is the tables' index too.
+					h = qs.adm.Observe(&sum)
+				} else {
+					h = FlowHash(qs.seed, &sum)
 				}
-				if qs.table.Process(&sum, b.Timestamp, b.RSSHash, &m) {
+				// One hash for all the tables: touch the trackers' home
+				// slots before the handshake table probes its own, so
+				// the tables' cache misses overlap.
+				hash := uint32(h)
+				if qs.ts != nil {
+					qs.touched ^= qs.ts.Touch(hash)
+				}
+				if qs.seq != nil {
+					qs.touched ^= qs.seq.Touch(hash)
+				}
+				if qs.table.Process(&sum, b.Timestamp, hash, &m) {
 					e.cfg.Sink.Emit(&m)
 				}
-				if qs.ts != nil && qs.ts.Process(&sum, b.Timestamp, b.RSSHash, &ts) {
+				if qs.ts != nil && qs.ts.Process(&sum, b.Timestamp, hash, &ts) {
 					e.cfg.TSSink.EmitTS(&ts)
 				}
 				if qs.seq != nil {
-					gotSample, gotLoss := qs.seq.Process(&sum, b.Timestamp, b.RSSHash, &ss, &lev)
+					gotSample, gotLoss := qs.seq.Process(&sum, b.Timestamp, hash, &ss, &lev)
 					if gotSample {
 						e.cfg.SeqSink.EmitSeq(&ss)
 					}

@@ -4,7 +4,9 @@ import "unsafe"
 
 // slotHeader is the part of a slot the table itself reads and writes: the
 // probe fields first (one cache line holds hash, live and the key's start),
-// then the idle clock and the admission flag.
+// then the idle clock and the admission flag. hash is the flow hash the
+// slot's flow was inserted with; find probes from mix(hash) and compares
+// keys only where the hashes agree.
 type slotHeader struct {
 	hash     uint32
 	live     bool
@@ -82,11 +84,12 @@ func newFlowTable[E any](capacity int, timeout int64, admit Admitter) flowTable[
 // Len returns the number of live entries.
 func (t *flowTable[E]) Len() int { return t.live }
 
-// mix finalizes the RSS hash into a table index seed. The RSS hash is not
-// uniform: symmetric Toeplitz is a linear function of the tuple's 16-bit
-// XOR-fold, so it takes at most 65 536 distinct values, and a queue of n
-// sees about 65 536 / n of them. Mixing spreads those values over the
-// table but cannot separate flows whose hashes are equal.
+// mix finalizes the 32-bit flow hash a table is handed into the index its
+// probe starts from. Mixing spreads values but cannot separate flows whose
+// hashes are equal, so the hash must tell flows apart: the engine passes
+// FlowHash, seeded per queue. The NIC's symmetric Toeplitz value would not
+// do: a linear function of the tuple's 16-bit XOR-fold, it has at most
+// 65 536 values, and flows that share a fold would share one probe chain.
 func mix(h uint32) uint32 {
 	h ^= h >> 16
 	h *= 0x7feb352d
@@ -94,6 +97,17 @@ func mix(h uint32) uint32 {
 	h *= 0x846ca68b
 	h ^= h >> 16
 	return h
+}
+
+// Touch loads the stored hash of the slot a probe for flowHash starts at
+// and returns it, so the load is kept. A caller about to probe several
+// tables with one hash touches them first, and their cache misses overlap
+// instead of queuing one behind another; the engine touches its trackers'
+// tables before the handshake table probes.
+//
+//ruru:noalloc
+func (t *flowTable[E]) Touch(flowHash uint32) uint32 {
+	return t.slots[mix(flowHash)&t.mask].hash
 }
 
 // find locates the slot index of key, or the first empty slot encountered.

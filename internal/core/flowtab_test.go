@@ -1,9 +1,14 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"net/netip"
 	"testing"
+	"time"
+
+	"ruru/internal/nic"
+	"ruru/internal/pkt"
 )
 
 // TestFlowTableAgainstMapModel drives the one table implementation with a
@@ -163,5 +168,88 @@ func TestFlowTableAgainstMapModel(t *testing.T) {
 	check("final sweep")
 	if tbl.Len() != 0 {
 		t.Fatalf("%d entries survive a sweep past every timeout", tbl.Len())
+	}
+}
+
+// meanDisplacement is the mean distance of t's live slots from their home
+// slot: the probe steps a lookup of a live flow walks past other flows.
+func meanDisplacement[E any](t *flowTable[E]) float64 {
+	var sum, live int
+	for i := range t.slots {
+		if s := &t.slots[i]; s.live {
+			sum += int((uint32(i) - mix(s.hash)&t.mask) & t.mask)
+			live++
+		}
+	}
+	if live == 0 {
+		return 0
+	}
+	return float64(sum) / float64(live)
+}
+
+// TestSameFoldFloodKeepsProbesShort floods the engine with 4096 SYNs whose
+// source address's low 16 bits equal the source port. The symmetric
+// Toeplitz hash is a linear function of the tuple's 16-bit XOR-fold, which
+// the flood holds constant: every SYN lands on one queue with one Toeplitz
+// value. Indexed by that value, the table would chain all 4096 flows from
+// one home slot, a mean displacement of 2047.5 and a walk of the whole
+// chain per SYN. Indexed by the queue's seeded flow hash, the flows spread.
+func TestSameFoldFloodKeepsProbesShort(t *testing.T) {
+	const (
+		queues = 4
+		flows  = 4096
+	)
+	pool := nic.NewMempool(1024, 128)
+	port, err := nic.NewPort(nic.PortConfig{Queues: queues, QueueDepth: 256, Pool: pool, Policy: nic.Block})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(EngineConfig{Port: port, Sink: SinkFunc(func(*Measurement) {}),
+		Table: TableConfig{Capacity: 1 << 14}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- eng.Run(ctx) }()
+
+	folds := make(map[uint32]bool)
+	start := time.Now()
+	for i := 0; i < flows; i++ {
+		p := uint16(1024 + i)
+		src := netip.AddrFrom4([4]byte{10, 0, byte(p >> 8), byte(p)})
+		folds[hasher.HashTuple(src, netip.AddrFrom4([4]byte{192, 0, 2, 1}), p, 443)] = true
+		if !inject(port, buildFrame(t, src.String(), "192.0.2.1", p, 443, pkt.TCPSyn, 100, 0), int64(i)*1000) {
+			t.Fatalf("SYN %d refused: %+v", i, port.Stats())
+		}
+	}
+	waitFor(t, func() bool { return eng.Stats().SYNs == flows })
+	perSYN := time.Since(start) / flows
+	cancel()
+	<-done
+	if len(folds) != 1 {
+		t.Fatalf("the flood has %d distinct Toeplitz values, want 1", len(folds))
+	}
+
+	for q := range eng.queues {
+		tbl := eng.queues[q].table
+		if tbl.Len() == 0 {
+			continue
+		}
+		if tbl.Len() != flows {
+			t.Fatalf("queue %d holds %d of the %d same-fold flows", q, tbl.Len(), flows)
+		}
+		hashes := make(map[uint32]bool)
+		for i := range tbl.slots {
+			if s := &tbl.slots[i]; s.live {
+				hashes[s.hash] = true
+			}
+		}
+		d := meanDisplacement(&tbl.flowTable)
+		t.Logf("queue %d: %d flows, %d distinct table hashes, mean displacement %.2f, %v per SYN end to end",
+			q, tbl.Len(), len(hashes), d, perSYN)
+		if d > 2 {
+			t.Errorf("mean displacement %.2f slots, want <= 2", d)
+		}
 	}
 }

@@ -213,8 +213,8 @@ func seqLT(a, b uint32) bool { return int32(b-a) > 0 }
 // sample is stored in *out and the first result is true; when it is
 // classified as a loss/quality event the event is stored in *loss and the
 // second result is true (a packet can produce both: a retransmitted
-// segment whose ACK also covers reverse-direction data). rssHash must be
-// direction-independent (symmetric RSS), as for the handshake table.
+// segment whose ACK also covers reverse-direction data). flowHash is a
+// direction-independent flow hash; the engine passes FlowHash.
 //
 // SYN segments carry no stream data and are owned by the handshake table;
 // together with the create-on-data-only rule below this guarantees a flow
@@ -222,7 +222,7 @@ func seqLT(a, b uint32) bool { return int32(b-a) > 0 }
 // occupies a tracker slot.
 //
 //ruru:noalloc
-func (t *SeqTracker) Process(s *pkt.Summary, ts int64, rssHash uint32, out *SeqSample, loss *LossEvent) (sample, lossEv bool) {
+func (t *SeqTracker) Process(s *pkt.Summary, ts int64, flowHash uint32, out *SeqSample, loss *LossEvent) (sample, lossEv bool) {
 	t.stats.Packets++
 	t.maybeSweep(ts)
 
@@ -233,11 +233,11 @@ func (t *SeqTracker) Process(s *pkt.Summary, ts int64, rssHash uint32, out *SeqS
 	payload := len(s.Payload)
 	key, fromA := canonicalKey(s.Src(), s.Dst(), tcp.SrcPort, tcp.DstPort)
 
-	idx, found := t.find(rssHash, key)
+	idx, found := t.find(flowHash, key)
 	if !found {
 		// Only a data segment creates state: a pure ACK or RST on an
 		// unknown flow has nothing to match and would only burn a slot.
-		if payload == 0 || tcp.RST() || t.insert(idx, rssHash, key, ts) == nil {
+		if payload == 0 || tcp.RST() || t.insert(idx, flowHash, key, ts) == nil {
 			return false, false
 		}
 	}

@@ -6,7 +6,12 @@ package core_test
 // and one-direction) at small capacity and short timeouts behind one shared
 // admitter, so TableFull, admission refusal, idle eviction and backward-
 // shift deletion all fire thousands of times. Every emitted record and the
-// final Stats() of each tracker are hashed per stream.
+// final Stats() of each tracker are hashed per stream. The trace is run
+// once indexed by the symmetric Toeplitz hash, as the code that wrote the
+// digest indexed it, and once per seed indexed by FlowHash, as the engine
+// indexes it now: the tables are exact, so no index may change an emitted
+// record, and the idle sweep visiting slots in index order must not make
+// expiry visible.
 //
 // testdata/parent_stream_digest.txt was written by the code from BEFORE the
 // three trackers moved onto the one flowTable (RURU_UPDATE_PARENT_DIGEST=1
@@ -19,6 +24,7 @@ import (
 	"fmt"
 	"hash"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"os"
 	"path/filepath"
 	"sort"
@@ -39,7 +45,7 @@ type digestAdmitter struct {
 	calls, admitted, refused, released, promotedReleased int
 }
 
-func (a *digestAdmitter) Observe(*pkt.Summary) {}
+func (a *digestAdmitter) Observe(*pkt.Summary) uint64 { return 0 }
 
 func (a *digestAdmitter) Admit(int64) (ok, promoted bool) {
 	a.calls++
@@ -126,9 +132,10 @@ func digestTrace(t *testing.T) []digestPacket {
 	return trace
 }
 
-// streamDigests runs the trace and returns one "name sha256 records" line
-// per output stream, in a fixed order.
-func streamDigests(t *testing.T) []string {
+// streamDigests runs the trace with each packet's tables indexed by
+// hashOf and returns one "name sha256 records" line per output stream, in
+// a fixed order.
+func streamDigests(t *testing.T, trace []digestPacket, hashOf func(*digestPacket) uint32) []string {
 	t.Helper()
 	adm := &digestAdmitter{}
 	var expired, expiredAwait int
@@ -163,17 +170,17 @@ func streamDigests(t *testing.T) []string {
 		lev core.LossEvent
 		now int64
 	)
-	trace := digestTrace(t)
 	for i := range trace {
 		d := &trace[i]
 		now = d.ts
-		if hs.Process(&d.sum, d.ts, d.hash, &m) {
+		h := hashOf(d)
+		if hs.Process(&d.sum, d.ts, h, &m) {
 			rec("handshake", m)
 		}
-		if tst.Process(&d.sum, d.ts, d.hash, &ts) {
+		if tst.Process(&d.sum, d.ts, h, &ts) {
 			rec("tsrtt", ts)
 		}
-		if s, l := seq.Process(&d.sum, d.ts, d.hash, &ss, &lev); s || l {
+		if s, l := seq.Process(&d.sum, d.ts, h, &ss, &lev); s || l {
 			if s {
 				rec("seqrtt", ss)
 			}
@@ -181,7 +188,7 @@ func streamDigests(t *testing.T) []string {
 				rec("loss", lev)
 			}
 		}
-		if s, l := one.Process(&d.sum, d.ts, d.hash, &ss, &lev); s || l {
+		if s, l := one.Process(&d.sum, d.ts, h, &ss, &lev); s || l {
 			if s {
 				rec("onedir", ss)
 			}
@@ -233,7 +240,8 @@ func streamDigests(t *testing.T) []string {
 func parentDigestPath() string { return filepath.Join("testdata", "parent_stream_digest.txt") }
 
 func TestStreamDigestMatchesParent(t *testing.T) {
-	got := strings.Join(streamDigests(t), "\n") + "\n"
+	trace := digestTrace(t)
+	got := strings.Join(streamDigests(t, trace, func(d *digestPacket) uint32 { return d.hash }), "\n") + "\n"
 	if os.Getenv("RURU_UPDATE_PARENT_DIGEST") != "" {
 		if err := os.WriteFile(parentDigestPath(), []byte(got), 0o644); err != nil {
 			t.Fatal(err)
@@ -247,5 +255,14 @@ func TestStreamDigestMatchesParent(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("emitted streams differ from the parent commit's (name sha256 records):\n got:\n%s want:\n%s", got, want)
+	}
+	for range 3 {
+		seed := randv2.Uint64()
+		got := strings.Join(streamDigests(t, trace, func(d *digestPacket) uint32 {
+			return uint32(core.FlowHash(seed, &d.sum))
+		}), "\n") + "\n"
+		if got != string(want) {
+			t.Errorf("indexed by FlowHash with seed %#x, emitted streams differ from the parent commit's:\n got:\n%s want:\n%s", seed, got, want)
+		}
 	}
 }

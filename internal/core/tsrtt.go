@@ -122,11 +122,11 @@ func canonicalKey(src, dst netip.Addr, sp, dp uint16) (key FlowKey, fromA bool) 
 // Process examines one parsed TCP packet. When the packet's TSecr matches a
 // pending TSval from the opposite direction, the sample is stored in *out
 // and Process returns true. The packet's own TSval is registered for future
-// echoes. rssHash must be direction-independent (symmetric RSS), as for the
-// handshake table.
+// echoes. flowHash is a direction-independent flow hash; the engine passes
+// FlowHash.
 //
 //ruru:noalloc
-func (t *TSTracker) Process(s *pkt.Summary, ts int64, rssHash uint32, out *TSSample) bool {
+func (t *TSTracker) Process(s *pkt.Summary, ts int64, flowHash uint32, out *TSSample) bool {
 	t.stats.Packets++
 	t.maybeSweep(ts)
 
@@ -138,9 +138,9 @@ func (t *TSTracker) Process(s *pkt.Summary, ts int64, rssHash uint32, out *TSSam
 	}
 	key, fromA := canonicalKey(s.Src(), s.Dst(), tcp.SrcPort, tcp.DstPort)
 
-	idx, found := t.find(rssHash, key)
+	idx, found := t.find(flowHash, key)
 	if !found {
-		if tcp.RST() || t.insert(idx, rssHash, key, ts) == nil {
+		if tcp.RST() || t.insert(idx, flowHash, key, ts) == nil {
 			return false
 		}
 	}

@@ -1,6 +1,8 @@
 package gen
 
 import (
+	"math/rand/v2"
+
 	"ruru/internal/core"
 	"ruru/internal/pkt"
 	"ruru/internal/rss"
@@ -10,18 +12,14 @@ import (
 // tables synchronously — single goroutine, virtual time, fully
 // deterministic. It models the paper's multi-queue architecture (RSS hash →
 // queue → per-queue table) without wall-clock scheduling noise, which is
-// what the correctness and detection tests need.
+// what the correctness and detection tests need. It hashes as the engine
+// does: the RSS hash picks the queue, and each queue's table is indexed by
+// core.FlowHash under a random per-queue seed.
 type Replay struct {
 	// Queues is the number of simulated RSS queues (default 4).
 	Queues int
 	// Hasher classifies packets to queues (default symmetric RSS).
 	Hasher *rss.Hasher
-	// TableHasher computes the hash handed to the handshake tables.
-	// Defaults to Hasher — the paper's design, where the NIC's RSS hash
-	// is reused as the flow-table index. Setting it independently
-	// separates the two failure modes of an asymmetric key (broken table
-	// lookups vs broken queue co-location).
-	TableHasher *rss.Hasher
 	// Table configures each queue's handshake table.
 	Table core.TableConfig
 	// OnMeasure receives each completed measurement.
@@ -45,15 +43,13 @@ func (r *Replay) Run(g *Generator) ReplayStats {
 	if h == nil {
 		h = rss.NewSymmetric()
 	}
-	th := r.TableHasher
-	if th == nil {
-		th = h
-	}
 	tables := make([]*core.HandshakeTable, queues)
+	seeds := make([]uint64, queues)
 	for q := range tables {
 		tc := r.Table
 		tc.Queue = q
 		tables[q] = core.NewHandshakeTable(tc)
+		seeds[q] = rand.Uint64()
 	}
 
 	var (
@@ -70,13 +66,8 @@ func (r *Replay) Run(g *Generator) ReplayStats {
 		if err := parser.Parse(p.Frame, &sum); err != nil || !sum.IsTCP() {
 			continue
 		}
-		hash := h.HashTuple(sum.Src(), sum.Dst(), sum.TCP.SrcPort, sum.TCP.DstPort)
-		q := rss.Queue(hash, queues)
-		tblHash := hash
-		if th != h {
-			tblHash = th.HashTuple(sum.Src(), sum.Dst(), sum.TCP.SrcPort, sum.TCP.DstPort)
-		}
-		if tables[q].Process(&sum, p.TS, tblHash, &m) && r.OnMeasure != nil {
+		q := rss.Queue(h.HashTuple(sum.Src(), sum.Dst(), sum.TCP.SrcPort, sum.TCP.DstPort), queues)
+		if tables[q].Process(&sum, p.TS, uint32(core.FlowHash(seeds[q], &sum)), &m) && r.OnMeasure != nil {
 			r.OnMeasure(&m)
 		}
 	}

@@ -10,10 +10,11 @@ import (
 )
 
 // replayMatchRate replays a seeded trace through per-queue handshake tables
-// with queueH choosing each packet's queue and tblH indexing its table, and
-// returns the fraction of completing flows measured and the SYN-ACKs that
-// found no SYN on their queue.
-func replayMatchRate(t *testing.T, queues int, queueH, tblH *rss.Hasher) (float64, uint64) {
+// with queueH choosing each packet's queue (the tables are indexed by the
+// queue's seeded flow hash, as in the engine), and returns the fraction of
+// completing flows measured and the SYN-ACKs that found no SYN on their
+// queue.
+func replayMatchRate(t *testing.T, queues int, queueH *rss.Hasher) (float64, uint64) {
 	t.Helper()
 	world, err := geo.NewWorld(geo.WorldOptions{Seed: 1})
 	if err != nil {
@@ -24,7 +25,7 @@ func replayMatchRate(t *testing.T, queues int, queueH, tblH *rss.Hasher) (float6
 		t.Fatal(err)
 	}
 	rep := gen.Replay{
-		Queues: queues, Hasher: queueH, TableHasher: tblH,
+		Queues: queues, Hasher: queueH,
 		Table: core.TableConfig{Capacity: 1 << 17, Timeout: 60e9},
 	}
 	st := rep.Run(g)
@@ -41,43 +42,30 @@ func replayMatchRate(t *testing.T, queues int, queueH, tblH *rss.Hasher) (float6
 }
 
 // TestSymmetricRSSIsTheDesignRequirement is the ablation behind §2's "we
-// configure symmetric Receiver Side Scaling (RSS)". An asymmetric key
-// breaks the pipeline in two separate ways:
-//
-//  1. Table indexing: Ruru reuses the NIC's RSS hash as the flow-table
-//     index. With an asymmetric key the SYN-ACK's reverse-tuple hash
-//     differs from the SYN's, so the lookup itself fails and handshake
-//     matching collapses even on one queue (hash-reuse).
-//  2. Queue co-location: even when software recomputes a symmetric hash
-//     for the table (sw-rehash, extra per-packet work), the two directions
-//     still land on different queues about (Q-1)/Q of the time, and
-//     per-queue tables cannot see each other's state.
-//
-// Only the symmetric key gives both for free.
+// configure symmetric Receiver Side Scaling (RSS)". The flow tables are
+// indexed by a seeded flow hash that is symmetric by construction, so the
+// RSS key no longer decides whether a lookup finds its flow: an asymmetric
+// key on one queue matches as well as the symmetric one. What the key
+// still decides is queue co-location: with an asymmetric key the two
+// directions land on different queues about (Q-1)/Q of the time, and
+// per-queue tables cannot see each other's state.
 func TestSymmetricRSSIsTheDesignRequirement(t *testing.T) {
 	sym, ms := rss.NewSymmetric(), rss.New(rss.MicrosoftKey)
 	for _, q := range []int{1, 4} {
-		if rate, _ := replayMatchRate(t, q, sym, sym); rate < 0.999 {
+		if rate, _ := replayMatchRate(t, q, sym); rate < 0.999 {
 			t.Errorf("symmetric key at %d queues: match rate %.3f", q, rate)
 		}
-		rate, orphans := replayMatchRate(t, q, ms, ms)
-		if rate > 0.05 {
-			t.Errorf("hash-reuse at %d queues: match rate %.3f, expected near-total collapse", q, rate)
-		}
-		if orphans == 0 {
-			t.Errorf("hash-reuse at %d queues produced no orphan SYN-ACKs", q)
-		}
 	}
-	// Software rehash fixes the table, so one queue is perfect...
-	if rate, _ := replayMatchRate(t, 1, ms, sym); rate < 0.999 {
-		t.Errorf("sw-rehash at 1 queue: match rate %.3f", rate)
+	// One queue has nothing to co-locate: the asymmetric key matches too...
+	if rate, _ := replayMatchRate(t, 1, ms); rate < 0.999 {
+		t.Errorf("asymmetric key at 1 queue: match rate %.3f", rate)
 	}
-	// ...but co-location still fails about 3/4 of the time at four queues.
-	rate, orphans := replayMatchRate(t, 4, ms, sym)
+	// ...but co-location fails about 3/4 of the time at four queues.
+	rate, orphans := replayMatchRate(t, 4, ms)
 	if rate > 0.6 || rate < 0.1 {
-		t.Errorf("sw-rehash at 4 queues: match rate %.3f, want ~0.25", rate)
+		t.Errorf("asymmetric key at 4 queues: match rate %.3f, want ~0.25", rate)
 	}
 	if orphans == 0 {
-		t.Error("sw-rehash at 4 queues produced no orphan SYN-ACKs")
+		t.Error("asymmetric key at 4 queues produced no orphan SYN-ACKs")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"testing"
 
+	"ruru/internal/core"
 	"ruru/internal/pkt"
 )
 
@@ -15,6 +16,9 @@ import (
 //   - count-min estimates never undercount the exact oracle
 //   - per-key estimates are monotone (counters only grow)
 //   - the byte budget is never exceeded: TotalBytes() <= Budget(), always
+//   - the flow hash Observe returns is core.FlowHash of the packet, equals
+//     FlowHash of the reversed packet and hashFlow of the packet's FlowID,
+//     for the observed IPv4 packet and an IPv6 one built from the same op
 //   - the flow summary answers exactly as the map-based reference TopK fed
 //     the same flows (topk_ref_test.go), and its heap, position array and
 //     index stay consistent; at k = 8 over up to 256 flows, eviction and
@@ -67,10 +71,13 @@ func FuzzSketch(f *testing.F) {
 			case 0, 1:
 				s.IP4.Src = netip.AddrFrom4([4]byte{10, 0, 0, host})
 				s.IP4.TotalLen = inc
-				tier.Observe(&s)
+				h := tier.Observe(&s)
+				if want := checkFlowHash(t, tier.seed, &s); h != want {
+					t.Fatalf("Observe returned %#x, FlowHash %#x", h, want)
+				}
+				checkFlowHash(t, tier.seed, v6Summary(host, byte(entry), inc))
 				id := flowIDOf(&s)
 				ref.Update(id, uint64(inc))
-				h := hashFlow(tier.seed, id)
 				truth[h] += uint64(inc)
 				est := tier.cms.Estimate(h)
 				if est < truth[h] {
@@ -124,4 +131,34 @@ func FuzzSketch(f *testing.F) {
 			t.Fatalf("more demotions (%d) than promotions (%d)", st.Demoted, st.Promoted)
 		}
 	})
+}
+
+// checkFlowHash asserts that the packet's flow hash is direction-
+// independent and agrees with the flow summary's hash of its FlowID, and
+// returns it.
+func checkFlowHash(t *testing.T, seed uint64, s *pkt.Summary) uint64 {
+	t.Helper()
+	h := core.FlowHash(seed, s)
+	rev := *s
+	rev.IP4.Src, rev.IP4.Dst = s.IP4.Dst, s.IP4.Src
+	rev.IP6.Src, rev.IP6.Dst = s.IP6.Dst, s.IP6.Src
+	rev.TCP.SrcPort, rev.TCP.DstPort = s.TCP.DstPort, s.TCP.SrcPort
+	if r := core.FlowHash(seed, &rev); r != h {
+		t.Fatalf("%v: FlowHash %#x, reversed %#x", flowIDOf(s), h, r)
+	}
+	if f := hashFlow(seed, flowIDOf(s)); f != h {
+		t.Fatalf("%v: FlowHash %#x, hashFlow %#x", flowIDOf(s), h, f)
+	}
+	return h
+}
+
+// v6Summary is an IPv6 TCP packet whose endpoints come from one fuzz op:
+// the host and entry bytes pick the source address, inc both ports.
+func v6Summary(host, entry byte, inc uint16) *pkt.Summary {
+	s := &pkt.Summary{IPv6: true}
+	s.Decoded = pkt.LayerEthernet | pkt.LayerIPv6 | pkt.LayerTCP
+	s.IP6.Src = netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, 14: host, 15: entry})
+	s.IP6.Dst = netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, 15: 1})
+	s.TCP = pkt.TCP{SrcPort: inc, DstPort: inc >> 3, Flags: pkt.TCPAck}
+	return s
 }

@@ -2,7 +2,6 @@ package sketch
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
 	"net/netip"
@@ -10,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"ruru/internal/core"
+	"ruru/internal/hashx"
 	"ruru/internal/pkt"
 )
 
@@ -107,7 +107,7 @@ type Snapshot struct {
 // queue worker. The only cross-goroutine surface is Snapshot(), which
 // reads an atomically published copy.
 type FlowTier struct {
-	seed     uint64 // keys hashFlow and hashPrefix, drawn at random per tier
+	seed     uint64 // keys the flow hash and hashPrefix, drawn at random per tier
 	cms      *CMS
 	flows    *TopK[FlowID]
 	prefixes *TopK[netip.Prefix]
@@ -244,68 +244,44 @@ func flowIDOf(s *pkt.Summary) FlowID {
 	return FlowID{A: src, B: dst, APort: sp, BPort: dp}
 }
 
-// Hashing: one seeded 64-bit hash per packet, a word at a time. mix folds
-// one word in (xor, multiply by an odd constant, xorshift); fmix is
-// splitmix64's finalizer, so every output bit depends on every input bit.
-// The count-min rows and the flow index both take their positions from
-// the one value. The seed is per tier and random: the flow index is
-// open-addressed, and without a secret seed crafted tuples could pile onto
-// one probe run on a monitor of untrusted traffic.
+// Hashing: one seeded 64-bit hash per packet, core.FlowHash under the
+// tier's seed. The count-min rows and the flow index both take their
+// positions from that one value, and the engine hands it to the queue's
+// flow tables as their index, so a packet is hashed once. hashFlow, the
+// flow summary's hash for lookups by FlowID, is the same function, so a
+// lookup finds what Observe counted. The seed is per tier and random: the
+// flow index is open-addressed, and without a secret seed crafted tuples
+// could pile onto one probe run on a monitor of untrusted traffic.
 
-//ruru:noalloc
-func mix(h, w uint64) uint64 {
-	h = (h ^ w) * 0x9e3779b97f4a7c15
-	return h ^ h>>32
-}
-
-//ruru:noalloc
-func fmix(h uint64) uint64 {
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	return h ^ h>>31
-}
-
-// mixAddr folds an address's 16 bytes in as two words.
-//
-//ruru:noalloc
-func mixAddr(h uint64, a netip.Addr) uint64 {
-	b := a.As16()
-	h = mix(h, binary.LittleEndian.Uint64(b[:8]))
-	return mix(h, binary.LittleEndian.Uint64(b[8:]))
-}
-
-// hashFlow is the per-packet hash of a canonical flow.
+// hashFlow is core.FlowHash of a canonical flow.
 //
 //ruru:noalloc
 func hashFlow(seed uint64, id FlowID) uint64 {
-	h := mixAddr(seed, id.A)
-	h = mixAddr(h, id.B)
-	return fmix(mix(h, uint64(id.APort)<<16|uint64(id.BPort)))
+	return core.FlowHashOf(seed, id.A, id.APort, id.B, id.BPort)
 }
 
-// hashPrefix is the prefix summary's hash, with the same mixer.
+// hashPrefix is the prefix summary's hash, with the same mixers.
 //
 //ruru:noalloc
 func hashPrefix(seed uint64, p netip.Prefix) uint64 {
-	return fmix(mix(mixAddr(seed, p.Addr()), uint64(p.Bits())))
+	return hashx.Fmix(hashx.Mix(hashx.MixAddr(seed, p.Addr()), uint64(p.Bits())))
 }
 
 // Observe accounts one parsed TCP packet: volume into the count-min
 // sketch and both heavy-hitter summaries, and the flow's elephant verdict
-// retained for a following Admit. Implements core.Admitter.
+// retained for a following Admit. It returns the packet's flow hash,
+// core.FlowHash under the tier's seed (0 for a non-TCP packet), which the
+// engine uses to index the queue's flow tables. Implements core.Admitter.
 //
 //ruru:noalloc
-func (t *FlowTier) Observe(s *pkt.Summary) {
+func (t *FlowTier) Observe(s *pkt.Summary) uint64 {
 	if !s.IsTCP() {
-		return
+		return 0
 	}
 	n := ipBytes(s)
-	id := flowIDOf(s)
-	h := hashFlow(t.seed, id)
+	h := core.FlowHash(t.seed, s)
 	est := t.cms.Update(h, n)
-	t.flows.add(id, h, n)
+	t.flows.add(flowIDOf(s), h, n)
 
 	bits := 24
 	if s.IPv6 {
@@ -317,6 +293,7 @@ func (t *FlowTier) Observe(s *pkt.Summary) {
 
 	t.lastElephant = t.isElephant(est)
 	t.sincePub++
+	return h
 }
 
 // isElephant: the flow's sketched volume clears both the absolute floor
