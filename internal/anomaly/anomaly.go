@@ -169,12 +169,11 @@ type FloodConfig struct {
 	WarmupBuckets int
 }
 
-// FloodDetector consumes per-flow outcome signals: a new SYN (pending) and
-// its resolution (completed or expired-unanswered). A surge in the
-// unanswered rate relative to its EWMA baseline raises an event — the
-// paper's "SYN floods can also be identified in real-time".
+// FloodDetector counts handshakes that expired unanswered, per time
+// bucket. A surge in that count relative to its EWMA baseline raises an
+// event — the paper's "SYN floods can also be identified in real-time".
 //
-// Not safe for concurrent use: callers serialize Observe*/Flush/Events
+// Not safe for concurrent use: callers serialize ObserveUnanswered/Flush/Events
 // (the pipeline guards its instance with a mutex; expiries are rare
 // relative to packets, so the lock is uncontended).
 type FloodDetector struct {
@@ -183,7 +182,6 @@ type FloodDetector struct {
 	started     bool
 	bucketStart int64
 	unanswered  float64
-	syns        float64
 	baseline    stats.EWMA
 	buckets     int
 	events      []Event
@@ -207,12 +205,6 @@ func NewFloodDetector(cfg FloodConfig) *FloodDetector {
 	d := &FloodDetector{cfg: cfg}
 	d.baseline.Alpha = baselineAlpha
 	return d
-}
-
-// ObserveSYN records a new connection attempt at ts.
-func (d *FloodDetector) ObserveSYN(ts int64) {
-	d.roll(ts)
-	d.syns++
 }
 
 // ObserveUnanswered records a handshake that expired without completing.
@@ -255,7 +247,6 @@ func (d *FloodDetector) closeBucket(next int64) {
 		d.inAlarm = false
 	}
 	d.unanswered = 0
-	d.syns = 0
 	d.buckets++
 	d.bucketStart = next
 }

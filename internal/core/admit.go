@@ -48,7 +48,7 @@ type Admitter interface {
 
 // SketchStats surfaces the accuracy cost of bounded memory — the induced
 // error is measured, never silent. Counters are cumulative per queue;
-// Engine.SketchStats aggregates (sums, except the error bounds which take
+// Engine.Stats aggregates them (sums, except the error bounds which take
 // the worst queue).
 type SketchStats struct {
 	// Promoted counts exact-table admissions that went through the
@@ -77,6 +77,20 @@ type SketchStats struct {
 	LiveBytes   int64
 	SketchBytes int64
 	BudgetBytes int64
+}
+
+// add folds one queue's ledger into s: counters and byte gauges sum; the
+// error bounds take the worst queue, since each queue's sketch answers
+// only for its own flows.
+func (s *SketchStats) add(o SketchStats) {
+	s.Promoted += o.Promoted
+	s.Demoted += o.Demoted
+	s.SketchOnlyFlows += o.SketchOnlyFlows
+	s.EpsilonBytes = max(s.EpsilonBytes, o.EpsilonBytes)
+	s.CollisionDepth = max(s.CollisionDepth, o.CollisionDepth)
+	s.LiveBytes += o.LiveBytes
+	s.SketchBytes += o.SketchBytes
+	s.BudgetBytes += o.BudgetBytes
 }
 
 // Per-record budget charges: the in-memory size of one slot (table header

@@ -233,7 +233,7 @@ func TestEngineAdmitterWiring(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- eng.Run(ctx) }()
 	inject(port, buildFrame(t, "10.0.0.1", "192.0.2.1", 40000, 443, pkt.TCPSyn, 100, 0), 1e6)
-	waitFor(t, func() bool { return eng.Stats().SYNs == 1 })
+	waitFor(t, func() bool { return eng.Stats().Table.SYNs == 1 })
 	cancel()
 	<-done
 
@@ -249,7 +249,7 @@ func TestEngineAdmitterWiring(t *testing.T) {
 	}
 	// Aggregation: counters and byte gauges sum across queues; the error
 	// indicators (a per-tier property, not additive) take the maximum.
-	st := eng.SketchStats()
+	st := eng.Stats().Sketch
 	if st.Promoted != 14 || st.SketchOnlyFlows != 6 || st.LiveBytes != 10 ||
 		st.SketchBytes != 100 || st.BudgetBytes != 200 {
 		t.Fatalf("summed stats = %+v", st)
@@ -310,14 +310,15 @@ func TestEngineKeepsFlowStateAcrossRuns(t *testing.T) {
 		for i, f := range frames {
 			inject(port, f, int64(1e6+i))
 		}
-		waitFor(t, func() bool { return eng.Stats().Packets == wantPackets })
+		waitFor(t, func() bool { return eng.Stats().Table.Packets == wantPackets })
 		cancel()
 		<-done
 	}
 	run(2, buildFrame(t, "10.0.0.1", "192.0.2.1", 40000, 443, pkt.TCPSyn, 100, 0), dataFrame("10.0.0.2"))
 	run(3, dataFrame("10.0.0.3"))
 
-	hs, ts, seq := eng.Stats().Occupancy, eng.TSStats().Occupancy, eng.SeqStats().Occupancy
+	st := eng.Stats()
+	hs, ts, seq := st.Table.Occupancy, st.TS.Occupancy, st.Seq.Occupancy
 	if hs != 1 || ts != 2 || seq != 2 {
 		t.Fatalf("occupancy after two runs: handshake %d, ts %d, seq %d; want 1, 2, 2", hs, ts, seq)
 	}

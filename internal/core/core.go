@@ -77,6 +77,23 @@ type TableStats struct {
 	Occupancy     uint64 // current live entries (gauge, not cumulative)
 }
 
+// Add sums o into s, field by field: how per-queue tables add up.
+func (s *TableStats) Add(o TableStats) {
+	s.Packets += o.Packets
+	s.SYNs += o.SYNs
+	s.SYNRetrans += o.SYNRetrans
+	s.SYNACKs += o.SYNACKs
+	s.OrphanSYNACKs += o.OrphanSYNACKs
+	s.Completed += o.Completed
+	s.InvalidACKs += o.InvalidACKs
+	s.MidstreamACKs += o.MidstreamACKs
+	s.Aborted += o.Aborted
+	s.Expired += o.Expired
+	s.ExpiredAwait += o.ExpiredAwait
+	s.TableFull += o.TableFull
+	s.Occupancy += o.Occupancy
+}
+
 type entryState uint8
 
 const (

@@ -556,7 +556,7 @@ func testEngineEndToEnd(t *testing.T, burst int) {
 			t.Fatalf("wrong latency: %+v", m)
 		}
 	}
-	if st := eng.Stats(); st.Completed != flows {
+	if st := eng.Stats().Table; st.Completed != flows {
 		t.Fatalf("stats: %+v", st)
 	}
 	if st := port.Stats(); st.Imissed != 0 || st.Ipackets != 3*flows {
@@ -595,7 +595,7 @@ func TestEngineRunLeavesPoolIdle(t *testing.T) {
 	if err := eng.Run(ctx); err != context.Canceled {
 		t.Fatalf("Run = %v", err)
 	}
-	if st := eng.Stats(); st.Packets != frames {
+	if st := eng.Stats().Table; st.Packets != frames {
 		t.Fatalf("processed %d of %d queued frames", st.Packets, frames)
 	}
 	if pool.Available() != pool.Size() {

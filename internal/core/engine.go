@@ -141,17 +141,22 @@ type queueState struct {
 	cell    statsCell
 }
 
-// statsCell holds the stats snapshots a worker publishes once per burst,
-// so monitors can read live table counters without racing the
-// single-writer hot path. The mutex is uncontended in steady state and the
-// cost is amortized over a whole burst. The tracker snapshots stay zero
-// when the corresponding sink is not configured.
+// statsCell holds the stats snapshot a worker publishes once per burst, so
+// monitors can read live table counters without racing the single-writer
+// hot path. The mutex is uncontended in steady state and the cost is
+// amortized over a whole burst.
 type statsCell struct {
-	mu     sync.Mutex
-	snap   TableStats
-	ts     TSStats
-	seq    SeqStats
-	sketch SketchStats
+	mu   sync.Mutex
+	snap EngineStats
+}
+
+// EngineStats is every per-queue counter block. The tracker and sketch
+// blocks stay zero when the corresponding EngineConfig field is unset.
+type EngineStats struct {
+	Table  TableStats
+	TS     TSStats
+	Seq    SeqStats
+	Sketch SketchStats
 }
 
 // NewEngine validates cfg and builds the per-queue state.
@@ -194,101 +199,20 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	return e, nil
 }
 
-// Stats aggregates all per-queue table stats. Safe to call from any
+// Stats aggregates every queue's counter blocks. Safe to call from any
 // goroutine at any time: it reads the snapshots each worker publishes at
 // burst boundaries (so values can trail the hot path by up to one burst).
-func (e *Engine) Stats() TableStats {
-	var total TableStats
+func (e *Engine) Stats() EngineStats {
+	var total EngineStats
 	for q := range e.queues {
 		cell := &e.queues[q].cell
 		cell.mu.Lock()
 		s := cell.snap
 		cell.mu.Unlock()
-		total.Packets += s.Packets
-		total.SYNs += s.SYNs
-		total.SYNRetrans += s.SYNRetrans
-		total.SYNACKs += s.SYNACKs
-		total.OrphanSYNACKs += s.OrphanSYNACKs
-		total.Completed += s.Completed
-		total.InvalidACKs += s.InvalidACKs
-		total.MidstreamACKs += s.MidstreamACKs
-		total.Aborted += s.Aborted
-		total.Expired += s.Expired
-		total.ExpiredAwait += s.ExpiredAwait
-		total.TableFull += s.TableFull
-		total.Occupancy += s.Occupancy
-	}
-	return total
-}
-
-// TSStats aggregates the per-queue timestamp-tracker stats. Zero when
-// EngineConfig.TSSink is unset. Same snapshot semantics as Stats.
-func (e *Engine) TSStats() TSStats {
-	var total TSStats
-	for q := range e.queues {
-		cell := &e.queues[q].cell
-		cell.mu.Lock()
-		s := cell.ts
-		cell.mu.Unlock()
-		total.Packets += s.Packets
-		total.NoTS += s.NoTS
-		total.Inserted += s.Inserted
-		total.Samples += s.Samples
-		total.Unmatched += s.Unmatched
-		total.Expired += s.Expired
-		total.TableFull += s.TableFull
-		total.Occupancy += s.Occupancy
-	}
-	return total
-}
-
-// SeqStats aggregates the per-queue seq-tracker stats. Zero when
-// EngineConfig.SeqSink is unset. Same snapshot semantics as Stats.
-func (e *Engine) SeqStats() SeqStats {
-	var total SeqStats
-	for q := range e.queues {
-		cell := &e.queues[q].cell
-		cell.mu.Lock()
-		s := cell.seq
-		cell.mu.Unlock()
-		total.Packets += s.Packets
-		total.Inserted += s.Inserted
-		total.Samples += s.Samples
-		total.OneDirSamples += s.OneDirSamples
-		total.Unmatched += s.Unmatched
-		total.Retrans += s.Retrans
-		total.RTO += s.RTO
-		total.DupACK += s.DupACK
-		total.Expired += s.Expired
-		total.TableFull += s.TableFull
-		total.Occupancy += s.Occupancy
-	}
-	return total
-}
-
-// SketchStats aggregates the per-queue sketch-tier ledgers. Zero when
-// EngineConfig.NewAdmitter is unset. Counters and byte gauges sum across
-// queues; the error bounds (EpsilonBytes, CollisionDepth) take the worst
-// queue, since each queue's sketch answers only for its own flows.
-func (e *Engine) SketchStats() SketchStats {
-	var total SketchStats
-	for q := range e.queues {
-		cell := &e.queues[q].cell
-		cell.mu.Lock()
-		s := cell.sketch
-		cell.mu.Unlock()
-		total.Promoted += s.Promoted
-		total.Demoted += s.Demoted
-		total.SketchOnlyFlows += s.SketchOnlyFlows
-		total.LiveBytes += s.LiveBytes
-		total.SketchBytes += s.SketchBytes
-		total.BudgetBytes += s.BudgetBytes
-		if s.EpsilonBytes > total.EpsilonBytes {
-			total.EpsilonBytes = s.EpsilonBytes
-		}
-		if s.CollisionDepth > total.CollisionDepth {
-			total.CollisionDepth = s.CollisionDepth
-		}
+		total.Table.Add(s.Table)
+		total.TS.add(s.TS)
+		total.Seq.add(s.Seq)
+		total.Sketch.add(s.Sketch)
 	}
 	return total
 }
@@ -383,20 +307,19 @@ func (e *Engine) runQueue(ctx context.Context, q int) {
 	// monitoring cell: one uncontended lock per burst instead of atomics
 	// per packet.
 	publish := func() {
-		snap := qs.table.Stats() // we are the table's single writer
-		cell := &qs.cell
-		cell.mu.Lock()
-		cell.snap = snap
+		snap := EngineStats{Table: qs.table.Stats()} // we are the tables' single writer
 		if qs.ts != nil {
-			cell.ts = qs.ts.Stats()
+			snap.TS = qs.ts.Stats()
 		}
 		if qs.seq != nil {
-			cell.seq = qs.seq.Stats()
+			snap.Seq = qs.seq.Stats()
 		}
 		if qs.adm != nil {
-			cell.sketch = qs.adm.Stats()
+			snap.Sketch = qs.adm.Stats()
 		}
-		cell.mu.Unlock()
+		qs.cell.mu.Lock()
+		qs.cell.snap = snap
+		qs.cell.mu.Unlock()
 		if qs.adm != nil {
 			// Refresh the heavy-hitter snapshot readers consume (the tier
 			// throttles the copy internally).

@@ -223,7 +223,7 @@ func TestSameFoldFloodKeepsProbesShort(t *testing.T) {
 			t.Fatalf("SYN %d refused: %+v", i, port.Stats())
 		}
 	}
-	waitFor(t, func() bool { return eng.Stats().SYNs == flows })
+	waitFor(t, func() bool { return eng.Stats().Table.SYNs == flows })
 	perSYN := time.Since(start) / flows
 	cancel()
 	<-done

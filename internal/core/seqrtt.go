@@ -91,6 +91,20 @@ type SeqStats struct {
 	Occupancy     uint64 // live flow entries (gauge)
 }
 
+func (s *SeqStats) add(o SeqStats) {
+	s.Packets += o.Packets
+	s.Inserted += o.Inserted
+	s.Samples += o.Samples
+	s.OneDirSamples += o.OneDirSamples
+	s.Unmatched += o.Unmatched
+	s.Retrans += o.Retrans
+	s.RTO += o.RTO
+	s.DupACK += o.DupACK
+	s.Expired += o.Expired
+	s.TableFull += o.TableFull
+	s.Occupancy += o.Occupancy
+}
+
 // seqPendingSlots bounds outstanding data edges per direction per flow,
 // the same discipline as tsPendingSlots: ACKs arrive one RTT after their
 // data, older edges are overwritten and their (rare, late) ACKs counted

@@ -42,6 +42,17 @@ type TSStats struct {
 	Occupancy uint64 // live flow entries (gauge)
 }
 
+func (s *TSStats) add(o TSStats) {
+	s.Packets += o.Packets
+	s.NoTS += o.NoTS
+	s.Inserted += o.Inserted
+	s.Samples += o.Samples
+	s.Unmatched += o.Unmatched
+	s.Expired += o.Expired
+	s.TableFull += o.TableFull
+	s.Occupancy += o.Occupancy
+}
+
 // tsPendingSlots bounds outstanding TSvals per direction per flow. Echoes
 // arrive one RTT after their TSval; values older than the window are
 // overwritten and their (rare, late) echoes counted Unmatched. Eight covers

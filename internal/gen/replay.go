@@ -79,20 +79,7 @@ func (r *Replay) Run(g *Generator) ReplayStats {
 		t.SweepAll(lastTS + 2*timeout)
 	}
 	for _, t := range tables {
-		s := t.Stats()
-		st.Tables.Packets += s.Packets
-		st.Tables.SYNs += s.SYNs
-		st.Tables.SYNRetrans += s.SYNRetrans
-		st.Tables.SYNACKs += s.SYNACKs
-		st.Tables.OrphanSYNACKs += s.OrphanSYNACKs
-		st.Tables.Completed += s.Completed
-		st.Tables.InvalidACKs += s.InvalidACKs
-		st.Tables.MidstreamACKs += s.MidstreamACKs
-		st.Tables.Aborted += s.Aborted
-		st.Tables.Expired += s.Expired
-		st.Tables.ExpiredAwait += s.ExpiredAwait
-		st.Tables.TableFull += s.TableFull
-		st.Tables.Occupancy += s.Occupancy
+		st.Tables.Add(t.Stats())
 	}
 	return st
 }

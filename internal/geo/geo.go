@@ -4,8 +4,8 @@
 //
 // The database is the same shape as the commercial product: sorted,
 // non-overlapping IP ranges, each mapping to a (country, city, lat/lon, ASN,
-// AS name) record, queried by binary search. A compact binary file format
-// ("RGDB") with a builder and loader replaces the vendor download, and a
+// AS name) record, queried by binary search. The database is built in
+// memory with a Builder instead of loaded from the vendor download: a
 // deterministic synthetic world (see world.go) provides ground truth so
 // accuracy is measurable rather than quoted.
 package geo
@@ -32,7 +32,6 @@ type Record struct {
 
 // Errors returned by the package.
 var (
-	ErrBadFormat  = errors.New("geo: malformed database")
 	ErrOverlap    = errors.New("geo: overlapping ranges")
 	ErrBadRange   = errors.New("geo: range start after end")
 	ErrMixedRange = errors.New("geo: range endpoints of different families")
@@ -55,7 +54,7 @@ type DB struct {
 	v6      []v6range
 }
 
-// Builder accumulates ranges and produces a DB or its serialized form.
+// Builder accumulates ranges and produces a DB.
 type Builder struct {
 	records []Record
 	recIdx  map[string]uint32
@@ -187,12 +186,6 @@ func (db *DB) Lookup(addr netip.Addr) (Record, bool) {
 	}
 	return Record{}, false
 }
-
-// NumRanges returns the count of v4 and v6 ranges (for diagnostics).
-func (db *DB) NumRanges() (int, int) { return len(db.v4), len(db.v6) }
-
-// NumRecords returns the number of distinct records.
-func (db *DB) NumRecords() int { return len(db.records) }
 
 // Haversine returns the great-circle distance in kilometers between two
 // (lat, lon) points in degrees. Used by the RTT model and the arc renderer.

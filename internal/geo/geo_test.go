@@ -1,7 +1,6 @@
 package geo
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -117,57 +116,6 @@ func TestLastAddr(t *testing.T) {
 		if got != netip.MustParseAddr(c.want) {
 			t.Errorf("lastAddr(%s) = %v, want %s", c.prefix, got, c.want)
 		}
-	}
-}
-
-func TestFormatRoundTrip(t *testing.T) {
-	w, err := NewWorld(WorldOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := w.DB().WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db2.NumRecords() != w.DB().NumRecords() {
-		t.Fatalf("records: %d vs %d", db2.NumRecords(), w.DB().NumRecords())
-	}
-	n4a, n6a := w.DB().NumRanges()
-	n4b, n6b := db2.NumRanges()
-	if n4a != n4b || n6a != n6b {
-		t.Fatalf("ranges: %d/%d vs %d/%d", n4a, n6a, n4b, n6b)
-	}
-	// Every lookup agrees after the round trip.
-	for i := range w.Cities {
-		for slot := 0; slot < asnsPerCity; slot++ {
-			a := w.Addr(i, slot, 12345)
-			r1, ok1 := w.DB().Lookup(a)
-			r2, ok2 := db2.Lookup(a)
-			if ok1 != ok2 || r1 != r2 {
-				t.Fatalf("lookup disagreement at %v: %+v/%v vs %+v/%v", a, r1, ok1, r2, ok2)
-			}
-		}
-	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("NOPE"))); err != ErrBadFormat {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := Read(bytes.NewReader([]byte("RG"))); err != ErrBadFormat {
-		t.Fatalf("short err = %v", err)
-	}
-	// Valid magic, truncated body.
-	var buf bytes.Buffer
-	w, _ := NewWorld(WorldOptions{Cities: 2})
-	w.DB().WriteTo(&buf)
-	data := buf.Bytes()
-	if _, err := Read(bytes.NewReader(data[:len(data)/2])); err == nil {
-		t.Fatal("truncated database accepted")
 	}
 }
 

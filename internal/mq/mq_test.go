@@ -50,10 +50,23 @@ func TestEmptyPrefixMatchesAll(t *testing.T) {
 	}
 }
 
+// TestHWMDropsInsteadOfBlocking also pins the bus ledger per subscription:
+// each one's delivered + dropped equals the publishes its prefix matches,
+// and the bus's dropped is the sum of the subscriptions' drops.
 func TestHWMDropsInsteadOfBlocking(t *testing.T) {
 	b := NewBus()
 	defer b.Close()
 	sub, _ := b.Subscribe("", 2)
+	other, _ := b.Subscribe("u", 2) // matches none of the topics
+	drained, _ := b.Subscribe("t", 2)
+	delivered := make(chan uint64)
+	go func() {
+		var n uint64
+		for range drained.C() {
+			n++
+		}
+		delivered <- n
+	}()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -70,8 +83,23 @@ func TestHWMDropsInsteadOfBlocking(t *testing.T) {
 		t.Fatalf("dropped = %d, want 98", sub.Dropped())
 	}
 	pub, dropped := b.Stats()
-	if pub != 100 || dropped != 98 {
-		t.Fatalf("bus stats = %d published, %d dropped", pub, dropped)
+	if pub != 100 || dropped != 98+drained.Dropped() {
+		t.Fatalf("bus stats = %d published, %d dropped; want 100, %d", pub, dropped, 98+drained.Dropped())
+	}
+	held := uint64(len(sub.C()))
+	b.Close() // ends the drainer
+	ledger := []struct {
+		name                         string
+		delivered, dropped, matching uint64
+	}{
+		{"undrained", held, sub.Dropped(), 100},
+		{"unmatched", uint64(len(other.C())), other.Dropped(), 0},
+		{"drained", <-delivered, drained.Dropped(), 100},
+	}
+	for _, l := range ledger {
+		if l.delivered+l.dropped != l.matching {
+			t.Errorf("%s: delivered %d + dropped %d != %d matching publishes", l.name, l.delivered, l.dropped, l.matching)
+		}
 	}
 }
 

@@ -107,7 +107,6 @@ func (p *Parser) Parse(data []byte, s *Summary) error {
 	rest := data[n:]
 
 	var (
-		src, dst  netip.Addr
 		proto     IPProto
 		transport []byte
 	)
@@ -129,7 +128,7 @@ func (p *Parser) Parse(data []byte, s *Summary) error {
 			p.Stats.Fragments++
 			return nil
 		}
-		src, dst, proto = s.IP4.Src, s.IP4.Dst, s.IP4.Protocol
+		proto = s.IP4.Protocol
 		end := hn + s.IP4.PayloadLen
 		if end > len(rest) {
 			end = len(rest)
@@ -147,14 +146,12 @@ func (p *Parser) Parse(data []byte, s *Summary) error {
 			p.Stats.Fragments++
 			return nil
 		}
-		src, dst, proto = s.IP6.Src, s.IP6.Dst, s.IP6.Protocol
+		proto = s.IP6.Protocol
 		transport = rest[hn:]
 	default:
 		p.Stats.NonIP++
 		return nil
 	}
-	_ = src
-	_ = dst
 
 	switch proto {
 	case IPProtoTCP:

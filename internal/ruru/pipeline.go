@@ -225,23 +225,23 @@ type Pipeline struct {
 }
 
 // sinkShard is the state owned by one sink worker: its routing channel,
-// the worker-private write scratch (SeriesRef cache keyed by geo/AS
-// identity, reusable RefPoint/value buffers — touched only by the owning
-// worker, never under mu), and the mu-guarded state shared with Feed and
-// RecentArcs (arc ring, WebSocket frame buffer).
+// the worker-private scratch (SeriesRef cache keyed by geo/AS identity,
+// reusable RefPoint/value buffers, the WebSocket frame buffer — touched
+// only by the owning worker, never under mu), and the arc ring that mu
+// guards against RecentArcs.
 type sinkShard struct {
 	ch chan sinkItem
 
 	// Worker-private: per-identity interned TSDB handles and batch scratch.
-	refs   map[string]tsdb.SeriesRef
-	keyBuf []byte
-	rpts   []tsdb.RefPoint
-	vals   []float64
+	refs     map[string]tsdb.SeriesRef
+	keyBuf   []byte
+	rpts     []tsdb.RefPoint
+	vals     []float64
+	frameBuf []analytics.Enriched // reusable WS frame scratch
 
-	mu       sync.Mutex
-	arcsBuf  []analytics.Enriched
-	arcsPos  int
-	frameBuf []analytics.Enriched // reusable WS frame scratch (marshalled under mu)
+	mu      sync.Mutex
+	arcsBuf []analytics.Enriched
+	arcsPos int
 }
 
 // New assembles a pipeline.
@@ -618,10 +618,11 @@ func (p *Pipeline) Stats() Stats {
 	if p.Agg != nil {
 		agg = p.Agg.Stats()
 	}
+	eng := p.Engine.Stats()
 	return Stats{
 		Port:             p.Port.Stats(),
 		Queues:           queues,
-		Engine:           p.Engine.Stats(),
+		Engine:           eng.Table,
 		Enricher:         p.Enricher.Stats(),
 		BusPub:           pub,
 		BusDrop:          drop,
@@ -635,9 +636,9 @@ func (p *Pipeline) Stats() Stats {
 		TSSamples:        p.tsSamples.Load(),
 		SeqSamples:       p.seqSamples.Load(),
 		LossPoints:       p.lossPoints.Load(),
-		TSRTT:            p.Engine.TSStats(),
-		Seq:              p.Engine.SeqStats(),
-		Sketch:           p.Engine.SketchStats(),
+		TSRTT:            eng.TS,
+		Seq:              eng.Seq,
+		Sketch:           eng.Sketch,
 		QueryCache:       p.DB.CacheStats(),
 		Persist:          p.DB.PersistStats(),
 		Remote:           remote,

@@ -338,22 +338,25 @@ func TestPipelineGroupByCityQueries(t *testing.T) {
 	}
 }
 
-func TestPipelineFeedDirect(t *testing.T) {
+// TestPipelineArcRingWraps: one city pair routes to one sink shard, whose
+// arc ring keeps the newest arcsBuffer measurements, oldest first.
+func TestPipelineArcRingWraps(t *testing.T) {
 	w := newWorld(t)
 	p, err := New(Config{GeoDB: w.DB()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	e := analytics.Enriched{
-		Time: 1e9, TotalNs: 145e6, InternalNs: 15e6, ExternalNs: 130e6,
-		Src: analytics.Endpoint{City: "Auckland", CountryCode: "NZ", Lat: -36.85, Lon: 174.76},
-		Dst: analytics.Endpoint{City: "Los Angeles", CountryCode: "US", Lat: 34.05, Lon: -118.24},
+	const total = arcsBuffer + 12
+	es := make([]analytics.Enriched, total)
+	for i := range es {
+		es[i] = analytics.Enriched{
+			Time: int64(i) * 1e9, TotalNs: 145e6, InternalNs: 15e6, ExternalNs: 130e6,
+			Src: analytics.Endpoint{City: "Auckland", CountryCode: "NZ", Lat: -36.85, Lon: 174.76},
+			Dst: analytics.Endpoint{City: "Los Angeles", CountryCode: "US", Lat: 34.05, Lon: -118.24},
+		}
 	}
-	for i := 0; i < 100; i++ {
-		e.Time = int64(i) * 1e9
-		p.Feed(&e)
-	}
+	publishEnriched(t, p, es[:100]...)
 	if st := p.Stats(); st.DBPoints != 100 {
 		t.Fatalf("points = %d", st.DBPoints)
 	}
@@ -361,13 +364,7 @@ func TestPipelineFeedDirect(t *testing.T) {
 	if len(arcs) != 100 {
 		t.Fatalf("arcs = %d", len(arcs))
 	}
-	// One city pair routes to one sink shard, whose ring wraps at
-	// arcsBuffer: the newest arcsBuffer measurements stay, oldest first.
-	const total = arcsBuffer + 12
-	for i := 100; i < total; i++ {
-		e.Time = int64(i) * 1e9
-		p.Feed(&e)
-	}
+	publishEnriched(t, p, es[100:]...)
 	arcs = p.RecentArcs(0)
 	if len(arcs) != arcsBuffer {
 		t.Fatalf("wrapped arcs = %d, want %d", len(arcs), arcsBuffer)
@@ -387,18 +384,17 @@ func TestPipelineSpikeDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	e := analytics.Enriched{
-		Src: analytics.Endpoint{City: "Auckland"},
-		Dst: analytics.Endpoint{City: "Los Angeles"},
+	es := make([]analytics.Enriched, 501)
+	for i := range es {
+		es[i] = analytics.Enriched{
+			Time: int64(i) * 1e8, TotalNs: 145e6 + int64(i%7)*1e6,
+			Src: analytics.Endpoint{City: "Auckland"},
+			Dst: analytics.Endpoint{City: "Los Angeles"},
+		}
 	}
-	for i := 0; i < 500; i++ {
-		e.Time = int64(i) * 1e8
-		e.TotalNs = 145e6 + int64(i%7)*1e6
-		p.Feed(&e)
-	}
-	e.Time = 501e8
-	e.TotalNs = 4145e6 // the firewall glitch
-	p.Feed(&e)
+	es[500].Time = 501e8
+	es[500].TotalNs = 4145e6 // the firewall glitch
+	publishEnriched(t, p, es...)
 	evs := p.SpikeEvents()
 	if len(evs) != 1 {
 		t.Fatalf("%d spike events", len(evs))
@@ -420,18 +416,18 @@ func TestPipelineSpikeEventsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	e := analytics.Enriched{
-		Src: analytics.Endpoint{City: "Auckland"},
-		Dst: analytics.Endpoint{City: "Los Angeles"},
-	}
-	for i := 0; i < 100+shifted; i++ {
-		e.Time = int64(i) * 1e8
-		e.TotalNs = 10e6 + int64(i%3)*1e5
-		if i >= 100 {
-			e.TotalNs = 200e6
+	es := make([]analytics.Enriched, 100+shifted)
+	for i := range es {
+		es[i] = analytics.Enriched{
+			Time: int64(i) * 1e8, TotalNs: 10e6 + int64(i%3)*1e5,
+			Src: analytics.Endpoint{City: "Auckland"},
+			Dst: analytics.Endpoint{City: "Los Angeles"},
 		}
-		p.Feed(&e)
+		if i >= 100 {
+			es[i].TotalNs = 200e6
+		}
 	}
+	publishEnriched(t, p, es...)
 	evs := p.SpikeEvents()
 	if len(evs) != keep {
 		t.Fatalf("%d spike events kept, want %d", len(evs), keep)

@@ -19,7 +19,9 @@ package ruru
 // crosses workers. Workers drain their shard channel in bursts of up to
 // SinkBatch, write the TSDB points with one batched, stripe-locked call, and
 // coalesce the burst into one WebSocket frame — skipping JSON marshalling
-// entirely when no client is connected.
+// entirely when no client is connected. The enriched subscription is the
+// sink's only ingress: harnesses publish MarshalEnriched payloads on
+// TopicEnriched, as the enricher does.
 
 import (
 	"context"
@@ -43,18 +45,6 @@ type sinkItem struct {
 // subscription HWM it bounds in-flight measurements; a stalled worker
 // backpressures the dispatcher, which surfaces as SinkDrop at the HWM.
 const sinkShardDepth = 4096
-
-// pairKey is the detector/shard-routing key of a measurement. The format
-// is load-bearing: it decides both worker affinity and anomaly-detector
-// state keys, so every ingress path must build it through this helper.
-func pairKey(e *analytics.Enriched) string {
-	return e.Src.City + "→" + e.Dst.City
-}
-
-// shardFor routes a detector key to its sink shard.
-func (p *Pipeline) shardFor(pair string) *sinkShard {
-	return p.sinkShards[hashx.FNV1a32(pair)%uint32(len(p.sinkShards))]
-}
 
 // runSinkDispatcher drains the enriched subscription, decodes each message
 // and hands it to its shard's worker. Decode failures are counted in
@@ -80,8 +70,10 @@ func (p *Pipeline) routeSink(ctx context.Context, msg mq.Message) {
 		p.sinkDecodeErrors.Add(1)
 		return
 	}
-	it.pair = pairKey(&it.e)
-	sh := p.shardFor(it.pair)
+	// The city pair is both the anomaly detectors' state key and the
+	// shard route, so each key's state stays with one worker.
+	it.pair = it.e.Src.City + "→" + it.e.Dst.City
+	sh := p.sinkShards[hashx.FNV1a32(it.pair)%uint32(len(p.sinkShards))]
 	select {
 	case sh.ch <- it:
 	case <-ctx.Done():
@@ -89,7 +81,8 @@ func (p *Pipeline) routeSink(ctx context.Context, msg mq.Message) {
 }
 
 // runSinkWorker owns one shard: it drains the shard channel in bursts of up
-// to SinkBatch and dispatches each burst to every output.
+// to SinkBatch and hands each burst to every output — one striped-lock TSDB
+// batch write through interned series handles, then the fan-out.
 func (p *Pipeline) runSinkWorker(ctx context.Context, sh *sinkShard) {
 	batch := make([]sinkItem, 0, p.cfg.SinkBatch)
 	// Shard channels are never closed: the worker's only exit is ctx
@@ -110,7 +103,8 @@ func (p *Pipeline) runSinkWorker(ctx context.Context, sh *sinkShard) {
 					break fill
 				}
 			}
-			p.consumeBatch(sh, batch)
+			p.writeSinkBatch(sh, batch)
+			p.fanOut(sh, batch)
 		}
 	}
 }
@@ -171,30 +165,19 @@ func (p *Pipeline) writeSinkBatch(sh *sinkShard, batch []sinkItem) {
 	}
 }
 
-// consumeBatch dispatches one burst to all sinks: a single striped-lock
-// TSDB batch write through interned series handles (zero-alloc at steady
-// state), then the fan-out.
-func (p *Pipeline) consumeBatch(sh *sinkShard, batch []sinkItem) {
-	p.writeSinkBatch(sh, batch)
-	p.fanOut(sh, batch)
-}
-
 // fanOut hands one burst to everything downstream of the TSDB write: one
 // coalesced WebSocket frame (only marshalled when a client is connected,
-// into the shard's reusable frame buffer), the anomaly detectors in
-// arrival order, the city-pair summary and the shard's arc ring. It touches no worker-private shard state — only what
-// sh.mu guards — so Feed may call it beside the owning worker.
+// into the worker's reusable frame scratch), the anomaly detectors in
+// arrival order, the city-pair summary and the shard's arc ring. Only the
+// arc ring is shared with readers, so only the ring push takes sh.mu.
 func (p *Pipeline) fanOut(sh *sinkShard, batch []sinkItem) {
 	if p.Hub.LiveClients() > 0 {
-		sh.mu.Lock()
 		frame := sh.frameBuf[:0]
 		for i := range batch {
 			frame = append(frame, batch[i].e)
 		}
 		sh.frameBuf = frame
-		data, err := json.Marshal(frame)
-		sh.mu.Unlock()
-		if err == nil {
+		if data, err := json.Marshal(frame); err == nil {
 			// data is freshly allocated per call — the Hub retains it in
 			// client queues, so only the frame scratch is reusable.
 			p.Hub.Broadcast(data)
@@ -206,9 +189,9 @@ func (p *Pipeline) fanOut(sh *sinkShard, batch []sinkItem) {
 	}
 
 	if p.pairTop != nil {
-		// One lock round per burst: the city-pair latency summary is a
-		// leaf lock shared by all sink workers (pairs cross shards only
-		// via Feed, but the summary is global either way).
+		// One lock round per burst: each pair routes to one worker, but
+		// the city-pair latency summary is a leaf lock shared by all of
+		// them.
 		p.pairTopMu.Lock()
 		for i := range batch {
 			p.pairTop.UpdateLat(batch[i].pair, 1, float64(batch[i].e.TotalNs)/1e6)
@@ -260,23 +243,6 @@ func (sh *sinkShard) orderedArcsLocked() []analytics.Enriched {
 	}
 	out = append(out, sh.arcsBuf[sh.arcsPos:]...)
 	return append(out, sh.arcsBuf[:sh.arcsPos]...)
-}
-
-// Feed injects an enriched measurement directly into the sink stage,
-// bypassing packet processing and the worker pool — synchronous, used by
-// harnesses and the quickstart example to exercise storage/visualization in
-// isolation. Safe concurrently with a running pipeline: it takes the same
-// per-shard lock as the owning worker, though cross-call ordering against
-// bus-delivered measurements on the same key is then unspecified.
-func (p *Pipeline) Feed(e *analytics.Enriched) {
-	item := [1]sinkItem{{e: *e, pair: pairKey(e)}}
-	// The interned-handle cache belongs to the shard's worker, so the
-	// point goes through the string-keyed write.
-	pt := analytics.LatencyPoint(e)
-	if err := p.DB.Write(&pt); err != nil {
-		p.sinkWriteErrors.Add(1)
-	}
-	p.fanOut(p.shardFor(item[0].pair), item[:])
 }
 
 // RecentArcs returns up to n of the most recent enriched measurements for

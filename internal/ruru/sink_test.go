@@ -30,6 +30,46 @@ func enrichedPayloads(pairs int) [][]byte {
 	return out
 }
 
+// publishEnriched runs p until its sink has taken es off the enriched topic,
+// the one way measurements reach the sink: each is published as the
+// enricher publishes it, and once Stats().Accounted() covers all of them,
+// with no subscription drop or decode error, Run is cancelled and waited
+// for. A sink worker checks for cancellation only between batches, so by
+// then every accounted measurement's TSDB point, arc and detector offer is
+// in place.
+func publishEnriched(t testing.TB, p *Pipeline, es ...analytics.Enriched) {
+	t.Helper()
+	before := p.Stats()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		p.Run(ctx)
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
+	for i := range es {
+		p.Bus.Publish(mq.Message{Topic: TopicEnriched, Payload: analytics.MarshalEnriched(nil, &es[i])})
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		st := p.Stats()
+		if st.SinkDrop != before.SinkDrop || st.SinkDecodeErrors != before.SinkDecodeErrors {
+			t.Fatalf("sink lost measurements: drop %d→%d, decode errors %d→%d",
+				before.SinkDrop, st.SinkDrop, before.SinkDecodeErrors, st.SinkDecodeErrors)
+		}
+		if st.Accounted()-before.Accounted() >= uint64(len(es)) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("sink accounted %d of %d published", st.Accounted()-before.Accounted(), len(es))
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestSinkShardedLosslessAndAccounted(t *testing.T) {
 	// The tentpole contract: at a sustained load driven straight into the
 	// enriched topic, the sharded sink stores every measurement — zero
@@ -132,8 +172,7 @@ func TestSinkConcurrencyStress(t *testing.T) {
 	// several producers publishing onto the enriched topic, the sharded
 	// workers feeding spike/surge/flood detectors and per-shard arc rings,
 	// while Stats, RecentArcs, SpikeEvents, FloodEvents and TSDB queries
-	// all read concurrently — plus synchronous Feed calls racing the
-	// workers on the same shards.
+	// all read concurrently.
 	w := newWorld(t)
 	p, err := New(Config{GeoDB: w.DB(), Queues: 1, SinkWorkers: 4, SinkBatch: 32})
 	if err != nil {
@@ -166,21 +205,6 @@ func TestSinkConcurrencyStress(t *testing.T) {
 			}
 		}(n)
 	}
-	var feeds uint64
-	wg.Add(1)
-	go func() { // synchronous Feed racing the workers
-		defer wg.Done()
-		e := analytics.Enriched{
-			TotalNs: 145e6,
-			Src:     analytics.Endpoint{City: "SrcCity0", Lat: 1, Lon: 2},
-			Dst:     analytics.Endpoint{City: "DstCity0", Lat: 3, Lon: 4},
-		}
-		for i := 0; i < 2000; i++ {
-			e.Time = int64(i) * 1e6
-			p.Feed(&e)
-			feeds++
-		}
-	}()
 	readersStop := make(chan struct{})
 	var readers sync.WaitGroup
 	readers.Add(1)
@@ -209,14 +233,12 @@ func TestSinkConcurrencyStress(t *testing.T) {
 	deadline := time.After(30 * time.Second)
 	for {
 		st := p.Stats()
-		// Feeds wrote synchronously, so they are already inside DBPoints;
-		// wait for the bus-published remainder to drain through workers.
-		if st.Accounted() >= published+feeds {
+		if st.Accounted() >= published {
 			break
 		}
 		select {
 		case <-deadline:
-			t.Fatalf("ledger never balanced: %+v (published %d + feeds %d)", st, published, feeds)
+			t.Fatalf("ledger never balanced: %+v (published %d)", st, published)
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
@@ -226,8 +248,8 @@ func TestSinkConcurrencyStress(t *testing.T) {
 	<-done
 
 	st := p.Stats()
-	if got := st.Accounted(); got != published+feeds {
-		t.Fatalf("ledger: accounted %d, want %d (stats %+v)", got, published+feeds, st)
+	if got := st.Accounted(); got != published {
+		t.Fatalf("ledger: accounted %d, want %d (stats %+v)", got, published, st)
 	}
 	if st.SinkDecodeErrors == 0 {
 		t.Fatal("junk frames were not counted as decode errors")
@@ -251,10 +273,10 @@ func TestSinkRetentionDropAccounted(t *testing.T) {
 		Src:     analytics.Endpoint{City: "Auckland"},
 		Dst:     analytics.Endpoint{City: "Los Angeles"},
 	}
+	late := e
 	e.Time = 100e9
-	p.Feed(&e)
-	e.Time = 1e9 // far behind the horizon set by the first point
-	p.Feed(&e)
+	late.Time = 1e9 // far behind the horizon set by the first point
+	publishEnriched(t, p, e, late)
 	st := p.Stats()
 	if st.DBPoints != 1 || st.DBDropped != 1 {
 		t.Fatalf("DBPoints=%d DBDropped=%d, want 1/1", st.DBPoints, st.DBDropped)

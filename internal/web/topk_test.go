@@ -112,7 +112,7 @@ func TestTopKFlowsAndPrefixes(t *testing.T) {
 
 func TestTopKCityPairs(t *testing.T) {
 	p, srv := newSketchServer(t)
-	feedSamples(p, 5) // Auckland -> Los Angeles, latencies 140..144ms
+	feedSamples(t, p, 5) // Auckland -> Los Angeles, latencies 140..144ms
 
 	var got topkResp
 	getJSON(t, srv.URL+"/api/topk?key=city_pair", &got)

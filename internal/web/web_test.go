@@ -34,18 +34,60 @@ func newServer(t *testing.T) (*ruru.Pipeline, *httptest.Server) {
 	return p, srv
 }
 
-func feedSamples(p *ruru.Pipeline, n int) {
-	e := analytics.Enriched{
-		Src: analytics.Endpoint{City: "Auckland", CountryCode: "NZ", Lat: -36.85, Lon: 174.76, ASN: 64000},
-		Dst: analytics.Endpoint{City: "Los Angeles", CountryCode: "US", Lat: 34.05, Lon: -118.24, ASN: 64004},
+// publishEnriched runs p until its sink has taken es off the enriched topic,
+// the one way measurements reach the sink: each is published as the
+// enricher publishes it, and once Stats().Accounted() covers all of them,
+// with no subscription drop or decode error, Run is cancelled and waited
+// for. A sink worker checks for cancellation only between batches, so by
+// then every accounted measurement's TSDB point, arc and detector offer is
+// in place.
+func publishEnriched(t testing.TB, p *ruru.Pipeline, es ...analytics.Enriched) {
+	t.Helper()
+	before := p.Stats()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		p.Run(ctx)
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
+	for i := range es {
+		p.Bus.Publish(mq.Message{Topic: ruru.TopicEnriched, Payload: analytics.MarshalEnriched(nil, &es[i])})
 	}
-	for i := 0; i < n; i++ {
-		e.Time = int64(i) * 1e9
-		e.TotalNs = int64(140e6 + i%20*1e6)
-		e.InternalNs = 15e6
-		e.ExternalNs = e.TotalNs - e.InternalNs
-		p.Feed(&e)
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		st := p.Stats()
+		if st.SinkDrop != before.SinkDrop || st.SinkDecodeErrors != before.SinkDecodeErrors {
+			t.Fatalf("sink lost measurements: drop %d→%d, decode errors %d→%d",
+				before.SinkDrop, st.SinkDrop, before.SinkDecodeErrors, st.SinkDecodeErrors)
+		}
+		if st.Accounted()-before.Accounted() >= uint64(len(es)) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("sink accounted %d of %d published", st.Accounted()-before.Accounted(), len(es))
+		}
+		time.Sleep(time.Millisecond)
 	}
+}
+
+// feedSamples publishes n Auckland→Los Angeles measurements, one a second
+// from time 0, with total latency cycling through 140..159 ms.
+func feedSamples(t testing.TB, p *ruru.Pipeline, n int) {
+	t.Helper()
+	es := make([]analytics.Enriched, n)
+	for i := range es {
+		total := int64(140e6 + i%20*1e6)
+		es[i] = analytics.Enriched{
+			Time: int64(i) * 1e9, TotalNs: total, InternalNs: 15e6, ExternalNs: total - 15e6,
+			Src: analytics.Endpoint{City: "Auckland", CountryCode: "NZ", Lat: -36.85, Lon: 174.76, ASN: 64000},
+			Dst: analytics.Endpoint{City: "Los Angeles", CountryCode: "US", Lat: 34.05, Lon: -118.24, ASN: 64004},
+		}
+	}
+	publishEnriched(t, p, es...)
 }
 
 func getJSON(t *testing.T, url string, v any) *http.Response {
@@ -65,7 +107,7 @@ func getJSON(t *testing.T, url string, v any) *http.Response {
 
 func TestStatsEndpoint(t *testing.T) {
 	p, srv := newServer(t)
-	feedSamples(p, 10)
+	feedSamples(t, p, 10)
 	var st map[string]any
 	getJSON(t, srv.URL+"/api/stats", &st)
 	if st["DBPoints"].(float64) != 10 {
@@ -118,7 +160,7 @@ func TestStatsContinuousRTTFields(t *testing.T) {
 
 func TestQueryEndpoint(t *testing.T) {
 	p, srv := newServer(t)
-	feedSamples(p, 100)
+	feedSamples(t, p, 100)
 	var res []tsdb.SeriesResult
 	getJSON(t, srv.URL+"/api/query?measurement=latency&field=total_ms&start=0&end=1e12&agg=count,mean,median&group_by=src_city", &res)
 	if len(res) != 1 || res[0].Group != "Auckland" {
@@ -148,7 +190,7 @@ func TestQueryEndpoint(t *testing.T) {
 // change one, change both.
 func TestQueryParamParsing(t *testing.T) {
 	p, srv := newServer(t)
-	feedSamples(p, 100) // times 0..99s, src_city=Auckland, total_ms≈140-160
+	feedSamples(t, p, 100) // times 0..99s, src_city=Auckland, total_ms≈140-160
 
 	cases := []struct {
 		name   string
@@ -247,7 +289,7 @@ func TestQueryParamParsing(t *testing.T) {
 // marshalling the whole response would silently truncate to an empty 200.
 func TestQueryEmptyBucketsSerializeNull(t *testing.T) {
 	p, srv := newServer(t)
-	feedSamples(p, 5) // samples at 0..4s; buckets past 5s are empty
+	feedSamples(t, p, 5) // samples at 0..4s; buckets past 5s are empty
 	resp, err := http.Get(srv.URL + "/api/query?end=20e9&window=10e9&agg=count,mean")
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +328,7 @@ func TestQueryResolutionParam(t *testing.T) {
 	}
 	srv := httptest.NewServer(NewServer(p))
 	t.Cleanup(func() { srv.Close(); p.Close() })
-	feedSamples(p, 100)
+	feedSamples(t, p, 100)
 
 	var res []tsdb.SeriesResult
 	base := srv.URL + "/api/query?start=0&end=100e9&window=10e9&agg=count,p95"
@@ -313,7 +355,7 @@ func TestQueryResolutionParam(t *testing.T) {
 
 func TestTagsEndpoint(t *testing.T) {
 	p, srv := newServer(t)
-	feedSamples(p, 5)
+	feedSamples(t, p, 5)
 	var tags []string
 	getJSON(t, srv.URL+"/api/tags?key=src_city", &tags)
 	if len(tags) != 1 || tags[0] != "Auckland" {
@@ -327,7 +369,7 @@ func TestTagsEndpoint(t *testing.T) {
 
 func TestArcsEndpoint(t *testing.T) {
 	p, srv := newServer(t)
-	feedSamples(p, 50)
+	feedSamples(t, p, 50)
 	var arcs []Arc
 	getJSON(t, srv.URL+"/api/arcs?n=0", &arcs) // 0 = every retained arc
 	if len(arcs) != 50 {
@@ -349,14 +391,13 @@ func TestArcsEndpoint(t *testing.T) {
 
 func TestAnomaliesEndpoint(t *testing.T) {
 	p, srv := newServer(t)
-	feedSamples(p, 500)
+	feedSamples(t, p, 500)
 	// Inject a glitch through the pipeline.
-	e := analytics.Enriched{
+	publishEnriched(t, p, analytics.Enriched{
 		Time: 600e9, TotalNs: 4145e6,
 		Src: analytics.Endpoint{City: "Auckland"},
 		Dst: analytics.Endpoint{City: "Los Angeles"},
-	}
-	p.Feed(&e)
+	})
 	var events []map[string]any
 	getJSON(t, srv.URL+"/api/anomalies", &events)
 	found := false
@@ -385,7 +426,7 @@ func TestWebSocketLiveFeed(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	feedSamples(p, 3)
+	feedSamples(t, p, 3)
 	c.SetReadDeadline(time.Now().Add(2 * time.Second))
 	// The live feed sends JSON arrays (the sink coalesces measurements
 	// into batched frames).
@@ -462,7 +503,7 @@ func TestWriteEndpointLineProtocol(t *testing.T) {
 
 func TestSnapshotEndpoint(t *testing.T) {
 	p, srv := newServer(t)
-	feedSamples(p, 25)
+	feedSamples(t, p, 25)
 	resp, err := http.Get(srv.URL + "/snapshot")
 	if err != nil {
 		t.Fatal(err)
@@ -515,7 +556,7 @@ func TestCheckpointEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv2 := httptest.NewServer(NewServer(p))
-	feedSamples(p, 40)
+	feedSamples(t, p, 40)
 	resp, err = http.Post(srv2.URL+"/api/checkpoint", "", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -531,7 +572,7 @@ func TestCheckpointEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || ck.Points != 40 || ck.WALSegment == 0 {
 		t.Fatalf("checkpoint: status %d, %+v", resp.StatusCode, ck)
 	}
-	feedSamples(p, 10) // WAL tail past the checkpoint
+	feedSamples(t, p, 10) // WAL tail past the checkpoint
 	srv2.Close()
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
@@ -582,10 +623,16 @@ func BenchmarkQueryEndpoint(b *testing.B) {
 		Src: analytics.Endpoint{City: "Auckland"},
 		Dst: analytics.Endpoint{City: "Los Angeles"},
 	}
-	for i := 0; i < 50000; i++ {
+	// The query alone is timed, so the points go straight into the store:
+	// 50 000 published messages would overflow the sink subscription.
+	pts := make([]tsdb.Point, 50000)
+	for i := range pts {
 		e.Time = int64(i) * 1e7
 		e.TotalNs = int64(140e6 + i%50*1e6)
-		p.Feed(&e)
+		pts[i] = analytics.LatencyPoint(&e)
+	}
+	if _, err := p.DB.WriteBatch(pts); err != nil {
+		b.Fatal(err)
 	}
 	srv := httptest.NewServer(NewServer(p))
 	defer srv.Close()
@@ -776,7 +823,7 @@ func (w *brokenWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
 // complete one.
 func TestSnapshotCompletionReporting(t *testing.T) {
 	p, srv := newServer(t)
-	feedSamples(p, 25)
+	feedSamples(t, p, 25)
 
 	resp, err := http.Get(srv.URL + "/snapshot")
 	if err != nil {
