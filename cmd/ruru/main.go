@@ -128,17 +128,6 @@ func main() {
 		defer close(runDone)
 		p.Run(ctx)
 	}()
-	// Close (deferred above) must run after the pipeline goroutines have
-	// wound down: a probe's collector flushes its final partial batch to
-	// the spool on shutdown, and Close sealing the spool first would
-	// discard it (counted in Remote.CloseDropped, but avoidable here).
-	defer func() {
-		select {
-		case <-runDone:
-		case <-time.After(5 * time.Second):
-			log.Printf("ruru: pipeline did not wind down in 5s; closing anyway")
-		}
-	}()
 
 	srv := &http.Server{Addr: opt.listen, Handler: web.NewServer(p)}
 	go func() {
@@ -211,6 +200,12 @@ func main() {
 	}
 
 	<-ctx.Done()
+	// Run drains the pipeline, under its own deadline, before it returns.
+	// The final stats, the snapshot and Close (deferred above) wait for it:
+	// a probe's collector spools its final partial batch on shutdown, and
+	// Close sealing the spool first would discard it (counted in
+	// Remote.CloseDropped, but avoidable here).
+	<-runDone
 	fmt.Println()
 	st := p.Stats()
 	log.Printf("ruru: final stats: %+v", st)

@@ -92,7 +92,11 @@ func (e *Enricher) Stats() Stats {
 	}
 }
 
-// Run processes messages until ctx is cancelled or the bus closes.
+// Run processes messages until ctx is cancelled or the bus closes. Once
+// ctx is cancelled it still processes the messages already queued, and
+// returns when the subscription is empty: cancel it after the producers
+// have stopped and nothing is left behind. Publishing never blocks, so
+// that drain is bounded by the subscription's high-water mark.
 func (e *Enricher) Run(ctx context.Context) error {
 	var wg sync.WaitGroup
 	for w := 0; w < e.cfg.Workers; w++ {
@@ -111,30 +115,26 @@ func (e *Enricher) worker(ctx context.Context) {
 	var enriched Enriched
 	scratch := make([]byte, 0, 512)
 	for {
-		select {
-		case <-ctx.Done():
+		msg, ok := mq.Drain(ctx.Done(), e.sub.C())
+		if !ok {
 			return
-		case msg, ok := <-e.sub.C():
-			if !ok {
-				return
-			}
-			e.in.Add(1)
-			if err := UnmarshalMeasurement(msg.Payload, &m); err != nil {
-				e.decodeErrors.Add(1)
-				continue
-			}
-			e.enrich(&m, &enriched)
-			if e.cfg.Filter != nil && !e.cfg.Filter(&enriched) {
-				continue
-			}
-			scratch = MarshalEnriched(scratch, &enriched)
-			// Publish with a copied payload: the bus does not copy and
-			// scratch is reused on the next iteration.
-			out := make([]byte, len(scratch))
-			copy(out, scratch)
-			e.cfg.Bus.Publish(mq.Message{Topic: TopicEnriched, Payload: out})
-			e.out.Add(1)
 		}
+		e.in.Add(1)
+		if err := UnmarshalMeasurement(msg.Payload, &m); err != nil {
+			e.decodeErrors.Add(1)
+			continue
+		}
+		e.enrich(&m, &enriched)
+		if e.cfg.Filter != nil && !e.cfg.Filter(&enriched) {
+			continue
+		}
+		scratch = MarshalEnriched(scratch, &enriched)
+		// Publish with a copied payload: the bus does not copy and
+		// scratch is reused on the next iteration.
+		out := make([]byte, len(scratch))
+		copy(out, scratch)
+		e.cfg.Bus.Publish(mq.Message{Topic: TopicEnriched, Payload: out})
+		e.out.Add(1)
 	}
 }
 

@@ -1,22 +1,19 @@
-// Package bench defines the persisted benchmark trajectory: a fixed suite
-// of hot-path microbenchmarks runnable from a plain binary (cmd/ruru-bench
-// -json) via testing.Benchmark, emitting a machine-readable BENCH_*.json
-// that CI checks in per PR and diffs against the previous entry
-// (scripts/bench_compare.sh). The top-level bench_test.go runs the same
-// Specs under `go test -bench` (BenchmarkSpecs), so the JSON trajectory and
-// a profiled run measure the same bodies.
+// Package bench defines the microbenchmark suite: one row per hot path of
+// the pipeline, run as BenchmarkSpecs by the repo-root bench_test.go under
+// `go test -bench`. scripts/bench_compare.sh builds that test binary at a
+// base commit and at HEAD, runs the two alternately and gates each row's
+// median against the base's quartiles. The pipeline benchmark is the
+// benchmark/ module.
 package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"hash/maphash"
 	"io"
 	"math"
 	"net/netip"
 	"runtime"
-	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -34,37 +31,15 @@ import (
 	"ruru/internal/tsdb"
 )
 
-// Schema is the BENCH_*.json format version.
-const Schema = 1
-
-// Result is one benchmark's measurement in the JSON trajectory.
-type Result struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	BPerOp      int64   `json:"b_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	// Metrics carries benchmark-specific extras (b.ReportMetric), e.g.
-	// "pps" — sustained TSDB points/second.
-	Metrics map[string]float64 `json:"metrics,omitempty"`
-}
-
-// File is the serialized form of one trajectory entry.
-type File struct {
-	Schema     int               `json:"schema"`
-	GOOS       string            `json:"goos"`
-	GOARCH     string            `json:"goarch"`
-	CPUs       int               `json:"cpus"`
-	Benchmarks map[string]Result `json:"benchmarks"`
-}
-
 // Spec is one suite entry.
 type Spec struct {
 	Name string
 	F    func(b *testing.B)
 }
 
-// Specs returns the trajectory suite: one entry per pipeline hot path —
-// ingest hand-off, packet processing, sink drain, DB writes (string-keyed
-// and interned-ref entry points), WAL-logged writes, tier-served queries and
+// Specs returns the suite: one entry per pipeline hot path — ingest
+// hand-off, packet processing, sink drain, DB writes (string-keyed and
+// interned-ref entry points), WAL-logged writes, tier-served queries and
 // their JSON encoding.
 func Specs() []Spec {
 	return []Spec{
@@ -88,59 +63,6 @@ func Specs() []Spec {
 		{Name: "sketch/observe-churn", F: benchSketchObserveChurn},
 		{Name: "sketch/topk", F: benchSketchTopK},
 	}
-}
-
-// Run executes the whole suite and returns the trajectory entry.
-// Progress lines go to w (pass io.Discard to silence).
-func Run(w io.Writer) File {
-	f := File{
-		Schema:     Schema,
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		CPUs:       runtime.NumCPU(),
-		Benchmarks: make(map[string]Result),
-	}
-	for _, s := range Specs() {
-		r := testing.Benchmark(s.F)
-		res := Result{
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			BPerOp:      r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-		}
-		if len(r.Extra) > 0 {
-			res.Metrics = make(map[string]float64, len(r.Extra))
-			for k, v := range r.Extra {
-				res.Metrics[k] = v
-			}
-		}
-		f.Benchmarks[s.Name] = res
-		fmt.Fprintf(w, "%-22s %12.1f ns/op %8d B/op %6d allocs/op%s\n",
-			s.Name, res.NsPerOp, res.BPerOp, res.AllocsPerOp, fmtMetrics(res.Metrics))
-	}
-	return f
-}
-
-func fmtMetrics(m map[string]float64) string {
-	if len(m) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	s := ""
-	for _, k := range keys {
-		s += fmt.Sprintf(" %12.0f %s", m[k], k)
-	}
-	return s
-}
-
-// WriteJSON serializes f deterministically (sorted keys, trailing newline).
-func WriteJSON(w io.Writer, f File) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(f)
 }
 
 // --- suite bodies -----------------------------------------------------------
@@ -243,7 +165,12 @@ func benchHashTuple(b *testing.B, ipv6Fraction float64) {
 	}
 }
 
-// benchHandshake: parse + RSS hash + handshake-table processing per packet,
+// flowSeed keys core.FlowHash in every row that indexes a flow table: the
+// engine hashes each TCP packet once with its queue's seed and indexes all
+// its tables with that value, and so do these rows.
+const flowSeed = uint64(0x9e3779b97f4a7c15)
+
+// benchHandshake: parse + flow hash + handshake-table processing per packet,
 // on a generated mix with data segments, UDP noise and midstream flows.
 func benchHandshake(b *testing.B) {
 	w, err := geo.NewWorld(geo.WorldOptions{Seed: 1})
@@ -266,7 +193,6 @@ func benchHandshake(b *testing.B) {
 		trace = append(trace, gen.TracePacket{TS: p.TS, Frame: frame})
 	}
 	table := core.NewHandshakeTable(core.TableConfig{Capacity: 1 << 17, Timeout: 1 << 62})
-	h := rss.NewSymmetric()
 	var parser pkt.Parser
 	var sum pkt.Summary
 	var m core.Measurement
@@ -277,14 +203,13 @@ func benchHandshake(b *testing.B) {
 		if err := parser.Parse(tp.Frame, &sum); err != nil || !sum.IsTCP() {
 			continue
 		}
-		hash := h.HashTuple(sum.Src(), sum.Dst(), sum.TCP.SrcPort, sum.TCP.DstPort)
-		table.Process(&sum, tp.TS, hash, &m)
+		table.Process(&sum, tp.TS, uint32(core.FlowHash(flowSeed, &sum)), &m)
 	}
 }
 
-// benchSummary builds a parsed TCP summary directly (the trackers' input —
-// parse cost is measured by process/handshake, these entries isolate the
-// per-packet tracker work the continuous-RTT path adds).
+// benchSummary builds a parsed TCP summary directly and its flow hash (the
+// trackers' input — parse cost is measured by process/handshake, these
+// entries isolate the per-packet tracker work the continuous-RTT path adds).
 func benchSummary(hostA, hostB byte, sp, dp uint16, seq, ack uint32, payload []byte) (*pkt.Summary, uint32) {
 	s := &pkt.Summary{}
 	s.IP4.Src = netip.AddrFrom4([4]byte{10, 0, 0, hostA})
@@ -292,12 +217,11 @@ func benchSummary(hostA, hostB byte, sp, dp uint16, seq, ack uint32, payload []b
 	s.Decoded = pkt.LayerEthernet | pkt.LayerIPv4 | pkt.LayerTCP
 	s.TCP = pkt.TCP{SrcPort: sp, DstPort: dp, Flags: pkt.TCPAck, Seq: seq, Ack: ack}
 	s.Payload = payload
-	return s, rss.NewSymmetric().HashTuple(s.IP4.Src, s.IP4.Dst, sp, dp)
+	return s, uint32(core.FlowHash(flowSeed, s))
 }
 
 // benchTSRTT: the timestamp tracker's per-packet cost — a TSval insert and
-// its echo match per op, alternating over 256 live flows (tsrtt_test.go
-// BenchmarkTSTrackerProcess, multi-flow).
+// its echo match per op, alternating over 256 live flows.
 func benchTSRTT(b *testing.B) {
 	const flows = 256
 	tr := core.NewTSTracker(core.TSConfig{Capacity: 1 << 15})
@@ -329,9 +253,7 @@ func benchTSRTT(b *testing.B) {
 
 // benchSeqRTT: the sequence tracker's per-packet cost — a data edge insert
 // and its covering ACK per op (one RTT sample), alternating over 256 live
-// flows; the hot path is //ruru:noalloc and the trajectory pins
-// allocs_per_op at 0 (seqrtt_test.go BenchmarkSeqTrackerProcess,
-// multi-flow).
+// flows; the hot path is //ruru:noalloc and allocs/op reads 0.
 func benchSeqRTT(b *testing.B) {
 	const flows = 256
 	tr := core.NewSeqTracker(core.SeqConfig{Capacity: 1 << 15})
@@ -391,11 +313,10 @@ func benchFlowHash(b *testing.B, ipv6Fraction float64) {
 	for i := range tuples {
 		sums[i] = tupleSummary(&tuples[i])
 	}
-	seed := uint64(0x9e3779b97f4a7c15)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkFlowHash = core.FlowHash(seed, &sums[i%len(sums)])
+		sinkFlowHash = core.FlowHash(flowSeed, &sums[i%len(sums)])
 	}
 }
 
@@ -443,7 +364,6 @@ func benchTrackers22k(b *testing.B) {
 	hs := core.NewHandshakeTable(core.TableConfig{Capacity: 1 << 16})
 	tst := core.NewTSTracker(core.TSConfig{Capacity: 1 << 16})
 	seq := core.NewSeqTracker(core.SeqConfig{Capacity: 1 << 16, DeferTS: true})
-	seed := uint64(0x9e3779b97f4a7c15)
 	var (
 		m      core.Measurement
 		smp    core.TSSample
@@ -455,7 +375,7 @@ func benchTrackers22k(b *testing.B) {
 		rng    = uint32(1)
 		packet = func(s *pkt.Summary) {
 			now += 1000
-			h := uint32(core.FlowHash(seed, s))
+			h := uint32(core.FlowHash(flowSeed, s))
 			sinkTouch ^= tst.Touch(h) ^ seq.Touch(h)
 			hs.Process(s, now, h, &m)
 			tst.Process(s, now, h, &smp)
@@ -693,14 +613,14 @@ func benchDBWriteBatchRef20k(b *testing.B) {
 	runtime.KeepAlive(db)
 }
 
-// benchDBWriteBatchRefSteady pins the zero-alloc claim in the trajectory:
-// a single writer on the interned-ref path with long shards, so shard
-// churn amortizes away and allocs_per_op records the steady state — 0
+// benchDBWriteBatchRefSteady pins the zero-alloc claim in the suite: a
+// single writer on the interned-ref path with long shards, so shard churn
+// amortizes away and allocs/op records the steady state — 0
 // allocation events per 64-point batch. B/op stays nonzero: it is the
 // amortized cost of column storage growth (rare doubling reallocations),
 // bytes without per-op allocation events. The AllocsPerRun unit test pins
-// the same property exactly (pre-grown storage); this entry tracks it
-// release over release.
+// the same property exactly (pre-grown storage); this row gates it
+// against the parent commit.
 func benchDBWriteBatchRefSteady(b *testing.B) {
 	const batchLen = 64
 	db := tsdb.Open(tsdb.Options{ShardDuration: 60e9, Retention: 120e9})
@@ -834,7 +754,7 @@ func benchRollupQuery(b *testing.B) {
 
 // benchCachedQuery: the live-dashboard read path through the query result
 // cache — the same advancing-window shape BenchmarkQueryCached pins at
-// ≥10× over uncached tier execution, tracked here release over release.
+// ≥10× over uncached tier execution, gated here against the parent commit.
 // Each op re-issues a 10-minute window advanced by one 10s bucket, so
 // steady state is one cache hit plus an incremental tail refresh.
 func benchCachedQuery(b *testing.B) {
@@ -943,7 +863,7 @@ func reportPPS(b *testing.B, pointsPerOp int) {
 // holds, so most observations evict its minimum; every eighth packet a
 // flow never seen before; Publish(false) once per 64-packet burst, as the
 // queue worker calls it, so the throttled snapshot copy is inside the
-// timed loop. The observe path is //ruru:noalloc: allocs_per_op reads 0,
+// timed loop. The observe path is //ruru:noalloc: allocs/op reads 0,
 // the only allocations being the snapshot copies every PublishEvery
 // observations.
 func benchSketchObserveChurn(b *testing.B) {
@@ -989,7 +909,7 @@ func benchSketchObserveChurn(b *testing.B) {
 // benchSketchTopK: the /api/topk serving cost — rank the 10 largest of a
 // full 1024-entry heavy-hitter summary into a reused buffer per op
 // (sketch.TopK.Top; 0 allocs/op once the buffer is warm). Sized to stay
-// cache-resident so the trajectory tracks the ranking code, not memory
+// cache-resident so the row tracks the ranking code, not memory
 // pressure from the rest of the suite.
 func benchSketchTopK(b *testing.B) {
 	const keys = 1024

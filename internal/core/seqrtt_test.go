@@ -377,20 +377,3 @@ func TestSeqTrackerZeroAlloc(t *testing.T) {
 		t.Fatalf("Process allocates %v per packet pair", allocs)
 	}
 }
-
-func BenchmarkSeqTrackerProcess(b *testing.B) {
-	tr := NewSeqTracker(SeqConfig{Capacity: 1 << 15})
-	var sample SeqSample
-	var loss LossEvent
-	data, h := mkDataSummary("10.0.0.1", "192.0.2.1", 5000, 443, pkt.TCPAck, 1000, 1, 100)
-	ackp, _ := mkDataSummary("192.0.2.1", "10.0.0.1", 443, 5000, pkt.TCPAck, 1, 1100, 0)
-	b.ReportAllocs()
-	ts := int64(0)
-	for i := 0; i < b.N; i++ {
-		ts += 2
-		data.TCP.Seq += 100
-		ackp.TCP.Ack += 100
-		tr.Process(data, ts, h, &sample, &loss)
-		tr.Process(ackp, ts+1, h, &sample, &loss)
-	}
-}

@@ -215,17 +215,3 @@ func TestCanonicalKeySymmetric(t *testing.T) {
 		t.Fatal("same-addr canonicalization broken")
 	}
 }
-
-func BenchmarkTSTrackerProcess(b *testing.B) {
-	tr := NewTSTracker(TSConfig{Capacity: 1 << 15})
-	var sample TSSample
-	a, h := mkTSSummary("10.0.0.1", "192.0.2.1", 5000, 443, pkt.TCPAck, 100, 50)
-	e, _ := mkTSSummary("192.0.2.1", "10.0.0.1", 443, 5000, pkt.TCPAck, 900, 100)
-	b.ReportAllocs()
-	ts := int64(0)
-	for i := 0; i < b.N; i++ {
-		ts += 2
-		tr.Process(a, ts, h, &sample)
-		tr.Process(e, ts+1, h, &sample)
-	}
-}

@@ -143,6 +143,9 @@ func NewProbe(cfg ProbeConfig, bus *mq.Bus) (*Probe, error) {
 
 // Run operates the collector (bus → batches → spool) and the sender
 // (spool → aggregator, with reconnect and replay) until ctx is cancelled.
+// Once ctx is cancelled the collector still spools what is queued on its
+// subscription: cancel it after the bus's publishers have stopped and the
+// spool holds every measurement they published.
 func (p *Probe) Run(ctx context.Context) error {
 	stop := context.AfterFunc(ctx, func() {
 		p.mu.Lock()
@@ -176,31 +179,34 @@ func (p *Probe) collect(ctx context.Context) {
 	t := time.NewTicker(p.cfg.FlushEvery)
 	defer t.Stop()
 	for {
+		var msg mq.Message
+		ok := true
 		select {
-		case <-ctx.Done():
-			// Clean shutdown spools the partial batch so nothing measured
-			// is lost; it is sent after the next start.
-			p.flush(ctx, &enc, pts)
-			return
 		case <-t.C:
 			if len(pts) > 0 {
 				p.flush(ctx, &enc, pts)
 				pts = pts[:0]
 			}
-		case msg, ok := <-p.sub.C():
-			if !ok {
-				p.flush(ctx, &enc, pts)
-				return
-			}
-			if err := analytics.UnmarshalEnriched(msg.Payload, &e); err != nil {
-				p.decodeErrors.Add(1)
-				continue
-			}
-			pts = append(pts, analytics.LatencyPoint(&e))
-			if len(pts) >= p.cfg.BatchSize {
-				p.flush(ctx, &enc, pts)
-				pts = pts[:0]
-			}
+			continue
+		case msg, ok = <-p.sub.C():
+		case <-ctx.Done():
+			// Clean shutdown collects what is still queued, then spools
+			// the partial batch, so nothing measured is lost; it is sent
+			// after the next start.
+			msg, ok = mq.Drain(ctx.Done(), p.sub.C())
+		}
+		if !ok {
+			p.flush(ctx, &enc, pts)
+			return
+		}
+		if err := analytics.UnmarshalEnriched(msg.Payload, &e); err != nil {
+			p.decodeErrors.Add(1)
+			continue
+		}
+		pts = append(pts, analytics.LatencyPoint(&e))
+		if len(pts) >= p.cfg.BatchSize {
+			p.flush(ctx, &enc, pts)
+			pts = pts[:0]
 		}
 	}
 }

@@ -93,6 +93,22 @@ func (s *Subscription) C() <-chan Message { return s.ch }
 // was over its high-water mark.
 func (s *Subscription) Dropped() uint64 { return s.dropped.Load() }
 
+// Drain receives from ch, waiting while upstream is open. Once upstream is
+// closed it waits no more: it reports false when ch is empty or closed. A
+// stage that reads its queue through Drain, with upstream closed once the
+// stage feeding it has stopped, empties the queue on shutdown and returns.
+func Drain[T any](upstream <-chan struct{}, ch <-chan T) (v T, ok bool) {
+	select {
+	case v, ok = <-ch:
+	case <-upstream:
+		select {
+		case v, ok = <-ch:
+		default:
+		}
+	}
+	return v, ok
+}
+
 // Close unsubscribes. Safe to call twice.
 func (s *Subscription) Close() {
 	s.once.Do(func() {

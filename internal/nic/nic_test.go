@@ -771,31 +771,3 @@ func TestClassifyMatchesHashTuple(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkInjectBurst(b *testing.B) {
-	// 32-frame batches through InjectBurst, drained with RxBurst: one ring
-	// round-trip per batch per queue instead of one per frame.
-	const burst = 32
-	pool := NewMempool(4096, 2048)
-	port, _ := NewPort(PortConfig{Queues: 1, QueueDepth: 2048, Pool: pool})
-	frame := buildSYN(b, "10.0.0.1", "10.0.0.2", 1234, 80)
-	frames := make([]Frame, burst)
-	for i := range frames {
-		frames[i] = Frame{Data: frame, TS: int64(i)}
-	}
-	bufs := make([]*Buf, burst)
-	b.ReportAllocs()
-	b.SetBytes(int64(len(frame)))
-	for i := 0; i < b.N; i += burst {
-		port.InjectBurst(frames)
-		n, _ := port.RxBurst(0, bufs)
-		for j := 0; j < n; j++ {
-			bufs[j].Free()
-		}
-	}
-	b.StopTimer()
-	n, _ := port.RxBurst(0, bufs)
-	for j := 0; j < n; j++ {
-		bufs[j].Free()
-	}
-}

@@ -260,8 +260,6 @@ func benchHashTuple(b *testing.B, h *Hasher, v6 bool) {
 	}
 }
 
-func BenchmarkHashTupleV4(b *testing.B)          { benchHashTuple(b, NewSymmetric(), false) }
-func BenchmarkHashTupleV6(b *testing.B)          { benchHashTuple(b, NewSymmetric(), true) }
 func BenchmarkHashTupleV4Microsoft(b *testing.B) { benchHashTuple(b, New(MicrosoftKey), false) }
 func BenchmarkHashTupleV6Microsoft(b *testing.B) { benchHashTuple(b, New(MicrosoftKey), true) }
 

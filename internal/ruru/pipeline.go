@@ -19,6 +19,7 @@ import (
 	"net/netip"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"ruru/internal/analytics"
 	"ruru/internal/anomaly"
@@ -222,6 +223,7 @@ type Pipeline struct {
 	sinkShards       []*sinkShard
 	sinkDecodeErrors atomic.Uint64
 	sinkWriteErrors  atomic.Uint64
+	shutdownDrop     atomic.Uint64
 }
 
 // sinkShard is the state owned by one sink worker: its routing channel,
@@ -448,37 +450,76 @@ func (a seqSinkAdapter) EmitLoss(ev *core.LossEvent) {
 		tsdb.Tag{Key: "kind", Value: ev.Kind.String()}, "count", 1, ev.At)
 }
 
-// Run operates the pipeline until ctx is cancelled. It returns ctx.Err().
+// drainTimeout bounds the shutdown drain: once Run is cancelled and the
+// engine has stopped, the sink gets this long to empty its queues. The
+// enricher's drain needs no bound, as it never blocks. Whatever is still
+// queued at the deadline is counted in Stats.ShutdownDrop; a TSDB write
+// already in progress is waited for. A variable only so tests can cut the
+// drain short.
+var drainTimeout = 5 * time.Second
+
+// Run operates the pipeline until ctx is cancelled, then drains it, and
+// returns ctx.Err(). The engine stops first, having processed the packets
+// already in its RX queues; then the enricher, the remote-write probe, the
+// sink dispatcher and the sink workers each empty their queue once the
+// stage upstream of them has stopped. So when Run returns, every
+// measurement the engine completed is stored or counted in a loss class
+// (the Stats ledger), and a probe has spooled all it was handed. Run
+// returns as soon as the last stage is empty; drainTimeout bounds only a
+// sink stage that does not empty.
 func (p *Pipeline) Run(ctx context.Context) error {
+	live, stopEnricher := context.WithCancel(context.Background())
+	enriched, stopEnriched := context.WithCancel(context.Background()) // done once the enricher publishes no more
+	halt, cutOff := context.WithCancel(context.Background())
+	defer cutOff()
+	routed := make(chan struct{}) // closed once the dispatcher routes no more
+
 	var wg sync.WaitGroup
-	wg.Add(3 + len(p.sinkShards))
+	wg.Add(2 + len(p.sinkShards))
 	go func() {
 		defer wg.Done()
-		p.Engine.Run(ctx)
+		defer stopEnriched()
+		p.Enricher.Run(live)
 	}()
 	go func() {
 		defer wg.Done()
-		p.Enricher.Run(ctx)
-	}()
-	go func() {
-		defer wg.Done()
-		p.runSinkDispatcher(ctx)
+		defer close(routed)
+		p.runSinkDispatcher(halt, enriched.Done())
 	}()
 	for _, sh := range p.sinkShards {
 		go func(sh *sinkShard) {
 			defer wg.Done()
-			p.runSinkWorker(ctx, sh)
+			p.runSinkWorker(halt, routed, sh)
 		}(sh)
 	}
 	if p.Remote != nil {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p.Remote.Run(ctx)
+			p.Remote.Run(enriched)
 		}()
 	}
+	p.Engine.Run(ctx)
+	stopEnricher()
+	defer time.AfterFunc(drainTimeout, cutOff).Stop()
 	wg.Wait()
+	// Only a drain the deadline cut short leaves anything queued.
+	p.shutdownDrop.Add(discard(p.sinkSub.C()))
+	for _, sh := range p.sinkShards {
+		p.shutdownDrop.Add(discard(sh.ch))
+	}
 	return ctx.Err()
+}
+
+// discard empties what ch holds now and returns how many items that was.
+func discard[T any](ch <-chan T) (n uint64) {
+	for range len(ch) {
+		if _, ok := <-ch; !ok {
+			break
+		}
+		n++
+	}
+	return n
 }
 
 // maxSpikeEvents bounds the latency-spike detections a pipeline keeps. The
@@ -516,22 +557,22 @@ func (p *Pipeline) FlushDetectors() {
 }
 
 // Stats is a full-pipeline counter snapshot. Together the sink counters
-// account for every enriched measurement: while the pipeline runs, each one
-// published on the bus is either stored (DBPoints), lost at the sink
-// subscription's high-water mark (SinkDrop), malformed (SinkDecodeErrors),
-// behind the retention horizon at write time (DBDropped), or refused by the
-// TSDB (DBWriteErrors) — no steady-state loss class is silent. DBPoints is
-// the TSDB's own counter, so it also holds the continuous-RTT points the
-// queue workers write themselves; once the sink has drained the ledger is
+// account for every enriched measurement: each one published on the bus is
+// either stored (DBPoints), lost at the sink subscription's high-water mark
+// (SinkDrop), malformed (SinkDecodeErrors), behind the retention horizon at
+// write time (DBDropped), refused by the TSDB (DBWriteErrors), or still
+// queued when the shutdown drain's deadline expired (ShutdownDrop) — no
+// loss class is silent. DBPoints is the TSDB's own counter, so it also
+// holds the continuous-RTT points the queue workers write themselves; once
+// the sink has drained, and always after Run has returned, the ledger is
 //
 //	Engine.Completed == DBPoints - TSSamples - SeqSamples - LossPoints
 //	                  + SinkDrop + SinkDecodeErrors + DBDropped + DBWriteErrors
+//	                  + ShutdownDrop
 //
 // (the subtracted counters are zero with the trackers off; a tracker point
 // the TSDB refuses is counted in DBWriteErrors and is the one thing that
-// unbalances it). Accounted computes the right-hand side. Cancelling Run
-// abandons whatever is still queued inside the sink stage uncounted
-// (shutdown, like any crash, loses in-flight work).
+// unbalances it). Accounted computes the right-hand side.
 type Stats struct {
 	Port     nic.Stats
 	Queues   []nic.QueueStats // per-RX-queue counters and ring watermarks
@@ -558,7 +599,10 @@ type Stats struct {
 	// failure (full disk) refusing the write. Counted so neither loss
 	// class is silent.
 	DBWriteErrors uint64
-	TSSamples     uint64 // timestamp-echo RTT samples stored (when TrackTimestamps)
+	// ShutdownDrop counts measurements Run's shutdown drain did not reach
+	// before its deadline: still queued inside the sink.
+	ShutdownDrop uint64
+	TSSamples    uint64 // timestamp-echo RTT samples stored (when TrackTimestamps)
 	// SeqSamples counts sequence-matched RTT samples stored (mode=seq and
 	// mode=onedir) and LossPoints the stored tcp_loss events; like
 	// TSSamples they are included in DBPoints.
@@ -598,7 +642,7 @@ type Stats struct {
 // equals Engine.Completed (see the ledger above).
 func (st Stats) Accounted() uint64 {
 	return st.DBPoints - st.TSSamples - st.SeqSamples - st.LossPoints +
-		st.SinkDrop + st.SinkDecodeErrors + st.DBDropped + st.DBWriteErrors
+		st.SinkDrop + st.SinkDecodeErrors + st.DBDropped + st.DBWriteErrors + st.ShutdownDrop
 }
 
 // Stats snapshots every stage.
@@ -633,6 +677,7 @@ func (p *Pipeline) Stats() Stats {
 		SinkDecodeErrors: p.sinkDecodeErrors.Load(),
 		SinkDrop:         p.sinkSub.Dropped(),
 		DBWriteErrors:    p.sinkWriteErrors.Load(),
+		ShutdownDrop:     p.shutdownDrop.Load(),
 		TSSamples:        p.tsSamples.Load(),
 		SeqSamples:       p.seqSamples.Load(),
 		LossPoints:       p.lossPoints.Load(),

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"ruru/internal/analytics"
 	"ruru/internal/core"
+	"ruru/internal/fed"
 	"ruru/internal/gen"
 	"ruru/internal/geo"
 	"ruru/internal/nic"
@@ -82,28 +84,24 @@ func TestPipelineBackpressureKnobs(t *testing.T) {
 	if injected == 0 {
 		t.Fatal("nothing injected")
 	}
+	cancel()
+	<-done
+
+	// Run drained before it returned: every completing handshake was
+	// measured, and every measurement reached the ledger.
 	completing := 0
 	for _, tr := range g.Truths() {
 		if tr.Completes {
 			completing++
 		}
 	}
-	deadline := time.After(15 * time.Second)
-	for {
-		st := p.Stats()
-		if st.Engine.Completed >= uint64(completing) {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatalf("timeout: %d/%d completed (stats %+v)", st.Engine.Completed, completing, st)
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
-	cancel()
-	<-done
-
 	st := p.Stats()
+	if st.Engine.Completed != uint64(completing) {
+		t.Fatalf("%d/%d completed (stats %+v)", st.Engine.Completed, completing, st)
+	}
+	if st.Accounted() != st.Engine.Completed {
+		t.Fatalf("ledger does not balance: completed %d, accounted %d", st.Engine.Completed, st.Accounted())
+	}
 	if st.Port.Imissed != 0 || st.Port.NoMbuf != 0 {
 		t.Fatalf("block-policy source lost frames: %+v", st.Port)
 	}
@@ -154,28 +152,16 @@ func TestPipelineEndToEnd(t *testing.T) {
 	if injected == 0 {
 		t.Fatal("nothing injected")
 	}
+	// Cancel with measurements still in the RX queues, on the bus and in
+	// the sink: Run drains every stage before it returns.
+	cancel()
+	<-done
 	completing := 0
 	for _, tr := range g.Truths() {
 		if tr.Completes {
 			completing++
 		}
 	}
-
-	// Wait for all measurements to flow through to the TSDB.
-	deadline := time.After(15 * time.Second)
-	for {
-		st := p.Stats()
-		if st.DBPoints >= uint64(completing) {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatalf("timeout: %d/%d points (stats %+v)", st.DBPoints, completing, st)
-		case <-time.After(10 * time.Millisecond):
-		}
-	}
-	cancel()
-	<-done
 
 	st := p.Stats()
 	if st.Engine.Completed != uint64(completing) {
@@ -223,6 +209,57 @@ func TestPipelineEndToEnd(t *testing.T) {
 			t.Fatalf("arc without coordinates: %+v", a)
 		}
 	}
+}
+
+// TestRunDrainCutOff cuts Run's drain off at once (a zero deadline) with
+// thousands of measurements in flight: whatever the sink's drain did not
+// reach is counted in ShutdownDrop, so the ledger balances when Run
+// returns. The enricher and the remote-write probe are not cut off: the
+// probe's spool holds every enriched measurement, although its aggregator
+// never answers. TestPipelineEndToEnd covers the drain that completes.
+func TestRunDrainCutOff(t *testing.T) {
+	defer func(d time.Duration) { drainTimeout = d }(drainTimeout)
+	drainTimeout = 0
+	// A port nothing listens on: the probe only spools.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln.Close()
+	w := newWorld(t)
+	p, err := New(Config{GeoDB: w.DB(), Queues: 2, Overflow: nic.Block,
+		RemoteWrite: fed.ProbeConfig{Addr: ln.Addr().String(), ID: "p1", SpoolDir: t.TempDir()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	g, err := gen.New(gen.Config{Seed: 7, World: w, FlowRate: 4000, Duration: 2e9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		p.Run(ctx)
+	}()
+	drive(t, p, g)
+	cancel()
+	<-done
+	st := p.Stats()
+	if st.Enricher.SubDropped != 0 || st.SinkDrop != 0 || st.Remote.Dropped != 0 {
+		t.Fatalf("bus dropped measurements (enricher %d, sink %d, probe %d): the test overran a high-water mark",
+			st.Enricher.SubDropped, st.SinkDrop, st.Remote.Dropped)
+	}
+	if st.Accounted() != st.Engine.Completed {
+		t.Fatalf("ledger does not balance after Run: completed %d, accounted %d (%d stored, %d cut off)",
+			st.Engine.Completed, st.Accounted(), st.DBPoints, st.ShutdownDrop)
+	}
+	if st.Remote.PointsOut != st.Enricher.Out || st.Enricher.Out != st.Engine.Completed {
+		t.Fatalf("probe spooled %d of %d enriched (%d completed)",
+			st.Remote.PointsOut, st.Enricher.Out, st.Engine.Completed)
+	}
+	t.Logf("%d completed, %d stored, %d cut off", st.Engine.Completed, st.DBPoints, st.ShutdownDrop)
 }
 
 func TestCloseReleasesPacketArena(t *testing.T) {

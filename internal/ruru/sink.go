@@ -49,22 +49,22 @@ const sinkShardDepth = 4096
 // runSinkDispatcher drains the enriched subscription, decodes each message
 // and hands it to its shard's worker. Decode failures are counted in
 // Stats().SinkDecodeErrors (they used to be silently discarded);
-// subscription HWM overflow is visible as Stats().SinkDrop.
-func (p *Pipeline) runSinkDispatcher(ctx context.Context) {
-	for {
-		select {
-		case <-ctx.Done():
+// subscription HWM overflow is visible as Stats().SinkDrop. Once upstream
+// is closed it routes what is still queued and returns when the
+// subscription is empty, or sooner when halt ends.
+func (p *Pipeline) runSinkDispatcher(halt context.Context, upstream <-chan struct{}) {
+	for halt.Err() == nil {
+		msg, ok := mq.Drain(upstream, p.sinkSub.C())
+		if !ok {
 			return
-		case msg, ok := <-p.sinkSub.C():
-			if !ok {
-				return
-			}
-			p.routeSink(ctx, msg)
 		}
+		p.routeSink(halt, msg)
 	}
 }
 
-func (p *Pipeline) routeSink(ctx context.Context, msg mq.Message) {
+// routeSink decodes msg and queues it on its shard. A measurement halt
+// keeps out of a full shard is counted in ShutdownDrop.
+func (p *Pipeline) routeSink(halt context.Context, msg mq.Message) {
 	var it sinkItem
 	if err := analytics.UnmarshalEnriched(msg.Payload, &it.e); err != nil {
 		p.sinkDecodeErrors.Add(1)
@@ -76,36 +76,36 @@ func (p *Pipeline) routeSink(ctx context.Context, msg mq.Message) {
 	sh := p.sinkShards[hashx.FNV1a32(it.pair)%uint32(len(p.sinkShards))]
 	select {
 	case sh.ch <- it:
-	case <-ctx.Done():
+	case <-halt.Done():
+		p.shutdownDrop.Add(1)
 	}
 }
 
 // runSinkWorker owns one shard: it drains the shard channel in bursts of up
 // to SinkBatch and hands each burst to every output — one striped-lock TSDB
-// batch write through interned series handles, then the fan-out.
-func (p *Pipeline) runSinkWorker(ctx context.Context, sh *sinkShard) {
+// batch write through interned series handles, then the fan-out. Once
+// upstream is closed it returns when the channel is empty, or, when halt
+// ends, at the next batch boundary: halt cuts off what is queued, never a
+// write in progress.
+func (p *Pipeline) runSinkWorker(halt context.Context, upstream <-chan struct{}, sh *sinkShard) {
 	batch := make([]sinkItem, 0, p.cfg.SinkBatch)
-	// Shard channels are never closed: the worker's only exit is ctx
-	// cancellation, which abandons whatever is still queued (see the
-	// Stats ledger doc).
-	for {
-		select {
-		case <-ctx.Done():
+	for halt.Err() == nil {
+		it, ok := mq.Drain(upstream, sh.ch)
+		if !ok {
 			return
-		case it := <-sh.ch:
-			batch = append(batch[:0], it)
-		fill:
-			for len(batch) < cap(batch) {
-				select {
-				case it := <-sh.ch:
-					batch = append(batch, it)
-				default:
-					break fill
-				}
-			}
-			p.writeSinkBatch(sh, batch)
-			p.fanOut(sh, batch)
 		}
+		batch = append(batch[:0], it)
+	fill:
+		for len(batch) < cap(batch) {
+			select {
+			case it := <-sh.ch:
+				batch = append(batch, it)
+			default:
+				break fill
+			}
+		}
+		p.writeSinkBatch(sh, batch)
+		p.fanOut(sh, batch)
 	}
 }
 

@@ -34,13 +34,12 @@ func newServer(t *testing.T) (*ruru.Pipeline, *httptest.Server) {
 	return p, srv
 }
 
-// publishEnriched runs p until its sink has taken es off the enriched topic,
-// the one way measurements reach the sink: each is published as the
-// enricher publishes it, and once Stats().Accounted() covers all of them,
-// with no subscription drop or decode error, Run is cancelled and waited
-// for. A sink worker checks for cancellation only between batches, so by
-// then every accounted measurement's TSDB point, arc and detector offer is
-// in place.
+// publishEnriched runs p, publishes es on the enriched topic as the
+// enricher publishes them (the one way measurements reach the sink), then
+// cancels Run and waits for it. Run drains the sink before it returns, so
+// by then every measurement's TSDB point, arc and detector offer is in
+// place; the helper fails the test if the ledger lost any of them to a
+// subscription drop, a decode error or the drain deadline.
 func publishEnriched(t testing.TB, p *ruru.Pipeline, es ...analytics.Enriched) {
 	t.Helper()
 	before := p.Stats()
@@ -50,27 +49,20 @@ func publishEnriched(t testing.TB, p *ruru.Pipeline, es ...analytics.Enriched) {
 		defer close(done)
 		p.Run(ctx)
 	}()
-	defer func() {
-		cancel()
-		<-done
-	}()
 	for i := range es {
 		p.Bus.Publish(mq.Message{Topic: ruru.TopicEnriched, Payload: analytics.MarshalEnriched(nil, &es[i])})
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		st := p.Stats()
-		if st.SinkDrop != before.SinkDrop || st.SinkDecodeErrors != before.SinkDecodeErrors {
-			t.Fatalf("sink lost measurements: drop %d→%d, decode errors %d→%d",
-				before.SinkDrop, st.SinkDrop, before.SinkDecodeErrors, st.SinkDecodeErrors)
-		}
-		if st.Accounted()-before.Accounted() >= uint64(len(es)) {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sink accounted %d of %d published", st.Accounted()-before.Accounted(), len(es))
-		}
-		time.Sleep(time.Millisecond)
+	cancel()
+	<-done
+	st := p.Stats()
+	if st.SinkDrop != before.SinkDrop || st.SinkDecodeErrors != before.SinkDecodeErrors ||
+		st.ShutdownDrop != before.ShutdownDrop {
+		t.Fatalf("sink lost measurements: drop %d→%d, decode errors %d→%d, shutdown drop %d→%d",
+			before.SinkDrop, st.SinkDrop, before.SinkDecodeErrors, st.SinkDecodeErrors,
+			before.ShutdownDrop, st.ShutdownDrop)
+	}
+	if n := st.Accounted() - before.Accounted(); n != uint64(len(es)) {
+		t.Fatalf("sink accounted %d of %d published", n, len(es))
 	}
 }
 
