@@ -84,7 +84,7 @@ func parseFlags(name string, args []string, hostname func() (string, error)) (*o
 		dbStripes  = fs.Int("db-stripes", 8, "TSDB lock stripes (1 = single global write lock)")
 		flowBytes  = fs.String("flow-table-bytes", "", "hard byte cap on all per-flow state, enabling the bounded-memory sketch tier: elephants keep exact records, mice live sketch-only past the cap (size suffixes K/M/G/T, e.g. 64M; empty or 0 = exact-only)")
 		qcBytes    = fs.String("query-cache-bytes", "16M", "TSDB query result cache budget: repeated dashboard queries are served from cached tier aggregates with incremental tail refresh, bit-exact with uncached execution (size suffixes K/M/G/T; 0 = no cache)")
-		rollup     = fs.String("rollup", "default", `TSDB rollup tiers, "width[:retention],..." (e.g. "1s:2h,10s:24h,1m:168h"; retention 0 = keep forever), "default" for the 1s/10s/1m ladder, "off" to disable`)
+		rollup     = fs.String("rollup", "default", `TSDB rollup tiers, "width[:retention],..." (e.g. "1s:2h,10s:24h,1m:168h"; retention 0 = keep forever), "default" for the 1s/10s/1m ladder, "off" to disable; raw points are kept for the finest tier's retention, the longest with -data-dir, forever with "off"`)
 		dataDir    = fs.String("data-dir", "", "durable TSDB storage in this directory (WAL + checkpoints, restored on start); empty = in-memory")
 		fsyncMode  = fs.String("fsync", "interval", "WAL fsync policy with -data-dir: always (durable before a write returns), interval (background fsync, default), off (OS page cache only)")
 		ckptEvery  = fs.Duration("checkpoint-every", time.Minute, "automatic checkpoint + WAL-truncate period with -data-dir (0 = manual only, via POST /api/checkpoint)")

@@ -40,6 +40,38 @@ import (
 	"ruru/internal/web"
 )
 
+// rawHorizon is how far behind the newest point the daemon keeps raw
+// points (tsdb.Options.Retention, 0 = forever), worked out from the rollup
+// ladder so raw storage stops growing with uptime wherever a tier can take
+// over. In memory it is the finest tier's retention: older windows are
+// answered from coarser tiers, and a resolution=raw query that starts
+// behind the horizon is refused. With -data-dir it is the longest tier
+// retention, because tiers are not checkpointed and a restart rebuilds
+// them from the raw points alone. With -rollup off, or when the tier it
+// follows keeps its buckets forever, raw points are kept forever.
+func rawHorizon(tiers []tsdb.RollupTier, persist bool) int64 {
+	if len(tiers) == 0 {
+		return 0
+	}
+	if persist {
+		var h int64
+		for _, t := range tiers {
+			if t.Retention <= 0 {
+				return 0
+			}
+			h = max(h, t.Retention)
+		}
+		return h
+	}
+	finest := tiers[0]
+	for _, t := range tiers[1:] {
+		if t.Width < finest.Width {
+			finest = t
+		}
+	}
+	return finest.Retention
+}
+
 func main() {
 	opt, err := parseFlags("ruru", os.Args[1:], os.Hostname)
 	if err != nil {
@@ -66,6 +98,7 @@ func main() {
 		SinkWorkers:     opt.sinkWk,
 		SinkBatch:       opt.sinkBatch,
 		DBStripes:       opt.dbStripes,
+		Retention:       rawHorizon(opt.rollups, opt.persist.Dir != ""),
 		Rollups:         opt.rollups,
 		Persist:         opt.persist,
 		RemoteWrite:     opt.remote,

@@ -5,7 +5,8 @@
 // SNMP-style average, then prints both views — the glitch is obvious in
 // one and invisible in the other.
 //
-// Run with: go run ./examples/anomaly-firewall
+// Run with: go run ./examples/anomaly-firewall (it exits non-zero when no
+// spike is detected).
 package main
 
 import (
@@ -38,7 +39,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	spikes := anomaly.NewSpikeBank(anomaly.SpikeConfig{}, 0)
+	spikes := anomaly.NewSpikeBank()
 	snmp := anomaly.NewSNMPPoller(300e9)
 	var events []anomaly.Event
 
@@ -62,6 +63,9 @@ func main() {
 	snmp.Flush()
 
 	fmt.Printf("processed %d packets, measured %d handshakes\n\n", st.Packets, st.Tables.Completed)
+	if len(events) == 0 {
+		log.Fatal("anomaly-firewall: no latency spike detected")
+	}
 
 	fmt.Println("── What Ruru sees ────────────────────────────────────────────")
 	fmt.Printf("%d latency spikes detected; first ten:\n", len(events))

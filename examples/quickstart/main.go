@@ -9,12 +9,12 @@ import (
 	"fmt"
 	"log"
 	"math/rand/v2"
+	"slices"
 
 	"ruru/internal/core"
 	"ruru/internal/gen"
 	"ruru/internal/geo"
 	"ruru/internal/pkt"
-	"ruru/internal/stats"
 )
 
 func main() {
@@ -48,7 +48,7 @@ func main() {
 		p      gen.Packet
 		sum    pkt.Summary
 		m      core.Measurement
-		histT  = stats.NewLatencyHist()
+		totals []int64
 		shown  int
 	)
 	fmt.Println("flow                                            internal   external      total")
@@ -57,7 +57,7 @@ func main() {
 			continue
 		}
 		if table.Process(&sum, p.TS, uint32(core.FlowHash(seed, &sum)), &m) {
-			histT.Add(m.Total)
+			totals = append(totals, m.Total)
 			if shown < 10 {
 				fmt.Printf("%-44s %7.2fms  %7.2fms  %7.2fms\n",
 					m.Flow, float64(m.Internal)/1e6, float64(m.External)/1e6, float64(m.Total)/1e6)
@@ -65,9 +65,17 @@ func main() {
 			}
 		}
 	}
+	if len(totals) == 0 {
+		log.Fatal("quickstart: no flow measured")
+	}
+	slices.Sort(totals)
+	n := len(totals)
+	var total float64
+	for _, v := range totals {
+		total += float64(v)
+	}
+	median := float64(totals[(n-1)/2]+totals[n/2]) / 2
 	fmt.Printf("\n%d flows measured — total RTT min %.1fms / median %.1fms / mean %.1fms / max %.1fms\n",
-		histT.Count(),
-		float64(histT.Min())/1e6, float64(histT.Median())/1e6,
-		histT.Mean()/1e6, float64(histT.Max())/1e6)
+		n, float64(totals[0])/1e6, median/1e6, total/float64(n)/1e6, float64(totals[n-1])/1e6)
 	fmt.Println("(internal = client↔tap RTT, external = tap↔server RTT; tap is in Auckland)")
 }

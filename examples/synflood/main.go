@@ -36,9 +36,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	flood := anomaly.NewFloodDetector(anomaly.FloodConfig{
-		BucketNs: 1e9, MinCount: 100, Ratio: 8, WarmupBuckets: 5,
-	})
+	flood := anomaly.NewFloodAlarm()
 	measured := 0
 	rep := gen.Replay{
 		Queues: 4,

@@ -14,22 +14,22 @@
 // The pipeline's sharded sink offers measurements from several workers at
 // once, so each type states its contract explicitly:
 //
-//   - SpikeBank.Offer and SurgeDetector.Observe/Events are safe for
-//     concurrent use (internal locks). Detection state is per key, so
-//     results are deterministic as long as each KEY's samples arrive in
-//     order — which the sink guarantees by hashing every src→dst pair to a
-//     single worker. Offers for different keys may interleave freely.
-//   - SpikeDetector and FloodDetector are single-goroutine types: callers
-//     serialize access (the pipeline guards its FloodDetector with a
-//     mutex; SpikeDetector is always used through a SpikeBank).
-//   - SNMPPoller is single-goroutine; the pipeline serializes Offer/Flush.
+//   - SpikeBank and RateAlarm are safe for concurrent use: each holds one
+//     lock over its per-key state and its event log. Detection state is per
+//     key, so results are deterministic as long as each KEY's samples
+//     arrive in order — which the sink guarantees by hashing every src→dst
+//     pair to a single worker. Offers for different keys may interleave
+//     freely.
+//   - SpikeDetector is single-goroutine; the pipeline uses it only through
+//     a SpikeBank.
+//   - SNMPPoller is single-goroutine; its users own theirs.
 package anomaly
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
-
-	"ruru/internal/stats"
 )
 
 // Event is one detected anomaly.
@@ -43,53 +43,68 @@ type Event struct {
 
 // Settings no caller tunes.
 const (
+	// spikeWindow is the number of recent samples forming a key's latency
+	// baseline.
+	spikeWindow = 512
+	// spikeK is the robust z-score threshold: a sample is anomalous when
+	// x − median > spikeK · max(MAD, minMADNs).
+	spikeK = 8
+	// spikeMinSamples is how many samples a key sees before it can alarm.
+	spikeMinSamples = 64
 	// minMADNs floors the spike detector's MAD (1 ms) so ultra-stable
 	// baselines don't turn noise into alarms.
 	minMADNs = 1e6
-	// baselineAlpha is the EWMA weight of the flood and surge baselines.
+	// rateBucketNs is the rate alarms' counting interval (1 s), and
+	// rateWarmup the buckets a key counts before it can alarm.
+	rateBucketNs = 1e9
+	rateWarmup   = 5
+	// baselineAlpha is the EWMA weight of the rate alarms' baselines.
 	baselineAlpha = 0.05
-	// maxSurgeKeys bounds the surge detector's per-key state; keys beyond
+	// maxKeys bounds the keys a SpikeBank or RateAlarm tracks; keys beyond
 	// it are not tracked.
-	maxSurgeKeys = 4096
+	maxKeys = 4096
+	// maxEvents bounds the events a SpikeBank or RateAlarm keeps: the
+	// newest, oldest first.
+	maxEvents = 4096
 )
 
-// SpikeConfig tunes the latency spike detector.
-type SpikeConfig struct {
-	// Window is the number of recent samples forming the baseline
-	// (default 512).
-	Window int
-	// K is the robust z-score threshold: a sample is anomalous when
-	// |x - median| > K · max(MAD, minMADNs) (default 8).
-	K float64
-	// MinSamples before any detection fires (default 64).
-	MinSamples int
+// eventLog keeps the newest maxEvents events. Its owner's lock guards it.
+type eventLog struct {
+	ring []Event
+	next int // the oldest event once the ring is full
+}
+
+func (l *eventLog) add(ev Event) {
+	if len(l.ring) < maxEvents {
+		l.ring = append(l.ring, ev)
+		return
+	}
+	l.ring[l.next] = ev
+	l.next = (l.next + 1) % maxEvents
+}
+
+// events returns a copy of the log, oldest first.
+func (l *eventLog) events() []Event {
+	out := make([]Event, 0, len(l.ring))
+	out = append(out, l.ring[l.next:]...)
+	return append(out, l.ring[:l.next]...)
 }
 
 // SpikeDetector flags individual measurements far outside the recent
 // latency distribution. It uses median/MAD, not mean/stddev: a 4000 ms
 // outlier would inflate a standard deviation enough to hide its successors,
-// but barely moves the median (see stats.RollingMedian).
+// but barely moves the median (see rollingMedian).
 //
 // Not safe for concurrent use; shard per key (e.g. per city pair) with
 // SpikeBank.
 type SpikeDetector struct {
-	cfg    SpikeConfig
-	window *stats.RollingMedian
+	window *rollingMedian
 	seen   int
 }
 
-// NewSpikeDetector returns a detector with cfg defaults applied.
-func NewSpikeDetector(cfg SpikeConfig) *SpikeDetector {
-	if cfg.Window <= 0 {
-		cfg.Window = 512
-	}
-	if cfg.K <= 0 {
-		cfg.K = 8
-	}
-	if cfg.MinSamples <= 0 {
-		cfg.MinSamples = 64
-	}
-	return &SpikeDetector{cfg: cfg, window: stats.NewRollingMedian(cfg.Window)}
+// NewSpikeDetector returns a detector with an empty baseline.
+func NewSpikeDetector() *SpikeDetector {
+	return &SpikeDetector{window: newRollingMedian(spikeWindow)}
 }
 
 // Offer examines one latency sample (ns). It returns a non-nil Event when
@@ -99,10 +114,10 @@ func NewSpikeDetector(cfg SpikeConfig) *SpikeDetector {
 // caller's choice.
 func (d *SpikeDetector) Offer(ts int64, latencyNs int64) *Event {
 	x := float64(latencyNs)
-	if d.seen >= d.cfg.MinSamples {
+	if d.seen >= spikeMinSamples {
 		med := d.window.Median()
 		mad := max(d.window.MAD(), minMADNs)
-		if x-med > d.cfg.K*mad { // one-sided: slow is anomalous, fast is fine
+		if x-med > spikeK*mad { // one-sided: slow is anomalous, fast is fine
 			return &Event{
 				Time: ts, Kind: "latency_spike",
 				Detail:   fmt.Sprintf("latency %.1fms vs median %.1fms (MAD %.2fms)", x/1e6, med/1e6, mad/1e6),
@@ -116,38 +131,39 @@ func (d *SpikeDetector) Offer(ts int64, latencyNs int64) *Event {
 	return nil
 }
 
-// SpikeBank shards SpikeDetectors by key (city pair, AS pair...), with a
-// bound on the number of tracked keys.
+// SpikeBank shards SpikeDetectors by key (city pair, AS pair...), tracks
+// at most maxKeys keys, and keeps the newest maxEvents detections.
 type SpikeBank struct {
-	mu      sync.Mutex
-	cfg     SpikeConfig
-	byKey   map[string]*SpikeDetector
-	maxKeys int
+	mu    sync.Mutex
+	byKey map[string]*SpikeDetector
+	log   eventLog
 }
 
-// NewSpikeBank creates a bank with the given per-key config.
-func NewSpikeBank(cfg SpikeConfig, maxKeys int) *SpikeBank {
-	if maxKeys <= 0 {
-		maxKeys = 4096
-	}
-	return &SpikeBank{cfg: cfg, byKey: make(map[string]*SpikeDetector), maxKeys: maxKeys}
+// NewSpikeBank returns an empty bank.
+func NewSpikeBank() *SpikeBank {
+	return &SpikeBank{byKey: make(map[string]*SpikeDetector)}
 }
 
-// Offer routes the sample to its key's detector. Safe for concurrent use;
-// per-key determinism requires each key's samples to arrive in order (one
-// offering goroutine per key, as the sharded sink guarantees).
+// Offer routes the sample to its key's detector and logs any detection.
+// Safe for concurrent use; per-key determinism requires each key's samples
+// to arrive in order (one offering goroutine per key, as the sharded sink
+// guarantees).
 func (b *SpikeBank) Offer(key string, ts, latencyNs int64) *Event {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	d, ok := b.byKey[key]
 	if !ok {
-		if len(b.byKey) >= b.maxKeys {
+		if len(b.byKey) >= maxKeys {
 			return nil
 		}
-		d = NewSpikeDetector(b.cfg)
+		d = NewSpikeDetector()
 		b.byKey[key] = d
 	}
-	return d.Offer(ts, latencyNs)
+	ev := d.Offer(ts, latencyNs)
+	if ev != nil {
+		b.log.add(*ev)
+	}
+	return ev
 }
 
 // Keys returns the number of tracked keys.
@@ -157,205 +173,132 @@ func (b *SpikeBank) Keys() int {
 	return len(b.byKey)
 }
 
-// FloodConfig tunes the SYN flood detector.
-type FloodConfig struct {
-	// BucketNs is the counting interval (default 1s).
-	BucketNs int64
-	// Ratio: alarm when unanswered-SYN count exceeds Ratio × baseline
-	// (default 8) AND exceeds MinCount (default 100).
-	Ratio    float64
-	MinCount float64
-	// WarmupBuckets before alarms can fire (default 5).
-	WarmupBuckets int
+// Events returns the newest maxEvents detections, oldest first.
+func (b *SpikeBank) Events() []Event {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.log.events()
 }
 
-// FloodDetector counts handshakes that expired unanswered, per time
-// bucket. A surge in that count relative to its EWMA baseline raises an
-// event — the paper's "SYN floods can also be identified in real-time".
+// rateKind is what tells one rate alarm from another: its thresholds and
+// its event text. A key alarms when a bucket's count reaches minCount and
+// exceeds ratio × (baseline + 1).
+type rateKind struct {
+	name            string // Event.Kind
+	ratio, minCount float64
+	detail          func(key string, count int, base float64) string
+}
+
+var (
+	synFlood = rateKind{name: "syn_flood", ratio: 8, minCount: 100,
+		detail: func(_ string, count int, base float64) string {
+			return fmt.Sprintf("%d unanswered SYNs in %.0fs bucket (baseline %.1f)",
+				count, float64(rateBucketNs)/1e9, base)
+		}}
+	connSurge = rateKind{name: "conn_surge", ratio: 6, minCount: 50,
+		detail: func(key string, count int, base float64) string {
+			return fmt.Sprintf("%s: %d connections/bucket (baseline %.1f)", key, count, base)
+		}}
+)
+
+// RateAlarm counts occurrences per key in 1 s buckets and raises one event
+// per episode in which a key's bucket count surges over its EWMA baseline;
+// alarm buckets do not feed the baseline. It tracks at most maxKeys keys
+// and keeps the newest maxEvents events. Two kinds share it:
 //
-// Not safe for concurrent use: callers serialize ObserveUnanswered/Flush/Events
-// (the pipeline guards its instance with a mutex; expiries are rare
-// relative to packets, so the lock is uncontended).
-type FloodDetector struct {
-	cfg FloodConfig
-
-	started     bool
-	bucketStart int64
-	unanswered  float64
-	baseline    stats.EWMA
-	buckets     int
-	events      []Event
-	inAlarm     bool
-}
-
-// NewFloodDetector returns a detector with defaults applied.
-func NewFloodDetector(cfg FloodConfig) *FloodDetector {
-	if cfg.BucketNs <= 0 {
-		cfg.BucketNs = 1e9
-	}
-	if cfg.Ratio <= 0 {
-		cfg.Ratio = 8
-	}
-	if cfg.MinCount <= 0 {
-		cfg.MinCount = 100
-	}
-	if cfg.WarmupBuckets <= 0 {
-		cfg.WarmupBuckets = 5
-	}
-	d := &FloodDetector{cfg: cfg}
-	d.baseline.Alpha = baselineAlpha
-	return d
-}
-
-// ObserveUnanswered records a handshake that expired without completing.
-func (d *FloodDetector) ObserveUnanswered(ts int64) {
-	d.roll(ts)
-	d.unanswered++
-}
-
-// Flush closes the current bucket (call at end of stream).
-func (d *FloodDetector) Flush() { d.closeBucket(d.bucketStart + d.cfg.BucketNs) }
-
-func (d *FloodDetector) roll(ts int64) {
-	if !d.started {
-		d.started = true
-		d.bucketStart = ts - ts%d.cfg.BucketNs
-		return
-	}
-	for ts >= d.bucketStart+d.cfg.BucketNs {
-		d.closeBucket(d.bucketStart + d.cfg.BucketNs)
-	}
-}
-
-func (d *FloodDetector) closeBucket(next int64) {
-	count := d.unanswered
-	base := d.baseline.Value()
-	if d.buckets >= d.cfg.WarmupBuckets &&
-		count >= d.cfg.MinCount && count > d.cfg.Ratio*(base+1) {
-		if !d.inAlarm {
-			d.events = append(d.events, Event{
-				Time: d.bucketStart, Kind: "syn_flood",
-				Detail: fmt.Sprintf("%d unanswered SYNs in %.0fs bucket (baseline %.1f)",
-					int(count), float64(d.cfg.BucketNs)/1e9, base),
-				Value: count, Baseline: base,
-			})
-			d.inAlarm = true
-		}
-		// Do not feed attack buckets into the baseline.
-	} else {
-		d.baseline.Add(count)
-		d.inAlarm = false
-	}
-	d.unanswered = 0
-	d.buckets++
-	d.bucketStart = next
-}
-
-// Events returns all detections so far.
-func (d *FloodDetector) Events() []Event { return d.events }
-
-// SurgeConfig tunes the connection-count detector (per location pair).
-type SurgeConfig struct {
-	BucketNs      int64   // default 1s
-	Ratio         float64 // default 6
-	MinCount      float64 // default 50
-	WarmupBuckets int     // default 5
-}
-
-// SurgeDetector counts completed connections per key (e.g. "src→dst" city
-// pair) per bucket and alarms on surges over the per-key EWMA baseline —
-// "unusual number of TCP connections between two locations".
-type SurgeDetector struct {
-	cfg SurgeConfig
-
+//   - NewFloodAlarm counts handshakes that expired unanswered, under one
+//     key — the paper's "SYN floods can also be identified in real-time".
+//   - NewSurgeAlarm counts completed connections per key (e.g. a "src→dst"
+//     city pair) — "unusual number of TCP connections between two
+//     locations".
+//
+// Safe for concurrent use.
+type RateAlarm struct {
+	kind   rateKind
 	mu     sync.Mutex
-	perKey map[string]*surgeState
-	events []Event
+	perKey map[string]*rateState
+	log    eventLog
 }
 
-type surgeState struct {
+type rateState struct {
 	bucketStart int64
 	count       float64
-	baseline    stats.EWMA
+	baseline    ewma
 	buckets     int
 	inAlarm     bool
 }
 
-// NewSurgeDetector returns a detector with defaults applied.
-func NewSurgeDetector(cfg SurgeConfig) *SurgeDetector {
-	if cfg.BucketNs <= 0 {
-		cfg.BucketNs = 1e9
-	}
-	if cfg.Ratio <= 0 {
-		cfg.Ratio = 6
-	}
-	if cfg.MinCount <= 0 {
-		cfg.MinCount = 50
-	}
-	if cfg.WarmupBuckets <= 0 {
-		cfg.WarmupBuckets = 5
-	}
-	return &SurgeDetector{cfg: cfg, perKey: make(map[string]*surgeState)}
+// NewFloodAlarm returns a SYN-flood alarm: it alarms on a bucket of at
+// least 100 unanswered handshakes and more than 8 × (baseline + 1).
+func NewFloodAlarm() *RateAlarm { return newRateAlarm(synFlood) }
+
+// NewSurgeAlarm returns a connection-surge alarm: it alarms on a key's
+// bucket of at least 50 connections and more than 6 × (baseline + 1).
+func NewSurgeAlarm() *RateAlarm { return newRateAlarm(connSurge) }
+
+func newRateAlarm(kind rateKind) *RateAlarm {
+	return &RateAlarm{kind: kind, perKey: make(map[string]*rateState)}
 }
 
-// Observe records one completed connection for key at ts. Safe for
-// concurrent use.
-func (d *SurgeDetector) Observe(key string, ts int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	st, ok := d.perKey[key]
+// ObserveUnanswered records a handshake that expired without completing:
+// Observe under the flood alarm's one key.
+func (a *RateAlarm) ObserveUnanswered(ts int64) { a.Observe("", ts) }
+
+// Observe counts one occurrence for key at ts.
+func (a *RateAlarm) Observe(key string, ts int64) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	st, ok := a.perKey[key]
 	if !ok {
-		if len(d.perKey) >= maxSurgeKeys {
+		if len(a.perKey) >= maxKeys {
 			return
 		}
-		st = &surgeState{bucketStart: ts - ts%d.cfg.BucketNs}
-		st.baseline.Alpha = baselineAlpha
-		d.perKey[key] = st
+		st = &rateState{bucketStart: ts - ts%rateBucketNs}
+		a.perKey[key] = st
 	}
-	for ts >= st.bucketStart+d.cfg.BucketNs {
-		d.closeBucketLocked(key, st)
+	for ts >= st.bucketStart+rateBucketNs {
+		a.closeBucketLocked(key, st)
 	}
 	st.count++
 }
 
-// Flush closes all open buckets.
-func (d *SurgeDetector) Flush() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for key, st := range d.perKey {
-		d.closeBucketLocked(key, st)
+// Flush closes every key's open bucket (end of trace), keys in sorted
+// order so that events raised together are logged in the same order on
+// every run.
+func (a *RateAlarm) Flush() {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for _, key := range slices.Sorted(maps.Keys(a.perKey)) {
+		a.closeBucketLocked(key, a.perKey[key])
 	}
 }
 
-func (d *SurgeDetector) closeBucketLocked(key string, st *surgeState) {
-	base := st.baseline.Value()
-	if st.buckets >= d.cfg.WarmupBuckets &&
-		st.count >= d.cfg.MinCount && st.count > d.cfg.Ratio*(base+1) {
+func (a *RateAlarm) closeBucketLocked(key string, st *rateState) {
+	base := st.baseline.value
+	if st.buckets >= rateWarmup &&
+		st.count >= a.kind.minCount && st.count > a.kind.ratio*(base+1) {
 		if !st.inAlarm {
-			d.events = append(d.events, Event{
-				Time: st.bucketStart, Kind: "conn_surge",
-				Detail: fmt.Sprintf("%s: %d connections/bucket (baseline %.1f)",
-					key, int(st.count), base),
-				Value: st.count, Baseline: base,
+			a.log.add(Event{
+				Time: st.bucketStart, Kind: a.kind.name,
+				Detail: a.kind.detail(key, int(st.count), base),
+				Value:  st.count, Baseline: base,
 			})
 			st.inAlarm = true
 		}
 	} else {
-		st.baseline.Add(st.count)
+		st.baseline.add(st.count)
 		st.inAlarm = false
 	}
 	st.count = 0
 	st.buckets++
-	st.bucketStart += d.cfg.BucketNs
+	st.bucketStart += rateBucketNs
 }
 
-// Events returns all detections so far.
-func (d *SurgeDetector) Events() []Event {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]Event, len(d.events))
-	copy(out, d.events)
-	return out
+// Events returns the newest maxEvents events, oldest first.
+func (a *RateAlarm) Events() []Event {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.log.events()
 }
 
 // SNMPPoller is the conventional-monitoring strawman: it averages all

@@ -3,13 +3,16 @@ package anomaly
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 )
 
 func TestSpikeDetectorCatchesFirewallGlitch(t *testing.T) {
 	// Baseline ~150ms with jitter; one 4150ms sample must fire.
-	d := NewSpikeDetector(SpikeConfig{})
+	d := NewSpikeDetector()
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 500; i++ {
 		ts := int64(i) * 1e9
@@ -33,7 +36,7 @@ func TestSpikeDetectorCatchesFirewallGlitch(t *testing.T) {
 func TestSpikeDetectorBaselineNotPoisoned(t *testing.T) {
 	// A run of anomalous samples must all fire (they are excluded from
 	// the baseline).
-	d := NewSpikeDetector(SpikeConfig{})
+	d := NewSpikeDetector()
 	for i := 0; i < 200; i++ {
 		// ~150ms with ±4ms deterministic jitter so MAD is realistic.
 		d.Offer(int64(i)*1e9, 150e6+int64(i%5)*2e6)
@@ -54,7 +57,7 @@ func TestSpikeDetectorBaselineNotPoisoned(t *testing.T) {
 }
 
 func TestSpikeDetectorWarmup(t *testing.T) {
-	d := NewSpikeDetector(SpikeConfig{MinSamples: 64})
+	d := NewSpikeDetector()
 	// Early outliers must not fire during warmup.
 	if ev := d.Offer(1, 4000e6); ev != nil {
 		t.Fatal("fired during warmup")
@@ -66,26 +69,26 @@ func TestSpikeDetectorAdaptsToShift(t *testing.T) {
 	// once the window has absorbed it... but because anomalous samples
 	// are excluded, a large step stays anomalous by design. A moderate
 	// step (below K·MAD) must be absorbed.
-	d := NewSpikeDetector(SpikeConfig{K: 8, Window: 64})
+	d := NewSpikeDetector()
 	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 200; i++ {
+	for i := 0; i < 2*spikeWindow; i++ {
 		d.Offer(int64(i)*1e9, int64(150e6+rng.NormFloat64()*15e6))
 	}
 	// Step +60ms: within 8·MAD of ~10ms-ish MAD... borderline; verify no
 	// sustained alarm after the window refills.
 	fired := 0
-	for i := 0; i < 200; i++ {
-		if ev := d.Offer(int64(300+i)*1e9, int64(210e6+rng.NormFloat64()*15e6)); ev != nil {
+	for i := 0; i < 2*spikeWindow; i++ {
+		if ev := d.Offer(int64(3*spikeWindow+i)*1e9, int64(210e6+rng.NormFloat64()*15e6)); ev != nil {
 			fired++
 		}
 	}
-	if fired > 100 {
+	if fired > spikeWindow {
 		t.Fatalf("moderate shift never absorbed: %d alarms", fired)
 	}
 }
 
 func TestSpikeBankShardsByKey(t *testing.T) {
-	b := NewSpikeBank(SpikeConfig{MinSamples: 64}, 10)
+	b := NewSpikeBank()
 	// Auckland→LA is fast; Auckland→Tokyo is slow. Each key learns its
 	// own baseline, so Tokyo's 300ms must not alarm.
 	for i := 0; i < 200; i++ {
@@ -106,17 +109,17 @@ func TestSpikeBankShardsByKey(t *testing.T) {
 }
 
 func TestSpikeBankKeyLimit(t *testing.T) {
-	b := NewSpikeBank(SpikeConfig{}, 2)
-	b.Offer("a", 1, 1)
-	b.Offer("b", 1, 1)
-	b.Offer("c", 1, 1) // over limit: ignored
-	if b.Keys() != 2 {
-		t.Fatalf("keys = %d", b.Keys())
+	b := NewSpikeBank()
+	for i := 0; i <= maxKeys; i++ { // the last key is over the limit: ignored
+		b.Offer(strconv.Itoa(i), 1, 1)
+	}
+	if b.Keys() != maxKeys {
+		t.Fatalf("keys = %d, want %d", b.Keys(), maxKeys)
 	}
 }
 
 func TestFloodDetector(t *testing.T) {
-	d := NewFloodDetector(FloodConfig{BucketNs: 1e9, MinCount: 50, Ratio: 8})
+	d := NewFloodAlarm()
 	// 20 normal buckets: ~5 unanswered/s (random scanning noise).
 	ts := int64(0)
 	for b := 0; b < 20; b++ {
@@ -145,7 +148,7 @@ func TestFloodDetector(t *testing.T) {
 }
 
 func TestFloodDetectorAlarmOncePerEpisode(t *testing.T) {
-	d := NewFloodDetector(FloodConfig{BucketNs: 1e9, MinCount: 50, Ratio: 4, WarmupBuckets: 3})
+	d := NewFloodAlarm()
 	ts := int64(0)
 	for b := 0; b < 10; b++ {
 		d.ObserveUnanswered(ts)
@@ -175,7 +178,7 @@ func TestFloodDetectorAlarmOncePerEpisode(t *testing.T) {
 }
 
 func TestFloodWarmupSuppressesEarlyAlarms(t *testing.T) {
-	d := NewFloodDetector(FloodConfig{BucketNs: 1e9, WarmupBuckets: 5, MinCount: 10, Ratio: 2})
+	d := NewFloodAlarm()
 	// Immediate flood in bucket 0 — within warmup, no alarm.
 	for i := 0; i < 1000; i++ {
 		d.ObserveUnanswered(int64(i) * 1e6)
@@ -187,7 +190,7 @@ func TestFloodWarmupSuppressesEarlyAlarms(t *testing.T) {
 }
 
 func TestSurgeDetector(t *testing.T) {
-	d := NewSurgeDetector(SurgeConfig{BucketNs: 1e9, MinCount: 50, Ratio: 6})
+	d := NewSurgeAlarm()
 	ts := int64(0)
 	// Normal: ~10 conns/s AKL→LAX, ~3 conns/s AKL→TYO.
 	for b := 0; b < 20; b++ {
@@ -227,7 +230,7 @@ func TestSNMPPollerMissesShortGlitch(t *testing.T) {
 	// full baseline (Window 512), without paying its per-sample sort on
 	// the rest of the interval.
 	snmp := NewSNMPPoller(300e9)
-	spike := NewSpikeDetector(SpikeConfig{})
+	spike := NewSpikeDetector()
 	rng := rand.New(rand.NewSource(3))
 	affected := 0
 	spikes := 0
@@ -282,7 +285,7 @@ func TestSNMPPollerBucketsCorrectly(t *testing.T) {
 }
 
 func BenchmarkSpikeOffer(b *testing.B) {
-	d := NewSpikeDetector(SpikeConfig{Window: 256})
+	d := NewSpikeDetector()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		d.Offer(int64(i), int64(150e6+i%1000))
@@ -290,7 +293,7 @@ func BenchmarkSpikeOffer(b *testing.B) {
 }
 
 func BenchmarkSpikeBankOffer(b *testing.B) {
-	bank := NewSpikeBank(SpikeConfig{Window: 256}, 1024)
+	bank := NewSpikeBank()
 	keys := []string{"a", "b", "c", "d"}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -305,10 +308,9 @@ func TestConcurrentOfferContract(t *testing.T) {
 	// while Keys/Events readers run concurrently. A FloodDetector behind
 	// an external mutex (the pipeline's arrangement) joins in.
 	const workers, perWorker = 4, 5000
-	bank := NewSpikeBank(SpikeConfig{MinSamples: 64}, 0)
-	surge := NewSurgeDetector(SurgeConfig{BucketNs: 1e9, MinCount: 10, WarmupBuckets: 1})
-	flood := NewFloodDetector(FloodConfig{BucketNs: 1e9, MinCount: 10, WarmupBuckets: 1})
-	var floodMu sync.Mutex
+	bank := NewSpikeBank()
+	surge := NewSurgeAlarm()
+	flood := NewFloodAlarm()
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -327,9 +329,7 @@ func TestConcurrentOfferContract(t *testing.T) {
 				}
 				bank.Offer(key, ts, int64(150e6+rng.NormFloat64()*10e6))
 				surge.Observe(key, ts)
-				floodMu.Lock()
 				flood.ObserveUnanswered(ts)
-				floodMu.Unlock()
 			}
 		}(w)
 	}
@@ -345,9 +345,7 @@ func TestConcurrentOfferContract(t *testing.T) {
 			default:
 				bank.Keys()
 				surge.Events()
-				floodMu.Lock()
 				flood.Events()
-				floodMu.Unlock()
 			}
 		}
 	}()
@@ -367,5 +365,173 @@ func TestConcurrentOfferContract(t *testing.T) {
 	}
 	if len(keysFired) != workers {
 		t.Fatalf("surge events for %d/%d keys: %+v", len(keysFired), workers, surge.Events())
+	}
+}
+
+// TestRateAlarmKeepsNewestEvents drives more than maxEvents alarm episodes
+// through each kind: a bucket over the threshold, then a quiet one that
+// ends the episode. Exactly the newest maxEvents events are kept, oldest
+// first.
+func TestRateAlarmKeepsNewestEvents(t *testing.T) {
+	const episodes = maxEvents + 100
+	for _, tc := range []struct {
+		name    string
+		alarm   *RateAlarm
+		observe func(a *RateAlarm, ts int64)
+		burst   int
+	}{
+		{"flood", NewFloodAlarm(), (*RateAlarm).ObserveUnanswered, 100},
+		{"surge", NewSurgeAlarm(), func(a *RateAlarm, ts int64) { a.Observe("AKL→LAX", ts) }, 50},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := int64(0)
+			quiet := func() {
+				tc.observe(tc.alarm, ts)
+				ts += rateBucketNs
+			}
+			for range rateWarmup {
+				quiet()
+			}
+			for range episodes {
+				for i := range tc.burst {
+					tc.observe(tc.alarm, ts+int64(i))
+				}
+				ts += rateBucketNs
+				quiet()
+			}
+			tc.alarm.Flush()
+			evs := tc.alarm.Events()
+			if len(evs) != maxEvents {
+				t.Fatalf("%d events kept, want %d", len(evs), maxEvents)
+			}
+			for i, ev := range evs {
+				episode := episodes - maxEvents + i
+				if want := int64(rateWarmup+2*episode) * rateBucketNs; ev.Time != want {
+					t.Fatalf("event %d at %d, want %d (episode %d)", i, ev.Time, want, episode)
+				}
+			}
+		})
+	}
+}
+
+// TestSurgeFlushOrderIsStable: keys that alarm in the bucket Flush closes
+// are logged in sorted key order, the same on every run.
+func TestSurgeFlushOrderIsStable(t *testing.T) {
+	keys := []string{"AKL→LAX", "AKL→TYO", "CHC→SYD", "WLG→LHR", "AKL→SFO", "DUD→SIN", "AKL→HNL", "NSN→PER"}
+	want := slices.Sorted(slices.Values(keys))
+	for run := range 5 {
+		a := NewSurgeAlarm()
+		for b := range rateWarmup + 1 {
+			for _, k := range keys {
+				a.Observe(k, int64(b)*rateBucketNs)
+			}
+		}
+		for i := range 100 {
+			for _, k := range keys {
+				a.Observe(k, int64(rateWarmup+1)*rateBucketNs+int64(i))
+			}
+		}
+		a.Flush()
+		var got []string
+		for _, ev := range a.Events() {
+			key, _, _ := strings.Cut(ev.Detail, ":")
+			got = append(got, key)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("run %d: events for keys %q, want %q", run, got, want)
+		}
+	}
+}
+
+// TestSpikeBankEventsBounded: the detector leaves anomalous samples out of
+// its baseline, so after a lasting level shift every sample on the key is
+// a detection. The bank keeps the newest maxEvents, oldest first, however
+// long the shift lasts.
+func TestSpikeBankEventsBounded(t *testing.T) {
+	const warm, shifted = 100, maxEvents + 100
+	b := NewSpikeBank()
+	for i := range warm + shifted {
+		lat := 10e6 + int64(i%3)*1e5
+		if i >= warm {
+			lat = 200e6
+		}
+		b.Offer("Auckland→Los Angeles", int64(i)*1e8, lat)
+	}
+	evs := b.Events()
+	if len(evs) != maxEvents {
+		t.Fatalf("%d spike events kept, want %d", len(evs), maxEvents)
+	}
+	for i, ev := range evs {
+		if want := int64(warm+shifted-maxEvents+i) * 1e8; ev.Time != want {
+			t.Fatalf("event %d at %d, want %d", i, ev.Time, want)
+		}
+	}
+}
+
+// alarmBuckets observes counts[i] occurrences of key in bucket i, flushes,
+// and returns the events.
+func alarmBuckets(a *RateAlarm, key string, counts ...int) []Event {
+	for b, n := range counts {
+		for i := range n {
+			a.Observe(key, int64(b)*rateBucketNs+int64(i))
+		}
+	}
+	a.Flush()
+	return a.Events()
+}
+
+// TestRateAlarmThresholds pins each kind's thresholds at the bucket just
+// below and just at them: a bucket alarms when its count reaches minCount
+// (flood 100, surge 50) and exceeds ratio × (baseline + 1) (flood 8, surge
+// 6), once rateWarmup buckets have fed the baseline.
+func TestRateAlarmThresholds(t *testing.T) {
+	warm := func(base, last int) []int {
+		c := make([]int, rateWarmup+1)
+		for i := range rateWarmup {
+			c[i] = base
+		}
+		c[rateWarmup] = last
+		return c
+	}
+	for _, tc := range []struct {
+		name       string
+		alarm      func() *RateAlarm
+		ratio, min int
+	}{
+		{"flood", NewFloodAlarm, 8, 100},
+		{"surge", NewSurgeAlarm, 6, 50},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, c := range []struct {
+				what   string
+				counts []int
+				events int
+			}{
+				{"below minCount", warm(1, tc.min-1), 0},
+				{"at minCount", warm(1, tc.min), 1},
+				{"at ratio", warm(20, tc.ratio*21), 0},
+				{"over ratio", warm(20, tc.ratio*21+1), 1},
+			} {
+				if evs := alarmBuckets(tc.alarm(), "k", c.counts...); len(evs) != c.events {
+					t.Fatalf("%s (%v): %d events, want %d", c.what, c.counts, len(evs), c.events)
+				}
+			}
+		})
+	}
+}
+
+// TestSurgeKeyLimit: keys past maxKeys are not tracked, so they never
+// alarm.
+func TestSurgeKeyLimit(t *testing.T) {
+	a := NewSurgeAlarm()
+	for i := range maxKeys - 1 {
+		a.Observe(strconv.Itoa(i), 0)
+	}
+	tracked := alarmBuckets(a, "tracked", 1, 1, 1, 1, 1, 200)
+	if len(tracked) != 1 {
+		t.Fatalf("the last tracked key raised %d events, want 1", len(tracked))
+	}
+	if evs := alarmBuckets(a, "untracked", 1, 1, 1, 1, 1, 200); len(evs) != 1 {
+		t.Fatalf("a key past the limit raised an event: %+v", evs[1:])
 	}
 }

@@ -52,7 +52,7 @@ func TestFirewallAnecdote(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	spikes := NewSpikeBank(SpikeConfig{}, 0)
+	spikes := NewSpikeBank()
 	snmp := NewSNMPPoller(300e9)
 	type outcome struct {
 		flow  core.FlowKey
@@ -156,8 +156,8 @@ func TestFloodAndSurge(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	flood := NewFloodDetector(FloodConfig{BucketNs: 1e9, MinCount: 100, Ratio: 8, WarmupBuckets: 5})
-	surge := NewSurgeDetector(SurgeConfig{BucketNs: 1e9, MinCount: 50, Ratio: 6, WarmupBuckets: 5})
+	flood := NewFloodAlarm()
+	surge := NewSurgeAlarm()
 	rep := gen.Replay{
 		Queues: 4,
 		// A short handshake timeout turns unanswered SYNs into flood

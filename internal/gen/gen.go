@@ -130,6 +130,17 @@ type SurgeSpec struct {
 	SrcCity, DstCity int
 }
 
+// Path settings no caller tunes.
+const (
+	// tapCity is the city index where the tap sits (Auckland).
+	tapCity = 0
+	// jitterFrac scales per-flow lognormal jitter on each leg.
+	jitterFrac = 0.1
+	// lastMileMean is the mean exponential last-mile delay added to each
+	// leg one-way, in ns (2 ms).
+	lastMileMean = 2e6
+)
+
 // Config parameterizes a Generator.
 type Config struct {
 	Seed  int64
@@ -141,8 +152,6 @@ type Config struct {
 	// Duration; in-flight flows run to completion.
 	Duration int64
 
-	// TapCity is the city index where the tap sits (default 0, Auckland).
-	TapCity int
 	// ClientCities optionally restricts client locations (default: all).
 	ClientCities []int
 	// ServerCities optionally restricts server locations (default: all).
@@ -169,12 +178,6 @@ type Config struct {
 	SYNLoss, SYNACKLoss float64
 	// RTO is the retransmission timeout (default 1s).
 	RTO int64
-
-	// JitterFrac scales per-flow lognormal jitter on each leg (default
-	// 0.1). LastMileMean is the mean exponential last-mile delay added to
-	// each leg one-way (default 2 ms).
-	JitterFrac   float64
-	LastMileMean int64
 
 	// ServerDelay is the mean server SYN→SYN-ACK think time (exponential,
 	// default 0: pure network latency, keeps the handshake oracle exact).
@@ -255,12 +258,6 @@ func New(cfg Config) (*Generator, error) {
 	if cfg.RTO <= 0 {
 		cfg.RTO = 1e9
 	}
-	if cfg.JitterFrac == 0 {
-		cfg.JitterFrac = 0.1
-	}
-	if cfg.LastMileMean == 0 {
-		cfg.LastMileMean = 2e6
-	}
 	g := &Generator{
 		cfg:  cfg,
 		rng:  rand.New(rand.NewSource(cfg.Seed)),
@@ -313,8 +310,8 @@ func (g *Generator) expDelay(rate float64) int64 {
 func (g *Generator) legDelay(a, b int) int64 {
 	distKm := g.cfg.World.Distance(a, b)
 	prop := distKm / 200.0 * 1.8 * 1e6 // ns
-	lastMile := g.rng.ExpFloat64() * float64(g.cfg.LastMileMean)
-	jitter := math.Exp(g.rng.NormFloat64() * g.cfg.JitterFrac) // ~1.0 ×
+	lastMile := g.rng.ExpFloat64() * lastMileMean
+	jitter := math.Exp(g.rng.NormFloat64() * jitterFrac) // ~1.0 ×
 	d := int64((prop + lastMile) * jitter)
 	if d < 200_000 {
 		d = 200_000
@@ -359,8 +356,8 @@ func (g *Generator) scheduleFlow(t0 int64, clientCity, serverCity int, surge boo
 		serverPort = 80
 	}
 
-	dCT := g.legDelay(clientCity, cfg.TapCity) // client ↔ tap one-way
-	dTS := g.legDelay(cfg.TapCity, serverCity) // tap ↔ server one-way
+	dCT := g.legDelay(clientCity, tapCity) // client ↔ tap one-way
+	dTS := g.legDelay(tapCity, serverCity) // tap ↔ server one-way
 
 	// Firewall anomaly: extra delay on the external (tap↔server) leg for
 	// flows whose SYN leaves within a window. Applied to the SYN-ACK
@@ -554,7 +551,7 @@ func (g *Generator) scheduleFloodSYN(t0 int64, f FloodSpec) {
 	src := g.cfg.World.Addr(f.SrcCity, g.rng.Intn(4), g.rng.Uint32())
 	dst := g.cfg.World.Addr(f.DstCity, 0, 80)
 	sport := uint16(1024 + g.rng.Intn(60000))
-	dCT := g.legDelay(f.SrcCity, g.cfg.TapCity)
+	dCT := g.legDelay(f.SrcCity, tapCity)
 	idx := int32(len(g.truths))
 	g.truths = append(g.truths, FlowTruth{
 		Key:        core.FlowKey{Client: src, Server: dst, ClientPort: sport, ServerPort: 80},
@@ -576,8 +573,8 @@ func (g *Generator) scheduleMidstream(t0 int64) {
 	s := g.pickCity(cfg.ServerCities)
 	src, sport := g.nextClientAddr(c, false)
 	dst := cfg.World.Addr(s, 0, uint32(g.rng.Intn(1<<16)))
-	dCT := g.legDelay(c, cfg.TapCity)
-	dTS := g.legDelay(cfg.TapCity, s)
+	dCT := g.legDelay(c, tapCity)
+	dTS := g.legDelay(tapCity, s)
 	idx := int32(len(g.truths))
 	truth := FlowTruth{
 		Key:        core.FlowKey{Client: src, Server: dst, ClientPort: sport, ServerPort: 443},

@@ -96,8 +96,6 @@ var cityData = []struct {
 
 // WorldOptions configures NewWorld.
 type WorldOptions struct {
-	// Cities limits the catalogue to the first N cities (0 = all).
-	Cities int
 	// MislabelFraction is the fraction of database ranges whose record is
 	// deliberately swapped to a different city, emulating the real-world
 	// inaccuracy of commercial geo databases (IP2Location quotes ~98%
@@ -110,13 +108,7 @@ type WorldOptions struct {
 
 // NewWorld builds the synthetic world and its geo database.
 func NewWorld(opts WorldOptions) (*World, error) {
-	n := opts.Cities
-	if n <= 0 || n > len(cityData) {
-		n = len(cityData)
-	}
-	if n > maxCities {
-		n = maxCities
-	}
+	n := min(len(cityData), maxCities)
 	w := &World{Cities: make([]City, n)}
 	for i := 0; i < n; i++ {
 		cd := cityData[i]

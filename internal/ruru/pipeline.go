@@ -189,9 +189,9 @@ type Pipeline struct {
 	DB       *tsdb.DB            // embedded TSDB (queries, snapshot, rollups)
 	Hub      *ws.Hub             // WebSocket fan-out to live frontends
 
-	Spikes *anomaly.SpikeBank     // per-city-pair latency spike detectors
-	Flood  *anomaly.FloodDetector // SYN-flood detector (expiry-fed)
-	Surge  *anomaly.SurgeDetector // per-pair connection-rate surge detector
+	Spikes *anomaly.SpikeBank // per-city-pair latency spike detectors
+	Flood  *anomaly.RateAlarm // SYN-flood alarm (expiry-fed)
+	Surge  *anomaly.RateAlarm // per-pair connection-rate surge alarm
 
 	Remote *fed.Probe      // remote-write client (nil unless Config.RemoteWrite)
 	Agg    *fed.Aggregator // federation endpoint (nil unless Config.Federate)
@@ -206,14 +206,6 @@ type Pipeline struct {
 	// acquired while holding it — see internal/lint spec).
 	pairTop   *sketch.TopK[string]
 	pairTopMu sync.Mutex
-
-	floodMu sync.Mutex
-
-	// spikeEvents is a ring of the newest maxSpikeEvents detections;
-	// spikePos is the oldest once it is full.
-	spikeEventsMu sync.Mutex
-	spikeEvents   []anomaly.Event
-	spikePos      int
 
 	tsSamples  atomic.Uint64
 	seqSamples atomic.Uint64
@@ -272,9 +264,9 @@ func New(cfg Config) (*Pipeline, error) {
 		return nil, err
 	}
 	p.Bus = mq.NewBus()
-	p.Flood = anomaly.NewFloodDetector(anomaly.FloodConfig{})
-	p.Spikes = anomaly.NewSpikeBank(anomaly.SpikeConfig{}, 0)
-	p.Surge = anomaly.NewSurgeDetector(anomaly.SurgeConfig{})
+	p.Flood = anomaly.NewFloodAlarm()
+	p.Spikes = anomaly.NewSpikeBank()
+	p.Surge = anomaly.NewSurgeAlarm()
 
 	sink := analytics.NewBusSink(p.Bus)
 	engCfg := core.EngineConfig{
@@ -372,16 +364,13 @@ func New(cfg Config) (*Pipeline, error) {
 	return p, nil
 }
 
-// onExpire feeds incomplete-handshake evictions to the flood detector.
-// Called from queue workers; the detector is guarded by a mutex (expiries
-// are rare relative to packets).
+// onExpire feeds incomplete-handshake evictions to the flood alarm.
+// Called from queue workers; the alarm's own lock serializes them
+// (expiries are rare relative to packets).
 func (p *Pipeline) onExpire(lastTS int64, awaitingSYNACK bool) {
-	if !awaitingSYNACK {
-		return
+	if awaitingSYNACK {
+		p.Flood.ObserveUnanswered(lastTS)
 	}
-	p.floodMu.Lock()
-	p.Flood.ObserveUnanswered(lastTS)
-	p.floodMu.Unlock()
 }
 
 // storeTracked writes one tracker output — a continuous-RTT sample or a
@@ -520,40 +509,6 @@ func discard[T any](ch <-chan T) (n uint64) {
 		n++
 	}
 	return n
-}
-
-// maxSpikeEvents bounds the latency-spike detections a pipeline keeps. The
-// detector leaves anomalous samples out of its baseline, so after a lasting
-// level shift every sample on that pair is a detection for as long as the
-// daemon runs.
-const maxSpikeEvents = 4096
-
-// SpikeEvents returns the newest latency-spike detections, at most
-// maxSpikeEvents of them, oldest first.
-func (p *Pipeline) SpikeEvents() []anomaly.Event {
-	p.spikeEventsMu.Lock()
-	defer p.spikeEventsMu.Unlock()
-	out := make([]anomaly.Event, 0, len(p.spikeEvents))
-	out = append(out, p.spikeEvents[p.spikePos:]...)
-	return append(out, p.spikeEvents[:p.spikePos]...)
-}
-
-// FloodEvents returns SYN-flood detections so far (thread-safe snapshot).
-func (p *Pipeline) FloodEvents() []anomaly.Event {
-	p.floodMu.Lock()
-	defer p.floodMu.Unlock()
-	evs := p.Flood.Events()
-	out := make([]anomaly.Event, len(evs))
-	copy(out, evs)
-	return out
-}
-
-// FlushDetectors closes all open detector buckets (end of trace).
-func (p *Pipeline) FlushDetectors() {
-	p.floodMu.Lock()
-	p.Flood.Flush()
-	p.floodMu.Unlock()
-	p.Surge.Flush()
 }
 
 // Stats is a full-pipeline counter snapshot. Together the sink counters

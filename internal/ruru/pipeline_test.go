@@ -432,47 +432,12 @@ func TestPipelineSpikeDetection(t *testing.T) {
 	es[500].Time = 501e8
 	es[500].TotalNs = 4145e6 // the firewall glitch
 	publishEnriched(t, p, es...)
-	evs := p.SpikeEvents()
+	evs := p.Spikes.Events()
 	if len(evs) != 1 {
 		t.Fatalf("%d spike events", len(evs))
 	}
 	if evs[0].Value != 4145e6 {
 		t.Fatalf("event = %+v", evs[0])
-	}
-}
-
-// TestPipelineSpikeEventsBounded: the detector leaves anomalous samples out
-// of its baseline, so after a lasting level shift every sample on the pair
-// is a detection. The pipeline keeps the newest 4096 (maxSpikeEvents), oldest
-// first, however long the shift lasts.
-func TestPipelineSpikeEventsBounded(t *testing.T) {
-	const keep, shifted = 4096, 4096 + 100
-	w := newWorld(t)
-	p, err := New(Config{GeoDB: w.DB()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	es := make([]analytics.Enriched, 100+shifted)
-	for i := range es {
-		es[i] = analytics.Enriched{
-			Time: int64(i) * 1e8, TotalNs: 10e6 + int64(i%3)*1e5,
-			Src: analytics.Endpoint{City: "Auckland"},
-			Dst: analytics.Endpoint{City: "Los Angeles"},
-		}
-		if i >= 100 {
-			es[i].TotalNs = 200e6
-		}
-	}
-	publishEnriched(t, p, es...)
-	evs := p.SpikeEvents()
-	if len(evs) != keep {
-		t.Fatalf("%d spike events kept, want %d", len(evs), keep)
-	}
-	for i, ev := range evs {
-		if want := int64(100+shifted-keep+i) * 1e8; ev.Time != want {
-			t.Fatalf("event %d at %d, want %d", i, ev.Time, want)
-		}
 	}
 }
 
@@ -722,8 +687,8 @@ func TestPipelineFloodDetectionViaExpiry(t *testing.T) {
 		case <-time.After(20 * time.Millisecond):
 		}
 	}
-	p.FlushDetectors()
-	if evs := p.FloodEvents(); len(evs) == 0 {
+	p.Flood.Flush()
+	if evs := p.Flood.Events(); len(evs) == 0 {
 		t.Fatal("SYN flood not detected")
 	}
 }

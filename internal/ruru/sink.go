@@ -184,8 +184,12 @@ func (p *Pipeline) fanOut(sh *sinkShard, batch []sinkItem) {
 		}
 	}
 
+	// The detectors lock internally; single-worker shard affinity keeps
+	// each pair's offers in order.
 	for i := range batch {
-		p.offerDetectors(&batch[i].e, batch[i].pair)
+		e := &batch[i].e
+		p.Spikes.Offer(batch[i].pair, e.Time, e.TotalNs)
+		p.Surge.Observe(batch[i].pair, e.Time)
 	}
 
 	if p.pairTop != nil {
@@ -204,23 +208,6 @@ func (p *Pipeline) fanOut(sh *sinkShard, batch []sinkItem) {
 		sh.pushArcLocked(&batch[i].e)
 	}
 	sh.mu.Unlock()
-}
-
-// offerDetectors feeds one measurement to the anomaly detectors. They are
-// safe for concurrent use (internal locks); single-worker shard affinity
-// additionally keeps per-key offer order deterministic.
-func (p *Pipeline) offerDetectors(e *analytics.Enriched, pair string) {
-	if ev := p.Spikes.Offer(pair, e.Time, e.TotalNs); ev != nil {
-		p.spikeEventsMu.Lock()
-		if len(p.spikeEvents) < maxSpikeEvents {
-			p.spikeEvents = append(p.spikeEvents, *ev)
-		} else {
-			p.spikeEvents[p.spikePos] = *ev
-			p.spikePos = (p.spikePos + 1) % maxSpikeEvents
-		}
-		p.spikeEventsMu.Unlock()
-	}
-	p.Surge.Observe(pair, e.Time)
 }
 
 // pushArcLocked appends one measurement to the shard's arc ring. Caller

@@ -163,7 +163,7 @@ func TestSinkConcurrencyStress(t *testing.T) {
 	// Race contract for the whole sink stage (run under -race in CI):
 	// several producers publishing onto the enriched topic, the sharded
 	// workers feeding spike/surge/flood detectors and per-shard arc rings,
-	// while Stats, RecentArcs, SpikeEvents, FloodEvents and TSDB queries
+	// while Stats, RecentArcs, the detectors' Events and TSDB queries
 	// all read concurrently.
 	w := newWorld(t)
 	p, err := New(Config{GeoDB: w.DB(), Queues: 1, SinkWorkers: 4, SinkBatch: 32})
@@ -209,8 +209,9 @@ func TestSinkConcurrencyStress(t *testing.T) {
 			default:
 				p.Stats()
 				p.RecentArcs(100)
-				p.SpikeEvents()
-				p.FloodEvents()
+				p.Spikes.Events()
+				p.Surge.Events()
+				p.Flood.Events()
 				p.DB.Execute(tsdb.Query{
 					Measurement: "latency", Field: "total_ms",
 					Start: 0, End: 10e9, GroupBy: "src_city",

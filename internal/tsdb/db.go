@@ -1,11 +1,13 @@
 package tsdb
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"ruru/internal/hashx"
 )
@@ -394,6 +396,23 @@ func (db *DB) WriteLine(line string) error {
 		return err
 	}
 	return db.Write(&p)
+}
+
+// CheckWriteTime refuses, with ErrAheadOfHorizon, a point time more than
+// the tightest retention (raw or any tier) ahead of the newest stored
+// point: storing it would move the retention clock forward, expire that
+// history and drop every later on-time write. Write itself takes any
+// time; POST /write, whose timestamps come from outside the program,
+// calls this first. A store whose clock has not started (newest point at
+// 0) takes any time.
+func (db *DB) CheckWriteTime(t int64) error {
+	if ret := db.sweepRet; ret > 0 {
+		if newest := db.maxT.Load(); newest != 0 && t > newest && t-newest > ret {
+			return fmt.Errorf("%w: time %d is %v ahead of the newest point, more than the %v retention",
+				ErrAheadOfHorizon, t, time.Duration(t-newest), time.Duration(ret))
+		}
+	}
+	return nil
 }
 
 // maybeSweepAll retires expired chunks from EVERY stripe whenever the

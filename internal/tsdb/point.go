@@ -59,13 +59,18 @@ var (
 	ErrUnknownAgg = errors.New("tsdb: unknown aggregation")
 	// ErrBadResolution reports a Query.Resolution that names no configured
 	// rollup tier, or one whose buckets cannot align with the requested
-	// window and range.
+	// window and range, or (from DB.CheckRawStart) a raw query whose
+	// start is behind the raw retention horizon.
 	ErrBadResolution = errors.New("tsdb: unusable query resolution")
 	// ErrBadRef reports a SeriesRef that this DB never issued, a RefPoint
 	// whose Vals length does not match the ref's field set, duplicate field
 	// keys in a Ref request or a written Point, or an identifier Snapshot
 	// could not write back (see lineSafe).
 	ErrBadRef = errors.New("tsdb: bad series ref")
+	// ErrAheadOfHorizon reports (from DB.CheckWriteTime) a point time
+	// further ahead of the newest stored point than the tightest
+	// retention horizon.
+	ErrAheadOfHorizon = errors.New("tsdb: point too far ahead of the newest point")
 )
 
 // appendSeriesKey appends the canonical series identity — name,k1=v1,k2=v2

@@ -1,8 +1,10 @@
 package tsdb
 
 import (
+	"fmt"
 	"math"
 	"sort"
+	"time"
 )
 
 var nan = math.NaN()
@@ -267,6 +269,19 @@ func (db *DB) planTier(q *Query, window int64) (int, error) {
 		}
 	}
 	return best, nil
+}
+
+// CheckRawStart refuses a raw-resolution query that starts behind the raw
+// retention horizon (Options.Retention behind the newest point), where
+// raw data is partly or wholly gone: the error wraps ErrBadResolution and
+// names the horizon. Execute itself answers such a query from whatever
+// raw shards remain; /api/query calls this first.
+func (db *DB) CheckRawStart(start int64) error {
+	if ret := db.opts.Retention; ret > 0 && start < db.maxT.Load()-ret {
+		return fmt.Errorf("%w: raw data is kept for %v behind the newest point, and start is behind that horizon",
+			ErrBadResolution, time.Duration(ret))
+	}
+	return nil
 }
 
 // tierAligned reports whether a tier of the given bucket width can serve

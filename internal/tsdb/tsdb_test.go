@@ -1,11 +1,13 @@
 package tsdb
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -264,6 +266,53 @@ func TestRetentionDropsOldShards(t *testing.T) {
 	db.Write(pt("m", 1, nil, map[string]float64{"v": 1}))
 	if _, dropped := db.WriteStats(); dropped != 1 {
 		t.Fatalf("dropped = %d", dropped)
+	}
+}
+
+// TestCheckRawStart: with a raw retention horizon, a raw query that
+// starts behind it is refused with ErrBadResolution naming the horizon,
+// and one that starts at it is accepted. Without a horizon nothing is.
+func TestCheckRawStart(t *testing.T) {
+	db := Open(Options{ShardDuration: 10e9, Retention: 30e9})
+	for i := 0; i < 100; i++ {
+		db.Write(pt("m", int64(i)*1e9, nil, map[string]float64{"v": 1}))
+	}
+	// maxT = 99e9, so the horizon is at 69e9.
+	err := db.CheckRawStart(68e9)
+	if !errors.Is(err, ErrBadResolution) || !strings.Contains(err.Error(), "30s") {
+		t.Fatalf("start behind the horizon: err = %v, want ErrBadResolution naming 30s", err)
+	}
+	if err := db.CheckRawStart(69e9); err != nil {
+		t.Fatalf("start at the horizon: %v", err)
+	}
+	if err := Open(Options{}).CheckRawStart(0); err != nil {
+		t.Fatalf("no horizon: %v", err)
+	}
+}
+
+// TestCheckWriteTime: a point time further ahead of the newest point
+// than the tightest retention (here a tier's) is refused; one exactly
+// that far ahead is accepted. An empty store, or one with no retention,
+// takes any time.
+func TestCheckWriteTime(t *testing.T) {
+	db := Open(Options{ShardDuration: 10e9, Rollups: []RollupTier{{Width: 1e9, Retention: 30e9}}})
+	for i := 0; i < 10; i++ {
+		db.Write(pt("m", int64(i)*1e9, nil, map[string]float64{"v": 1}))
+	}
+	err := db.CheckWriteTime(39e9 + 1)
+	if !errors.Is(err, ErrAheadOfHorizon) || !strings.Contains(err.Error(), "30s") {
+		t.Fatalf("time beyond the horizon: err = %v, want ErrAheadOfHorizon naming 30s", err)
+	}
+	if err := db.CheckWriteTime(39e9); err != nil {
+		t.Fatalf("time at the horizon: %v", err)
+	}
+	if err := Open(Options{Retention: 30e9}).CheckWriteTime(1e18); err != nil {
+		t.Fatalf("empty store: %v", err)
+	}
+	free := Open(Options{})
+	free.Write(pt("m", 1e9, nil, map[string]float64{"v": 1}))
+	if err := free.CheckWriteTime(1e18); err != nil {
+		t.Fatalf("no retention: %v", err)
 	}
 }
 

@@ -14,7 +14,8 @@
 //	GET  /api/arcs       — recent arcs for the 3D map (JSON)
 //	GET  /api/topk       — sketch-tier heavy hitters (flows, prefixes,
 //	                       city pairs); 409 without -flow-table-bytes
-//	GET  /api/anomalies  — latency-spike, SYN-flood and surge events
+//	GET  /api/anomalies  — the newest 4096 latency-spike, surge and
+//	                       SYN-flood events of each kind
 //	POST /api/checkpoint — force a durable checkpoint + WAL truncation
 //	POST /write          — Influx line-protocol ingest
 //	GET  /snapshot       — full TSDB dump as line protocol
@@ -36,7 +37,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ruru/internal/anomaly"
 	"ruru/internal/ruru"
 	"ruru/internal/tsdb"
 )
@@ -151,14 +151,22 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 //	&resolution=auto|raw|<duration>
 //
 // Parameter semantics and defaults are specified in docs/API.md; the
-// parsing tests in web_test.go assert the two stay in sync. The answer is
-// streamed: tsdb.WriteResultsJSON appends it into a pooled buffer and hands
-// the client each queryChunk bytes, the same bytes json.Encoder would write.
+// parsing tests in web_test.go assert the two stay in sync. A raw query
+// that starts behind the store's raw retention horizon is a 400. The
+// answer is streamed: tsdb.WriteResultsJSON appends it into a pooled
+// buffer and hands the client each queryChunk bytes, the same bytes
+// json.Encoder would write.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	query, msg := parseQuery(r.URL.Query())
 	if msg != "" {
 		httpError(w, http.StatusBadRequest, msg)
 		return
+	}
+	if query.Resolution == tsdb.ResolutionRaw {
+		if err := s.p.DB.CheckRawStart(query.Start); err != nil {
+			httpError(w, http.StatusBadRequest, err.Error())
+			return
+		}
 	}
 	res, err := s.p.DB.Execute(query)
 	if err != nil {
@@ -353,19 +361,18 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleAnomalies(w http.ResponseWriter, r *http.Request) {
-	events := s.p.SpikeEvents()
+	events := s.p.Spikes.Events()
 	events = append(events, s.p.Surge.Events()...)
-	events = append(events, s.p.FloodEvents()...)
-	if events == nil {
-		events = []anomaly.Event{}
-	}
-	writeJSON(w, events)
+	writeJSON(w, append(events, s.p.Flood.Events()...))
 }
 
 // handleWrite accepts Influx line protocol (one point per line), the ingest
 // API external collectors POST to — Ruru's TSDB is wire-compatible with the
-// paper's InfluxDB deployment at this boundary. Returns 204 on full success
-// (Influx convention) or 400 with a per-line error summary.
+// paper's InfluxDB deployment at this boundary. A line stamped further
+// ahead of the newest stored point than the store's tightest retention is
+// rejected (tsdb.DB.CheckWriteTime), so an outside clock cannot expire the
+// live stream's history. Returns 204 on full success (Influx convention)
+// or 400 with a per-line error summary.
 func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request) {
 	// Read one byte past the limit so an oversized body is detected rather
 	// than silently truncated mid-line (which used to store a partial batch
@@ -388,7 +395,15 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		if err := s.p.DB.WriteLine(line); err != nil {
+		var pt tsdb.Point
+		err := tsdb.ParseLine(line, &pt)
+		if err == nil {
+			err = s.p.DB.CheckWriteTime(pt.Time)
+		}
+		if err == nil {
+			err = s.p.DB.Write(&pt)
+		}
+		if err != nil {
 			failed++
 			if firstErr == "" {
 				firstErr = fmt.Sprintf("%v in line %q", err, line)

@@ -70,11 +70,17 @@ func publishEnriched(t testing.TB, p *ruru.Pipeline, es ...analytics.Enriched) {
 // from time 0, with total latency cycling through 140..159 ms.
 func feedSamples(t testing.TB, p *ruru.Pipeline, n int) {
 	t.Helper()
+	feedSamplesFrom(t, p, 0, n)
+}
+
+// feedSamplesFrom is feedSamples with the first sample at from seconds.
+func feedSamplesFrom(t testing.TB, p *ruru.Pipeline, from, n int) {
+	t.Helper()
 	es := make([]analytics.Enriched, n)
 	for i := range es {
 		total := int64(140e6 + i%20*1e6)
 		es[i] = analytics.Enriched{
-			Time: int64(i) * 1e9, TotalNs: total, InternalNs: 15e6, ExternalNs: total - 15e6,
+			Time: int64(from+i) * 1e9, TotalNs: total, InternalNs: 15e6, ExternalNs: total - 15e6,
 			Src: analytics.Endpoint{City: "Auckland", CountryCode: "NZ", Lat: -36.85, Lon: 174.76, ASN: 64000},
 			Dst: analytics.Endpoint{City: "Los Angeles", CountryCode: "US", Lat: 34.05, Lon: -118.24, ASN: 64004},
 		}
@@ -342,6 +348,72 @@ func TestQueryResolutionParam(t *testing.T) {
 	// A width that names no tier is a 400 (ErrBadResolution).
 	if resp := getJSON(t, base+"&resolution=5s", nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown tier width: status %d", resp.StatusCode)
+	}
+}
+
+// TestQueryRawBehindHorizon: on a pipeline with a raw retention horizon,
+// a resolution=raw query that starts behind it is a 400 whose error names
+// the horizon; one that starts inside it is answered.
+func TestQueryRawBehindHorizon(t *testing.T) {
+	w, err := geo.NewWorld(geo.WorldOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := ruru.New(ruru.Config{GeoDB: w.DB(), Retention: 30e9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer(p))
+	t.Cleanup(func() { srv.Close(); p.Close() })
+	feedSamples(t, p, 100) // newest point at 99 s: the horizon is at 69 s
+
+	var body map[string]string
+	resp := getJSON(t, srv.URL+"/api/query?start=0&end=100e9&agg=count&resolution=raw", &body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body["error"], "30s") {
+		t.Fatalf("raw query behind the horizon: status %d, body %v", resp.StatusCode, body)
+	}
+	var res []tsdb.SeriesResult
+	resp = getJSON(t, srv.URL+"/api/query?start=70e9&end=100e9&agg=count&resolution=raw", &res)
+	if resp.StatusCode != http.StatusOK || len(res) != 1 || res[0].Buckets[0].Count != 30 {
+		t.Fatalf("raw query inside the horizon: status %d, %+v", resp.StatusCode, res)
+	}
+}
+
+// TestWriteAheadOfHorizon: a /write point stamped further ahead of the
+// live stream than the retention horizon is a 400, so it cannot move the
+// store's clock: raw history stays, and later sink writes are still
+// stored rather than dropped as too old.
+func TestWriteAheadOfHorizon(t *testing.T) {
+	w, err := geo.NewWorld(geo.WorldOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := ruru.New(ruru.Config{GeoDB: w.DB(), Retention: 100e9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer(p))
+	t.Cleanup(func() { srv.Close(); p.Close() })
+	feedSamples(t, p, 100) // newest point at 99 s
+
+	resp, err := http.Post(srv.URL+"/write", "text/plain",
+		strings.NewReader("latency,src_city=Sydney,dst_city=Tokyo total_ms=1 10800000000000\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "1m40s") {
+		t.Fatalf("point 3 h ahead: status %d, body %q", resp.StatusCode, msg)
+	}
+	feedSamplesFrom(t, p, 100, 10)
+	if st := p.Stats(); st.DBPoints != 110 || st.DBDropped != 0 {
+		t.Fatalf("after the refused point: DBPoints %d, DBDropped %d, want 110 and 0", st.DBPoints, st.DBDropped)
+	}
+	var res []tsdb.SeriesResult
+	getJSON(t, srv.URL+"/api/query?start=10e9&end=110e9&agg=count&resolution=raw", &res)
+	if len(res) != 1 || res[0].Buckets[0].Count != 100 {
+		t.Fatalf("raw history after the refused point: %+v", res)
 	}
 }
 
