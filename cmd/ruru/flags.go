@@ -27,7 +27,6 @@ type options struct {
 	duration  time.Duration
 	queues    int
 	seed      int64
-	snapshot  string
 	burst     int
 	sinkWk    int
 	sinkBatch int
@@ -76,7 +75,6 @@ func parseFlags(name string, args []string, hostname func() (string, error)) (*o
 		timestamps = fs.Bool("timestamps", false, "continuous RTT from TCP timestamp echoes (rtt_stream measurement)")
 		trackSeq   = fs.Bool("track-seq", false, "continuous RTT from data→ACK sequence matching plus retrans/RTO/dupack loss classification (rtt_stream mode=seq, tcp_loss measurement)")
 		oneDir     = fs.Bool("one-direction", false, "asymmetric-tap mode: self-paired round-trip response latencies from a single visible direction (rtt_stream mode=onedir; implies -track-seq)")
-		snapshot   = fs.String("snapshot", "", "dump the TSDB as line protocol to this file on shutdown")
 		burst      = fs.Int("burst", 64, "ingest/poll burst size (frames per ring round-trip)")
 		overflow   = fs.String("overflow", "drop", "RX queue overflow policy: drop (NIC-faithful) or block (lossless source)")
 		sinkWk     = fs.Int("sink-workers", 4, "sharded sink workers (measurements partitioned by city pair)")
@@ -102,9 +100,8 @@ func parseFlags(name string, args []string, hostname func() (string, error)) (*o
 
 	o := &options{
 		listen: *listen, pcapPath: *pcapPath, rate: *rate, duration: *duration,
-		queues: *queues, seed: *seed,
+		queues: *queues, seed: *seed, burst: *burst,
 		timestamps: *timestamps, trackSeq: *trackSeq, oneDir: *oneDir,
-		snapshot: *snapshot, burst: *burst,
 		sinkWk: *sinkWk, sinkBatch: *sinkBatch, dbStripes: *dbStripes,
 		dataDir: *dataDir,
 	}

@@ -121,31 +121,6 @@ func main() {
 		log.Printf("ruru: durable storage in %s (fsync=%s): restored %d points from checkpoint, replayed %d from WAL%s",
 			opt.dataDir, ps.Fsync, ps.RestoredPoints, ps.WALReplayedPoints, torn)
 	}
-	if opt.snapshot != "" {
-		defer func() {
-			f, err := os.Create(opt.snapshot)
-			if err != nil {
-				log.Printf("snapshot: %v", err)
-				return
-			}
-			n, err := p.DB.Snapshot(f)
-			// Report EVERY failure mode: a snapshot whose fsync or close
-			// failed may be incomplete on disk, and silently trusting it
-			// defeats the point of dumping state at shutdown.
-			if err == nil {
-				err = f.Sync()
-			}
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				log.Printf("snapshot: %s may be incomplete: %v", opt.snapshot, err)
-				return
-			}
-			log.Printf("ruru: snapshot of %d points written to %s", n, opt.snapshot)
-		}()
-	}
-
 	if p.Agg != nil {
 		log.Printf("ruru: federation aggregator on %s (probes tagged %q)", p.Agg.Addr(), "probe")
 	}
@@ -234,7 +209,7 @@ func main() {
 
 	<-ctx.Done()
 	// Run drains the pipeline, under its own deadline, before it returns.
-	// The final stats, the snapshot and Close (deferred above) wait for it:
+	// The final stats and Close (deferred above) wait for it:
 	// a probe's collector spools its final partial batch on shutdown, and
 	// Close sealing the spool first would discard it (counted in
 	// Remote.CloseDropped, but avoidable here).

@@ -46,10 +46,6 @@ type Config struct {
 	Workers int
 	// HWM is the raw subscription high-water mark (default mq.DefaultHWM).
 	HWM int
-	// Filter, when non-nil, drops enriched measurements for which it
-	// returns false before publication — the paper's pluggable filter
-	// module ("one could add a filter module ... based on some criteria").
-	Filter func(*Enriched) bool
 }
 
 // Enricher is the analytics stage.
@@ -125,9 +121,6 @@ func (e *Enricher) worker(ctx context.Context) {
 			continue
 		}
 		e.enrich(&m, &enriched)
-		if e.cfg.Filter != nil && !e.cfg.Filter(&enriched) {
-			continue
-		}
 		scratch = MarshalEnriched(scratch, &enriched)
 		// Publish with a copied payload: the bus does not copy and
 		// scratch is reused on the next iteration.

@@ -45,8 +45,12 @@ type flowTable[E any] struct {
 
 	// full counts inserts refused at the occupancy bound and expired the
 	// idle evictions; the trackers report them as TableFull and Expired.
-	full    uint64
-	expired uint64
+	// admitted counts flows given a slot and closed the flows their owner
+	// removed, so admitted == expired + closed + live once quiesced.
+	full     uint64
+	expired  uint64
+	admitted uint64
+	closed   uint64
 	// onEvict, when non-nil, is called for every idle eviction after the
 	// slot has been freed, with the slot's last activity time and state.
 	onEvict func(lastTS int64, val E)
@@ -149,15 +153,25 @@ func (t *flowTable[E]) insert(idx, hash uint32, key FlowKey, ts int64) *flowSlot
 	s := &t.slots[idx]
 	s.slotHeader = slotHeader{hash: hash, live: true, promoted: promoted, lastTS: ts, key: key}
 	t.live++
+	t.admitted++
 	return s
 }
 
-// remove frees slot i, returns its charge to the admitter, and closes the
+// remove frees slot i for a flow its owner has finished with (completed,
+// aborted, reset), counted in closed.
+//
+//ruru:noalloc
+func (t *flowTable[E]) remove(i uint32) {
+	t.closed++
+	t.free(i)
+}
+
+// free releases slot i, returns its charge to the admitter, and closes the
 // hole by backward-shift deletion, preserving probe chains without
 // tombstones.
 //
 //ruru:noalloc
-func (t *flowTable[E]) remove(i uint32) {
+func (t *flowTable[E]) free(i uint32) {
 	if t.admit != nil {
 		t.admit.Release(slotBytes[E](), t.slots[i].promoted)
 	}
@@ -213,7 +227,7 @@ func (t *flowTable[E]) evictIdleAt(idx uint32, now int64) {
 		}
 		t.expired++
 		lastTS, val := s.lastTS, s.val
-		t.remove(idx)
+		t.free(idx)
 		if t.onEvict != nil {
 			t.onEvict(lastTS, val)
 		}

@@ -11,6 +11,17 @@ import (
 	"ruru/internal/pkt"
 )
 
+// checkFlowIdentity asserts the flow-table identity (ROADMAP item 14): every
+// flow given a slot has expired, been closed by its owner, or is still
+// live.
+func checkFlowIdentity[E any](t *testing.T, what string, tbl *flowTable[E]) {
+	t.Helper()
+	if tbl.admitted != tbl.expired+tbl.closed+uint64(tbl.live) {
+		t.Fatalf("%s: admitted %d != expired %d + closed %d + occupancy %d",
+			what, tbl.admitted, tbl.expired, tbl.closed, tbl.live)
+	}
+}
+
 // TestFlowTableAgainstMapModel drives the one table implementation with a
 // random insert / lookup / touch / remove / sweep stream at 256 slots, most
 // keys crowded onto a handful of home slots (long probe chains that wrap
@@ -97,9 +108,10 @@ func TestFlowTableAgainstMapModel(t *testing.T) {
 		if tbl.expired != evictions {
 			t.Fatalf("%s: expired %d, evict hook ran %d times", op, tbl.expired, evictions)
 		}
+		checkFlowIdentity(t, op, &tbl)
 	}
 
-	var nextVal, refusedFull uint64
+	var nextVal, refusedFull, removed uint64
 	for step := 0; step < 20000; step++ {
 		now += int64(rng.Intn(8))
 		i := rng.Intn(len(keys))
@@ -137,6 +149,7 @@ func TestFlowTableAgainstMapModel(t *testing.T) {
 			if found {
 				want := model[k].promoted
 				tbl.remove(idx)
+				removed++
 				delete(model, k)
 				if got := adm.released[len(adm.released)-1].promoted; got != want {
 					t.Fatalf("step %d: Release promoted=%v, record was admitted promoted=%v", step, got, want)
@@ -168,6 +181,9 @@ func TestFlowTableAgainstMapModel(t *testing.T) {
 	check("final sweep")
 	if tbl.Len() != 0 {
 		t.Fatalf("%d entries survive a sweep past every timeout", tbl.Len())
+	}
+	if tbl.closed != removed {
+		t.Fatalf("closed %d, the stream removed %d", tbl.closed, removed)
 	}
 }
 

@@ -76,7 +76,8 @@ func seqFuzzOp(tb testing.TB, b []byte) (*pkt.Summary, uint32) {
 
 // seqFuzzSeeds scripts the exchanges the unit tests pin, as encoded op
 // streams: a clean data→ACK pair, a fast retransmit, duplicate ACKs, a
-// wraparound edge, a SYN|RST probe and a truncated tail.
+// wraparound edge, a SYN|RST probe, a truncated tail and a RST closing a
+// tracked flow.
 func seqFuzzSeeds() [][]byte {
 	op := func(ctl, pay byte, seq, ack uint32, tsv, tse byte) []byte {
 		b := make([]byte, fuzzOpLen)
@@ -108,6 +109,8 @@ func seqFuzzSeeds() [][]byte {
 		cat(op(0x40, 100, 1000, 1, 10, 20), op(0x44, 0, 1, 1100, 30, 10)),
 		// truncated tail: one full op plus half an op.
 		cat(op(2, 50, 500, 1, 0, 0), op(2, 0, 1, 550, 0, 0)[:5]),
+		// data A→B, then B→A resets the flow the data opened.
+		cat(op(0, 100, 1000, 1, 0, 0), op(4|5<<3, 0, 1, 1100, 0, 0)),
 	}
 }
 
@@ -182,6 +185,7 @@ func FuzzSeqTracker(f *testing.F) {
 			if tr.Len() != 0 {
 				t.Fatalf("cfg %d: %d entries survived a full sweep", ci, tr.Len())
 			}
+			checkFlowIdentity(t, "cfg "+strconv.Itoa(ci), &tr.flowTable)
 		}
 	})
 }

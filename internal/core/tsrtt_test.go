@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"net/netip"
 	"testing"
 
@@ -178,6 +180,32 @@ func TestTSTrackerIdleEviction(t *testing.T) {
 	}
 	if tr.Stats().Expired != 50 {
 		t.Fatalf("stats = %+v", tr.Stats())
+	}
+}
+
+// TestTSTrackerFlowIdentity: through a stream that fills the table, resets
+// flows and lets others idle out, every flow the TS tracker gave a slot has
+// expired, been closed by a RST, or is still live (ROADMAP item 14), at
+// every step and after the final sweep.
+func TestTSTrackerFlowIdentity(t *testing.T) {
+	tr := NewTSTracker(TSConfig{Capacity: 64, Timeout: 1000})
+	rng := rand.New(rand.NewSource(14))
+	var sample TSSample
+	ts := int64(1)
+	for i := 0; i < 5000; i++ {
+		ts += int64(rng.Intn(20))
+		flags := uint8(pkt.TCPAck)
+		if rng.Intn(10) == 0 {
+			flags |= pkt.TCPRst
+		}
+		s, h := mkTSSummary("10.0.0.1", "192.0.2.1", uint16(5000+rng.Intn(200)), 443, flags, uint32(i+1), 0)
+		tr.Process(s, ts, h, &sample)
+		checkFlowIdentity(t, fmt.Sprint("packet ", i), &tr.flowTable)
+	}
+	tr.SweepAll(ts + 2000)
+	checkFlowIdentity(t, "final sweep", &tr.flowTable)
+	if st := tr.Stats(); tr.closed == 0 || st.Expired == 0 || st.TableFull == 0 || st.Occupancy != 0 {
+		t.Fatalf("closed %d, stats %+v: want resets, expiries and refusals, and an empty table", tr.closed, st)
 	}
 }
 

@@ -22,14 +22,15 @@ const probeTag = "probe"
 type AggConfig struct {
 	// Listen is the TCP address probes dial (host:port, port 0 picks one).
 	Listen string
-	// MaxProbes caps DISTINCT probe identities (default 1024). The
-	// protocol is unauthenticated — deploy the listener on a trusted
-	// network — so without a cap any peer could grow the registry, the
-	// stats payload and the DB's probe-tag cardinality without bound;
-	// hellos introducing an identity beyond the cap are rejected and
-	// counted in AggStats.Rejected.
-	MaxProbes int
 }
+
+// maxProbes caps DISTINCT probe identities. The protocol is
+// unauthenticated — deploy the listener on a trusted network — so without
+// a cap any peer could grow the registry, the stats payload and the DB's
+// probe-tag cardinality without bound; hellos introducing an identity
+// beyond the cap are rejected and counted in AggStats.Rejected. A variable
+// so tests can lower it.
+var maxProbes = 1024
 
 // Aggregator accepts remote-write streams from N probes and ingests every
 // batch — tagged probe=<id> — through the owning DB's normal
@@ -38,9 +39,8 @@ type AggConfig struct {
 // number and acknowledged only after the write returns: apply-exactly-once,
 // ack-after-apply (see the package doc for the full contract).
 type Aggregator struct {
-	cfg AggConfig
-	db  *tsdb.DB
-	ln  net.Listener
+	db *tsdb.DB
+	ln net.Listener
 
 	mu     sync.Mutex
 	probes map[string]*aggProbe
@@ -115,7 +115,7 @@ type AggStats struct {
 	// CRC-valid records — or individual points with no fields or a repeated
 	// field key — that could not become writable points (counted, skipped
 	// and acked: resending cannot fix them); WriteErrors batches refused by
-	// a closing DB; Rejected hellos refused at the MaxProbes
+	// a closing DB; Rejected hellos refused at the maxProbes
 	// distinct-identity cap.
 	Batches, Points, DupBatches, BadFrames, DecodeErrors, WriteErrors, Rejected uint64
 	Probes                                                                      []ProbeAggStats
@@ -127,14 +127,11 @@ func NewAggregator(cfg AggConfig, db *tsdb.DB) (*Aggregator, error) {
 	if cfg.Listen == "" {
 		return nil, errors.New("fed: AggConfig.Listen is required")
 	}
-	if cfg.MaxProbes <= 0 {
-		cfg.MaxProbes = 1024
-	}
 	ln, err := net.Listen("tcp", cfg.Listen)
 	if err != nil {
 		return nil, err
 	}
-	a := &Aggregator{cfg: cfg, db: db, ln: ln,
+	a := &Aggregator{db: db, ln: ln,
 		probes: make(map[string]*aggProbe), conns: make(map[net.Conn]struct{})}
 	a.wg.Add(1)
 	go a.acceptLoop()
@@ -165,13 +162,13 @@ func (a *Aggregator) acceptLoop() {
 }
 
 // probeFor returns (and on first sight registers) the probe's state, or
-// nil when registering would exceed the MaxProbes identity cap.
+// nil when registering would exceed the maxProbes identity cap.
 func (a *Aggregator) probeFor(id string) *aggProbe {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	ps := a.probes[id]
 	if ps == nil {
-		if len(a.probes) >= a.cfg.MaxProbes {
+		if len(a.probes) >= maxProbes {
 			return nil
 		}
 		ps = &aggProbe{id: id, refs: make(map[string]tsdb.SeriesRef)}

@@ -190,6 +190,13 @@ func countPoints(t *testing.T, db *tsdb.DB, probe string) int {
 	return n
 }
 
+// setForTest sets a package-level knob to val until the test ends.
+func setForTest[T any](t *testing.T, v *T, val T) {
+	old := *v
+	*v = val
+	t.Cleanup(func() { *v = old })
+}
+
 func waitFor(t *testing.T, d time.Duration, what string, ok func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(d)
@@ -203,6 +210,8 @@ func waitFor(t *testing.T, d time.Duration, what string, ok func() bool) {
 }
 
 func TestFederationEndToEnd(t *testing.T) {
+	setForTest(t, &batchSize, 32)
+	setForTest(t, &flushEvery, 10*time.Millisecond)
 	db := tsdb.Open(tsdb.Options{})
 	defer db.Close()
 	agg, err := NewAggregator(AggConfig{Listen: "127.0.0.1:0"}, db)
@@ -221,7 +230,7 @@ func TestFederationEndToEnd(t *testing.T) {
 		defer bus.Close()
 		pr, err := NewProbe(ProbeConfig{
 			Addr: agg.Addr().String(), ID: fmt.Sprintf("probe-%d", pi),
-			SpoolDir: t.TempDir(), BatchSize: 32, FlushEvery: 10 * time.Millisecond,
+			SpoolDir: t.TempDir(),
 		}, bus)
 		if err != nil {
 			t.Fatal(err)
@@ -306,6 +315,8 @@ func (p *Probe) feedForTest(e *analytics.Enriched) {
 }
 
 func TestProbeCrashRecoveryResendsOnlyUnacked(t *testing.T) {
+	setForTest(t, &batchSize, 16)
+	setForTest(t, &flushEvery, 5*time.Millisecond)
 	db := tsdb.Open(tsdb.Options{})
 	defer db.Close()
 	agg, err := NewAggregator(AggConfig{Listen: "127.0.0.1:0"}, db)
@@ -319,7 +330,6 @@ func TestProbeCrashRecoveryResendsOnlyUnacked(t *testing.T) {
 	defer bus.Close()
 	pr, err := NewProbe(ProbeConfig{
 		Addr: agg.Addr().String(), ID: "p0", SpoolDir: spoolDir,
-		BatchSize: 16, FlushEvery: 5 * time.Millisecond,
 	}, bus)
 	if err != nil {
 		t.Fatal(err)
@@ -347,7 +357,6 @@ func TestProbeCrashRecoveryResendsOnlyUnacked(t *testing.T) {
 	defer bus2.Close()
 	pr2, err := NewProbe(ProbeConfig{
 		Addr: agg.Addr().String(), ID: "p0", SpoolDir: spoolDir,
-		BatchSize: 16, FlushEvery: 5 * time.Millisecond,
 	}, bus2)
 	if err != nil {
 		t.Fatal(err)
@@ -391,11 +400,12 @@ func TestProbeBackpressureBound(t *testing.T) {
 	ln.Close()
 
 	const batch = 4
+	setForTest(t, &batchSize, batch)
+	setForTest(t, &flushEvery, 10*time.Millisecond)
 	bus := mq.NewBus()
 	defer bus.Close()
 	pr, err := NewProbe(ProbeConfig{
 		Addr: addr, ID: "bp", SpoolDir: t.TempDir(),
-		BatchSize: batch, FlushEvery: 10 * time.Millisecond,
 	}, bus)
 	if err != nil {
 		t.Fatal(err)
@@ -654,6 +664,8 @@ func TestUnwritablePointsSkippedNotLivelocked(t *testing.T) {
 // start numbering ABOVE the aggregator's remembered watermark, or its new
 // measurements would be silently discarded as presumed resends.
 func TestReusedIdentityWipedSpoolAdoptsWatermark(t *testing.T) {
+	setForTest(t, &batchSize, 8)
+	setForTest(t, &flushEvery, 2*time.Millisecond)
 	db := tsdb.Open(tsdb.Options{})
 	defer db.Close()
 	agg, err := NewAggregator(AggConfig{Listen: "127.0.0.1:0"}, db)
@@ -666,7 +678,6 @@ func TestReusedIdentityWipedSpoolAdoptsWatermark(t *testing.T) {
 	bus := mq.NewBus()
 	pr, err := NewProbe(ProbeConfig{
 		Addr: agg.Addr().String(), ID: "reused", SpoolDir: t.TempDir(),
-		BatchSize: 8, FlushEvery: 2 * time.Millisecond,
 	}, bus)
 	if err != nil {
 		t.Fatal(err)
@@ -692,7 +703,6 @@ func TestReusedIdentityWipedSpoolAdoptsWatermark(t *testing.T) {
 	defer bus2.Close()
 	pr2, err := NewProbe(ProbeConfig{
 		Addr: agg.Addr().String(), ID: "reused", SpoolDir: t.TempDir(),
-		BatchSize: 8, FlushEvery: 2 * time.Millisecond,
 	}, bus2)
 	if err != nil {
 		t.Fatal(err)
@@ -798,13 +808,14 @@ func TestSpoolOldFormatSegmentDropped(t *testing.T) {
 	}
 }
 
-// TestProbeIdentityCap pins the MaxProbes bound: the protocol is
+// TestProbeIdentityCap pins the maxProbes bound: the protocol is
 // unauthenticated, so distinct-identity registration must be capped or
 // any peer could grow the registry and series cardinality without bound.
 func TestProbeIdentityCap(t *testing.T) {
 	db := tsdb.Open(tsdb.Options{})
 	defer db.Close()
-	agg, err := NewAggregator(AggConfig{Listen: "127.0.0.1:0", MaxProbes: 2}, db)
+	setForTest(t, &maxProbes, 2)
+	agg, err := NewAggregator(AggConfig{Listen: "127.0.0.1:0"}, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -828,7 +839,7 @@ func TestProbeIdentityCap(t *testing.T) {
 		t.Fatal("probes under the cap rejected")
 	}
 	if hello("c") {
-		t.Fatal("third distinct identity accepted beyond MaxProbes=2")
+		t.Fatal("third distinct identity accepted beyond maxProbes=2")
 	}
 	if !hello("a") {
 		t.Fatal("known identity rejected at the cap")

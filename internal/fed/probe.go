@@ -14,10 +14,10 @@ import (
 	"ruru/internal/tsdb"
 )
 
-// ProbeConfig configures the remote-write client. Addr, ID and SpoolDir
-// are required; zero values elsewhere get production-shaped defaults. The
-// bounds no deployment tunes are constants: maxUnacked, maxSpoolBytes, the
-// mq.DefaultHWM subscription and the dialBackoffMax reconnect ladder.
+// ProbeConfig configures the remote-write client; every field is required.
+// The sizes no deployment tunes are package-level: batchSize, flushEvery,
+// spoolSegmentBytes, maxUnacked, maxSpoolBytes, the mq.DefaultHWM
+// subscription and the dialBackoffMax reconnect ladder.
 type ProbeConfig struct {
 	// Addr is the aggregator's TCP address (host:port).
 	Addr string
@@ -30,14 +30,15 @@ type ProbeConfig struct {
 	ID string
 	// SpoolDir holds the unacked-batch spool (created if absent).
 	SpoolDir string
-	// BatchSize is the number of measurements per remote-write batch
-	// (default 256); FlushEvery bounds how long a partial batch waits
-	// (default 200ms).
-	BatchSize  int
-	FlushEvery time.Duration
-	// MaxSegmentBytes caps one spool segment file (default 4 MiB).
-	MaxSegmentBytes int64
 }
+
+// batchSize is the number of measurements per remote-write batch and
+// flushEvery bounds how long a partial batch waits. Variables so tests can
+// shrink them.
+var (
+	batchSize  = 256
+	flushEvery = 200 * time.Millisecond
+)
 
 // The probe's backpressure bounds and reconnect ladder.
 const (
@@ -118,13 +119,7 @@ func NewProbe(cfg ProbeConfig, bus *mq.Bus) (*Probe, error) {
 	if cfg.Addr == "" || cfg.ID == "" || cfg.SpoolDir == "" {
 		return nil, errors.New("fed: ProbeConfig requires Addr, ID and SpoolDir")
 	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 256
-	}
-	if cfg.FlushEvery <= 0 {
-		cfg.FlushEvery = 200 * time.Millisecond
-	}
-	sp, pending, err := openSpool(cfg.SpoolDir, cfg.MaxSegmentBytes)
+	sp, pending, err := openSpool(cfg.SpoolDir, spoolSegmentBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -175,8 +170,9 @@ func (p *Probe) Run(ctx context.Context) error {
 func (p *Probe) collect(ctx context.Context) {
 	var enc tsdb.RecordEncoder
 	var e analytics.Enriched
-	pts := make([]tsdb.Point, 0, p.cfg.BatchSize)
-	t := time.NewTicker(p.cfg.FlushEvery)
+	size := batchSize // read once: a test restores it while a cancelled probe may still drain
+	pts := make([]tsdb.Point, 0, size)
+	t := time.NewTicker(flushEvery)
 	defer t.Stop()
 	for {
 		var msg mq.Message
@@ -204,7 +200,7 @@ func (p *Probe) collect(ctx context.Context) {
 			continue
 		}
 		pts = append(pts, analytics.LatencyPoint(&e))
-		if len(pts) >= p.cfg.BatchSize {
+		if len(pts) >= size {
 			p.flush(ctx, &enc, pts)
 			pts = pts[:0]
 		}

@@ -46,8 +46,6 @@ func (s *soakProbe) start(t *testing.T, addr string) {
 	s.bus = mq.NewBus()
 	pr, err := NewProbe(ProbeConfig{
 		Addr: addr, ID: s.id, SpoolDir: s.dir,
-		BatchSize: 32, FlushEvery: 2 * time.Millisecond,
-		MaxSegmentBytes: 64 << 10,
 	}, s.bus)
 	if err != nil {
 		t.Fatal(err)
@@ -77,6 +75,9 @@ func TestSoakFederationLedger(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
 	}
+	setForTest(t, &batchSize, 32)
+	setForTest(t, &flushEvery, 2*time.Millisecond)
+	setForTest(t, &spoolSegmentBytes, 64<<10)
 	rng := rand.New(rand.NewSource(7))
 	for _, c := range []struct {
 		name   string

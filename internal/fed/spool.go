@@ -46,8 +46,11 @@ const (
 	// has advanced this many batches past the persisted value (and always
 	// on segment pruning and Close).
 	ackPersistEvery = 32
-	defaultSpoolSeg = 4 << 20
 )
+
+// spoolSegmentBytes caps one spool segment file the probe opens; a
+// variable so tests can force rotation.
+var spoolSegmentBytes int64 = 4 << 20
 
 // spoolFormat names the spool's files. The disk bound is the wire bound
 // plus the sequence number in front of the record.
@@ -82,9 +85,6 @@ type spool struct {
 // every record not yet covered by the persisted ack watermark, in sequence
 // order.
 func openSpool(dir string, maxSeg int64) (*spool, []spoolRec, error) {
-	if maxSeg <= 0 {
-		maxSeg = defaultSpoolSeg
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}

@@ -3,6 +3,7 @@ package gen
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"ruru/internal/core"
@@ -312,6 +313,42 @@ func TestSYNFloodFlowsNeverComplete(t *testing.T) {
 	}
 	if s := replay(256); s.TableFull == 0 {
 		t.Fatal("256 slots per queue refused no SYN: the flood did not fill the tables")
+	}
+}
+
+// TestReplayIsDeterministic: one generator config through Replay twice
+// gives the same OnMeasure and OnExpire call sequences. Each queue's flow
+// hash seed is fixed, so the tables' slot order, and with it the order
+// in which sweeps expire flows, repeats from run to run.
+func TestReplayIsDeterministic(t *testing.T) {
+	cfg := Config{
+		Seed: 13, World: world(t), FlowRate: 200, Duration: 3e9,
+		Floods: []FloodSpec{{Start: 500e6, Duration: 1e9, Rate: 2000, SrcCity: 4, DstCity: 1}},
+	}
+	run := func() (measured, expired []string) {
+		g, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := Replay{
+			Table: core.TableConfig{Timeout: 1e9, OnExpire: func(lastTS int64, awaiting bool) {
+				expired = append(expired, fmt.Sprint(lastTS, awaiting))
+			}},
+			OnMeasure: func(m *core.Measurement) { measured = append(measured, fmt.Sprintf("%+v", *m)) },
+		}
+		rep.Run(g)
+		return measured, expired
+	}
+	m1, e1 := run()
+	m2, e2 := run()
+	if len(m1) == 0 || len(e1) < 1000 {
+		t.Fatalf("%d measurements, %d expiries: the config exercises too little", len(m1), len(e1))
+	}
+	if !slices.Equal(m1, m2) {
+		t.Fatalf("OnMeasure sequences differ (%d and %d calls)", len(m1), len(m2))
+	}
+	if !slices.Equal(e1, e2) {
+		t.Fatalf("OnExpire sequences differ (%d and %d calls)", len(e1), len(e2))
 	}
 }
 

@@ -1,8 +1,6 @@
 package gen
 
 import (
-	"math/rand/v2"
-
 	"ruru/internal/core"
 	"ruru/internal/pkt"
 	"ruru/internal/rss"
@@ -14,7 +12,8 @@ import (
 // queue → per-queue table) without wall-clock scheduling noise, which is
 // what the correctness and detection tests need. It hashes as the engine
 // does: the RSS hash picks the queue, and each queue's table is indexed by
-// core.FlowHash under a random per-queue seed.
+// core.FlowHash under a per-queue seed. The seeds are fixed, so the tables'
+// slot order, and with it the order of OnExpire calls, repeats run to run.
 type Replay struct {
 	// Queues is the number of simulated RSS queues (default 4).
 	Queues int
@@ -49,7 +48,7 @@ func (r *Replay) Run(g *Generator) ReplayStats {
 		tc := r.Table
 		tc.Queue = q
 		tables[q] = core.NewHandshakeTable(tc)
-		seeds[q] = rand.Uint64()
+		seeds[q] = uint64(q+1) * 0x9e3779b97f4a7c15
 	}
 
 	var (

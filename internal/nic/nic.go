@@ -122,8 +122,6 @@ type Mempool struct {
 
 	bufSize int
 	size    int
-
-	allocFail atomic.Uint64
 }
 
 // NewMempool creates a pool of n buffers of bufSize bytes each.
@@ -214,16 +212,15 @@ func (p *Mempool) Close() error {
 // right now: Available() == Size() means nobody holds one — no frame is
 // queued, no worker is mid-burst, and no injection call is in progress (an
 // injection takes its burst's buffers up front and returns the unused ones
-// before it returns). AllocFailures counts the frames injection gave up on
-// for want of a buffer.
+// before it returns). A frame injection gave up on for want of a buffer is
+// counted once, in the port's PortStats.NoMbuf.
 func (p *Mempool) Size() int { return p.size }
 func (p *Mempool) Available() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.free)
 }
-func (p *Mempool) BufSize() int          { return p.bufSize }
-func (p *Mempool) AllocFailures() uint64 { return p.allocFail.Load() }
+func (p *Mempool) BufSize() int { return p.bufSize }
 
 // OverflowPolicy selects what injection does when the target queue is full.
 type OverflowPolicy uint8
@@ -453,7 +450,6 @@ func (p *Port) fill(frame []byte, ts int64, hash uint32, want int) *Buf {
 		}
 	}
 	if len(p.spare) == 0 {
-		p.pool.allocFail.Add(1)
 		p.nombuf.Add(1)
 		return nil
 	}

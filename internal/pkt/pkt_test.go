@@ -1,6 +1,7 @@
 package pkt
 
 import (
+	"bytes"
 	"encoding/binary"
 	"net/netip"
 	"testing"
@@ -84,15 +85,6 @@ func TestMACString(t *testing.T) {
 	m := MAC{0xde, 0xad, 0xbe, 0xef, 0x00, 0x01}
 	if got := m.String(); got != "de:ad:be:ef:00:01" {
 		t.Fatalf("String() = %q", got)
-	}
-	if !(MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}).IsBroadcast() {
-		t.Fatal("broadcast not detected")
-	}
-	if !(MAC{0x01, 0, 0, 0, 0, 0}).IsMulticast() {
-		t.Fatal("multicast not detected")
-	}
-	if m.IsMulticast() {
-		t.Fatal("unicast flagged multicast")
 	}
 }
 
@@ -288,8 +280,8 @@ func TestTCPRoundTrip(t *testing.T) {
 	if !d.IsSYNACK() || d.IsSYN() {
 		t.Fatal("flag classification wrong")
 	}
-	if d.MSS() != 1460 {
-		t.Fatalf("MSS = %d", d.MSS())
+	if !bytes.Equal(d.Options, tc.Options) {
+		t.Fatalf("options = %x, want %x", d.Options, tc.Options)
 	}
 }
 
@@ -330,24 +322,30 @@ func TestTCPTimestampOption(t *testing.T) {
 	if !ok || tsval != 1 || tsecr != 2 {
 		t.Fatalf("timestamp = %d,%d,%v", tsval, tsecr, ok)
 	}
-	if d.MSS() != 0 {
-		t.Fatal("MSS should be absent")
+	// The walk steps over a well-formed option before the timestamp.
+	d.Options = append([]byte{TCPOptMSS, 4, 0x05, 0xb4}, opts...)
+	if tsval, tsecr, ok := d.TimestampOption(); !ok || tsval != 1 || tsecr != 2 {
+		t.Fatalf("timestamp after MSS = %d,%d,%v", tsval, tsecr, ok)
 	}
 }
 
 func TestTCPMalformedOptions(t *testing.T) {
-	// Option with length 0 must not loop forever or panic.
-	d := TCP{Options: []byte{TCPOptMSS, 0, 0}}
-	if d.MSS() != 0 {
-		t.Fatal("zero-length option")
-	}
-	if _, _, ok := d.TimestampOption(); ok {
-		t.Fatal("zero-length option timestamp")
-	}
-	// Truncated option.
-	d.Options = []byte{TCPOptMSS}
-	if d.MSS() != 0 {
-		t.Fatal("truncated option")
+	for _, c := range []struct {
+		name string
+		opts []byte
+	}{
+		// An option with length 0 must not loop forever or panic.
+		{"zero-length option", []byte{TCPOptMSS, 0, 0}},
+		{"truncated option", []byte{TCPOptMSS}},
+		{"length past the end", []byte{TCPOptMSS, 6, 0x05, 0xb4}},
+		{"truncated timestamp", []byte{TCPOptTimestamp, 10, 0, 0, 0, 1}},
+		{"timestamp of the wrong length", []byte{TCPOptTimestamp, 6, 0, 0, 0, 1}},
+		{"timestamp after the end of options", []byte{TCPOptEnd, TCPOptTimestamp, 10, 0, 0, 0, 1, 0, 0, 0, 2}},
+	} {
+		d := TCP{Options: c.opts}
+		if _, _, ok := d.TimestampOption(); ok {
+			t.Errorf("%s: timestamp reported present", c.name)
+		}
 	}
 }
 

@@ -87,28 +87,6 @@ func (t *TCP) Decode(data []byte) (int, error) {
 	return hlen, nil
 }
 
-// MSS returns the Maximum Segment Size option value, or 0 if absent.
-func (t *TCP) MSS() uint16 {
-	opts := t.Options
-	for len(opts) > 0 {
-		switch opts[0] {
-		case TCPOptEnd:
-			return 0
-		case TCPOptNop:
-			opts = opts[1:]
-		default:
-			if len(opts) < 2 || int(opts[1]) < 2 || int(opts[1]) > len(opts) {
-				return 0
-			}
-			if opts[0] == TCPOptMSS && opts[1] == 4 {
-				return binary.BigEndian.Uint16(opts[2:4])
-			}
-			opts = opts[opts[1]:]
-		}
-	}
-	return 0
-}
-
 // TimestampOption returns the TSval/TSecr pair from the TCP timestamp option
 // and whether it was present.
 func (t *TCP) TimestampOption() (tsval, tsecr uint32, ok bool) {

@@ -70,12 +70,10 @@ type Config struct {
 	// frame per batch (default 64).
 	SinkBatch int
 
-	// TSDB options. ShardDuration is the width of one storage time shard
-	// and Retention the raw-point horizon, both in nanoseconds of the
-	// data's own clock (zero values keep tsdb defaults: 1h shards,
-	// keep-everything).
-	ShardDuration int64
-	Retention     int64
+	// Retention is the TSDB's raw-point horizon in nanoseconds of the
+	// data's own clock (zero keeps everything). Storage shards are the
+	// store's default 1h wide.
+	Retention int64
 	// DBStripes is the TSDB lock-stripe count: concurrent sink workers
 	// contend only within a stripe (default 8; 1 restores a single global
 	// write lock).
@@ -325,9 +323,8 @@ func New(cfg Config) (*Pipeline, error) {
 		persist = &pp
 	}
 	p.DB, err = tsdb.OpenDB(tsdb.Options{
-		ShardDuration: cfg.ShardDuration, Retention: cfg.Retention,
-		Stripes: cfg.DBStripes, Rollups: cfg.Rollups, Persist: persist,
-		QueryCache: cfg.QueryCacheBytes,
+		Retention: cfg.Retention, Stripes: cfg.DBStripes,
+		Rollups: cfg.Rollups, Persist: persist, QueryCache: cfg.QueryCacheBytes,
 	})
 	if err != nil {
 		return nil, err

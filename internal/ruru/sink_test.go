@@ -256,7 +256,7 @@ func TestSinkRetentionDropAccounted(t *testing.T) {
 	// A point behind the retention horizon is refused at write time and
 	// must surface in Stats().DBDropped (previously discarded silently).
 	w := newWorld(t)
-	p, err := New(Config{GeoDB: w.DB(), ShardDuration: 1e9, Retention: 10e9})
+	p, err := New(Config{GeoDB: w.DB(), Retention: 10e9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,8 @@ func TestTopPrefixesNeverUndercounts(t *testing.T) {
 	const queues, prefixes = 3, 40
 	p := &Pipeline{}
 	for q := 0; q < queues; q++ {
-		tier, err := sketch.NewFlowTier(sketch.TierConfig{BudgetBytes: 1 << 20, TopK: 8, Queue: q})
+		// The minimum budget sizes both summaries at 8 entries.
+		tier, err := sketch.NewFlowTier(sketch.TierConfig{BudgetBytes: sketch.MinBudgetBytes(), Queue: q})
 		if err != nil {
 			t.Fatal(err)
 		}

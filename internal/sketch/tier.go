@@ -73,16 +73,6 @@ type TierConfig struct {
 	// charged exact-table state never exceeds it. Must be at least
 	// MinBudgetBytes().
 	BudgetBytes int64
-	// TopK overrides the flow heavy-hitter capacity (0: auto).
-	TopK int
-	// ElephantMinBytes is the volume floor below which a flow is never an
-	// elephant regardless of relative rank (default 64KiB). It keeps the
-	// early, empty-sketch phase from promoting every flow.
-	ElephantMinBytes uint64
-	// PublishEvery throttles snapshot publication: a new heavy-hitter
-	// snapshot is copied out at the first burst boundary after this many
-	// observations (default 4096). Publish(true) overrides.
-	PublishEvery int
 	// Queue is the owning RSS queue (recorded for debugging).
 	Queue int
 }
@@ -118,8 +108,6 @@ type FlowTier struct {
 	miceMax  int64 // (1-reserve) * exactMax: ceiling for non-elephants
 	live     int64 // charged exact state
 
-	elephantMin uint64
-
 	// Last Observed packet's flow, for Admit (no re-hash).
 	lastElephant bool
 
@@ -127,9 +115,8 @@ type FlowTier struct {
 	demoted    uint64
 	sketchOnly uint64
 
-	publishEvery int
-	sincePub     int
-	snap         atomic.Pointer[Snapshot]
+	sincePub int
+	snap     atomic.Pointer[Snapshot]
 
 	queue int
 }
@@ -141,6 +128,16 @@ const (
 	maxPrefixTopK = 1024
 	cmsAutoDepth  = 4
 )
+
+// elephantMinBytes is the volume floor below which a flow is never an
+// elephant regardless of relative rank. It keeps the early, empty-sketch
+// phase from promoting every flow.
+const elephantMinBytes = 64 << 10
+
+// publishEvery throttles snapshot publication: a new heavy-hitter snapshot
+// is copied out at the first burst boundary after this many observations.
+// Publish(true) overrides. A variable so tests can shorten it.
+var publishEvery = 4096
 
 // elephantReserve is the fraction of the exact-state budget only elephants
 // may occupy: mice stop admitting at (1-elephantReserve) of it, so a
@@ -174,34 +171,19 @@ func NewFlowTier(cfg TierConfig) (*FlowTier, error) {
 	}
 	cms := NewCMS(width, cmsAutoDepth)
 
-	flowK := cfg.TopK
-	if flowK <= 0 {
-		flowK = clampInt(int((share/4)/topkEntryBytes[FlowID]()), minTopK, maxFlowTopK)
-	}
+	flowK := clampInt(int((share/4)/topkEntryBytes[FlowID]()), minTopK, maxFlowTopK)
 	prefixK := clampInt(flowK/4, minTopK, maxPrefixTopK)
 
 	seed := rand.Uint64()
 	t := &FlowTier{
-		seed:         seed,
-		cms:          cms,
-		flows:        NewTopK(flowK, func(id FlowID) uint64 { return hashFlow(seed, id) }),
-		prefixes:     NewTopK(prefixK, func(p netip.Prefix) uint64 { return hashPrefix(seed, p) }),
-		budget:       cfg.BudgetBytes,
-		elephantMin:  cfg.ElephantMinBytes,
-		publishEvery: cfg.PublishEvery,
-		queue:        cfg.Queue,
-	}
-	if t.elephantMin == 0 {
-		t.elephantMin = 64 << 10
-	}
-	if t.publishEvery <= 0 {
-		t.publishEvery = 4096
+		seed:     seed,
+		cms:      cms,
+		flows:    NewTopK(flowK, func(id FlowID) uint64 { return hashFlow(seed, id) }),
+		prefixes: NewTopK(prefixK, func(p netip.Prefix) uint64 { return hashPrefix(seed, p) }),
+		budget:   cfg.BudgetBytes,
+		queue:    cfg.Queue,
 	}
 	t.fixed = cms.Bytes() + t.flows.Bytes() + t.prefixes.Bytes()
-	if t.fixed > cfg.BudgetBytes {
-		// Only possible with an explicit TopK override.
-		return nil, fmt.Errorf("sketch: fixed overhead %d exceeds budget %d", t.fixed, cfg.BudgetBytes)
-	}
 	t.exactMax = cfg.BudgetBytes - t.fixed
 	t.miceMax = int64(float64(t.exactMax) * (1 - elephantReserve))
 	t.snap.Store(&Snapshot{})
@@ -300,7 +282,7 @@ func (t *FlowTier) Observe(s *pkt.Summary) uint64 {
 // and the relative heavy-hitter bar (Total/K, the space-saving guarantee
 // threshold).
 func (t *FlowTier) isElephant(est uint64) bool {
-	if est < t.elephantMin {
+	if est < elephantMinBytes {
 		return false
 	}
 	return est >= t.cms.Total()/uint64(t.flows.K())
@@ -347,11 +329,11 @@ func (t *FlowTier) Release(entryBytes int64, promoted bool) {
 
 // Publish copies the heavy-hitter summaries into a fresh Snapshot for
 // concurrent readers, in heap order: ranking is left to the reader's merge.
-// With force=false the copy is throttled to once per PublishEvery
+// With force=false the copy is throttled to once per publishEvery
 // observations (the engine calls it every burst); force=true publishes
 // unconditionally (worker shutdown, tests). Implements core.Admitter.
 func (t *FlowTier) Publish(force bool) {
-	if !force && t.sincePub < t.publishEvery {
+	if !force && t.sincePub < publishEvery {
 		return
 	}
 	snap := &Snapshot{

@@ -38,10 +38,6 @@ func TestTierBudgetValidation(t *testing.T) {
 	if tier.exactMax != 0 {
 		t.Fatalf("minimum budget should leave zero exact headroom, got %d", tier.exactMax)
 	}
-	// Oversized explicit shape must be refused, not silently overspend.
-	if _, err := NewFlowTier(TierConfig{BudgetBytes: MinBudgetBytes(), TopK: 1 << 16}); err == nil {
-		t.Fatal("fixed overhead above budget accepted")
-	}
 }
 
 func TestTierAutoSizingScalesWithBudget(t *testing.T) {
@@ -103,10 +99,7 @@ func TestTierAdmitReleaseLedger(t *testing.T) {
 }
 
 func TestTierElephantPromotionAndReserve(t *testing.T) {
-	tier := newTestTier(t, TierConfig{
-		BudgetBytes:      MinBudgetBytes() + 1000,
-		ElephantMinBytes: 10_000,
-	})
+	tier := newTestTier(t, TierConfig{BudgetBytes: MinBudgetBytes() + 1000})
 	const entry = 100
 
 	// Fill the mice region completely.
@@ -119,15 +112,19 @@ func TestTierElephantPromotionAndReserve(t *testing.T) {
 		t.Fatal("mouse admitted past miceMax")
 	}
 
-	// A fat flow observed repeatedly becomes an elephant and may use the
-	// reserve the mice could not touch.
+	// A fat flow observed repeatedly becomes an elephant once past the
+	// 64 KiB floor, and may use the reserve the mice could not touch.
 	fat := tierSummary(1, 2, 40000, 443, 1500)
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 43; i++ {
 		tier.Observe(fat)
 	}
+	if tier.lastElephant {
+		t.Fatal("43x1500B flow, below the elephant floor, judged elephant")
+	}
+	tier.Observe(fat)
 	if !tier.lastElephant {
-		t.Fatalf("20x1500B flow not an elephant (est floor %d, total %d)",
-			tier.elephantMin, tier.cms.Total())
+		t.Fatalf("44x1500B flow not an elephant (est floor %d, total %d)",
+			elephantMinBytes, tier.cms.Total())
 	}
 	ok, promoted := tier.Admit(entry)
 	if !ok || !promoted {
@@ -185,7 +182,9 @@ func TestTierObserveFeedsSketchAndSummaries(t *testing.T) {
 }
 
 func TestTierPublishThrottleAndForce(t *testing.T) {
-	tier := newTestTier(t, TierConfig{BudgetBytes: 1 << 20, PublishEvery: 8})
+	defer func(n int) { publishEvery = n }(publishEvery)
+	publishEvery = 8
+	tier := newTestTier(t, TierConfig{BudgetBytes: 1 << 20})
 	s := tierSummary(1, 2, 40000, 443, 100)
 	tier.Observe(s)
 	tier.Publish(false)

@@ -35,7 +35,7 @@ func fuzzSegmentSeeds(tb testing.TB) [][]byte {
 		tb.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	w, err := openWAL(dir, 1, 1<<20, FsyncOff, false)
+	w, err := openWAL(dir, 1, FsyncOff, false)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -68,17 +68,11 @@ type PersistOptions struct {
 	// FsyncAlways or FsyncOff. See the policy constants for the exact
 	// data-loss window each buys.
 	Fsync FsyncPolicy
-	// FsyncInterval is the background fsync period under FsyncInterval
-	// (default 100ms). It bounds the committed-data loss window of a
-	// power failure.
-	FsyncInterval time.Duration
 	// CheckpointEvery is the automatic checkpoint period (default 1m;
 	// negative disables automation — checkpoints then happen only via
 	// DB.Checkpoint, e.g. POST /api/checkpoint). Each checkpoint bounds
 	// restart replay work and truncates the WAL behind itself.
 	CheckpointEvery time.Duration
-	// MaxSegmentBytes caps one WAL segment file (default 64 MiB).
-	MaxSegmentBytes int64
 }
 
 // ErrNoPersist reports a durability operation on an in-memory DB.
@@ -91,6 +85,11 @@ const (
 	ckptDirName = "checkpoint"
 	lockName    = "LOCK"
 )
+
+// fsyncInterval is the background fsync period under FsyncInterval. It
+// bounds the committed-data loss window of a power failure. A variable so
+// tests can hold the flusher back.
+var fsyncInterval = 100 * time.Millisecond
 
 // ckptRecordBytes sizes checkpoint records: each (stripe, shard slot) chunk
 // of the dump is one or more, each ending at the first point past this.
@@ -233,9 +232,6 @@ func openPersist(db *DB, opts PersistOptions) error {
 	default:
 		return fmt.Errorf("tsdb: unknown fsync policy %q", opts.Fsync)
 	}
-	if opts.FsyncInterval <= 0 {
-		opts.FsyncInterval = 100 * time.Millisecond
-	}
 	if opts.CheckpointEvery == 0 {
 		opts.CheckpointEvery = time.Minute
 	}
@@ -285,7 +281,7 @@ func openPersist(db *DB, opts PersistOptions) error {
 
 	// 3. Arm the log on a fresh segment after everything on disk — a torn
 	// tail is never appended to, so it stays detectable.
-	pr.wal, err = openWAL(walDir, max(replayFrom, last)+1, opts.MaxSegmentBytes, opts.Fsync, torn)
+	pr.wal, err = openWAL(walDir, max(replayFrom, last)+1, opts.Fsync, torn)
 	if err != nil {
 		return fail(err)
 	}
@@ -295,7 +291,7 @@ func openPersist(db *DB, opts PersistOptions) error {
 	if opts.Fsync == FsyncInterval {
 		// A failed tick is already counted in WALAppendErrors by the sync
 		// path itself; the next tick retries.
-		pr.every(opts.FsyncInterval, func() { _ = pr.wal.log.Sync() })
+		pr.every(fsyncInterval, func() { _ = pr.wal.log.Sync() })
 	}
 	if opts.CheckpointEvery > 0 {
 		// Background checkpoint failures are counted in CheckpointErrors

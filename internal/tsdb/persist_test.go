@@ -15,6 +15,13 @@ import (
 	"time"
 )
 
+// setForTest sets a package-level knob to val until the test ends.
+func setForTest[T any](t *testing.T, v *T, val T) {
+	old := *v
+	*v = val
+	t.Cleanup(func() { *v = old })
+}
+
 // persistOpts returns manual-checkpoint-only options so tests control the
 // checkpoint/truncate cycle deterministically.
 func persistOpts(dir string, fsync FsyncPolicy) *PersistOptions {
@@ -170,10 +177,10 @@ func TestPersistCheckpointRestoreAndTruncate(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
 			const n = 3000
+			setForTest(t, &walSegmentBytes, 64<<10) // force several segments
 			opts := Options{
 				Rollups: DefaultRollups(),
-				Persist: &PersistOptions{Dir: dir, Fsync: c.fsync, CheckpointEvery: -1,
-					MaxSegmentBytes: 64 << 10}, // force several segments
+				Persist: &PersistOptions{Dir: dir, Fsync: c.fsync, CheckpointEvery: -1},
 			}
 			db, err := OpenDB(opts)
 			if err != nil {
@@ -533,8 +540,8 @@ func TestPersistTornTailTolerated(t *testing.T) {
 
 func TestPersistCorruptMiddleSegmentFailsOpen(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Persist: &PersistOptions{Dir: dir, Fsync: FsyncOff,
-		CheckpointEvery: -1, MaxSegmentBytes: 16 << 10}}
+	setForTest(t, &walSegmentBytes, 16<<10)
+	opts := Options{Persist: &PersistOptions{Dir: dir, Fsync: FsyncOff, CheckpointEvery: -1}}
 	db, err := OpenDB(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -939,7 +946,7 @@ func TestReplaySkipsDuplicateFieldPoint(t *testing.T) {
 	if err := os.MkdirAll(walDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	w, err := openWAL(walDir, 1, 0, FsyncOff, false)
+	w, err := openWAL(walDir, 1, FsyncOff, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -988,8 +995,9 @@ func TestPersistRotationFailureDoesNotWedge(t *testing.T) {
 			dir := t.TempDir()
 			// One record per segment, so every write after the first needs
 			// a rotation; the flusher is left to the test.
-			opts := Options{Persist: &PersistOptions{Dir: dir, Fsync: policy,
-				FsyncInterval: time.Hour, CheckpointEvery: -1, MaxSegmentBytes: 1}}
+			setForTest(t, &walSegmentBytes, 1)
+			setForTest(t, &fsyncInterval, time.Hour)
+			opts := Options{Persist: &PersistOptions{Dir: dir, Fsync: policy, CheckpointEvery: -1}}
 			db, err := OpenDB(opts)
 			if err != nil {
 				t.Fatal(err)
@@ -1070,8 +1078,9 @@ func TestPersistFailedRotationLeavesNoStaleDictionary(t *testing.T) {
 	for _, policy := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncOff} {
 		t.Run(string(policy), func(t *testing.T) {
 			dir := t.TempDir()
-			opts := Options{Persist: &PersistOptions{Dir: dir, Fsync: policy,
-				FsyncInterval: time.Hour, CheckpointEvery: -1, MaxSegmentBytes: 4096}}
+			setForTest(t, &walSegmentBytes, 4096)
+			setForTest(t, &fsyncInterval, time.Hour)
+			opts := Options{Persist: &PersistOptions{Dir: dir, Fsync: policy, CheckpointEvery: -1}}
 			db, err := OpenDB(opts)
 			if err != nil {
 				t.Fatal(err)

@@ -220,11 +220,14 @@ func (db *DB) Ref(name string, tags []Tag, fields ...string) (SeriesRef, error) 
 // WriteBatchRef stores all points through their interned handles: the
 // commit of every write, WriteBatch's included. It checks Close, holds
 // commitMu.RLock from the WAL append (full self-describing (name, tags,
-// fields) records, see logRefBatch) through the apply, advances the
-// retention horizon once, then takes one stripe lock per involved stripe —
-// so the semantics are WriteBatch's exactly, partial-apply contract under a
-// concurrent Close included. A NaN in Vals writes a NaN field value (the
-// point still lands; queries skip the NaN), bit-identical to WriteBatch.
+// fields) records, see logRefBatch) through the apply, then takes one
+// stripe lock per involved stripe — so the semantics are WriteBatch's
+// exactly, partial-apply contract under a concurrent Close included.
+// Retention judges each point by the clock the points before it in the
+// batch set, so a batch stores and drops exactly what the same points
+// written one at a time in batch order would. A NaN in Vals writes a NaN
+// field value (the point still lands; queries skip the NaN), bit-identical
+// to WriteBatch.
 // Fails with ErrBadRef before writing anything if any point carries an
 // unknown ref or a Vals length that does not match the ref's field set.
 //
@@ -266,8 +269,8 @@ func (db *DB) WriteBatchRef(pts []RefPoint) (applied int, err error) {
 			return 0, err
 		}
 	}
+	clock := db.maxT.Load()
 	maxT := db.advanceMaxT(batchMax)
-	db.maybeSweepAll(maxT)
 	for s, st := range db.stripes {
 		touched := false
 		for i := range pts {
@@ -284,36 +287,65 @@ func (db *DB) WriteBatchRef(pts []RefPoint) (applied int, err error) {
 			st.mu.Unlock()
 			return applied, ErrClosedDB
 		}
+		now := clock
 		for i := range pts {
+			now = max(now, pts[i].Time)
 			rs := refs[pts[i].Ref]
 			if rs.ident.stripeIdx != uint32(s) {
 				continue
 			}
-			db.writeRefLocked(st, rs, pts[i].Time, pts[i].Vals, maxT)
+			db.writeRefLocked(st, rs, pts[i].Time, pts[i].Vals, now, maxT)
 			applied++
 		}
 		st.mu.Unlock()
 	}
+	db.sweepAfterBatch(pts, clock, maxT)
 	return applied, nil
+}
+
+// sweepAfterBatch runs the all-stripe sweep a batch owes. Written one at a
+// time, the points would have swept last at the first point whose clock
+// put the horizon in maxT's shard slot, and that clock alone decides what
+// the sweep drops, so the sweep runs at it. After the apply, not before:
+// an earlier point's chunk that sweep drops must already exist to go.
+//
+//ruru:noalloc
+func (db *DB) sweepAfterBatch(pts []RefPoint, clock, maxT int64) {
+	if db.sweepRet <= 0 {
+		return
+	}
+	slot := floorDiv(maxT-db.sweepRet, db.opts.ShardDuration)
+	if slot <= db.sweptShard.Load() {
+		return
+	}
+	for i := range pts {
+		if clock = max(clock, pts[i].Time); floorDiv(clock-db.sweepRet, db.opts.ShardDuration) >= slot {
+			break
+		}
+	}
+	db.maybeSweepAll(clock)
 }
 
 // writeRefLocked appends one point (vals[i] is the value of rs's i-th field)
 // to its series in st and feeds the rollup tiers — the only code that does
-// either. Caller holds st.mu. Raw and tier retention are independent: the
-// tiers go first because a point too old for raw storage (counted in
-// dropped) can still land in a coarse tier whose longer horizon covers it.
+// either. now is the retention clock the point is judged by (the newest
+// time up to it in its batch), maxT the store's newest time, which decides
+// whether the point is a backfill for the query cache. Caller holds st.mu.
+// Raw and tier retention are independent: the tiers go first because a
+// point too old for raw storage (counted in dropped) can still land in a
+// coarse tier whose longer horizon covers it.
 // The horizon test comes before the hot cache on purpose: rs.hot may still
 // point at a chunk retention has dropped, and only a chunk wholly behind the
 // horizon is ever dropped, so the test is what keeps a straggler out of it.
 //
 //ruru:noalloc
-func (db *DB) writeRefLocked(st *stripe, rs *refState, t int64, vals []float64, maxT int64) {
+func (db *DB) writeRefLocked(st *stripe, rs *refState, t int64, vals []float64, now, maxT int64) {
 	if len(db.opts.Rollups) > 0 {
-		db.writeRefTiersLocked(st, rs, t, vals, maxT)
+		db.writeRefTiersLocked(st, rs, t, vals, now)
 	}
-	if db.opts.Retention > 0 && t < maxT-db.opts.Retention {
+	if db.opts.Retention > 0 && t < now-db.opts.Retention {
 		db.dropped.Add(1)
-		db.enforceRetentionLocked(st, maxT)
+		db.enforceRetentionLocked(st, now)
 		db.noteBackfill(t, maxT) // tiers may still have absorbed it
 		return
 	}
@@ -336,7 +368,7 @@ func (db *DB) writeRefLocked(st *stripe, rs *refState, t int64, vals []float64, 
 		}
 	}
 	db.written.Add(1)
-	db.enforceRetentionLocked(st, maxT)
+	db.enforceRetentionLocked(st, now)
 	db.noteBackfill(t, maxT)
 }
 

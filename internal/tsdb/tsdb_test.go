@@ -7,6 +7,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -266,6 +267,83 @@ func TestRetentionDropsOldShards(t *testing.T) {
 	db.Write(pt("m", 1, nil, map[string]float64{"v": 1}))
 	if _, dropped := db.WriteStats(); dropped != 1 {
 		t.Fatalf("dropped = %d", dropped)
+	}
+}
+
+// TestBatchRetentionMatchesOneAtATime: a batch stores and drops exactly
+// what the same points would if written one at a time in batch order:
+// equal WriteStats, shard counts and Snapshot bytes.
+//   - "stragglers": points 1 s apart over 3× the retention, spread over
+//     four series (so over stripes), every seventh one 45 s late, which
+//     only the clock its predecessors set puts behind the horizon; all in
+//     one 1 h shard slot.
+//   - "sweep": 10 s shards, a 20 s tier and a 25 s raw horizon. Four
+//     series stop at 70 s and a fifth carries on to 95 s. Written one at a
+//     time, the last all-stripe sweep runs at 90 s, when the tier horizon
+//     enters its final slot, and leaves the idle series' raw 60–70 s
+//     chunks, which only a raw horizon of 70 s would drop.
+func TestBatchRetentionMatchesOneAtATime(t *testing.T) {
+	point := func(series string, tm int64) Point {
+		return *pt("latency", tm, map[string]string{"src_city": series}, map[string]float64{"total_ms": float64(tm)})
+	}
+	var stragglers, sweep []Point
+	for i := 0; i < 90; i++ {
+		tm := int64(i+1) * 1e9
+		if i%7 == 6 {
+			tm -= 45e9
+		}
+		stragglers = append(stragglers, point(fmt.Sprint("city-", i%4), tm))
+	}
+	for i := 0; i < 95; i++ {
+		series := fmt.Sprint("city-", i%4)
+		if i >= 69 {
+			series = "city-A"
+		}
+		sweep = append(sweep, point(series, int64(i+1)*1e9))
+	}
+	for _, c := range []struct {
+		name             string
+		opts             Options
+		pts              []Point
+		written, dropped uint64
+	}{
+		{"stragglers", Options{Retention: 30e9}, stragglers, 78, 12},
+		{"sweep", Options{ShardDuration: 10e9, Retention: 25e9,
+			Rollups: []RollupTier{{Width: 1e9, Retention: 20e9}}}, sweep, 95, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			batch, single := Open(c.opts), Open(c.opts)
+			if _, err := batch.WriteBatch(slices.Clone(c.pts)); err != nil {
+				t.Fatal(err)
+			}
+			for i := range c.pts {
+				p := c.pts[i]
+				if err := single.Write(&p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			bw, bd := batch.WriteStats()
+			sw, sd := single.WriteStats()
+			if bw != sw || bd != sd {
+				t.Fatalf("batch wrote %d, dropped %d; one at a time wrote %d, dropped %d", bw, bd, sw, sd)
+			}
+			if sw != c.written || sd != c.dropped {
+				t.Fatalf("one at a time wrote %d, dropped %d; want %d and %d", sw, sd, c.written, c.dropped)
+			}
+			if bs, ss := batch.ShardCount(), single.ShardCount(); bs != ss {
+				t.Fatalf("batch keeps %d shards, one at a time %d", bs, ss)
+			}
+			var bb, sb strings.Builder
+			if _, err := batch.Snapshot(&bb); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := single.Snapshot(&sb); err != nil {
+				t.Fatal(err)
+			}
+			if bb.String() != sb.String() {
+				t.Fatalf("snapshots differ:\nbatch:\n%s\none at a time:\n%s", bb.String(), sb.String())
+			}
+		})
 	}
 }
 

@@ -48,7 +48,7 @@ import (
 // FsyncPolicy selects when WAL appends are made durable: the segment log's
 // policies (see seglog.SyncPolicy for the data-loss window each buys)
 // under the names this package exports. FsyncInterval is the default; its
-// background flusher syncs every PersistOptions.FsyncInterval.
+// background flusher syncs every fsyncInterval (100ms).
 type FsyncPolicy = seglog.SyncPolicy
 
 const (
@@ -67,10 +67,11 @@ var (
 	ErrWALCorrupt = errors.New("tsdb: corrupt WAL segment")
 )
 
-const (
-	walDirName      = "wal"
-	defaultSegBytes = 64 << 20
-)
+const walDirName = "wal"
+
+// walSegmentBytes caps one WAL segment file; a variable so tests can force
+// rotation.
+var walSegmentBytes int64 = 64 << 20
 
 // maxRecordBytes bounds a single WAL record: the log refuses a larger one
 // (seglog.ErrRecordTooBig — logBatch splits oversized batches in response)
@@ -323,14 +324,11 @@ func walFormat() seglog.Format {
 // detectable and everything after it stays readable). After a tolerated
 // tear the new segment acknowledges it, or the NEXT open — where the torn
 // segment is no longer the final one — would refuse it.
-func openWAL(dir string, firstFree uint64, maxSegBytes int64, policy FsyncPolicy, afterTear bool) (*wal, error) {
-	if maxSegBytes <= 0 {
-		maxSegBytes = defaultSegBytes
-	}
+func openWAL(dir string, firstFree uint64, policy FsyncPolicy, afterTear bool) (*wal, error) {
 	w := &wal{}
 	var err error
 	w.log, err = seglog.Open(dir, walFormat(), firstFree, seglog.Options{
-		MaxSegmentBytes: maxSegBytes,
+		MaxSegmentBytes: walSegmentBytes,
 		Sync:            policy,
 		AfterTear:       afterTear,
 		OnSegment:       func(uint64) { w.enc.reset() }, // every segment re-defines the shapes it uses

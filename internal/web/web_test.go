@@ -417,6 +417,26 @@ func TestWriteAheadOfHorizon(t *testing.T) {
 	}
 }
 
+// TestSinkBatchKeepsInOrderPoints: 100 sink measurements 1 s apart into a
+// store with a 30 s raw horizon are all stored. One sink batch spans more
+// than the horizon; judged by its newest point it would drop its own older
+// points, but written one at a time none of them is behind the horizon.
+func TestSinkBatchKeepsInOrderPoints(t *testing.T) {
+	w, err := geo.NewWorld(geo.WorldOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := ruru.New(ruru.Config{GeoDB: w.DB(), Retention: 30e9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	feedSamples(t, p, 100)
+	if st := p.Stats(); st.DBPoints != 100 || st.DBDropped != 0 {
+		t.Fatalf("DBPoints %d, DBDropped %d, want 100 and 0", st.DBPoints, st.DBDropped)
+	}
+}
+
 func TestTagsEndpoint(t *testing.T) {
 	p, srv := newServer(t)
 	feedSamples(t, p, 5)
@@ -739,7 +759,6 @@ func TestFederationQueryAndStats(t *testing.T) {
 		defer bus.Close()
 		pr, err := fed.NewProbe(fed.ProbeConfig{
 			Addr: p.Agg.Addr().String(), ID: id, SpoolDir: t.TempDir(),
-			BatchSize: 16, FlushEvery: 5 * time.Millisecond,
 		}, bus)
 		if err != nil {
 			t.Fatal(err)
