@@ -25,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -155,26 +156,7 @@ func main() {
 			case <-ctx.Done():
 				return
 			case <-t.C:
-				st := p.Stats()
-				switch {
-				case st.Fed.Enabled:
-					live := 0
-					for _, ps := range st.Fed.Probes {
-						if ps.Connected {
-							live++
-						}
-					}
-					log.Printf("ruru: probes=%d/%d fed_batches=%d fed_points=%d dups=%d db=%d",
-						live, len(st.Fed.Probes), st.Fed.Batches, st.Fed.Points, st.Fed.DupBatches, st.DBPoints)
-				case st.Remote.Enabled:
-					log.Printf("ruru: pkts=%d measured=%d db=%d remote_acked=%d unacked=%d resent=%d dropped=%d connected=%v",
-						st.Port.Ipackets, st.Engine.Completed, st.DBPoints,
-						st.Remote.AckedSeq, st.Remote.Unacked, st.Remote.BatchesResent,
-						st.Remote.Dropped, st.Remote.Connected)
-				default:
-					log.Printf("ruru: pkts=%d measured=%d enriched=%d db=%d ws_clients=%d",
-						st.Port.Ipackets, st.Engine.Completed, st.Enricher.Out, st.DBPoints, p.Hub.LiveClients())
-				}
+				slog.Info("ruru: status", statusAttrs(p, p.Stats())...)
 			}
 		}
 	}()
@@ -216,7 +198,35 @@ func main() {
 	<-runDone
 	fmt.Println()
 	st := p.Stats()
-	log.Printf("ruru: final stats: %+v", st)
+	slog.Info("ruru: final stats", append(statusAttrs(p, st),
+		"imissed", st.Port.Imissed, "bus_drop", st.BusDrop, "sink_drop", st.SinkDrop,
+		"db_dropped", st.DBDropped, "db_write_errors", st.DBWriteErrors,
+		"shutdown_drop", st.ShutdownDrop, "hub_drop", st.HubDrop)...)
+}
+
+// statusAttrs are the keys of the daemon's status record, one set per role:
+// an aggregator's probes and federated intake, a probe's remote-write
+// progress, a single tap's packets through to the live feed. GET /api/stats
+// has everything else.
+func statusAttrs(p *ruru.Pipeline, st ruru.Stats) []any {
+	switch {
+	case st.Fed.Enabled:
+		live := 0
+		for _, ps := range st.Fed.Probes {
+			if ps.Connected {
+				live++
+			}
+		}
+		return []any{"probes_connected", live, "probes", len(st.Fed.Probes),
+			"fed_batches", st.Fed.Batches, "fed_points", st.Fed.Points, "dups", st.Fed.DupBatches, "db", st.DBPoints}
+	case st.Remote.Enabled:
+		return []any{"pkts", st.Port.Ipackets, "measured", st.Engine.Completed, "db", st.DBPoints,
+			"remote_acked", st.Remote.AckedSeq, "unacked", st.Remote.Unacked, "resent", st.Remote.BatchesResent,
+			"dropped", st.Remote.Dropped, "connected", st.Remote.Connected}
+	default:
+		return []any{"pkts", st.Port.Ipackets, "measured", st.Engine.Completed, "enriched", st.Enricher.Out,
+			"db", st.DBPoints, "ws_clients", p.Hub.LiveClients()}
+	}
 }
 
 // parseRollups parses the -rollup flag: "off" (or "") disables rollups,

@@ -174,6 +174,13 @@ type stripe struct {
 	// WriteBatch resolve a known shape to its refState without touching the
 	// global dirMu.
 	refs map[string]*refState
+	// layoutGen counts changes to what the stripe's series already hold in
+	// their rollup tiers that a walk resolved earlier cannot see: a chunk
+	// inserted into a tier list that has held one before, a field added to a
+	// chunk a reader may have passed by, a retention sweep dropping tier
+	// chunks. A query cache entry keeps its resolved walk per stripe
+	// (qcache.go) and re-walks a stripe whose layoutGen moved.
+	layoutGen uint64
 }
 
 // noteSlot records that some series of st now has a chunk in level lvl's
@@ -470,6 +477,9 @@ func (db *DB) enforceRetentionLocked(st *stripe, maxT int64) {
 			n++
 		}
 		st.starts[lvl] = dropHead(starts, n)
+		if lvl > 0 {
+			st.layoutGen++
+		}
 		for _, id := range st.idents {
 			k := 0
 			if lvl == 0 {

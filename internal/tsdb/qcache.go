@@ -28,9 +28,24 @@ package tsdb
 //   - Group presence. Which groups appear in a result depends on shard
 //     overlap and field existence over the whole range, which can change
 //     without any point landing in the frozen region (a shard straddling
-//     End gaining the field). Every serve therefore re-resolves presence
-//     over the full range — O(series) shard-overlap checks, no bucket
-//     merging — and only the per-bucket aggregation is reused.
+//     End gaining the field). Every serve therefore decides presence over
+//     the full range from the shape's kept walk (below), one range check
+//     per resolved chunk, and only the per-bucket aggregation is reused
+//     from the frozen buckets.
+//   - Kept walk. An entry also keeps what walkTier resolved for its shape
+//     (rollup.go): per stripe, every tier chunk of its matched series that
+//     carries the field, with its group and row column, in walk order. A
+//     serve extends a stripe's list with the series interned since and
+//     merges its tail from the list without touching a series ident; a
+//     stripe whose layoutGen moved (a chunk inserted into a list that had
+//     one, a field added to a chunk, a tier retention sweep) is walked
+//     again. The extension stops at the first matched series with no tier
+//     chunk yet, since its first chunk moves no layoutGen. So the list is
+//     the walk an uncached Execute makes, and the merge over it the same
+//     merge calls in the same order. The walk depends on the shape alone:
+//     it survives a backfill that drops the entry's frozen buckets. It is
+//     charged against the budget beside the buckets and kept only when
+//     both fit.
 //   - Retention. Tier sweeps drop whole shard slots of tier chunks behind
 //     maxT−tier.Retention; a query that reaches below that horizon is
 //     refused by the cache (a miss, served uncached) because its frozen
@@ -39,10 +54,13 @@ package tsdb
 //
 // Lock/ownership contract: queryCache.mu is a leaf lock guarding only the
 // table, LRU list and byte ledger. It is never held across a stripe scan —
-// lookups copy out the entry pointer (entries are immutable once published;
-// refreshes install a fresh entry) and the merge runs lock-free before
-// re-acquiring mu to publish. The backfill generation and the stat counters
-// are atomics. Registered in the repo lockorder spec (internal/lint).
+// lookups copy out the entry pointer (entries are immutable once published,
+// their kept walk aside; refreshes install a fresh entry) and the merge
+// runs lock-free before re-acquiring mu to publish. A kept walk belongs to
+// the one query that set its busy flag, a try-lock nobody waits on: a query
+// that finds it set resolves a walk of its own. The backfill generation and
+// the stat counters are atomics. Registered in the repo lockorder spec
+// (internal/lint).
 //
 // Entries store frozen buckets fully rendered — []Bucket with the final
 // Aggs maps — and a serve copies the bucket structs while sharing the map
@@ -91,8 +109,15 @@ type CacheStats struct {
 	PartialRefreshes uint64 `json:"partial_refreshes"`
 	// Evictions counts entries removed by byte-budget pressure (LRU order).
 	Evictions uint64 `json:"evictions"`
-	// Bytes is the current accounted footprint (≤ Options.QueryCache).
-	Bytes int64 `json:"bytes"`
+	// Bytes is the frozen buckets' accounted footprint and WalkBytes the
+	// kept walks'; together they stay ≤ Options.QueryCache.
+	Bytes     int64 `json:"bytes"`
+	WalkBytes int64 `json:"walk_bytes"`
+	// Rewalks counts the stripe walks a cached query resolved again from
+	// scratch instead of extending its entry's kept walk: the stripe's
+	// tier layout changed (a series' next chunk, a field new to a chunk,
+	// a retention sweep), or the range starts before what the walk lists.
+	Rewalks uint64 `json:"rewalks"`
 }
 
 // queryCache is the shape-keyed result cache. See the file comment for the
@@ -112,12 +137,14 @@ type queryCache struct {
 	misses  atomic.Uint64
 	partial atomic.Uint64
 	evicted atomic.Uint64
+	rewalks atomic.Uint64
 
-	mu    sync.Mutex // leaf: never held across a stripe scan
-	table map[string]*qcacheEntry
-	head  *qcacheEntry // LRU: head = most recently used
-	tail  *qcacheEntry
-	bytes int64
+	mu        sync.Mutex // leaf: never held across a stripe scan
+	table     map[string]*qcacheEntry
+	head      *qcacheEntry // LRU: head = most recently used
+	tail      *qcacheEntry
+	bytes     int64 // entries' frozen buckets
+	walkBytes int64 // entries' kept walks
 }
 
 // qcacheEntry is one cached shape: rendered frozen buckets for
@@ -130,7 +157,14 @@ type qcacheEntry struct {
 	window    int64
 	gen       uint64
 	groups    []cachedGroup // sorted by group
-	size      int64
+	size      int64         // the frozen buckets' charge
+	// walk is the shape's resolved tier walk, nil when it does not fit
+	// the budget beside the buckets, and walkSize its charge; both are
+	// guarded by queryCache.mu. Unlike the rest of the entry the walk
+	// itself changes after publication, by the one query that holds its
+	// busy flag, which then re-prices it.
+	walk     *tierWalk
+	walkSize int64
 
 	prev, next *qcacheEntry
 }
@@ -172,7 +206,7 @@ func (db *DB) CacheStats() CacheStats {
 		return CacheStats{}
 	}
 	qc.mu.Lock()
-	bytes := qc.bytes
+	bytes, walkBytes := qc.bytes, qc.walkBytes
 	qc.mu.Unlock()
 	return CacheStats{
 		Enabled:          true,
@@ -181,6 +215,8 @@ func (db *DB) CacheStats() CacheStats {
 		PartialRefreshes: qc.partial.Load(),
 		Evictions:        qc.evicted.Load(),
 		Bytes:            bytes,
+		WalkBytes:        walkBytes,
+		Rewalks:          qc.rewalks.Load(),
 	}
 }
 
@@ -262,23 +298,36 @@ func (db *DB) executeCached(q *Query, window int64, nBuckets, maxGroups, ti int)
 	// this value can never hide that write from a later lookup.
 	gen := qc.gen.Load()
 
-	var frozen *qcacheEntry
+	var frozen, walkOf *qcacheEntry
+	var walk *tierWalk
 	tailStart := q.Start
 	qc.mu.Lock()
-	if e := qc.table[key]; e != nil && e.gen == gen &&
-		e.window == window && q.Start >= e.start && q.Start < e.frozenEnd {
-		frozen = e
-		tailStart = e.frozenEnd
-		if tailStart > q.End {
-			tailStart = q.End
+	if e := qc.table[key]; e != nil {
+		if e.gen == gen && e.window == window && q.Start >= e.start && q.Start < e.frozenEnd {
+			frozen = e
+			tailStart = e.frozenEnd
+			if tailStart > q.End {
+				tailStart = q.End
+			}
+			qc.touchLocked(e)
 		}
-		qc.touchLocked(e)
+		// The walk depends on the shape alone, so it outlives frozen
+		// buckets a backfill or a range change made useless.
+		if e.walk != nil && e.walk.busy.CompareAndSwap(false, true) {
+			walk, walkOf = e.walk, e
+		}
 	}
 	qc.mu.Unlock()
+	if walk == nil {
+		walk = &tierWalk{stripes: make([]stripeWalk, len(db.stripes)), index: map[string]int32{}}
+	}
 
 	nFrozen := int((tailStart - q.Start) / window)
 	nTail := nBuckets - nFrozen
-	groups, err := db.scanTier(q, window, ti, tailStart, nTail, maxGroups)
+	groups, rewalks, err := db.walkTier(q, window, ti, tailStart, nTail, maxGroups, walk)
+	walkBytes := walk.bytes()
+	walk.busy.Store(false)
+	qc.rewalks.Add(rewalks)
 	if err != nil {
 		return nil, true, err
 	}
@@ -295,7 +344,8 @@ func (db *DB) executeCached(q *Query, window int64, nBuckets, maxGroups, ti int)
 	out := make([]SeriesResult, 0, len(groups))
 	var zero rollAcc
 	var zeroAggs map[AggKind]float64 // shared empty-bucket map, built lazily
-	for g, accs := range groups {
+	for _, gt := range groups {
+		g, accs := gt.name, gt.accs
 		res := SeriesResult{Group: g, Tier: tier.Width, Buckets: make([]Bucket, nBuckets)}
 		var fg *cachedGroup
 		if frozen != nil {
@@ -352,7 +402,12 @@ func (db *DB) executeCached(q *Query, window int64, nBuckets, maxGroups, ti int)
 			})
 		}
 		e.size = e.sizeBytes(len(aggs))
+		if e.size+walkBytes <= qc.budget {
+			e.walk, e.walkSize = walk, walkBytes
+		}
 		qc.insert(e)
+	} else if walkOf != nil {
+		qc.recharge(walkOf, walk, walkBytes)
 	}
 	return out, true, nil
 }
@@ -388,13 +443,36 @@ func (qc *queryCache) insert(e *qcacheEntry) {
 	qc.table[e.key] = e
 	qc.pushFrontLocked(e)
 	qc.bytes += e.size
-	for qc.bytes > qc.budget && qc.tail != nil {
+	qc.walkBytes += e.walkSize
+	qc.evictLocked()
+	qc.mu.Unlock()
+}
+
+// recharge re-prices walk, which a serve grew in place, if it is still
+// e's. A walk that no longer fits beside e's buckets is dropped from e.
+func (qc *queryCache) recharge(e *qcacheEntry, walk *tierWalk, walkBytes int64) {
+	qc.mu.Lock()
+	if qc.table[e.key] == e && e.walk == walk {
+		qc.walkBytes += walkBytes - e.walkSize
+		e.walkSize = walkBytes
+		if e.size+walkBytes > qc.budget {
+			qc.walkBytes -= walkBytes
+			e.walk, e.walkSize = nil, 0
+		}
+		qc.evictLocked()
+	}
+	qc.mu.Unlock()
+}
+
+// evictLocked evicts from the LRU tail until the byte budget holds.
+// Caller holds mu.
+func (qc *queryCache) evictLocked() {
+	for qc.bytes+qc.walkBytes > qc.budget && qc.tail != nil {
 		victim := qc.tail
 		qc.unlinkLocked(victim)
 		delete(qc.table, victim.key)
 		qc.evicted.Add(1)
 	}
-	qc.mu.Unlock()
 }
 
 // touchLocked moves e to the LRU front. Caller holds mu.
@@ -411,6 +489,7 @@ func (qc *queryCache) touchLocked(e *qcacheEntry) {
 func (qc *queryCache) unlinkLocked(e *qcacheEntry) {
 	qc.popLocked(e)
 	qc.bytes -= e.size
+	qc.walkBytes -= e.walkSize
 }
 
 func (qc *queryCache) popLocked(e *qcacheEntry) {

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -23,7 +24,7 @@ func qcacheOptions() Options {
 // results: groups, serving tier, bucket starts/counts, and every aggregate
 // compared by Float64bits (NaN-safe). Both results come from the same tier
 // over the same data, so even quantile estimates must agree to the bit.
-func requireSameResults(t *testing.T, label string, got, want []SeriesResult) {
+func requireSameResults(t testing.TB, label string, got, want []SeriesResult) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: group count %d != %d", label, len(got), len(want))
@@ -505,4 +506,368 @@ func BenchmarkQueryCached(b *testing.B) {
 	}
 	b.Run("uncached", func(b *testing.B) { run(b, build(0)) })
 	b.Run("cached", func(b *testing.B) { run(b, build(16<<20)) })
+}
+
+// The kept walk's oracle: a query cache entry keeps its resolved tier walk
+// and a refresh extends it instead of walking every series again, so every
+// way the tier layout can change under a kept walk — a series born, a Ref
+// written for the first time, a field new to a chunk, a chunk with no rows,
+// a chunk in a later shard slot, a retention sweep — and every way the
+// range can move is driven into a cached and an uncached DB alike, and
+// each query must answer bit-identically from both.
+
+// dualDB applies the same interned writes to a cached and an uncached DB.
+type dualDB struct {
+	tb               testing.TB
+	cached, uncached *DB
+	refs             [][2]SeriesRef // per Ref call: the handle in each DB
+	nFields          []int
+	queries          int
+}
+
+func newDualDB(tb testing.TB, opts Options) *dualDB {
+	uopts := opts
+	uopts.QueryCache = 0
+	return &dualDB{tb: tb, cached: Open(opts), uncached: Open(uopts)}
+}
+
+// ref interns the shape in both DBs and returns its index for write.
+func (d *dualDB) ref(src, dst string, fields ...string) int {
+	d.tb.Helper()
+	var r [2]SeriesRef
+	for i, db := range []*DB{d.cached, d.uncached} {
+		var err error
+		r[i], err = db.Ref("latency", []Tag{{"src_city", src}, {"dst_city", dst}}, fields...)
+		if err != nil {
+			d.tb.Fatal(err)
+		}
+	}
+	d.refs = append(d.refs, r)
+	d.nFields = append(d.nFields, len(fields))
+	return len(d.refs) - 1
+}
+
+// write stores one point of shape i in both DBs.
+func (d *dualDB) write(i int, t int64, vals ...float64) {
+	d.tb.Helper()
+	for k, db := range []*DB{d.cached, d.uncached} {
+		if _, err := db.WriteBatchRef([]RefPoint{{Ref: d.refs[i][k], Time: t, Vals: vals}}); err != nil {
+			d.tb.Fatal(err)
+		}
+	}
+}
+
+// query runs q on both DBs and requires the same answer, or the same error.
+func (d *dualDB) query(label string, q Query) {
+	d.tb.Helper()
+	d.queries++
+	got, gerr := d.cached.Execute(q)
+	want, werr := d.uncached.Execute(q)
+	if gerr != nil || werr != nil {
+		if !errors.Is(gerr, werr) {
+			d.tb.Fatalf("%s: cached error %v, uncached %v", label, gerr, werr)
+		}
+		return
+	}
+	requireSameResults(d.tb, fmt.Sprintf("%s [%d,%d)", label, q.Start, q.End), got, want)
+}
+
+// dashQuery is the cached shape the scenarios refresh: 1 s windows by
+// src_city, served from the 1 s tier of qcacheOptions.
+func dashQuery(start, end int64, where ...Tag) Query {
+	return Query{Measurement: "latency", Field: "total_ms", Start: start, End: end,
+		Window: 1e9, GroupBy: "src_city", Where: where,
+		Aggs: []AggKind{AggCount, AggMean, AggP95, AggMin}}
+}
+
+// TestCachedWalkScenarios drives each layout change a kept walk must
+// notice, between refreshes of one cached shape, and requires every answer
+// to equal the uncached DB's.
+func TestCachedWalkScenarios(t *testing.T) {
+	// With 10 s shards and a 30 s slack, [0, 40 s) keeps a frozen prefix
+	// once the clock passes 40 s.
+	const s = int64(1e9)
+	fill := func(d *dualDB, a int, from, to int64) {
+		for tm := from; tm < to; tm += s / 2 {
+			d.write(a, tm, float64(100+tm/s))
+		}
+	}
+	scenarios := []struct {
+		name string
+		run  func(d *dualDB)
+	}{
+		{"series born between hits", func(d *dualDB) {
+			a := d.ref("akl", "lax", "total_ms")
+			fill(d, a, 0, 75*s)
+			d.query("miss", dashQuery(10*s, 80*s))
+			d.query("hit", dashQuery(10*s, 80*s))
+			b := d.ref("syd", "lax", "total_ms")
+			d.write(b, 74*s, 7)
+			d.write(b, 44*s+s/3, 9) // a backfill behind the slack: the entry goes, the walk stays
+			d.query("born", dashQuery(10*s, 80*s))
+			c := d.ref("lhr", "lax", "total_ms")
+			d.write(c, 75*s, 3)
+			d.query("born again", dashQuery(10*s, 80*s))
+		}},
+		{"ref queried before its first write", func(d *dualDB) {
+			a := d.ref("akl", "lax", "total_ms")
+			fill(d, a, 0, 75*s)
+			d.query("miss", dashQuery(10*s, 80*s))
+			b := d.ref("syd", "lax", "total_ms") // interned, nothing written
+			c := d.ref("lhr", "lax", "total_ms")
+			d.write(c, 74*s, 5) // born after b, written first
+			d.query("b unwritten", dashQuery(10*s, 80*s))
+			d.write(b, 71*s, 11) // b's first chunk: its list was nil
+			d.write(b, 75*s, 12)
+			d.query("b written", dashQuery(10*s, 80*s))
+			d.query("b written, hit", dashQuery(10*s, 80*s))
+		}},
+		{"field added by a second field set", func(d *dualDB) {
+			a := d.ref("akl", "lax", "total_ms")
+			fill(d, a, 0, 75*s)
+			other := d.ref("syd", "lax", "other_ms")
+			d.write(other, 72*s, 1)
+			d.query("miss", dashQuery(10*s, 80*s))
+			both := d.ref("syd", "lax", "other_ms", "total_ms")
+			d.write(both, 73*s, 2, 20) // total_ms joins syd's existing chunk
+			d.query("key added", dashQuery(10*s, 80*s))
+		}},
+		{"all-NaN points make a chunk with no rows", func(d *dualDB) {
+			a := d.ref("akl", "lax", "total_ms")
+			fill(d, a, 0, 75*s)
+			b := d.ref("syd", "lax", "total_ms")
+			d.write(b, 71*s, math.NaN())
+			d.query("empty chunk", dashQuery(10*s, 80*s))
+			d.write(b, 74*s, 40)
+			d.query("first value", dashQuery(10*s, 80*s))
+		}},
+		{"points past End in a later shard slot", func(d *dualDB) {
+			a := d.ref("akl", "lax", "total_ms")
+			b := d.ref("syd", "lax", "total_ms")
+			fill(d, a, 0, 75*s)
+			d.write(b, 74*s, 1)
+			d.query("miss", dashQuery(10*s, 80*s))
+			d.write(b, 95*s, 2) // syd's next slot, past End
+			d.write(a, 85*s, 3)
+			d.query("future chunk", dashQuery(10*s, 80*s))
+			d.query("reaches it", dashQuery(20*s, 100*s))
+		}},
+		{"Start crosses a shard slot", func(d *dualDB) {
+			a := d.ref("akl", "lax", "total_ms")
+			b := d.ref("syd", "lax", "total_ms")
+			fill(d, a, 0, 95*s)
+			d.write(b, 15*s, 1) // syd holds only slot [10 s, 20 s)
+			for start := int64(5); start <= 25; start += 5 {
+				d.query(fmt.Sprintf("start %ds", start), dashQuery(start*s, 100*s))
+			}
+		}},
+		{"End moves back", func(d *dualDB) {
+			a := d.ref("akl", "lax", "total_ms")
+			b := d.ref("syd", "lax", "total_ms")
+			fill(d, a, 0, 95*s)
+			d.write(b, 92*s, 1)
+			d.query("miss", dashQuery(30*s, 100*s))
+			d.query("end back", dashQuery(30*s, 90*s))
+			d.query("end back more", dashQuery(30*s, 60*s))
+			d.query("start back", dashQuery(10*s, 60*s))
+			d.query("forward", dashQuery(30*s, 100*s))
+		}},
+		{"Where matches newborn series", func(d *dualDB) {
+			a := d.ref("akl", "lax", "total_ms")
+			fill(d, a, 0, 75*s)
+			akl := Tag{"src_city", "akl"}
+			d.query("miss", dashQuery(10*s, 80*s, akl))
+			b := d.ref("akl", "lhr", "total_ms")
+			c := d.ref("syd", "lhr", "total_ms")
+			d.write(b, 74*s, 5)
+			d.write(c, 74*s, 6)
+			d.query("newborn", dashQuery(10*s, 80*s, akl))
+		}},
+	}
+	for _, sc := range scenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			d := newDualDB(t, qcacheOptions())
+			sc.run(d)
+			if st := d.cached.CacheStats(); st.Hits == 0 {
+				t.Fatalf("no query hit a cached entry: %+v", st)
+			}
+		})
+	}
+
+	// A tier retention sweep drops chunks a kept walk lists: the stripes
+	// it touched are walked again, and a series the sweep emptied is
+	// written again later.
+	t.Run("tier retention sweep", func(t *testing.T) {
+		opts := qcacheOptions()
+		opts.Rollups = []RollupTier{{Width: 1e9, Retention: 60e9}, {Width: 10e9}}
+		d := newDualDB(t, opts)
+		a := d.ref("akl", "lax", "total_ms")
+		b := d.ref("syd", "lax", "total_ms")
+		d.write(b, 5*s, 1)
+		for tm := int64(0); tm < 150*s; tm += 5 * s {
+			d.write(a, tm, float64(tm/s))
+			if tm%(20*s) == 0 {
+				d.query(fmt.Sprintf("at %ds", tm/s), dashQuery(max(0, tm-50*s)/(10*s)*(10*s), (tm/(10*s)+1)*(10*s)))
+			}
+		}
+		d.write(b, 149*s, 2) // syd's list was emptied by the sweep
+		d.query("after", dashQuery(100*s, 150*s))
+		d.query("after, hit", dashQuery(100*s, 150*s))
+		if st := d.cached.CacheStats(); st.Rewalks == 0 {
+			t.Fatalf("no sweep made a kept walk walk again: %+v", st)
+		}
+	})
+}
+
+// walkOps interprets data as a sequence of operations on a dual DB: writes
+// in order, backfills, births, Refs without a write, second field sets,
+// all-NaN points, points in a later shard slot, and queries over ranges
+// that advance, move back and cross shard slots.
+func walkOps(tb testing.TB, data []byte) *dualDB {
+	opts := qcacheOptions()
+	if len(data) > 0 && data[0]&1 == 1 {
+		opts.Retention = 50e9
+		opts.Rollups = []RollupTier{{Width: 1e9, Retention: 100e9}, {Width: 10e9, Retention: 200e9}}
+	}
+	d := newDualDB(tb, opts)
+	srcs := []string{"akl", "syd", "lax", "lhr"}
+	dsts := []string{"nrt", "fra"}
+	fieldSets := [][]string{{"total_ms"}, {"other_ms"}, {"other_ms", "total_ms"}}
+	shapes := []Query{
+		dashQuery(0, 0),
+		{Measurement: "latency", Field: "total_ms", Window: 10e9, GroupBy: "dst_city", Aggs: []AggKind{AggSum, AggMax}},
+		{Measurement: "latency", Field: "total_ms", Window: 2e9, Where: []Tag{{"src_city", "akl"}}, Aggs: []AggKind{AggMean, AggMedian}},
+	}
+	now := int64(0)
+	var written []int // shapes with at least one write
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	vals := func(i int, v float64) []float64 {
+		out := make([]float64, d.nFields[i])
+		for k := range out {
+			out[k] = v + float64(k)
+		}
+		return out
+	}
+	for len(data) > 0 && d.queries < 200 {
+		op, arg := next(), next()
+		switch op % 8 {
+		case 0, 1: // an in-order write to a written shape
+			if len(written) == 0 {
+				continue
+			}
+			i := written[int(arg)%len(written)]
+			now += int64(arg%4) * 1e9 / 2
+			d.write(i, now, vals(i, float64(arg))...)
+		case 2: // a backfill behind the frozen slack
+			if len(written) == 0 {
+				continue
+			}
+			i := written[int(arg)%len(written)]
+			d.write(i, now-qcacheSlack-int64(arg%40)*1e9, vals(i, 1)...)
+		case 3, 4: // a shape born (or found again) and written
+			i := d.ref(srcs[arg%4], dsts[arg/4%2], fieldSets[int(arg/8)%3]...)
+			if op%8 == 3 {
+				d.write(i, now, vals(i, float64(arg))...)
+				written = append(written, i)
+			} // 4: interned and left unwritten for now
+		case 5: // an all-NaN point
+			if len(d.refs) == 0 {
+				continue
+			}
+			i := int(arg) % len(d.refs)
+			d.write(i, now, vals(i, math.NaN())...)
+			written = append(written, i)
+		case 6: // a point in a later shard slot
+			if len(written) == 0 {
+				continue
+			}
+			i := written[int(arg)%len(written)]
+			d.write(i, now+int64(1+arg%2)*opts.ShardDuration, vals(i, 2)...)
+		case 7: // a query
+			q := shapes[int(arg)%len(shapes)]
+			end := floorDiv(now, q.Window)*q.Window + int64(int(next()%5)-3)*q.Window
+			q.Start = end - int64(3+next()%40)*q.Window
+			q.End = end
+			if q.Start < 0 || q.End <= q.Start {
+				continue
+			}
+			d.query(fmt.Sprintf("op %d", d.queries), q)
+		}
+	}
+	return d
+}
+
+// TestCachedWalkRandomized runs seeded random op sequences through walkOps.
+func TestCachedWalkRandomized(t *testing.T) {
+	hits := uint64(0)
+	for seed := int64(0); seed < 16; seed++ {
+		data := make([]byte, 3000)
+		rand.New(rand.NewSource(seed)).Read(data)
+		d := walkOps(t, data)
+		hits += d.cached.CacheStats().Hits
+	}
+	if hits == 0 {
+		t.Fatal("no query hit a cached entry")
+	}
+}
+
+// FuzzCachedExecute decodes an op sequence (write, backfill, birth, Ref
+// without a write, all-NaN point, later-slot point, query shape and range)
+// and runs it against a cached and an uncached DB, requiring identical
+// answers.
+func FuzzCachedExecute(f *testing.F) {
+	for seed := int64(0); seed < 4; seed++ {
+		data := make([]byte, 600)
+		rand.New(rand.NewSource(seed)).Read(data)
+		f.Add(data)
+	}
+	f.Add([]byte{0, 3, 0, 4, 1, 0, 0, 7, 0, 3, 3, 0, 1, 3, 1, 7, 0, 3, 3, 7, 0, 3, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 4096 {
+			return
+		}
+		walkOps(t, data)
+	})
+}
+
+// TestCachedWalkCharged pins the walk's charge: a walk that grows in place
+// is re-priced by the serve that grew it, the two charges stay within the
+// budget, and a walk that no longer fits beside its buckets is dropped
+// while the answers stay exact.
+func TestCachedWalkCharged(t *testing.T) {
+	const s = int64(1e9)
+	for _, budget := range []int64{1 << 20, 24 << 10} {
+		opts := qcacheOptions()
+		opts.QueryCache = budget
+		d := newDualDB(t, opts)
+		a := d.ref("akl", "lax", "total_ms")
+		for tm := int64(0); tm < 75*s; tm += s {
+			d.write(a, tm, float64(tm/s))
+		}
+		d.query("miss", dashQuery(10*s, 80*s))
+		before := d.cached.CacheStats()
+		for i := 0; i < 400; i++ {
+			b := d.ref(fmt.Sprintf("c%d", i%40), fmt.Sprintf("d%d", i), "total_ms")
+			d.write(b, 74*s, float64(i))
+		}
+		d.query("grown", dashQuery(10*s, 80*s))
+		st := d.cached.CacheStats()
+		if st.Bytes+st.WalkBytes > budget {
+			t.Fatalf("budget %d: charged %d + %d", budget, st.Bytes, st.WalkBytes)
+		}
+		if budget == 1<<20 && st.WalkBytes < before.WalkBytes+400*walkRefBytes {
+			t.Fatalf("grown walk charged %d, was %d before 400 series", st.WalkBytes, before.WalkBytes)
+		}
+		if budget < 1<<20 && (before.WalkBytes == 0 || st.WalkBytes != 0) {
+			t.Fatalf("budget %d: walk charged %d then %d, want kept then dropped", budget, before.WalkBytes, st.WalkBytes)
+		}
+		d.query("after", dashQuery(10*s, 80*s))
+	}
 }

@@ -62,7 +62,10 @@ type seriesDir struct {
 // only index of what the series stores. key, name, tags and stripeIdx are
 // immutable once the ident is published (refs and WAL records alias the
 // strings); raw and tiers are the series' chunks, one per shard slot it has
-// data in, sorted by slot start, guarded by the owning stripe's lock.
+// data in, sorted by slot start, guarded by the owning stripe's lock. A tier
+// list is nil until its first chunk; retention empties it without making it
+// nil again, so a nil list tells a kept query walk (qcache.go) that the
+// series' next chunk there needs no re-walk.
 type seriesIdent struct {
 	key       string
 	name      string
@@ -425,8 +428,9 @@ func (db *DB) writeRefTiersLocked(st *stripe, rs *refState, t int64, vals []floa
 		bStart := floorDiv(t, tier.Width) * tier.Width
 		shStart := floorDiv(bStart, db.opts.ShardDuration) * db.opts.ShardDuration
 		th := &rs.hot.tiers[ti]
+		fresh := false
 		if th.ts == nil || th.shardStart != shStart {
-			db.resolveRefTier(st, rs, ti, shStart)
+			fresh = db.resolveRefTier(st, rs, ti, shStart)
 		}
 		if !hasVal {
 			continue // the chunk exists, as for any point in its slot; no row
@@ -434,7 +438,14 @@ func (db *DB) writeRefTiersLocked(st *stripe, rs *refState, t int64, vals []floa
 		ts := th.ts
 		for i, v := range vals {
 			if th.cols[i] < 0 && !math.IsNaN(v) {
+				w := len(ts.keys)
 				th.cols[i] = ts.keyIndex(rs.fieldKeys, i)
+				if len(ts.keys) > w && !fresh {
+					// A kept walk may have passed this chunk by for
+					// lacking the field. A chunk created under this
+					// lock hold no reader has seen.
+					st.layoutGen++
+				}
 			}
 		}
 		row := ts.row(bStart)
@@ -447,13 +458,18 @@ func (db *DB) writeRefTiersLocked(st *stripe, rs *refState, t int64, vals []floa
 }
 
 // resolveRefTier points the ref's tier-hot cache at the series' tier-ti chunk
-// for the shard slot starting at shStart, creating it as needed. Caller holds
-// st.mu.
-func (db *DB) resolveRefTier(st *stripe, rs *refState, ti int, shStart int64) {
+// for the shard slot starting at shStart, creating it as needed, and
+// reports whether it created it. Caller holds st.mu.
+func (db *DB) resolveRefTier(st *stripe, rs *refState, ti int, shStart int64) (created bool) {
 	id := rs.ident
 	list := id.tiers[ti]
 	pos, ok := slices.BinarySearchFunc(list, shStart, func(ts *tierSeries, s int64) int { return cmp.Compare(ts.start, s) })
 	if !ok {
+		if list != nil {
+			// The list has held a chunk, so a kept walk may already
+			// list the series' chunks and must take this one in order.
+			st.layoutGen++
+		}
 		list = slices.Insert(list, pos, &tierSeries{start: shStart, end: shStart + db.opts.ShardDuration})
 		id.tiers[ti] = list
 		st.noteSlot(1+ti, shStart)
@@ -464,6 +480,7 @@ func (db *DB) resolveRefTier(st *stripe, rs *refState, ti int, shStart int64) {
 	for i, k := range rs.fieldKeys {
 		th.cols[i] = int32(slices.Index(th.ts.keys, k))
 	}
+	return !ok
 }
 
 // refLogScratch is pooled scratch for materializing a ref batch into full

@@ -29,6 +29,8 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync/atomic"
+	"unsafe"
 )
 
 // RollupTier configures one pre-aggregation resolution.
@@ -129,7 +131,7 @@ type histEntry struct {
 // bucket number would cost more than the samples it holds.
 //
 // A field is in keys from its first non-NaN value in the chunk on (the
-// group-presence rule scanTier applies), and keys only grows, at the end:
+// group-presence rule walkTier applies), and keys only grows, at the end:
 // the position of a field never changes. keys may alias the ref's own
 // field keys while it is still their prefix; it is then capped at its
 // length, so extending it always copies.
@@ -449,18 +451,18 @@ func histValueAt(h *[histBins]uint64, k uint64, lo, hi float64) float64 {
 // (planTier) has already verified alignment, so each tier bucket maps to
 // exactly one output bucket.
 func (db *DB) executeTier(q *Query, window int64, nBuckets, maxGroups, ti int) ([]SeriesResult, error) {
-	groups, err := db.scanTier(q, window, ti, q.Start, nBuckets, maxGroups)
+	groups, _, err := db.walkTier(q, window, ti, q.Start, nBuckets, maxGroups, nil)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]SeriesResult, 0, len(groups))
 	var zero rollAcc
-	for g, accs := range groups {
-		res := SeriesResult{Group: g, Tier: db.opts.Rollups[ti].Width, Buckets: make([]Bucket, nBuckets)}
+	for _, g := range groups {
+		res := SeriesResult{Group: g.name, Tier: db.opts.Rollups[ti].Width, Buckets: make([]Bucket, nBuckets)}
 		for i := range res.Buckets {
 			a := &zero // a present group that put nothing in the range
-			if accs != nil {
-				a = &accs[i]
+			if g.accs != nil {
+				a = &g.accs[i]
 			}
 			res.Buckets[i] = a.toBucket(q.Start+int64(i)*window, q.Aggs)
 		}
@@ -470,80 +472,217 @@ func (db *DB) executeTier(q *Query, window int64, nBuckets, maxGroups, ti int) (
 	return out, nil
 }
 
-// scanTier is the one walk over tier ti's chunks: it resolves group presence
-// over the full [q.Start, q.End) range while merging tier buckets only from
-// tailStart on, into nTail accumulators of width window. A plain execution
-// passes tailStart = q.Start; the query cache passes the end of its frozen
-// prefix, and because both run this loop — same iteration order, same merge
-// calls — a refreshed tail is bit-identical to an uncached execution. A map
-// entry with a nil accumulator slice marks a group that is present (some
-// overlapping chunk carries the field) but contributed no tail data.
-// Candidate series are matched lock-free from the directory; each stripe's
-// read lock is held while that stripe's chunks are walked. A group past
-// maxGroups fails the scan with ErrBadQuery before anything is allocated
-// for it.
-func (db *DB) scanTier(q *Query, window int64, ti int, tailStart int64, nTail, maxGroups int) (map[string][]rollAcc, error) {
+// tierWalk is a query shape's walk over tier ti resolved to the chunks it
+// reads, stripe by stripe. A plain execution resolves one and drops it; a
+// query cache entry keeps it (qcache.go), so a refresh extends it with the
+// series born since and merges its tail from it without touching the
+// series idents, their tags or their chunk lists again.
+//
+// A kept walk has one user at a time: the query that sets busy. A query
+// that finds it set resolves a walk of its own.
+type tierWalk struct {
+	busy    atomic.Bool
+	stripes []stripeWalk
+	groups  []string         // group values by index
+	index   map[string]int32 // inverse of groups
+}
+
+// stripeWalk is one stripe's part of a tierWalk: the resolved chunks of its
+// first covered idents, in walk order — interning order, then chunk start.
+// Every chunk of those idents that carries the field and ends after from is
+// listed. covered stops before the first matched ident whose tier list is
+// nil: its first chunk is inserted without a layoutGen bump, so it has to
+// be found by extending from it.
+type stripeWalk struct {
+	refs     []tierRef
+	covered  int
+	from     int64
+	gen      uint64 // the stripe's layoutGen when refs were resolved
+	resolved bool
+}
+
+// tierRef is one resolved chunk: the chunk, its group's index in the walk,
+// the field's position in its rows, and its slot bounds, copied so that
+// range checks read the walk instead of the chunk header.
+type tierRef struct {
+	ts         *tierSeries
+	start, end int64
+	group, col int32
+}
+
+// walkRefBytes is what one tierRef costs a cache entry's byte budget.
+const walkRefBytes = int64(unsafe.Sizeof(tierRef{}))
+
+// bytes is the walk's charge against the query cache budget.
+func (w *tierWalk) bytes() int64 {
+	n := int64(len(w.stripes)) * int64(unsafe.Sizeof(stripeWalk{}))
+	for i := range w.stripes {
+		n += int64(cap(w.stripes[i].refs)) * walkRefBytes
+	}
+	for _, g := range w.groups {
+		n += int64(len(g)) + qcacheGroupOverhead
+	}
+	return n
+}
+
+// groupTail is one group of a walk's answer: present once a chunk in the
+// range carries the field for it, and its tail accumulators, nil when it
+// put nothing in the tail.
+type groupTail struct {
+	name    string
+	accs    []rollAcc
+	present bool
+}
+
+// walkTier is the one walk over tier ti's chunks: it resolves group
+// presence over the full [q.Start, q.End) range while merging tier buckets
+// only from tailStart on, into nTail accumulators of width window. A plain
+// execution passes tailStart = q.Start and no kept walk; the query cache
+// passes the end of its frozen prefix and the walk its entry keeps. Both
+// merge from the same resolved list in the same order, with the same merge
+// calls, so a refreshed tail is bit-identical to an uncached execution. The
+// present groups come back unsorted.
+//
+// Each stripe's read lock is held while its part of the walk is resolved
+// and merged. A kept stripe walk is extended with the idents interned since,
+// unless the stripe's layoutGen moved or q.Start lies before what it lists,
+// when it is resolved again from the first ident; rewalks counts those. A
+// group past maxGroups fails the walk with ErrBadQuery before any
+// accumulator is allocated for it.
+func (db *DB) walkTier(q *Query, window int64, ti int, tailStart int64, nTail, maxGroups int, kept *tierWalk) (groups []groupTail, rewalks uint64, err error) {
 	needQuant := false
 	for _, a := range q.Aggs {
 		if a == AggMedian || a == AggP95 || a == AggP99 {
 			needQuant = true
 		}
 	}
-	matched := matchIdents(db.dir.Load(), q)
-	groups := map[string][]rollAcc{}
+	// A dropped walk reuses one stripe part for every stripe. Its first
+	// buffers are sized so that a query over a few dozen chunks and a few
+	// groups allocates each once.
+	w := kept
+	var scratch stripeWalk
+	if w == nil {
+		w = &tierWalk{groups: make([]string, 0, 8), index: map[string]int32{}}
+		scratch.refs = make([]tierRef, 0, 64)
+	}
+	tails := make([]groupTail, 0, max(8, len(w.groups))) // by walk group
+	present := 0
 	for si, st := range db.stripes {
-		locked := false
-		for _, id := range matched {
-			if id.stripeIdx != uint32(si) {
+		sw := &scratch
+		if kept != nil {
+			sw = &kept.stripes[si]
+		}
+		st.mu.RLock()
+		if kept == nil || !sw.resolved || sw.gen != st.layoutGen || q.Start < sw.from {
+			var refs []tierRef // a rewalk drops what the old list held
+			if kept == nil {
+				refs = sw.refs[:0]
+			} else if sw.resolved {
+				rewalks++
+			}
+			*sw = stripeWalk{refs: refs, from: q.Start, gen: st.layoutGen, resolved: true}
+		}
+		refs := w.extend(st, q, ti, sw)
+		for len(tails) < len(w.groups) {
+			tails = append(tails, groupTail{})
+		}
+		for i := range refs {
+			r := &refs[i]
+			if r.end <= q.Start || r.start >= q.End {
 				continue
 			}
-			if !locked {
-				st.mu.RLock()
-				locked = true
+			g := &tails[r.group]
+			if !g.present {
+				if present == maxGroups {
+					st.mu.RUnlock()
+					return nil, rewalks, ErrBadQuery
+				}
+				g.name, g.present = w.groups[r.group], true
+				present++
 			}
-			group := ""
-			if q.GroupBy != "" {
-				group = tagValue(id.tags, q.GroupBy)
+			if nTail == 0 || r.end <= tailStart {
+				continue
 			}
-			for _, ts := range id.tiers[ti] {
-				if ts.end <= q.Start || ts.start >= q.End {
+			// Rows are sorted by start; visit only those in
+			// [tailStart, q.End).
+			ts := r.ts
+			wd := len(ts.keys)
+			lo, _ := slices.BinarySearch(ts.starts, tailStart)
+			for j := lo; j < len(ts.starts) && ts.starts[j] < q.End; j++ {
+				c := &ts.cells[j*wd+int(r.col)]
+				if c.n == 0 {
 					continue
 				}
-				fi := slices.Index(ts.keys, q.Field)
-				if fi < 0 {
-					continue
+				if g.accs == nil {
+					g.accs = make([]rollAcc, nTail)
 				}
-				accs, seen := groups[group]
-				if !seen {
-					if len(groups) == maxGroups {
-						st.mu.RUnlock()
-						return nil, ErrBadQuery
-					}
-					groups[group] = nil
-				}
-				if nTail == 0 || ts.end <= tailStart {
-					continue
-				}
-				// Rows are sorted by start; visit only those in
-				// [tailStart, q.End).
-				w := len(ts.keys)
-				lo, _ := slices.BinarySearch(ts.starts, tailStart)
-				for i := lo; i < len(ts.starts) && ts.starts[i] < q.End; i++ {
-					c := &ts.cells[i*w+fi]
-					if c.n == 0 {
-						continue
-					}
-					if accs == nil {
-						accs = make([]rollAcc, nTail)
-						groups[group] = accs
-					}
-					accs[(ts.starts[i]-tailStart)/window].merge(ts, c, needQuant)
-				}
+				g.accs[(ts.starts[j]-tailStart)/window].merge(ts, c, needQuant)
 			}
 		}
-		if locked {
-			st.mu.RUnlock()
+		st.mu.RUnlock()
+	}
+	groups = tails[:0]
+	for _, g := range tails {
+		if g.present {
+			groups = append(groups, g)
 		}
 	}
-	return groups, nil
+	return groups, rewalks, nil
+}
+
+// extend resolves st's idents from sw.covered on and returns sw.refs
+// followed by their chunks, in walk order. sw keeps the chunks of the
+// idents it now covers: every ident up to the first matched one whose tier
+// list is nil. The chunks of the idents after that one serve this walk
+// only. Caller holds st.mu.
+func (w *tierWalk) extend(st *stripe, q *Query, ti int, sw *stripeWalk) []tierRef {
+	refs := sw.refs
+	covering := true
+	for i := sw.covered; i < len(st.idents); i++ {
+		id := st.idents[i]
+		match := id.name == q.Measurement && matchWhere(id.tags, q.Where)
+		if covering && match && id.tiers[ti] == nil {
+			covering = false
+			sw.refs = refs
+		}
+		if covering {
+			sw.covered = i + 1
+		}
+		if !match {
+			continue
+		}
+		g := int32(-1)
+		for _, ts := range id.tiers[ti] {
+			if ts.end <= sw.from {
+				continue
+			}
+			col := slices.Index(ts.keys, q.Field)
+			if col < 0 {
+				continue
+			}
+			if g < 0 {
+				g = w.group(id, q.GroupBy)
+			}
+			refs = append(refs, tierRef{ts: ts, start: ts.start, end: ts.end, group: g, col: int32(col)})
+		}
+	}
+	if covering {
+		sw.refs = refs
+	}
+	return refs
+}
+
+// group returns the index of id's group, adding the group if new.
+func (w *tierWalk) group(id *seriesIdent, groupBy string) int32 {
+	name := ""
+	if groupBy != "" {
+		name = tagValue(id.tags, groupBy)
+	}
+	g, ok := w.index[name]
+	if !ok {
+		g = int32(len(w.groups))
+		w.groups = append(w.groups, name)
+		w.index[name] = g
+	}
+	return g
 }

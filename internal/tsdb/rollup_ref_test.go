@@ -241,7 +241,7 @@ func TestTierSlabMatchesReference(t *testing.T) {
 		}
 
 		// Merged windows, chunk by chunk and bucket by bucket in start order,
-		// the order scanTier folds them in.
+		// the order walkTier folds them in.
 		for ti, tier := range tiers {
 			for _, mult := range []int64{1, 2, 6, 60} {
 				window := tier.Width * mult
