@@ -21,26 +21,20 @@ import (
 
 // options is the fully-parsed, validated command line.
 type options struct {
-	listen    string
-	pcapPath  string
-	rate      float64
-	duration  time.Duration
-	queues    int
-	seed      int64
-	burst     int
-	sinkWk    int
-	sinkBatch int
-	dbStripes int
-	dataDir   string
+	listen   string
+	pcapPath string
+	rate     float64
+	duration time.Duration
+	queues   int
+	seed     int64
+	burst    int
+	sinkWk   int
+	dataDir  string
 
 	// flowTableBytes enables the bounded-memory sketch tier when > 0:
 	// a hard byte cap across sketches, heavy-hitter summaries and every
 	// exact flow-table entry (see ruru.Config.FlowTableBytes).
 	flowTableBytes int64
-
-	// queryCacheBytes is the TSDB query result cache budget; 0 disables
-	// the cache (see ruru.Config.QueryCacheBytes).
-	queryCacheBytes int64
 
 	// Continuous-RTT trackers: -timestamps (TSval/TSecr echo pairing),
 	// -track-seq (data→ACK sequence matching + loss classification) and
@@ -78,10 +72,7 @@ func parseFlags(name string, args []string, hostname func() (string, error)) (*o
 		burst      = fs.Int("burst", 64, "ingest/poll burst size (frames per ring round-trip)")
 		overflow   = fs.String("overflow", "drop", "RX queue overflow policy: drop (NIC-faithful) or block (lossless source)")
 		sinkWk     = fs.Int("sink-workers", 4, "sharded sink workers (measurements partitioned by city pair)")
-		sinkBatch  = fs.Int("sink-batch", 64, "max measurements per sink wakeup / WebSocket broadcast frame")
-		dbStripes  = fs.Int("db-stripes", 8, "TSDB lock stripes (1 = single global write lock)")
 		flowBytes  = fs.String("flow-table-bytes", "", "hard byte cap on all per-flow state, enabling the bounded-memory sketch tier: elephants keep exact records, mice live sketch-only past the cap (size suffixes K/M/G/T, e.g. 64M; empty or 0 = exact-only)")
-		qcBytes    = fs.String("query-cache-bytes", "16M", "TSDB query result cache budget: repeated dashboard queries are served from cached tier aggregates with incremental tail refresh, bit-exact with uncached execution (size suffixes K/M/G/T; 0 = no cache)")
 		rollup     = fs.String("rollup", "default", `TSDB rollup tiers, "width[:retention],..." (e.g. "1s:2h,10s:24h,1m:168h"; retention 0 = keep forever), "default" for the 1s/10s/1m ladder, "off" to disable; raw points are kept for the finest tier's retention, the longest with -data-dir, forever with "off"`)
 		dataDir    = fs.String("data-dir", "", "durable TSDB storage in this directory (WAL + checkpoints, restored on start); empty = in-memory")
 		fsyncMode  = fs.String("fsync", "interval", "WAL fsync policy with -data-dir: always (durable before a write returns), interval (background fsync, default), off (OS page cache only)")
@@ -102,8 +93,17 @@ func parseFlags(name string, args []string, hostname func() (string, error)) (*o
 		listen: *listen, pcapPath: *pcapPath, rate: *rate, duration: *duration,
 		queues: *queues, seed: *seed, burst: *burst,
 		timestamps: *timestamps, trackSeq: *trackSeq, oneDir: *oneDir,
-		sinkWk: *sinkWk, sinkBatch: *sinkBatch, dbStripes: *dbStripes,
-		dataDir: *dataDir,
+		sinkWk: *sinkWk, dataDir: *dataDir,
+	}
+
+	if o.queues < 1 {
+		return nil, fmt.Errorf("bad -queues %d (want at least 1)", o.queues)
+	}
+	if o.sinkWk < 1 {
+		return nil, fmt.Errorf("bad -sink-workers %d (want at least 1)", o.sinkWk)
+	}
+	if *ckptEvery < 0 {
+		return nil, fmt.Errorf("bad -checkpoint-every %v (want a positive period, or 0 for manual only)", *ckptEvery)
 	}
 
 	var err error
@@ -112,9 +112,6 @@ func parseFlags(name string, args []string, hostname func() (string, error)) (*o
 	}
 	if o.flowTableBytes, err = parseBytes(*flowBytes); err != nil {
 		return nil, fmt.Errorf("bad -flow-table-bytes: %v", err)
-	}
-	if o.queryCacheBytes, err = parseBytes(*qcBytes); err != nil {
-		return nil, fmt.Errorf("bad -query-cache-bytes: %v", err)
 	}
 
 	var fsync tsdb.FsyncPolicy

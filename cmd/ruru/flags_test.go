@@ -6,6 +6,9 @@ package main
 // flag table — change one, change both.
 
 import (
+	"errors"
+	"flag"
+	"os"
 	"strings"
 	"testing"
 
@@ -182,38 +185,14 @@ func TestFlagParsing(t *testing.T) {
 				}
 			},
 		},
-		{
-			name: "query cache defaults to 16MiB",
-			args: nil,
-			check: func(t *testing.T, o *options) {
-				if o.queryCacheBytes != 16<<20 {
-					t.Errorf("queryCacheBytes = %d, want 16MiB", o.queryCacheBytes)
-				}
-			},
-		},
-		{
-			name: "query cache sized and disabled",
-			args: []string{"-query-cache-bytes", "0"},
-			check: func(t *testing.T, o *options) {
-				if o.queryCacheBytes != 0 {
-					t.Errorf("queryCacheBytes = %d, want 0 (disabled)", o.queryCacheBytes)
-				}
-			},
-		},
-		{
-			name: "query cache with suffix",
-			args: []string{"-query-cache-bytes", "64M"},
-			check: func(t *testing.T, o *options) {
-				if o.queryCacheBytes != 64<<20 {
-					t.Errorf("queryCacheBytes = %d, want 64MiB", o.queryCacheBytes)
-				}
-			},
-		},
 		{name: "unknown flag", args: []string{"-no-such-flag"}, wantErr: "not defined"},
 		{name: "bad flow table cap", args: []string{"-flow-table-bytes", "lots"}, wantErr: "bad -flow-table-bytes"},
-		{name: "bad query cache", args: []string{"-query-cache-bytes", "much"}, wantErr: "bad -query-cache-bytes"},
 		{name: "bad overflow", args: []string{"-overflow", "spill"}, wantErr: "unknown -overflow"},
 		{name: "bad fsync", args: []string{"-fsync", "sometimes"}, wantErr: "unknown -fsync"},
+		{name: "zero queues", args: []string{"-queues", "0"}, wantErr: "bad -queues"},
+		{name: "negative queues", args: []string{"-queues", "-2"}, wantErr: "bad -queues"},
+		{name: "zero sink workers", args: []string{"-sink-workers", "0"}, wantErr: "bad -sink-workers"},
+		{name: "negative checkpoint period", args: []string{"-data-dir", "/tmp/x", "-checkpoint-every", "-1s"}, wantErr: "bad -checkpoint-every"},
 		// -mode is not a flag: the role comes from the addresses.
 		{name: "bad mode", args: []string{"-mode", "aggregate"}, wantErr: "not defined"},
 		{name: "bad rollup", args: []string{"-rollup", "nope"}, wantErr: "bad -rollup"},
@@ -260,6 +239,67 @@ func TestParseBytes(t *testing.T) {
 	for _, in := range []string{"lots", "-1", "-4K", "12X", "K", "4.5M", "9999999999G", "64MiBs"} {
 		if got, err := parseBytes(in); err == nil {
 			t.Errorf("parseBytes(%q) = %d, want error", in, got)
+		}
+	}
+}
+
+// TestREADMEFlagTable: the cmd/ruru flag table in README.md lists exactly
+// the flags parseFlags registers, so a deleted flag cannot stay documented
+// and a new one cannot go undocumented.
+func TestREADMEFlagTable(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(readme), "### `cmd/ruru` — the daemon\n")
+	if !ok {
+		t.Fatal("README.md has no \"### `cmd/ruru` — the daemon\" section")
+	}
+	section, _, _ = strings.Cut(section, "\n### ")
+	documented := map[string]bool{}
+	for _, line := range strings.Split(section, "\n") {
+		if name, ok := strings.CutPrefix(line, "| `-"); ok {
+			name, _, _ = strings.Cut(name, "`")
+			documented[name] = true
+		}
+	}
+
+	// The flag package prints one "  -name" line per flag to os.Stderr
+	// on -h.
+	usage, err := os.CreateTemp(t.TempDir(), "usage")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = usage
+	_, err = parseFlags("ruru-test", []string{"-h"}, noHostname)
+	os.Stderr = stderr
+	if !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("parseFlags(-h) = %v, want flag.ErrHelp", err)
+	}
+	out, err := os.ReadFile(usage.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	registered := map[string]bool{}
+	for _, line := range strings.Split(string(out), "\n") {
+		if name, ok := strings.CutPrefix(line, "  -"); ok {
+			name, _, _ = strings.Cut(name, " ")
+			registered[name] = true
+		}
+	}
+
+	if len(registered) == 0 {
+		t.Fatalf("no flags in the -h output:\n%s", out)
+	}
+	for name := range registered {
+		if !documented[name] {
+			t.Errorf("flag -%s is not in README.md's cmd/ruru flag table", name)
+		}
+	}
+	for name := range documented {
+		if !registered[name] {
+			t.Errorf("README.md's cmd/ruru flag table lists -%s, which the daemon does not accept", name)
 		}
 	}
 }

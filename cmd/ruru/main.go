@@ -73,6 +73,11 @@ func rawHorizon(tiers []tsdb.RollupTier, persist bool) int64 {
 	return finest.Retention
 }
 
+// queryCacheBytes is the TSDB query result cache budget. No size measured
+// better (docs/OPERATIONS.md, "Tuning"), so it is not a flag; nor are the
+// sink batch and the TSDB lock stripes, left at their library defaults.
+const queryCacheBytes = 16 << 20
+
 func main() {
 	opt, err := parseFlags("ruru", os.Args[1:], os.Hostname)
 	if err != nil {
@@ -95,10 +100,8 @@ func main() {
 		TrackSeq:        opt.trackSeq,
 		OneDirection:    opt.oneDir,
 		FlowTableBytes:  opt.flowTableBytes,
-		QueryCacheBytes: opt.queryCacheBytes,
+		QueryCacheBytes: queryCacheBytes,
 		SinkWorkers:     opt.sinkWk,
-		SinkBatch:       opt.sinkBatch,
-		DBStripes:       opt.dbStripes,
 		Retention:       rawHorizon(opt.rollups, opt.persist.Dir != ""),
 		Rollups:         opt.rollups,
 		Persist:         opt.persist,
@@ -275,10 +278,11 @@ func replayPcap(ctx context.Context, path string, port *nic.Port, burst int) err
 	switch {
 	case errors.Is(err, context.Canceled):
 		// interrupted: shut down normally
-	case errors.Is(err, pcap.ErrTruncated) && n > 0:
-		// a cut-short capture (tcpdump killed mid-write) is routine:
-		// keep serving what was replayed
-		log.Printf("ruru: capture truncated after %d packets", n)
+	case (errors.Is(err, pcap.ErrTruncated) || errors.Is(err, pcap.ErrBadRecordLen)) && n > 0:
+		// a cut-short capture (tcpdump killed mid-write) is routine, and
+		// a corrupt record ends the replay the same way: keep serving what
+		// was replayed, so shutdown still drains, reports and closes
+		log.Printf("ruru: capture ends after %d packets: %v", n, err)
 	case err != nil:
 		return err
 	}
